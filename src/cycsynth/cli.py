@@ -225,6 +225,21 @@ def cmd_phase_condition(args, out) -> int:
     return 1
 
 
+def _truncate_census(path: str, next_n: int) -> None:
+    """Cut a census CSV after its leading complete lines whose first field
+    is below next_n: rows written after the last checkpoint, or a line cut
+    short by the interruption, would otherwise be duplicated on resume."""
+    keep = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            head = line.split(b",", 1)[0]
+            if not (line.endswith(b"\n") and head.isdigit() and int(head) < next_n):
+                break
+            keep += len(line)
+    with open(path, "r+b") as fh:
+        fh.truncate(keep)
+
+
 def cmd_fn_census(args, out) -> int:
     max_n = args.max
     start_n = 2
@@ -237,6 +252,8 @@ def cmd_fn_census(args, out) -> int:
             start_n = state["next_n"]
             hits = state["hits"]
             mode = "a"
+            if args.output and os.path.exists(args.output):
+                _truncate_census(args.output, start_n)
     sink = open(args.output, mode) if args.output else out
 
     def save_checkpoint(next_n: int, hits_now: int) -> None:

@@ -6,17 +6,25 @@ cyclotomic polynomial Phi_2n.  The power basis is an integral basis, so
 the representation of each element is unique and all arithmetic is exact.
 Coefficients are Python ints, i.e. arbitrary precision: synthesis of long
 circuits grows them without bound and fixed-width integers are never safe.
+Products are reduced with the nonzero terms of zeta^e, precomputed once per
+context, so a sparse Phi_2n (x^n + 1 for n a power of two) costs one term
+per folded coefficient.
 
-The valuation layer (the exponent of the unique prime ideal above 2) is
-only available for n in {2, 4, 6, 8, 12}, where that prime is unique and
-the valuation can be read off the rational norm.
+2-adic data is read from coefficient parity bits.  Write n = 2^k s with s
+odd; then Phi_2n = Phi_s^(2^k) (mod 2) with Phi_s squarefree mod 2, so the
+primes above 2 are the factors of Phi_s mod 2, each with ramification
+index 2^k.  For x not divisible by 2, the multiplicity of Phi_s in x mod 2
+(a carry-less division on a bitmask int) is the least valuation of x at a
+prime above 2.  The valuation proper is only available for n in
+{2, 4, 6, 8, 12}, where that prime is unique.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import or_
 
 from .errors import IntegrityError
 
@@ -143,7 +151,6 @@ class Context:
         self.degree = len(self.phi_poly) - 1
         self.k = two_adic(n)
         self.s = n >> self.k
-        self.f = _mult_order_two(self.s)
         self.galois_exponents = tuple(
             t for t in range(1, self.order) if math.gcd(t, self.order) == 1
         )
@@ -164,14 +171,20 @@ class Context:
                     if rj:
                         cur[j] += top * rj
         self.zeta_pow = tuple(rows)
-        self._phi_s = _euler_phi(self.s)
-        # The prime above 2 is unique exactly when the residue degree f
-        # exhausts phi(s); then v(2) = degree/f.
-        self.unique_prime_above_two = self.f == self._phi_s
-        self.ram_index = self.degree // self.f if self.unique_prime_above_two else None
+        # The nonzero (index, coefficient) pairs of each zeta_pow row.
+        self.zeta_terms = tuple(
+            tuple((j, c) for j, c in enumerate(row) if c) for row in rows
+        )
+        # Phi_s^(2^j) mod 2 as bitmask ints, j < k: by Frobenius each is
+        # Phi_s(x^(2^j)) mod 2, i.e. the bits of Phi_s spread 2^j apart.
+        phi_s = [c & 1 for c in cyclotomic_poly(self.s)]
+        self.phi_s_pow2_mod2 = tuple(
+            sum(1 << (i << j) for i, c in enumerate(phi_s) if c)
+            for j in range(self.k)
+        )
+        # Every prime above 2 has ramification index 2^k, so v(2) = 2^k.
+        self.ram_index = 1 << self.k
         self.supports_valuation = n in VALUATION_NS
-        if self.supports_valuation and not self.unique_prime_above_two:
-            raise IntegrityError("valuation layer enabled without unique prime")
         self._cache: dict = {}
 
     # -- element factories -------------------------------------------------
@@ -203,22 +216,17 @@ class Context:
         return "Context(n=%d)" % self.n
 
 
-def _euler_phi(m: int) -> int:
-    out = m
-    for p in _distinct_primes(m):
-        out -= out // p
-    return out
-
-
-def _mult_order_two(s: int) -> int:
-    """Multiplicative order of 2 modulo odd s (1 when s = 1)."""
-    if s == 1:
-        return 1
-    t, v = 1, 2 % s
-    while v != 1:
-        v = (v * 2) % s
-        t += 1
-    return t
+def _gf2_exact_quotient(a: int, b: int) -> int | None:
+    """a / b for GF(2) polynomials as bitmask ints, or None if b does not
+    divide a."""
+    q = 0
+    db = b.bit_length()
+    shift = a.bit_length() - db
+    while shift >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - db
+    return None if a else q
 
 
 def _check_same_context(a: "CycInt", b: "CycInt") -> None:
@@ -267,40 +275,40 @@ class CycInt:
         _check_same_context(self, other)
         ctx = self.ctx
         d = ctx.degree
-        a, b = self.coeffs, other.coeffs
+        bterms = [(j, bj) for j, bj in enumerate(other.coeffs) if bj]
         conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(self.coeffs):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+                for j, bj in bterms:
+                    conv[i + j] += ai * bj
         out = conv[:d]
-        zp = ctx.zeta_pow
+        terms = ctx.zeta_terms
         for e in range(d, 2 * d - 1):
             c = conv[e]
             if c:
-                for j, rj in enumerate(zp[e]):
-                    if rj:
-                        out[j] += c * rj
+                for j, rj in terms[e]:
+                    out[j] += c * rj
         return CycInt(ctx, tuple(out))
 
     __rmul__ = __mul__
 
-    def times_zeta(self, j: int) -> "CycInt":
-        """Product with zeta^j (a sparse basis rotation, cheaper than mul)."""
+    def _scatter(self, t: int, j: int) -> "CycInt":
+        # sum_i c_i zeta^(i t + j), folded through the sparse rows
         ctx = self.ctx
-        j %= ctx.order
-        if j == 0:
-            return self
-        d = ctx.degree
-        zp = ctx.zeta_pow
-        out = [0] * d
+        terms, order = ctx.zeta_terms, ctx.order
+        out = [0] * ctx.degree
         for i, c in enumerate(self.coeffs):
             if c:
-                for t, rt in enumerate(zp[(i + j) % ctx.order]):
-                    if rt:
-                        out[t] += c * rt
+                for e, r in terms[(i * t + j) % order]:
+                    out[e] += c * r
         return CycInt(ctx, tuple(out))
+
+    def times_zeta(self, j: int) -> "CycInt":
+        """Product with zeta^j (a sparse basis rotation, cheaper than mul)."""
+        j %= self.ctx.order
+        if j == 0:
+            return self
+        return self._scatter(1, j)
 
     # -- Galois action and derived maps ---------------------------------------
 
@@ -309,16 +317,7 @@ class CycInt:
         ctx = self.ctx
         if math.gcd(t, ctx.order) != 1:
             raise ValueError("t=%d is not coprime to %d" % (t, ctx.order))
-        t %= ctx.order
-        d = ctx.degree
-        zp = ctx.zeta_pow
-        out = [0] * d
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for i, ri in enumerate(zp[(j * t) % ctx.order]):
-                    if ri:
-                        out[i] += c * ri
-        return CycInt(ctx, tuple(out))
+        return self._scatter(t, 0)
 
     def conj(self) -> "CycInt":
         """Complex conjugate (the Galois map t = 2n - 1)."""
@@ -346,11 +345,34 @@ class CycInt:
         """Coefficientwise residue in {0, 1}, as an element of the ring."""
         return CycInt(self.ctx, tuple(c & 1 for c in self.coeffs))
 
+    def mod2_multiplicity(self, shift: int = 0) -> int:
+        """Multiplicity of Phi_s in the residue mod 2 of the coefficients
+        shifted right by `shift` bits, which must not all be even.
+
+        That residue is a nonzero polynomial of degree below
+        2^k deg(Phi_s), so the multiplicity is below 2^k; its binary digits
+        are found from the top by carry-less division by Phi_s^(2^j).
+        """
+        mask = 0
+        for c in reversed(self.coeffs):
+            mask = (mask << 1) | ((c >> shift) & 1)
+        if not mask:
+            raise ValueError("residue mod 2 is zero")
+        mult = 0
+        pows = self.ctx.phi_s_pow2_mod2
+        for j in range(len(pows) - 1, -1, -1):
+            q = _gf2_exact_quotient(mask, pows[j])
+            if q is not None:
+                mask = q
+                mult += 1 << j
+        return mult
+
     def valuation(self):
         """Exponent of the unique prime above 2 (n in {2,4,6,8,12} only).
 
-        Computed as v_2(|norm|) / f, which is exact because a single prime
-        lies above 2 for the supported n.  Returns math.inf for zero.
+        With 2^t the largest power of 2 dividing every coefficient, this is
+        2^k t plus the multiplicity of Phi_s in (x / 2^t) mod 2.  Returns
+        math.inf for zero.
         """
         ctx = self.ctx
         if not ctx.supports_valuation:
@@ -359,10 +381,8 @@ class CycInt:
             )
         if self.is_zero():
             return math.inf
-        v2 = two_adic(abs(self.norm()))
-        if v2 % ctx.f != 0:
-            raise IntegrityError("norm 2-exponent is not a multiple of f")
-        return v2 // ctx.f
+        t = two_adic(reduce(or_, self.coeffs))
+        return (t << ctx.k) + self.mod2_multiplicity(t)
 
     # -- comparisons / hashing -------------------------------------------------
 

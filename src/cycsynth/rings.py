@@ -8,9 +8,11 @@ arithmetic below.
 The denominator exponent of a nonzero real element x is the unique r >= 0
 with x = w / beta^r where w is an algebraic integer not divisible by beta,
 beta = 2 for n = 2s (s odd) and beta = 2 cos(pi / 2^k) for n = 2^k s with
-k >= 2.  Because beta^(2^(k-1)) = 2 * unit, a normalized numerator is never
-divisible by beta^(2^(k-1)), so r = m * 2^(k-1) - t with t < 2^(k-1) found
-by an iterated divisibility chain.
+k >= 2.  It is read from parity bits: beta has valuation 2 at every prime
+above 2 and 2 has valuation 2^k there, so for a normalized x = num / 2^m
+with m > 0 the exponent is r = m 2^(k-1) - floor(v / 2), where v is the
+multiplicity of Phi_s in num mod 2 (see cyclo); r = m when k = 1 and r = 0
+when m = 0.
 """
 
 from __future__ import annotations
@@ -183,13 +185,7 @@ def q_of(a: int, ctx: Context) -> int:
 
 
 class BetaConstant:
-    """The denominator base beta with precomputed divisibility helpers.
-
-    gamma is the product of the nontrivial Galois conjugates of beta and
-    bnorm = beta * gamma is its rational norm, so dividing by beta costs a
-    single ring multiplication.  unit is beta^(2^(k-1)) / 2, a unit that
-    converts between powers of 2 and powers of beta.
-    """
+    """The denominator base beta of the context (see the module docstring)."""
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
@@ -200,51 +196,6 @@ class BetaConstant:
             step = ctx.order >> (ctx.k + 1)  # zeta^step has order 2^(k+1)
             beta = ctx.zeta(step) + ctx.zeta(-step)
         self.beta = beta
-        gamma = ctx.one()
-        for t in ctx.galois_exponents[1:]:
-            gamma = gamma * beta.galois(t)
-        self.gamma = gamma
-        bnorm = (beta * gamma).as_int()
-        if bnorm is None or bnorm == 0:
-            raise IntegrityError("norm of beta is not a nonzero integer")
-        self.bnorm = bnorm
-        pw = beta
-        for _ in range(self.k - 1):
-            pw = pw * pw
-        unit = CycInt(ctx, tuple(c // 2 for c in pw.coeffs))
-        if any(c % 2 for c in pw.coeffs) or abs(unit.norm()) != 1:
-            raise IntegrityError("beta^(2^(k-1)) / 2 is not a unit")
-        self.unit = unit
-        self._unit_pows: dict[int, CycInt] = {0: ctx.one(), 1: unit}
-        self.q_table = {a: q_of(a, ctx) for a in range(1, ctx.n // 2)}
-
-    def beta_reduce(self, num: CycInt) -> tuple[int, CycInt]:
-        """Largest t with beta^t | num, together with num / beta^t."""
-        if num.is_zero():
-            raise ValueError("beta_reduce of zero")
-        t = 0
-        if self.k == 1:
-            while all(c % 2 == 0 for c in num.coeffs):
-                num = CycInt(num.ctx, tuple(c // 2 for c in num.coeffs))
-                t += 1
-            return t, num
-        while True:
-            prod = num * self.gamma
-            if all(c % self.bnorm == 0 for c in prod.coeffs):
-                num = CycInt(num.ctx, tuple(c // self.bnorm for c in prod.coeffs))
-                t += 1
-            else:
-                return t, num
-
-    def unit_pow(self, m: int) -> CycInt:
-        cached = self._unit_pows.get(m)
-        if cached is None:
-            cached = self.unit_pow(m // 2)
-            cached = cached * cached
-            if m % 2:
-                cached = cached * self.unit
-            self._unit_pows[m] = cached
-        return cached
 
 
 def beta_constant(ctx: Context) -> BetaConstant:
@@ -258,27 +209,24 @@ def _beta_exp_r(x: RingElem, bc: BetaConstant) -> int:
     """Denominator exponent only (no witness); shared with beta_exponent."""
     if x.is_zero():
         raise ValueError("beta exponent of zero")
-    t, _ = bc.beta_reduce(x.num)
-    r = x.m * (1 << (bc.k - 1)) - t
-    return r if r > 0 else 0
+    if x.m == 0 or bc.k == 1:
+        return x.m
+    return (x.m << (bc.k - 1)) - (x.num.mod2_multiplicity() >> 1)
 
 
 def beta_exponent(x: RingElem, bc: BetaConstant) -> tuple[int, CycInt]:
     """Denominator exponent r and witness w = x * beta^r of a real element.
 
-    For a normalized x = num / 2^m this is r = m * 2^(k-1) - t with t the
-    largest power of beta dividing num, clamped at 0 for integral inputs.
-    The witness is assembled as (num / beta^t) * unit^m, which equals
-    x * beta^r exactly.
+    The witness is num * beta^r / 2^m, an exact coefficientwise shift.
     """
-    if x.is_zero():
-        raise ValueError("beta exponent of zero")
-    t, reduced = bc.beta_reduce(x.num)
-    r = x.m * (1 << (bc.k - 1)) - t
-    if r <= 0:
-        return 0, x.num
-    witness = reduced * bc.unit_pow(x.m)
-    return r, witness
+    r = _beta_exp_r(x, bc)
+    w = x.num
+    for _ in range(r):
+        w = w * bc.beta
+    low = (1 << x.m) - 1
+    if any(c & low for c in w.coeffs):
+        raise IntegrityError("num * beta^r is not divisible by 2^m")
+    return r, CycInt(w.ctx, tuple(c >> x.m for c in w.coeffs))
 
 
 def as_zeta_power(x: RingElem) -> int | None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cyclo import Context, CycInt, make_context, two_adic
+from .cyclo import VALUATION_NS, Context, CycInt, make_context, two_adic
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
 from .rings import RingElem, as_zeta_power, mu
 from .su2 import GateSequence, UnitaryRn, eval_sequence, token_w
@@ -38,7 +38,9 @@ __all__ = [
     "z_rotation_classify",
 ]
 
-RING_EQUALITY_NS = (2, 4, 6, 8, 12)
+# The n where every ring unitary is a circuit: those with a unique prime
+# above 2, i.e. where the valuation is defined.
+RING_EQUALITY_NS = VALUATION_NS
 
 
 # -- the phase condition and census -------------------------------------------

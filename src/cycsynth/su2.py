@@ -378,12 +378,14 @@ def matrix_from_json(obj: dict) -> UnitaryRn:
     for key in ("n", "denom_exp", "entries"):
         if key not in obj:
             raise ValueError("matrix JSON missing field %r" % key)
+    # bool is a subclass of int, so JSON true/false must be turned away
+    # explicitly here and in the coefficient vectors.
     n = obj["n"]
-    if not isinstance(n, int) or n < 2 or n % 2:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2 or n % 2:
         raise ValueError("field 'n' must be a positive even integer")
     ctx = make_context(n)
     m = obj["denom_exp"]
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("field 'denom_exp' must be a nonnegative integer")
     entries = obj["entries"]
     if not (isinstance(entries, list) and len(entries) == 2):
@@ -396,6 +398,9 @@ def matrix_from_json(obj: dict) -> UnitaryRn:
         for c, vec in enumerate(row):
             if not isinstance(vec, list):
                 raise ValueError("entry (%d,%d) must be a coefficient vector" % (r, c))
+            if any(isinstance(x, bool) for x in vec):
+                raise ValueError("entry (%d,%d): coefficients must be integers, "
+                                 "not booleans" % (r, c))
             try:
                 num = ctx.from_coeffs(vec)
             except ValueError as exc:

@@ -28,6 +28,7 @@ from .so3 import (
     bloch,
     clifford_group,
     clifford_unitary,
+    exponent_profile,
     is_signed_permutation,
     rotation_generator,
 )
@@ -99,17 +100,6 @@ def _entry_bounds(e: RingElem, k1: int) -> tuple[int, int]:
     return (e.m - 1) * k1 + 1, e.m * k1
 
 
-def _row_max_exact(row, bc: BetaConstant) -> int:
-    best = 0
-    for e in row:
-        if e.is_zero():
-            continue
-        r = _beta_exp_r(e, bc)
-        if r > best:
-            best = r
-    return best
-
-
 def _candidate_rmax(entries, floor: int, bc: BetaConstant, k1: int, cutoff):
     """Exact max denominator exponent, or None once it provably exceeds cutoff."""
     val = floor
@@ -146,7 +136,7 @@ def axis_detect(m: Rotation, bc: BetaConstant) -> tuple[str, int]:
     Scans all 3 (n/2 - 1) candidates R_q^(-b) M.  A candidate is discarded
     as soon as its exponent provably exceeds the best seen (the row left
     unchanged by R_q gives a free floor; entry exponents are bracketed by
-    the power-of-two denominator before any divisibility chain runs), which
+    the power-of-two denominator before any parity bits are read), which
     never changes the arg-min or the tie check.  Ties and non-reducing
     minima raise NotReducibleError.
     """
@@ -157,8 +147,7 @@ def axis_detect(m: Rotation, bc: BetaConstant) -> tuple[str, int]:
         raise NotReducibleError("no rotation candidates exist for n = 2")
     k1 = 1 << (bc.k - 1)
     rows = m.rows
-    row_max = [_row_max_exact(row, bc) for row in rows]
-    cur_max = max(row_max)
+    cur_max, row_max = exponent_profile(m, bc)
     # Try the deficient axis first: for synthesizable inputs the winning
     # candidate lives there, and the floors then dismiss the other axes.
     axis_order = sorted(range(3), key=lambda i: (row_max[i], i))

@@ -3,12 +3,16 @@
 Everything here deliberately avoids the library's own algorithms: the
 cyclotomic polynomials come from the plain recursive division, divisibility
 from a rational linear solve, and numeric cross-checks from floating-point
-evaluation of the power basis.
+evaluation of the power basis.  The library's fast paths are checked against
+the slow code they replaced: products reduced by the dense zeta_pow rows,
+valuations read off the rational norm, and denominator exponents found by
+the iterated beta-divisibility chain.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -84,6 +88,90 @@ def divides_oracle(y: CycInt, x: CycInt) -> bool:
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
                 rhs[r] -= f * rhs[col]
     return all(v.denominator == 1 for v in rhs)
+
+
+# -- dense-row arithmetic, norm valuation, beta-divisibility chain --------------
+
+
+def dense_mul(a: CycInt, b: CycInt) -> CycInt:
+    """Schoolbook product reduced by scanning the dense zeta_pow rows."""
+    ctx = a.ctx
+    d = ctx.degree
+    conv = [0] * (2 * d - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            conv[i + j] += ai * bj
+    out = conv[:d]
+    for e in range(d, 2 * d - 1):
+        for j, rj in enumerate(ctx.zeta_pow[e]):
+            out[j] += conv[e] * rj
+    return CycInt(ctx, tuple(out))
+
+
+def _dense_scatter(x: CycInt, exponent_of) -> CycInt:
+    ctx = x.ctx
+    out = [0] * ctx.degree
+    for i, c in enumerate(x.coeffs):
+        for t, rt in enumerate(ctx.zeta_pow[exponent_of(i) % ctx.order]):
+            out[t] += c * rt
+    return CycInt(ctx, tuple(out))
+
+
+def dense_times_zeta(x: CycInt, j: int) -> CycInt:
+    return _dense_scatter(x, lambda i: i + j)
+
+
+def dense_galois(x: CycInt, t: int) -> CycInt:
+    return _dense_scatter(x, lambda i: i * t)
+
+
+def mult_order_two(s: int) -> int:
+    """Multiplicative order of 2 modulo odd s (1 when s = 1)."""
+    t, v = 1, 2 % s
+    while s > 1 and v != 1:
+        v = (v * 2) % s
+        t += 1
+    return t
+
+
+def norm_valuation(x: CycInt):
+    """v_2(|norm x|) / f, f the residue degree; exact when the prime above 2
+    is unique.  The norm is built with the dense-row arithmetic."""
+    ctx = x.ctx
+    if x.is_zero():
+        return math.inf
+    acc = x
+    for t in ctx.galois_exponents[1:]:
+        acc = dense_mul(acc, dense_galois(x, t))
+    norm = acc.coeffs[0]
+    assert norm and not any(acc.coeffs[1:])
+    v2 = (norm & -norm).bit_length() - 1
+    f = mult_order_two(ctx.s)
+    assert v2 % f == 0
+    return v2 // f
+
+
+def chain_beta_exponent(x: RingElem, beta: CycInt) -> int:
+    """Denominator exponent m 2^(k-1) - t of a normalized x = num / 2^m,
+    clamped at 0, with t the largest power of beta dividing num, found by
+    dividing by beta while possible: multiply by the product gamma of the
+    nontrivial conjugates of beta, then divide by the rational norm.  Uses
+    the library product, which dense_mul checks independently."""
+    ctx = x.ctx
+    num = x.num
+    assert not num.is_zero()
+    gamma = ctx.one()
+    for t in ctx.galois_exponents[1:]:
+        gamma = gamma * beta.galois(t)
+    bnorm = (beta * gamma).as_int()
+    t = 0
+    while True:
+        prod = num * gamma
+        if any(c % bnorm for c in prod.coeffs):
+            break
+        num = CycInt(ctx, tuple(c // bnorm for c in prod.coeffs))
+        t += 1
+    return max(x.m * (1 << (ctx.k - 1)) - t, 0)
 
 
 # -- numeric embedding ----------------------------------------------------------

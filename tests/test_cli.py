@@ -95,6 +95,23 @@ def test_synth_rejects_malformed_json(tmp_path):
     assert code == 2
 
 
+def test_synth_rejects_json_booleans(tmp_path, capsys):
+    # each of these read as the T gate while true/false passed as 1/0
+    doubled = t_gate_json()
+    doubled["entries"] = [[[2 * c for c in v] for v in row] for row in doubled["entries"]]
+    doubled["denom_exp"] = True
+    coeff = t_gate_json()
+    coeff["entries"][0][0] = [True, False, 0, 0]
+    flag = t_gate_json()
+    flag["n"] = True
+    path = tmp_path / "t.json"
+    for obj, field in ((doubled, "'denom_exp'"), (coeff, "entry (0,0)"), (flag, "'n'")):
+        path.write_text(json.dumps(obj))
+        code, out = run_cli(["synth", "--n", "4", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert field in capsys.readouterr().err
+
+
 def test_synth_wrong_n_flag(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(t_gate_json()))
@@ -227,6 +244,28 @@ def test_fn_census_checkpoint_resume(tmp_path):
     lines = out2.read_text().splitlines()
     assert lines[0].startswith("202,")
     assert lines[-1].split(",")[0] == "300"
+
+
+def test_fn_census_resume_drops_rows_past_checkpoint(tmp_path):
+    full_path, ck = tmp_path / "full.csv", tmp_path / "census.ck"
+    run_cli(["fn-census", "--max", "300", "--output", str(full_path)])
+    full = full_path.read_text()
+    rows = full.splitlines()[:-1]
+    done = [r for r in rows if int(r.split(",")[0]) < 202]
+    hits = sum(r.endswith(",true") for r in done)
+    # interrupted after the checkpoint at n=200: later rows and a torn line
+    # reached the file before the process died
+    out_path = tmp_path / "census.csv"
+    past = [r for r in rows if 202 <= int(r.split(",")[0]) <= 250]
+    out_path.write_text("\n".join(done + past) + "\n252,tr")
+    ck.write_text(json.dumps({"max": 300, "next_n": 202, "hits": hits}))
+    code, _ = run_cli(
+        ["fn-census", "--max", "300", "--output", str(out_path), "--checkpoint", str(ck)]
+    )
+    assert code == 0
+    assert out_path.read_text() == full
+    total = sum(r.endswith(",true") for r in rows)
+    assert json.loads(ck.read_text()) == {"max": 300, "next_n": 302, "hits": total}
 
 
 def test_random_command_round_trips(tmp_path):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cycsynth import cyclotomic_poly, divides, exact_quotient, make_context
-from oracles import divides_oracle, naive_cyclotomic, poly_eval, random_cycint
+from oracles import divides_oracle, mult_order_two, naive_cyclotomic, poly_eval, random_cycint
 
 SUPPORTED = (2, 4, 6, 8, 12)
 
@@ -25,7 +25,8 @@ def test_context_n12_constants():
     ctx = make_context(12)
     assert ctx.degree == 8
     assert list(ctx.phi_poly) == [1, 0, 0, 0, -1, 0, 0, 0, 1]
-    assert (ctx.k, ctx.s, ctx.f) == (2, 3, 2)
+    assert (ctx.k, ctx.s) == (2, 3)
+    assert ctx.phi_s_pow2_mod2 == (0b111, 0b10101)  # Phi_3, Phi_3^2 mod 2
     assert naive_cyclotomic(24) == list(ctx.phi_poly)
 
 
@@ -36,9 +37,11 @@ def test_context_rejects_bad_n(bad):
 
 
 def test_unique_prime_degree_identity():
+    # one prime above 2: ramification index times residue degree (the
+    # order of 2 mod s) exhausts the field degree
     for n in SUPPORTED:
         ctx = make_context(n)
-        assert ctx.ram_index * ctx.f == ctx.degree
+        assert ctx.ram_index * mult_order_two(ctx.s) == ctx.degree
 
 
 # -- ring operations --------------------------------------------------------------

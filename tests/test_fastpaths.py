@@ -1,0 +1,121 @@
+"""Differential tests: each arithmetic fast path against the slow code it
+replaced (kept in oracles.py as the reference)."""
+
+import math
+import random
+
+import pytest
+
+from cycsynth import (
+    RingElem,
+    axis_detect,
+    beta_constant,
+    beta_exponent,
+    bloch,
+    is_signed_permutation,
+    make_context,
+    random_unitary,
+    rotation_generator,
+)
+from cycsynth.rings import _beta_exp_r
+from oracles import (
+    chain_beta_exponent,
+    dense_galois,
+    dense_mul,
+    dense_times_zeta,
+    norm_valuation,
+    random_cycint,
+)
+
+# n = 14, 28 and 30 have several primes above 2; n = 10, 14 and 30 have k = 1.
+EXPONENT_NS = (4, 6, 8, 10, 12, 14, 16, 24, 28, 30, 32, 64)
+
+
+def _descent_entries(u):
+    """Every nonzero entry of every Bloch matrix axis_detect scores along the
+    descent of u: each step's matrix and all its 3 (n/2 - 1) candidates."""
+    ctx = u.ctx
+    bc = beta_constant(ctx)
+    m = bloch(u)
+    seen = {}
+    while True:
+        mats = [m] + [
+            rotation_generator(ctx, p, ctx.order - b) @ m
+            for p in "xyz"
+            for b in range(1, ctx.n // 2)
+        ]
+        for mat in mats:
+            for row in mat.rows:
+                for e in row:
+                    if not e.is_zero():
+                        seen.setdefault(e.key(), e)
+        if is_signed_permutation(m) is not None:
+            return list(seen.values())
+        q, b = axis_detect(m, bc)
+        m = rotation_generator(ctx, q, ctx.order - b) @ m
+
+
+@pytest.mark.parametrize("n", EXPONENT_NS)
+def test_parity_exponent_matches_divisibility_chain(n):
+    ctx = make_context(n)
+    bc = beta_constant(ctx)
+    tcount = {32: 4, 64: 3}.get(n, 6)
+    entries = []
+    for seed in range(2):
+        entries += _descent_entries(random_unitary(ctx, tcount, 900 + seed)[0])
+    assert len({e.m for e in entries}) >= 3
+    for e in entries:
+        want = chain_beta_exponent(e, bc.beta)
+        assert _beta_exp_r(e, bc) == want
+        assert beta_exponent(e, bc)[0] == want
+
+
+def test_beta_exponent_witness_on_descent_entries():
+    for n in (8, 12, 28):
+        ctx = make_context(n)
+        bc = beta_constant(ctx)
+        for e in _descent_entries(random_unitary(ctx, 4, 7)[0]):
+            r, w = beta_exponent(e, bc)
+            beta_r = ctx.one()
+            for _ in range(r):
+                beta_r = beta_r * bc.beta
+            assert RingElem(e.num * beta_r, e.m) == RingElem(w, 0)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 12))
+def test_parity_valuation_matches_norm(n):
+    ctx = make_context(n)
+    rng = random.Random(60 + n)
+    one_plus_i = ctx.one() + ctx.zeta(n // 2)
+    checked = 0
+    for j in range(12):
+        pw = ctx.one()
+        for _ in range(j):
+            pw = pw * one_plus_i
+        for _ in range(25):
+            x = random_cycint(ctx, rng, 6) * pw
+            if rng.random() < 0.3:
+                x = x * (1 << rng.randint(1, 3))
+            assert x.valuation() == norm_valuation(x)
+            checked += 0 if x.is_zero() else 1
+    assert checked > 250
+    assert ctx.zero().valuation() == math.inf
+
+
+def _random_sparse(ctx, rng):
+    x = random_cycint(ctx, rng, 40)
+    keep = rng.random()
+    return ctx.from_coeffs(c if rng.random() < keep else 0 for c in x.coeffs)
+
+
+def test_products_match_dense_rows():
+    rng = random.Random(61)
+    for n in range(2, 65, 2):
+        ctx = make_context(n)
+        for _ in range(4):
+            a, b = _random_sparse(ctx, rng), _random_sparse(ctx, rng)
+            assert a * b == dense_mul(a, b)
+            j = rng.randrange(-ctx.order, 2 * ctx.order)
+            assert a.times_zeta(j) == dense_times_zeta(a, j)
+            t = rng.choice(ctx.galois_exponents)
+            assert a.galois(t) == dense_galois(a, t)

@@ -176,6 +176,14 @@ def test_rewrite_agrees_with_descent_on_random_words():
             assert cf1 == cf2
 
 
+def test_descent_agrees_with_rewriting_for_every_even_n_to_64():
+    for n in range(4, 65, 2):
+        ctx = make_context(n)
+        for seed in range(3):
+            u, seq = random_unitary(ctx, 12, 500 + seed)
+            assert canonical_form(u) == canonicalize_sequence(seq, ctx), (n, seed)
+
+
 def test_rewrite_angle_folding_keeps_range():
     ctx = make_context(12)
     rng = random.Random(44)
