@@ -90,53 +90,49 @@ def _read_matrices(path: str, expect_n: int) -> list[UnitaryRn]:
                 ) from None
     out = []
     for idx, obj in enumerate(objs):
-        u = matrix_from_json(obj)
-        if u.ctx.n != expect_n:
-            raise ValueError(
-                "entry %d has n=%d but --n %d was given" % (idx + 1, u.ctx.n, expect_n)
-            )
-        out.append(u)
+        _check_n(obj, expect_n, "entry %d" % (idx + 1))
+        out.append(matrix_from_json(obj))
     return out
 
 
-def _synth_one(args: tuple[int, dict]) -> tuple[str, str]:
-    n, obj = args
-    u = matrix_from_json(obj)
+def _check_n(obj, expect_n: int, what: str) -> None:
+    # Before matrix_from_json: its context costs time and memory growing
+    # quadratically in n, so a valid but mismatched n is turned away unbuilt
+    # (an invalid one gets matrix_from_json's message, before any context).
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if type(n) is int and n >= 2 and n % 2 == 0 and n != expect_n:
+        raise ValueError("%s has n=%d but --n %d was given" % (what, n, expect_n))
+
+
+def _synth_one(u: UnitaryRn) -> tuple[str, tuple]:
     cf = canonical_form(u)
-    seq = to_circuit(cf)
-    stats = "tcount=%d m=%d" % (cf.tcount(), cf.m)
-    return seq.to_text(), stats
+    return to_circuit(cf).to_text(), (("tcount", cf.tcount()), ("m", cf.m))
+
+
+def _synth_json(obj: dict) -> tuple[str, tuple]:
+    return _synth_one(matrix_from_json(obj))
 
 
 def cmd_synth(args, out) -> int:
-    ctx = make_context(args.n)
+    make_context(args.n)
     matrices = _read_matrices(args.input, args.n)
-    results = []
     if args.method == "ring":
-        for u in matrices:
-            seq = synthesize_ring(u)
-            results.append((seq.to_text(), "cost=%d" % seq.cost()))
+        results = [(seq.to_text(), (("cost", seq.cost()),))
+                   for seq in map(synthesize_ring, matrices)]
     elif args.jobs > 1 and len(matrices) > 1:
-        payload = [(args.n, matrix_to_json(u)) for u in matrices]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_synth_one, payload))
+            results = list(pool.map(_synth_json, map(matrix_to_json, matrices)))
     else:
-        for u in matrices:
-            cf = canonical_form(u)
-            seq = to_circuit(cf)
-            results.append((seq.to_text(), "tcount=%d m=%d" % (cf.tcount(), cf.m)))
+        results = [_synth_one(u) for u in matrices]
     sink = open(args.output, "w") if args.output else out
     try:
         for (text, stats), u in zip(results, matrices):
             if args.format == "json":
-                blob = {"circuit": text}
-                blob.update(
-                    (k, int(v)) for k, v in (kv.split("=") for kv in stats.split())
-                )
-                print(json.dumps(blob, sort_keys=True), file=sink)
+                print(json.dumps({"circuit": text, **dict(stats)}, sort_keys=True),
+                      file=sink)
             else:
                 print(text, file=sink)
-                print(stats, file=sink)
+                print(" ".join("%s=%d" % kv for kv in stats), file=sink)
             if args.approx:
                 _print_approx(u, sink)
     finally:
@@ -145,21 +141,11 @@ def cmd_synth(args, out) -> int:
     return 0
 
 
-def cmd_ringsynth(args, out) -> int:
-    matrices = _read_matrices(args.input, args.n)
-    for u in matrices:
-        seq = synthesize_ring(u)
-        print(seq.to_text(), file=out)
-        print("cost=%d" % seq.cost(), file=out)
-    return 0
-
-
 def cmd_verify(args, out) -> int:
     ctx = make_context(args.n)
     obj = _read_json(args.matrix)
+    _check_n(obj, args.n, "matrix")
     u = matrix_from_json(obj)
-    if u.ctx.n != args.n:
-        raise ValueError("matrix has n=%d but --n %d was given" % (u.ctx.n, args.n))
     try:
         if args.circuit == "-":
             text = sys.stdin.read()
@@ -325,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ringsynth", help="ring-level synthesis (n in %s)" % (RING_EQUALITY_NS,))
     add_n(p)
     p.add_argument("--input", default="-")
-    p.set_defaults(func=cmd_ringsynth)
+    p.set_defaults(func=cmd_synth, method="ring", output=None, format="text",
+                   approx=False, jobs=1)
 
     p = sub.add_parser("verify", help="check a circuit against a matrix")
     add_n(p)

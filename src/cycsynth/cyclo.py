@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import or_
+from operator import mul, or_
 
 from .errors import IntegrityError
 
@@ -305,9 +305,16 @@ class CycInt:
 
     def times_zeta(self, j: int) -> "CycInt":
         """Product with zeta^j (a sparse basis rotation, cheaper than mul)."""
-        j %= self.ctx.order
+        ctx = self.ctx
+        j %= ctx.order
         if j == 0:
             return self
+        if ctx.s == 1:  # Phi_2n = x^n + 1: zeta^n = -1, a signed cyclic shift
+            # over lists (tuple slices would fill the small-tuple free lists)
+            d = ctx.degree
+            c = list(self.coeffs) if j < d else [-a for a in self.coeffs]
+            j %= d
+            return CycInt(ctx, tuple([-a for a in c[d - j:]] + c[:d - j]))
         return self._scatter(1, j)
 
     # -- Galois action and derived maps ---------------------------------------
@@ -327,10 +334,7 @@ class CycInt:
         """Product of all Galois conjugates; a rational integer."""
         if self.is_zero():
             return 0
-        acc = self
-        for t in self.ctx.galois_exponents[1:]:
-            acc = acc * self.galois(t)
-        value = acc.as_int()
+        value = (self * _conjugate_product(self)).as_int()
         if value is None:
             raise IntegrityError("norm did not reduce to a rational integer")
         return value
@@ -408,40 +412,34 @@ class CycInt:
 
 
 def _conjugate_product(y: CycInt) -> CycInt:
-    acc = y.ctx.one()
-    for t in y.ctx.galois_exponents[1:]:
-        acc = acc * y.galois(t)
-    return acc
+    # the product of the nontrivial Galois conjugates (degree >= 2 always)
+    return reduce(mul, (y.galois(t) for t in y.ctx.galois_exponents[1:]))
 
 
-def divides(y: CycInt, x: CycInt) -> bool:
-    """True iff x / y is an algebraic integer.
-
-    Multiplies x by the product gamma of the nontrivial conjugates of y;
-    then x / y = x*gamma / (y*gamma) where y*gamma is the rational norm,
-    so the answer is a coefficientwise integer-divisibility test.
-    """
+def _quotient_coeffs(x: CycInt, y: CycInt) -> tuple[int, ...] | None:
+    # Multiplies x by the product gamma of the nontrivial conjugates of y;
+    # then x / y = x*gamma / (y*gamma) where y*gamma is the rational norm,
+    # so the quotient is a coefficientwise integer division (None if inexact).
     if y.is_zero():
         raise ValueError("division by zero")
-    if x.is_zero():
-        return True
     gamma = _conjugate_product(y)
     b = (y * gamma).as_int()
     if b is None:
         raise IntegrityError("y * gamma did not reduce to a rational integer")
-    xg = x * gamma
-    return all(c % b == 0 for c in xg.coeffs)
+    xg = (x * gamma).coeffs
+    if any(c % b for c in xg):
+        return None
+    return tuple(c // b for c in xg)
+
+
+def divides(y: CycInt, x: CycInt) -> bool:
+    """True iff x / y is an algebraic integer."""
+    return _quotient_coeffs(x, y) is not None
 
 
 def exact_quotient(x: CycInt, y: CycInt) -> CycInt:
     """x / y, which must be an algebraic integer (ValueError otherwise)."""
-    if y.is_zero():
-        raise ValueError("division by zero")
-    gamma = _conjugate_product(y)
-    b = (y * gamma).as_int()
-    if b is None:
-        raise IntegrityError("y * gamma did not reduce to a rational integer")
-    xg = x * gamma
-    if not all(c % b == 0 for c in xg.coeffs):
+    q = _quotient_coeffs(x, y)
+    if q is None:
         raise ValueError("quotient is not an algebraic integer")
-    return CycInt(x.ctx, tuple(c // b for c in xg.coeffs))
+    return CycInt(x.ctx, q)

@@ -37,6 +37,7 @@ __all__ = [
     "token_w",
     "u_axis",
     "uz_power",
+    "w_exponent",
     "w_gate",
 ]
 
@@ -243,12 +244,20 @@ def u_axis(ctx: Context, p: str, sign: int, a: int) -> UnitaryRn:
 
 # -- gate sequences ---------------------------------------------------------
 
-_W_TOKEN = re.compile(r"^W(?:\^(\d+))?$")
 _PH_TOKEN = re.compile(r"^PH\[(\d+)\]$")
 
 
 def token_w(j: int) -> str:
     return "W" if j == 1 else "W^%d" % j
+
+
+def w_exponent(tok: str) -> int | None:
+    """j for a token W (j = 1) or W^j (j in decimal digits), else None."""
+    if tok == "W":
+        return 1
+    if tok[:2] == "W^" and tok[2:].isdecimal():
+        return int(tok[2:])
+    return None
 
 
 @dataclass(frozen=True)
@@ -260,12 +269,7 @@ class GateSequence:
 
     def cost(self) -> int:
         """Number of non-Clifford generator uses (W^j counts j)."""
-        total = 0
-        for t in self.tokens:
-            m = _W_TOKEN.match(t)
-            if m:
-                total += int(m.group(1)) if m.group(1) else 1
-        return total
+        return sum(w_exponent(t) or 0 for t in self.tokens)
 
     def to_text(self) -> str:
         parts = []
@@ -291,9 +295,8 @@ class GateSequence:
             if tok in ("H", "S"):
                 tokens.append(tok)
                 continue
-            m = _W_TOKEN.match(tok)
-            if m:
-                j = int(m.group(1)) if m.group(1) else 1
+            j = w_exponent(tok)
+            if j is not None:
                 if not 1 <= j < ctx.order:
                     raise ValueError("W exponent %d out of range [1, 2n)" % j)
                 tokens.append(token_w(j))
@@ -314,10 +317,9 @@ def eval_sequence(seq: GateSequence, ctx: Context) -> UnitaryRn:
         elif tok == "S":
             acc = acc @ s_gate(ctx)
         else:
-            m = _W_TOKEN.match(tok)
-            if not m:
+            j = w_exponent(tok)
+            if j is None:
                 raise ValueError("unknown circuit token %r" % tok)
-            j = int(m.group(1)) if m.group(1) else 1
             acc = acc @ w_gate(ctx, j)
     return acc
 

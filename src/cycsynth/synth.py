@@ -4,9 +4,13 @@ canonical_form() recovers, for any synthesizable unitary, the unique
 decomposition U = U_{p1}(a1 pi/n) ... U_{pm}(am pi/n) D with adjacent axes
 distinct, 1 <= a_i < n/2 and D a 2n-th root of unity times a Clifford.  The
 descent peels one rotation per step by locating the unique candidate
-R_q^(-b) that minimizes the maximum denominator exponent of the Bloch
-matrix; ties or non-decreasing minima only occur outside the synthesizable
-group and surface as NotReducibleError.
+R_q^(-b) M that minimizes the maximum denominator exponent of the Bloch
+matrix M; ties or non-decreasing minima only occur outside the
+synthesizable group and surface as NotReducibleError.  Candidates are built
+without matrix products: a rotation by b pi/n about axis q multiplies the
+complex combination r1 - i sigma_q r2 of the other two rows by zeta^b, so
+each candidate entry is the real part of a root-of-unity multiple, two
+basis rotations of the power basis and an add.
 
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
@@ -19,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cyclo import Context, make_context
+from .cyclo import Context, CycInt, make_context
 from .errors import IntegrityError, NotReducibleError, PhaseNotInRingError
 from .rings import BetaConstant, RingElem, _beta_exp_r, as_zeta_power, beta_constant
 from .so3 import (
@@ -45,6 +49,7 @@ from .su2 import (
     scalar_gate,
     token_w,
     u_axis,
+    w_exponent,
 )
 
 __all__ = [
@@ -101,7 +106,8 @@ def _entry_bounds(e: RingElem, k1: int) -> tuple[int, int]:
 
 
 def _candidate_rmax(entries, floor: int, bc: BetaConstant, k1: int, cutoff):
-    """Exact max denominator exponent, or None once it provably exceeds cutoff."""
+    """Exact max denominator exponent, or None once it provably exceeds
+    cutoff; a lazy `entries` is not consumed past that point."""
     val = floor
     if cutoff is not None and val > cutoff:
         return None
@@ -110,11 +116,10 @@ def _candidate_rmax(entries, floor: int, bc: BetaConstant, k1: int, cutoff):
         if e.is_zero():
             continue
         lo, hi = _entry_bounds(e, k1)
+        if cutoff is not None and lo > cutoff:
+            return None
         if lo == hi:
-            if lo > val:
-                val = lo
-                if cutoff is not None and val > cutoff:
-                    return None
+            val = max(val, lo)
         else:
             pending.append((hi, lo, e))
     pending.sort(key=lambda t: (t[0], t[1]), reverse=True)
@@ -129,44 +134,74 @@ def _candidate_rmax(entries, floor: int, bc: BetaConstant, k1: int, cutoff):
     return val
 
 
+# sigma_q, the sign of the (i1, i2) entry of R_q(-b pi/n) for 0 < b < n/2
+_SIGMA = (1, -1, 1)
+
+
+def _axis_pencils(m: Rotation, qi: int):
+    """shift = sigma_q n/2 (zeta^shift = i sigma_q) and, per column j, the
+    numerators of Z_j = r1_j - i sigma_q r2_j and conj(Z_j) over a common
+    2^M, with M + 1; r1, r2 are the rows other than qi."""
+    ctx = m.ctx
+    r1, r2 = [m.rows[i] for i in range(3) if i != qi]
+    shift = _SIGMA[qi] * (ctx.n // 2)
+    pencils = []
+    for a, b in zip(r1, r2):
+        top = max(a.m, b.m)
+        x = CycInt(ctx, tuple(c << (top - a.m) for c in a.num.coeffs))
+        y = CycInt(ctx, tuple(c << (top - b.m) for c in b.num.coeffs)).times_zeta(shift)
+        pencils.append((x - y, x + y, top + 1))
+    return shift, pencils
+
+
+def _rotated_entries(shift: int, pencils, b: int):
+    """Entries (i1, j), (i2, j) of R_q^(-b) M, one at a time: Re(zeta^c Z_j)
+    = (zeta^c Z_j + zeta^-c conj(Z_j)) / 2^(M+1) for c = b, b + shift."""
+    for z, zbar, m in pencils:
+        for c in (b, b + shift):
+            yield RingElem(z.times_zeta(c) + zbar.times_zeta(-c), m)
+
+
+def _rotate(m: Rotation, qi: int, b: int) -> Rotation:
+    """R_q^(-b) M for q = AXES[qi]."""
+    i1, i2 = [i for i in range(3) if i != qi]
+    entries = list(_rotated_entries(*_axis_pencils(m, qi), b))
+    rows = list(m.rows)
+    rows[i1], rows[i2] = entries[0::2], entries[1::2]
+    return Rotation(m.ctx, rows, check=False)
+
+
 def axis_detect(m: Rotation, bc: BetaConstant) -> tuple[str, int]:
     """The unique (axis, exponent) whose inverse rotation minimizes the
     maximum denominator exponent of the matrix.
 
-    Scans all 3 (n/2 - 1) candidates R_q^(-b) M.  A candidate is discarded
-    as soon as its exponent provably exceeds the best seen (the row left
-    unchanged by R_q gives a free floor; entry exponents are bracketed by
-    the power-of-two denominator before any parity bits are read), which
-    never changes the arg-min or the tie check.  Ties and non-reducing
-    minima raise NotReducibleError.
+    Scores all 3 (n/2 - 1) candidates R_q^(-b) M without matrix products:
+    R_q(-b pi/n) fixes row q and multiplies Z = r1 - i sigma_q r2 (r1, r2
+    the other rows) by zeta^b, so the candidate's rows are Re(zeta^b Z) and
+    -sigma_q Re(zeta^(b - n/2) Z), two basis rotations and an add per entry.
+    A candidate is dropped as soon as its exponent provably exceeds the best
+    seen (the unchanged row gives a free floor; entry exponents are
+    bracketed by the power-of-two denominator before any parity bits are
+    read), which never changes the arg-min or the tie check.  Ties and
+    non-reducing minima raise NotReducibleError.
     """
-    ctx = m.ctx
-    n = ctx.n
-    half = n // 2
+    half = m.ctx.n // 2
     if half < 2:
         raise NotReducibleError("no rotation candidates exist for n = 2")
     k1 = 1 << (bc.k - 1)
-    rows = m.rows
     cur_max, row_max = exponent_profile(m, bc)
     # Try the deficient axis first: for synthesizable inputs the winning
     # candidate lives there, and the floors then dismiss the other axes.
     axis_order = sorted(range(3), key=lambda i: (row_max[i], i))
-    best = None
-    best_val = None
+    best = best_val = None
     tie = False
     for qi in axis_order:
         floor = row_max[qi]
         if best_val is not None and floor > best_val:
             continue
-        i1, i2 = [i for i in range(3) if i != qi]
+        shift, pencils = _axis_pencils(m, qi)
         for b in range(1, half):
-            rot = rotation_generator(ctx, AXES[qi], ctx.order - b)
-            c11, c12 = rot.rows[i1][i1], rot.rows[i1][i2]
-            c21, c22 = rot.rows[i2][i1], rot.rows[i2][i2]
-            cand = []
-            for j in range(3):
-                cand.append(c11 * rows[i1][j] + c12 * rows[i2][j])
-                cand.append(c21 * rows[i1][j] + c22 * rows[i2][j])
+            cand = _rotated_entries(shift, pencils, b)
             val = _candidate_rmax(cand, floor, bc, k1, best_val)
             if val is None:
                 continue
@@ -203,7 +238,7 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
             raise NotReducibleError("descent produced adjacent repeated axes")
         axes.append(q)
         exps.append(b)
-        m = rotation_generator(ctx, q, ctx.order - b) @ m
+        m = _rotate(m, AXES.index(q), b)
     prod = UnitaryRn.identity(ctx)
     for p, a in zip(axes, exps):
         prod = prod @ u_axis(ctx, p, 1, a)
@@ -294,15 +329,17 @@ def canonicalize_sequence(seq: GateSequence, ctx: Context) -> CanonicalForm:
     the same one the descent computes.
     """
     st = _RewriteState(ctx, seq.phase_power)
-    bloch_h = _bloch_cached(ctx, "H")
-    bloch_s = _bloch_cached(ctx, "S")
+    words = {c.word: c.rotation for c in clifford_group(ctx)}
+    bloch_h, bloch_s = words[("H",)], words[("S",)]
     for tok in seq.tokens:
         if tok == "H":
             st.absorb_clifford_right(h0(ctx), bloch_h)
         elif tok == "S":
             st.absorb_clifford_right(s_gate(ctx), bloch_s)
         else:
-            j = seq_token_exponent(tok)
+            j = w_exponent(tok)
+            if j is None:
+                raise ValueError("unknown circuit token %r" % tok)
             p, sign = st.conjugated_z_axis()
             st.push_factor(p, sign, j)
     residual = is_signed_permutation(st.pend_rot)
@@ -321,40 +358,16 @@ def canonicalize_sequence(seq: GateSequence, ctx: Context) -> CanonicalForm:
     )
 
 
-def seq_token_exponent(tok: str) -> int:
-    if tok == "W":
-        return 1
-    if tok.startswith("W^"):
-        return int(tok[2:])
-    raise ValueError("unknown circuit token %r" % tok)
-
-
-def _bloch_cached(ctx: Context, which: str) -> Rotation:
-    store = ctx._cache.setdefault("bloch_gen", {})
-    rot = store.get(which)
-    if rot is None:
-        gate = h0(ctx) if which == "H" else s_gate(ctx)
-        rot = store[which] = bloch(gate)
-    return rot
-
-
 # -- emission -------------------------------------------------------------------
 
 
-def _emit_conjugated(ctx: Context, p: str, sign: int, a: int) -> tuple[list[str], int]:
-    # Tokens realizing U_{sign p}(a pi/n) exactly as zeta^(-comp) * eval(tokens),
-    # with cost a; comp returned in phase units.
+def _emit_conjugated(ctx: Context, p: str, sign: int, middle: str) -> tuple[list[str], int]:
+    # Tokens C middle C^dagger, C mapping Z to sign*p: with middle W^a this is
+    # U_{sign p}(a pi/n) and with middle S the Clifford U_p(pi/2), in both
+    # cases exactly as zeta^(-comp) * eval(tokens); comp returned in phase units.
     word = CONJ_WORDS[(p, sign)]
     inv, h_count = dagger_tokens(word)
-    tokens = list(word) + [token_w(a)] + list(inv)
-    return tokens, (h_count * (ctx.n // 2)) % ctx.order
-
-
-def _emit_quarter(ctx: Context, p: str) -> tuple[list[str], int]:
-    # Tokens for the Clifford U_p(pi/2) = C S C^dagger.
-    word = CONJ_WORDS[(p, 1)]
-    inv, h_count = dagger_tokens(word)
-    tokens = list(word) + ["S"] + list(inv)
+    tokens = list(word) + [middle] + list(inv)
     return tokens, (h_count * (ctx.n // 2)) % ctx.order
 
 
@@ -373,13 +386,13 @@ def to_circuit(cf: CanonicalForm) -> GateSequence:
     phase = cf.phase_power
     for p, a in zip(cf.axes, cf.exponents):
         if a <= cf.n // 4:
-            toks, comp = _emit_conjugated(ctx, p, 1, a)
+            toks, comp = _emit_conjugated(ctx, p, 1, token_w(a))
             tokens += toks
             phase -= comp
         else:
             b = half - a
-            qt, qcomp = _emit_quarter(ctx, p)
-            mt, mcomp = _emit_conjugated(ctx, p, -1, b)
+            qt, qcomp = _emit_conjugated(ctx, p, 1, "S")
+            mt, mcomp = _emit_conjugated(ctx, p, -1, token_w(b))
             tokens += qt + mt
             phase -= qcomp + mcomp + b
     tokens += list(cf.residual.word)

@@ -5,8 +5,9 @@ cyclotomic polynomials come from the plain recursive division, divisibility
 from a rational linear solve, and numeric cross-checks from floating-point
 evaluation of the power basis.  The library's fast paths are checked against
 the slow code they replaced: products reduced by the dense zeta_pow rows,
-valuations read off the rational norm, and denominator exponents found by
-the iterated beta-divisibility chain.
+valuations read off the rational norm, denominator exponents found by
+the iterated beta-divisibility chain, and descent candidates built as
+generator products and scored without pruning.
 """
 
 from __future__ import annotations
@@ -16,7 +17,17 @@ import math
 import random
 from fractions import Fraction
 
-from cycsynth import CycInt, GateSequence, RingElem, UnitaryRn
+from cycsynth import (
+    CycInt,
+    GateSequence,
+    NotReducibleError,
+    RingElem,
+    UnitaryRn,
+    exponent_profile,
+    rotation_generator,
+)
+from cycsynth.rings import _beta_exp_r
+from cycsynth.su2 import AXES
 
 
 # -- naive cyclotomic polynomials (product recursion with long division) -------
@@ -172,6 +183,44 @@ def chain_beta_exponent(x: RingElem, beta: CycInt) -> int:
         num = CycInt(ctx, tuple(c // bnorm for c in prod.coeffs))
         t += 1
     return max(x.m * (1 << (ctx.k - 1)) - t, 0)
+
+
+# -- dense descent scan ----------------------------------------------------------
+
+
+def dense_candidate_entries(m, qi: int, b: int) -> list:
+    """Entries (i1, j), (i2, j), j = 0, 1, 2, of R_q^(-b) M (i1 < i2 the rows
+    other than qi), as generator products c11 r1 + c12 r2, c21 r1 + c22 r2."""
+    ctx = m.ctx
+    i1, i2 = [i for i in range(3) if i != qi]
+    rot = rotation_generator(ctx, AXES[qi], ctx.order - b)
+    c11, c12 = rot.rows[i1][i1], rot.rows[i1][i2]
+    c21, c22 = rot.rows[i2][i1], rot.rows[i2][i2]
+    rows = m.rows
+    out = []
+    for j in range(3):
+        out.append(c11 * rows[i1][j] + c12 * rows[i2][j])
+        out.append(c21 * rows[i1][j] + c22 * rows[i2][j])
+    return out
+
+
+def dense_axis_detect(m, bc):
+    """axis_detect by the dense scan: every candidate from generator
+    products, scored exactly without pruning; same result and errors."""
+    cur_max, row_max = exponent_profile(m, bc)
+    scores = {}
+    for qi, q in enumerate(AXES):
+        for b in range(1, m.ctx.n // 2):
+            exps = [_beta_exp_r(e, bc)
+                    for e in dense_candidate_entries(m, qi, b) if not e.is_zero()]
+            scores[(q, b)] = max([row_max[qi]] + exps)
+    best = min(scores.values())
+    if best >= cur_max:
+        raise NotReducibleError("no candidate strictly reduces the exponent")
+    winners = [key for key, val in scores.items() if val == best]
+    if len(winners) > 1:
+        raise NotReducibleError("minimal candidate is not unique")
+    return winners[0]
 
 
 # -- numeric embedding ----------------------------------------------------------

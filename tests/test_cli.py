@@ -119,6 +119,29 @@ def test_synth_wrong_n_flag(tmp_path):
     assert code == 2
 
 
+def test_mismatched_n_is_rejected_before_its_context_is_built(tmp_path, capsys):
+    # Context(2018) alone takes about half a second and tens of MB, and the
+    # cost grows quadratically in n, so a short input line must not build one.
+    blob = t_gate_json()
+    blob["n"] = 2018
+    path = tmp_path / "big.jsonl"
+    path.write_text(json.dumps(t_gate_json()) + "\n" + json.dumps(blob) + "\n")
+    run_cli(["synth", "--n", "4", "--input", str(path)])
+    capsys.readouterr()
+    before = make_context.cache_info().currsize
+    code, out = run_cli(["synth", "--n", "4", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert "entry 2 has n=2018 but --n 4 was given" in capsys.readouterr().err
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("W")
+    path.write_text(json.dumps(blob))
+    code, _ = run_cli(["verify", "--n", "4", "--circuit", str(circuit),
+                       "--matrix", str(path)])
+    assert code == 2
+    assert "matrix has n=2018 but --n 4 was given" in capsys.readouterr().err
+    assert make_context.cache_info().currsize == before
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli(["synth"])  # missing --n
     assert code == 2

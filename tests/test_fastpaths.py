@@ -7,7 +7,9 @@ import random
 import pytest
 
 from cycsynth import (
+    NotReducibleError,
     RingElem,
+    UnitaryRn,
     axis_detect,
     beta_constant,
     beta_exponent,
@@ -18,13 +20,18 @@ from cycsynth import (
     rotation_generator,
 )
 from cycsynth.rings import _beta_exp_r
+from cycsynth.su2 import AXES
+from cycsynth.synth import _SIGMA, _axis_pencils, _rotate, _rotated_entries
 from oracles import (
     chain_beta_exponent,
+    dense_axis_detect,
+    dense_candidate_entries,
     dense_galois,
     dense_mul,
     dense_times_zeta,
     norm_valuation,
     random_cycint,
+    ring_complex,
 )
 
 # n = 14, 28 and 30 have several primes above 2; n = 10, 14 and 30 have k = 1.
@@ -119,3 +126,51 @@ def test_products_match_dense_rows():
             assert a.times_zeta(j) == dense_times_zeta(a, j)
             t = rng.choice(ctx.galois_exponents)
             assert a.galois(t) == dense_galois(a, t)
+
+
+@pytest.mark.parametrize("n", EXPONENT_NS)
+def test_rotation_scan_matches_generator_products(n):
+    # every candidate's six entries, the arg-min and the step update, on
+    # every descent step
+    ctx = make_context(n)
+    bc = beta_constant(ctx)
+    steps = 0
+    for seed in range(3):
+        m = bloch(random_unitary(ctx, 12, 300 + seed)[0])
+        while is_signed_permutation(m) is None:
+            for qi in range(3):
+                shift, pencils = _axis_pencils(m, qi)
+                for b in range(1, n // 2):
+                    got = list(_rotated_entries(shift, pencils, b))
+                    assert got == dense_candidate_entries(m, qi, b)
+            q, b = axis_detect(m, bc)
+            assert (q, b) == dense_axis_detect(m, bc)
+            nxt = _rotate(m, AXES.index(q), b)
+            assert nxt == rotation_generator(ctx, q, ctx.order - b) @ m
+            m = nxt
+            steps += 1
+    assert steps >= 3
+
+
+def test_rotation_scan_rejects_like_dense_scan():
+    from test_synth import _infinite_order_unit
+
+    ctx = make_context(14)
+    one, zero = RingElem.one(ctx), RingElem.zero(ctx)
+    m = bloch(UnitaryRn(ctx, ((one, zero), (zero, _infinite_order_unit(ctx)))))
+    bc = beta_constant(ctx)
+    with pytest.raises(NotReducibleError) as want:
+        dense_axis_detect(m, bc)
+    with pytest.raises(NotReducibleError) as got:
+        axis_detect(m, bc)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 12, 30))
+def test_sigma_is_sign_of_generator_entry(n):
+    ctx = make_context(n)
+    for qi, q in enumerate(AXES):
+        i1, i2 = [i for i in range(3) if i != qi]
+        for b in range(1, n // 2):
+            c12 = ring_complex(rotation_generator(ctx, q, ctx.order - b).rows[i1][i2])
+            assert c12.real * _SIGMA[qi] > 0

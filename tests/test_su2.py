@@ -10,6 +10,7 @@ from cycsynth import (
     GateSequence,
     RingElem,
     UnitaryRn,
+    canonicalize_sequence,
     equal_up_to_phase,
     eval_sequence,
     h0,
@@ -24,6 +25,7 @@ from cycsynth import (
     w_gate,
 )
 from cycsynth.so3 import bloch, is_signed_permutation
+from cycsynth.su2 import w_exponent
 from oracles import random_sequence, unitary_complex
 
 
@@ -133,6 +135,19 @@ def test_eval_sequence_examples():
 def test_sequence_cost():
     seq = GateSequence(3, ("H", "W", "S", "W^5", "W"))
     assert seq.cost() == 7
+
+
+def test_w_token_parser_in_every_reader():
+    assert [w_exponent(t) for t in ("W", "W^1", "W^12", "W^0")] == [1, 1, 12, 0]
+    for tok in ("H", "S", "W^", "W^-1", "W^+1", "W^1a", "WW", "w", "W^ 1", "PH[1]"):
+        assert w_exponent(tok) is None
+    ctx = make_context(4)
+    bad = GateSequence(0, ("H", "W^-1"))
+    assert bad.cost() == 0
+    for read in (lambda: eval_sequence(bad, ctx), lambda: canonicalize_sequence(bad, ctx),
+                 lambda: GateSequence.from_text("H W^-1", ctx)):
+        with pytest.raises(ValueError, match="unknown circuit token 'W\\^-1'"):
+            read()
 
 
 def test_sequence_text_round_trip():
