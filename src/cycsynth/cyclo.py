@@ -34,6 +34,7 @@ __all__ = [
     "cyclotomic_poly",
     "divides",
     "exact_quotient",
+    "factorize",
     "make_context",
     "two_adic",
 ]
@@ -48,17 +49,18 @@ def two_adic(v: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-def _distinct_primes(m: int) -> list[int]:
-    out = []
+def factorize(m: int) -> dict[int, int]:
+    """Prime factorization of m >= 1 by trial division, {p: exponent} with
+    the primes in increasing order."""
+    out: dict[int, int] = {}
     p = 2
     while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
         p += 1 if p == 2 else 2
     if m > 1:
-        out.append(m)
+        out[m] = out.get(m, 0) + 1
     return out
 
 
@@ -90,25 +92,20 @@ def _cyclotomic_squarefree(r: int) -> tuple[int, ...]:
     # multiply all (x^d - 1) with mu(r/d) = +1, then divide out the rest.
     if r == 1:
         return (-1, 1)
-    primes = _distinct_primes(r)
-    w = len(primes)
-    divisors = [1]
+    primes = factorize(r)
+    divisors = [(1, len(primes) % 2)]  # (d, 1 if mu(r/d) = -1 else 0)
     for p in primes:
-        divisors += [d * p for d in divisors]
-    plus = [d for d in divisors if (w - _count_primes(d, primes)) % 2 == 0]
-    minus = [d for d in divisors if (w - _count_primes(d, primes)) % 2 == 1]
+        divisors += [(d * p, 1 - odd) for d, odd in divisors]
     poly = [1]
-    for d in plus:
-        poly = _mul_binomial(poly, d)
-    for d in minus:
-        poly = _div_binomial(poly, d)
+    for d, odd in divisors:
+        if not odd:
+            poly = _mul_binomial(poly, d)
+    for d, odd in divisors:
+        if odd:
+            poly = _div_binomial(poly, d)
     if poly[-1] != 1:
         raise IntegrityError("cyclotomic polynomial is not monic")
     return tuple(poly)
-
-
-def _count_primes(d: int, primes: list[int]) -> int:
-    return sum(1 for p in primes if d % p == 0)
 
 
 def cyclotomic_poly(m: int) -> list[int]:
@@ -120,9 +117,7 @@ def cyclotomic_poly(m: int) -> list[int]:
     """
     if m < 1:
         raise ValueError("cyclotomic_poly requires m >= 1")
-    rad = 1
-    for p in _distinct_primes(m):
-        rad *= p
+    rad = math.prod(factorize(m))
     base = _cyclotomic_squarefree(rad) if m > 1 else (-1, 1)
     q = m // rad if m > 1 else 1
     if q == 1:
@@ -185,7 +180,20 @@ class Context:
         # Every prime above 2 has ramification index 2^k, so v(2) = 2^k.
         self.ram_index = 1 << self.k
         self.supports_valuation = n in VALUATION_NS
-        self._cache: dict = {}
+        self._memo: dict = {}
+
+    def memo(self, key, build):
+        """The value stored under key, or build() stored there on first use.
+
+        Holds the lazily built tables of this context (gates, rotation
+        generators, the Clifford group, beta, ...), one entry per table;
+        build() must not return None.  Two threads may both build a missing
+        entry, and either result is kept.
+        """
+        val = self._memo.get(key)
+        if val is None:
+            val = self._memo[key] = build()
+        return val
 
     # -- element factories -------------------------------------------------
 
@@ -202,18 +210,22 @@ class Context:
         return CycInt(self, self.zeta_pow[j % self.order])
 
     def from_coeffs(self, coeffs) -> "CycInt":
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.degree:
-            raise ValueError(
-                "coefficient vector must have length %d, got %d"
-                % (self.degree, len(coeffs))
-            )
-        if not all(isinstance(c, int) for c in coeffs):
-            raise ValueError("coefficients must be integers")
-        return CycInt(self, coeffs)
+        return CycInt(self, _checked_coeffs(coeffs, self.degree))
 
     def __repr__(self):
         return "Context(n=%d)" % self.n
+
+
+def _checked_coeffs(coeffs, degree: int) -> tuple[int, ...]:
+    """coeffs as a tuple, which must hold `degree` ints (ValueError else)."""
+    coeffs = tuple(coeffs)
+    if len(coeffs) != degree:
+        raise ValueError(
+            "coefficient vector must have length %d, got %d" % (degree, len(coeffs))
+        )
+    if not all(isinstance(c, int) for c in coeffs):
+        raise ValueError("coefficients must be integers")
+    return coeffs
 
 
 def _gf2_exact_quotient(a: int, b: int) -> int | None:

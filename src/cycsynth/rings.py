@@ -18,8 +18,10 @@ when m = 0.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import or_
 
-from .cyclo import Context, CycInt
+from .cyclo import Context, CycInt, two_adic
 from .errors import IntegrityError
 
 __all__ = [
@@ -43,10 +45,11 @@ class RingElem:
             raise ValueError("denominator exponent must be nonnegative")
         if num.is_zero():
             m = 0
-        else:
-            while m > 0 and all(c % 2 == 0 for c in num.coeffs):
-                num = CycInt(num.ctx, tuple(c // 2 for c in num.coeffs))
-                m -= 1
+        elif m:
+            t = min(m, two_adic(reduce(or_, num.coeffs)))
+            if t:
+                num = CycInt(num.ctx, tuple(c >> t for c in num.coeffs))
+                m -= t
         self.num = num
         self.m = m
 
@@ -199,10 +202,7 @@ class BetaConstant:
 
 
 def beta_constant(ctx: Context) -> BetaConstant:
-    bc = ctx._cache.get("beta")
-    if bc is None:
-        bc = ctx._cache["beta"] = BetaConstant(ctx)
-    return bc
+    return ctx.memo("beta_constant", lambda: BetaConstant(ctx))
 
 
 def _beta_exp_r(x: RingElem, bc: BetaConstant) -> int:

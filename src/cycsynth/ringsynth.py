@@ -14,11 +14,12 @@ discrete rotations.  fn_census() measures how often that holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cyclo import VALUATION_NS, Context, CycInt, make_context, two_adic
+from .cyclo import VALUATION_NS, Context, CycInt, factorize, make_context, two_adic
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
 from .rings import RingElem, as_zeta_power, mu
 from .su2 import GateSequence, UnitaryRn, eval_sequence, token_w
@@ -46,60 +47,40 @@ RING_EQUALITY_NS = VALUATION_NS
 # -- the phase condition and census -------------------------------------------
 
 
-def _factorize(m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+def _half_order_of_two(s: int, factorize) -> int | None:
+    """t with 2^t = -1 (mod s) for odd s > 1, or None if there is none.
 
-
-def _order_of_two(s: int, phi_factors: dict[int, int]) -> int:
-    # Multiplicative order of 2 mod s from a factored group exponent.
-    e = 1
-    for p, a in phi_factors.items():
-        e *= p**a
-    for p in phi_factors:
+    The order of 2 is found by dividing primes out of the group exponent
+    phi(s), factored from `factorize` (m -> {p: a}) applied to s and to
+    each p - 1.  In the cyclic group generated by 2 the only candidate
+    square root of 1 besides 1 itself is 2^(ord/2), so t exists iff the
+    order is even and that power is -1; then t = ord/2.
+    """
+    phi_fac: dict[int, int] = {}
+    for p, a in factorize(s).items():
+        for q, b in factorize(p - 1).items():
+            phi_fac[q] = phi_fac.get(q, 0) + b
+        if a > 1:
+            phi_fac[p] = phi_fac.get(p, 0) + a - 1
+    e = math.prod(p**a for p, a in phi_fac.items())
+    for p in phi_fac:
         while e % p == 0 and pow(2, e // p, s) == 1:
             e //= p
-    return e
-
-
-def _phi(factors: dict[int, int]) -> int:
-    out = 1
-    for p, a in factors.items():
-        out *= (p - 1) * p ** (a - 1)
-    return out
+    if e % 2 == 0 and pow(2, e // 2, s) == s - 1:
+        return e // 2
+    return None
 
 
 def phase_condition_witness(n: int) -> tuple[bool, int, int | None]:
-    """(condition, s, t) for n = 2^k s: t with 2^t = -1 (mod s), if any.
-
-    In the cyclic group generated by 2 the only candidate square root of 1
-    besides 1 itself is 2^(ord/2), so the condition holds iff the order is
-    even and that power is -1 (vacuously for s = 1).
-    """
+    """(condition, s, t) for n = 2^k s: t with 2^t = -1 (mod s), if any
+    (the condition holds vacuously for s = 1, reported with t = 1)."""
     if n < 2 or n % 2:
         raise ValueError("n must be a positive even integer")
     s = n >> two_adic(n)
     if s == 1:
         return True, 1, 1
-    fac = _factorize(s)
-    phi_fac: dict[int, int] = {}
-    for p, a in fac.items():
-        for q, b in _factorize(p - 1).items():
-            phi_fac[q] = phi_fac.get(q, 0) + b
-        if a > 1:
-            phi_fac[p] = phi_fac.get(p, 0) + a - 1
-    ord2 = _order_of_two(s, phi_fac)
-    if ord2 % 2 == 0 and pow(2, ord2 // 2, s) == s - 1:
-        return True, s, ord2 // 2
-    return False, s, None
+    t = _half_order_of_two(s, factorize)
+    return t is not None, s, t
 
 
 def phase_condition(n: int) -> bool:
@@ -107,23 +88,25 @@ def phase_condition(n: int) -> bool:
     return phase_condition_witness(n)[0]
 
 
-def _spf_sieve(limit: int) -> list[int]:
+def _spf_factorizer(limit: int):
+    """A factorizer for 2 <= m <= limit (m -> {p: a}) reading one
+    smallest-prime-factor sieve."""
     spf = list(range(limit + 1))
     for p in range(2, int(limit**0.5) + 1):
         if spf[p] == p:
             for q in range(p * p, limit + 1, p):
                 if spf[q] == q:
                     spf[q] = p
-    return spf
 
+    def factorize_spf(m: int) -> dict[int, int]:
+        out: dict[int, int] = {}
+        while m > 1:
+            p = spf[m]
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        return out
 
-def _factorize_spf(m: int, spf: list[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    while m > 1:
-        p = spf[m]
-        out[p] = out.get(p, 0) + 1
-        m //= p
-    return out
+    return factorize_spf
 
 
 def iter_census(max_n: int, start_n: int = 2):
@@ -137,22 +120,13 @@ def iter_census(max_n: int, start_n: int = 2):
         raise ValueError("census bound must be a positive even integer")
     if start_n < 2 or start_n % 2:
         raise ValueError("census start must be a positive even integer")
-    spf = _spf_sieve(max(max_n >> 1, 2))
+    factorize_spf = _spf_factorizer(max(max_n >> 1, 2))
     verdict: dict[int, bool] = {1: True}
     for n in range(start_n, max_n + 1, 2):
         s = n >> two_adic(n)
         got = verdict.get(s)
         if got is None:
-            fac = _factorize_spf(s, spf)
-            phi_fac: dict[int, int] = {}
-            for p, a in fac.items():
-                for q, b in _factorize_spf(p - 1, spf).items():
-                    phi_fac[q] = phi_fac.get(q, 0) + b
-                if a > 1:
-                    phi_fac[p] = phi_fac.get(p, 0) + a - 1
-            ord2 = _order_of_two(s, phi_fac)
-            got = ord2 % 2 == 0 and pow(2, ord2 // 2, s) == s - 1
-            verdict[s] = got
+            got = verdict[s] = _half_order_of_two(s, factorize_spf) is not None
         yield n, got
 
 
@@ -224,11 +198,7 @@ def verify_finite_lemma(n: int) -> bool:
 
 def mu_threshold(ctx: Context) -> int:
     """Base-case threshold: the valuation of 1 + i."""
-    cached = ctx._cache.get("mu_n")
-    if cached is None:
-        one_plus_i = ctx.one() + ctx.zeta(ctx.n // 2)
-        cached = ctx._cache["mu_n"] = one_plus_i.valuation()
-    return cached
+    return ctx.memo("mu_threshold", lambda: (ctx.one() + ctx.zeta(ctx.n // 2)).valuation())
 
 
 @dataclass(frozen=True)

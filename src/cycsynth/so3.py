@@ -75,14 +75,6 @@ class Rotation:
             out.append(tuple(acc))
         return Rotation(self.ctx, tuple(out), check=False)
 
-    def transpose(self) -> "Rotation":
-        r = self.rows
-        return Rotation(
-            self.ctx,
-            tuple(tuple(r[j][i] for j in range(3)) for i in range(3)),
-            check=False,
-        )
-
     def det(self) -> RingElem:
         r = self.rows
         return (
@@ -156,11 +148,7 @@ def rotation_generator(ctx: Context, p: str, a: int) -> Rotation:
     if p not in AXES:
         raise ValueError("axis must be one of %r" % (AXES,))
     a %= ctx.order
-    store = ctx._cache.setdefault("rot", {})
-    rot = store.get((p, a))
-    if rot is None:
-        rot = store[(p, a)] = bloch(u_axis(ctx, p, 1, a))
-    return rot
+    return ctx.memo(("rotation_generator", p, a), lambda: bloch(u_axis(ctx, p, 1, a)))
 
 
 @dataclass(frozen=True)
@@ -172,14 +160,13 @@ class CliffordRot:
 
 
 def clifford_group(ctx: Context) -> tuple[CliffordRot, ...]:
-    """All 24 Clifford rotations, with lexicographically-first shortest words.
+    """All 24 Clifford rotations, with lexicographically-first shortest words."""
+    return ctx.memo("clifford_group", lambda: _clifford_closure(ctx))
 
-    Breadth-first closure from bloch(H0) and bloch(S); expanding H before S
-    makes the assigned words deterministic.
-    """
-    cached = ctx._cache.get("clifford24")
-    if cached is not None:
-        return cached
+
+def _clifford_closure(ctx: Context) -> tuple[CliffordRot, ...]:
+    # Breadth-first closure from bloch(H0) and bloch(S); expanding H before
+    # S makes the assigned words deterministic.
     gens = (("H", bloch(h0(ctx))), ("S", bloch(s_gate(ctx))))
     start = Rotation.identity(ctx)
     seen = {start.key(): CliffordRot(start, ())}
@@ -198,15 +185,14 @@ def clifford_group(ctx: Context) -> tuple[CliffordRot, ...]:
     elems = tuple(sorted(seen.values(), key=lambda e: (len(e.word), e.word)))
     if len(elems) != 24:
         raise IntegrityError("Clifford closure has %d elements, expected 24" % len(elems))
-    table = {}
-    for e in elems:
-        pat = e.rotation.signed_perm_key()
-        if pat is None:
-            raise IntegrityError("Clifford rotation is not a signed permutation")
-        table[pat] = e
-    ctx._cache["clifford24"] = elems
-    ctx._cache["clifford_table"] = table
     return elems
+
+
+def _signed_perm_table(ctx: Context) -> dict:
+    table = {e.rotation.signed_perm_key(): e for e in clifford_group(ctx)}
+    if None in table:
+        raise IntegrityError("Clifford rotation is not a signed permutation")
+    return table
 
 
 def is_signed_permutation(m: Rotation) -> CliffordRot | None:
@@ -214,17 +200,14 @@ def is_signed_permutation(m: Rotation) -> CliffordRot | None:
     pat = m.signed_perm_key()
     if pat is None:
         return None
-    clifford_group(m.ctx)
-    return m.ctx._cache["clifford_table"].get(pat)
+    ctx = m.ctx
+    return ctx.memo("signed_perm_table", lambda: _signed_perm_table(ctx)).get(pat)
 
 
 def clifford_unitary(ctx: Context, cr: CliffordRot) -> UnitaryRn:
-    """A unitary realizing the rotation (the cached word evaluation)."""
-    store = ctx._cache.setdefault("clifford_u", {})
-    u = store.get(cr.word)
-    if u is None:
-        u = store[cr.word] = eval_sequence(GateSequence(0, cr.word), ctx)
-    return u
+    """A unitary realizing the rotation (the memoized word evaluation)."""
+    return ctx.memo(("clifford_unitary", cr.word),
+                    lambda: eval_sequence(GateSequence(0, cr.word), ctx))
 
 
 def exponent_profile(m: Rotation, bc: BetaConstant) -> tuple[int, tuple[int, int, int]]:

@@ -14,10 +14,11 @@ the zeta_2n power basis) and the entry value is sum_j c_j zeta^j / 2^m.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
-from .cyclo import Context, make_context
+from .cyclo import Context, CycInt, _checked_coeffs, factorize, make_context
 from .errors import IntegrityError
 from .rings import RingElem
 
@@ -108,13 +109,6 @@ class UnitaryRn:
             check=False,
         )
 
-    def scale(self, lam: RingElem) -> "UnitaryRn":
-        return UnitaryRn(
-            self.ctx,
-            tuple(tuple(lam * e for e in row) for row in self.rows),
-            check=False,
-        )
-
     def det(self) -> RingElem:
         (a, b), (c, d) = self.rows
         return a * d - b * c
@@ -139,14 +133,6 @@ class UnitaryRn:
         return "UnitaryRn(n=%d, %r)" % (self.ctx.n, self.rows)
 
 
-def _cached(ctx: Context, key, build):
-    store = ctx._cache.setdefault("su2", {})
-    val = store.get(key)
-    if val is None:
-        val = store[key] = build()
-    return val
-
-
 def h0(ctx: Context) -> UnitaryRn:
     """The phase-adjusted Hadamard (1/2) [[1+i, 1+i], [1+i, -1-i]]."""
 
@@ -154,7 +140,7 @@ def h0(ctx: Context) -> UnitaryRn:
         hp = RingElem(ctx.one() + ctx.zeta(ctx.n // 2), 1)  # (1+i)/2
         return UnitaryRn(ctx, ((hp, hp), (hp, -hp)))
 
-    return _cached(ctx, "H", build)
+    return ctx.memo("h0", build)
 
 
 def s_gate(ctx: Context) -> UnitaryRn:
@@ -162,7 +148,7 @@ def s_gate(ctx: Context) -> UnitaryRn:
         one, zero = RingElem.one(ctx), RingElem.zero(ctx)
         return UnitaryRn(ctx, ((one, zero), (zero, RingElem.zeta(ctx, ctx.n // 2))))
 
-    return _cached(ctx, "S", build)
+    return ctx.memo("s_gate", build)
 
 
 def uz_power(ctx: Context, a: int) -> UnitaryRn:
@@ -173,7 +159,7 @@ def uz_power(ctx: Context, a: int) -> UnitaryRn:
         one, zero = RingElem.one(ctx), RingElem.zero(ctx)
         return UnitaryRn(ctx, ((one, zero), (zero, RingElem.zeta(ctx, a))))
 
-    return _cached(ctx, ("Uz", a), build)
+    return ctx.memo(("uz_power", a), build)
 
 
 def w_gate(ctx: Context, j: int = 1) -> UnitaryRn:
@@ -190,7 +176,7 @@ def scalar_gate(ctx: Context, a: int) -> UnitaryRn:
         zero = RingElem.zero(ctx)
         return UnitaryRn(ctx, ((lam, zero), (zero, lam)))
 
-    return _cached(ctx, ("PH", a), build)
+    return ctx.memo(("scalar_gate", a), build)
 
 
 def pauli(ctx: Context, p: str) -> UnitaryRn:
@@ -206,7 +192,7 @@ def pauli(ctx: Context, p: str) -> UnitaryRn:
             return UnitaryRn(ctx, ((zero, -i_val), (i_val, zero)))
         return UnitaryRn(ctx, ((one, zero), (zero, -one)))
 
-    return _cached(ctx, ("P", p), build)
+    return ctx.memo(("pauli", p), build)
 
 
 def u_axis(ctx: Context, p: str, sign: int, a: int) -> UnitaryRn:
@@ -239,7 +225,7 @@ def u_axis(ctx: Context, p: str, sign: int, a: int) -> UnitaryRn:
         )
         return UnitaryRn(ctx, rows)
 
-    return _cached(ctx, ("U", p, sign, a), build)
+    return ctx.memo(("u_axis", p, sign, a), build)
 
 
 # -- gate sequences ---------------------------------------------------------
@@ -385,13 +371,15 @@ def matrix_from_json(obj: dict) -> UnitaryRn:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 2 or n % 2:
         raise ValueError("field 'n' must be a positive even integer")
-    ctx = make_context(n)
     m = obj["denom_exp"]
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("field 'denom_exp' must be a nonnegative integer")
     entries = obj["entries"]
     if not (isinstance(entries, list) and len(entries) == 2):
         raise ValueError("field 'entries' must be a 2x2 array")
+    # The vectors are checked against phi(2n) before the context is built:
+    # its reduction table costs time and memory quadratic in n.
+    degree = math.prod((p - 1) * p ** (a - 1) for p, a in factorize(2 * n).items())
     rows = []
     for r, row in enumerate(entries):
         if not (isinstance(row, list) and len(row) == 2):
@@ -404,9 +392,9 @@ def matrix_from_json(obj: dict) -> UnitaryRn:
                 raise ValueError("entry (%d,%d): coefficients must be integers, "
                                  "not booleans" % (r, c))
             try:
-                num = ctx.from_coeffs(vec)
+                out_row.append(_checked_coeffs(vec, degree))
             except ValueError as exc:
                 raise ValueError("entry (%d,%d): %s" % (r, c, exc)) from None
-            out_row.append(RingElem(num, m))
-        rows.append(tuple(out_row))
-    return UnitaryRn(ctx, tuple(rows))
+        rows.append(out_row)
+    ctx = make_context(n)
+    return UnitaryRn(ctx, [[RingElem(CycInt(ctx, v), m) for v in row] for row in rows])

@@ -456,10 +456,10 @@ def bfs_cosets(ctx: Context, bound: int) -> dict:
     """All right-Clifford cosets reachable with at most `bound` single
     pi/n rotations, mapped to (cost, generator list).  Memoized per
     (context, bound): the table is a pure function of both."""
-    store = ctx._cache.setdefault("bfs", {})
-    cached = store.get(bound)
-    if cached is not None:
-        return cached
+    return ctx.memo(("bfs_cosets", bound), lambda: _bfs_table(ctx, bound))
+
+
+def _bfs_table(ctx: Context, bound: int) -> dict:
     cliffords = clifford_group(ctx)
     gens = []
     for p in AXES:
@@ -479,7 +479,6 @@ def bfs_cosets(ctx: Context, bound: int) -> dict:
                     out[key] = entry
                     nxt.append((cand, path + (tag,)))
         frontier = nxt
-    store[bound] = out
     return out
 
 

@@ -6,8 +6,9 @@ from a rational linear solve, and numeric cross-checks from floating-point
 evaluation of the power basis.  The library's fast paths are checked against
 the slow code they replaced: products reduced by the dense zeta_pow rows,
 valuations read off the rational norm, denominator exponents found by
-the iterated beta-divisibility chain, and descent candidates built as
-generator products and scored without pruning.
+the iterated beta-divisibility chain, descent candidates built as
+generator products and scored without pruning, and dyadic fractions
+normalized one halving at a time.
 """
 
 from __future__ import annotations
@@ -134,6 +135,17 @@ def dense_times_zeta(x: CycInt, j: int) -> CycInt:
 
 def dense_galois(x: CycInt, t: int) -> CycInt:
     return _dense_scatter(x, lambda i: i * t)
+
+
+def halving_normalize(num: CycInt, m: int) -> tuple[CycInt, int]:
+    """(num, m) of num / 2^m in lowest terms (m = 0 for zero), halving one
+    power of 2 at a time while every coefficient is even."""
+    if num.is_zero():
+        return num, 0
+    while m > 0 and all(c % 2 == 0 for c in num.coeffs):
+        num = CycInt(num.ctx, tuple(c // 2 for c in num.coeffs))
+        m -= 1
+    return num, m
 
 
 def mult_order_two(s: int) -> int:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from cycsynth import cyclotomic_poly, divides, exact_quotient, make_context
+from cycsynth.cyclo import Context, factorize
 from oracles import divides_oracle, mult_order_two, naive_cyclotomic, poly_eval, random_cycint
 
 SUPPORTED = (2, 4, 6, 8, 12)
@@ -284,3 +285,26 @@ def test_from_coeffs_validation():
     with pytest.raises(ValueError):
         ctx.from_coeffs([1, 2, 3, 4.5])
     assert ctx.from_coeffs([1, 2, 3, 4]).coeffs == (1, 2, 3, 4)
+
+
+def test_memo_builds_each_entry_once():
+    ctx = Context(4)
+    calls = []
+
+    def build():
+        calls.append(1)
+        return ("table",)
+
+    assert ctx.memo("k", build) is ctx.memo("k", build)
+    assert ctx.memo(("k", 2), lambda: 7) == 7
+    assert len(calls) == 1
+
+
+def test_factorize():
+    assert factorize(1) == {}
+    assert factorize(2) == {2: 1}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(2 * 10007) == {2: 1, 10007: 1}
+    assert list(factorize(3 * 5 * 7 * 11 * 13)) == [3, 5, 7, 11, 13]
+    for m in range(1, 500):
+        assert math.prod(p**a for p, a in factorize(m).items()) == m

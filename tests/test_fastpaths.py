@@ -15,7 +15,10 @@ from cycsynth import (
     beta_exponent,
     bloch,
     is_signed_permutation,
+    iter_census,
     make_context,
+    phase_condition,
+    phase_condition_witness,
     random_unitary,
     rotation_generator,
 )
@@ -29,6 +32,8 @@ from oracles import (
     dense_galois,
     dense_mul,
     dense_times_zeta,
+    halving_normalize,
+    mult_order_two,
     norm_valuation,
     random_cycint,
     ring_complex,
@@ -174,3 +179,44 @@ def test_sigma_is_sign_of_generator_entry(n):
         for b in range(1, n // 2):
             c12 = ring_complex(rotation_generator(ctx, q, ctx.order - b).rows[i1][i2])
             assert c12.real * _SIGMA[qi] > 0
+
+
+@pytest.mark.parametrize("n", (4, 8, 12, 16, 30, 32, 64))
+def test_one_shift_normalization_matches_halving(n):
+    # every raw (numerator, 2^M) the descent scan hands to RingElem, plus
+    # zero, m = 0 and numerators divisible by more than 2^m
+    ctx = make_context(n)
+    bc = beta_constant(ctx)
+    raw = [(ctx.zero(), 3), (ctx.zero(), 0), (ctx.from_int(12), 0),
+           (ctx.from_int(48), 2), (ctx.from_int(-40), 7)]
+    m = bloch(random_unitary(ctx, {4: 40, 32: 6, 64: 4}.get(n, 10), 500 + n)[0])
+    while is_signed_permutation(m) is None:
+        for qi in range(3):
+            shift, pencils = _axis_pencils(m, qi)
+            for b in range(1, n // 2):
+                for z, zbar, top in pencils:
+                    for c in (b, b + shift):
+                        raw.append((z.times_zeta(c) + zbar.times_zeta(-c), top))
+        q, b = axis_detect(m, bc)
+        m = _rotate(m, AXES.index(q), b)
+    raw += [(num * 8, top + 1) for num, top in raw[5:200]]
+    assert len(raw) > 300
+    for num, top in raw:
+        e = RingElem(num, top)
+        assert (e.num, e.m) == halving_normalize(num, top)
+
+
+def test_census_matches_phase_condition():
+    # the census (sieve factorizer) and phase_condition (trial division)
+    # share one verdict; the witness is half the order of 2
+    limit = 20000
+    assert list(iter_census(limit)) == [
+        (n, phase_condition(n)) for n in range(2, limit + 1, 2)]
+    hits = 0
+    for n in range(2, limit + 1, 2):
+        ok, s, t = phase_condition_witness(n)
+        if ok and s > 1:
+            assert pow(2, t, s) == s - 1
+            assert t == mult_order_two(s) // 2
+            hits += 1
+    assert hits > 1000

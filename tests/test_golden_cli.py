@@ -2,7 +2,10 @@
 
 For each n the corpus holds a JSONL input made by `cycsynth random` with
 fixed seeds and the exact stdout of `synth` (text and --format json),
-`member --format json` and `tcount` on it.  Any change to the descent, the
+`member --format json` and `tcount` on it.  Under "commands" it holds the
+exit code and stdout of `synth --method ring` on those inputs and of the
+number-theory commands (`phase-condition`, `check-finite-lemma`,
+`fn-census`).  Any change to the descent, the ring route, the census, the
 emission or the output formats that alters a byte fails here.
 
 Regenerate (only when an output change is intended) with:
@@ -28,26 +31,39 @@ COMMANDS = {
     "member_json": ["member", "--format", "json"],
     "tcount": ["tcount"],
 }
+# (argv, n whose corpus input is stdin or None), keyed in the corpus by the
+# joined argv; negative results (exit 1) are recorded like successes.
+STANDALONE = tuple(
+    [(["synth", "--method", "ring", "--n", str(n)], n) for n in (4, 6, 8, 12)]
+    + [(["phase-condition", "--n", str(n)], None) for n in (2, 12, 14, 30, 486)]
+    + [(["check-finite-lemma", "--n", "8"], None),
+       (["fn-census", "--max", "3000"], None)]
+)
 
 
 def _run(argv, stdin=""):
+    """(exit code, stdout) of the CLI."""
     saved, sys.stdin = sys.stdin, io.StringIO(stdin)
     try:
         buf = io.StringIO()
         code = main(argv, out=buf)
     finally:
         sys.stdin = saved
-    assert code == 0, argv
-    return buf.getvalue()
+    return code, buf.getvalue()
 
 
 def _random_lines(n):
     out = []
     for tcount, seed in CASES:
-        text = _run(["random", "--n", str(n), "--target-tcount", str(tcount),
-                     "--seed", str(seed)])
+        code, text = _run(["random", "--n", str(n), "--target-tcount", str(tcount),
+                           "--seed", str(seed)])
+        assert code == 0
         out.append(text.splitlines()[0])
     return "\n".join(out) + "\n"
+
+
+def _standalone_stdin(corpus, stdin_n):
+    return corpus[str(stdin_n)]["input"] if stdin_n is not None else ""
 
 
 def build_corpus():
@@ -55,8 +71,13 @@ def build_corpus():
     for n in NS:
         entry = {"input": _random_lines(n)}
         for name, argv in COMMANDS.items():
-            entry[name] = _run(argv + ["--n", str(n)], stdin=entry["input"])
+            code, entry[name] = _run(argv + ["--n", str(n)], stdin=entry["input"])
+            assert code == 0, argv
         corpus[str(n)] = entry
+    corpus["commands"] = {}
+    for argv, stdin_n in STANDALONE:
+        code, text = _run(argv, stdin=_standalone_stdin(corpus, stdin_n))
+        corpus["commands"][" ".join(argv)] = {"code": code, "stdout": text}
     return corpus
 
 
@@ -74,8 +95,19 @@ def test_random_reproduces_corpus_input(n):
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_cli_output_matches_corpus(n, command):
     entry = _load()[str(n)]
-    got = _run(COMMANDS[command] + ["--n", str(n)], stdin=entry["input"])
+    code, got = _run(COMMANDS[command] + ["--n", str(n)], stdin=entry["input"])
+    assert code == 0
     assert got.encode() == entry[command].encode()
+
+
+@pytest.mark.parametrize("argv,stdin_n", STANDALONE,
+                         ids=[" ".join(argv) for argv, _ in STANDALONE])
+def test_command_exit_code_and_output_match_corpus(argv, stdin_n):
+    corpus = _load()
+    code, got = _run(argv, stdin=_standalone_stdin(corpus, stdin_n))
+    want = corpus["commands"][" ".join(argv)]
+    assert code == want["code"]
+    assert got.encode() == want["stdout"].encode()
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 """Bloch images: homomorphism, the 24 Clifford rotations, exponent profiles."""
 
 import random
+import sys
+import threading
 from itertools import permutations, product
 
 import pytest
 
 from cycsynth import (
+    Context,
     RingElem,
     Rotation,
     UnitaryRn,
@@ -230,3 +233,32 @@ def test_rotation_constructor_validates():
     half_i = RingElem(ctx.zeta(2), 1)
     with pytest.raises(ValueError):
         Rotation(ctx, ((half_i, zero, zero), (zero, one, zero), (zero, zero, one)))
+
+
+def test_concurrent_first_use_of_clifford_tables():
+    # Each lazy table is one memo entry, so a thread that finds the Clifford
+    # group never looks for a signed-permutation index that is not there yet.
+    ctx = Context(12)  # fresh: nothing built
+    target = bloch(s_gate(ctx) @ h0(ctx))
+    words, errors = [], []
+
+    def work():
+        try:
+            words.append(is_signed_permutation(target).word)
+            clifford_group(ctx)
+        except Exception as exc:  # recorded, asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert words == [("S", "H")] * 8

@@ -24,6 +24,7 @@ from cycsynth import (
     uz_power,
     w_gate,
 )
+from cycsynth import su2
 from cycsynth.so3 import bloch, is_signed_permutation
 from cycsynth.su2 import w_exponent
 from oracles import random_sequence, unitary_complex
@@ -234,6 +235,23 @@ def test_matrix_json_errors():
     notunitary["denom_exp"] = 0
     with pytest.raises(ValueError):
         matrix_from_json(notunitary)
+
+
+def test_matrix_json_checks_vector_lengths_before_building_context(monkeypatch):
+    # A 60-byte matrix must not cost a 2n x phi(2n) reduction table: the
+    # vectors are checked against phi(2n) before any context is built.
+    def refuse(n):
+        raise AssertionError("context built for n=%d" % n)
+
+    monkeypatch.setattr(su2, "make_context", refuse)
+    obj = {"n": 20014, "denom_exp": 0, "entries": [[[1], [0]], [[0], [1]]]}
+    with pytest.raises(ValueError) as exc:
+        matrix_from_json(obj)
+    assert str(exc.value) == "entry (0,0): coefficient vector must have length 20012, got 1"
+    obj["entries"] = [[[1] * 20012, [1.5] * 20012], [[0], [1]]]
+    with pytest.raises(ValueError) as exc:
+        matrix_from_json(obj)
+    assert str(exc.value) == "entry (0,1): coefficients must be integers"
 
 
 def test_clifford_unitary_group_order():
