@@ -44,7 +44,6 @@ from .so3 import (
     bloch,
     clifford_group,
     clifford_unitary,
-    exponent_profile,
     is_signed_permutation,
     rotation_generator,
 )
@@ -72,6 +71,7 @@ from .synth import (
     brute_force_min_tcount,
     canonical_form,
     canonicalize_sequence,
+    exponent_profile,
     membership,
     random_unitary,
     tcount,

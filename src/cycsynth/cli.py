@@ -114,7 +114,6 @@ def _synth_json(obj: dict) -> tuple[str, tuple]:
 
 
 def cmd_synth(args, out) -> int:
-    make_context(args.n)
     matrices = _read_matrices(args.input, args.n)
     if args.method == "ring":
         results = [(seq.to_text(), (("cost", seq.cost()),))
@@ -142,7 +141,6 @@ def cmd_synth(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    ctx = make_context(args.n)
     obj = _read_json(args.matrix)
     _check_n(obj, args.n, "matrix")
     u = matrix_from_json(obj)
@@ -154,8 +152,8 @@ def cmd_verify(args, out) -> int:
                 text = fh.read()
     except OSError as exc:
         raise ValueError("cannot read circuit from %r: %s" % (args.circuit, exc)) from None
-    seq = GateSequence.from_text(text, ctx)
-    value = eval_sequence(seq, ctx)
+    seq = GateSequence.from_text(text, u.ctx)
+    value = eval_sequence(seq, u.ctx)
     lam = equal_up_to_phase(value, u)
     power = as_zeta_power(lam) if lam is not None else None
     if power is not None:

@@ -12,7 +12,9 @@ k >= 2.  It is read from parity bits: beta has valuation 2 at every prime
 above 2 and 2 has valuation 2^k there, so for a normalized x = num / 2^m
 with m > 0 the exponent is r = m 2^(k-1) - floor(v / 2), where v is the
 multiplicity of Phi_s in num mod 2 (see cyclo); r = m when k = 1 and r = 0
-when m = 0.
+when m = 0.  This module is the one home of that formula (_beta_exp_r) and
+of its parity-free bracket (_beta_exp_bounds); both read k from the context.
+BetaConstant holds only beta itself, the base of beta_exponent's witness.
 """
 
 from __future__ import annotations
@@ -188,11 +190,9 @@ def q_of(a: int, ctx: Context) -> int:
 
 
 class BetaConstant:
-    """The denominator base beta of the context (see the module docstring)."""
+    """beta of the context, the base of beta_exponent's witness."""
 
     def __init__(self, ctx: Context):
-        self.ctx = ctx
-        self.k = ctx.k
         if ctx.k == 1:
             beta = ctx.from_int(2)
         else:
@@ -205,13 +205,25 @@ def beta_constant(ctx: Context) -> BetaConstant:
     return ctx.memo("beta_constant", lambda: BetaConstant(ctx))
 
 
-def _beta_exp_r(x: RingElem, bc: BetaConstant) -> int:
+def _beta_exp_r(x: RingElem) -> int:
     """Denominator exponent only (no witness); shared with beta_exponent."""
     if x.is_zero():
         raise ValueError("beta exponent of zero")
-    if x.m == 0 or bc.k == 1:
+    k = x.ctx.k
+    if x.m == 0 or k == 1:
         return x.m
-    return (x.m << (bc.k - 1)) - (x.num.mod2_multiplicity() >> 1)
+    return (x.m << (k - 1)) - (x.num.mod2_multiplicity() >> 1)
+
+
+def _beta_exp_bounds(x: RingElem) -> tuple[int, int]:
+    # The denominator exponent of a normalized nonzero x = num/2^m lies in
+    # [(m-1)*k1 + 1, m*k1] for m >= 1 (k1 = 2^(k-1)) and equals 0 for m = 0,
+    # because a normalized numerator is never divisible by beta^k1.  The
+    # bracket is exact when k = 1 or m = 0, where _beta_exp_r reads no bits.
+    if x.m == 0:
+        return 0, 0
+    k1 = 1 << (x.ctx.k - 1)
+    return (x.m - 1) * k1 + 1, x.m * k1
 
 
 def beta_exponent(x: RingElem, bc: BetaConstant) -> tuple[int, CycInt]:
@@ -219,7 +231,7 @@ def beta_exponent(x: RingElem, bc: BetaConstant) -> tuple[int, CycInt]:
 
     The witness is num * beta^r / 2^m, an exact coefficientwise shift.
     """
-    r = _beta_exp_r(x, bc)
+    r = _beta_exp_r(x)
     w = x.num
     for _ in range(r):
         w = w * bc.beta

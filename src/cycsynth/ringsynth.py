@@ -22,7 +22,7 @@ from itertools import product
 from .cyclo import VALUATION_NS, Context, CycInt, factorize, make_context, two_adic
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
 from .rings import RingElem, as_zeta_power, mu
-from .su2 import GateSequence, UnitaryRn, eval_sequence, token_w
+from .su2 import GateSequence, UnitaryRn, eval_sequence, token_w, w_gate
 
 __all__ = [
     "ColumnRn",
@@ -332,12 +332,7 @@ def synthesize_ring(u: UnitaryRn) -> GateSequence:
     while col.measure() > threshold:
         k, col = reduce_column_step(col)
         ks.append(k)
-    v, v_seq = base_case_column(col)
-    reduced = u
-    for k in ks:
-        g_seq = GateSequence(0, ("H", token_w(k % order)) if k % order else ("H",))
-        reduced = eval_sequence(g_seq, ctx) @ reduced
-    j = complete_unitary(reduced, v)
+    _, v_seq = base_case_column(col)
     # G^dagger = W^(2n-k) H up to the phase -i from H0^dagger = -i H0.
     phase = (v_seq.phase_power - len(ks) * (n // 2)) % order
     tokens: list[str] = []
@@ -347,9 +342,12 @@ def synthesize_ring(u: UnitaryRn) -> GateSequence:
             tokens.append(token_w(back))
         tokens.append("H")
     tokens.extend(v_seq.tokens)
+    # u = prefix U_z(j pi/n), prefix = G_1^dagger ... G_t^dagger V.
+    prefix = eval_sequence(GateSequence(phase, tuple(tokens)), ctx)
+    j = complete_unitary(u, prefix)
     if j:
         tokens.append(token_w(j))
-    seq = GateSequence(phase, tuple(tokens))
-    if eval_sequence(seq, ctx) != u:
+        prefix = prefix @ w_gate(ctx, j)
+    if prefix != u:
         raise IntegrityError("ring synthesis does not reproduce the input")
-    return seq
+    return GateSequence(phase, tuple(tokens))

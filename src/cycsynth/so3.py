@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cyclo import Context
 from .errors import IntegrityError
-from .rings import BetaConstant, RingElem, _beta_exp_r
+from .rings import RingElem
 from .su2 import AXES, GateSequence, UnitaryRn, eval_sequence, h0, pauli, s_gate, u_axis
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "bloch",
     "clifford_group",
     "clifford_unitary",
-    "exponent_profile",
     "is_signed_permutation",
     "rotation_generator",
 ]
@@ -209,17 +208,3 @@ def clifford_unitary(ctx: Context, cr: CliffordRot) -> UnitaryRn:
     return ctx.memo(("clifford_unitary", cr.word),
                     lambda: eval_sequence(GateSequence(0, cr.word), ctx))
 
-
-def exponent_profile(m: Rotation, bc: BetaConstant) -> tuple[int, tuple[int, int, int]]:
-    """Max denominator exponent over all nonzero entries, and per-row maxes."""
-    row_max = []
-    for row in m.rows:
-        best = 0
-        for e in row:
-            if e.is_zero():
-                continue
-            r = _beta_exp_r(e, bc)
-            if r > best:
-                best = r
-        row_max.append(best)
-    return max(row_max), tuple(row_max)

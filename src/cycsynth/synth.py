@@ -20,19 +20,19 @@ cross-check of the descent.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .cyclo import Context, CycInt, make_context
 from .errors import IntegrityError, NotReducibleError, PhaseNotInRingError
-from .rings import BetaConstant, RingElem, _beta_exp_r, as_zeta_power, beta_constant
+from .rings import RingElem, _beta_exp_bounds, _beta_exp_r, as_zeta_power
 from .so3 import (
     CliffordRot,
     Rotation,
     bloch,
     clifford_group,
     clifford_unitary,
-    exponent_profile,
     is_signed_permutation,
     rotation_generator,
 )
@@ -60,6 +60,7 @@ __all__ = [
     "brute_force_min_tcount",
     "canonical_form",
     "canonicalize_sequence",
+    "exponent_profile",
     "membership",
     "random_unitary",
     "tcount",
@@ -96,42 +97,32 @@ class MembershipResult:
 # -- descent ------------------------------------------------------------------
 
 
-def _entry_bounds(e: RingElem, k1: int) -> tuple[int, int]:
-    # The denominator exponent of a normalized nonzero entry num/2^m lies in
-    # [(m-1)*k1 + 1, m*k1] for m >= 1 (k1 = 2^(k-1)) and equals 0 for m = 0,
-    # because a normalized numerator is never divisible by beta^k1.
-    if e.m == 0:
-        return 0, 0
-    return (e.m - 1) * k1 + 1, e.m * k1
-
-
-def _candidate_rmax(entries, floor: int, bc: BetaConstant, k1: int, cutoff):
-    """Exact max denominator exponent, or None once it provably exceeds
-    cutoff; a lazy `entries` is not consumed past that point."""
+def _candidate_rmax(entries, floor: int, cutoff):
+    """Exact max denominator exponent of floor and the nonzero entries, or
+    None once it provably exceeds cutoff (math.inf for none); a lazy
+    `entries` is not consumed past that point.  An entry's parity bits are
+    read only when its bracket reaches above the running max."""
     val = floor
-    if cutoff is not None and val > cutoff:
+    if val > cutoff:
         return None
-    pending = []
     for e in entries:
         if e.is_zero():
             continue
-        lo, hi = _entry_bounds(e, k1)
-        if cutoff is not None and lo > cutoff:
-            return None
-        if lo == hi:
-            val = max(val, lo)
-        else:
-            pending.append((hi, lo, e))
-    pending.sort(key=lambda t: (t[0], t[1]), reverse=True)
-    for hi, lo, e in pending:
+        lo, hi = _beta_exp_bounds(e)
         if hi <= val:
             continue
-        r = _beta_exp_r(e, bc)
-        if r > val:
-            val = r
-            if cutoff is not None and val > cutoff:
-                return None
+        if lo > cutoff:
+            return None
+        val = max(val, _beta_exp_r(e))
+        if val > cutoff:
+            return None
     return val
+
+
+def exponent_profile(m: Rotation) -> tuple[int, tuple[int, int, int]]:
+    """Max denominator exponent over all nonzero entries, and per-row maxes."""
+    row_max = tuple(_candidate_rmax(row, 0, math.inf) for row in m.rows)
+    return max(row_max), row_max
 
 
 # sigma_q, the sign of the (i1, i2) entry of R_q(-b pi/n) for 0 < b < n/2
@@ -171,7 +162,7 @@ def _rotate(m: Rotation, qi: int, b: int) -> Rotation:
     return Rotation(m.ctx, rows, check=False)
 
 
-def axis_detect(m: Rotation, bc: BetaConstant) -> tuple[str, int]:
+def axis_detect(m: Rotation) -> tuple[str, int]:
     """The unique (axis, exponent) whose inverse rotation minimizes the
     maximum denominator exponent of the matrix.
 
@@ -183,29 +174,30 @@ def axis_detect(m: Rotation, bc: BetaConstant) -> tuple[str, int]:
     seen (the unchanged row gives a free floor; entry exponents are
     bracketed by the power-of-two denominator before any parity bits are
     read), which never changes the arg-min or the tie check.  Ties and
-    non-reducing minima raise NotReducibleError.
+    non-reducing minima raise NotReducibleError.  The exponents and their
+    bracket come from rings and need only the context; the element beta
+    itself is only the base of rings.beta_exponent's witness, unused here.
     """
     half = m.ctx.n // 2
     if half < 2:
         raise NotReducibleError("no rotation candidates exist for n = 2")
-    k1 = 1 << (bc.k - 1)
-    cur_max, row_max = exponent_profile(m, bc)
+    cur_max, row_max = exponent_profile(m)
     # Try the deficient axis first: for synthesizable inputs the winning
     # candidate lives there, and the floors then dismiss the other axes.
     axis_order = sorted(range(3), key=lambda i: (row_max[i], i))
-    best = best_val = None
+    best, best_val = None, math.inf
     tie = False
     for qi in axis_order:
         floor = row_max[qi]
-        if best_val is not None and floor > best_val:
+        if floor > best_val:
             continue
         shift, pencils = _axis_pencils(m, qi)
         for b in range(1, half):
             cand = _rotated_entries(shift, pencils, b)
-            val = _candidate_rmax(cand, floor, bc, k1, best_val)
+            val = _candidate_rmax(cand, floor, best_val)
             if val is None:
                 continue
-            if best_val is None or val < best_val:
+            if val < best_val:
                 best, best_val, tie = (AXES[qi], b), val, False
             elif val == best_val:
                 tie = True
@@ -224,7 +216,6 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
     the residual global phase is not a 2n-th root of unity.
     """
     ctx = u.ctx
-    bc = beta_constant(ctx)
     m = bloch(u)
     axes: list[str] = []
     exps: list[int] = []
@@ -233,23 +224,27 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
         if hit is not None:
             residual = hit
             break
-        q, b = axis_detect(m, bc)
+        q, b = axis_detect(m)
         if axes and axes[-1] == q:
             raise NotReducibleError("descent produced adjacent repeated axes")
         axes.append(q)
         exps.append(b)
         m = _rotate(m, AXES.index(q), b)
-    prod = UnitaryRn.identity(ctx)
-    for p, a in zip(axes, exps):
-        prod = prod @ u_axis(ctx, p, 1, a)
-    d = prod.dagger() @ u
-    lam = equal_up_to_phase(d, clifford_unitary(ctx, residual))
+    lam = equal_up_to_phase(u, _form_value(ctx, axes, exps, residual))
     if lam is None:
         raise IntegrityError("residual does not match its Clifford word")
     j = as_zeta_power(lam)
     if j is None:
         raise PhaseNotInRingError("residual phase is not a power of zeta_2n")
     return CanonicalForm(ctx.n, tuple(axes), tuple(exps), residual, j)
+
+
+def _form_value(ctx: Context, axes, exps, residual: CliffordRot) -> UnitaryRn:
+    """U_{p1}(a1 pi/n) ... U_{pm}(am pi/n) C, C the residual's Clifford."""
+    prod = UnitaryRn.identity(ctx)
+    for p, a in zip(axes, exps):
+        prod = prod @ u_axis(ctx, p, 1, a)
+    return prod @ clifford_unitary(ctx, residual)
 
 
 # -- rewriting oracle ----------------------------------------------------------
@@ -531,13 +526,9 @@ def random_unitary(
         budget -= c
     residual = rng.choice(clifford_group(ctx))
     phase = rng.randrange(ctx.order)
-    u = scalar_gate(ctx, phase)
-    for p, a in factors:
-        u = u @ u_axis(ctx, p, 1, a)
-    u = u @ clifford_unitary(ctx, residual)
-    cf_like = CanonicalForm(ctx.n, tuple(p for p, _ in factors),
-                            tuple(a for _, a in factors), residual, phase)
-    seq = to_circuit(cf_like)
+    axes, exps = tuple(p for p, _ in factors), tuple(a for _, a in factors)
+    u = scalar_gate(ctx, phase) @ _form_value(ctx, axes, exps, residual)
+    seq = to_circuit(CanonicalForm(ctx.n, axes, exps, residual, phase))
     if eval_sequence(seq, ctx) != u:
         raise IntegrityError("random instance witness does not evaluate back")
     return u, seq

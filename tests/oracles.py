@@ -216,14 +216,14 @@ def dense_candidate_entries(m, qi: int, b: int) -> list:
     return out
 
 
-def dense_axis_detect(m, bc):
+def dense_axis_detect(m):
     """axis_detect by the dense scan: every candidate from generator
     products, scored exactly without pruning; same result and errors."""
-    cur_max, row_max = exponent_profile(m, bc)
+    cur_max, row_max = exponent_profile(m)
     scores = {}
     for qi, q in enumerate(AXES):
         for b in range(1, m.ctx.n // 2):
-            exps = [_beta_exp_r(e, bc)
+            exps = [_beta_exp_r(e)
                     for e in dense_candidate_entries(m, qi, b) if not e.is_zero()]
             scores[(q, b)] = max([row_max[qi]] + exps)
     best = min(scores.values())

@@ -166,7 +166,7 @@ def test_criterion_5_denominator_pattern():
             rot = rng.choice(cliffs).rotation
             for p, a in zip(reversed(axes), reversed(exps)):
                 rot = rotation_generator(ctx, p, a) @ rot
-            mx, rows = exponent_profile(rot, bc)
+            mx, rows = exponent_profile(rot)
             q_sum = sum(q_of(a, ctx) for a in exps)
             assert mx == q_sum
             attain = [i for i, r in enumerate(rows) if r == mx]

@@ -142,6 +142,23 @@ def test_mismatched_n_is_rejected_before_its_context_is_built(tmp_path, capsys):
     assert make_context.cache_info().currsize == before
 
 
+def test_unmatched_n_flag_builds_no_context(tmp_path, capsys):
+    # An n=4 matrix under --n 2018 is turned away before Context(2018), whose
+    # reduction table alone takes about half a second, is built.
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(t_gate_json()))
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("W")
+    before = make_context.cache_info().currsize
+    code, out = run_cli(["synth", "--n", "2018", "--input", str(path)])
+    assert code == 2 and out == ""
+    code, out = run_cli(["verify", "--n", "2018", "--circuit", str(circuit),
+                         "--matrix", str(path)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.count("has n=4 but --n 2018 was given") == 2
+    assert make_context.cache_info().currsize == before
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli(["synth"])  # missing --n
     assert code == 2

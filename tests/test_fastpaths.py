@@ -24,7 +24,13 @@ from cycsynth import (
 )
 from cycsynth.rings import _beta_exp_r
 from cycsynth.su2 import AXES
-from cycsynth.synth import _SIGMA, _axis_pencils, _rotate, _rotated_entries
+from cycsynth.synth import (
+    _SIGMA,
+    _axis_pencils,
+    _candidate_rmax,
+    _rotate,
+    _rotated_entries,
+)
 from oracles import (
     chain_beta_exponent,
     dense_axis_detect,
@@ -47,7 +53,6 @@ def _descent_entries(u):
     """Every nonzero entry of every Bloch matrix axis_detect scores along the
     descent of u: each step's matrix and all its 3 (n/2 - 1) candidates."""
     ctx = u.ctx
-    bc = beta_constant(ctx)
     m = bloch(u)
     seen = {}
     while True:
@@ -63,7 +68,7 @@ def _descent_entries(u):
                         seen.setdefault(e.key(), e)
         if is_signed_permutation(m) is not None:
             return list(seen.values())
-        q, b = axis_detect(m, bc)
+        q, b = axis_detect(m)
         m = rotation_generator(ctx, q, ctx.order - b) @ m
 
 
@@ -78,7 +83,7 @@ def test_parity_exponent_matches_divisibility_chain(n):
     assert len({e.m for e in entries}) >= 3
     for e in entries:
         want = chain_beta_exponent(e, bc.beta)
-        assert _beta_exp_r(e, bc) == want
+        assert _beta_exp_r(e) == want
         assert beta_exponent(e, bc)[0] == want
 
 
@@ -138,7 +143,6 @@ def test_rotation_scan_matches_generator_products(n):
     # every candidate's six entries, the arg-min and the step update, on
     # every descent step
     ctx = make_context(n)
-    bc = beta_constant(ctx)
     steps = 0
     for seed in range(3):
         m = bloch(random_unitary(ctx, 12, 300 + seed)[0])
@@ -148,13 +152,55 @@ def test_rotation_scan_matches_generator_products(n):
                 for b in range(1, n // 2):
                     got = list(_rotated_entries(shift, pencils, b))
                     assert got == dense_candidate_entries(m, qi, b)
-            q, b = axis_detect(m, bc)
-            assert (q, b) == dense_axis_detect(m, bc)
+            q, b = axis_detect(m)
+            assert (q, b) == dense_axis_detect(m)
             nxt = _rotate(m, AXES.index(q), b)
             assert nxt == rotation_generator(ctx, q, ctx.order - b) @ m
             m = nxt
             steps += 1
     assert steps >= 3
+
+
+@pytest.mark.parametrize("n", EXPONENT_NS)
+def test_candidate_scan_contract(n):
+    # every candidate (q, b) on every descent step, scored against chain
+    # exponents: the exact max or None exactly when it exceeds the cutoff,
+    # and no entry consumed past the first whose exponent exceeds it
+    ctx = make_context(n)
+    beta = beta_constant(ctx).beta
+    exact = {}
+
+    def r(e):
+        if e.key() not in exact:
+            exact[e.key()] = chain_beta_exponent(e, beta)
+        return exact[e.key()]
+
+    checked = 0
+    for seed in range(2):
+        m = bloch(random_unitary(ctx, {32: 4, 64: 3}.get(n, 6), 900 + seed)[0])
+        while is_signed_permutation(m) is None:
+            for qi in range(3):
+                floor = max([r(e) for e in m.rows[qi] if not e.is_zero()], default=0)
+                for b in range(1, n // 2):
+                    entries = dense_candidate_entries(m, qi, b)
+                    exps = [None if e.is_zero() else r(e) for e in entries]
+                    want = max([floor] + [x for x in exps if x is not None])
+                    for cutoff in (math.inf, want - 1, want, want + 1):
+                        consumed = []
+                        got = _candidate_rmax(
+                            (consumed.append(e) or e for e in entries), floor, cutoff)
+                        if want <= cutoff:
+                            assert got == want
+                            continue
+                        assert got is None
+                        over = [i for i, x in enumerate(exps)
+                                if x is not None and x > cutoff]
+                        stop = 0 if floor > cutoff else over[0] + 1
+                        assert len(consumed) <= stop
+                        checked += 1
+            q, b = axis_detect(m)
+            m = _rotate(m, AXES.index(q), b)
+    assert checked > 0
 
 
 def test_rotation_scan_rejects_like_dense_scan():
@@ -163,11 +209,10 @@ def test_rotation_scan_rejects_like_dense_scan():
     ctx = make_context(14)
     one, zero = RingElem.one(ctx), RingElem.zero(ctx)
     m = bloch(UnitaryRn(ctx, ((one, zero), (zero, _infinite_order_unit(ctx)))))
-    bc = beta_constant(ctx)
     with pytest.raises(NotReducibleError) as want:
-        dense_axis_detect(m, bc)
+        dense_axis_detect(m)
     with pytest.raises(NotReducibleError) as got:
-        axis_detect(m, bc)
+        axis_detect(m)
     assert str(got.value) == str(want.value)
 
 
@@ -186,7 +231,6 @@ def test_one_shift_normalization_matches_halving(n):
     # every raw (numerator, 2^M) the descent scan hands to RingElem, plus
     # zero, m = 0 and numerators divisible by more than 2^m
     ctx = make_context(n)
-    bc = beta_constant(ctx)
     raw = [(ctx.zero(), 3), (ctx.zero(), 0), (ctx.from_int(12), 0),
            (ctx.from_int(48), 2), (ctx.from_int(-40), 7)]
     m = bloch(random_unitary(ctx, {4: 40, 32: 6, 64: 4}.get(n, 10), 500 + n)[0])
@@ -197,7 +241,7 @@ def test_one_shift_normalization_matches_halving(n):
                 for z, zbar, top in pencils:
                     for c in (b, b + shift):
                         raw.append((z.times_zeta(c) + zbar.times_zeta(-c), top))
-        q, b = axis_detect(m, bc)
+        q, b = axis_detect(m)
         m = _rotate(m, AXES.index(q), b)
     raw += [(num * 8, top + 1) for num, top in raw[5:200]]
     assert len(raw) > 300

@@ -12,7 +12,6 @@ from cycsynth import (
     RingElem,
     Rotation,
     UnitaryRn,
-    beta_constant,
     bloch,
     clifford_group,
     clifford_unitary,
@@ -161,20 +160,18 @@ def test_is_signed_permutation_cases():
 
 def test_exponent_profile_of_signed_permutation_is_zero():
     ctx = make_context(12)
-    bc = beta_constant(ctx)
     for e in clifford_group(ctx)[:6]:
-        assert exponent_profile(e.rotation, bc) == (0, (0, 0, 0))
+        assert exponent_profile(e.rotation) == (0, (0, 0, 0))
 
 
 def test_exponent_profile_single_rotation():
     for n in (4, 8, 12):
         ctx = make_context(n)
-        bc = beta_constant(ctx)
         rng = random.Random(32)
         for a in range(1, n // 2):
             cliff = rng.choice(clifford_group(ctx))
             m = rotation_generator(ctx, "z", a) @ cliff.rotation
-            mx, rows = exponent_profile(m, bc)
+            mx, rows = exponent_profile(m)
             assert mx == q_of(a, ctx)
             assert rows[2] == 0
             assert rows[0] == rows[1] == q_of(a, ctx)
@@ -184,12 +181,11 @@ def test_exponent_profile_two_rotations():
     # leading x rotation leaves the deficient x row at the trailing cost
     for n in (8, 12):
         ctx = make_context(n)
-        bc = beta_constant(ctx)
         for a1, a2 in ((1, 2), (2, 1), (3, 1)):
             if a1 >= n // 2 or a2 >= n // 2:
                 continue
             m = rotation_generator(ctx, "x", a1) @ rotation_generator(ctx, "z", a2)
-            mx, rows = exponent_profile(m, bc)
+            mx, rows = exponent_profile(m)
             assert mx == q_of(a1, ctx) + q_of(a2, ctx)
             assert rows[0] == q_of(a2, ctx)
             assert sorted(rows)[1:] == [mx, mx]
@@ -201,7 +197,6 @@ def test_denominator_pattern_on_random_canonical_products():
     rng = random.Random(33)
     for n in (4, 8, 12):
         ctx = make_context(n)
-        bc = beta_constant(ctx)
         cliffs = clifford_group(ctx)
         for _ in range(30):
             m_len = rng.randint(1, 5)
@@ -215,7 +210,7 @@ def test_denominator_pattern_on_random_canonical_products():
             rot = rng.choice(cliffs).rotation
             for p, a in zip(reversed(axes), reversed(exps)):
                 rot = rotation_generator(ctx, p, a) @ rot
-            mx, rows = exponent_profile(rot, bc)
+            mx, rows = exponent_profile(rot)
             q_sum = sum(q_of(a, ctx) for a in exps)
             assert mx == q_sum
             assert sorted(rows).count(mx) == 2

@@ -11,7 +11,6 @@ from cycsynth import (
     UnitaryRn,
     as_zeta_power,
     axis_detect,
-    beta_constant,
     bloch,
     brute_force_min_tcount,
     canonical_form,
@@ -43,7 +42,6 @@ def test_axis_detect_recovers_leading_factor():
     rng = random.Random(40)
     for n in (4, 8, 12):
         ctx = make_context(n)
-        bc = beta_constant(ctx)
         cliffs = clifford_group(ctx)
         for _ in range(15):
             a1 = rng.randint(1, n // 2 - 1)
@@ -54,15 +52,14 @@ def test_axis_detect_recovers_leading_factor():
                 @ rotation_generator(ctx, p2, a2)
                 @ rng.choice(cliffs).rotation
             )
-            assert axis_detect(rot, bc) == (p1, a1)
+            assert axis_detect(rot) == (p1, a1)
 
 
 def test_axis_detect_rejects_signed_permutation_region():
     ctx = make_context(4)
-    bc = beta_constant(ctx)
     cliff = clifford_group(ctx)[5]
     with pytest.raises(NotReducibleError):
-        axis_detect(cliff.rotation, bc)
+        axis_detect(cliff.rotation)
 
 
 # -- canonical form ---------------------------------------------------------------
@@ -124,19 +121,18 @@ def test_descent_strictly_decreases_exponent():
     from cycsynth import exponent_profile
 
     ctx = make_context(8)
-    bc = beta_constant(ctx)
     rng = random.Random(42)
     u = eval_sequence(random_sequence(ctx, rng, 25), ctx)
     m = bloch(u)
-    profile = exponent_profile(m, bc)[0]
+    profile = exponent_profile(m)[0]
     while True:
         from cycsynth import is_signed_permutation
 
         if is_signed_permutation(m) is not None:
             break
-        q, b = axis_detect(m, bc)
+        q, b = axis_detect(m)
         m = rotation_generator(ctx, q, ctx.order - b) @ m
-        nxt = exponent_profile(m, bc)[0]
+        nxt = exponent_profile(m)[0]
         assert nxt < profile
         profile = nxt
 
