@@ -24,7 +24,6 @@ from cycsynth import (
     NotReducibleError,
     RingElem,
     UnitaryRn,
-    exponent_profile,
     rotation_generator,
 )
 from cycsynth.rings import _beta_exp_r
@@ -219,7 +218,9 @@ def dense_candidate_entries(m, qi: int, b: int) -> list:
 def dense_axis_detect(m):
     """axis_detect by the dense scan: every candidate from generator
     products, scored exactly without pruning; same result and errors."""
-    cur_max, row_max = exponent_profile(m)
+    row_max = [max([_beta_exp_r(e) for e in row if not e.is_zero()], default=0)
+               for row in m.rows]
+    cur_max = max(row_max)
     scores = {}
     for qi, q in enumerate(AXES):
         for b in range(1, m.ctx.n // 2):

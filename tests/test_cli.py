@@ -121,42 +121,30 @@ def test_synth_wrong_n_flag(tmp_path):
 
 def test_mismatched_n_is_rejected_before_its_context_is_built(tmp_path, capsys):
     # Context(2018) alone takes about half a second and tens of MB, and the
-    # cost grows quadratically in n, so a short input line must not build one.
-    blob = t_gate_json()
-    blob["n"] = 2018
-    path = tmp_path / "big.jsonl"
-    path.write_text(json.dumps(t_gate_json()) + "\n" + json.dumps(blob) + "\n")
-    run_cli(["synth", "--n", "4", "--input", str(path)])
-    capsys.readouterr()
-    before = make_context.cache_info().currsize
-    code, out = run_cli(["synth", "--n", "4", "--input", str(path)])
-    assert code == 2 and out == ""
-    assert "entry 2 has n=2018 but --n 4 was given" in capsys.readouterr().err
+    # cost grows quadratically in n, so a short input line must not build one,
+    # whether the large n is the input's or the flag's.
     circuit = tmp_path / "c.txt"
     circuit.write_text("W")
-    path.write_text(json.dumps(blob))
-    code, _ = run_cli(["verify", "--n", "4", "--circuit", str(circuit),
-                       "--matrix", str(path)])
-    assert code == 2
-    assert "matrix has n=2018 but --n 4 was given" in capsys.readouterr().err
-    assert make_context.cache_info().currsize == before
-
-
-def test_unmatched_n_flag_builds_no_context(tmp_path, capsys):
-    # An n=4 matrix under --n 2018 is turned away before Context(2018), whose
-    # reduction table alone takes about half a second, is built.
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(t_gate_json()))
-    circuit = tmp_path / "c.txt"
-    circuit.write_text("W")
-    before = make_context.cache_info().currsize
-    code, out = run_cli(["synth", "--n", "2018", "--input", str(path)])
-    assert code == 2 and out == ""
-    code, out = run_cli(["verify", "--n", "2018", "--circuit", str(circuit),
-                         "--matrix", str(path)])
-    assert code == 2 and out == ""
-    assert capsys.readouterr().err.count("has n=4 but --n 2018 was given") == 2
-    assert make_context.cache_info().currsize == before
+    path = tmp_path / "in.jsonl"
+    for matrix_n, flag_n in ((2018, 4), (4, 2018)):
+        blob = t_gate_json()
+        blob["n"] = matrix_n
+        path.write_text(json.dumps(t_gate_json()) + "\n" + json.dumps(blob) + "\n")
+        run_cli(["synth", "--n", "4", "--input", str(path)])
+        capsys.readouterr()
+        before = make_context.cache_info().currsize
+        entry = 2 if matrix_n != 4 else 1
+        code, out = run_cli(["synth", "--n", str(flag_n), "--input", str(path)])
+        assert code == 2 and out == ""
+        assert (f"entry {entry} has n={matrix_n} but --n {flag_n} was given"
+                in capsys.readouterr().err)
+        path.write_text(json.dumps(blob))
+        code, _ = run_cli(["verify", "--n", str(flag_n), "--circuit", str(circuit),
+                           "--matrix", str(path)])
+        assert code == 2
+        assert (f"matrix has n={matrix_n} but --n {flag_n} was given"
+                in capsys.readouterr().err)
+        assert make_context.cache_info().currsize == before
 
 
 def test_usage_error_exit_code():
