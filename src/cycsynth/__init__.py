@@ -51,6 +51,7 @@ from .su2 import (
     CONJ_WORDS,
     GateSequence,
     UnitaryRn,
+    apply_gates,
     equal_up_to_phase,
     eval_sequence,
     h0,

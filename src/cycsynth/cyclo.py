@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import mul, or_
+from operator import add, mul, neg, or_, sub
 
 from .errors import IntegrityError
 
@@ -90,8 +90,12 @@ def _div_binomial(p: list[int], e: int) -> list[int]:
 def _cyclotomic_squarefree(r: int) -> tuple[int, ...]:
     # Phi_r for squarefree r, as the Moebius product over the divisors of r:
     # multiply all (x^d - 1) with mu(r/d) = +1, then divide out the rest.
+    # An even r = 2m with m > 1 reads Phi_r(x) = Phi_m(-x) instead.
     if r == 1:
         return (-1, 1)
+    if r % 2 == 0 and r > 2:
+        base = _cyclotomic_squarefree(r // 2)
+        return tuple(-c if j % 2 else c for j, c in enumerate(base))
     primes = factorize(r)
     divisors = [(1, len(primes) % 2)]  # (d, 1 if mu(r/d) = -1 else 0)
     for p in primes:
@@ -112,7 +116,8 @@ def cyclotomic_poly(m: int) -> list[int]:
     """Exact coefficient vector of the m-th cyclotomic polynomial.
 
     Constant term first; the result is monic of degree phi(m).  Uses the
-    Moebius product over squarefree divisors together with
+    Moebius product over the divisors of an odd squarefree radical,
+    Phi_2r(x) = Phi_r(-x) for an odd r > 1, and
     Phi_m(x) = Phi_rad(m)(x^(m/rad(m))).
     """
     if m < 1:
@@ -272,14 +277,14 @@ class CycInt:
 
     def __add__(self, other: "CycInt") -> "CycInt":
         _check_same_context(self, other)
-        return CycInt(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt(self.ctx, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CycInt") -> "CycInt":
         _check_same_context(self, other)
-        return CycInt(self.ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt(self.ctx, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CycInt":
-        return CycInt(self.ctx, tuple(-a for a in self.coeffs))
+        return CycInt(self.ctx, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, int):

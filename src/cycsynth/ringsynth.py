@@ -22,7 +22,7 @@ from itertools import product
 from .cyclo import VALUATION_NS, Context, CycInt, factorize, make_context, two_adic
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
 from .rings import RingElem, as_zeta_power, mu
-from .su2 import GateSequence, UnitaryRn, eval_sequence, token_w, w_gate
+from .su2 import GateSequence, UnitaryRn, _apply_line, apply_gates, eval_sequence, token_w
 
 __all__ = [
     "ColumnRn",
@@ -220,14 +220,13 @@ class ColumnRn:
         return mu(self.x, self.y)
 
     def apply_step(self, k: int) -> "ColumnRn":
-        """The column H0 U_z(pi k / n) (x, y)^T."""
-        ctx = self.ctx
-        rotated = self.y.times_zeta(k)
-        one_plus_i = RingElem(ctx.one() + ctx.zeta(ctx.n // 2), 1)  # (1+i)/2
-        return ColumnRn(
-            (self.x + rotated) * one_plus_i,
-            (self.x - rotated) * one_plus_i,
-        )
+        """The column H0 U_z(pi k / n) (x, y)^T.
+
+        With x and y over a common 2^m and y' = zeta^k y, this is
+        (s + zeta^(n/2) s, d + zeta^(n/2) d) / 2^(m+1) for s = x + y' and
+        d = x - y', the su2 kernel's U_z and H0 on a column.
+        """
+        return ColumnRn(*_apply_line(self.x, self.y, (("z", k), ("h", 0)), left=True))
 
 
 def reduce_column_step(col: ColumnRn) -> tuple[int, ColumnRn]:
@@ -347,7 +346,7 @@ def synthesize_ring(u: UnitaryRn) -> GateSequence:
     j = complete_unitary(u, prefix)
     if j:
         tokens.append(token_w(j))
-        prefix = prefix @ w_gate(ctx, j)
+        prefix = apply_gates(prefix, (("z", j),))
     if prefix != u:
         raise IntegrityError("ring synthesis does not reproduce the input")
     return GateSequence(phase, tuple(tokens))

@@ -1,5 +1,22 @@
 """2x2 unitaries over Z[zeta_2n, 1/2], gate generators and token sequences.
 
+Gates are applied by shifts and adds, never by general 2x2 products.  A
+row (x, y) of U (a column, for left multiplication) is kept as two
+numerators over a common 2^m, and each gate is a signed basis rotation
+(CycInt.times_zeta), adds and at most one denominator bump:
+
+- S, W^j and U_z(a pi/n) = diag(1, zeta^a) shift y by n/2, j or a;
+- zeta^a I shifts x and y by a;
+- H0 = ((1+i)/2) [[1, 1], [1, -1]] maps (x, y) to
+  (s + zeta^(n/2) s, d + zeta^(n/2) d) / 2 with s = x + y, d = x - y;
+- U_x(a pi/n) = ((1 + zeta^a)/2) I + ((1 - zeta^a)/2) X maps (x, y) to
+  (s + d, s - d) / 2 with s = x + y, d = zeta^a (x - y);
+- U_y(a pi/n) = D U_x(a pi/n) D^dagger with D = diag(1, i): y is shifted by
+  n/2 before U_x and back after it on a row, the other way on a column.
+
+apply_gates() is that kernel; eval_sequence(), and through it every word
+evaluation in the package, runs on it.
+
 Circuit text format: whitespace-separated tokens ``PH[a]``, ``H``, ``S``,
 ``W``, ``W^j``; ``PH[a]`` appears at most once, first, and carries the exact
 global phase zeta_2n^a.  The leftmost token is the leftmost matrix factor.
@@ -16,9 +33,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
-from .cyclo import Context, CycInt, _checked_coeffs, factorize, make_context
+from .cyclo import Context, CycInt, _checked_coeffs, factorize, make_context, two_adic
 from .errors import IntegrityError
 from .rings import RingElem
 
@@ -26,6 +46,7 @@ __all__ = [
     "CONJ_WORDS",
     "GateSequence",
     "UnitaryRn",
+    "apply_gates",
     "dagger_tokens",
     "equal_up_to_phase",
     "eval_sequence",
@@ -228,13 +249,98 @@ def u_axis(ctx: Context, p: str, sign: int, a: int) -> UnitaryRn:
     return ctx.memo(("u_axis", p, sign, a), build)
 
 
+# -- the gate-application kernel ----------------------------------------------
+
+def _over_common(a: RingElem, b: RingElem) -> tuple[CycInt, CycInt, int]:
+    """Numerators of a and b over their common denominator 2^m, and m."""
+    m = max(a.m, b.m)
+    x, y = a.num, b.num
+    if a.m < m:
+        x = CycInt(x.ctx, tuple(c << (m - a.m) for c in x.coeffs))
+    if b.m < m:
+        y = CycInt(y.ctx, tuple(c << (m - b.m) for c in y.coeffs))
+    return x, y, m
+
+
+def _apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
+    """(a, b) G_1 ... G_t as a row, or G_t ... G_1 (a, b)^T as a column when
+    left is true; gates as in apply_gates."""
+    x, y, m = _over_common(a, b)
+    half = x.ctx.n // 2
+    conj = -half if left else half
+    for kind, e in gates:
+        if kind == "z":
+            y = y.times_zeta(e)
+            continue
+        if kind == "ph":
+            x, y = x.times_zeta(e), y.times_zeta(e)
+            continue
+        if kind == "h":
+            s, d = x + y, x - y
+            x, y = s + s.times_zeta(half), d + d.times_zeta(half)
+        elif kind == "x" or kind == "y":
+            if kind == "y":
+                y = y.times_zeta(conj)
+            s, d = x + y, (x - y).times_zeta(e)
+            x, y = s + d, s - d
+            if kind == "y":
+                y = y.times_zeta(-conj)
+        else:
+            raise ValueError("unknown gate %r" % (kind,))
+        # The bump m + 1, then every power of 2 the pair shares comes off,
+        # so the numerators of a long word stay as small as its entries.
+        m += 1
+        bits = reduce(or_, x.coeffs, 0) | reduce(or_, y.coeffs, 0)
+        t = min(m, two_adic(bits)) if bits else m
+        if t:
+            x = CycInt(x.ctx, tuple(c >> t for c in x.coeffs))
+            y = CycInt(y.ctx, tuple(c >> t for c in y.coeffs))
+            m -= t
+    return RingElem(x, m), RingElem(y, m)
+
+
+def apply_gates(u: UnitaryRn, gates, left: bool = False) -> UnitaryRn:
+    """u G_1 ... G_t, or G_t ... G_1 u when left is true, exactly.
+
+    Each gate is a pair (kind, a): ("z", a) is U_z(a pi/n) = diag(1, zeta^a)
+    (S is a = n/2, W^j is a = j), ("x", a) and ("y", a) are U_x(a pi/n) and
+    U_y(a pi/n) as in u_axis(ctx, p, 1, a), ("h", 0) is H0 and ("ph", a) is
+    zeta^a I.  Right multiplication acts on each row and left
+    multiplication on each column, independently, by the shifts and adds in
+    the module docstring; no CycInt product is formed.
+    """
+    gates = tuple(gates)
+    (a, b), (c, d) = u.rows
+    if left:
+        (a, c), (b, d) = _apply_line(a, c, gates, True), _apply_line(b, d, gates, True)
+        rows = ((a, b), (c, d))
+    else:
+        rows = (_apply_line(a, b, gates), _apply_line(c, d, gates))
+    return UnitaryRn(u.ctx, rows, check=False)
+
+
+def _token_gate(ctx: Context, tok: str) -> tuple[str, int]:
+    """The kernel gate of a circuit token H, S or W^j."""
+    if tok == "H":
+        return ("h", 0)
+    if tok == "S":
+        return ("z", ctx.n // 2)
+    j = w_exponent(tok)
+    if j is None:
+        raise ValueError("unknown circuit token %r" % tok)
+    if not 1 <= j < ctx.order:
+        raise ValueError("W exponent must lie in [1, 2n)")
+    return ("z", j)
+
+
 # -- gate sequences ---------------------------------------------------------
 
 _PH_TOKEN = re.compile(r"^PH\[(\d+)\]$")
 
 
 def token_w(j: int) -> str:
-    return "W" if j == 1 else "W^%d" % j
+    # One shared string per exponent: emitted words hold many W tokens.
+    return "W" if j == 1 else sys.intern("W^%d" % j)
 
 
 def w_exponent(tok: str) -> int | None:
@@ -295,19 +401,14 @@ class GateSequence:
 
 
 def eval_sequence(seq: GateSequence, ctx: Context) -> UnitaryRn:
-    """Exact product zeta^phase * (leftmost token first)."""
-    acc = scalar_gate(ctx, seq.phase_power)
-    for tok in seq.tokens:
-        if tok == "H":
-            acc = acc @ h0(ctx)
-        elif tok == "S":
-            acc = acc @ s_gate(ctx)
-        else:
-            j = w_exponent(tok)
-            if j is None:
-                raise ValueError("unknown circuit token %r" % tok)
-            acc = acc @ w_gate(ctx, j)
-    return acc
+    """Exact product zeta^phase * (leftmost token first).
+
+    Each row (x, y) of the identity times zeta^phase goes through the tokens
+    by the kernel (apply_gates): S and W^j shift y by n/2 and j, and H maps
+    it to (s + zeta^(n/2) s, d + zeta^(n/2) d) / 2, s = x + y, d = x - y.
+    """
+    gates = [("ph", seq.phase_power)] + [_token_gate(ctx, t) for t in seq.tokens]
+    return apply_gates(UnitaryRn.identity(ctx), gates)
 
 
 def dagger_tokens(word: tuple[str, ...]) -> tuple[tuple[str, ...], int]:

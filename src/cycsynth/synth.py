@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cyclo import Context, CycInt, make_context
+from .cyclo import Context, make_context
 from .errors import IntegrityError, NotReducibleError, PhaseNotInRingError
 from .rings import RingElem, _beta_exp_bounds, _beta_exp_r, as_zeta_power
 from .so3 import (
@@ -41,12 +41,12 @@ from .su2 import (
     CONJ_WORDS,
     GateSequence,
     UnitaryRn,
+    _over_common,
+    _token_gate,
+    apply_gates,
     dagger_tokens,
     equal_up_to_phase,
     eval_sequence,
-    h0,
-    s_gate,
-    scalar_gate,
     token_w,
     u_axis,
     w_exponent,
@@ -138,9 +138,8 @@ def _axis_pencils(m: Rotation, qi: int):
     shift = _SIGMA[qi] * (ctx.n // 2)
     pencils = []
     for a, b in zip(r1, r2):
-        top = max(a.m, b.m)
-        x = CycInt(ctx, tuple(c << (top - a.m) for c in a.num.coeffs))
-        y = CycInt(ctx, tuple(c << (top - b.m) for c in b.num.coeffs)).times_zeta(shift)
+        x, y, top = _over_common(a, b)
+        y = y.times_zeta(shift)
         pencils.append((x - y, x + y, top + 1))
     return shift, pencils
 
@@ -240,11 +239,16 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
 
 
 def _form_value(ctx: Context, axes, exps, residual: CliffordRot) -> UnitaryRn:
-    """U_{p1}(a1 pi/n) ... U_{pm}(am pi/n) C, C the residual's Clifford."""
-    prod = UnitaryRn.identity(ctx)
-    for p, a in zip(axes, exps):
-        prod = prod @ u_axis(ctx, p, 1, a)
-    return prod @ clifford_unitary(ctx, residual)
+    """U_{p1}(a1 pi/n) ... U_{pm}(am pi/n) C, C the residual's Clifford.
+
+    The identity goes through the factors and then the residual's H, S word
+    by the su2 kernel, row by row: U_x(a pi/n) maps a row (x, y) to
+    (s + d, s - d) / 2 with s = x + y and d = zeta^a (x - y), U_y(a pi/n) is
+    that map with y turned by i before it and by -i after it, and U_z(a pi/n)
+    shifts y by a.
+    """
+    gates = list(zip(axes, exps)) + [_token_gate(ctx, t) for t in residual.word]
+    return apply_gates(UnitaryRn.identity(ctx), gates)
 
 
 # -- rewriting oracle ----------------------------------------------------------
@@ -252,19 +256,33 @@ def _form_value(ctx: Context, axes, exps, residual: CliffordRot) -> UnitaryRn:
 
 class _RewriteState:
     """Accumulator for the rewriting pass: a prefix of the input is kept as
-    zeta^ph * (rotation factors, adjacent axes distinct) * pending Clifford."""
+    zeta^ph * (rotation factors, adjacent axes distinct) * pending Clifford.
 
-    __slots__ = ("ctx", "ph", "factors", "pend_u", "pend_rot")
+    The pending Clifford is K_t ... K_1 g_1 ... g_s for the gates absorbed
+    from the left (K) and from the right (g), kept as two kernel gate lists
+    and evaluated once, by pending_unitary(); its Bloch image pend_rot is
+    kept up to date.
+    """
+
+    __slots__ = ("ctx", "ph", "factors", "left", "right", "pend_rot")
 
     def __init__(self, ctx: Context, phase: int):
         self.ctx = ctx
         self.ph = phase % ctx.order
         self.factors: list[tuple[str, int]] = []
-        self.pend_u = UnitaryRn.identity(ctx)
+        self.left: list[tuple[str, int]] = []
+        self.right: list[tuple[str, int]] = []
         self.pend_rot = Rotation.identity(ctx)
 
-    def absorb_clifford_right(self, u: UnitaryRn, rot: Rotation) -> None:
-        self.pend_u = self.pend_u @ u
+    def pending_unitary(self) -> UnitaryRn:
+        """The pending Clifford: the rows of I through the right gates, then
+        the columns through the left gates."""
+        u = apply_gates(UnitaryRn.identity(self.ctx), self.right)
+        return apply_gates(u, self.left, left=True)
+
+    def absorb_clifford_right(self, tok: str, rot: Rotation) -> None:
+        # The token H or S joins the pending Clifford from the right.
+        self.right.append(_token_gate(self.ctx, tok))
         self.pend_rot = self.pend_rot @ rot
 
     def absorb_clifford_left(self, p: str, quarter_turns: int) -> None:
@@ -273,8 +291,7 @@ class _RewriteState:
         a = (quarter_turns * (ctx.n // 2)) % ctx.order
         if a == 0:
             return
-        k = u_axis(ctx, p, 1, a)
-        self.pend_u = k @ self.pend_u
+        self.left.append((p, a))
         self.pend_rot = rotation_generator(ctx, p, a) @ self.pend_rot
 
     def conjugated_z_axis(self) -> tuple[str, int]:
@@ -328,9 +345,9 @@ def canonicalize_sequence(seq: GateSequence, ctx: Context) -> CanonicalForm:
     bloch_h, bloch_s = words[("H",)], words[("S",)]
     for tok in seq.tokens:
         if tok == "H":
-            st.absorb_clifford_right(h0(ctx), bloch_h)
+            st.absorb_clifford_right(tok, bloch_h)
         elif tok == "S":
-            st.absorb_clifford_right(s_gate(ctx), bloch_s)
+            st.absorb_clifford_right(tok, bloch_s)
         else:
             j = w_exponent(tok)
             if j is None:
@@ -340,7 +357,7 @@ def canonicalize_sequence(seq: GateSequence, ctx: Context) -> CanonicalForm:
     residual = is_signed_permutation(st.pend_rot)
     if residual is None:
         raise IntegrityError("pending Clifford is not a signed permutation")
-    d = scalar_gate(ctx, st.ph) @ st.pend_u
+    d = apply_gates(st.pending_unitary(), (("ph", st.ph),))
     lam = equal_up_to_phase(d, clifford_unitary(ctx, residual))
     if lam is None:
         raise IntegrityError("pending Clifford does not match its table word")
@@ -527,7 +544,7 @@ def random_unitary(
     residual = rng.choice(clifford_group(ctx))
     phase = rng.randrange(ctx.order)
     axes, exps = tuple(p for p, _ in factors), tuple(a for _, a in factors)
-    u = scalar_gate(ctx, phase) @ _form_value(ctx, axes, exps, residual)
+    u = apply_gates(_form_value(ctx, axes, exps, residual), (("ph", phase),))
     seq = to_circuit(CanonicalForm(ctx.n, axes, exps, residual, phase))
     if eval_sequence(seq, ctx) != u:
         raise IntegrityError("random instance witness does not evaluate back")

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own algorithms: the
 cyclotomic polynomials come from the plain recursive division, divisibility
 from a rational linear solve, and numeric cross-checks from floating-point
 evaluation of the power basis.  The library's fast paths are checked against
-the slow code they replaced: products reduced by the dense zeta_pow rows,
+the slow code they replaced: words evaluated by general 2x2 products,
+products reduced by the dense zeta_pow rows,
 valuations read off the rational norm, denominator exponents found by
 the iterated beta-divisibility chain, descent candidates built as
 generator products and scored without pruning, and dyadic fractions
@@ -24,10 +25,14 @@ from cycsynth import (
     NotReducibleError,
     RingElem,
     UnitaryRn,
+    h0,
     rotation_generator,
+    s_gate,
+    scalar_gate,
+    w_gate,
 )
 from cycsynth.rings import _beta_exp_r
-from cycsynth.su2 import AXES
+from cycsynth.su2 import AXES, w_exponent
 
 
 # -- naive cyclotomic polynomials (product recursion with long division) -------
@@ -194,6 +199,25 @@ def chain_beta_exponent(x: RingElem, beta: CycInt) -> int:
         num = CycInt(ctx, tuple(c // bnorm for c in prod.coeffs))
         t += 1
     return max(x.m * (1 << (ctx.k - 1)) - t, 0)
+
+
+# -- word evaluation by general products -----------------------------------------
+
+
+def product_eval_sequence(seq: GateSequence, ctx) -> UnitaryRn:
+    """zeta^phase I times one general 2x2 product per token, left to right."""
+    acc = scalar_gate(ctx, seq.phase_power)
+    for tok in seq.tokens:
+        if tok == "H":
+            acc = acc @ h0(ctx)
+        elif tok == "S":
+            acc = acc @ s_gate(ctx)
+        else:
+            j = w_exponent(tok)
+            if j is None:
+                raise ValueError("unknown circuit token %r" % tok)
+            acc = acc @ w_gate(ctx, j)
+    return acc
 
 
 # -- dense descent scan ----------------------------------------------------------

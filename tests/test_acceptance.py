@@ -38,7 +38,7 @@ from cycsynth import (
 )
 from cycsynth.cyclo import cyclotomic_poly
 from cycsynth.synth import bfs_cosets, witness_unitary
-from oracles import divides_oracle, random_cycint, random_sequence
+from oracles import divides_oracle, product_eval_sequence, random_cycint, random_sequence
 
 
 def _report(num, name):
@@ -216,13 +216,17 @@ def test_criterion_7_ring_equality_pipeline():
         rng = random.Random(4000 + n)
         for _ in range(500):
             base = random_sequence(ctx, rng, rng.randint(5, 24))
-            u = scalar_gate(ctx, rng.randrange(ctx.order)) @ eval_sequence(base, ctx)
+            u = scalar_gate(ctx, rng.randrange(ctx.order)) @ product_eval_sequence(base, ctx)
             res = membership(u)
             assert res.is_member, "membership failed at n=%d" % n
             assert eval_sequence(res.sequence, ctx) == u
             ring_seq = synthesize_ring(u)
             assert eval_sequence(ring_seq, ctx) == u
-    _report(7, "2500 ring unitaries synthesized by both pipelines, exactly")
+            # the three routes agree: rewriting the ring circuit gives the
+            # descent's canonical form
+            assert canonicalize_sequence(ring_seq, ctx) == canonical_form(u)
+    _report(7, "2500 ring unitaries synthesized by both pipelines, exactly, "
+               "and rewritten to the descent's canonical form")
 
 
 # -- 8. phase condition and census ----------------------------------------------------------------------

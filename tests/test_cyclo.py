@@ -263,6 +263,16 @@ def test_cyclotomic_matches_naive_oracle():
         assert cyclotomic_poly(m) == naive_cyclotomic(m)
 
 
+def test_cyclotomic_even_radicals_match_naive_oracle():
+    # Phi_2r(x) = Phi_r(-x) for odd r > 1 serves every even squarefree
+    # radical; check it on all of them up to 600, on 2*3*5*7*11, and under
+    # the x -> x^q substitution of non-squarefree m.
+    odd_squarefree = [r for r in range(3, 300, 2)
+                      if all(r % (p * p) for p in range(3, int(r ** 0.5) + 1, 2))]
+    for m in [2 * r for r in odd_squarefree] + [2310, 4 * 105, 18 * 35, 8 * 15]:
+        assert cyclotomic_poly(m) == naive_cyclotomic(m), m
+
+
 def test_cyclotomic_degree_and_height_sentinels():
     # phi(105) = 48 and the first coefficient of magnitude 2 appears at m=105
     p105 = cyclotomic_poly(105)

@@ -1,5 +1,6 @@
 """Differential tests: each arithmetic fast path against the slow code it
-replaced (kept in oracles.py as the reference)."""
+replaced (kept in oracles.py as the reference), and the gate-application
+kernel against general 2x2 products."""
 
 import math
 import random
@@ -7,13 +8,22 @@ import random
 import pytest
 
 from cycsynth import (
+    ColumnRn,
+    CycInt,
+    GateSequence,
     NotReducibleError,
     RingElem,
     UnitaryRn,
+    apply_gates,
     axis_detect,
     beta_constant,
     beta_exponent,
     bloch,
+    canonical_form,
+    canonicalize_sequence,
+    clifford_group,
+    eval_sequence,
+    h0,
     is_signed_permutation,
     iter_census,
     make_context,
@@ -21,13 +31,19 @@ from cycsynth import (
     phase_condition_witness,
     random_unitary,
     rotation_generator,
+    s_gate,
+    scalar_gate,
+    u_axis,
+    uz_power,
 )
 from cycsynth.rings import _beta_exp_r
-from cycsynth.su2 import AXES
+from cycsynth.su2 import AXES, token_w
 from cycsynth.synth import (
     _SIGMA,
+    _RewriteState,
     _axis_pencils,
     _candidate_rmax,
+    _form_value,
     _rotate,
     _rotated_entries,
 )
@@ -41,7 +57,9 @@ from oracles import (
     halving_normalize,
     mult_order_two,
     norm_valuation,
+    product_eval_sequence,
     random_cycint,
+    random_sequence,
     ring_complex,
 )
 
@@ -264,3 +282,141 @@ def test_census_matches_phase_condition():
             assert t == mult_order_two(s) // 2
             hits += 1
     assert hits > 1000
+
+
+# -- the gate-application kernel ------------------------------------------------
+
+
+def _every_token_words(ctx, rng, length=24):
+    """Words with a random PH phase that together hold W^j for every
+    1 <= j < 2n (and the spelling W^1), with H and S between them."""
+    toks = ["W^1"] + [token_w(j) for j in range(1, ctx.order)]
+    toks += [rng.choice("HS") for _ in range(len(toks))]
+    rng.shuffle(toks)
+    return [GateSequence(rng.randrange(ctx.order), tuple(toks[i:i + length]))
+            for i in range(0, len(toks), length)]
+
+
+@pytest.mark.parametrize("n", range(2, 65, 2))
+def test_kernel_matches_products_on_every_token_kind(n):
+    ctx = make_context(n)
+    rng = random.Random(70 + n)
+    for seq in _every_token_words(ctx, rng):
+        assert eval_sequence(seq, ctx) == product_eval_sequence(seq, ctx)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12, 14, 16, 30, 32))
+def test_apply_gates_matches_products_on_both_sides(n):
+    ctx = make_context(n)
+    rng = random.Random(80 + n)
+    u = product_eval_sequence(random_sequence(ctx, rng, 12), ctx)
+    gates = [("h", 0, h0(ctx))]
+    for a in range(ctx.order):
+        gates.append(("ph", a, scalar_gate(ctx, a)))
+        gates += [(p, a, u_axis(ctx, p, 1, a)) for p in AXES]
+    for kind, a, g in gates:
+        assert apply_gates(u, [(kind, a)]) == u @ g, (kind, a)
+        assert apply_gates(u, [(kind, a)], left=True) == g @ u, (kind, a)
+    picks = rng.sample(gates, 6)
+    right, left = u, u
+    for _, _, g in picks:
+        right, left = right @ g, g @ left
+    assert apply_gates(u, [(kind, a) for kind, a, _ in picks]) == right
+    assert apply_gates(u, [(kind, a) for kind, a, _ in picks], left=True) == left
+
+
+@pytest.mark.parametrize("n", EXPONENT_NS)
+def test_form_value_matches_axis_products(n):
+    ctx = make_context(n)
+    rng = random.Random(90 + n)
+    cliffords = clifford_group(ctx)
+    for draw in range(5):
+        axes = [rng.choice(AXES) for _ in range(rng.randint(0, 8))] if draw else AXES
+        exps = [rng.randrange(1, n // 2) for _ in axes]
+        residual = rng.choice(cliffords)
+        want = UnitaryRn.identity(ctx)
+        for p, a in zip(axes, exps):
+            want = want @ u_axis(ctx, p, 1, a)
+        want = want @ product_eval_sequence(GateSequence(0, residual.word), ctx)
+        assert _form_value(ctx, axes, exps, residual) == want
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 12))
+def test_apply_step_matches_product(n):
+    ctx = make_context(n)
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        u = product_eval_sequence(random_sequence(ctx, rng, 14), ctx)
+        col = ColumnRn(*u.first_column())
+        for k in range(1, ctx.order + 1):
+            g = h0(ctx) @ uz_power(ctx, k % ctx.order)
+            (a, b), (c, d) = g.rows
+            got = col.apply_step(k)
+            assert (got.x, got.y) == (a * col.x + b * col.y, c * col.x + d * col.y)
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 12, 16, 30))
+def test_absorb_clifford_matches_products(n):
+    ctx = make_context(n)
+    rng = random.Random(110 + n)
+    words = {c.word: c.rotation for c in clifford_group(ctx)}
+    st = _RewriteState(ctx, 0)
+    want = UnitaryRn.identity(ctx)
+    for _ in range(40):
+        if rng.random() < 0.6:
+            tok = rng.choice("HS")
+            st.absorb_clifford_right(tok, words[(tok,)])
+            want = want @ (h0(ctx) if tok == "H" else s_gate(ctx))
+        else:
+            p, q = rng.choice(AXES), rng.randrange(4)
+            st.absorb_clifford_left(p, q)
+            want = u_axis(ctx, p, 1, q * (n // 2) % ctx.order) @ want
+        assert st.pending_unitary() == want
+        assert st.pend_rot == bloch(want)
+
+
+def test_long_hadamard_word_keeps_numerators_small(monkeypatch):
+    # H0^2 = i I, so 4096 H evaluate to the identity; without taking the
+    # shared powers of 2 off after each bump the numerators over 2^4096
+    # would grow to about 2048 bits.
+    widest = [0]
+    plain_add = CycInt.__add__
+
+    def add(a, b):
+        out = plain_add(a, b)
+        widest[0] = max(widest[0], max(abs(c).bit_length() for c in out.coeffs))
+        return out
+
+    monkeypatch.setattr(CycInt, "__add__", add)
+    for n in (4, 12):
+        ctx = make_context(n)
+        assert eval_sequence(GateSequence(0, ("H",) * 4096), ctx) == UnitaryRn.identity(ctx)
+        assert eval_sequence(GateSequence(0, ("H",) * 4095), ctx) == \
+            scalar_gate(ctx, 2047 * (n // 2)) @ h0(ctx)
+    assert 0 < widest[0] <= 4
+
+
+def test_word_evaluation_makes_no_matrix_products(monkeypatch):
+    ctx = make_context(8)
+    rng = random.Random(120)
+    short, long_ = random_sequence(ctx, rng, 5), random_sequence(ctx, rng, 80)
+    for seq in (short, long_):
+        canonicalize_sequence(seq, ctx)  # fills the Clifford and rotation tables
+    u, _ = random_unitary(ctx, 12, 3)
+    cf = canonical_form(u)
+    calls = [0]
+    plain = UnitaryRn.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return plain(a, b)
+
+    monkeypatch.setattr(UnitaryRn, "__matmul__", counted)
+    eval_sequence(long_, ctx)
+    _form_value(ctx, cf.axes, cf.exponents, cf.residual)
+    assert calls[0] == 0
+    # only the integrity tail's equal_up_to_phase, whatever the word length
+    for seq in (short, long_):
+        calls[0] = 0
+        canonicalize_sequence(seq, ctx)
+        assert calls[0] == 1

@@ -30,7 +30,7 @@ from cycsynth import (
     verify_finite_lemma,
     z_rotation_classify,
 )
-from oracles import random_sequence
+from oracles import product_eval_sequence, random_sequence
 
 RING_NS = (2, 4, 6, 8, 12)
 
@@ -154,7 +154,7 @@ def test_verify_finite_lemma_rejects_unsupported():
 
 
 def _random_member_column(ctx, rng, length=14):
-    u = eval_sequence(random_sequence(ctx, rng, length), ctx)
+    u = product_eval_sequence(random_sequence(ctx, rng, length), ctx)
     return ColumnRn(*u.first_column())
 
 
@@ -234,7 +234,7 @@ def test_base_case_roots_columns():
         col = ColumnRn(RingElem.zeta(ctx, j), RingElem.zero(ctx))
         v, seq = base_case_column(col)
         assert v.first_column() == (col.x, col.y)
-        assert eval_sequence(seq, ctx) == v
+        assert product_eval_sequence(seq, ctx) == v
 
 
 def test_base_case_balanced_column():
@@ -246,7 +246,7 @@ def test_base_case_balanced_column():
     col = ColumnRn(x, y)
     v, seq = base_case_column(col)
     assert v.first_column() == (x, y)
-    assert eval_sequence(seq, ctx) == v
+    assert product_eval_sequence(seq, ctx) == v
 
 
 def test_base_case_rejects_high_measure():
@@ -267,7 +267,7 @@ def test_complete_unitary_recovers_exponent():
     rng = random.Random(63)
     ctx = make_context(12)
     for _ in range(12):
-        v = eval_sequence(random_sequence(ctx, rng, 10), ctx)
+        v = product_eval_sequence(random_sequence(ctx, rng, 10), ctx)
         j = rng.randrange(ctx.order)
         u = v @ uz_power(ctx, j)
         assert complete_unitary(u, v) == j
@@ -296,7 +296,7 @@ def test_synthesize_ring_long_product_n12():
     ctx = make_context(12)
     rng = random.Random(64)
     seq_in = random_sequence(ctx, rng, 30)
-    u = eval_sequence(seq_in, ctx)
+    u = product_eval_sequence(seq_in, ctx)
     seq = synthesize_ring(u)
     assert eval_sequence(seq, ctx) == u
 
@@ -306,7 +306,7 @@ def test_synthesize_ring_random_members_all_ns():
     for n in RING_NS:
         ctx = make_context(n)
         for _ in range(6):
-            u = eval_sequence(random_sequence(ctx, rng, 14), ctx)
+            u = product_eval_sequence(random_sequence(ctx, rng, 14), ctx)
             seq = synthesize_ring(u)
             assert eval_sequence(seq, ctx) == u
 
@@ -321,7 +321,7 @@ def test_optimal_cost_at_most_ring_cost():
     rng = random.Random(66)
     ctx = make_context(8)
     for _ in range(8):
-        u = eval_sequence(random_sequence(ctx, rng, 12), ctx)
+        u = product_eval_sequence(random_sequence(ctx, rng, 12), ctx)
         ring_seq = synthesize_ring(u)
         res = membership(u)
         assert res.is_member
@@ -333,7 +333,7 @@ def test_scalar_times_member_still_synthesizable():
     rng = random.Random(67)
     for n in RING_NS:
         ctx = make_context(n)
-        u = scalar_gate(ctx, rng.randrange(ctx.order)) @ eval_sequence(
+        u = scalar_gate(ctx, rng.randrange(ctx.order)) @ product_eval_sequence(
             random_sequence(ctx, rng, 10), ctx
         )
         seq = synthesize_ring(u)
