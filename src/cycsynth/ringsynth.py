@@ -226,11 +226,16 @@ class ColumnRn:
         (s + zeta^(n/2) s, d + zeta^(n/2) d) / 2^(m+1) for s = x + y' and
         d = x - y', the su2 kernel's U_z and H0 on a column.
         """
-        return ColumnRn(*_apply_line(self.x, self.y, (("z", k), ("h", 0)), left=True))
+        return ColumnRn(*_step(self.x, self.y, k))
+
+
+def _step(x: RingElem, y: RingElem, k: int) -> tuple[RingElem, RingElem]:
+    return _apply_line(x, y, (("z", k), ("h", 0)), left=True)
 
 
 def reduce_column_step(col: ColumnRn) -> tuple[int, ColumnRn]:
-    """One strictly measure-decreasing step H0 U_z(pi k/n), smallest such k."""
+    """One strictly measure-decreasing step H0 U_z(pi k/n), smallest such k;
+    each k is scored on the raw pair, and only the step returned is checked."""
     ctx = col.ctx
     if ctx.n not in RING_EQUALITY_NS:
         raise ValueError("column reduction is defined for n in %r" % (RING_EQUALITY_NS,))
@@ -238,9 +243,9 @@ def reduce_column_step(col: ColumnRn) -> tuple[int, ColumnRn]:
     if m0 <= mu_threshold(ctx):
         raise ValueError("column is already at or below the base-case measure")
     for k in range(1, ctx.order + 1):
-        cand = col.apply_step(k)
-        if cand.measure() < m0:
-            return k, cand
+        x, y = _step(col.x, col.y, k)
+        if mu(x, y) < m0:
+            return k, ColumnRn(x, y)
     raise NoReducingKError("no phase reduces the column measure")
 
 

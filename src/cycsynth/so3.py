@@ -5,6 +5,11 @@ expansion of U P_j U^dagger over the Paulis (P_1, P_2, P_3) = (X, Y, Z);
 with this orientation bloch(UV) = bloch(U) bloch(V) holds exactly and
 global phases vanish.  Cliffords map to the 24 signed permutation matrices
 of determinant 1.
+
+Each entry of R is a quadratic form in U's entries (Giles-Selinger): with
+U's columns c0, c1, U X U^dagger = c0 c1^dagger + c1 c0^dagger,
+U Y U^dagger = i (c1 c0^dagger - c0 c1^dagger), U Z U^dagger =
+2 c0 c0^dagger - I, so bloch() forms entry products, no matrix product.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from .cyclo import Context
 from .errors import IntegrityError
 from .rings import RingElem
-from .su2 import AXES, GateSequence, UnitaryRn, eval_sequence, h0, pauli, s_gate, u_axis
+from .su2 import AXES, GateSequence, UnitaryRn, eval_sequence, h0, s_gate, u_axis
 
 __all__ = [
     "CliffordRot",
@@ -126,20 +131,33 @@ def _combo(weights, vec):
 
 
 def bloch(u: UnitaryRn) -> Rotation:
-    """Exact SO(3) image; column j expands U P_j U^dagger over the Paulis."""
-    ctx = u.ctx
-    ud = u.dagger()
-    cols = []
-    for p in AXES:
-        a = (u @ pauli(ctx, p)) @ ud
-        (a00, a01), (a10, a11) = a.rows
-        tx = (a01 + a10).half()
-        i_val = RingElem.zeta(ctx, ctx.n // 2)
-        ty = (i_val * (a01 - a10)).half()
-        tz = (a00 - a11).half()
-        cols.append((tx, ty, tz))
-    rows = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    return Rotation(ctx, rows)
+    """Exact SO(3) image; column j expands U P_j U^dagger over the Paulis.
+
+    With columns c0 = (a, c), c1 = (b, d), U X U^dagger = c0 c1^dagger +
+    c1 c0^dagger, U Y U^dagger = i (c1 c0^dagger - c0 c1^dagger) and
+    U Z U^dagger = 2 c0 c0^dagger - I give, for s, t = a d* +- b c* and
+    r = a b* - c d*, the rows (Re s, Im t, 2 Re a c*), (-Im s, Re t,
+    -2 Im a c*), (Re r, Im r, |a|^2 - |c|^2): 7 entry products.  u is a
+    checked unitary, so the Rotation is not checked again.
+    """
+    (a, b), (c, d) = u.rows
+    inv_i = -(u.ctx.n // 2)  # 1/i = zeta^(-n/2)
+
+    def re(w):
+        return (w + w.conj()).half()
+
+    def im(w):
+        return (w - w.conj()).times_zeta(inv_i).half()
+
+    ad, bc, ac = a * d.conj(), b * c.conj(), a * c.conj()
+    s, t = ad + bc, ad - bc
+    r = a * b.conj() - c * d.conj()
+    rows = (
+        (re(s), im(t), re(ac + ac)),
+        (-im(s), re(t), -im(ac + ac)),
+        (re(r), im(r), a.abs2() - c.abs2()),
+    )
+    return Rotation(u.ctx, rows, check=False)
 
 
 def rotation_generator(ctx: Context, p: str, a: int) -> Rotation:

@@ -15,7 +15,9 @@ numerators over a common 2^m, and each gate is a signed basis rotation
   n/2 before U_x and back after it on a row, the other way on a column.
 
 apply_gates() is that kernel; eval_sequence(), and through it every word
-evaluation in the package, runs on it.
+evaluation in the package, runs on it.  The gate constants h0, s_gate,
+uz_power, w_gate, scalar_gate and u_axis are the kernel applied to I, so
+each gate has that one definition; only the Paulis are explicit data.
 
 Circuit text format: whitespace-separated tokens ``PH[a]``, ``H``, ``S``,
 ``W``, ``W^j``; ``PH[a]`` appears at most once, first, and carries the exact
@@ -154,101 +156,6 @@ class UnitaryRn:
         return "UnitaryRn(n=%d, %r)" % (self.ctx.n, self.rows)
 
 
-def h0(ctx: Context) -> UnitaryRn:
-    """The phase-adjusted Hadamard (1/2) [[1+i, 1+i], [1+i, -1-i]]."""
-
-    def build():
-        hp = RingElem(ctx.one() + ctx.zeta(ctx.n // 2), 1)  # (1+i)/2
-        return UnitaryRn(ctx, ((hp, hp), (hp, -hp)))
-
-    return ctx.memo("h0", build)
-
-
-def s_gate(ctx: Context) -> UnitaryRn:
-    def build():
-        one, zero = RingElem.one(ctx), RingElem.zero(ctx)
-        return UnitaryRn(ctx, ((one, zero), (zero, RingElem.zeta(ctx, ctx.n // 2))))
-
-    return ctx.memo("s_gate", build)
-
-
-def uz_power(ctx: Context, a: int) -> UnitaryRn:
-    """U_z(a pi / n) = diag(1, zeta_2n^a), 0 <= a < 2n."""
-    if not 0 <= a < ctx.order:
-        raise ValueError("rotation exponent %d out of range [0, 2n)" % a)
-    def build():
-        one, zero = RingElem.one(ctx), RingElem.zero(ctx)
-        return UnitaryRn(ctx, ((one, zero), (zero, RingElem.zeta(ctx, a))))
-
-    return ctx.memo(("uz_power", a), build)
-
-
-def w_gate(ctx: Context, j: int = 1) -> UnitaryRn:
-    if not 1 <= j < ctx.order:
-        raise ValueError("W exponent must lie in [1, 2n)")
-    return uz_power(ctx, j)
-
-
-def scalar_gate(ctx: Context, a: int) -> UnitaryRn:
-    """zeta_2n^a times the identity."""
-    a %= ctx.order
-    def build():
-        lam = RingElem.zeta(ctx, a)
-        zero = RingElem.zero(ctx)
-        return UnitaryRn(ctx, ((lam, zero), (zero, lam)))
-
-    return ctx.memo(("scalar_gate", a), build)
-
-
-def pauli(ctx: Context, p: str) -> UnitaryRn:
-    if p not in AXES:
-        raise ValueError("axis must be one of %r" % (AXES,))
-
-    def build():
-        one, zero = RingElem.one(ctx), RingElem.zero(ctx)
-        i_val = RingElem.zeta(ctx, ctx.n // 2)
-        if p == "x":
-            return UnitaryRn(ctx, ((zero, one), (one, zero)))
-        if p == "y":
-            return UnitaryRn(ctx, ((zero, -i_val), (i_val, zero)))
-        return UnitaryRn(ctx, ((one, zero), (zero, -one)))
-
-    return ctx.memo(("pauli", p), build)
-
-
-def u_axis(ctx: Context, p: str, sign: int, a: int) -> UnitaryRn:
-    """The rotation exp(i a pi/n (1 - sign*P)/2) about axis p.
-
-    Expands to ((1 + zeta^a)/2) I + sign ((1 - zeta^a)/2) P, which agrees
-    with conjugating U_z(a pi/n) by any Clifford mapping Z to sign*P.
-    """
-    if p not in AXES:
-        raise ValueError("axis must be one of %r" % (AXES,))
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not 0 <= a < ctx.order:
-        raise ValueError("rotation exponent %d out of range [0, 2n)" % a)
-
-    def build():
-        za = ctx.zeta(a)
-        h = RingElem(ctx.one() + za, 1)
-        g = RingElem(ctx.one() - za, 1)
-        if sign < 0:
-            g = -g
-        pm = pauli(ctx, p)
-        ident = UnitaryRn.identity(ctx)
-        rows = tuple(
-            tuple(
-                h * ident.rows[r][c] + g * pm.rows[r][c]
-                for c in range(2)
-            )
-            for r in range(2)
-        )
-        return UnitaryRn(ctx, rows)
-
-    return ctx.memo(("u_axis", p, sign, a), build)
-
-
 # -- the gate-application kernel ----------------------------------------------
 
 def _over_common(a: RingElem, b: RingElem) -> tuple[CycInt, CycInt, int]:
@@ -304,7 +211,7 @@ def apply_gates(u: UnitaryRn, gates, left: bool = False) -> UnitaryRn:
 
     Each gate is a pair (kind, a): ("z", a) is U_z(a pi/n) = diag(1, zeta^a)
     (S is a = n/2, W^j is a = j), ("x", a) and ("y", a) are U_x(a pi/n) and
-    U_y(a pi/n) as in u_axis(ctx, p, 1, a), ("h", 0) is H0 and ("ph", a) is
+    U_y(a pi/n) as in the module docstring, ("h", 0) is H0 and ("ph", a) is
     zeta^a I.  Right multiplication acts on each row and left
     multiplication on each column, independently, by the shifts and adds in
     the module docstring; no CycInt product is formed.
@@ -317,6 +224,73 @@ def apply_gates(u: UnitaryRn, gates, left: bool = False) -> UnitaryRn:
     else:
         rows = (_apply_line(a, b, gates), _apply_line(c, d, gates))
     return UnitaryRn(u.ctx, rows, check=False)
+
+
+# -- gate constants: the kernel applied to the identity -------------------------
+
+def _gate(ctx: Context, *gates) -> UnitaryRn:
+    return apply_gates(UnitaryRn.identity(ctx), gates)
+
+
+def h0(ctx: Context) -> UnitaryRn:
+    """The phase-adjusted Hadamard (1/2) [[1+i, 1+i], [1+i, -1-i]]."""
+    return _gate(ctx, ("h", 0))
+
+
+def s_gate(ctx: Context) -> UnitaryRn:
+    return _gate(ctx, ("z", ctx.n // 2))
+
+
+def uz_power(ctx: Context, a: int) -> UnitaryRn:
+    """U_z(a pi / n) = diag(1, zeta_2n^a), 0 <= a < 2n."""
+    if not 0 <= a < ctx.order:
+        raise ValueError("rotation exponent %d out of range [0, 2n)" % a)
+    return _gate(ctx, ("z", a))
+
+
+def w_gate(ctx: Context, j: int = 1) -> UnitaryRn:
+    if not 1 <= j < ctx.order:
+        raise ValueError("W exponent must lie in [1, 2n)")
+    return uz_power(ctx, j)
+
+
+def scalar_gate(ctx: Context, a: int) -> UnitaryRn:
+    """zeta_2n^a times the identity."""
+    return _gate(ctx, ("ph", a % ctx.order))
+
+
+def pauli(ctx: Context, p: str) -> UnitaryRn:
+    if p not in AXES:
+        raise ValueError("axis must be one of %r" % (AXES,))
+
+    def build():
+        one, zero = RingElem.one(ctx), RingElem.zero(ctx)
+        i_val = RingElem.zeta(ctx, ctx.n // 2)
+        if p == "x":
+            return UnitaryRn(ctx, ((zero, one), (one, zero)))
+        if p == "y":
+            return UnitaryRn(ctx, ((zero, -i_val), (i_val, zero)))
+        return UnitaryRn(ctx, ((one, zero), (zero, -one)))
+
+    return ctx.memo(("pauli", p), build)
+
+
+def u_axis(ctx: Context, p: str, sign: int, a: int) -> UnitaryRn:
+    """The rotation exp(i a pi/n (1 - sign*P)/2) about axis p.
+
+    That is ((1 + zeta^a)/2) I + sign ((1 - zeta^a)/2) P, which agrees with
+    conjugating U_z(a pi/n) by any Clifford mapping Z to sign*P.  Sign -1
+    goes through the kernel as U_{-p}(a pi/n) = zeta^a U_p((2n - a) pi/n).
+    """
+    if p not in AXES:
+        raise ValueError("axis must be one of %r" % (AXES,))
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not 0 <= a < ctx.order:
+        raise ValueError("rotation exponent %d out of range [0, 2n)" % a)
+    if sign > 0:
+        return _gate(ctx, (p, a))
+    return _gate(ctx, (p, (ctx.order - a) % ctx.order), ("ph", a))
 
 
 def _token_gate(ctx: Context, tok: str) -> tuple[str, int]:

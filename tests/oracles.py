@@ -4,8 +4,12 @@ Everything here deliberately avoids the library's own algorithms: the
 cyclotomic polynomials come from the plain recursive division, divisibility
 from a rational linear solve, and numeric cross-checks from floating-point
 evaluation of the power basis.  The library's fast paths are checked against
-the slow code they replaced: words evaluated by general 2x2 products,
-products reduced by the dense zeta_pow rows,
+the slow code they replaced: the gates H0, S, W^j, zeta^a I and
+U_{+-p}(a pi/n) written out entry by entry (U_p as the expansion
+((1 + zeta^a)/2) I + sign ((1 - zeta^a)/2) P), words evaluated by general
+2x2 products of those, Bloch images from six 2x2 products with the SO(3)
+check and the rotation generators built from them, products reduced by the
+dense zeta_pow rows,
 valuations read off the rational norm, denominator exponents found by
 the iterated beta-divisibility chain, descent candidates built as
 generator products and scored without pruning, and dyadic fractions
@@ -18,18 +22,16 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 from cycsynth import (
     CycInt,
     GateSequence,
     NotReducibleError,
     RingElem,
+    Rotation,
     UnitaryRn,
-    h0,
-    rotation_generator,
-    s_gate,
-    scalar_gate,
-    w_gate,
+    pauli,
 )
 from cycsynth.rings import _beta_exp_r
 from cycsynth.su2 import AXES, w_exponent
@@ -201,23 +203,79 @@ def chain_beta_exponent(x: RingElem, beta: CycInt) -> int:
     return max(x.m * (1 << (ctx.k - 1)) - t, 0)
 
 
-# -- word evaluation by general products -----------------------------------------
+# -- gates from explicit entries, words and Bloch images by general products ----
+
+
+@cache
+def matrix_h0(ctx) -> UnitaryRn:
+    """(1/2) [[1+i, 1+i], [1+i, -1-i]]."""
+    hp = RingElem(ctx.one() + ctx.zeta(ctx.n // 2), 1)
+    return UnitaryRn(ctx, ((hp, hp), (hp, -hp)))
+
+
+@cache
+def matrix_uz(ctx, a: int) -> UnitaryRn:
+    """diag(1, zeta^a); S is a = n/2 and W^j is a = j."""
+    one, zero = RingElem.one(ctx), RingElem.zero(ctx)
+    return UnitaryRn(ctx, ((one, zero), (zero, RingElem.zeta(ctx, a))))
+
+
+@cache
+def matrix_scalar(ctx, a: int) -> UnitaryRn:
+    """zeta^a I."""
+    lam, zero = RingElem.zeta(ctx, a), RingElem.zero(ctx)
+    return UnitaryRn(ctx, ((lam, zero), (zero, lam)))
+
+
+@cache
+def matrix_u_axis(ctx, p: str, sign: int, a: int) -> UnitaryRn:
+    """((1 + zeta^a)/2) I + sign ((1 - zeta^a)/2) P, entry by entry."""
+    za = ctx.zeta(a)
+    h = RingElem(ctx.one() + za, 1)
+    g = RingElem(ctx.one() - za, 1)
+    if sign < 0:
+        g = -g
+    pm = pauli(ctx, p)
+    one, zero = RingElem.one(ctx), RingElem.zero(ctx)
+    ident = ((one, zero), (zero, one))
+    return UnitaryRn(ctx, [[h * ident[r][c] + g * pm.rows[r][c] for c in range(2)]
+                           for r in range(2)])
 
 
 def product_eval_sequence(seq: GateSequence, ctx) -> UnitaryRn:
     """zeta^phase I times one general 2x2 product per token, left to right."""
-    acc = scalar_gate(ctx, seq.phase_power)
+    acc = matrix_scalar(ctx, seq.phase_power)
     for tok in seq.tokens:
         if tok == "H":
-            acc = acc @ h0(ctx)
+            acc = acc @ matrix_h0(ctx)
         elif tok == "S":
-            acc = acc @ s_gate(ctx)
+            acc = acc @ matrix_uz(ctx, ctx.n // 2)
         else:
             j = w_exponent(tok)
             if j is None:
                 raise ValueError("unknown circuit token %r" % tok)
-            acc = acc @ w_gate(ctx, j)
+            acc = acc @ matrix_uz(ctx, j)
     return acc
+
+
+def product_bloch(u: UnitaryRn) -> Rotation:
+    """Column j expands U P_j U^dagger over the Paulis, from six 2x2
+    products; the Rotation constructor checks SO(3)."""
+    ctx = u.ctx
+    ud = u.dagger()
+    i_val = RingElem.zeta(ctx, ctx.n // 2)
+    cols = []
+    for p in AXES:
+        (a00, a01), (a10, a11) = ((u @ pauli(ctx, p)) @ ud).rows
+        cols.append(((a01 + a10).half(), (i_val * (a01 - a10)).half(),
+                     (a00 - a11).half()))
+    return Rotation(ctx, [[cols[j][i] for j in range(3)] for i in range(3)])
+
+
+@cache
+def product_generator(ctx, p: str, a: int) -> Rotation:
+    """product_bloch of the expanded U_p(a pi/n): the rotation table entry."""
+    return product_bloch(matrix_u_axis(ctx, p, 1, a % ctx.order))
 
 
 # -- dense descent scan ----------------------------------------------------------
@@ -228,7 +286,7 @@ def dense_candidate_entries(m, qi: int, b: int) -> list:
     other than qi), as generator products c11 r1 + c12 r2, c21 r1 + c22 r2."""
     ctx = m.ctx
     i1, i2 = [i for i in range(3) if i != qi]
-    rot = rotation_generator(ctx, AXES[qi], ctx.order - b)
+    rot = product_generator(ctx, AXES[qi], ctx.order - b)
     c11, c12 = rot.rows[i1][i1], rot.rows[i1][i2]
     c21, c22 = rot.rows[i2][i1], rot.rows[i2][i2]
     rows = m.rows

@@ -1,14 +1,18 @@
 """Differential tests: each arithmetic fast path against the slow code it
-replaced (kept in oracles.py as the reference), and the gate-application
-kernel against general 2x2 products."""
+replaced (kept in oracles.py as the reference), the gate-application
+kernel and the gate constants against explicit matrices and general 2x2
+products, and bloch against the six-product Bloch image."""
 
+import ast
 import math
+import pathlib
 import random
 
 import pytest
 
 from cycsynth import (
     ColumnRn,
+    Context,
     CycInt,
     GateSequence,
     NotReducibleError,
@@ -35,6 +39,7 @@ from cycsynth import (
     scalar_gate,
     u_axis,
     uz_power,
+    w_gate,
 )
 from cycsynth.rings import _beta_exp_r
 from cycsynth.su2 import AXES, token_w
@@ -55,9 +60,15 @@ from oracles import (
     dense_mul,
     dense_times_zeta,
     halving_normalize,
+    matrix_h0,
+    matrix_scalar,
+    matrix_u_axis,
+    matrix_uz,
     mult_order_two,
     norm_valuation,
+    product_bloch,
     product_eval_sequence,
+    product_generator,
     random_cycint,
     random_sequence,
     ring_complex,
@@ -173,7 +184,7 @@ def test_rotation_scan_matches_generator_products(n):
             q, b = axis_detect(m)
             assert (q, b) == dense_axis_detect(m)
             nxt = _rotate(m, AXES.index(q), b)
-            assert nxt == rotation_generator(ctx, q, ctx.order - b) @ m
+            assert nxt == product_generator(ctx, q, ctx.order - b) @ m
             m = nxt
             steps += 1
     assert steps >= 3
@@ -310,10 +321,10 @@ def test_apply_gates_matches_products_on_both_sides(n):
     ctx = make_context(n)
     rng = random.Random(80 + n)
     u = product_eval_sequence(random_sequence(ctx, rng, 12), ctx)
-    gates = [("h", 0, h0(ctx))]
+    gates = [("h", 0, matrix_h0(ctx))]
     for a in range(ctx.order):
-        gates.append(("ph", a, scalar_gate(ctx, a)))
-        gates += [(p, a, u_axis(ctx, p, 1, a)) for p in AXES]
+        gates.append(("ph", a, matrix_scalar(ctx, a)))
+        gates += [(p, a, matrix_u_axis(ctx, p, 1, a)) for p in AXES]
     for kind, a, g in gates:
         assert apply_gates(u, [(kind, a)]) == u @ g, (kind, a)
         assert apply_gates(u, [(kind, a)], left=True) == g @ u, (kind, a)
@@ -336,7 +347,7 @@ def test_form_value_matches_axis_products(n):
         residual = rng.choice(cliffords)
         want = UnitaryRn.identity(ctx)
         for p, a in zip(axes, exps):
-            want = want @ u_axis(ctx, p, 1, a)
+            want = want @ matrix_u_axis(ctx, p, 1, a)
         want = want @ product_eval_sequence(GateSequence(0, residual.word), ctx)
         assert _form_value(ctx, axes, exps, residual) == want
 
@@ -349,7 +360,7 @@ def test_apply_step_matches_product(n):
         u = product_eval_sequence(random_sequence(ctx, rng, 14), ctx)
         col = ColumnRn(*u.first_column())
         for k in range(1, ctx.order + 1):
-            g = h0(ctx) @ uz_power(ctx, k % ctx.order)
+            g = matrix_h0(ctx) @ matrix_uz(ctx, k % ctx.order)
             (a, b), (c, d) = g.rows
             got = col.apply_step(k)
             assert (got.x, got.y) == (a * col.x + b * col.y, c * col.x + d * col.y)
@@ -366,13 +377,13 @@ def test_absorb_clifford_matches_products(n):
         if rng.random() < 0.6:
             tok = rng.choice("HS")
             st.absorb_clifford_right(tok, words[(tok,)])
-            want = want @ (h0(ctx) if tok == "H" else s_gate(ctx))
+            want = want @ (matrix_h0(ctx) if tok == "H" else matrix_uz(ctx, n // 2))
         else:
             p, q = rng.choice(AXES), rng.randrange(4)
             st.absorb_clifford_left(p, q)
-            want = u_axis(ctx, p, 1, q * (n // 2) % ctx.order) @ want
+            want = matrix_u_axis(ctx, p, 1, q * (n // 2) % ctx.order) @ want
         assert st.pending_unitary() == want
-        assert st.pend_rot == bloch(want)
+        assert st.pend_rot == product_bloch(want)
 
 
 def test_long_hadamard_word_keeps_numerators_small(monkeypatch):
@@ -392,8 +403,58 @@ def test_long_hadamard_word_keeps_numerators_small(monkeypatch):
         ctx = make_context(n)
         assert eval_sequence(GateSequence(0, ("H",) * 4096), ctx) == UnitaryRn.identity(ctx)
         assert eval_sequence(GateSequence(0, ("H",) * 4095), ctx) == \
-            scalar_gate(ctx, 2047 * (n // 2)) @ h0(ctx)
+            matrix_scalar(ctx, 2047 * (n // 2)) @ matrix_h0(ctx)
     assert 0 < widest[0] <= 4
+
+
+# -- gate constants and Bloch images ---------------------------------------------
+
+EVEN_NS = range(2, 65, 2)
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_gate_constants_match_explicit_matrices(n):
+    ctx = make_context(n)
+    assert h0(ctx) == matrix_h0(ctx)
+    assert s_gate(ctx) == matrix_uz(ctx, n // 2)
+    for a in range(ctx.order):
+        assert uz_power(ctx, a) == matrix_uz(ctx, a)
+        assert scalar_gate(ctx, a) == matrix_scalar(ctx, a)
+        if a:
+            assert w_gate(ctx, a) == matrix_uz(ctx, a)
+        for p in AXES:
+            for sign in (1, -1):
+                assert u_axis(ctx, p, sign, a) == matrix_u_axis(ctx, p, sign, a)
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_bloch_matches_six_products(n):
+    ctx = make_context(n)
+    rng = random.Random(130 + n)
+    for _ in range(3):
+        u = eval_sequence(random_sequence(ctx, rng, 10), ctx)
+        assert bloch(u) == product_bloch(u)
+    for a in range(ctx.order):
+        for p in AXES:
+            for sign in (1, -1):
+                got = bloch(u_axis(ctx, p, sign, a))
+                assert got == product_bloch(matrix_u_axis(ctx, p, sign, a)), (p, sign, a)
+            assert rotation_generator(ctx, p, a) == product_generator(ctx, p, a)
+
+
+def test_oracles_do_not_import_the_gates_or_bloch():
+    # The references stay independent of the code they check: no gate
+    # constant, rotation generator or Bloch image comes from cycsynth.
+    banned = {"h0", "s_gate", "uz_power", "w_gate", "scalar_gate", "u_axis",
+              "rotation_generator", "bloch"}
+    tree = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cycsynth"):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert used & banned == set()
 
 
 def test_word_evaluation_makes_no_matrix_products(monkeypatch):
@@ -414,6 +475,16 @@ def test_word_evaluation_makes_no_matrix_products(monkeypatch):
     monkeypatch.setattr(UnitaryRn, "__matmul__", counted)
     eval_sequence(long_, ctx)
     _form_value(ctx, cf.axes, cf.exponents, cf.residual)
+    bloch(u)
+    fresh = Context(8)  # nothing memoized: the rotation table is unfilled
+    h0(fresh), s_gate(fresh)
+    for a in range(fresh.order):
+        uz_power(fresh, a), scalar_gate(fresh, a)
+        if a:
+            w_gate(fresh, a)
+        for p in AXES:
+            u_axis(fresh, p, 1, a), u_axis(fresh, p, -1, a)
+            rotation_generator(fresh, p, a)
     assert calls[0] == 0
     # only the integrity tail's equal_up_to_phase, whatever the word length
     for seq in (short, long_):
