@@ -14,8 +14,10 @@ per folded coefficient.
 odd; then Phi_2n = Phi_s^(2^k) (mod 2) with Phi_s squarefree mod 2, so the
 primes above 2 are the factors of Phi_s mod 2, each with ramification
 index 2^k.  For x not divisible by 2, the multiplicity of Phi_s in x mod 2
-(a carry-less division on a bitmask int) is the least valuation of x at a
-prime above 2.  The valuation proper is only available for n in
+is the least valuation of x at a prime above 2.  It is read from a bitmask
+int of the odd coefficients: for n a power of two (s = 1, Phi_s = x + 1)
+by a subset transform of k shift-and-mask steps, otherwise by carry-less
+division by Phi_s^(2^j).  The valuation proper is only available for n in
 {2, 4, 6, 8, 12}, where that prime is unique.
 """
 
@@ -49,17 +51,22 @@ def two_adic(v: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-def factorize(m: int) -> dict[int, int]:
+def factorize(m: int, max_prime: int | None = None) -> dict[int, int] | None:
     """Prime factorization of m >= 1 by trial division, {p: exponent} with
-    the primes in increasing order."""
+    the primes in increasing order; None if m has a prime factor above
+    max_prime, so that trial division never passes max_prime."""
     out: dict[int, int] = {}
     p = 2
     while p * p <= m:
+        if max_prime is not None and p > max_prime:
+            return None
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
         p += 1 if p == 2 else 2
     if m > 1:
+        if max_prime is not None and m > max_prime:
+            return None
         out[m] = out.get(m, 0) + 1
     return out
 
@@ -182,6 +189,13 @@ class Context:
             sum(1 << (i << j) for i, c in enumerate(phi_s) if c)
             for j in range(self.k)
         )
+        # s = 1: (2^t, M_t) for t < k, M_t the lanes i < n with bit t of i
+        # clear; see parity_multiplicity.
+        full = (1 << d) - 1
+        self.subset_steps = tuple(
+            (1 << t, full // ((1 << (2 << t)) - 1) * ((1 << (1 << t)) - 1))
+            for t in range(self.k)
+        ) if self.s == 1 else ()
         # Every prime above 2 has ramification index 2^k, so v(2) = 2^k.
         self.ram_index = 1 << self.k
         self.supports_valuation = n in VALUATION_NS
@@ -199,6 +213,31 @@ class Context:
         if val is None:
             val = self._memo[key] = build()
         return val
+
+    def parity_multiplicity(self, mask: int) -> int:
+        """Multiplicity of Phi_s in the nonzero GF(2) polynomial `mask`
+        (bit i the coefficient of x^i) of degree below phi(2n).
+
+        It is below 2^k, and for s = 1 it is the index of the lowest set
+        bit of the subset transform of mask: by Lucas' theorem the
+        coefficient of (x + 1)^j in sum c_i x^i = sum c_i ((x + 1) + 1)^i
+        is the XOR of the c_i over the i whose bits contain those of j, and
+        k steps of c ^= (c >> 2^t) & M_t compute it.  Otherwise its binary
+        digits are found from the top by carry-less division by
+        Phi_s^(2^j).
+        """
+        if self.s == 1:
+            for step, lanes in self.subset_steps:
+                mask ^= (mask >> step) & lanes
+            return (mask & -mask).bit_length() - 1
+        mult = 0
+        pows = self.phi_s_pow2_mod2
+        for j in range(len(pows) - 1, -1, -1):
+            q = _gf2_exact_quotient(mask, pows[j])
+            if q is not None:
+                mask = q
+                mult += 1 << j
+        return mult
 
     # -- element factories -------------------------------------------------
 
@@ -231,6 +270,13 @@ def _checked_coeffs(coeffs, degree: int) -> tuple[int, ...]:
     if not all(isinstance(c, int) for c in coeffs):
         raise ValueError("coefficients must be integers")
     return coeffs
+
+
+# c & 3 for an int c, then the ASCII digit of its high or low bit, so
+# int(..., 2) packs a residue byte string into a bitmask.
+_AND3 = (3).__and__
+_HIGH_BIT = bytes.maketrans(bytes(range(4)), b"0011")
+_LOW_BIT = bytes.maketrans(bytes(range(4)), b"0101")
 
 
 def _gf2_exact_quotient(a: int, b: int) -> int | None:
@@ -366,27 +412,26 @@ class CycInt:
         """Coefficientwise residue in {0, 1}, as an element of the ring."""
         return CycInt(self.ctx, tuple(c & 1 for c in self.coeffs))
 
+    def residue_planes(self) -> tuple[int, int]:
+        """The coefficients mod 4 as two bitmask ints (high, low): bit i of
+        low is c_i mod 2 and bit i of high is (c_i >> 1) mod 2."""
+        res = bytes(map(_AND3, reversed(self.coeffs)))
+        return int(res.translate(_HIGH_BIT), 2), int(res.translate(_LOW_BIT), 2)
+
+    def parity_mask(self, shift: int = 0) -> int:
+        """Bitmask int of the coefficients shifted right by `shift` bits
+        that are odd (bit i for c_i)."""
+        coeffs = [c >> shift for c in self.coeffs] if shift else self.coeffs
+        return int(bytes(map(_AND3, reversed(coeffs))).translate(_LOW_BIT), 2)
+
     def mod2_multiplicity(self, shift: int = 0) -> int:
         """Multiplicity of Phi_s in the residue mod 2 of the coefficients
-        shifted right by `shift` bits, which must not all be even.
-
-        That residue is a nonzero polynomial of degree below
-        2^k deg(Phi_s), so the multiplicity is below 2^k; its binary digits
-        are found from the top by carry-less division by Phi_s^(2^j).
-        """
-        mask = 0
-        for c in reversed(self.coeffs):
-            mask = (mask << 1) | ((c >> shift) & 1)
+        shifted right by `shift` bits, which must not all be even (see
+        Context.parity_multiplicity)."""
+        mask = self.parity_mask(shift)
         if not mask:
             raise ValueError("residue mod 2 is zero")
-        mult = 0
-        pows = self.ctx.phi_s_pow2_mod2
-        for j in range(len(pows) - 1, -1, -1):
-            q = _gf2_exact_quotient(mask, pows[j])
-            if q is not None:
-                mask = q
-                mult += 1 << j
-        return mult
+        return self.ctx.parity_multiplicity(mask)
 
     def valuation(self):
         """Exponent of the unique prime above 2 (n in {2,4,6,8,12} only).

@@ -12,9 +12,12 @@ k >= 2.  It is read from parity bits: beta has valuation 2 at every prime
 above 2 and 2 has valuation 2^k there, so for a normalized x = num / 2^m
 with m > 0 the exponent is r = m 2^(k-1) - floor(v / 2), where v is the
 multiplicity of Phi_s in num mod 2 (see cyclo); r = m when k = 1 and r = 0
-when m = 0.  This module is the one home of that formula (_beta_exp_r) and
-of its parity-free bracket (_beta_exp_bounds); both read k from the context.
-BetaConstant holds only beta itself, the base of beta_exponent's witness.
+when m = 0.  This module is the one home of that formula, on the pair
+(m, parity mask of num) (_parity_exponent, which the descent also calls on
+parities it reads without building the element), and of its parity-free
+bracket on m alone (_exp_bounds); both read k from the context, and
+_beta_exp_r applies the first to a RingElem.  BetaConstant holds only beta
+itself, the base of beta_exponent's witness.
 """
 
 from __future__ import annotations
@@ -205,25 +208,33 @@ def beta_constant(ctx: Context) -> BetaConstant:
     return ctx.memo("beta_constant", lambda: BetaConstant(ctx))
 
 
+def _parity_exponent(ctx: Context, m: int, mask: int) -> int:
+    """Denominator exponent m 2^(k-1) - floor(v / 2) of a normalized
+    num / 2^m, m >= 1, from the parity mask of num (see CycInt.parity_mask;
+    nonzero, as num is not even), v the multiplicity of Phi_s in it."""
+    return (m << (ctx.k - 1)) - (ctx.parity_multiplicity(mask) >> 1)
+
+
 def _beta_exp_r(x: RingElem) -> int:
     """Denominator exponent only (no witness); shared with beta_exponent."""
     if x.is_zero():
         raise ValueError("beta exponent of zero")
-    k = x.ctx.k
-    if x.m == 0 or k == 1:
+    if x.m == 0 or x.ctx.k == 1:
         return x.m
-    return (x.m << (k - 1)) - (x.num.mod2_multiplicity() >> 1)
+    return _parity_exponent(x.ctx, x.m, x.num.parity_mask())
 
 
-def _beta_exp_bounds(x: RingElem) -> tuple[int, int]:
+def _exp_bounds(ctx: Context, m: int) -> tuple[int, int]:
     # The denominator exponent of a normalized nonzero x = num/2^m lies in
     # [(m-1)*k1 + 1, m*k1] for m >= 1 (k1 = 2^(k-1)) and equals 0 for m = 0,
     # because a normalized numerator is never divisible by beta^k1.  The
     # bracket is exact when k = 1 or m = 0, where _beta_exp_r reads no bits.
-    if x.m == 0:
+    # An m <= 0 gets (0, 0), so that the upper end for m - t bounds
+    # num / 2^m whenever 2^t divides num.
+    if m <= 0:
         return 0, 0
-    k1 = 1 << (x.ctx.k - 1)
-    return (x.m - 1) * k1 + 1, x.m * k1
+    k1 = 1 << (ctx.k - 1)
+    return (m - 1) * k1 + 1, m * k1
 
 
 def beta_exponent(x: RingElem, bc: BetaConstant) -> tuple[int, CycInt]:

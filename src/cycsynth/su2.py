@@ -453,8 +453,15 @@ def matrix_from_json(obj: dict) -> UnitaryRn:
     if not (isinstance(entries, list) and len(entries) == 2):
         raise ValueError("field 'entries' must be a 2x2 array")
     # The vectors are checked against phi(2n) before the context is built:
-    # its reduction table costs time and memory quadratic in n.
-    degree = math.prod((p - 1) * p ** (a - 1) for p, a in factorize(2 * n).items())
+    # its reduction table costs time and memory quadratic in n.  Every
+    # prime p | 2n has (p - 1) | phi(2n), so a prime factor above L + 1
+    # proves phi(2n) > L for the longest vector's length L; trial division
+    # stops there, or past 2^16 to name phi(2n) where that is quick.
+    longest = max((len(vec) for row in entries if isinstance(row, list)
+                   for vec in row if isinstance(vec, list)), default=0)
+    primes = factorize(2 * n, max(longest + 1, 1 << 16))
+    degree = None if primes is None else math.prod(
+        (p - 1) * p ** (a - 1) for p, a in primes.items())
     rows = []
     for r, row in enumerate(entries):
         if not (isinstance(row, list) and len(row) == 2):
@@ -466,6 +473,9 @@ def matrix_from_json(obj: dict) -> UnitaryRn:
             if any(isinstance(x, bool) for x in vec):
                 raise ValueError("entry (%d,%d): coefficients must be integers, "
                                  "not booleans" % (r, c))
+            if degree is None:
+                raise ValueError("entry (%d,%d): coefficient vector must have length "
+                                 "phi(%d) > %d, got %d" % (r, c, 2 * n, longest, len(vec)))
             try:
                 out_row.append(_checked_coeffs(vec, degree))
             except ValueError as exc:

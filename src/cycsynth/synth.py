@@ -10,7 +10,11 @@ synthesizable group and surface as NotReducibleError.  Candidates are built
 without matrix products: a rotation by b pi/n about axis q multiplies the
 complex combination r1 - i sigma_q r2 of the other two rows by zeta^b, so
 each candidate entry is the real part of a root-of-unity multiple, two
-basis rotations of the power basis and an add.
+basis rotations of the power basis and an add.  For n = 2^k (s = 1) the
+candidates are scored without building entries at all: the same
+rotations and adds act on the numerators mod 4, kept as bit planes, and
+an entry's exact exponent follows from its lowest nonzero plane
+(_PlaneScan); other n build each entry they score.
 
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
@@ -26,7 +30,13 @@ from dataclasses import dataclass
 
 from .cyclo import Context, make_context
 from .errors import IntegrityError, NotReducibleError, PhaseNotInRingError
-from .rings import RingElem, _beta_exp_bounds, _beta_exp_r, as_zeta_power
+from .rings import (
+    RingElem,
+    _beta_exp_r,
+    _exp_bounds,
+    _parity_exponent,
+    as_zeta_power,
+)
 from .so3 import (
     CliffordRot,
     Rotation,
@@ -108,7 +118,7 @@ def _candidate_rmax(entries, floor: int, cutoff):
     for e in entries:
         if e.is_zero():
             continue
-        lo, hi = _beta_exp_bounds(e)
+        lo, hi = _exp_bounds(e.ctx, e.m)
         if hi <= val:
             continue
         if lo > cutoff:
@@ -144,12 +154,160 @@ def _axis_pencils(m: Rotation, qi: int):
     return shift, pencils
 
 
+def _pencil_entry(pencil, c: int) -> RingElem:
+    """Re(zeta^c Z) = (zeta^c Z + zeta^-c conj(Z)) / 2^(M+1)."""
+    z, zbar, m = pencil
+    return RingElem(z.times_zeta(c) + zbar.times_zeta(-c), m)
+
+
 def _rotated_entries(shift: int, pencils, b: int):
     """Entries (i1, j), (i2, j) of R_q^(-b) M, one at a time: Re(zeta^c Z_j)
-    = (zeta^c Z_j + zeta^-c conj(Z_j)) / 2^(M+1) for c = b, b + shift."""
-    for z, zbar, m in pencils:
+    for c = b, b + shift."""
+    for pencil in pencils:
         for c in (b, b + shift):
-            yield RingElem(z.times_zeta(c) + zbar.times_zeta(-c), m)
+            yield _pencil_entry(pencil, c)
+
+
+def _entry_scorer(m: Rotation, qi: int):
+    """score(b, floor, cutoff) of the candidates on axis qi, as
+    _candidate_rmax over their entries, built one at a time."""
+    shift, pencils = _axis_pencils(m, qi)
+
+    def score(b: int, floor: int, cutoff):
+        return _candidate_rmax(_rotated_entries(shift, pencils, b), floor, cutoff)
+
+    return score
+
+
+def _step_residues(m: Rotation):
+    """(m, high, low) per entry of the matrix: its denominator exponent and
+    the bit planes of its numerator mod 4 (CycInt.residue_planes)."""
+    return [[(e.m,) + e.num.residue_planes() for e in row] for row in m.rows]
+
+
+def _extension(n: int, h: int, l: int) -> tuple[int, int]:
+    # Planes of E_(-2n), ..., E_(2n-1) in lanes 0, ..., 4n - 1, for the
+    # negacyclic extension E_(i+n) = -E_i of the n lanes (h, l) mod 4;
+    # -(h, l) = (h ^ l, l).
+    rep = 1 | (1 << (2 * n))
+    return (h | (h ^ l) << n) * rep, (l | l << n) * rep
+
+
+def _lift(h: int, l: int, t: int) -> tuple[int, int]:
+    # planes of 2^t times the residue (h, l) mod 4
+    return (h, l) if t == 0 else (l, 0) if t == 1 else (0, 0)
+
+
+class _PlaneScan:
+    """Scores the candidates R_q^(-b) M on one axis from residues mod 4, for
+    n = 2^k (Phi_2n = x^n + 1, d = n).
+
+    A residue mod 4 of a numerator is kept as two bitmask planes (high,
+    low), one lane per coefficient; negation is (h ^ l, l), addition is
+    (h1 ^ h2 ^ (l1 & l2), l1 ^ l2), and zeta^c is a lane rotation that
+    negates the lanes it wraps.  Each pencil Z_j and conj(Z_j) is stored
+    as windows of its negacyclic extension, so that every rotation a
+    candidate needs is one right shift: the six numerators of candidate b,
+    zeta^c Z_j + zeta^-c conj(Z_j) for c = b, b + shift, sit in lanes
+    2n e, ..., 2n e + n - 1 for entry e = 2j + (c != b) after two shifts,
+    a mod-4 add and a mask.  An entry's lowest nonzero plane gives its
+    2-adic drop t <= 1, hence its normalized denominator exponent m - t
+    and parity mask, hence its exact exponent (rings._parity_exponent).
+    Entries with t >= 2 (or zero) are bounded by m - 2 and built in full
+    only when that bound reaches above the running max.
+    """
+
+    __slots__ = ("mat", "qi", "ctx", "half", "full", "lanes", "shift",
+                 "zh", "zl", "wh", "wl", "entries", "pencils")
+
+    def __init__(self, m: Rotation, qi: int, res):
+        ctx = self.ctx = m.ctx
+        n = ctx.n
+        self.mat, self.qi = m, qi
+        self.half = half = n // 2
+        self.full = full = (1 << n) - 1
+        self.shift = shift = _SIGMA[qi] * half
+        self.pencils = None
+        i1, i2 = [i for i in range(3) if i != qi]
+        seg = (1 << (2 * n)) - 1
+        zh = zl = wh = wl = lanes = 0
+        entries = []
+        for j in range(3):
+            (ma, ha, la), (mb, hb, lb) = res[i1][j], res[i2][j]
+            top = max(ma, mb)
+            xh, xl = _lift(ha, la, top - ma)
+            yh, yl = _lift(hb, lb, top - mb)
+            # y zeta^shift: E_(i - shift), lanes 2n - shift on
+            eh, el = _extension(n, yh, yl)
+            yh, yl = (eh >> (2 * n - shift)) & full, (el >> (2 * n - shift)) & full
+            # Z = x - y zeta^shift and conj(Z) = x + y zeta^shift
+            carry = xl & yl
+            low = xl ^ yl
+            ezh, ezl = _extension(n, xh ^ yh ^ yl ^ carry, low)
+            ewh, ewl = _extension(n, xh ^ yh ^ carry, low)
+            for r, s in enumerate((0, shift)):
+                e = 2 * j + r
+                off = 2 * n * e
+                # Z side: E_(i - half - s), conj side: E_(i - half + s)
+                a, c = 2 * n - half - s, 2 * n - half + s
+                zh |= ((ezh >> a) & seg) << off
+                zl |= ((ezl >> a) & seg) << off
+                wh |= ((ewh >> c) & seg) << off
+                wl |= ((ewl >> c) & seg) << off
+                lanes |= full << off
+                entries.append((off, top + 1, e,
+                                tuple(_exp_bounds(ctx, top + 1 - t) for t in range(3))))
+        self.zh, self.zl, self.wh, self.wl, self.lanes = zh, zl, wh, wl, lanes
+        # the largest denominators first, so cutoffs prune early
+        entries.sort(key=lambda item: -item[1])
+        self.entries = entries
+
+    def residues(self, b: int) -> tuple[int, int]:
+        """(high, low) planes of the six numerators of candidate b mod 4,
+        entry e in lanes 2n e, ..., 2n e + n - 1: zeta^c Z_j lane p is
+        E_(p - c), a right shift by half - b, and zeta^-c conj(Z_j) lane p is
+        E_(p + c), a right shift by half + b."""
+        u, v = self.half - b, self.half + b
+        zl, wl = self.zl >> u, self.wl >> v
+        lanes = self.lanes
+        return ((self.zh >> u) ^ (self.wh >> v) ^ (zl & wl)) & lanes, (zl ^ wl) & lanes
+
+    def entry(self, e: int, b: int) -> RingElem:
+        """Entry e of candidate b, built in full."""
+        if self.pencils is None:
+            self.pencils = _axis_pencils(self.mat, self.qi)[1]
+        return _pencil_entry(self.pencils[e >> 1], b + (self.shift if e & 1 else 0))
+
+    def score(self, b: int, floor: int, cutoff):
+        """As _candidate_rmax on the entries of candidate b: the exact max
+        exponent of floor and the entries, or None when it exceeds cutoff."""
+        val = floor
+        if val > cutoff:
+            return None
+        h, l = self.residues(b)
+        full, ctx = self.full, self.ctx
+        deferred = []
+        for off, m, e, bounds in self.entries:
+            mask = (l >> off) & full
+            t = 0
+            if not mask:
+                mask = (h >> off) & full
+                t = 1
+                if not mask:
+                    if bounds[2][1] > val:
+                        deferred.append(e)
+                    continue
+            lo, hi = bounds[t]
+            if hi <= val:
+                continue
+            if lo > cutoff:
+                return None
+            val = max(val, _parity_exponent(ctx, m - t, mask))
+            if val > cutoff:
+                return None
+        if not deferred:
+            return val
+        return _candidate_rmax((self.entry(e, b) for e in deferred), val, cutoff)
 
 
 def _rotate(m: Rotation, qi: int, b: int) -> Rotation:
@@ -169,13 +327,20 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     R_q(-b pi/n) fixes row q and multiplies Z = r1 - i sigma_q r2 (r1, r2
     the other rows) by zeta^b, so the candidate's rows are Re(zeta^b Z) and
     -sigma_q Re(zeta^(b - n/2) Z), two basis rotations and an add per entry.
-    A candidate is dropped as soon as its exponent provably exceeds the best
-    seen (the unchanged row gives a free floor; entry exponents are
-    bracketed by the power-of-two denominator before any parity bits are
-    read), which never changes the arg-min or the tie check.  Ties and
-    non-reducing minima raise NotReducibleError.  The exponents and their
-    bracket come from rings and need only the context; the element beta
-    itself is only the base of rings.beta_exponent's witness, unused here.
+    For n = 2^k those rotations and adds run on the numerators mod 4 as
+    two bitmask planes, built once per step from the nine entries' low two
+    coefficient bits (_PlaneScan): an entry N / 2^m with an odd coefficient
+    in N or N / 2 (2-adic drop t <= 1) gets its exact exponent from its
+    planes, and only an entry with t >= 2, or zero, is built in full, when
+    its bound m - 2 reaches above the running max.  Other n (s > 1) build every entry
+    they score.  A candidate is dropped as soon as its exponent provably
+    exceeds the best seen (the unchanged row gives a free floor; entry
+    exponents are bracketed by the power-of-two denominator before any
+    parity bits are read), which never changes the arg-min or the tie
+    check.  Ties and non-reducing minima raise NotReducibleError.  The
+    exponents and their bracket come from rings and need only the context;
+    the element beta itself is only the base of rings.beta_exponent's
+    witness, unused here.
     """
     half = m.ctx.n // 2
     if half < 2:
@@ -186,14 +351,14 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     axis_order = sorted(range(3), key=lambda i: (row_max[i], i))
     best, best_val = None, math.inf
     tie = False
+    res = _step_residues(m) if m.ctx.s == 1 else None
     for qi in axis_order:
         floor = row_max[qi]
         if floor > best_val:
             continue
-        shift, pencils = _axis_pencils(m, qi)
+        score = _entry_scorer(m, qi) if res is None else _PlaneScan(m, qi, res).score
         for b in range(1, half):
-            cand = _rotated_entries(shift, pencils, b)
-            val = _candidate_rmax(cand, floor, best_val)
+            val = score(b, floor, best_val)
             if val is None:
                 continue
             if val < best_val:

@@ -10,8 +10,9 @@ U_{+-p}(a pi/n) written out entry by entry (U_p as the expansion
 2x2 products of those, Bloch images from six 2x2 products with the SO(3)
 check and the rotation generators built from them, products reduced by the
 dense zeta_pow rows,
-valuations read off the rational norm, denominator exponents found by
-the iterated beta-divisibility chain, descent candidates built as
+valuations read off the rational norm, multiplicities of Phi_s mod 2
+found by carry-less long division on bit lists, denominator exponents
+found by the iterated beta-divisibility chain, descent candidates built as
 generator products and scored without pruning, and dyadic fractions
 normalized one halving at a time.
 """
@@ -76,6 +77,58 @@ def poly_eval(p, x):
     for c in reversed(p):
         total = total * x + c
     return total
+
+
+# -- GF(2) polynomials as bit lists (constant term first) ----------------------
+
+
+def gf2_trim(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def gf2_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] ^= y
+    return gf2_trim(out)
+
+
+def gf2_divmod(num, den):
+    """Quotient and remainder over GF(2); den must be nonzero."""
+    num, den = gf2_trim(num), gf2_trim(den)
+    q = [0] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        if num[i + len(den) - 1]:
+            q[i] = 1
+            for j, dj in enumerate(den):
+                num[i + j] ^= dj
+    return gf2_trim(q), gf2_trim(num)
+
+
+@cache
+def phi_mod2(s: int) -> tuple[int, ...]:
+    return tuple(c & 1 for c in naive_cyclotomic(s))
+
+
+def gf2_multiplicity(coeffs, s: int, shift: int = 0) -> int:
+    """Multiplicity of Phi_s mod 2 in the GF(2) polynomial whose
+    coefficients are the bits (c >> shift) & 1, by dividing while the
+    remainder is zero (ValueError for the zero polynomial)."""
+    poly = gf2_trim([(c >> shift) & 1 for c in coeffs])
+    if not poly:
+        raise ValueError("residue mod 2 is zero")
+    phi = phi_mod2(s)
+    mult = 0
+    while True:
+        q, r = gf2_divmod(poly, phi)
+        if r:
+            return mult
+        poly, mult = q, mult + 1
 
 
 # -- rational-linear-solve divisibility oracle ---------------------------------

@@ -1,7 +1,8 @@
 """Differential tests: each arithmetic fast path against the slow code it
 replaced (kept in oracles.py as the reference), the gate-application
 kernel and the gate constants against explicit matrices and general 2x2
-products, and bloch against the six-product Bloch image."""
+products, bloch against the six-product Bloch image, and the mod-4 plane
+scan of the descent (n = 2^k) against full entries and the dense scan."""
 
 import ast
 import math
@@ -41,16 +42,20 @@ from cycsynth import (
     uz_power,
     w_gate,
 )
+from cycsynth import cyclo, synth
 from cycsynth.rings import _beta_exp_r
+from cycsynth.so3 import Rotation
 from cycsynth.su2 import AXES, token_w
 from cycsynth.synth import (
     _SIGMA,
+    _PlaneScan,
     _RewriteState,
     _axis_pencils,
     _candidate_rmax,
     _form_value,
     _rotate,
     _rotated_entries,
+    _step_residues,
 )
 from oracles import (
     chain_beta_exponent,
@@ -59,6 +64,8 @@ from oracles import (
     dense_galois,
     dense_mul,
     dense_times_zeta,
+    gf2_mul,
+    gf2_multiplicity,
     halving_normalize,
     matrix_h0,
     matrix_scalar,
@@ -66,6 +73,7 @@ from oracles import (
     matrix_uz,
     mult_order_two,
     norm_valuation,
+    phi_mod2,
     product_bloch,
     product_eval_sequence,
     product_generator,
@@ -176,11 +184,16 @@ def test_rotation_scan_matches_generator_products(n):
     for seed in range(3):
         m = bloch(random_unitary(ctx, 12, 300 + seed)[0])
         while is_signed_permutation(m) is None:
+            res = _step_residues(m) if ctx.s == 1 else None
             for qi in range(3):
                 shift, pencils = _axis_pencils(m, qi)
+                scan = _PlaneScan(m, qi, res) if res else None
                 for b in range(1, n // 2):
                     got = list(_rotated_entries(shift, pencils, b))
-                    assert got == dense_candidate_entries(m, qi, b)
+                    dense = dense_candidate_entries(m, qi, b)
+                    assert got == dense
+                    if scan is not None:
+                        _check_plane_residues(scan, b, dense, [p[2] for p in pencils])
             q, b = axis_detect(m)
             assert (q, b) == dense_axis_detect(m)
             nxt = _rotate(m, AXES.index(q), b)
@@ -188,6 +201,24 @@ def test_rotation_scan_matches_generator_products(n):
             m = nxt
             steps += 1
     assert steps >= 3
+
+
+def _bits(coeffs, plane: int) -> int:
+    return sum(((c >> plane) & 1) << i for i, c in enumerate(coeffs))
+
+
+def _check_plane_residues(scan, b, dense, tops):
+    # the six numerators of candidate b over 2^top (top per column) mod 4,
+    # entry e = 2 j + r (row i1 then i2) in lanes 2n e, ..., 2n e + n - 1
+    n = scan.ctx.n
+    h, l = scan.residues(b)
+    assert h | l < 1 << (12 * n)
+    for e, entry in enumerate(dense):
+        top = tops[e >> 1]
+        num = [c << (top - entry.m) for c in entry.num.coeffs]
+        lane = (1 << n) - 1
+        assert (h >> (2 * n * e)) & lane == _bits(num, 1)
+        assert (l >> (2 * n * e)) & lane == _bits(num, 0)
 
 
 @pytest.mark.parametrize("n", EXPONENT_NS)
@@ -204,17 +235,24 @@ def test_candidate_scan_contract(n):
             exact[e.key()] = chain_beta_exponent(e, beta)
         return exact[e.key()]
 
-    checked = 0
+    checked = planes = 0
     for seed in range(2):
         m = bloch(random_unitary(ctx, {32: 4, 64: 3}.get(n, 6), 900 + seed)[0])
         while is_signed_permutation(m) is None:
+            res = _step_residues(m) if ctx.s == 1 else None
             for qi in range(3):
                 floor = max([r(e) for e in m.rows[qi] if not e.is_zero()], default=0)
+                scan = _PlaneScan(m, qi, res) if res else None
                 for b in range(1, n // 2):
                     entries = dense_candidate_entries(m, qi, b)
                     exps = [None if e.is_zero() else r(e) for e in entries]
                     want = max([floor] + [x for x in exps if x is not None])
                     for cutoff in (math.inf, want - 1, want, want + 1):
+                        if scan is not None:
+                            # the plane scan: exact below the cutoff, else None
+                            got = scan.score(b, floor, cutoff)
+                            assert got == (want if want <= cutoff else None)
+                            planes += 1
                         consumed = []
                         got = _candidate_rmax(
                             (consumed.append(e) or e for e in entries), floor, cutoff)
@@ -228,8 +266,10 @@ def test_candidate_scan_contract(n):
                         assert len(consumed) <= stop
                         checked += 1
             q, b = axis_detect(m)
+            assert (q, b) == dense_axis_detect(m)
             m = _rotate(m, AXES.index(q), b)
     assert checked > 0
+    assert planes > 0 if ctx.s == 1 else planes == 0
 
 
 def test_rotation_scan_rejects_like_dense_scan():
@@ -243,6 +283,86 @@ def test_rotation_scan_rejects_like_dense_scan():
     with pytest.raises(NotReducibleError) as got:
         axis_detect(m)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_plane_scan_rejects_like_dense_scan(n):
+    # -bloch(u) of a member descends like bloch(u), entry for entry negated,
+    # down to a signed permutation of determinant -1, where no candidate
+    # reduces the exponent
+    ctx = make_context(n)
+    u, _ = random_unitary(ctx, 10, 40 + n)
+    m = Rotation(ctx, [[-e for e in row] for row in bloch(u).rows], check=False)
+    steps = 0
+    while m.signed_perm_key() is None:
+        q, b = axis_detect(m)
+        assert (q, b) == dense_axis_detect(m)
+        m = _rotate(m, AXES.index(q), b)
+        steps += 1
+    assert steps > 0 and is_signed_permutation(m) is None
+    with pytest.raises(NotReducibleError) as want:
+        dense_axis_detect(m)
+    with pytest.raises(NotReducibleError) as got:
+        axis_detect(m)
+    assert str(got.value) == str(want.value)
+
+
+def test_descent_at_a_power_of_two_makes_no_carry_less_division(monkeypatch):
+    # n = 2^k reads multiplicities by the subset transform and scores
+    # candidates on residue planes: neither the carry-less division nor the
+    # entry-building scan may run
+    ctx = make_context(64)
+    u, _ = random_unitary(ctx, 30, 77)
+    calls = {"division": 0, "entry scan": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cyclo, "_gf2_exact_quotient",
+                        counted("division", cyclo._gf2_exact_quotient))
+    monkeypatch.setattr(synth, "_entry_scorer", counted("entry scan", synth._entry_scorer))
+    cf = canonical_form(u)
+    assert cf.tcount() == 30
+    assert calls == {"division": 0, "entry scan": 0}
+    # the same counters do see the other path
+    canonical_form(random_unitary(make_context(12), 10, 77)[0])
+    assert calls["division"] > 0 and calls["entry scan"] > 0
+
+
+def _residue_with_multiplicity(ctx, rng, mult, shift):
+    # coefficients whose bits (c >> shift) & 1 are Phi_s^mult times a random
+    # GF(2) polynomial, with random low bits and random signed high parts
+    phi = list(phi_mod2(ctx.s))
+    poly = [1]
+    for _ in range(mult):
+        poly = gf2_mul(poly, phi)
+    room = ctx.degree - len(poly) + 1
+    poly = gf2_mul(poly, [rng.randint(0, 1) for _ in range(room - 1)] + [1])
+    bits = poly + [0] * (ctx.degree - len(poly))
+    return [(bit << shift) | rng.randrange(1 << shift)
+            | (rng.randint(-50, 50) << (shift + 1)) for bit in bits]
+
+
+@pytest.mark.parametrize("n", range(2, 65, 2))
+def test_mod2_multiplicity_matches_carry_less_reference(n):
+    ctx = make_context(n)
+    rng = random.Random(130 + n)
+    top = (ctx.degree - 1) // (len(phi_mod2(ctx.s)) - 1) + 1  # mult < top
+    for mult in range(top):
+        shift = mult % 3
+        coeffs = _residue_with_multiplicity(ctx, rng, mult, shift)
+        want = gf2_multiplicity(coeffs, ctx.s, shift)
+        assert want >= mult
+        assert ctx.from_coeffs(coeffs).mod2_multiplicity(shift) == want
+    assert want == top - 1  # the largest multiplicity below the degree
+    for x in (random_cycint(ctx, rng, 9) for _ in range(8)):
+        if any(c & 1 for c in x.coeffs):
+            assert x.mod2_multiplicity() == gf2_multiplicity(x.coeffs, ctx.s)
+    with pytest.raises(ValueError):
+        ctx.from_int(2).mod2_multiplicity()
 
 
 @pytest.mark.parametrize("n", (4, 6, 8, 12, 30))

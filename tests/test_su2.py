@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -252,6 +253,24 @@ def test_matrix_json_checks_vector_lengths_before_building_context(monkeypatch):
     with pytest.raises(ValueError) as exc:
         matrix_from_json(obj)
     assert str(exc.value) == "entry (0,1): coefficients must be integers"
+
+
+def test_matrix_json_rejects_huge_n_without_factoring_it(monkeypatch):
+    # 2n = 4 (10^16 + 61) has a prime factor far above any vector length L,
+    # which proves phi(2n) > L; trial division stops there, and does not run
+    # on toward sqrt(10^16) first
+    def refuse(n):
+        raise AssertionError("context built for n=%d" % n)
+
+    monkeypatch.setattr(su2, "make_context", refuse)
+    n = 2 * (10**16 + 61)
+    obj = {"n": n, "denom_exp": 0, "entries": [[[1], [0]], [[0], [1]]]}
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        matrix_from_json(obj)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == ("entry (0,0): coefficient vector must have length "
+                              "phi(%d) > 1, got 1" % (2 * n))
 
 
 def test_clifford_unitary_group_order():
