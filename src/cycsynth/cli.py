@@ -27,8 +27,8 @@ from .ringsynth import (
 from .su2 import (
     GateSequence,
     UnitaryRn,
-    equal_up_to_phase,
-    eval_sequence,
+    _strip,
+    _word_gates,
     matrix_from_json,
     matrix_to_json,
 )
@@ -52,27 +52,28 @@ def _print_approx(u: UnitaryRn, out) -> None:
         print("#   [%s]" % vals, file=out)
 
 
-def _read_json(path: str):
+def _read_text(path: str, what: str = "") -> str:
+    """The text of a file, or of stdin for '-'."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return sys.stdin.read()
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError("cannot read %s%r: %s" % (what, path, exc)) from None
+
+
+def _read_json(path: str):
+    text = _read_text(path, "matrix JSON from ")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ValueError("cannot read matrix JSON from %r: %s" % (path, exc)) from None
 
 
 def _read_matrices(path: str, expect_n: int) -> list[UnitaryRn]:
     """One JSON object, or JSONL with one matrix per line (batch synthesis)."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ValueError("cannot read %r: %s" % (path, exc)) from None
-    text = text.strip()
+    text = _read_text(path).strip()
     if not text:
         raise ValueError("empty matrix input")
     try:
@@ -144,21 +145,14 @@ def cmd_verify(args, out) -> int:
     obj = _read_json(args.matrix)
     _check_n(obj, args.n, "matrix")
     u = matrix_from_json(obj)
-    try:
-        if args.circuit == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.circuit) as fh:
-                text = fh.read()
-    except OSError as exc:
-        raise ValueError("cannot read circuit from %r: %s" % (args.circuit, exc)) from None
-    seq = GateSequence.from_text(text, u.ctx)
-    value = eval_sequence(seq, u.ctx)
-    lam = equal_up_to_phase(value, u)
-    power = as_zeta_power(lam) if lam is not None else None
+    seq = GateSequence.from_text(_read_text(args.circuit, "circuit from "), u.ctx)
+    rest = _strip(u, _word_gates(u.ctx, seq.tokens, seq.phase_power))
+    lam = rest.rows[0][0]
+    scalar = rest.is_diagonal() and rest.rows[1][1] == lam
+    power = as_zeta_power(lam) if scalar else None
     if power is not None:
         print("ok: circuit matches the matrix up to zeta_%d^%d"
-              % (2 * args.n, power), file=out)
+              % (2 * args.n, -power % u.ctx.order), file=out)
         return 0
     print("mismatch: circuit does not reproduce the matrix up to a root phase",
           file=out)

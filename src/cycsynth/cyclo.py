@@ -204,8 +204,8 @@ class Context:
     def memo(self, key, build):
         """The value stored under key, or build() stored there on first use.
 
-        Holds the lazily built tables of this context (gates, rotation
-        generators, the Clifford group, beta, ...), one entry per table;
+        Holds the lazily built tables of this context (the Clifford group,
+        quarter-turn rotation generators, beta, ...), one entry per table;
         build() must not return None.  Two threads may both build a missing
         entry, and either result is kept.
         """

@@ -99,12 +99,13 @@ class RingElem:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "RingElem") -> "RingElem":
-        if self.m >= other.m:
-            hi, lo = self, other
-        else:
-            hi, lo = other, self
-        scaled = lo.num * (1 << (hi.m - lo.m))
-        return RingElem(hi.num + scaled, hi.m)
+        # A zero term would be scaled to the other's 2^m for nothing.
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        x, y, m = _over_common(self, other)
+        return RingElem(x + y, m)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
@@ -157,6 +158,17 @@ class RingElem:
         if self.m == 0:
             return "RingElem(%r)" % (self.num,)
         return "RingElem(%r / 2^%d)" % (self.num, self.m)
+
+
+def _over_common(a: RingElem, b: RingElem) -> tuple[CycInt, CycInt, int]:
+    """Numerators of a and b over their common denominator 2^m, and m."""
+    m = max(a.m, b.m)
+    x, y = a.num, b.num
+    if a.m < m:
+        x = CycInt(x.ctx, tuple(c << (m - a.m) for c in x.coeffs))
+    if b.m < m:
+        y = CycInt(y.ctx, tuple(c << (m - b.m) for c in y.coeffs))
+    return x, y, m
 
 
 def mu(x: RingElem, y: RingElem) -> int:

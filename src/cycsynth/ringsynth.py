@@ -22,7 +22,7 @@ from itertools import product
 from .cyclo import VALUATION_NS, Context, CycInt, factorize, make_context, two_adic
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
 from .rings import RingElem, as_zeta_power, mu
-from .su2 import GateSequence, UnitaryRn, _apply_line, apply_gates, eval_sequence, token_w
+from .su2 import GateSequence, UnitaryRn, _apply_line, _strip, _word_gates, eval_sequence, token_w
 
 __all__ = [
     "ColumnRn",
@@ -321,8 +321,9 @@ def synthesize_ring(u: UnitaryRn) -> GateSequence:
     """An exact circuit for any unitary over the ring (n in {2,4,6,8,12}).
 
     Reduces the first column below the base-case measure with steps
-    G_i = H0 U_z(pi k_i / n), builds the base-case unitary V, recovers the
-    trailing z-rotation from the determinants, and emits
+    G_i = H0 U_z(pi k_i / n), builds the base-case word V, strips the
+    prefix G_1^dagger ... G_t^dagger V off u, reads the trailing
+    z-rotation W^j from the rest, diag(1, zeta^j), and emits
     G_1^dagger ... G_t^dagger V W^j.  The result reproduces the input
     exactly, including the global phase.
     """
@@ -346,12 +347,13 @@ def synthesize_ring(u: UnitaryRn) -> GateSequence:
             tokens.append(token_w(back))
         tokens.append("H")
     tokens.extend(v_seq.tokens)
-    # u = prefix U_z(j pi/n), prefix = G_1^dagger ... G_t^dagger V.
-    prefix = eval_sequence(GateSequence(phase, tuple(tokens)), ctx)
-    j = complete_unitary(u, prefix)
+    # u = prefix W^j exactly when stripping the prefix off u leaves diag(1, zeta^j).
+    rest = _strip(u, _word_gates(ctx, tokens, phase))
+    if not rest.is_diagonal() or rest.rows[0][0] != RingElem.one(ctx):
+        raise IntegrityError("ring synthesis does not reproduce the input")
+    j = as_zeta_power(rest.rows[1][1])
+    if j is None:
+        raise NoPhaseMatchError("determinant ratio is not a power of zeta_2n")
     if j:
         tokens.append(token_w(j))
-        prefix = apply_gates(prefix, (("z", j),))
-    if prefix != u:
-        raise IntegrityError("ring synthesis does not reproduce the input")
     return GateSequence(phase, tuple(tokens))

@@ -232,7 +232,6 @@ def is_signed_permutation(m: Rotation) -> CliffordRot | None:
 
 
 def clifford_unitary(ctx: Context, cr: CliffordRot) -> UnitaryRn:
-    """A unitary realizing the rotation (the memoized word evaluation)."""
-    return ctx.memo(("clifford_unitary", cr.word),
-                    lambda: eval_sequence(GateSequence(0, cr.word), ctx))
+    """A unitary realizing the rotation: its word, evaluated by the kernel."""
+    return eval_sequence(GateSequence(0, cr.word), ctx)
 

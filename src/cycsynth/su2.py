@@ -15,13 +15,17 @@ numerators over a common 2^m, and each gate is a signed basis rotation
   n/2 before U_x and back after it on a row, the other way on a column.
 
 apply_gates() is that kernel; eval_sequence(), and through it every word
-evaluation in the package, runs on it.  The gate constants h0, s_gate,
-uz_power, w_gate, scalar_gate and u_axis are the kernel applied to I, so
-each gate has that one definition; only the Paulis are explicit data.
+evaluation in the package, runs on it, and so does every check of a word
+against a unitary u: _strip undoes the word's gates on u, and the rest is
+read off directly (zeta^j I when the word is zeta^-j u).  The gate
+constants h0, s_gate, uz_power, w_gate, scalar_gate, u_axis and pauli
+(P = U_p(pi)) are the kernel applied to I, so each gate has that one
+definition.
 
 Circuit text format: whitespace-separated tokens ``PH[a]``, ``H``, ``S``,
-``W``, ``W^j``; ``PH[a]`` appears at most once, first, and carries the exact
-global phase zeta_2n^a.  The leftmost token is the leftmost matrix factor.
+``W``, ``W^j``, with a and j in ASCII decimal digits; ``PH[a]`` appears at
+most once, first, and carries the exact global phase zeta_2n^a.  The
+leftmost token is the leftmost matrix factor.
 
 Matrix JSON format::
 
@@ -42,7 +46,7 @@ from operator import or_
 
 from .cyclo import Context, CycInt, _checked_coeffs, factorize, make_context, two_adic
 from .errors import IntegrityError
-from .rings import RingElem
+from .rings import RingElem, _over_common
 
 __all__ = [
     "CONJ_WORDS",
@@ -98,13 +102,13 @@ class UnitaryRn:
                 raise ValueError("matrix is not unitary over the ring")
 
     def _is_unitary(self) -> bool:
-        p = self @ self.dagger()
+        # U U^dagger = I from its entries; (1, 0) is the conjugate of (0, 1).
+        (a, b), (c, d) = self.rows
         one = RingElem.one(self.ctx)
         return (
-            p.rows[0][0] == one
-            and p.rows[1][1] == one
-            and p.rows[0][1].is_zero()
-            and p.rows[1][0].is_zero()
+            a.abs2() + b.abs2() == one
+            and c.abs2() + d.abs2() == one
+            and (a * c.conj() + b * d.conj()).is_zero()
         )
 
     @classmethod
@@ -157,17 +161,6 @@ class UnitaryRn:
 
 
 # -- the gate-application kernel ----------------------------------------------
-
-def _over_common(a: RingElem, b: RingElem) -> tuple[CycInt, CycInt, int]:
-    """Numerators of a and b over their common denominator 2^m, and m."""
-    m = max(a.m, b.m)
-    x, y = a.num, b.num
-    if a.m < m:
-        x = CycInt(x.ctx, tuple(c << (m - a.m) for c in x.coeffs))
-    if b.m < m:
-        y = CycInt(y.ctx, tuple(c << (m - b.m) for c in y.coeffs))
-    return x, y, m
-
 
 def _apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
     """(a, b) G_1 ... G_t as a row, or G_t ... G_1 (a, b)^T as a column when
@@ -260,19 +253,10 @@ def scalar_gate(ctx: Context, a: int) -> UnitaryRn:
 
 
 def pauli(ctx: Context, p: str) -> UnitaryRn:
+    """The Pauli matrix P, which is U_p(n pi/n) exactly."""
     if p not in AXES:
         raise ValueError("axis must be one of %r" % (AXES,))
-
-    def build():
-        one, zero = RingElem.one(ctx), RingElem.zero(ctx)
-        i_val = RingElem.zeta(ctx, ctx.n // 2)
-        if p == "x":
-            return UnitaryRn(ctx, ((zero, one), (one, zero)))
-        if p == "y":
-            return UnitaryRn(ctx, ((zero, -i_val), (i_val, zero)))
-        return UnitaryRn(ctx, ((one, zero), (zero, -one)))
-
-    return ctx.memo(("pauli", p), build)
+    return _gate(ctx, (p, ctx.n))
 
 
 def u_axis(ctx: Context, p: str, sign: int, a: int) -> UnitaryRn:
@@ -309,7 +293,7 @@ def _token_gate(ctx: Context, tok: str) -> tuple[str, int]:
 
 # -- gate sequences ---------------------------------------------------------
 
-_PH_TOKEN = re.compile(r"^PH\[(\d+)\]$")
+_PH_TOKEN = re.compile(r"^PH\[([0-9]+)\]$")
 
 
 def token_w(j: int) -> str:
@@ -318,11 +302,12 @@ def token_w(j: int) -> str:
 
 
 def w_exponent(tok: str) -> int | None:
-    """j for a token W (j = 1) or W^j (j in decimal digits), else None."""
+    """j for a token W (j = 1) or W^j (j in ASCII decimal digits), else None."""
     if tok == "W":
         return 1
-    if tok[:2] == "W^" and tok[2:].isdecimal():
-        return int(tok[2:])
+    digits = tok[2:]
+    if tok[:2] == "W^" and digits.isascii() and digits.isdecimal():
+        return int(digits)
     return None
 
 
@@ -374,6 +359,11 @@ class GateSequence:
         return iter(self.tokens)
 
 
+def _word_gates(ctx: Context, tokens, phase: int = 0) -> list[tuple[str, int]]:
+    """The kernel gates of zeta^phase times a word of H, S and W^j tokens."""
+    return [("ph", phase)] + [_token_gate(ctx, t) for t in tokens]
+
+
 def eval_sequence(seq: GateSequence, ctx: Context) -> UnitaryRn:
     """Exact product zeta^phase * (leftmost token first).
 
@@ -381,8 +371,16 @@ def eval_sequence(seq: GateSequence, ctx: Context) -> UnitaryRn:
     by the kernel (apply_gates): S and W^j shift y by n/2 and j, and H maps
     it to (s + zeta^(n/2) s, d + zeta^(n/2) d) / 2, s = x + y, d = x - y.
     """
-    gates = [("ph", seq.phase_power)] + [_token_gate(ctx, t) for t in seq.tokens]
-    return apply_gates(UnitaryRn.identity(ctx), gates)
+    return apply_gates(UnitaryRn.identity(ctx), _word_gates(ctx, seq.tokens, seq.phase_power))
+
+
+def _strip(u: UnitaryRn, gates) -> UnitaryRn:
+    """(G_1 ... G_t)^-1 u for kernel gates G_i: each gate undone by its own
+    kind with exponent -a mod 2n, and H0^-1 = zeta^(-n/2) H0 (H0^2 = i I)."""
+    ctx = u.ctx
+    inverse = [(kind, -a % ctx.order) for kind, a in gates]
+    turns = sum(kind == "h" for kind, _ in inverse) * (ctx.n // 2)
+    return apply_gates(u, inverse + [("ph", -turns % ctx.order)], left=True)
 
 
 def dagger_tokens(word: tuple[str, ...]) -> tuple[tuple[str, ...], int]:

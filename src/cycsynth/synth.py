@@ -34,6 +34,7 @@ from .rings import (
     RingElem,
     _beta_exp_r,
     _exp_bounds,
+    _over_common,
     _parity_exponent,
     as_zeta_power,
 )
@@ -42,7 +43,6 @@ from .so3 import (
     Rotation,
     bloch,
     clifford_group,
-    clifford_unitary,
     is_signed_permutation,
     rotation_generator,
 )
@@ -51,11 +51,11 @@ from .su2 import (
     CONJ_WORDS,
     GateSequence,
     UnitaryRn,
-    _over_common,
+    _strip,
     _token_gate,
+    _word_gates,
     apply_gates,
     dagger_tokens,
-    equal_up_to_phase,
     eval_sequence,
     token_w,
     u_axis,
@@ -394,8 +394,9 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
         axes.append(q)
         exps.append(b)
         m = _rotate(m, AXES.index(q), b)
-    lam = equal_up_to_phase(u, _form_value(ctx, axes, exps, residual))
-    if lam is None:
+    rest = _strip(u, _form_gates(ctx, axes, exps, residual))
+    lam = rest.rows[0][0]
+    if not rest.is_diagonal() or rest.rows[1][1] != lam:
         raise IntegrityError("residual does not match its Clifford word")
     j = as_zeta_power(lam)
     if j is None:
@@ -403,17 +404,10 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
     return CanonicalForm(ctx.n, tuple(axes), tuple(exps), residual, j)
 
 
-def _form_value(ctx: Context, axes, exps, residual: CliffordRot) -> UnitaryRn:
-    """U_{p1}(a1 pi/n) ... U_{pm}(am pi/n) C, C the residual's Clifford.
-
-    The identity goes through the factors and then the residual's H, S word
-    by the su2 kernel, row by row: U_x(a pi/n) maps a row (x, y) to
-    (s + d, s - d) / 2 with s = x + y and d = zeta^a (x - y), U_y(a pi/n) is
-    that map with y turned by i before it and by -i after it, and U_z(a pi/n)
-    shifts y by a.
-    """
-    gates = list(zip(axes, exps)) + [_token_gate(ctx, t) for t in residual.word]
-    return apply_gates(UnitaryRn.identity(ctx), gates)
+def _form_gates(ctx: Context, axes, exps, residual: CliffordRot, phase: int = 0) -> list:
+    """The kernel gates of zeta^phase U_{p1}(a1 pi/n) ... U_{pm}(am pi/n) C,
+    C the residual's Clifford (its H, S word)."""
+    return list(zip(axes, exps)) + _word_gates(ctx, residual.word, phase)
 
 
 # -- rewriting oracle ----------------------------------------------------------
@@ -507,12 +501,9 @@ def canonicalize_sequence(seq: GateSequence, ctx: Context) -> CanonicalForm:
     """
     st = _RewriteState(ctx, seq.phase_power)
     words = {c.word: c.rotation for c in clifford_group(ctx)}
-    bloch_h, bloch_s = words[("H",)], words[("S",)]
     for tok in seq.tokens:
-        if tok == "H":
-            st.absorb_clifford_right(tok, bloch_h)
-        elif tok == "S":
-            st.absorb_clifford_right(tok, bloch_s)
+        if tok in ("H", "S"):
+            st.absorb_clifford_right(tok, words[(tok,)])
         else:
             j = w_exponent(tok)
             if j is None:
@@ -523,8 +514,9 @@ def canonicalize_sequence(seq: GateSequence, ctx: Context) -> CanonicalForm:
     if residual is None:
         raise IntegrityError("pending Clifford is not a signed permutation")
     d = apply_gates(st.pending_unitary(), (("ph", st.ph),))
-    lam = equal_up_to_phase(d, clifford_unitary(ctx, residual))
-    if lam is None:
+    rest = _strip(d, _word_gates(ctx, residual.word))
+    lam = rest.rows[0][0]
+    if not rest.is_diagonal() or rest.rows[1][1] != lam:
         raise IntegrityError("pending Clifford does not match its table word")
     j = as_zeta_power(lam)
     if j is None:
@@ -709,7 +701,7 @@ def random_unitary(
     residual = rng.choice(clifford_group(ctx))
     phase = rng.randrange(ctx.order)
     axes, exps = tuple(p for p, _ in factors), tuple(a for _, a in factors)
-    u = apply_gates(_form_value(ctx, axes, exps, residual), (("ph", phase),))
+    u = apply_gates(UnitaryRn.identity(ctx), _form_gates(ctx, axes, exps, residual, phase))
     seq = to_circuit(CanonicalForm(ctx.n, axes, exps, residual, phase))
     if eval_sequence(seq, ctx) != u:
         raise IntegrityError("random instance witness does not evaluate back")

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the library's own algorithms: the
 cyclotomic polynomials come from the plain recursive division, divisibility
-from a rational linear solve, and numeric cross-checks from floating-point
+from a fraction-free integer linear solve, and numeric cross-checks from floating-point
 evaluation of the power basis.  The library's fast paths are checked against
 the slow code they replaced: the gates H0, S, W^j, zeta^a I and
 U_{+-p}(a pi/n) written out entry by entry (U_p as the expansion
@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from fractions import Fraction
 from functools import cache
 
 from cycsynth import (
@@ -32,7 +31,6 @@ from cycsynth import (
     RingElem,
     Rotation,
     UnitaryRn,
-    pauli,
 )
 from cycsynth.rings import _beta_exp_r
 from cycsynth.su2 import AXES, w_exponent
@@ -131,34 +129,43 @@ def gf2_multiplicity(coeffs, s: int, shift: int = 0) -> int:
         poly, mult = q, mult + 1
 
 
-# -- rational-linear-solve divisibility oracle ---------------------------------
+# -- integer linear-solve divisibility oracle ------------------------------------
 
 
 def divides_oracle(y: CycInt, x: CycInt) -> bool:
-    """Solve x = y * z over Q in the power basis; check z is integral."""
+    """Solve x = y * z in the power basis; check z is integral.
+
+    Integer-only: fraction-free (Bareiss) elimination brings the augmented
+    system [M | x], M the multiplication-by-y matrix, to upper-triangular
+    form, where every division by the previous pivot is exact; then back
+    substitution solves for z from the last coordinate up, and z is
+    integral iff every division by a diagonal entry along the way is exact
+    (the coordinates already found are integers by then).
+    """
     ctx = y.ctx
     d = ctx.degree
-    cols = []
-    for j in range(d):
-        cols.append(y.times_zeta(j).coeffs)
-    mat = [[Fraction(cols[j][i]) for j in range(d)] for i in range(d)]
-    rhs = [Fraction(c) for c in x.coeffs]
-    # Gaussian elimination with partial (nonzero) pivoting.
-    for col in range(d):
-        piv = next((r for r in range(col, d) if mat[r][col] != 0), None)
+    cols = [y.times_zeta(j).coeffs for j in range(d)]
+    rows = [[cols[j][i] for j in range(d)] + [x.coeffs[i]] for i in range(d)]
+    prev = 1
+    for k in range(d):
+        piv = next((r for r in range(k, d) if rows[r][k]), None)
         if piv is None:
             raise ValueError("multiplication-by-y matrix is singular")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        rhs[col] *= inv
-        for r in range(d):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-                rhs[r] -= f * rhs[col]
-    return all(v.denominator == 1 for v in rhs)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pk = rows[k][k]
+        for r in range(k + 1, d):
+            f = rows[r][k]
+            rows[r] = [0] * (k + 1) + [(pk * a - f * b) // prev for a, b in
+                                       zip(rows[r][k + 1:], rows[k][k + 1:])]
+        prev = pk
+    z = [0] * d
+    for i in range(d - 1, -1, -1):
+        rest = rows[i][d] - sum(rows[i][j] * z[j] for j in range(i + 1, d))
+        q, rem = divmod(rest, rows[i][i])
+        if rem:
+            return False
+        z[i] = q
+    return True
 
 
 # -- dense-row arithmetic, norm valuation, beta-divisibility chain --------------
@@ -281,6 +288,18 @@ def matrix_scalar(ctx, a: int) -> UnitaryRn:
 
 
 @cache
+def matrix_pauli(ctx, p: str) -> UnitaryRn:
+    """X, Y = [[0, -i], [i, 0]] or Z, entry by entry."""
+    one, zero = RingElem.one(ctx), RingElem.zero(ctx)
+    i_val = RingElem.zeta(ctx, ctx.n // 2)
+    if p == "x":
+        return UnitaryRn(ctx, ((zero, one), (one, zero)))
+    if p == "y":
+        return UnitaryRn(ctx, ((zero, -i_val), (i_val, zero)))
+    return UnitaryRn(ctx, ((one, zero), (zero, -one)))
+
+
+@cache
 def matrix_u_axis(ctx, p: str, sign: int, a: int) -> UnitaryRn:
     """((1 + zeta^a)/2) I + sign ((1 - zeta^a)/2) P, entry by entry."""
     za = ctx.zeta(a)
@@ -288,7 +307,7 @@ def matrix_u_axis(ctx, p: str, sign: int, a: int) -> UnitaryRn:
     g = RingElem(ctx.one() - za, 1)
     if sign < 0:
         g = -g
-    pm = pauli(ctx, p)
+    pm = matrix_pauli(ctx, p)
     one, zero = RingElem.one(ctx), RingElem.zero(ctx)
     ident = ((one, zero), (zero, one))
     return UnitaryRn(ctx, [[h * ident[r][c] + g * pm.rows[r][c] for c in range(2)]
@@ -319,7 +338,7 @@ def product_bloch(u: UnitaryRn) -> Rotation:
     i_val = RingElem.zeta(ctx, ctx.n // 2)
     cols = []
     for p in AXES:
-        (a00, a01), (a10, a11) = ((u @ pauli(ctx, p)) @ ud).rows
+        (a00, a01), (a10, a11) = ((u @ matrix_pauli(ctx, p)) @ ud).rows
         cols.append(((a01 + a10).half(), (i_val * (a01 - a10)).half(),
                      (a00 - a11).half()))
     return Rotation(ctx, [[cols[j][i] for j in range(3)] for i in range(3)])

@@ -260,7 +260,7 @@ def test_criterion_8_phase_condition_and_census():
 
 
 def test_criterion_9_substrate():
-    # divides against the rational-linear-solve oracle: 1e4 pairs per n
+    # divides against the integer linear-solve oracle: 1e4 pairs per n
     for n in (2, 4, 6, 8, 12):
         ctx = make_context(n)
         rng = random.Random(5000 + n)

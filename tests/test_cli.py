@@ -182,6 +182,30 @@ def test_verify_detects_mismatch(tmp_path):
     assert code == 1 and out.startswith("mismatch")
 
 
+def test_verify_reports_the_phase_of_the_circuit(tmp_path):
+    # circuit = zeta_8^3 * matrix
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps(matrix_to_json(h0(make_context(4)))))
+    circ = tmp_path / "c.txt"
+    circ.write_text("PH[3] H")
+    code, out = run_cli(["verify", "--n", "4", "--circuit", str(circ), "--matrix", str(mat)])
+    assert code == 0
+    assert out == "ok: circuit matches the matrix up to zeta_8^3\n"
+
+
+def test_verify_rejects_non_ascii_digits(tmp_path, monkeypatch):
+    # "PH[\u0663] H W^\u0665 S" would read as PH[3] H W^5 S, which does match.
+    ctx = make_context(4)
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps(matrix_to_json(
+        eval_sequence(GateSequence(3, ("H", "W^5", "S")), ctx))))
+    args = ["verify", "--n", "4", "--circuit", "-", "--matrix", str(mat)]
+    monkeypatch.setattr("sys.stdin", io.StringIO("PH[3] H W^5 S"))
+    assert run_cli(args)[0] == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO("PH[\u0663] H W^\u0665 S"))
+    assert run_cli(args)[0] == 2
+
+
 def test_verify_accepts_ringsynth_output(tmp_path):
     ctx = make_context(8)
     u = eval_sequence(GateSequence(5, ("H", "W^3", "H", "S", "W")), ctx)

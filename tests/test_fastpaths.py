@@ -5,6 +5,8 @@ products, bloch against the six-product Bloch image, and the mod-4 plane
 scan of the descent (n = 2^k) against full entries and the dense scan."""
 
 import ast
+import io
+import json
 import math
 import pathlib
 import random
@@ -21,38 +23,46 @@ from cycsynth import (
     UnitaryRn,
     apply_gates,
     axis_detect,
+    base_case_column,
     beta_constant,
     beta_exponent,
     bloch,
     canonical_form,
     canonicalize_sequence,
     clifford_group,
+    complete_unitary,
+    equal_up_to_phase,
     eval_sequence,
     h0,
     is_signed_permutation,
     iter_census,
     make_context,
+    matrix_to_json,
+    mu_threshold,
+    pauli,
     phase_condition,
     phase_condition_witness,
     random_unitary,
+    reduce_column_step,
     rotation_generator,
     s_gate,
     scalar_gate,
+    synthesize_ring,
     u_axis,
     uz_power,
     w_gate,
 )
-from cycsynth import cyclo, synth
+from cycsynth import cli, cyclo, synth
 from cycsynth.rings import _beta_exp_r
 from cycsynth.so3 import Rotation
-from cycsynth.su2 import AXES, token_w
+from cycsynth.su2 import AXES, _strip, token_w
 from cycsynth.synth import (
     _SIGMA,
     _PlaneScan,
     _RewriteState,
     _axis_pencils,
     _candidate_rmax,
-    _form_value,
+    _form_gates,
     _rotate,
     _rotated_entries,
     _step_residues,
@@ -68,6 +78,7 @@ from oracles import (
     gf2_multiplicity,
     halving_normalize,
     matrix_h0,
+    matrix_pauli,
     matrix_scalar,
     matrix_u_axis,
     matrix_uz,
@@ -469,7 +480,9 @@ def test_form_value_matches_axis_products(n):
         for p, a in zip(axes, exps):
             want = want @ matrix_u_axis(ctx, p, 1, a)
         want = want @ product_eval_sequence(GateSequence(0, residual.word), ctx)
-        assert _form_value(ctx, axes, exps, residual) == want
+        gates = _form_gates(ctx, axes, exps, residual)
+        assert apply_gates(UnitaryRn.identity(ctx), gates) == want
+        assert _strip(want, gates) == UnitaryRn.identity(ctx)
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 12))
@@ -537,6 +550,8 @@ def test_gate_constants_match_explicit_matrices(n):
     ctx = make_context(n)
     assert h0(ctx) == matrix_h0(ctx)
     assert s_gate(ctx) == matrix_uz(ctx, n // 2)
+    for p in AXES:
+        assert pauli(ctx, p) == matrix_pauli(ctx, p)
     for a in range(ctx.order):
         assert uz_power(ctx, a) == matrix_uz(ctx, a)
         assert scalar_gate(ctx, a) == matrix_scalar(ctx, a)
@@ -565,7 +580,7 @@ def test_bloch_matches_six_products(n):
 def test_oracles_do_not_import_the_gates_or_bloch():
     # The references stay independent of the code they check: no gate
     # constant, rotation generator or Bloch image comes from cycsynth.
-    banned = {"h0", "s_gate", "uz_power", "w_gate", "scalar_gate", "u_axis",
+    banned = {"h0", "s_gate", "uz_power", "w_gate", "scalar_gate", "u_axis", "pauli",
               "rotation_generator", "bloch"}
     tree = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text())
     used = set()
@@ -577,14 +592,17 @@ def test_oracles_do_not_import_the_gates_or_bloch():
     assert used & banned == set()
 
 
-def test_word_evaluation_makes_no_matrix_products(monkeypatch):
+def test_word_evaluation_makes_no_matrix_products(monkeypatch, tmp_path):
     ctx = make_context(8)
     rng = random.Random(120)
     short, long_ = random_sequence(ctx, rng, 5), random_sequence(ctx, rng, 80)
     for seq in (short, long_):
         canonicalize_sequence(seq, ctx)  # fills the Clifford and rotation tables
-    u, _ = random_unitary(ctx, 12, 3)
+    u, circuit = random_unitary(ctx, 12, 3)
     cf = canonical_form(u)
+    mat, circ = tmp_path / "m.json", tmp_path / "c.txt"
+    mat.write_text(json.dumps(matrix_to_json(u)))
+    circ.write_text(circuit.to_text())
     calls = [0]
     plain = UnitaryRn.__matmul__
 
@@ -594,7 +612,7 @@ def test_word_evaluation_makes_no_matrix_products(monkeypatch):
 
     monkeypatch.setattr(UnitaryRn, "__matmul__", counted)
     eval_sequence(long_, ctx)
-    _form_value(ctx, cf.axes, cf.exponents, cf.residual)
+    apply_gates(UnitaryRn.identity(ctx), _form_gates(ctx, cf.axes, cf.exponents, cf.residual))
     bloch(u)
     fresh = Context(8)  # nothing memoized: the rotation table is unfilled
     h0(fresh), s_gate(fresh)
@@ -605,9 +623,86 @@ def test_word_evaluation_makes_no_matrix_products(monkeypatch):
         for p in AXES:
             u_axis(fresh, p, 1, a), u_axis(fresh, p, -1, a)
             rotation_generator(fresh, p, a)
+    for p in AXES:
+        pauli(fresh, p)
     assert calls[0] == 0
-    # only the integrity tail's equal_up_to_phase, whatever the word length
+    # Every check of a word against a matrix strips the word off it, whatever
+    # the word length: the descent's and the rewriting pass's phase, the ring
+    # synthesis and cli verify (its matrix parsing included).
     for seq in (short, long_):
-        calls[0] = 0
         canonicalize_sequence(seq, ctx)
-        assert calls[0] == 1
+    assert canonical_form(u) == cf
+    synthesize_ring(u)
+    synthesize_ring(eval_sequence(long_, ctx))
+    args = ["verify", "--n", "8", "--circuit", str(circ), "--matrix", str(mat)]
+    assert cli.main(args, out=io.StringIO()) == 0
+    assert calls[0] == 0
+
+
+# -- stripping a word off a unitary ------------------------------------------------
+
+KERNEL_KINDS = ("x", "y", "z", "h", "ph")
+
+
+def _oracle_word(ctx, word) -> UnitaryRn:
+    """G_1 ... G_t for kernel gates, by general products of explicit matrices."""
+    acc = UnitaryRn.identity(ctx)
+    for kind, a in word:
+        if kind == "h":
+            acc = acc @ matrix_h0(ctx)
+        elif kind == "ph":
+            acc = acc @ matrix_scalar(ctx, a)
+        else:
+            acc = acc @ matrix_u_axis(ctx, kind, 1, a)
+    return acc
+
+
+def _scalar_of(rest: UnitaryRn):
+    lam = rest.rows[0][0]
+    return lam if rest.is_diagonal() and rest.rows[1][1] == lam else None
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_strip_reads_the_phase_equal_up_to_phase_finds(n):
+    ctx = make_context(n)
+    rng = random.Random(140 + n)
+    for _ in range(3):
+        kinds = list(KERNEL_KINDS) + [rng.choice(KERNEL_KINDS) for _ in range(3)]
+        rng.shuffle(kinds)
+        word = [(k, 0 if k == "h" else rng.randrange(ctx.order)) for k in kinds]
+        value = _oracle_word(ctx, word)
+        u = matrix_scalar(ctx, rng.randrange(ctx.order)) @ value
+        lam = equal_up_to_phase(u, value)
+        assert lam is not None and _scalar_of(_strip(u, word)) == lam
+        # one rotation turned by one more step: u is no longer the word up to phase
+        i = rng.choice([i for i, (k, _) in enumerate(word) if k in AXES])
+        changed = list(word)
+        changed[i] = (word[i][0], (word[i][1] + 1) % ctx.order)
+        assert equal_up_to_phase(u, _oracle_word(ctx, changed)) is None
+        assert _scalar_of(_strip(u, changed)) is None
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 12))
+def test_ring_synthesis_trailing_rotation_matches_complete_unitary(n):
+    ctx = make_context(n)
+    rng = random.Random(150 + n)
+    js = set()
+    for _ in range(4):
+        u = product_eval_sequence(random_sequence(ctx, rng, 14), ctx)
+        # The prefix G_1^dagger ... G_t^dagger V from the public steps, and
+        # its trailing W^j from the determinants.
+        col, ks = ColumnRn(*u.first_column()), []
+        while col.measure() > mu_threshold(ctx):
+            k, col = reduce_column_step(col)
+            ks.append(k)
+        _, v_seq = base_case_column(col)
+        tokens = []
+        for k in ks:
+            tokens += ([token_w(ctx.order - k)] if k % ctx.order else []) + ["H"]
+        tokens += v_seq.tokens
+        phase = (v_seq.phase_power - len(ks) * (n // 2)) % ctx.order
+        j = complete_unitary(u, product_eval_sequence(GateSequence(phase, tuple(tokens)), ctx))
+        js.add(j)
+        tokens += [token_w(j)] if j else []
+        assert synthesize_ring(u) == GateSequence(phase, tuple(tokens))
+    assert js != {0}

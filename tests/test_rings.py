@@ -37,6 +37,14 @@ def test_normalization_strips_shared_twos():
     assert RingElem(ctx.zero(), 5).m == 0
 
 
+def test_adding_zero_returns_the_other_term():
+    ctx = make_context(8)
+    tiny = RingElem(ctx.zeta(3), 10**6)
+    zero = RingElem.zero(ctx)
+    assert tiny + zero is tiny and zero + tiny is tiny
+    assert (tiny - zero) == tiny and (zero - tiny) == -tiny
+
+
 def test_normalized_equality_is_canonical():
     ctx = make_context(12)
     rng = random.Random(10)

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -34,8 +35,13 @@ from oracles import random_sequence, unitary_complex
 def test_unitarity_enforced():
     ctx = make_context(4)
     one, zero = RingElem.one(ctx), RingElem.zero(ctx)
-    with pytest.raises(ValueError):
-        UnitaryRn(ctx, ((one, one), (zero, one)))
+    half = RingElem(ctx.one(), 1)
+    # rows that are not orthogonal, or not of unit length (first, second)
+    for rows in (((one, one), (zero, one)), ((one, zero), (one, zero)),
+                 ((half, half), (half, half)), ((one + one, zero), (zero, one)),
+                 ((one, zero), (zero, one + one))):
+        with pytest.raises(ValueError, match="matrix is not unitary over the ring"):
+            UnitaryRn(ctx, rows)
 
 
 def test_generator_exponent_range_enforced():
@@ -163,6 +169,18 @@ def test_sequence_text_round_trip():
     assert GateSequence.from_text("PH[3] W^5", ctx).phase_power == 3
 
 
+def test_circuit_digits_are_ascii():
+    # Other Unicode decimal digits (Arabic-Indic, fullwidth, Devanagari) are
+    # not part of the circuit format: to_text could not give the text back.
+    ctx = make_context(4)
+    for digit in ("\u0663", "\uff13", "\u0969"):
+        assert w_exponent("W^" + digit) is None
+        for text in ("PH[%s] H" % digit, "H W^%s S" % digit):
+            with pytest.raises(ValueError, match="unknown circuit token"):
+                GateSequence.from_text(text, ctx)
+    assert GateSequence.from_text("PH[3] H W^5 S", ctx).to_text() == "PH[3] H W^5 S"
+
+
 def test_sequence_text_errors():
     ctx = make_context(4)
     with pytest.raises(ValueError):
@@ -271,6 +289,23 @@ def test_matrix_json_rejects_huge_n_without_factoring_it(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert str(exc.value) == ("entry (0,0): coefficient vector must have length "
                               "phi(%d) > 1, got 1" % (2 * n))
+
+
+def test_matrix_json_huge_denominator_is_rejected_in_small_memory():
+    # U U^dagger of diag(1, 1) / 2^m adds zero terms to entries over 2^(2m);
+    # scaling a zero to that denominator built a 2m-bit integer (26.7 MB
+    # traced at m = 10^8) before the matrix was turned away.
+    make_context(4)
+    obj = {"n": 4, "denom_exp": 10**8,
+           "entries": [[[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="matrix is not unitary over the ring"):
+            matrix_from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_clifford_unitary_group_order():
