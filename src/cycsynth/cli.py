@@ -19,6 +19,7 @@ from .cyclo import make_context
 from .errors import IntegrityError, SynthesisError
 from .ringsynth import (
     RING_EQUALITY_NS,
+    _check_census_bound,
     iter_census,
     phase_condition_witness,
     synthesize_ring,
@@ -146,10 +147,8 @@ def cmd_verify(args, out) -> int:
     _check_n(obj, args.n, "matrix")
     u = matrix_from_json(obj)
     seq = GateSequence.from_text(_read_text(args.circuit, "circuit from "), u.ctx)
-    rest = _strip(u, _word_gates(u.ctx, seq.tokens, seq.phase_power))
-    lam = rest.rows[0][0]
-    scalar = rest.is_diagonal() and rest.rows[1][1] == lam
-    power = as_zeta_power(lam) if scalar else None
+    lam = _strip(u, _word_gates(u.ctx, seq.tokens, seq.phase_power)).as_scalar()
+    power = None if lam is None else as_zeta_power(lam)
     if power is not None:
         print("ok: circuit matches the matrix up to zeta_%d^%d"
               % (2 * args.n, -power % u.ctx.order), file=out)
@@ -218,15 +217,36 @@ def _truncate_census(path: str, next_n: int) -> None:
         fh.truncate(keep)
 
 
+def _read_checkpoint(path: str) -> dict:
+    """The state in a census checkpoint: an object of ints max, next_n and
+    hits that a census run could have written (ValueError naming the file
+    otherwise)."""
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError("cannot read census checkpoint %r: %s" % (path, exc)) from None
+    keys = ("max", "next_n", "hits")
+    # type() is int turns JSON true/false away too
+    if not (isinstance(state, dict) and all(type(state.get(k)) is int for k in keys)):
+        raise ValueError("census checkpoint %r must be an object with integer "
+                         "max, next_n and hits" % path)
+    top, next_n, hits = (state[k] for k in keys)
+    if next_n % 2 or not 2 <= next_n <= top + 2 or not 0 <= hits <= (next_n - 2) // 2:
+        raise ValueError("census checkpoint %r is inconsistent: max=%d, next_n=%d, "
+                         "hits=%d" % (path, top, next_n, hits))
+    return state
+
+
 def cmd_fn_census(args, out) -> int:
     max_n = args.max
+    _check_census_bound(max_n)
     start_n = 2
     hits = 0
     mode = "w"
     if args.checkpoint and os.path.exists(args.checkpoint):
-        with open(args.checkpoint) as fh:
-            state = json.load(fh)
-        if state.get("max") == max_n:
+        state = _read_checkpoint(args.checkpoint)
+        if state["max"] == max_n:
             start_n = state["next_n"]
             hits = state["hits"]
             mode = "a"

@@ -163,25 +163,22 @@ class Context:
         )
         if len(self.galois_exponents) != self.degree:
             raise IntegrityError("Galois group size does not match field degree")
-        # zeta^m in the power basis, for every m in [0, 2n); doubles as the
+        # zeta^m in the power basis for every m in [0, 2n), kept as the
+        # nonzero (index, coefficient) pairs of its row; doubles as the
         # reduction table for products (their degree stays below 2n).
         d = self.degree
         red = [-c for c in self.phi_poly[:d]]
         rows = []
         cur = [1] + [0] * (d - 1)
         for _ in range(self.order):
-            rows.append(tuple(cur))
+            rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
             top = cur[-1]
             cur = [0] + cur[:-1]
             if top:
                 for j, rj in enumerate(red):
                     if rj:
                         cur[j] += top * rj
-        self.zeta_pow = tuple(rows)
-        # The nonzero (index, coefficient) pairs of each zeta_pow row.
-        self.zeta_terms = tuple(
-            tuple((j, c) for j, c in enumerate(row) if c) for row in rows
-        )
+        self.zeta_terms = tuple(rows)
         # Phi_s^(2^j) mod 2 as bitmask ints, j < k: by Frobenius each is
         # Phi_s(x^(2^j)) mod 2, i.e. the bits of Phi_s spread 2^j apart.
         phi_s = [c & 1 for c in cyclotomic_poly(self.s)]
@@ -251,7 +248,7 @@ class Context:
         return CycInt(self, (c,) + (0,) * (self.degree - 1))
 
     def zeta(self, j: int = 1) -> "CycInt":
-        return CycInt(self, self.zeta_pow[j % self.order])
+        return self.one().times_zeta(j)
 
     def from_coeffs(self, coeffs) -> "CycInt":
         return CycInt(self, _checked_coeffs(coeffs, self.degree))

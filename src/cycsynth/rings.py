@@ -265,11 +265,12 @@ def beta_exponent(x: RingElem, bc: BetaConstant) -> tuple[int, CycInt]:
 
 
 def as_zeta_power(x: RingElem) -> int | None:
-    """j with x = zeta_2n^j exactly, or None (tested by enumeration)."""
+    """j with x = zeta_2n^j exactly, or None: x's nonzero terms matched
+    against the rows of Context.zeta_terms."""
     if x.m != 0:
         return None
-    ctx = x.ctx
-    for j in range(ctx.order):
-        if x.num.coeffs == ctx.zeta_pow[j]:
-            return j
-    return None
+    terms = tuple((i, c) for i, c in enumerate(x.num.coeffs) if c)
+    try:
+        return x.ctx.zeta_terms.index(terms)
+    except ValueError:
+        return None

@@ -109,6 +109,11 @@ def _spf_factorizer(limit: int):
     return factorize_spf
 
 
+def _check_census_bound(max_n: int) -> None:
+    if max_n < 2 or max_n % 2:
+        raise ValueError("census bound must be a positive even integer")
+
+
 def iter_census(max_n: int, start_n: int = 2):
     """Yield (n, condition) for even n in [start_n, max_n], cheaply at scale.
 
@@ -116,8 +121,7 @@ def iter_census(max_n: int, start_n: int = 2):
     the per-odd-part verdict is memoized (the same s shows up for every
     n = 2^k s in range).
     """
-    if max_n < 2 or max_n % 2:
-        raise ValueError("census bound must be a positive even integer")
+    _check_census_bound(max_n)
     if start_n < 2 or start_n % 2:
         raise ValueError("census start must be a positive even integer")
     factorize_spf = _spf_factorizer(max(max_n >> 1, 2))

@@ -17,7 +17,8 @@ numerators over a common 2^m, and each gate is a signed basis rotation
 apply_gates() is that kernel; eval_sequence(), and through it every word
 evaluation in the package, runs on it, and so does every check of a word
 against a unitary u: _strip undoes the word's gates on u, and the rest is
-read off directly (zeta^j I when the word is zeta^-j u).  The gate
+read off directly (UnitaryRn.as_scalar gives zeta^j when the rest is
+zeta^j I, that is when the word is zeta^-j u).  The gate
 constants h0, s_gate, uz_power, w_gate, scalar_gate, u_axis and pauli
 (P = U_p(pi)) are the kernel applied to I, so each gate has that one
 definition.
@@ -142,6 +143,11 @@ class UnitaryRn:
 
     def is_diagonal(self) -> bool:
         return self.rows[0][1].is_zero() and self.rows[1][0].is_zero()
+
+    def as_scalar(self) -> RingElem | None:
+        """lam when this is lam I, else None."""
+        lam = self.rows[0][0]
+        return lam if self.is_diagonal() and self.rows[1][1] == lam else None
 
     def first_column(self) -> tuple[RingElem, RingElem]:
         return (self.rows[0][0], self.rows[1][0])

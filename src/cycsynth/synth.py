@@ -19,7 +19,12 @@ an entry's exact exponent follows from its lowest nonzero plane
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
 and never looks at denominator exponents, so it serves as an independent
-cross-check of the descent.
+cross-check of the descent.  It rewrites up to a global phase, on Bloch
+images alone, and builds no unitary of its own.  Both routes read the
+form's phase one way: the form's gates are stripped off the unitary (the
+word's, for the rewriting pass), and the rest must be zeta^j I; so the
+rewriting pass checks its whole result, factors included, against the
+word.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from .su2 import (
     GateSequence,
     UnitaryRn,
     _strip,
-    _token_gate,
     _word_gates,
     apply_gates,
     dagger_tokens,
@@ -379,14 +383,12 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
     not synthesizable) and PhaseNotInRingError if the descent succeeds but
     the residual global phase is not a 2n-th root of unity.
     """
-    ctx = u.ctx
     m = bloch(u)
     axes: list[str] = []
     exps: list[int] = []
     while True:
-        hit = is_signed_permutation(m)
-        if hit is not None:
-            residual = hit
+        residual = is_signed_permutation(m)
+        if residual is not None:
             break
         q, b = axis_detect(m)
         if axes and axes[-1] == q:
@@ -394,13 +396,21 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
         axes.append(q)
         exps.append(b)
         m = _rotate(m, AXES.index(q), b)
-    rest = _strip(u, _form_gates(ctx, axes, exps, residual))
-    lam = rest.rows[0][0]
-    if not rest.is_diagonal() or rest.rows[1][1] != lam:
-        raise IntegrityError("residual does not match its Clifford word")
+    return _phased_form(u, axes, exps, residual, PhaseNotInRingError)
+
+
+def _phased_form(u: UnitaryRn, axes, exps, residual: CliffordRot, phase_error) -> CanonicalForm:
+    """The form of u with these factors and residual, its phase read off u:
+    the form's gates stripped off u must leave zeta^j I, and j is the
+    phase (IntegrityError for a non-scalar rest, phase_error for a scalar
+    that is no power of zeta_2n)."""
+    ctx = u.ctx
+    lam = _strip(u, _form_gates(ctx, axes, exps, residual)).as_scalar()
+    if lam is None:
+        raise IntegrityError("form does not reproduce its input up to a scalar")
     j = as_zeta_power(lam)
     if j is None:
-        raise PhaseNotInRingError("residual phase is not a power of zeta_2n")
+        raise phase_error("residual phase is not a power of zeta_2n")
     return CanonicalForm(ctx.n, tuple(axes), tuple(exps), residual, j)
 
 
@@ -414,44 +424,30 @@ def _form_gates(ctx: Context, axes, exps, residual: CliffordRot, phase: int = 0)
 
 
 class _RewriteState:
-    """Accumulator for the rewriting pass: a prefix of the input is kept as
-    zeta^ph * (rotation factors, adjacent axes distinct) * pending Clifford.
+    """The rewriting pass's prefix of the input, kept up to a global phase
+    as rotation factors (adjacent axes distinct) times a pending Clifford.
 
-    The pending Clifford is K_t ... K_1 g_1 ... g_s for the gates absorbed
-    from the left (K) and from the right (g), kept as two kernel gate lists
-    and evaluated once, by pending_unitary(); its Bloch image pend_rot is
-    kept up to date.
+    The pending Clifford is kept only as its Bloch image pend_rot, which
+    fixes it up to that phase; the pass builds no unitary of its own.
     """
 
-    __slots__ = ("ctx", "ph", "factors", "left", "right", "pend_rot")
+    __slots__ = ("ctx", "factors", "pend_rot")
 
-    def __init__(self, ctx: Context, phase: int):
+    def __init__(self, ctx: Context):
         self.ctx = ctx
-        self.ph = phase % ctx.order
         self.factors: list[tuple[str, int]] = []
-        self.left: list[tuple[str, int]] = []
-        self.right: list[tuple[str, int]] = []
         self.pend_rot = Rotation.identity(ctx)
 
-    def pending_unitary(self) -> UnitaryRn:
-        """The pending Clifford: the rows of I through the right gates, then
-        the columns through the left gates."""
-        u = apply_gates(UnitaryRn.identity(self.ctx), self.right)
-        return apply_gates(u, self.left, left=True)
-
-    def absorb_clifford_right(self, tok: str, rot: Rotation) -> None:
-        # The token H or S joins the pending Clifford from the right.
-        self.right.append(_token_gate(self.ctx, tok))
+    def absorb_clifford_right(self, rot: Rotation) -> None:
+        # The Bloch image of H or S joins the pending Clifford from the right.
         self.pend_rot = self.pend_rot @ rot
 
     def absorb_clifford_left(self, p: str, quarter_turns: int) -> None:
         # U_p(pi/2)^q joins the pending Clifford from the factor side.
         ctx = self.ctx
         a = (quarter_turns * (ctx.n // 2)) % ctx.order
-        if a == 0:
-            return
-        self.left.append((p, a))
-        self.pend_rot = rotation_generator(ctx, p, a) @ self.pend_rot
+        if a:
+            self.pend_rot = rotation_generator(ctx, p, a) @ self.pend_rot
 
     def conjugated_z_axis(self) -> tuple[str, int]:
         # Image of Z under the pending Clifford: the signed unit column z.
@@ -463,30 +459,18 @@ class _RewriteState:
         raise IntegrityError("pending Clifford image of Z is not a signed axis")
 
     def push_factor(self, p: str, sign: int, a: int) -> None:
-        """Insert U_{sign p}(a pi/n) immediately left of the pending Clifford."""
+        """Insert U_{sign p}(a pi/n), up to a phase, immediately left of the
+        pending Clifford; U_{-p}(a) is U_p(2n - a) up to zeta^a."""
         ctx = self.ctx
-        a %= ctx.order
-        if a == 0:
-            return
-        if sign < 0:
-            # U_{-p}(a) = zeta^a U_p(2n - a)
-            self.ph = (self.ph + a) % ctx.order
-            a = ctx.order - a
-        half = ctx.n // 2
-        quarters, rest = divmod(a, half)
-        if quarters:
-            self.absorb_clifford_left(p, quarters)
-        if rest == 0:
-            return
+        a = sign * a % ctx.order
         if self.factors and self.factors[-1][0] == p:
-            _, prev = self.factors.pop()
-            total = prev + rest
-            quarters, rest = divmod(total, half)
-            if quarters:
-                self.absorb_clifford_left(p, quarters)
-            if rest == 0:
-                return
-        self.factors.append((p, rest))
+            a += self.factors.pop()[1]
+        # U_p(a) = U_p(rest) U_p(pi/2)^quarters, and the quarter turns pass
+        # into the pending Clifford.
+        quarters, rest = divmod(a, ctx.n // 2)
+        self.absorb_clifford_left(p, quarters)
+        if rest:
+            self.factors.append((p, rest))
 
 
 def canonicalize_sequence(seq: GateSequence, ctx: Context) -> CanonicalForm:
@@ -497,34 +481,25 @@ def canonicalize_sequence(seq: GateSequence, ctx: Context) -> CanonicalForm:
     sign), its sign removed via the inversion identity, quarter turns split
     off as Cliffords, and the remainder merged with the factor list.  The
     result is a decomposition of the required shape, hence by uniqueness
-    the same one the descent computes.
+    the same one the descent computes.  The pass keeps no phase: the
+    word, evaluated by the kernel (which rejects tokens it cannot read),
+    must be the whole result, factors included, up to zeta^j, and j is
+    read off it as canonical_form reads its own.
     """
-    st = _RewriteState(ctx, seq.phase_power)
+    u = eval_sequence(seq, ctx)
+    st = _RewriteState(ctx)
     words = {c.word: c.rotation for c in clifford_group(ctx)}
     for tok in seq.tokens:
         if tok in ("H", "S"):
-            st.absorb_clifford_right(tok, words[(tok,)])
+            st.absorb_clifford_right(words[(tok,)])
         else:
-            j = w_exponent(tok)
-            if j is None:
-                raise ValueError("unknown circuit token %r" % tok)
             p, sign = st.conjugated_z_axis()
-            st.push_factor(p, sign, j)
+            st.push_factor(p, sign, w_exponent(tok))
     residual = is_signed_permutation(st.pend_rot)
     if residual is None:
         raise IntegrityError("pending Clifford is not a signed permutation")
-    d = apply_gates(st.pending_unitary(), (("ph", st.ph),))
-    rest = _strip(d, _word_gates(ctx, residual.word))
-    lam = rest.rows[0][0]
-    if not rest.is_diagonal() or rest.rows[1][1] != lam:
-        raise IntegrityError("pending Clifford does not match its table word")
-    j = as_zeta_power(lam)
-    if j is None:
-        raise IntegrityError("rewriting produced a phase outside the root lattice")
-    return CanonicalForm(
-        ctx.n, tuple(p for p, _ in st.factors), tuple(a for _, a in st.factors),
-        residual, j,
-    )
+    return _phased_form(u, [p for p, _ in st.factors], [a for _, a in st.factors],
+                        residual, IntegrityError)
 
 
 # -- emission -------------------------------------------------------------------

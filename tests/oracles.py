@@ -8,9 +8,10 @@ the slow code they replaced: the gates H0, S, W^j, zeta^a I and
 U_{+-p}(a pi/n) written out entry by entry (U_p as the expansion
 ((1 + zeta^a)/2) I + sign ((1 - zeta^a)/2) P), words evaluated by general
 2x2 products of those, Bloch images from six 2x2 products with the SO(3)
-check and the rotation generators built from them, products reduced by the
-dense zeta_pow rows,
-valuations read off the rational norm, multiplicities of Phi_s mod 2
+check and the rotation generators built from them, the rewriting pass
+with its pending Clifford kept as a unitary and its own phase
+bookkeeping, products reduced by dense rows of zeta^e computed here from
+the naive cyclotomic polynomial, valuations read off the rational norm, multiplicities of Phi_s mod 2
 found by carry-less long division on bit lists, denominator exponents
 found by the iterated beta-divisibility chain, descent candidates built as
 generator products and scored without pruning, and dyadic fractions
@@ -20,11 +21,14 @@ normalized one halving at a time.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from functools import cache
 
 from cycsynth import (
+    CanonicalForm,
+    CliffordRot,
     CycInt,
     GateSequence,
     NotReducibleError,
@@ -171,8 +175,26 @@ def divides_oracle(y: CycInt, x: CycInt) -> bool:
 # -- dense-row arithmetic, norm valuation, beta-divisibility chain --------------
 
 
+@cache
+def zeta_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_2n^e in the power basis for e in [0, 2n): the remainder of x^e
+    divided by the naive Phi_2n, padded to phi(2n) coefficients."""
+    phi = naive_cyclotomic(2 * n)
+    d = len(phi) - 1
+    return tuple(tuple((poly_divmod([0] * e + [1], phi)[1] + [0] * d)[:d])
+                 for e in range(2 * n))
+
+
+def zeta_cyc(ctx, e: int) -> CycInt:
+    return CycInt(ctx, zeta_rows(ctx.n)[e % ctx.order])
+
+
+def zeta_elem(ctx, e: int) -> RingElem:
+    return RingElem(zeta_cyc(ctx, e), 0)
+
+
 def dense_mul(a: CycInt, b: CycInt) -> CycInt:
-    """Schoolbook product reduced by scanning the dense zeta_pow rows."""
+    """Schoolbook product reduced by scanning the dense rows of zeta^e."""
     ctx = a.ctx
     d = ctx.degree
     conv = [0] * (2 * d - 1)
@@ -181,7 +203,7 @@ def dense_mul(a: CycInt, b: CycInt) -> CycInt:
             conv[i + j] += ai * bj
     out = conv[:d]
     for e in range(d, 2 * d - 1):
-        for j, rj in enumerate(ctx.zeta_pow[e]):
+        for j, rj in enumerate(zeta_rows(ctx.n)[e]):
             out[j] += conv[e] * rj
     return CycInt(ctx, tuple(out))
 
@@ -190,7 +212,7 @@ def _dense_scatter(x: CycInt, exponent_of) -> CycInt:
     ctx = x.ctx
     out = [0] * ctx.degree
     for i, c in enumerate(x.coeffs):
-        for t, rt in enumerate(ctx.zeta_pow[exponent_of(i) % ctx.order]):
+        for t, rt in enumerate(zeta_rows(ctx.n)[exponent_of(i) % ctx.order]):
             out[t] += c * rt
     return CycInt(ctx, tuple(out))
 
@@ -269,7 +291,7 @@ def chain_beta_exponent(x: RingElem, beta: CycInt) -> int:
 @cache
 def matrix_h0(ctx) -> UnitaryRn:
     """(1/2) [[1+i, 1+i], [1+i, -1-i]]."""
-    hp = RingElem(ctx.one() + ctx.zeta(ctx.n // 2), 1)
+    hp = RingElem(ctx.one() + zeta_cyc(ctx, ctx.n // 2), 1)
     return UnitaryRn(ctx, ((hp, hp), (hp, -hp)))
 
 
@@ -277,13 +299,13 @@ def matrix_h0(ctx) -> UnitaryRn:
 def matrix_uz(ctx, a: int) -> UnitaryRn:
     """diag(1, zeta^a); S is a = n/2 and W^j is a = j."""
     one, zero = RingElem.one(ctx), RingElem.zero(ctx)
-    return UnitaryRn(ctx, ((one, zero), (zero, RingElem.zeta(ctx, a))))
+    return UnitaryRn(ctx, ((one, zero), (zero, zeta_elem(ctx, a))))
 
 
 @cache
 def matrix_scalar(ctx, a: int) -> UnitaryRn:
     """zeta^a I."""
-    lam, zero = RingElem.zeta(ctx, a), RingElem.zero(ctx)
+    lam, zero = zeta_elem(ctx, a), RingElem.zero(ctx)
     return UnitaryRn(ctx, ((lam, zero), (zero, lam)))
 
 
@@ -291,7 +313,7 @@ def matrix_scalar(ctx, a: int) -> UnitaryRn:
 def matrix_pauli(ctx, p: str) -> UnitaryRn:
     """X, Y = [[0, -i], [i, 0]] or Z, entry by entry."""
     one, zero = RingElem.one(ctx), RingElem.zero(ctx)
-    i_val = RingElem.zeta(ctx, ctx.n // 2)
+    i_val = zeta_elem(ctx, ctx.n // 2)
     if p == "x":
         return UnitaryRn(ctx, ((zero, one), (one, zero)))
     if p == "y":
@@ -302,7 +324,7 @@ def matrix_pauli(ctx, p: str) -> UnitaryRn:
 @cache
 def matrix_u_axis(ctx, p: str, sign: int, a: int) -> UnitaryRn:
     """((1 + zeta^a)/2) I + sign ((1 - zeta^a)/2) P, entry by entry."""
-    za = ctx.zeta(a)
+    za = zeta_cyc(ctx, a)
     h = RingElem(ctx.one() + za, 1)
     g = RingElem(ctx.one() - za, 1)
     if sign < 0:
@@ -335,7 +357,7 @@ def product_bloch(u: UnitaryRn) -> Rotation:
     products; the Rotation constructor checks SO(3)."""
     ctx = u.ctx
     ud = u.dagger()
-    i_val = RingElem.zeta(ctx, ctx.n // 2)
+    i_val = zeta_elem(ctx, ctx.n // 2)
     cols = []
     for p in AXES:
         (a00, a01), (a10, a11) = ((u @ matrix_pauli(ctx, p)) @ ud).rows
@@ -348,6 +370,68 @@ def product_bloch(u: UnitaryRn) -> Rotation:
 def product_generator(ctx, p: str, a: int) -> Rotation:
     """product_bloch of the expanded U_p(a pi/n): the rotation table entry."""
     return product_bloch(matrix_u_axis(ctx, p, 1, a % ctx.order))
+
+
+# -- reference rewriting pass -----------------------------------------------------
+
+
+@cache
+def clifford_words(ctx) -> dict:
+    """Bloch image -> lexicographically first shortest {H, S} word (H before
+    S), for the 24 Cliffords, from words evaluated by general products."""
+    found = {}
+    for length in itertools.count():
+        for word in itertools.product("HS", repeat=length):
+            u = product_eval_sequence(GateSequence(0, word), ctx)
+            found.setdefault(product_bloch(u), word)
+        if len(found) == 24:
+            return found
+
+
+def reference_canonicalize(seq: GateSequence, ctx) -> CanonicalForm:
+    """The rewriting pass with its own phase bookkeeping, on explicit
+    matrices.  The pending Clifford K_t ... K_1 g_1 ... g_s, with quarter
+    turns K absorbed from the factor side and H, S tokens g from the
+    right, is one unitary kept by general products; a W block's axis is
+    the image of Z under it (product_bloch); a sign is removed by
+    U_{-p}(a) = zeta^a U_p(2n - a), zeta^a joining the global phase; and
+    the form's phase is read by stripping the residual's word off zeta^phase
+    times the pending Clifford."""
+    half, order = ctx.n // 2, ctx.order
+    pend = matrix_scalar(ctx, 0)
+    phase = seq.phase_power
+    factors = []
+
+    def absorb_left(p, quarters):
+        nonlocal pend
+        if quarters % 4:
+            pend = matrix_u_axis(ctx, p, 1, quarters * half % order) @ pend
+
+    for tok in seq.tokens:
+        if tok in ("H", "S"):
+            pend = pend @ (matrix_h0(ctx) if tok == "H" else matrix_uz(ctx, half))
+            continue
+        a = w_exponent(tok)
+        z_image = [row[2].as_int() for row in product_bloch(pend).rows]
+        i = next(i for i, v in enumerate(z_image) if v in (1, -1))
+        p = AXES[i]
+        if z_image[i] < 0:
+            phase += a
+            a = order - a
+        quarters, a = divmod(a, half)
+        absorb_left(p, quarters)
+        if a and factors and factors[-1][0] == p:
+            quarters, a = divmod(factors.pop()[1] + a, half)
+            absorb_left(p, quarters)
+        if a:
+            factors.append((p, a))
+    rot = product_bloch(pend)
+    word = clifford_words(ctx)[rot]
+    rest = (product_eval_sequence(GateSequence(0, word), ctx).dagger()
+            @ matrix_scalar(ctx, phase % order) @ pend)
+    j = next(j for j in range(order) if rest == matrix_scalar(ctx, j))
+    return CanonicalForm(ctx.n, tuple(p for p, _ in factors), tuple(a for _, a in factors),
+                         CliffordRot(rot, word), j)
 
 
 # -- dense descent scan ----------------------------------------------------------

@@ -320,6 +320,57 @@ def test_fn_census_resume_drops_rows_past_checkpoint(tmp_path):
     assert json.loads(ck.read_text()) == {"max": 300, "next_n": 302, "hits": total}
 
 
+def test_fn_census_rejects_bad_bounds_before_touching_files(tmp_path, capsys):
+    out_path, ck = tmp_path / "census.csv", tmp_path / "census.ck"
+    out_path.write_text("2,true\n")
+    ck.write_text("[1, 2]")  # never read: the bound is checked first
+    for bad in ("0", "1", "3", "-4"):
+        for extra in ([], ["--output", str(out_path), "--checkpoint", str(ck)]):
+            code, out = run_cli(["fn-census", "--max", bad] + extra)
+            assert (code, out) == (2, "")
+            assert "census bound must be a positive even integer" in capsys.readouterr().err
+    assert out_path.read_text() == "2,true\n"
+    assert ck.read_text() == "[1, 2]"
+
+
+def test_fn_census_rejects_bad_checkpoints_and_keeps_the_output(tmp_path, capsys):
+    out_path, ck = tmp_path / "census.csv", tmp_path / "census.ck"
+    args = ["fn-census", "--max", "20", "--output", str(out_path), "--checkpoint", str(ck)]
+    assert run_cli(args)[0] == 0
+    finished = out_path.read_text()
+    assert len(finished.splitlines()) == 11
+    for bad in ("[20, 22, 6]", "{not json", '{"max": 20, "hits": 0}',
+                '{"max": 20, "next_n": -10, "hits": 0}',
+                '{"max": 20, "next_n": 0, "hits": 0}',
+                '{"max": 20, "next_n": 24, "hits": 0}',
+                '{"max": 20, "next_n": 13, "hits": 0}',
+                '{"max": 20, "next_n": 12, "hits": 6}',
+                '{"max": 20, "next_n": 12, "hits": -1}',
+                '{"max": 20, "next_n": 12, "hits": true}',
+                '{"max": 20, "next_n": 12.0, "hits": 1}',
+                '{"max": "20", "next_n": 12, "hits": 1}'):
+        ck.write_text(bad)
+        assert run_cli(args) == (2, ""), bad
+        err = capsys.readouterr().err
+        assert "census checkpoint" in err and str(ck) in err, bad
+        assert out_path.read_text() == finished, bad
+        assert ck.read_text() == bad
+
+
+def test_fn_census_ignores_a_checkpoint_for_another_bound(tmp_path):
+    out_path, ck = tmp_path / "census.csv", tmp_path / "census.ck"
+    run_cli(["fn-census", "--max", "20", "--output", str(out_path)])
+    want = out_path.read_text()
+    ck.write_text(json.dumps({"max": 300, "next_n": 202, "hits": 10}))
+    out_path.write_text("junk\n")
+    code, _ = run_cli(
+        ["fn-census", "--max", "20", "--output", str(out_path), "--checkpoint", str(ck)]
+    )
+    assert code == 0
+    assert out_path.read_text() == want
+    assert json.loads(ck.read_text())["max"] == 20
+
+
 def test_random_command_round_trips(tmp_path):
     code, out = run_cli(["random", "--n", "6", "--target-tcount", "3", "--seed", "11"])
     assert code == 0

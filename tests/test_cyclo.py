@@ -2,12 +2,20 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from cycsynth import cyclotomic_poly, divides, exact_quotient, make_context
+from cycsynth import RingElem, as_zeta_power, cyclotomic_poly, divides, exact_quotient, make_context
 from cycsynth.cyclo import Context, factorize
-from oracles import divides_oracle, mult_order_two, naive_cyclotomic, poly_eval, random_cycint
+from oracles import (
+    divides_oracle,
+    mult_order_two,
+    naive_cyclotomic,
+    poly_eval,
+    random_cycint,
+    zeta_rows,
+)
 
 SUPPORTED = (2, 4, 6, 8, 12)
 
@@ -29,6 +37,29 @@ def test_context_n12_constants():
     assert (ctx.k, ctx.s) == (2, 3)
     assert ctx.phi_s_pow2_mod2 == (0b111, 0b10101)  # Phi_3, Phi_3^2 mod 2
     assert naive_cyclotomic(24) == list(ctx.phi_poly)
+
+
+def test_zeta_powers_match_the_naive_polynomial():
+    for n in range(2, 65, 2):
+        ctx = make_context(n)
+        for j in range(ctx.order):
+            assert ctx.zeta(j).coeffs == zeta_rows(n)[j], (n, j)
+            assert as_zeta_power(RingElem.zeta(ctx, j)) == j
+        assert ctx.zeta(-1) == ctx.zeta(ctx.order - 1)
+
+
+def test_context_keeps_one_small_table():
+    # The reduction table is kept sparse only: a dense 2n x phi(2n) copy
+    # would be 1.6 million entries (about 13 MB) at n = 1000.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctx = Context(1000)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ctx.degree == 800
+    assert kept < 2 << 20
 
 
 @pytest.mark.parametrize("bad", [0, -2, 3, 7, 1])

@@ -1,8 +1,10 @@
 """Differential tests: each arithmetic fast path against the slow code it
 replaced (kept in oracles.py as the reference), the gate-application
 kernel and the gate constants against explicit matrices and general 2x2
-products, bloch against the six-product Bloch image, and the mod-4 plane
-scan of the descent (n = 2^k) against full entries and the dense scan."""
+products, bloch against the six-product Bloch image, the mod-4 plane
+scan of the descent (n = 2^k) against full entries and the dense scan, and
+the rewriting pass against the reference pass that keeps its pending
+Clifford as a unitary and tracks its own phase."""
 
 import ast
 import io
@@ -90,11 +92,13 @@ from oracles import (
     product_generator,
     random_cycint,
     random_sequence,
+    reference_canonicalize,
     ring_complex,
 )
 
 # n = 14, 28 and 30 have several primes above 2; n = 10, 14 and 30 have k = 1.
 EXPONENT_NS = (4, 6, 8, 10, 12, 14, 16, 24, 28, 30, 32, 64)
+EVEN_NS = range(2, 65, 2)
 
 
 def _descent_entries(u):
@@ -504,19 +508,36 @@ def test_absorb_clifford_matches_products(n):
     ctx = make_context(n)
     rng = random.Random(110 + n)
     words = {c.word: c.rotation for c in clifford_group(ctx)}
-    st = _RewriteState(ctx, 0)
+    st = _RewriteState(ctx)
     want = UnitaryRn.identity(ctx)
     for _ in range(40):
         if rng.random() < 0.6:
             tok = rng.choice("HS")
-            st.absorb_clifford_right(tok, words[(tok,)])
+            st.absorb_clifford_right(words[(tok,)])
             want = want @ (matrix_h0(ctx) if tok == "H" else matrix_uz(ctx, n // 2))
         else:
             p, q = rng.choice(AXES), rng.randrange(4)
             st.absorb_clifford_left(p, q)
             want = matrix_u_axis(ctx, p, 1, q * (n // 2) % ctx.order) @ want
-        assert st.pending_unitary() == want
         assert st.pend_rot == product_bloch(want)
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_rewriting_matches_reference_pass(n):
+    # whole forms, phase included, on words with every token kind
+    ctx = make_context(n)
+    rng = random.Random(160 + n)
+    for _ in range(3):
+        seq = random_sequence(ctx, rng, 16)
+        assert canonicalize_sequence(seq, ctx) == reference_canonicalize(seq, ctx)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 12))
+def test_rewriting_ring_circuits_match_reference_pass(n):
+    ctx = make_context(n)
+    for seed in range(3):
+        seq = synthesize_ring(random_unitary(ctx, 0 if n == 2 else 20, 170 + seed)[0])
+        assert canonicalize_sequence(seq, ctx) == reference_canonicalize(seq, ctx)
 
 
 def test_long_hadamard_word_keeps_numerators_small(monkeypatch):
@@ -541,9 +562,6 @@ def test_long_hadamard_word_keeps_numerators_small(monkeypatch):
 
 
 # -- gate constants and Bloch images ---------------------------------------------
-
-EVEN_NS = range(2, 65, 2)
-
 
 @pytest.mark.parametrize("n", EVEN_NS)
 def test_gate_constants_match_explicit_matrices(n):
@@ -657,11 +675,6 @@ def _oracle_word(ctx, word) -> UnitaryRn:
     return acc
 
 
-def _scalar_of(rest: UnitaryRn):
-    lam = rest.rows[0][0]
-    return lam if rest.is_diagonal() and rest.rows[1][1] == lam else None
-
-
 @pytest.mark.parametrize("n", EVEN_NS)
 def test_strip_reads_the_phase_equal_up_to_phase_finds(n):
     ctx = make_context(n)
@@ -673,13 +686,13 @@ def test_strip_reads_the_phase_equal_up_to_phase_finds(n):
         value = _oracle_word(ctx, word)
         u = matrix_scalar(ctx, rng.randrange(ctx.order)) @ value
         lam = equal_up_to_phase(u, value)
-        assert lam is not None and _scalar_of(_strip(u, word)) == lam
+        assert lam is not None and _strip(u, word).as_scalar() == lam
         # one rotation turned by one more step: u is no longer the word up to phase
         i = rng.choice([i for i, (k, _) in enumerate(word) if k in AXES])
         changed = list(word)
         changed[i] = (word[i][0], (word[i][1] + 1) % ctx.order)
         assert equal_up_to_phase(u, _oracle_word(ctx, changed)) is None
-        assert _scalar_of(_strip(u, changed)) is None
+        assert _strip(u, changed).as_scalar() is None
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 12))

@@ -6,6 +6,7 @@ import pytest
 
 from cycsynth import (
     GateSequence,
+    IntegrityError,
     NotReducibleError,
     RingElem,
     UnitaryRn,
@@ -31,7 +32,7 @@ from cycsynth import (
     u_axis,
     uz_power,
 )
-from cycsynth.synth import bfs_cosets, witness_unitary
+from cycsynth.synth import _RewriteState, bfs_cosets, witness_unitary
 from oracles import random_sequence
 
 
@@ -178,6 +179,41 @@ def test_descent_agrees_with_rewriting_for_every_even_n_to_64():
         for seed in range(3):
             u, seq = random_unitary(ctx, 12, 500 + seed)
             assert canonical_form(u) == canonicalize_sequence(seq, ctx), (n, seed)
+
+
+@pytest.mark.parametrize("n", (4, 8, 12))
+def test_rewrite_checks_its_factors_against_the_word(monkeypatch, n):
+    # A factor turned from exponent 1 to 3 leaves a form of the right shape
+    # whose pending Clifford still matches its word; only the whole form,
+    # checked against the word, shows the fault.
+    ctx = make_context(n)
+    seq = GateSequence(1, ("H", "W", "S", "W^2", "H", "W"))
+    want = canonicalize_sequence(seq, ctx)
+    plain = _RewriteState.push_factor
+    done = []
+
+    def corrupt(self, p, sign, a):
+        if a == 1 and not done:
+            done.append(a)
+            a = 3
+        plain(self, p, sign, a)
+
+    monkeypatch.setattr(_RewriteState, "push_factor", corrupt)
+    with pytest.raises(IntegrityError):
+        canonicalize_sequence(seq, ctx)
+    assert done
+    monkeypatch.undo()
+    assert canonicalize_sequence(seq, ctx) == want == canonical_form(eval_sequence(seq, ctx))
+
+
+@pytest.mark.parametrize("n", (2, 4, 12))
+def test_rewrite_rejects_w_exponents_outside_range(n):
+    ctx = make_context(n)
+    for j in (0, ctx.order, ctx.order + 1):
+        bad = GateSequence(0, ("H", "W^%d" % j, "S"))
+        for read in (eval_sequence, canonicalize_sequence):
+            with pytest.raises(ValueError, match=r"W exponent must lie in \[1, 2n\)"):
+                read(bad, ctx)
 
 
 def test_rewrite_angle_folding_keeps_range():
