@@ -202,19 +202,23 @@ def cmd_phase_condition(args, out) -> int:
     return 1
 
 
-def _truncate_census(path: str, next_n: int) -> None:
-    """Cut a census CSV after its leading complete lines whose first field
-    is below next_n: rows written after the last checkpoint, or a line cut
-    short by the interruption, would otherwise be duplicated on resume."""
-    keep = 0
+def _truncate_census(path: str, next_n: int) -> int:
+    """Cut a census CSV after its leading complete rows n,verdict with n
+    below next_n, and return the last n kept (0 for none): rows written
+    after the last checkpoint, a line cut short by the interruption, or the
+    summary row of a finished run would otherwise be duplicated on resume."""
+    keep = last = 0
     with open(path, "rb") as fh:
         for line in fh:
-            head = line.split(b",", 1)[0]
-            if not (line.endswith(b"\n") and head.isdigit() and int(head) < next_n):
+            head, *rest = line.split(b",")
+            if not (line.endswith(b"\n") and len(rest) == 1 and head.isdigit()
+                    and int(head) < next_n):
                 break
             keep += len(line)
+            last = int(head)
     with open(path, "r+b") as fh:
         fh.truncate(keep)
+    return last
 
 
 def _read_checkpoint(path: str) -> dict:
@@ -246,12 +250,14 @@ def cmd_fn_census(args, out) -> int:
     mode = "w"
     if args.checkpoint and os.path.exists(args.checkpoint):
         state = _read_checkpoint(args.checkpoint)
-        if state["max"] == max_n:
+        # an output file resumes only if it holds every row before next_n;
+        # otherwise the census starts over
+        if state["max"] == max_n and (not args.output or (
+                os.path.exists(args.output)
+                and _truncate_census(args.output, state["next_n"]) == state["next_n"] - 2)):
             start_n = state["next_n"]
             hits = state["hits"]
             mode = "a"
-            if args.output and os.path.exists(args.output):
-                _truncate_census(args.output, start_n)
     sink = open(args.output, mode) if args.output else out
 
     def save_checkpoint(next_n: int, hits_now: int) -> None:

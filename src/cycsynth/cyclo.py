@@ -15,10 +15,10 @@ odd; then Phi_2n = Phi_s^(2^k) (mod 2) with Phi_s squarefree mod 2, so the
 primes above 2 are the factors of Phi_s mod 2, each with ramification
 index 2^k.  For x not divisible by 2, the multiplicity of Phi_s in x mod 2
 is the least valuation of x at a prime above 2.  It is read from a bitmask
-int of the odd coefficients: for n a power of two (s = 1, Phi_s = x + 1)
-by a subset transform of k shift-and-mask steps, otherwise by carry-less
-division by Phi_s^(2^j).  The valuation proper is only available for n in
-{2, 4, 6, 8, 12}, where that prime is unique.
+int of the odd coefficients by one product with a fixed sparse polynomial
+and a subset transform of k strided shift-and-mask steps, for every n
+(Context.parity_multiplicity).  The valuation proper is only available for
+n in {2, 4, 6, 8, 12}, where that prime is unique.
 """
 
 from __future__ import annotations
@@ -179,20 +179,21 @@ class Context:
                     if rj:
                         cur[j] += top * rj
         self.zeta_terms = tuple(rows)
-        # Phi_s^(2^j) mod 2 as bitmask ints, j < k: by Frobenius each is
-        # Phi_s(x^(2^j)) mod 2, i.e. the bits of Phi_s spread 2^j apart.
-        phi_s = [c & 1 for c in cyclotomic_poly(self.s)]
-        self.phi_s_pow2_mod2 = tuple(
-            sum(1 << (i << j) for i, c in enumerate(phi_s) if c)
-            for j in range(self.k)
-        )
-        # s = 1: (2^t, M_t) for t < k, M_t the lanes i < n with bit t of i
-        # clear; see parity_multiplicity.
-        full = (1 << d) - 1
+        # For parity_multiplicity: the bit positions of g(x^(2^k)) =
+        # g^(2^k) mod 2, g = (x^s + 1) / Phi_s mod 2 (by GF(2) long
+        # division), and (s 2^t, M_t) for t < k, M_t the lanes i < n with
+        # bit t of i // s clear.
+        phi_s = sum((c & 1) << i for i, c in enumerate(cyclotomic_poly(self.s)))
+        rest, g = (1 << self.s) | 1, 0
+        while rest:
+            top = rest.bit_length() - phi_s.bit_length()
+            g, rest = g | (1 << top), rest ^ (phi_s << top)
+        self.mult_shifts = tuple(i << self.k for i in range(g.bit_length()) if (g >> i) & 1)
+        full, s = (1 << n) - 1, self.s
         self.subset_steps = tuple(
-            (1 << t, full // ((1 << (2 << t)) - 1) * ((1 << (1 << t)) - 1))
+            (s << t, full // ((1 << (2 * s << t)) - 1) * ((1 << (s << t)) - 1))
             for t in range(self.k)
-        ) if self.s == 1 else ()
+        )
         # Every prime above 2 has ramification index 2^k, so v(2) = 2^k.
         self.ram_index = 1 << self.k
         self.supports_valuation = n in VALUATION_NS
@@ -215,26 +216,24 @@ class Context:
         """Multiplicity of Phi_s in the nonzero GF(2) polynomial `mask`
         (bit i the coefficient of x^i) of degree below phi(2n).
 
-        It is below 2^k, and for s = 1 it is the index of the lowest set
-        bit of the subset transform of mask: by Lucas' theorem the
-        coefficient of (x + 1)^j in sum c_i x^i = sum c_i ((x + 1) + 1)^i
-        is the XOR of the c_i over the i whose bits contain those of j, and
-        k steps of c ^= (c >> 2^t) & M_t compute it.  Otherwise its binary
-        digits are found from the top by carry-less division by
-        Phi_s^(2^j).
+        It is v < 2^k, the multiplicity of y + 1, y = x^s, in
+        h = mask g^(2^k), g = (x^s + 1) / Phi_s: x^s + 1 is squarefree mod 2
+        for odd s, and g^(2^k) holds every other factor Phi_d, d | s, at
+        least 2^k times.  h has degree below n = 2^k s, so it is
+        sum_(r < s) x^r h_r(y) with each h_r of degree below 2^k, and v is
+        the least multiplicity of y + 1 in an h_r.  By Lucas' theorem the
+        coefficient of (y + 1)^j in sum c_i y^i = sum c_i ((y + 1) + 1)^i is
+        the XOR of the c_i over the i whose bits contain those of j, and the
+        k steps h ^= (h >> s 2^t) & M_t compute it in lane r + s j of every
+        h_r at once; so v is the index of the lowest set bit over s.  For
+        s = 1, g = 1 and h is the mask.
         """
-        if self.s == 1:
-            for step, lanes in self.subset_steps:
-                mask ^= (mask >> step) & lanes
-            return (mask & -mask).bit_length() - 1
-        mult = 0
-        pows = self.phi_s_pow2_mod2
-        for j in range(len(pows) - 1, -1, -1):
-            q = _gf2_exact_quotient(mask, pows[j])
-            if q is not None:
-                mask = q
-                mult += 1 << j
-        return mult
+        h = 0
+        for shift in self.mult_shifts:
+            h ^= mask << shift
+        for step, lanes in self.subset_steps:
+            h ^= (h >> step) & lanes
+        return ((h & -h).bit_length() - 1) // self.s
 
     # -- element factories -------------------------------------------------
 
@@ -274,19 +273,6 @@ def _checked_coeffs(coeffs, degree: int) -> tuple[int, ...]:
 _AND3 = (3).__and__
 _HIGH_BIT = bytes.maketrans(bytes(range(4)), b"0011")
 _LOW_BIT = bytes.maketrans(bytes(range(4)), b"0101")
-
-
-def _gf2_exact_quotient(a: int, b: int) -> int | None:
-    """a / b for GF(2) polynomials as bitmask ints, or None if b does not
-    divide a."""
-    q = 0
-    db = b.bit_length()
-    shift = a.bit_length() - db
-    while shift >= 0:
-        q |= 1 << shift
-        a ^= b << shift
-        shift = a.bit_length() - db
-    return None if a else q
 
 
 def _check_same_context(a: "CycInt", b: "CycInt") -> None:

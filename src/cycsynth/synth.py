@@ -10,11 +10,11 @@ synthesizable group and surface as NotReducibleError.  Candidates are built
 without matrix products: a rotation by b pi/n about axis q multiplies the
 complex combination r1 - i sigma_q r2 of the other two rows by zeta^b, so
 each candidate entry is the real part of a root-of-unity multiple, two
-basis rotations of the power basis and an add.  For n = 2^k (s = 1) the
-candidates are scored without building entries at all: the same
-rotations and adds act on the numerators mod 4, kept as bit planes, and
-an entry's exact exponent follows from its lowest nonzero plane
-(_PlaneScan); other n build each entry they score.
+basis rotations of the power basis and an add.  The candidates are scored
+without building entries at all: the same rotations and adds act on the
+numerators mod 4, kept as bit planes of n lanes (zeta^n = -1 for every n),
+which a fold reduces mod Phi_2n, and an entry's exact exponent follows
+from its lowest nonzero plane (_PlaneScan).
 
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
@@ -172,17 +172,6 @@ def _rotated_entries(shift: int, pencils, b: int):
             yield _pencil_entry(pencil, c)
 
 
-def _entry_scorer(m: Rotation, qi: int):
-    """score(b, floor, cutoff) of the candidates on axis qi, as
-    _candidate_rmax over their entries, built one at a time."""
-    shift, pencils = _axis_pencils(m, qi)
-
-    def score(b: int, floor: int, cutoff):
-        return _candidate_rmax(_rotated_entries(shift, pencils, b), floor, cutoff)
-
-    return score
-
-
 def _step_residues(m: Rotation):
     """(m, high, low) per entry of the matrix: its denominator exponent and
     the bit planes of its numerator mod 4 (CycInt.residue_planes)."""
@@ -202,27 +191,48 @@ def _lift(h: int, l: int, t: int) -> tuple[int, int]:
     return (h, l) if t == 0 else (l, 0) if t == 1 else (0, 0)
 
 
+def _plane_fold(ctx: Context):
+    """(blocks, shift, (q_h, q_l)) of _PlaneScan's fold mod Phi_2n(x) = P(x^w),
+    w = 2^k, of six entries in lanes 2n e, ..., 2n e + n - 1.  Block B, the
+    lanes w B, ..., w B + w - 1, holds x^(w B) times a polynomial of degree
+    below w, and x^(w B) = x^(w (B - deg P)) Q(x^w) mod P(x^w) with
+    Q = x^(deg P) - P, of degree below deg P.  So the blocks B >= deg P, top
+    first and all six entries at once, are shifted down by w deg P lanes and
+    multiplied by Q mod 4, kept as planes (q_h, q_l) of its coefficients at
+    lanes w j, where the copies of a block never overlap: the product is
+    (b_h q_l ^ b_l q_h, b_l q_l).  No block for n = 2^k."""
+    n, w = ctx.n, 1 << ctx.k
+    p = ctx.phi_poly[::w]
+    dp = len(p) - 1
+    block = sum(((1 << w) - 1) << (2 * n * e) for e in range(6))
+    q = [-c % 4 for c in p[:dp]]
+    planes = tuple(sum((c >> i & 1) << (w * j) for j, c in enumerate(q)) for i in (1, 0))
+    return [block << (w * b) for b in range(n // w - 1, dp - 1, -1)], w * dp, planes
+
+
 class _PlaneScan:
-    """Scores the candidates R_q^(-b) M on one axis from residues mod 4, for
-    n = 2^k (Phi_2n = x^n + 1, d = n).
+    """Scores the candidates R_q^(-b) M on one axis from residues mod 4.
 
     A residue mod 4 of a numerator is kept as two bitmask planes (high,
     low), one lane per coefficient; negation is (h ^ l, l), addition is
-    (h1 ^ h2 ^ (l1 & l2), l1 ^ l2), and zeta^c is a lane rotation that
-    negates the lanes it wraps.  Each pencil Z_j and conj(Z_j) is stored
-    as windows of its negacyclic extension, so that every rotation a
-    candidate needs is one right shift: the six numerators of candidate b,
-    zeta^c Z_j + zeta^-c conj(Z_j) for c = b, b + shift, sit in lanes
-    2n e, ..., 2n e + n - 1 for entry e = 2j + (c != b) after two shifts,
-    a mod-4 add and a mask.  An entry's lowest nonzero plane gives its
+    (h1 ^ h2 ^ (l1 & l2), l1 ^ l2).  Numerators are taken in n lanes, as
+    elements of Z[x]/(x^n + 1), which maps onto Z[zeta_2n] since zeta^n = -1;
+    there zeta^c is a lane rotation that negates the lanes it wraps.  Each
+    pencil Z_j and conj(Z_j) is stored as windows of its negacyclic
+    extension, so that every rotation a candidate needs is one right shift:
+    the six numerators of candidate b, zeta^c Z_j + zeta^-c conj(Z_j) for
+    c = b, b + shift, sit in lanes 2n e, ..., 2n e + n - 1 for entry
+    e = 2j + (c != b) after two shifts, a mod-4 add and a mask, and a fold
+    reduces them mod Phi_2n into the first phi(2n) lanes (none for n = 2^k,
+    where Phi_2n = x^n + 1).  An entry's lowest nonzero plane gives its
     2-adic drop t <= 1, hence its normalized denominator exponent m - t
     and parity mask, hence its exact exponent (rings._parity_exponent).
     Entries with t >= 2 (or zero) are bounded by m - 2 and built in full
     only when that bound reaches above the running max.
     """
 
-    __slots__ = ("mat", "qi", "ctx", "half", "full", "lanes", "shift",
-                 "zh", "zl", "wh", "wl", "entries", "pencils")
+    __slots__ = ("mat", "qi", "ctx", "half", "full", "lanes", "shift", "zh", "zl",
+                 "wh", "wl", "entries", "pencils", "fold", "fold_shift", "fold_q")
 
     def __init__(self, m: Rotation, qi: int, res):
         ctx = self.ctx = m.ctx
@@ -262,19 +272,29 @@ class _PlaneScan:
                 entries.append((off, top + 1, e,
                                 tuple(_exp_bounds(ctx, top + 1 - t) for t in range(3))))
         self.zh, self.zl, self.wh, self.wl, self.lanes = zh, zl, wh, wl, lanes
+        self.fold, self.fold_shift, self.fold_q = ctx.memo(
+            "plane_fold", lambda: _plane_fold(ctx))
         # the largest denominators first, so cutoffs prune early
         entries.sort(key=lambda item: -item[1])
         self.entries = entries
 
     def residues(self, b: int) -> tuple[int, int]:
         """(high, low) planes of the six numerators of candidate b mod 4,
-        entry e in lanes 2n e, ..., 2n e + n - 1: zeta^c Z_j lane p is
-        E_(p - c), a right shift by half - b, and zeta^-c conj(Z_j) lane p is
-        E_(p + c), a right shift by half + b."""
+        reduced mod Phi_2n, entry e in lanes 2n e, ..., 2n e + phi(2n) - 1:
+        zeta^c Z_j lane p is E_(p - c), a right shift by half - b, and
+        zeta^-c conj(Z_j) lane p is E_(p + c), a right shift by half + b."""
         u, v = self.half - b, self.half + b
         zl, wl = self.zl >> u, self.wl >> v
         lanes = self.lanes
-        return ((self.zh >> u) ^ (self.wh >> v) ^ (zl & wl)) & lanes, (zl ^ wl) & lanes
+        h, l = ((self.zh >> u) ^ (self.wh >> v) ^ (zl & wl)) & lanes, (zl ^ wl) & lanes
+        for blk in self.fold:
+            qh, ql = self.fold_q
+            bh, bl = h & blk, l & blk
+            h, l = h ^ bh, l ^ bl
+            bh, bl = bh >> self.fold_shift, bl >> self.fold_shift
+            xh, xl = bh * ql ^ bl * qh, bl * ql
+            h, l = h ^ xh ^ (l & xl), l ^ xl
+        return h, l
 
     def entry(self, e: int, b: int) -> RingElem:
         """Entry e of candidate b, built in full."""
@@ -306,7 +326,8 @@ class _PlaneScan:
                 continue
             if lo > cutoff:
                 return None
-            val = max(val, _parity_exponent(ctx, m - t, mask))
+            # an exact bracket (k = 1) needs no parity bits
+            val = hi if lo == hi else max(val, _parity_exponent(ctx, m - t, mask))
             if val > cutoff:
                 return None
         if not deferred:
@@ -331,13 +352,13 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     R_q(-b pi/n) fixes row q and multiplies Z = r1 - i sigma_q r2 (r1, r2
     the other rows) by zeta^b, so the candidate's rows are Re(zeta^b Z) and
     -sigma_q Re(zeta^(b - n/2) Z), two basis rotations and an add per entry.
-    For n = 2^k those rotations and adds run on the numerators mod 4 as
-    two bitmask planes, built once per step from the nine entries' low two
-    coefficient bits (_PlaneScan): an entry N / 2^m with an odd coefficient
-    in N or N / 2 (2-adic drop t <= 1) gets its exact exponent from its
-    planes, and only an entry with t >= 2, or zero, is built in full, when
-    its bound m - 2 reaches above the running max.  Other n (s > 1) build every entry
-    they score.  A candidate is dropped as soon as its exponent provably
+    Those rotations and adds run on the numerators mod 4 as two bitmask
+    planes, built once per step from the nine entries' low two coefficient
+    bits and reduced mod Phi_2n per candidate (_PlaneScan): an entry N / 2^m
+    with an odd coefficient in N or N / 2 (2-adic drop t <= 1) gets its
+    exact exponent from its planes, and only an entry with t >= 2, or zero,
+    is built in full, when its bound m - 2 reaches above the running max.
+    A candidate is dropped as soon as its exponent provably
     exceeds the best seen (the unchanged row gives a free floor; entry
     exponents are bracketed by the power-of-two denominator before any
     parity bits are read), which never changes the arg-min or the tie
@@ -355,12 +376,12 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     axis_order = sorted(range(3), key=lambda i: (row_max[i], i))
     best, best_val = None, math.inf
     tie = False
-    res = _step_residues(m) if m.ctx.s == 1 else None
+    res = _step_residues(m)
     for qi in axis_order:
         floor = row_max[qi]
         if floor > best_val:
             continue
-        score = _entry_scorer(m, qi) if res is None else _PlaneScan(m, qi, res).score
+        score = _PlaneScan(m, qi, res).score
         for b in range(1, half):
             val = score(b, floor, best_val)
             if val is None:

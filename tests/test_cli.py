@@ -4,6 +4,8 @@ import io
 import json
 import os
 
+import pytest
+
 from cycsynth import (
     GateSequence,
     eval_sequence,
@@ -283,19 +285,20 @@ def test_fn_census_checkpoint_resume(tmp_path):
     full = out_path.read_text()
     state = json.loads(ck.read_text())
     assert state == {"max": 200, "next_n": 202, "hits": state["hits"]}
-    # rerun with the final checkpoint: only the summary is appended
+    # rerun with the final checkpoint: the summary row replaces itself
     code, _ = run_cli(
         ["fn-census", "--max", "200", "--output", str(out_path), "--checkpoint", str(ck)]
     )
     assert code == 0
-    assert out_path.read_text() == full + full.splitlines()[-1] + "\n"
-    # partial checkpoint: resume emits exactly the missing rows
+    assert out_path.read_text() == full
+    # partial checkpoint for a file that does not exist: a full census
     ck.write_text(json.dumps({"max": 300, "next_n": 202, "hits": state["hits"]}))
-    out2 = tmp_path / "census2.csv"
+    out2, fresh = tmp_path / "census2.csv", tmp_path / "fresh.csv"
     run_cli(["fn-census", "--max", "300", "--output", str(out2), "--checkpoint", str(ck)])
+    run_cli(["fn-census", "--max", "300", "--output", str(fresh)])
     lines = out2.read_text().splitlines()
-    assert lines[0].startswith("202,")
-    assert lines[-1].split(",")[0] == "300"
+    assert lines[0] == "2,true"
+    assert out2.read_text() == fresh.read_text()
 
 
 def test_fn_census_resume_drops_rows_past_checkpoint(tmp_path):
@@ -317,6 +320,29 @@ def test_fn_census_resume_drops_rows_past_checkpoint(tmp_path):
     assert code == 0
     assert out_path.read_text() == full
     total = sum(r.endswith(",true") for r in rows)
+    assert json.loads(ck.read_text()) == {"max": 300, "next_n": 302, "hits": total}
+
+
+@pytest.mark.parametrize("rows_kept", [None, 60])
+def test_fn_census_starts_over_without_the_rows_before_its_checkpoint(tmp_path, rows_kept):
+    # a census to 300 interrupted after the checkpoint at n = 200, whose
+    # CSV was then deleted (None) or cut to its first rows_kept rows, starts
+    # over and ends as a full census
+    full_path, ck = tmp_path / "full.csv", tmp_path / "census.ck"
+    run_cli(["fn-census", "--max", "300", "--output", str(full_path)])
+    full = full_path.read_text()
+    done = [r for r in full.splitlines() if int(r.split(",")[0]) < 202]
+    hits = sum(r.endswith(",true") for r in done)
+    out_path = tmp_path / "census.csv"
+    if rows_kept is not None:
+        out_path.write_text("".join(r + "\n" for r in done[:rows_kept]))
+    ck.write_text(json.dumps({"max": 300, "next_n": 202, "hits": hits}))
+    code, _ = run_cli(
+        ["fn-census", "--max", "300", "--output", str(out_path), "--checkpoint", str(ck)]
+    )
+    assert code == 0
+    assert out_path.read_text() == full
+    total = sum(r.endswith(",true") for r in full.splitlines())
     assert json.loads(ck.read_text()) == {"max": 300, "next_n": 302, "hits": total}
 
 

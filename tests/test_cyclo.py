@@ -35,7 +35,10 @@ def test_context_n12_constants():
     assert ctx.degree == 8
     assert list(ctx.phi_poly) == [1, 0, 0, 0, -1, 0, 0, 0, 1]
     assert (ctx.k, ctx.s) == (2, 3)
-    assert ctx.phi_s_pow2_mod2 == (0b111, 0b10101)  # Phi_3, Phi_3^2 mod 2
+    # g = (x^3 + 1) / Phi_3 = x + 1 mod 2, so g(x^4) has bits 0 and 4; the
+    # subset steps keep lanes i with bit t of i // 3 clear
+    assert ctx.mult_shifts == (0, 4)
+    assert ctx.subset_steps == ((3, 0b000111000111), (6, 0b000000111111))
     assert naive_cyclotomic(24) == list(ctx.phi_poly)
 
 

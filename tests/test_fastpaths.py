@@ -2,7 +2,7 @@
 replaced (kept in oracles.py as the reference), the gate-application
 kernel and the gate constants against explicit matrices and general 2x2
 products, bloch against the six-product Bloch image, the mod-4 plane
-scan of the descent (n = 2^k) against full entries and the dense scan, and
+scan of the descent (every n) against full entries and the dense scan, and
 the rewriting pass against the reference pass that keeps its pending
 Clifford as a unitary and tracks its own phase."""
 
@@ -54,7 +54,7 @@ from cycsynth import (
     uz_power,
     w_gate,
 )
-from cycsynth import cli, cyclo, synth
+from cycsynth import cli, synth
 from cycsynth.rings import _beta_exp_r
 from cycsynth.so3 import Rotation
 from cycsynth.su2 import AXES, _strip, token_w
@@ -199,16 +199,15 @@ def test_rotation_scan_matches_generator_products(n):
     for seed in range(3):
         m = bloch(random_unitary(ctx, 12, 300 + seed)[0])
         while is_signed_permutation(m) is None:
-            res = _step_residues(m) if ctx.s == 1 else None
+            res = _step_residues(m)
             for qi in range(3):
                 shift, pencils = _axis_pencils(m, qi)
-                scan = _PlaneScan(m, qi, res) if res else None
+                scan = _PlaneScan(m, qi, res)
                 for b in range(1, n // 2):
                     got = list(_rotated_entries(shift, pencils, b))
                     dense = dense_candidate_entries(m, qi, b)
                     assert got == dense
-                    if scan is not None:
-                        _check_plane_residues(scan, b, dense, [p[2] for p in pencils])
+                    _check_plane_residues(scan, b, dense, [p[2] for p in pencils])
             q, b = axis_detect(m)
             assert (q, b) == dense_axis_detect(m)
             nxt = _rotate(m, AXES.index(q), b)
@@ -224,7 +223,9 @@ def _bits(coeffs, plane: int) -> int:
 
 def _check_plane_residues(scan, b, dense, tops):
     # the six numerators of candidate b over 2^top (top per column) mod 4,
-    # entry e = 2 j + r (row i1 then i2) in lanes 2n e, ..., 2n e + n - 1
+    # folded mod Phi_2n: entry e = 2 j + r (row i1 then i2) in lanes 2n e,
+    # ..., 2n e + phi(2n) - 1, and its lanes up to 2n e + n - 1 above them
+    # clear
     n = scan.ctx.n
     h, l = scan.residues(b)
     assert h | l < 1 << (12 * n)
@@ -254,20 +255,19 @@ def test_candidate_scan_contract(n):
     for seed in range(2):
         m = bloch(random_unitary(ctx, {32: 4, 64: 3}.get(n, 6), 900 + seed)[0])
         while is_signed_permutation(m) is None:
-            res = _step_residues(m) if ctx.s == 1 else None
+            res = _step_residues(m)
             for qi in range(3):
                 floor = max([r(e) for e in m.rows[qi] if not e.is_zero()], default=0)
-                scan = _PlaneScan(m, qi, res) if res else None
+                scan = _PlaneScan(m, qi, res)
                 for b in range(1, n // 2):
                     entries = dense_candidate_entries(m, qi, b)
                     exps = [None if e.is_zero() else r(e) for e in entries]
                     want = max([floor] + [x for x in exps if x is not None])
                     for cutoff in (math.inf, want - 1, want, want + 1):
-                        if scan is not None:
-                            # the plane scan: exact below the cutoff, else None
-                            got = scan.score(b, floor, cutoff)
-                            assert got == (want if want <= cutoff else None)
-                            planes += 1
+                        # the plane scan: exact below the cutoff, else None
+                        got = scan.score(b, floor, cutoff)
+                        assert got == (want if want <= cutoff else None)
+                        planes += 1
                         consumed = []
                         got = _candidate_rmax(
                             (consumed.append(e) or e for e in entries), floor, cutoff)
@@ -284,7 +284,7 @@ def test_candidate_scan_contract(n):
             assert (q, b) == dense_axis_detect(m)
             m = _rotate(m, AXES.index(q), b)
     assert checked > 0
-    assert planes > 0 if ctx.s == 1 else planes == 0
+    assert planes > 0
 
 
 def test_rotation_scan_rejects_like_dense_scan():
@@ -300,7 +300,7 @@ def test_rotation_scan_rejects_like_dense_scan():
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("n", (16, 32, 64))
+@pytest.mark.parametrize("n", (12, 16, 20, 24, 32, 48, 64))
 def test_plane_scan_rejects_like_dense_scan(n):
     # -bloch(u) of a member descends like bloch(u), entry for entry negated,
     # down to a signed permutation of determinant -1, where no candidate
@@ -322,29 +322,42 @@ def test_plane_scan_rejects_like_dense_scan(n):
     assert str(got.value) == str(want.value)
 
 
-def test_descent_at_a_power_of_two_makes_no_carry_less_division(monkeypatch):
-    # n = 2^k reads multiplicities by the subset transform and scores
-    # candidates on residue planes: neither the carry-less division nor the
-    # entry-building scan may run
-    ctx = make_context(64)
-    u, _ = random_unitary(ctx, 30, 77)
-    calls = {"division": 0, "entry scan": 0}
+@pytest.mark.parametrize("n", (12, 24, 64))
+def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
+    # every n: each step scores whole axes of candidates with
+    # _PlaneScan.score, and builds an entry in full only through
+    # _PlaneScan.entry
+    ctx = make_context(n)
+    scored, calls = [], {"entry": 0, "built": 0}
+    score, entry, pencil_entry = _PlaneScan.score, _PlaneScan.entry, synth._pencil_entry
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
+    def counted_score(self, b, floor, cutoff):
+        scored.append((self.qi, b))
+        return score(self, b, floor, cutoff)
 
-    monkeypatch.setattr(cyclo, "_gf2_exact_quotient",
-                        counted("division", cyclo._gf2_exact_quotient))
-    monkeypatch.setattr(synth, "_entry_scorer", counted("entry scan", synth._entry_scorer))
-    cf = canonical_form(u)
-    assert cf.tcount() == 30
-    assert calls == {"division": 0, "entry scan": 0}
-    # the same counters do see the other path
-    canonical_form(random_unitary(make_context(12), 10, 77)[0])
-    assert calls["division"] > 0 and calls["entry scan"] > 0
+    def counted_entry(self, e, b):
+        calls["entry"] += 1
+        return entry(self, e, b)
+
+    def counted_pencil_entry(pencil, c):
+        calls["built"] += 1
+        return pencil_entry(pencil, c)
+
+    monkeypatch.setattr(_PlaneScan, "score", counted_score)
+    monkeypatch.setattr(_PlaneScan, "entry", counted_entry)
+    monkeypatch.setattr(synth, "_pencil_entry", counted_pencil_entry)
+    m = bloch(random_unitary(ctx, 30, 77)[0])
+    steps = 0
+    while is_signed_permutation(m) is None:
+        scored.clear()
+        calls.update(entry=0, built=0)
+        q, b = axis_detect(m)
+        axes = sorted({qi for qi, _ in scored})
+        assert axes and sorted(scored) == [(qi, c) for qi in axes for c in range(1, n // 2)]
+        assert calls["built"] == calls["entry"]
+        m = _rotate(m, AXES.index(q), b)
+        steps += 1
+    assert steps >= 3
 
 
 def _residue_with_multiplicity(ctx, rng, mult, shift):
@@ -361,7 +374,7 @@ def _residue_with_multiplicity(ctx, rng, mult, shift):
             | (rng.randint(-50, 50) << (shift + 1)) for bit in bits]
 
 
-@pytest.mark.parametrize("n", range(2, 65, 2))
+@pytest.mark.parametrize("n", [*range(2, 65, 2), 90, 210, 330])
 def test_mod2_multiplicity_matches_carry_less_reference(n):
     ctx = make_context(n)
     rng = random.Random(130 + n)

@@ -3,10 +3,12 @@
 Any module but cyclo.py that reaches into the store behind it (or brings
 back a private per-context cache dict) fails here, so a second cache
 mechanism cannot grow next to the first.  Likewise the denominator
-exponent has one home, rings, which alone reads parity bits for it.
+exponent has one home, rings, which alone reads parity bits for it, and
+the descent has one candidate scan for every n.
 """
 
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cycsynth"
 
@@ -34,3 +36,10 @@ def test_rings_is_the_one_home_of_the_denominator_exponent():
         if path.name not in ("cyclo.py", "rings.py") and "mod2_multiplicity(" in text:
             offenders.append((path.name, "mod2_multiplicity"))
     assert offenders == []
+
+
+def test_the_descent_has_one_scan_for_every_n():
+    # synth never reads the odd part s of n, so no second candidate scan
+    # can grow back next to the residue-plane scan behind a branch on it.
+    text = (SRC / "synth.py").read_text()
+    assert re.findall(r"\bctx\.s\b", text) == []
