@@ -12,7 +12,6 @@ import cmath
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .cyclo import make_context
@@ -106,25 +105,37 @@ def _check_n(obj, expect_n: int, what: str) -> None:
         raise ValueError("%s has n=%d but --n %d was given" % (what, n, expect_n))
 
 
+def _numbered(i: int, fn, arg):
+    """fn(arg) for input entry i (from 1); a SynthesisError names the entry."""
+    try:
+        return fn(arg)
+    except SynthesisError as exc:
+        raise type(exc)("entry %d: %s" % (i, exc)) from None
+
+
 def _synth_one(u: UnitaryRn) -> tuple[str, tuple]:
     cf = canonical_form(u)
     return to_circuit(cf).to_text(), (("tcount", cf.tcount()), ("m", cf.m))
 
 
-def _synth_json(obj: dict) -> tuple[str, tuple]:
-    return _synth_one(matrix_from_json(obj))
+def _synth_json(i: int, obj: dict) -> tuple[str, tuple]:
+    return _numbered(i, _synth_one, matrix_from_json(obj))
 
 
 def cmd_synth(args, out) -> int:
     matrices = _read_matrices(args.input, args.n)
+    entries = range(1, len(matrices) + 1)
     if args.method == "ring":
-        results = [(seq.to_text(), (("cost", seq.cost()),))
-                   for seq in map(synthesize_ring, matrices)]
+        seqs = [_numbered(i, synthesize_ring, u) for i, u in zip(entries, matrices)]
+        results = [(seq.to_text(), (("cost", seq.cost()),)) for seq in seqs]
     elif args.jobs > 1 and len(matrices) > 1:
+        # imported here, so that runs without a pool do not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_synth_json, map(matrix_to_json, matrices)))
+            results = list(pool.map(_synth_json, entries, map(matrix_to_json, matrices)))
     else:
-        results = [_synth_one(u) for u in matrices]
+        results = [_numbered(i, _synth_one, u) for i, u in zip(entries, matrices)]
     sink = open(args.output, "w") if args.output else out
     try:
         for (text, stats), u in zip(results, matrices):
@@ -160,8 +171,8 @@ def cmd_verify(args, out) -> int:
 
 def cmd_tcount(args, out) -> int:
     matrices = _read_matrices(args.input, args.n)
-    for u in matrices:
-        print("tcount=%d" % canonical_form(u).tcount(), file=out)
+    for i, u in enumerate(matrices, 1):
+        print("tcount=%d" % _numbered(i, canonical_form, u).tcount(), file=out)
     return 0
 
 

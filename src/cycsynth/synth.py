@@ -14,7 +14,11 @@ basis rotations of the power basis and an add.  The candidates are scored
 without building entries at all: the same rotations and adds act on the
 numerators mod 4, kept as bit planes of n lanes (zeta^n = -1 for every n),
 which a fold reduces mod Phi_2n, and an entry's exact exponent follows
-from its lowest nonzero plane (_PlaneScan).
+from its lowest nonzero plane (_PlaneScan).  The descent carries its state
+from step to step (_Step): each entry's residue mod 4 and each row's max
+exponent, read off that residue's low plane.  A step rewrites two rows and
+keeps row q, so it reads only the six new entries, and it builds them once,
+from the pencils and entries the winning scan already holds.
 
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
@@ -133,9 +137,24 @@ def _candidate_rmax(entries, floor: int, cutoff):
     return val
 
 
+def _row_max(ctx: Context, row) -> int:
+    """Max denominator exponent of a row given as residue triples (m, high,
+    low), 0 for a row of integral entries.  A normalized entry with m > 0
+    has an odd coefficient, so its parity mask is its low plane; it is read
+    only where the bracket on m reaches above the running max and is not
+    exact."""
+    val = 0
+    for m, _, low in row:
+        lo, hi = _exp_bounds(ctx, m)
+        if hi > val:
+            val = hi if lo == hi else max(val, _parity_exponent(ctx, m, low))
+    return val
+
+
 def exponent_profile(m: Rotation) -> tuple[int, tuple[int, int, int]]:
-    """Max denominator exponent over all nonzero entries, and per-row maxes."""
-    row_max = tuple(_candidate_rmax(row, 0, math.inf) for row in m.rows)
+    """Max denominator exponent over all nonzero entries, and per-row maxes,
+    read off the entries' residue triples (_Step)."""
+    row_max = _as_step(m).row_max
     return max(row_max), row_max
 
 
@@ -143,13 +162,12 @@ def exponent_profile(m: Rotation) -> tuple[int, tuple[int, int, int]]:
 _SIGMA = (1, -1, 1)
 
 
-def _axis_pencils(m: Rotation, qi: int):
+def _axis_pencils(rows, qi: int):
     """shift = sigma_q n/2 (zeta^shift = i sigma_q) and, per column j, the
     numerators of Z_j = r1_j - i sigma_q r2_j and conj(Z_j) over a common
     2^M, with M + 1; r1, r2 are the rows other than qi."""
-    ctx = m.ctx
-    r1, r2 = [m.rows[i] for i in range(3) if i != qi]
-    shift = _SIGMA[qi] * (ctx.n // 2)
+    r1, r2 = [rows[i] for i in range(3) if i != qi]
+    shift = _SIGMA[qi] * (r1[0].ctx.n // 2)
     pencils = []
     for a, b in zip(r1, r2):
         x, y, top = _over_common(a, b)
@@ -164,18 +182,15 @@ def _pencil_entry(pencil, c: int) -> RingElem:
     return RingElem(z.times_zeta(c) + zbar.times_zeta(-c), m)
 
 
-def _rotated_entries(shift: int, pencils, b: int):
-    """Entries (i1, j), (i2, j) of R_q^(-b) M, one at a time: Re(zeta^c Z_j)
-    for c = b, b + shift."""
-    for pencil in pencils:
-        for c in (b, b + shift):
-            yield _pencil_entry(pencil, c)
+def _residue(e: RingElem) -> tuple[int, int, int]:
+    """(m, high, low) of an entry: its denominator exponent and the bit
+    planes of its numerator mod 4 (CycInt.residue_planes)."""
+    return (e.m,) + e.num.residue_planes()
 
 
 def _step_residues(m: Rotation):
-    """(m, high, low) per entry of the matrix: its denominator exponent and
-    the bit planes of its numerator mod 4 (CycInt.residue_planes)."""
-    return [[(e.m,) + e.num.residue_planes() for e in row] for row in m.rows]
+    """The residue triple (m, high, low) of every entry of the matrix."""
+    return [[_residue(e) for e in row] for row in m.rows]
 
 
 def _extension(n: int, h: int, l: int) -> tuple[int, int]:
@@ -211,7 +226,8 @@ def _plane_fold(ctx: Context):
 
 
 class _PlaneScan:
-    """Scores the candidates R_q^(-b) M on one axis from residues mod 4.
+    """Scores the candidates R_q^(-b) M on one axis of a descent step
+    (_Step) from the step's residues mod 4, without reading an entry.
 
     A residue mod 4 of a numerator is kept as two bitmask planes (high,
     low), one lane per coefficient; negation is (h ^ l, l), addition is
@@ -228,20 +244,24 @@ class _PlaneScan:
     2-adic drop t <= 1, hence its normalized denominator exponent m - t
     and parity mask, hence its exact exponent (rings._parity_exponent).
     Entries with t >= 2 (or zero) are bounded by m - 2 and built in full
-    only when that bound reaches above the running max.
+    only when that bound reaches above the running max; the scan keeps
+    what it built, by (entry, b), and its pencils, so that the rotation to
+    the winning candidate (pair) builds only the entries still missing.
     """
 
-    __slots__ = ("mat", "qi", "ctx", "half", "full", "lanes", "shift", "zh", "zl",
-                 "wh", "wl", "entries", "pencils", "fold", "fold_shift", "fold_q")
+    __slots__ = ("rows", "qi", "ctx", "half", "full", "lanes", "shift", "zh", "zl",
+                 "wh", "wl", "entries", "pencils", "built", "fold", "fold_shift", "fold_q")
 
-    def __init__(self, m: Rotation, qi: int, res):
-        ctx = self.ctx = m.ctx
+    def __init__(self, st: "_Step", qi: int):
+        ctx = self.ctx = st.ctx
         n = ctx.n
-        self.mat, self.qi = m, qi
+        res = st.res
+        self.rows, self.qi = st.rows, qi
         self.half = half = n // 2
         self.full = full = (1 << n) - 1
         self.shift = shift = _SIGMA[qi] * half
         self.pencils = None
+        self.built = {}
         i1, i2 = [i for i in range(3) if i != qi]
         seg = (1 << (2 * n)) - 1
         zh = zl = wh = wl = lanes = 0
@@ -296,11 +316,33 @@ class _PlaneScan:
             h, l = h ^ xh ^ (l & xl), l ^ xl
         return h, l
 
-    def entry(self, e: int, b: int) -> RingElem:
-        """Entry e of candidate b, built in full."""
+    def pencil(self, j: int):
+        """(Z_j, conj(Z_j), M + 1) of column j (_axis_pencils), built on
+        first use."""
         if self.pencils is None:
-            self.pencils = _axis_pencils(self.mat, self.qi)[1]
-        return _pencil_entry(self.pencils[e >> 1], b + (self.shift if e & 1 else 0))
+            self.pencils = _axis_pencils(self.rows, self.qi)[1]
+        return self.pencils[j]
+
+    def entry(self, e: int, b: int) -> RingElem:
+        """Entry e of candidate b, built in full and kept."""
+        x = self.built[e, b] = _pencil_entry(
+            self.pencil(e >> 1), b + (self.shift if e & 1 else 0))
+        return x
+
+    def pair(self, j: int, b: int) -> tuple[RingElem, RingElem]:
+        """Entries (i1, j) and (i2, j) of candidate b: the ones score built,
+        else, for A = zeta^b Z_j and B = zeta^-b conj(Z_j), (A + B) / 2^(M+1)
+        and zeta^shift (A - B) / 2^(M+1), as zeta^-shift = -zeta^shift."""
+        built = self.built
+        e1, e2 = built.get((2 * j, b)), built.get((2 * j + 1, b))
+        if e1 is None or e2 is None:
+            z, zbar, m = self.pencil(j)
+            a, c = z.times_zeta(b), zbar.times_zeta(-b)
+            if e1 is None:
+                e1 = RingElem(a + c, m)
+            if e2 is None:
+                e2 = RingElem((a - c).times_zeta(self.shift), m)
+        return e1, e2
 
     def score(self, b: int, floor: int, cutoff):
         """As _candidate_rmax on the entries of candidate b: the exact max
@@ -335,13 +377,45 @@ class _PlaneScan:
         return _candidate_rmax((self.entry(e, b) for e in deferred), val, cutoff)
 
 
-def _rotate(m: Rotation, qi: int, b: int) -> Rotation:
-    """R_q^(-b) M for q = AXES[qi]."""
-    i1, i2 = [i for i in range(3) if i != qi]
-    entries = list(_rotated_entries(*_axis_pencils(m, qi), b))
-    rows = list(m.rows)
-    rows[i1], rows[i2] = entries[0::2], entries[1::2]
-    return Rotation(m.ctx, rows, check=False)
+class _Step(Rotation):
+    """A descent step: the matrix, the residue triple (m, high, low) of
+    each entry (_residue), the max exponent of each row, and, once
+    axis_detect has run on it, the scan of the winning axis.
+
+    R_q^(-b) leaves row q as it is, so rotated() carries that row's
+    triples and max to the next step and reads only the six new entries,
+    which it takes from the winning scan (_PlaneScan.pair).  A step holds
+    no reference to the step before it.
+    """
+
+    __slots__ = ("res", "row_max", "scan")
+
+    def __init__(self, ctx: Context, rows, res, row_max):
+        self.ctx, self.rows = ctx, rows
+        self.res, self.row_max = res, row_max
+        self.scan = None
+
+    def rotated(self, qi: int, b: int) -> "_Step":
+        """The step R_q^(-b) M for q = AXES[qi]."""
+        scan = self.scan
+        if scan is None or scan.qi != qi:
+            scan = _PlaneScan(self, qi)
+        pairs = [scan.pair(j, b) for j in range(3)]
+        rows, res, row_max = list(self.rows), list(self.res), list(self.row_max)
+        ctx = self.ctx
+        for r, i in enumerate(i for i in range(3) if i != qi):
+            rows[i] = row = tuple(p[r] for p in pairs)
+            res[i] = row_res = [_residue(e) for e in row]
+            row_max[i] = _row_max(ctx, row_res)
+        return _Step(ctx, tuple(rows), res, tuple(row_max))
+
+
+def _as_step(m: Rotation) -> _Step:
+    """m itself if it is a _Step, else m with every entry read."""
+    if isinstance(m, _Step):
+        return m
+    res = _step_residues(m)
+    return _Step(m.ctx, m.rows, res, tuple(_row_max(m.ctx, row) for row in res))
 
 
 def axis_detect(m: Rotation) -> tuple[str, int]:
@@ -353,47 +427,50 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     the other rows) by zeta^b, so the candidate's rows are Re(zeta^b Z) and
     -sigma_q Re(zeta^(b - n/2) Z), two basis rotations and an add per entry.
     Those rotations and adds run on the numerators mod 4 as two bitmask
-    planes, built once per step from the nine entries' low two coefficient
-    bits and reduced mod Phi_2n per candidate (_PlaneScan): an entry N / 2^m
-    with an odd coefficient in N or N / 2 (2-adic drop t <= 1) gets its
-    exact exponent from its planes, and only an entry with t >= 2, or zero,
-    is built in full, when its bound m - 2 reaches above the running max.
-    A candidate is dropped as soon as its exponent provably
-    exceeds the best seen (the unchanged row gives a free floor; entry
-    exponents are bracketed by the power-of-two denominator before any
-    parity bits are read), which never changes the arg-min or the tie
-    check.  Ties and non-reducing minima raise NotReducibleError.  The
-    exponents and their bracket come from rings and need only the context;
-    the element beta itself is only the base of rings.beta_exponent's
-    witness, unused here.
+    planes, built per axis from the entries' residue triples and reduced mod
+    Phi_2n per candidate (_PlaneScan): an entry N / 2^m with an odd
+    coefficient in N or N / 2 (2-adic drop t <= 1) gets its exact exponent
+    from its planes, and only an entry with t >= 2, or zero, is built in
+    full, when its bound m - 2 reaches above the running max.  The triples
+    and row maxima come from the descent's step state (_Step), which
+    canonical_form carries from step to step; a plain Rotation is read in
+    full first, and the winning scan is kept on the step for the rotation.
+    A candidate is dropped as soon as its exponent provably exceeds the
+    best seen (the unchanged row gives a free floor; entry exponents are
+    bracketed by the power-of-two denominator before any parity bits are
+    read), which never changes the arg-min or the tie check.  Ties and
+    non-reducing minima raise NotReducibleError.  The exponents and their
+    bracket come from rings and need only the context; the element beta
+    itself is only the base of rings.beta_exponent's witness, unused here.
     """
     half = m.ctx.n // 2
     if half < 2:
         raise NotReducibleError("no rotation candidates exist for n = 2")
-    cur_max, row_max = exponent_profile(m)
+    st = _as_step(m)
+    row_max = st.row_max
     # Try the deficient axis first: for synthesizable inputs the winning
     # candidate lives there, and the floors then dismiss the other axes.
     axis_order = sorted(range(3), key=lambda i: (row_max[i], i))
-    best, best_val = None, math.inf
+    best, best_val, win = None, math.inf, None
     tie = False
-    res = _step_residues(m)
     for qi in axis_order:
         floor = row_max[qi]
         if floor > best_val:
             continue
-        score = _PlaneScan(m, qi, res).score
+        scan = _PlaneScan(st, qi)
         for b in range(1, half):
-            val = score(b, floor, best_val)
+            val = scan.score(b, floor, best_val)
             if val is None:
                 continue
             if val < best_val:
-                best, best_val, tie = (AXES[qi], b), val, False
+                best, best_val, tie, win = (AXES[qi], b), val, False, scan
             elif val == best_val:
                 tie = True
-    if best is None or best_val >= cur_max:
+    if best is None or best_val >= max(row_max):
         raise NotReducibleError("no candidate strictly reduces the exponent")
     if tie:
         raise NotReducibleError("minimal candidate is not unique")
+    st.scan = win
     return best
 
 
@@ -401,22 +478,29 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
     """Compute the canonical decomposition of a synthesizable unitary.
 
     Raises NotReducibleError if the Bloch descent gets stuck (the input is
-    not synthesizable) and PhaseNotInRingError if the descent succeeds but
-    the residual global phase is not a 2n-th root of unity.
+    not synthesizable), its message naming the step (counted from 0, the
+    number of rotations peeled before it) and that step's max exponent,
+    and PhaseNotInRingError if the descent succeeds but the residual
+    global phase is not a 2n-th root of unity.  Each step calls
+    axis_detect once, on the step state it carries (_Step).
     """
-    m = bloch(u)
+    st = _as_step(bloch(u))
     axes: list[str] = []
     exps: list[int] = []
     while True:
-        residual = is_signed_permutation(m)
+        residual = is_signed_permutation(st)
         if residual is not None:
             break
-        q, b = axis_detect(m)
-        if axes and axes[-1] == q:
-            raise NotReducibleError("descent produced adjacent repeated axes")
+        try:
+            q, b = axis_detect(st)
+            if axes and axes[-1] == q:
+                raise NotReducibleError("descent produced adjacent repeated axes")
+        except NotReducibleError as exc:
+            raise NotReducibleError("step %d (max exponent %d): %s"
+                                    % (len(axes), max(st.row_max), exc)) from None
         axes.append(q)
         exps.append(b)
-        m = _rotate(m, AXES.index(q), b)
+        st = st.rotated(AXES.index(q), b)
     return _phased_form(u, axes, exps, residual, PhaseNotInRingError)
 
 

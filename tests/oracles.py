@@ -14,8 +14,10 @@ bookkeeping, products reduced by dense rows of zeta^e computed here from
 the naive cyclotomic polynomial, valuations read off the rational norm, multiplicities of Phi_s mod 2
 found by carry-less long division on bit lists, denominator exponents
 found by the iterated beta-divisibility chain, descent candidates built as
-generator products and scored without pruning, and dyadic fractions
-normalized one halving at a time.
+generator products and scored without pruning, the descent's exponent
+profile read entry by entry and its rotation step built four basis
+rotations per pencil, as before the descent carried its step state, and
+dyadic fractions normalized one halving at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from cycsynth import (
     Rotation,
     UnitaryRn,
 )
-from cycsynth.rings import _beta_exp_r
+from cycsynth.rings import _beta_exp_r, _over_common
 from cycsynth.su2 import AXES, w_exponent
 
 
@@ -453,12 +455,37 @@ def dense_candidate_entries(m, qi: int, b: int) -> list:
     return out
 
 
+def reference_exponent_profile(m):
+    """(max, per-row maxes) of the exponents of the nonzero entries, each
+    read off its RingElem (0 for a row of zeros)."""
+    row_max = tuple(max([_beta_exp_r(e) for e in row if not e.is_zero()], default=0)
+                    for row in m.rows)
+    return max(row_max), row_max
+
+
+def reference_rotate(m, qi: int, b: int) -> Rotation:
+    """R_q^(-b) M for q = AXES[qi], rows i1 < i2 other than qi: with
+    shift = sigma_q n/2 and the pencil Z_j = r1_j - i sigma_q r2_j over a
+    common 2^M, entry (i1, j) is Re(zeta^b Z_j) and entry (i2, j) is
+    Re(zeta^(b + shift) Z_j), each built as (zeta^c Z_j + zeta^-c conj(Z_j))
+    / 2^(M+1)."""
+    i1, i2 = [i for i in range(3) if i != qi]
+    shift = (1, -1, 1)[qi] * (m.ctx.n // 2)
+    rows = list(m.rows)
+    rows[i1], rows[i2] = [], []
+    for a, c in zip(m.rows[i1], m.rows[i2]):
+        x, y, top = _over_common(a, c)
+        y = y.times_zeta(shift)
+        z, zbar = x - y, x + y
+        for i, e in ((i1, b), (i2, b + shift)):
+            rows[i].append(RingElem(z.times_zeta(e) + zbar.times_zeta(-e), top + 1))
+    return Rotation(m.ctx, rows, check=False)
+
+
 def dense_axis_detect(m):
     """axis_detect by the dense scan: every candidate from generator
     products, scored exactly without pruning; same result and errors."""
-    row_max = [max([_beta_exp_r(e) for e in row if not e.is_zero()], default=0)
-               for row in m.rows]
-    cur_max = max(row_max)
+    cur_max, row_max = reference_exponent_profile(m)
     scores = {}
     for qi, q in enumerate(AXES):
         for b in range(1, m.ctx.n // 2):

@@ -3,9 +3,12 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cycsynth
 from cycsynth import (
     GateSequence,
     eval_sequence,
@@ -76,6 +79,13 @@ def test_synth_batch_parallel_matches_serial(tmp_path):
     code2, out2 = run_cli(["synth", "--n", "6", "--input", str(src), "--jobs", "2"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_cli_loads_the_process_pool_only_for_parallel_batches():
+    src = os.path.dirname(os.path.dirname(cycsynth.__file__))
+    check = "import sys, cycsynth.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0
 
 
 def test_synth_accepts_pretty_printed_json(tmp_path):
@@ -235,19 +245,41 @@ def test_member_command_positive(tmp_path):
     assert code == 0 and out.splitlines()[0] == "Member"
 
 
-def test_member_command_negative(tmp_path):
+def _non_member_json():
     from cycsynth import RingElem, UnitaryRn
     from test_synth import _infinite_order_unit
 
     ctx = make_context(14)
     one, zero = RingElem.one(ctx), RingElem.zero(ctx)
-    u = UnitaryRn(ctx, ((one, zero), (zero, _infinite_order_unit(ctx))))
-    path = "/tmp/cycsynth_nm.json"
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(u), fh)
-    code, out = run_cli(["member", "--n", "14", "--input", path])
-    os.unlink(path)
-    assert code == 1 and out.startswith("NotMember")
+    return matrix_to_json(UnitaryRn(ctx, ((one, zero), (zero, _infinite_order_unit(ctx)))))
+
+
+STUCK = "step 0 (max exponent 2): no candidate strictly reduces the exponent"
+
+
+def test_member_command_negative(tmp_path):
+    path = tmp_path / "nm.json"
+    path.write_text(json.dumps(_non_member_json()))
+    code, out = run_cli(["member", "--n", "14", "--input", str(path)])
+    assert code == 1 and out == "NotMember (descent: %s)\n" % STUCK
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["synth"], ""),
+    (["synth", "--jobs", "2"], ""),
+    (["tcount"], "tcount=0\ntcount=2\n"),
+])
+def test_batch_error_names_its_entry(tmp_path, capsys, argv, stdout):
+    # the 3rd line of a batch is a non-member: the error names that entry,
+    # while the output and the exit code stay as they were
+    ctx = make_context(14)
+    lines = [matrix_to_json(h0(ctx)), matrix_to_json(w_gate(ctx, 2)), _non_member_json(),
+             matrix_to_json(h0(ctx))]
+    src = tmp_path / "batch.jsonl"
+    src.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    code, out = run_cli(argv + ["--n", "14", "--input", str(src)])
+    assert (code, out) == (1, stdout)
+    assert capsys.readouterr().err == "error: entry 3: %s\n" % STUCK
 
 
 def test_check_finite_lemma_command():

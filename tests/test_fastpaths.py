@@ -2,7 +2,9 @@
 replaced (kept in oracles.py as the reference), the gate-application
 kernel and the gate constants against explicit matrices and general 2x2
 products, bloch against the six-product Bloch image, the mod-4 plane
-scan of the descent (every n) against full entries and the dense scan, and
+scan of the descent (every n) against full entries and the dense scan, the
+descent's carried step state against the rotation built from scratch, a
+fresh read of its residues and the entry-by-entry exponent profile, and
 the rewriting pass against the reference pass that keeps its pending
 Clifford as a unitary and tracks its own phase."""
 
@@ -62,11 +64,10 @@ from cycsynth.synth import (
     _SIGMA,
     _PlaneScan,
     _RewriteState,
+    _as_step,
     _axis_pencils,
     _candidate_rmax,
     _form_gates,
-    _rotate,
-    _rotated_entries,
     _step_residues,
 )
 from oracles import (
@@ -93,6 +94,8 @@ from oracles import (
     random_cycint,
     random_sequence,
     reference_canonicalize,
+    reference_exponent_profile,
+    reference_rotate,
     ring_complex,
 )
 
@@ -190,27 +193,49 @@ def test_products_match_dense_rows():
             assert a.galois(t) == dense_galois(a, t)
 
 
+def _first_step(m):
+    """The descent's step state of a plain matrix, checked against the
+    references: residues against a fresh read, row maxima against the
+    entry-by-entry profile."""
+    st = _as_step(m)
+    assert st == m and st.res == _step_residues(m)
+    assert st.row_max == reference_exponent_profile(m)[1]
+    return st
+
+
+def _advance(st, q, b):
+    """The carried step R_q^(-b) M, checked against the references: the
+    matrix against the rotation built from scratch, its residues against a
+    fresh read, its row maxima against the entry-by-entry profile."""
+    nxt = st.rotated(AXES.index(q), b)
+    assert nxt == reference_rotate(st, AXES.index(q), b)
+    # a step that has not been scored builds its own scan
+    assert _as_step(Rotation(st.ctx, st.rows, check=False)).rotated(AXES.index(q), b) == nxt
+    assert nxt.res == _step_residues(nxt)
+    assert nxt.row_max == reference_exponent_profile(nxt)[1]
+    return nxt
+
+
 @pytest.mark.parametrize("n", EXPONENT_NS)
 def test_rotation_scan_matches_generator_products(n):
-    # every candidate's six entries, the arg-min and the step update, on
-    # every descent step
+    # every candidate's six entries, the arg-min and the carried step
+    # update, on every descent step
     ctx = make_context(n)
     steps = 0
     for seed in range(3):
-        m = bloch(random_unitary(ctx, 12, 300 + seed)[0])
+        m = _first_step(bloch(random_unitary(ctx, 12, 300 + seed)[0]))
         while is_signed_permutation(m) is None:
-            res = _step_residues(m)
             for qi in range(3):
-                shift, pencils = _axis_pencils(m, qi)
-                scan = _PlaneScan(m, qi, res)
+                pencils = _axis_pencils(m.rows, qi)[1]
+                scan = _PlaneScan(m, qi)
                 for b in range(1, n // 2):
-                    got = list(_rotated_entries(shift, pencils, b))
+                    got = [e for j in range(3) for e in scan.pair(j, b)]
                     dense = dense_candidate_entries(m, qi, b)
                     assert got == dense
                     _check_plane_residues(scan, b, dense, [p[2] for p in pencils])
             q, b = axis_detect(m)
             assert (q, b) == dense_axis_detect(m)
-            nxt = _rotate(m, AXES.index(q), b)
+            nxt = _advance(m, q, b)
             assert nxt == product_generator(ctx, q, ctx.order - b) @ m
             m = nxt
             steps += 1
@@ -253,12 +278,12 @@ def test_candidate_scan_contract(n):
 
     checked = planes = 0
     for seed in range(2):
-        m = bloch(random_unitary(ctx, {32: 4, 64: 3}.get(n, 6), 900 + seed)[0])
+        m = _first_step(bloch(random_unitary(ctx, {32: 4, 64: 3}.get(n, 6), 900 + seed)[0]))
         while is_signed_permutation(m) is None:
-            res = _step_residues(m)
             for qi in range(3):
                 floor = max([r(e) for e in m.rows[qi] if not e.is_zero()], default=0)
-                scan = _PlaneScan(m, qi, res)
+                assert m.row_max[qi] == floor
+                scan = _PlaneScan(m, qi)
                 for b in range(1, n // 2):
                     entries = dense_candidate_entries(m, qi, b)
                     exps = [None if e.is_zero() else r(e) for e in entries]
@@ -282,7 +307,7 @@ def test_candidate_scan_contract(n):
                         checked += 1
             q, b = axis_detect(m)
             assert (q, b) == dense_axis_detect(m)
-            m = _rotate(m, AXES.index(q), b)
+            m = _advance(m, q, b)
     assert checked > 0
     assert planes > 0
 
@@ -307,12 +332,12 @@ def test_plane_scan_rejects_like_dense_scan(n):
     # reduces the exponent
     ctx = make_context(n)
     u, _ = random_unitary(ctx, 10, 40 + n)
-    m = Rotation(ctx, [[-e for e in row] for row in bloch(u).rows], check=False)
+    m = _first_step(Rotation(ctx, [[-e for e in row] for row in bloch(u).rows], check=False))
     steps = 0
     while m.signed_perm_key() is None:
         q, b = axis_detect(m)
         assert (q, b) == dense_axis_detect(m)
-        m = _rotate(m, AXES.index(q), b)
+        m = _advance(m, q, b)
         steps += 1
     assert steps > 0 and is_signed_permutation(m) is None
     with pytest.raises(NotReducibleError) as want:
@@ -328,7 +353,7 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
     # _PlaneScan.score, and builds an entry in full only through
     # _PlaneScan.entry
     ctx = make_context(n)
-    scored, calls = [], {"entry": 0, "built": 0}
+    scored, calls = [], {"entry": 0, "built": 0, "elem": 0}
     score, entry, pencil_entry = _PlaneScan.score, _PlaneScan.entry, synth._pencil_entry
 
     def counted_score(self, b, floor, cutoff):
@@ -343,11 +368,16 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
         calls["built"] += 1
         return pencil_entry(pencil, c)
 
+    def counted_elem(num, m=0):
+        calls["elem"] += 1
+        return RingElem(num, m)
+
     monkeypatch.setattr(_PlaneScan, "score", counted_score)
     monkeypatch.setattr(_PlaneScan, "entry", counted_entry)
     monkeypatch.setattr(synth, "_pencil_entry", counted_pencil_entry)
-    m = bloch(random_unitary(ctx, 30, 77)[0])
-    steps = 0
+    monkeypatch.setattr(synth, "RingElem", counted_elem)
+    m = _as_step(bloch(random_unitary(ctx, 30, 77)[0]))
+    steps = reused = 0
     while is_signed_permutation(m) is None:
         scored.clear()
         calls.update(entry=0, built=0)
@@ -355,9 +385,14 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
         axes = sorted({qi for qi, _ in scored})
         assert axes and sorted(scored) == [(qi, c) for qi in axes for c in range(1, n // 2)]
         assert calls["built"] == calls["entry"]
-        m = _rotate(m, AXES.index(q), b)
+        # the rotation builds only the winner's entries the scan did not
+        kept = sum(1 for _, c in m.scan.built if c == b)
+        calls.update(elem=0, built=0)
+        m = m.rotated(AXES.index(q), b)
+        assert (calls["elem"], calls["built"]) == (6 - kept, 0)
         steps += 1
-    assert steps >= 3
+        reused += kept
+    assert steps >= 3 and reused > 0
 
 
 def _residue_with_multiplicity(ctx, rng, mult, shift):
@@ -410,16 +445,18 @@ def test_one_shift_normalization_matches_halving(n):
     ctx = make_context(n)
     raw = [(ctx.zero(), 3), (ctx.zero(), 0), (ctx.from_int(12), 0),
            (ctx.from_int(48), 2), (ctx.from_int(-40), 7)]
-    m = bloch(random_unitary(ctx, {4: 40, 32: 6, 64: 4}.get(n, 10), 500 + n)[0])
+    m = _as_step(bloch(random_unitary(ctx, {4: 40, 32: 6, 64: 4}.get(n, 10), 500 + n)[0]))
     while is_signed_permutation(m) is None:
         for qi in range(3):
-            shift, pencils = _axis_pencils(m, qi)
+            shift, pencils = _axis_pencils(m.rows, qi)
             for b in range(1, n // 2):
                 for z, zbar, top in pencils:
-                    for c in (b, b + shift):
-                        raw.append((z.times_zeta(c) + zbar.times_zeta(-c), top))
+                    raw.append((z.times_zeta(b) + zbar.times_zeta(-b), top))
+                    raw.append((z.times_zeta(b + shift) + zbar.times_zeta(-b - shift), top))
+                    a, c = z.times_zeta(b), zbar.times_zeta(-b)
+                    raw.append(((a - c).times_zeta(shift), top))
         q, b = axis_detect(m)
-        m = _rotate(m, AXES.index(q), b)
+        m = m.rotated(AXES.index(q), b)
     raw += [(num * 8, top + 1) for num, top in raw[5:200]]
     assert len(raw) > 300
     for num, top in raw:

@@ -32,6 +32,7 @@ from cycsynth import (
     u_axis,
     uz_power,
 )
+from cycsynth.rings import _beta_exp_r
 from cycsynth.synth import _RewriteState, bfs_cosets, witness_unitary
 from oracles import random_sequence
 
@@ -309,6 +310,51 @@ def test_membership_rejects_infinite_order_diagonal(n):
     u = UnitaryRn(ctx, ((one, zero), (zero, u_val)))
     res = membership(u)
     assert not res.is_member
+
+
+@pytest.mark.parametrize("n", [14, 28])
+def test_stuck_descent_names_its_step_and_exponent(n):
+    # A canonical product of rotations, the last about x, times a diagonal
+    # non-member: the descent peels the rotations and sticks on the rest,
+    # at the step numbered by the rotations peeled.
+    ctx = make_context(n)
+    one, zero = RingElem.one(ctx), RingElem.zero(ctx)
+    bad = UnitaryRn(ctx, ((one, zero), (zero, _infinite_order_unit(ctx))))
+    stuck_max = max(_beta_exp_r(e) for row in bloch(bad).rows for e in row if not e.is_zero())
+    factors = [("y", 3), ("z", 2), ("x", 1)]
+    for m in range(len(factors) + 1):
+        good = UnitaryRn.identity(ctx)
+        for p, a in factors[len(factors) - m:]:
+            good = good @ u_axis(ctx, p, 1, a)
+        assert canonical_form(good).m == m
+        want = "step %d (max exponent %d): no candidate strictly reduces the exponent" % (
+            m, stuck_max)
+        with pytest.raises(NotReducibleError) as exc:
+            canonical_form(good @ bad)
+        assert str(exc.value) == want
+        assert membership(good @ bad).reason == "descent: " + want
+
+
+def test_descent_calls_the_public_axis_detect_once_per_step(monkeypatch):
+    # Tracing hooks synth.axis_detect by name, so each descent step must
+    # go through it: one call per factor of the form, none for a Clifford.
+    from cycsynth import synth
+
+    calls = [0]
+    plain = synth.axis_detect
+
+    def counted(m):
+        calls[0] += 1
+        return plain(m)
+
+    monkeypatch.setattr(synth, "axis_detect", counted)
+    for n, tc in ((4, 0), (4, 9), (12, 20), (16, 8), (30, 5)):
+        ctx = make_context(n)
+        for seed in range(2):
+            calls[0] = 0
+            cf = canonical_form(random_unitary(ctx, tc, 60 + seed)[0])
+            assert calls[0] == cf.m
+            assert cf.m > 0 or tc == 0
 
 
 # -- brute force -----------------------------------------------------------------------
