@@ -91,8 +91,12 @@ def _read_matrices(path: str, expect_n: int) -> list[UnitaryRn]:
                 ) from None
     out = []
     for idx, obj in enumerate(objs):
-        _check_n(obj, expect_n, "entry %d" % (idx + 1))
-        out.append(matrix_from_json(obj))
+        what = "entry %d" % (idx + 1)
+        _check_n(obj, expect_n, what)
+        try:
+            out.append(matrix_from_json(obj))
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (what, exc)) from None
     return out
 
 

@@ -203,7 +203,7 @@ class Context:
         """The value stored under key, or build() stored there on first use.
 
         Holds the lazily built tables of this context (the Clifford group,
-        quarter-turn rotation generators, beta, ...), one entry per table;
+        its index moves, each emission block, beta, ...), one entry each;
         build() must not return None.  Two threads may both build a missing
         entry, and either result is kept.
         """

@@ -15,13 +15,13 @@ discrete rotations.  fn_census() measures how often that holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .cyclo import VALUATION_NS, Context, CycInt, factorize, make_context, two_adic
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
-from .rings import RingElem, as_zeta_power, mu
+from .rings import RingElem, _over_common, as_zeta_power, mu
 from .su2 import GateSequence, UnitaryRn, _apply_line, _strip, _word_gates, eval_sequence, token_w
 
 __all__ = [
@@ -211,6 +211,7 @@ class ColumnRn:
 
     x: RingElem
     y: RingElem
+    _measure: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.x.abs2() + self.y.abs2() != RingElem.one(self.x.ctx):
@@ -221,7 +222,10 @@ class ColumnRn:
         return self.x.ctx
 
     def measure(self) -> int:
-        return mu(self.x, self.y)
+        """mu(x, y), read once per column."""
+        if self._measure is None:
+            object.__setattr__(self, "_measure", mu(self.x, self.y))
+        return self._measure
 
     def apply_step(self, k: int) -> "ColumnRn":
         """The column H0 U_z(pi k / n) (x, y)^T.
@@ -238,18 +242,32 @@ def _step(x: RingElem, y: RingElem, k: int) -> tuple[RingElem, RingElem]:
 
 
 def reduce_column_step(col: ColumnRn) -> tuple[int, ColumnRn]:
-    """One strictly measure-decreasing step H0 U_z(pi k/n), smallest such k;
-    each k is scored on the raw pair, and only the step returned is checked."""
+    """One strictly measure-decreasing step H0 U_z(pi k/n), smallest such k.
+
+    Each k is scored without building the step: for x, y over a common
+    2^m, H0 U_z(pi k/n) (x, y)^T = (1 + i) (x + zeta^k y, x - zeta^k y) /
+    2^(m+1), and v(1 + i) is mu_threshold, so its measure is
+    (m + 1) v(2) - mu_threshold - min(v(x + zeta^k y), v(x - zeta^k y)).
+    Only the winning column is built, and its measure, which it keeps for
+    the next step, must be the score (IntegrityError otherwise).
+    """
     ctx = col.ctx
     if ctx.n not in RING_EQUALITY_NS:
         raise ValueError("column reduction is defined for n in %r" % (RING_EQUALITY_NS,))
     m0 = col.measure()
     if m0 <= mu_threshold(ctx):
         raise ValueError("column is already at or below the base-case measure")
+    x, y, m = _over_common(col.x, col.y)
+    base = (m + 1) * ctx.ram_index - mu_threshold(ctx)
     for k in range(1, ctx.order + 1):
-        x, y = _step(col.x, col.y, k)
-        if mu(x, y) < m0:
-            return k, ColumnRn(x, y)
+        yk = y.times_zeta(k)
+        score = base - min((x + yk).valuation(), (x - yk).valuation())
+        if score < m0:
+            nxt = ColumnRn(*_step(col.x, col.y, k))
+            if nxt.measure() != score:
+                raise IntegrityError("column step k=%d has measure %d, scored %d"
+                                     % (k, nxt.measure(), score))
+            return k, nxt
     raise NoReducingKError("no phase reduces the column measure")
 
 

@@ -161,21 +161,12 @@ def bloch(u: UnitaryRn) -> Rotation:
 
 
 def rotation_generator(ctx: Context, p: str, a: int) -> Rotation:
-    """Exact Bloch image of the pi*a/n rotation about axis p.
-
-    Only the quarter turns (a a multiple of n/2), which the rewriting pass
-    reads per W block, are memoized; the descent builds its candidates
-    without generators, so a table of all 3 * 2n images would be held for
-    nothing.
-    """
+    """Exact Bloch image of the pi*a/n rotation about axis p, built on each
+    call: the descent builds its candidates without generators, and the
+    rewriting pass reads its quarter turns from a table of Clifford indices."""
     if p not in AXES:
         raise ValueError("axis must be one of %r" % (AXES,))
-    a %= ctx.order
-
-    def image():
-        return bloch(u_axis(ctx, p, 1, a))
-
-    return image() if a % (ctx.n // 2) else ctx.memo(("rotation_generator", p, a), image)
+    return bloch(u_axis(ctx, p, 1, a % ctx.order))
 
 
 @dataclass(frozen=True)

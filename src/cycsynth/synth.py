@@ -23,12 +23,18 @@ from the pencils and entries the winning scan already holds.
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
 and never looks at denominator exponents, so it serves as an independent
-cross-check of the descent.  It rewrites up to a global phase, on Bloch
-images alone, and builds no unitary of its own.  Both routes read the
-form's phase one way: the form's gates are stripped off the unitary (the
-word's, for the rewriting pass), and the rest must be zeta^j I; so the
-rewriting pass checks its whole result, factors included, against the
-word.
+cross-check of the descent.  It rewrites up to a global phase and builds
+no unitary or rotation of its own: its pending Clifford is an index into
+the 24-element Clifford group, moved by one per-context table built once
+from Rotation products (_clifford_moves).  Both routes read the form's
+phase one way: the form's gates are stripped off the unitary (the word's,
+for the rewriting pass), and the rest must be zeta^j I; so the rewriting
+pass checks its whole result, factors included, against the word.
+
+to_circuit() emits each factor from a per-context block, its tokens and
+phase delta, checked once against the factor's gate (_emission_block).
+The descent has already stripped the form off the unitary, so the word
+equals the unitary by construction, and membership does not evaluate it.
 """
 
 from __future__ import annotations
@@ -528,40 +534,56 @@ def _form_gates(ctx: Context, axes, exps, residual: CliffordRot, phase: int = 0)
 # -- rewriting oracle ----------------------------------------------------------
 
 
+def _clifford_moves(ctx: Context) -> dict:
+    """The rewriting pass's table over the indices into clifford_group(ctx):
+    per index i, moves[t][i] is the index of C_i G for t = "H", "S" (G the
+    gate's Bloch image) and moves[p, q][i] that of U_p(q pi/2) C_i for
+    q = 1, 2, 3, and moves["z"][i] is the signed axis (p, sign) that C_i
+    sends Z to, the signed unit in its third column.  Built once, from
+    Rotation products."""
+    group = clifford_group(ctx)
+    index = {c.rotation.signed_perm_key(): i for i, c in enumerate(group)}
+    gates = {c.word[0]: c.rotation for c in group if len(c.word) == 1}
+    moves = {t: [index[(c.rotation @ gates[t]).signed_perm_key()] for c in group]
+             for t in ("H", "S")}
+    for p in AXES:
+        for q in (1, 2, 3):
+            turn = rotation_generator(ctx, p, q * (ctx.n // 2))
+            moves[p, q] = [index[(turn @ c.rotation).signed_perm_key()] for c in group]
+    moves["z"] = []
+    for c in group:
+        col = c.rotation.signed_perm_key()[2::3]
+        i = next(i for i, v in enumerate(col) if v)
+        moves["z"].append((AXES[i], col[i]))
+    return moves
+
+
 class _RewriteState:
     """The rewriting pass's prefix of the input, kept up to a global phase
     as rotation factors (adjacent axes distinct) times a pending Clifford.
 
-    The pending Clifford is kept only as its Bloch image pend_rot, which
-    fixes it up to that phase; the pass builds no unitary of its own.
+    The pending Clifford is kept only as its index pend into
+    clifford_group(ctx), which fixes it up to that phase, and moves by the
+    table _clifford_moves; the pass builds no unitary and no rotation.
     """
 
-    __slots__ = ("ctx", "factors", "pend_rot")
+    __slots__ = ("ctx", "factors", "pend", "moves")
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self.factors: list[tuple[str, int]] = []
-        self.pend_rot = Rotation.identity(ctx)
+        self.pend = 0  # clifford_group(ctx)[0] is the identity, word ()
+        self.moves = ctx.memo("clifford_moves", lambda: _clifford_moves(ctx))
 
-    def absorb_clifford_right(self, rot: Rotation) -> None:
-        # The Bloch image of H or S joins the pending Clifford from the right.
-        self.pend_rot = self.pend_rot @ rot
+    def absorb_clifford_right(self, tok: str) -> None:
+        # H or S joins the pending Clifford from the right.
+        self.pend = self.moves[tok][self.pend]
 
     def absorb_clifford_left(self, p: str, quarter_turns: int) -> None:
         # U_p(pi/2)^q joins the pending Clifford from the factor side.
-        ctx = self.ctx
-        a = (quarter_turns * (ctx.n // 2)) % ctx.order
-        if a:
-            self.pend_rot = rotation_generator(ctx, p, a) @ self.pend_rot
-
-    def conjugated_z_axis(self) -> tuple[str, int]:
-        # Image of Z under the pending Clifford: the signed unit column z.
-        col = [self.pend_rot.rows[i][2] for i in range(3)]
-        for i, e in enumerate(col):
-            v = e.as_int()
-            if v in (1, -1):
-                return AXES[i], v
-        raise IntegrityError("pending Clifford image of Z is not a signed axis")
+        q = quarter_turns % 4
+        if q:
+            self.pend = self.moves[p, q][self.pend]
 
     def push_factor(self, p: str, sign: int, a: int) -> None:
         """Insert U_{sign p}(a pi/n), up to a phase, immediately left of the
@@ -593,58 +615,69 @@ def canonicalize_sequence(seq: GateSequence, ctx: Context) -> CanonicalForm:
     """
     u = eval_sequence(seq, ctx)
     st = _RewriteState(ctx)
-    words = {c.word: c.rotation for c in clifford_group(ctx)}
     for tok in seq.tokens:
         if tok in ("H", "S"):
-            st.absorb_clifford_right(words[(tok,)])
+            st.absorb_clifford_right(tok)
         else:
-            p, sign = st.conjugated_z_axis()
+            p, sign = st.moves["z"][st.pend]  # the image of Z, a signed axis
             st.push_factor(p, sign, w_exponent(tok))
-    residual = is_signed_permutation(st.pend_rot)
-    if residual is None:
-        raise IntegrityError("pending Clifford is not a signed permutation")
     return _phased_form(u, [p for p, _ in st.factors], [a for _, a in st.factors],
-                        residual, IntegrityError)
+                        clifford_group(ctx)[st.pend], IntegrityError)
 
 
 # -- emission -------------------------------------------------------------------
 
 
-def _emit_conjugated(ctx: Context, p: str, sign: int, middle: str) -> tuple[list[str], int]:
-    # Tokens C middle C^dagger, C mapping Z to sign*p: with middle W^a this is
-    # U_{sign p}(a pi/n) and with middle S the Clifford U_p(pi/2), in both
-    # cases exactly as zeta^(-comp) * eval(tokens); comp returned in phase units.
-    word = CONJ_WORDS[(p, sign)]
-    inv, h_count = dagger_tokens(word)
-    tokens = list(word) + [middle] + list(inv)
-    return tokens, (h_count * (ctx.n // 2)) % ctx.order
+def _emission_block(ctx: Context, p: str, a: int) -> tuple[tuple[str, ...], int]:
+    """Tokens and phase delta d with zeta^d eval(tokens) = U_p(a pi/n), at W
+    cost min(a, n/2 - a): C W^a C^dagger, C = CONJ_WORDS[p, +1], when
+    a <= n/4, otherwise through the inversion identity U_p(a) =
+    zeta^(a - n/2) U_p(pi/2) U_{-p}(n/2 - a) with U_p(pi/2) = C S C^dagger.
+    Kept per context and checked once, on first use, against the kernel
+    gate U_p(a pi/n) (IntegrityError otherwise)."""
+    half = ctx.n // 2
+
+    def conjugated(sign: int, middle: str):
+        # C' middle C'^dagger, C' mapping Z to sign*p, is zeta^comp times the
+        # conjugated gate, comp = h n/2 for the h tokens H in C' (H0^2 = i I).
+        word = CONJ_WORDS[p, sign]
+        inv, h_count = dagger_tokens(word)
+        return word + (middle,) + inv, h_count * half
+
+    def build():
+        if a <= half // 2:
+            toks, comp = conjugated(1, token_w(a))
+        else:
+            qt, qcomp = conjugated(1, "S")
+            mt, mcomp = conjugated(-1, token_w(half - a))
+            toks, comp = qt + mt, qcomp + mcomp + half - a
+        delta = -comp % ctx.order
+        if eval_sequence(GateSequence(delta, toks), ctx) != u_axis(ctx, p, 1, a):
+            raise IntegrityError("emission block for U_%s(%d pi/n) does not reproduce "
+                                 "its gate" % (p, a))
+        return toks, delta
+
+    return ctx.memo(("emission_block", p, a), build)
 
 
 def to_circuit(cf: CanonicalForm) -> GateSequence:
     """Emit a {H, S, W} word for the canonical form with optimal W cost.
 
-    Each factor U_p(a pi/n) costs min(a, n/2 - a): directly conjugated W^a
-    when a <= n/4, otherwise through the inversion identity
-    U_p(a) = zeta^(a - n/2) U_p(pi/2) U_{-p}(n/2 - a).
+    Each factor U_p(a pi/n) costs min(a, n/2 - a).  Its block is checked
+    against the kernel gate once per context (_emission_block), so the
+    word is the form exactly: zeta^phase, each factor's block, the
+    residual's word.
     """
     ctx = make_context(cf.n)
-    half = cf.n // 2
     tokens: list[str] = []
-    # Each emitted block evaluates to zeta^comp times its gate, so the
-    # leading PH token compensates by subtracting every comp.
+    # Each block evaluates to its gate times zeta^-delta, so the leading PH
+    # token compensates by adding every delta.
     phase = cf.phase_power
     for p, a in zip(cf.axes, cf.exponents):
-        if a <= cf.n // 4:
-            toks, comp = _emit_conjugated(ctx, p, 1, token_w(a))
-            tokens += toks
-            phase -= comp
-        else:
-            b = half - a
-            qt, qcomp = _emit_conjugated(ctx, p, 1, "S")
-            mt, mcomp = _emit_conjugated(ctx, p, -1, token_w(b))
-            tokens += qt + mt
-            phase -= qcomp + mcomp + b
-    tokens += list(cf.residual.word)
+        toks, delta = _emission_block(ctx, p, a)
+        tokens += toks
+        phase += delta
+    tokens += cf.residual.word
     return GateSequence(phase % ctx.order, tuple(tokens))
 
 
@@ -656,8 +689,10 @@ def tcount(u: UnitaryRn) -> int:
 def membership(u: UnitaryRn) -> MembershipResult:
     """Decide synthesizability; Member results carry an exact circuit.
 
-    Member verdicts are always sound: the returned circuit re-evaluates to
-    the input exactly.  NotMember verdicts are sound for synthesizable
+    Member verdicts are always sound: canonical_form has stripped the
+    form's gates off the input and read zeta^j I, and to_circuit emits each
+    gate from a block checked against it, so the returned circuit evaluates
+    to the input exactly.  NotMember verdicts are sound for synthesizable
     inputs by uniqueness of the canonical form; for n in {2, 4, 6, 8, 12}
     they are also complete (every unitary over the ring comes back Member),
     while for other n the stuck-descent rule has no completeness proof.
@@ -668,10 +703,7 @@ def membership(u: UnitaryRn) -> MembershipResult:
         return MembershipResult(False, None, "descent: %s" % exc)
     except PhaseNotInRingError:
         return MembershipResult(False, None, "phase")
-    seq = to_circuit(cf)
-    if eval_sequence(seq, u.ctx) != u:
-        raise IntegrityError("emitted circuit does not reproduce the input")
-    return MembershipResult(True, seq, None)
+    return MembershipResult(True, to_circuit(cf), None)
 
 
 # -- brute-force oracle ----------------------------------------------------------
@@ -759,7 +791,8 @@ def random_unitary(
 
     Draws factors whose costs min(a, n/2 - a) sum to the target, adjacent
     axes distinct, then a random Clifford and global phase.  By uniqueness
-    of the canonical form the synthesized cost equals the target.
+    of the canonical form the synthesized cost equals the target.  The
+    witness word is that form's emission, exact by its checked blocks.
     """
     if target_tcount < 0:
         raise ValueError("target_tcount must be nonnegative")
@@ -782,7 +815,4 @@ def random_unitary(
     phase = rng.randrange(ctx.order)
     axes, exps = tuple(p for p, _ in factors), tuple(a for _, a in factors)
     u = apply_gates(UnitaryRn.identity(ctx), _form_gates(ctx, axes, exps, residual, phase))
-    seq = to_circuit(CanonicalForm(ctx.n, axes, exps, residual, phase))
-    if eval_sequence(seq, ctx) != u:
-        raise IntegrityError("random instance witness does not evaluate back")
-    return u, seq
+    return u, to_circuit(CanonicalForm(ctx.n, axes, exps, residual, phase))

@@ -10,14 +10,16 @@ U_{+-p}(a pi/n) written out entry by entry (U_p as the expansion
 2x2 products of those, Bloch images from six 2x2 products with the SO(3)
 check and the rotation generators built from them, the rewriting pass
 with its pending Clifford kept as a unitary and its own phase
-bookkeeping, products reduced by dense rows of zeta^e computed here from
-the naive cyclotomic polynomial, valuations read off the rational norm, multiplicities of Phi_s mod 2
-found by carry-less long division on bit lists, denominator exponents
-found by the iterated beta-divisibility chain, descent candidates built as
-generator products and scored without pruning, the descent's exponent
-profile read entry by entry and its rotation step built four basis
-rotations per pencil, as before the descent carried its step state, and
-dyadic fractions normalized one halving at a time.
+bookkeeping, the pass's Clifford index table from Rotation products,
+column-reduction steps built and measured for every k, products reduced
+by dense rows of zeta^e computed here from the naive cyclotomic
+polynomial, valuations read off the rational norm, multiplicities of
+Phi_s mod 2 found by carry-less long division on bit lists, denominator
+exponents found by the iterated beta-divisibility chain, descent
+candidates built as generator products and scored without pruning, the
+descent's exponent profile read entry by entry and its rotation step
+built four basis rotations per pencil, as before the descent carried its
+step state, and dyadic fractions normalized one halving at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from functools import cache
 from cycsynth import (
     CanonicalForm,
     CliffordRot,
+    ColumnRn,
     CycInt,
     GateSequence,
     NotReducibleError,
@@ -38,7 +41,7 @@ from cycsynth import (
     Rotation,
     UnitaryRn,
 )
-from cycsynth.rings import _beta_exp_r, _over_common
+from cycsynth.rings import _beta_exp_r, _over_common, mu
 from cycsynth.su2 import AXES, w_exponent
 
 
@@ -434,6 +437,43 @@ def reference_canonicalize(seq: GateSequence, ctx) -> CanonicalForm:
     j = next(j for j in range(order) if rest == matrix_scalar(ctx, j))
     return CanonicalForm(ctx.n, tuple(p for p, _ in factors), tuple(a for _, a in factors),
                          CliffordRot(rot, word), j)
+
+
+def reference_clifford_moves(ctx, group) -> dict:
+    """The rewriting pass's table over indices into group, from Rotation
+    products, as the pass computed them before it kept an index: C_i times
+    product_bloch of H0 or S on the right, product_generator of the quarter
+    turn U_p(q pi/2) on the left, and Z's image read off the third column."""
+    index = {c.rotation: i for i, c in enumerate(group)}
+    gates = {"H": product_bloch(matrix_h0(ctx)), "S": product_bloch(matrix_uz(ctx, ctx.n // 2))}
+    moves = {t: [index[c.rotation @ g] for c in group] for t, g in gates.items()}
+    for p in AXES:
+        for q in (1, 2, 3):
+            turn = product_generator(ctx, p, q * (ctx.n // 2))
+            moves[p, q] = [index[turn @ c.rotation] for c in group]
+    moves["z"] = []
+    for c in group:
+        col = [row[2].as_int() for row in c.rotation.rows]
+        i = next(i for i, v in enumerate(col) if v in (1, -1))
+        moves["z"].append((AXES[i], col[i]))
+    return moves
+
+
+# -- reference column reduction ----------------------------------------------------
+
+
+def reference_reduce_column_step(col):
+    """(k, column) of the smallest k whose step H0 U_z(pi k/n), applied by a
+    general product with the explicit matrices, lowers the column's measure;
+    every k up to the winner is built in full and measured."""
+    ctx = col.ctx
+    m0 = mu(col.x, col.y)
+    for k in range(1, ctx.order + 1):
+        (a, b), (c, d) = (matrix_h0(ctx) @ matrix_uz(ctx, k % ctx.order)).rows
+        x, y = a * col.x + b * col.y, c * col.x + d * col.y
+        if mu(x, y) < m0:
+            return k, ColumnRn(x, y)
+    raise AssertionError("no phase reduces the column measure")
 
 
 # -- dense descent scan ----------------------------------------------------------

@@ -282,6 +282,21 @@ def test_batch_error_names_its_entry(tmp_path, capsys, argv, stdout):
     assert capsys.readouterr().err == "error: entry 3: %s\n" % STUCK
 
 
+@pytest.mark.parametrize("command", ("member", "synth", "tcount"))
+def test_batch_matrix_error_names_its_entry(tmp_path, capsys, command):
+    # line 2 parses as JSON, but one coefficient bumped by 2 leaves it no
+    # unitary: the error names that entry, exit code 2, nothing on stdout
+    ctx = make_context(8)
+    bad = matrix_to_json(w_gate(ctx, 3))
+    bad["entries"][1][1][0] += 2
+    src = tmp_path / "batch.jsonl"
+    src.write_text("".join(json.dumps(obj) + "\n"
+                           for obj in (matrix_to_json(h0(ctx)), bad, matrix_to_json(h0(ctx)))))
+    code, out = run_cli([command, "--n", "8", "--input", str(src)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: entry 2: matrix is not unitary over the ring\n"
+
+
 def test_check_finite_lemma_command():
     code, out = run_cli(["check-finite-lemma", "--n", "8"])
     assert code == 0 and out.strip() == "true"

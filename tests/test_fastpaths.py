@@ -4,9 +4,12 @@ kernel and the gate constants against explicit matrices and general 2x2
 products, bloch against the six-product Bloch image, the mod-4 plane
 scan of the descent (every n) against full entries and the dense scan, the
 descent's carried step state against the rotation built from scratch, a
-fresh read of its residues and the entry-by-entry exponent profile, and
-the rewriting pass against the reference pass that keeps its pending
-Clifford as a unitary and tracks its own phase."""
+fresh read of its residues and the entry-by-entry exponent profile, the
+rewriting pass against the reference pass that keeps its pending
+Clifford as a unitary and tracks its own phase, its Clifford index table
+against Rotation products, the emission blocks against explicit
+matrices, and column reduction, scored on valuations, against building
+and measuring every step."""
 
 import ast
 import io
@@ -14,6 +17,8 @@ import json
 import math
 import pathlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -42,6 +47,7 @@ from cycsynth import (
     iter_census,
     make_context,
     matrix_to_json,
+    membership,
     mu_threshold,
     pauli,
     phase_condition,
@@ -52,11 +58,13 @@ from cycsynth import (
     s_gate,
     scalar_gate,
     synthesize_ring,
+    to_circuit,
     u_axis,
     uz_power,
     w_gate,
 )
-from cycsynth import cli, synth
+from cycsynth import cli, ringsynth, su2, synth
+from cycsynth.errors import IntegrityError
 from cycsynth.rings import _beta_exp_r
 from cycsynth.so3 import Rotation
 from cycsynth.su2 import AXES, _strip, token_w
@@ -94,7 +102,9 @@ from oracles import (
     random_cycint,
     random_sequence,
     reference_canonicalize,
+    reference_clifford_moves,
     reference_exponent_profile,
+    reference_reduce_column_step,
     reference_rotate,
     ring_complex,
 )
@@ -557,19 +567,19 @@ def test_apply_step_matches_product(n):
 def test_absorb_clifford_matches_products(n):
     ctx = make_context(n)
     rng = random.Random(110 + n)
-    words = {c.word: c.rotation for c in clifford_group(ctx)}
+    group = clifford_group(ctx)
     st = _RewriteState(ctx)
     want = UnitaryRn.identity(ctx)
     for _ in range(40):
         if rng.random() < 0.6:
             tok = rng.choice("HS")
-            st.absorb_clifford_right(words[(tok,)])
+            st.absorb_clifford_right(tok)
             want = want @ (matrix_h0(ctx) if tok == "H" else matrix_uz(ctx, n // 2))
         else:
             p, q = rng.choice(AXES), rng.randrange(4)
             st.absorb_clifford_left(p, q)
             want = matrix_u_axis(ctx, p, 1, q * (n // 2) % ctx.order) @ want
-        assert st.pend_rot == product_bloch(want)
+        assert group[st.pend].rotation == product_bloch(want)
 
 
 @pytest.mark.parametrize("n", EVEN_NS)
@@ -588,6 +598,149 @@ def test_rewriting_ring_circuits_match_reference_pass(n):
     for seed in range(3):
         seq = synthesize_ring(random_unitary(ctx, 0 if n == 2 else 20, 170 + seed)[0])
         assert canonicalize_sequence(seq, ctx) == reference_canonicalize(seq, ctx)
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_clifford_moves_match_rotation_products(n):
+    ctx = make_context(n)
+    group = clifford_group(ctx)
+    assert group[0].word == ()
+    assert synth._clifford_moves(ctx) == reference_clifford_moves(ctx, group)
+
+
+@pytest.mark.parametrize("n", (4, 8, 12))
+def test_wrong_clifford_move_is_caught_by_the_strip(n):
+    # one wrong entry in the table: the pass follows it, and the form it
+    # reaches no longer strips off the word
+    ctx = make_context(n)
+    seq = GateSequence(2, ("H", "W", "S", "H", "W^2", "S", "H"))
+    want = canonicalize_sequence(seq, ctx)
+    moves = {key: list(row) for key, row in synth._clifford_moves(ctx).items()}
+    s_index = next(i for i, c in enumerate(clifford_group(ctx)) if c.word == ("S",))
+    moves["S"][0] = s_index + 1  # S from the identity lands on the wrong Clifford
+    fresh = Context(n)
+    fresh.memo("clifford_moves", lambda: moves)
+    with pytest.raises(IntegrityError, match="form does not reproduce"):
+        canonicalize_sequence(GateSequence(0, ("S",) + seq.tokens), fresh)
+    assert canonicalize_sequence(seq, make_context(n)) == want
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_emission_blocks_match_explicit_matrices(n):
+    ctx = make_context(n)
+    for p in AXES:
+        for a in range(1, n // 2):
+            toks, delta = synth._emission_block(ctx, p, a)
+            seq = GateSequence(delta, toks)
+            assert product_eval_sequence(seq, ctx) == matrix_u_axis(ctx, p, 1, a), (p, a)
+            assert seq.cost() == min(a, n // 2 - a)
+
+
+def test_corrupted_emission_block_raises_on_first_use(monkeypatch):
+    # a conjugator that sends Z to x, not y: the block for U_y(3 pi/n) is
+    # U_x(3 pi/n), and its first use shows it
+    fresh = Context(8)
+    monkeypatch.setitem(synth.CONJ_WORDS, ("y", 1), ("H",))
+    with pytest.raises(IntegrityError, match=r"emission block for U_y\(3 pi/n\)"):
+        synth._emission_block(fresh, "y", 3)
+    monkeypatch.undo()
+    # nothing wrong was kept, and the correct block checks out
+    assert synth._emission_block(fresh, "y", 3) == synth._emission_block(make_context(8), "y", 3)
+
+
+def test_concurrent_first_use_of_rewrite_and_emission_tables():
+    # Each table is one memo entry built whole, and a rebuild is equal, so
+    # threads that fill a fresh context together all read the same results.
+    seq = GateSequence(3, ("H", "W^5", "S", "W", "H", "W^7", "S", "S", "W^2"))
+    want = canonicalize_sequence(seq, make_context(12))
+    blocks = {(p, a): synth._emission_block(make_context(12), p, a)
+              for p in AXES for a in range(1, 6)}
+    fresh = Context(12)
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append((canonicalize_sequence(seq, fresh),
+                            {key: synth._emission_block(fresh, *key) for key in blocks}))
+        except Exception as exc:  # recorded, asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [(want, blocks)] * 8
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 12))
+def test_reduce_column_step_matches_build_every_k(n):
+    ctx = make_context(n)
+    rng = random.Random(180 + n)
+    steps = 0
+    for draw in range(6):
+        if draw % 2:
+            u = product_eval_sequence(random_sequence(ctx, rng, 24), ctx)
+        else:
+            u = random_unitary(ctx, 8 * draw + 4, rng.getrandbits(32))[0]
+        col = ColumnRn(*u.first_column())
+        while col.measure() > mu_threshold(ctx):
+            k, nxt = reduce_column_step(col)
+            assert (k, nxt) == reference_reduce_column_step(col)
+            col, steps = nxt, steps + 1
+    assert steps >= 20
+
+
+def test_column_step_checks_its_score(monkeypatch):
+    # a built step that is not the scored one: here the column left as it was
+    ctx = make_context(8)
+    col = ColumnRn(*random_unitary(ctx, 10, 185)[0].first_column())
+    monkeypatch.setattr(ringsynth, "_step", lambda x, y, k: (x, y))
+    with pytest.raises(IntegrityError, match="column step k=.* scored"):
+        reduce_column_step(col)
+
+
+def test_ring_op_does_each_job_once(monkeypatch):
+    # n = 8, with the context's tables filled: membership evaluates no word,
+    # the rewriting pass forms no rotation product, and column reduction
+    # builds one step per column step, reads each column's measure once and
+    # strips its word once.
+    ctx = make_context(8)
+    u, _ = random_unitary(ctx, 20, 190)
+    ks, col = [], ColumnRn(*u.first_column())
+    while col.measure() > mu_threshold(ctx):
+        k, col = reduce_column_step(col)
+        ks.append(k)
+    assert max(ks) > 1  # some step tries more than one k
+    seq = synthesize_ring(u)
+    membership(u), canonicalize_sequence(seq, ctx)
+    calls = {"eval": 0, "rot": 0, "line": 0, "mu": 0, "strip": 0}
+
+    def counted(name, fn):
+        def hook(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return hook
+
+    monkeypatch.setattr(synth, "eval_sequence", counted("eval", synth.eval_sequence))
+    monkeypatch.setattr(su2, "eval_sequence", counted("eval", su2.eval_sequence))
+    assert membership(u).sequence == to_circuit(canonical_form(u))
+    assert calls["eval"] == 0
+    monkeypatch.setattr(Rotation, "__matmul__", counted("rot", Rotation.__matmul__))
+    assert canonicalize_sequence(seq, ctx) == canonical_form(u)
+    assert calls["rot"] == 0
+    monkeypatch.setattr(ringsynth, "_apply_line", counted("line", ringsynth._apply_line))
+    monkeypatch.setattr(ringsynth, "mu", counted("mu", ringsynth.mu))
+    monkeypatch.setattr(ringsynth, "_strip", counted("strip", ringsynth._strip))
+    assert synthesize_ring(u) == seq
+    assert (calls["line"], calls["mu"], calls["strip"]) == (len(ks), len(ks) + 1, 1)
 
 
 def test_long_hadamard_word_keeps_numerators_small(monkeypatch):
@@ -665,7 +818,7 @@ def test_word_evaluation_makes_no_matrix_products(monkeypatch, tmp_path):
     rng = random.Random(120)
     short, long_ = random_sequence(ctx, rng, 5), random_sequence(ctx, rng, 80)
     for seq in (short, long_):
-        canonicalize_sequence(seq, ctx)  # fills the Clifford and rotation tables
+        canonicalize_sequence(seq, ctx)  # fills the Clifford group and its index moves
     u, circuit = random_unitary(ctx, 12, 3)
     cf = canonical_form(u)
     mat, circ = tmp_path / "m.json", tmp_path / "c.txt"
@@ -682,7 +835,7 @@ def test_word_evaluation_makes_no_matrix_products(monkeypatch, tmp_path):
     eval_sequence(long_, ctx)
     apply_gates(UnitaryRn.identity(ctx), _form_gates(ctx, cf.axes, cf.exponents, cf.residual))
     bloch(u)
-    fresh = Context(8)  # nothing memoized: the rotation table is unfilled
+    fresh = Context(8)  # nothing memoized
     h0(fresh), s_gate(fresh)
     for a in range(fresh.order):
         uz_power(fresh, a), scalar_gate(fresh, a)
