@@ -19,11 +19,23 @@ int of the odd coefficients by one product with a fixed sparse polynomial
 and a subset transform of k strided shift-and-mask steps, for every n
 (Context.parity_multiplicity).  The valuation proper is only available for
 n in {2, 4, 6, 8, 12}, where that prime is unique.
+
+The gate kernel (su2) works on lanes instead (Lanes): a numerator as one
+int of n balanced W-bit lanes of Z[x]/(x^n + 1), W = 16, 32, 64, ...,
+where zeta^j is one shift and one split, an add is one int add and the
+2-adic part of every lane is read from the low bits at once.  For n not a
+power of 2 a fold brings the lanes back mod Phi_2n = P(x^(2^k)), block by
+block through Q = x^deg P - P (Context.fold_q, the split the descent's
+residue planes fold on too).  Each lane keeps headroom for one gate; one
+that leaves it doubles W, so a context holds O(log bits) lane tables, in
+Context.memo.  Contexts are cached for a bounded number of n
+(make_context).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add, mul, neg, or_, sub
@@ -33,6 +45,7 @@ from .errors import IntegrityError
 __all__ = [
     "Context",
     "CycInt",
+    "Lanes",
     "cyclotomic_poly",
     "divides",
     "exact_quotient",
@@ -93,7 +106,14 @@ def _div_binomial(p: list[int], e: int) -> list[int]:
     return q
 
 
-@lru_cache(maxsize=None)
+# Contexts (and the squarefree cyclotomic polynomials behind them) are
+# cached for a few dozen n at a time, so no stream of distinct n grows the
+# process without bound.  An evicted context is rebuilt on demand; elements
+# of the old and the new one mix, as contexts are compared by n.
+CONTEXT_CACHE = 32
+
+
+@lru_cache(maxsize=CONTEXT_CACHE)
 def _cyclotomic_squarefree(r: int) -> tuple[int, ...]:
     # Phi_r for squarefree r, as the Moebius product over the divisors of r:
     # multiply all (x^d - 1) with mu(r/d) = +1, then divide out the rest.
@@ -139,7 +159,7 @@ def cyclotomic_poly(m: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONTEXT_CACHE)
 def make_context(n: int) -> "Context":
     """Build (and cache) the arithmetic context for gate-set parameter n."""
     return Context(n)
@@ -196,6 +216,13 @@ class Context:
         )
         # Every prime above 2 has ramification index 2^k, so v(2) = 2^k.
         self.ram_index = 1 << self.k
+        # Phi_2n(x) = P(x^w) with w = 2^k = ram_index, and fold_q holds the
+        # coefficients of Q = x^deg P - P, of degree below deg P: blocks of
+        # w lanes at or above w deg P = phi(2n) fold down by
+        # x^(w B) = x^(w (B - deg P)) Q(x^w).  It is the one split that
+        # every fold mod Phi_2n reads (synth's residue planes, Lanes); for
+        # n = 2^k, P = x + 1 and no block lies above phi(2n) = n.
+        self.fold_q = tuple(-c for c in self.phi_poly[:-1:self.ram_index])
         self.supports_valuation = n in VALUATION_NS
         self._memo: dict = {}
 
@@ -235,6 +262,32 @@ class Context:
             h ^= (h >> step) & lanes
         return ((h & -h).bit_length() - 1) // self.s
 
+    def lanes(self, width: int | None = None) -> "Lanes":
+        """The lane table of width bits, by default the narrowest,
+        LANE_WIDTH, built on first use; Lanes widen by doubling, so a
+        context keeps O(log bits) of them."""
+        key = ("lanes", width or LANE_WIDTH)
+        lanes = self._memo.get(key)  # the kernel's hot path: no closure
+        return lanes if lanes is not None else self.memo(key, lambda: Lanes(self, key[1]))
+
+    def lane_head(self) -> int:
+        """Headroom bits h of a gate on lanes: x + y, then (1 + zeta^j) times
+        that, grows lanes 4-fold, and the fold mod Phi_2n (Lanes.fold) by at
+        most G, so lanes in [-2^(W-1-h), 2^(W-1-h)) before a gate stay in
+        [-2^(W-1), 2^(W-1)) after it when 2^h >= 4 G.  Top-down, the fold
+        has turned block B > b into y^(b + 1 - deg P) (y^(B - b - 1 + deg P)
+        mod P), y = x^w, by the time it reaches block b, so a lane never
+        holds more than its own value plus the rows zeta^(w B),
+        deg P <= B < n / w, of one column: G is 1 plus the largest column
+        sum of their absolute values."""
+        def build():
+            cols = [0] * self.degree
+            for e in range(self.degree, self.n, self.ram_index):
+                for j, c in self.zeta_terms[e]:
+                    cols[j] += abs(c)
+            return 2 + max(cols).bit_length()
+        return self.memo("lane_head", build)
+
     # -- element factories -------------------------------------------------
 
     def zero(self) -> "CycInt":
@@ -254,6 +307,140 @@ class Context:
 
     def __repr__(self):
         return "Context(n=%d)" % self.n
+
+
+# The narrowest lane width, and the struct codes of 16-, 32- and 64-bit
+# signed lanes.
+LANE_WIDTH = 16
+_LANE_CODES = {16: "h", 32: "i", 64: "q"}
+
+
+class Lanes:
+    """Z[x]/(x^n + 1), which maps onto Z[zeta_2n] since zeta^n = -1, with a
+    numerator packed into one int of n balanced W-bit lanes: the int is
+    sum c_i 2^(W i) with every lane c_i in [-2^(W-1), 2^(W-1)), so add,
+    subtract, negate and a right shift by the 2-adic part of every lane are
+    one int op each.  Between gates every lane lies in the headroom
+    [-2^f, 2^f), f = W - 1 - h (Context.lane_head), checked by load and
+    settle, which double W when a lane leaves it; within one gate lanes
+    grow at most 2^h-fold, so no op wraps a lane.
+
+    zeta^j (zeta) is a left shift by j lanes and one balanced split at lane
+    n: with off = 2^(W-1) in every lane below n, hi = (p + off) >> W n is
+    the part at and above lane n and p - hi 2^(W n) the rest, in lanes
+    below n, so the product is rest - hi.  The fold mod Phi_2n = P(x^w)
+    (for s > 1) splits off one block of w lanes at a time, top first, the
+    same way, and adds it times Q(x^w) (Context.fold_q) deg P blocks lower:
+    p += hi C_B with the per-block constant C_B = Q(x^w) x^(w (B - deg P))
+    - x^(w B), s - phi(s) steps.  The lanes of p + off, all in [0, 2^W),
+    carry no borrows, so their low bits are those of the c_i, and
+    (p + off) ^ off holds each c_i as a W-bit two's complement lane: for
+    W in {16, 32, 64} packing and unpacking are one struct call each.
+    """
+
+    __slots__ = ("ctx", "width", "nw", "split", "off", "nbytes", "code", "ones",
+                 "room", "roomy_top", "folds")
+
+    def __init__(self, ctx: Context, width: int):
+        n, d, w = ctx.n, ctx.degree, width
+        if width % 8 or width < 8:
+            raise ValueError("lane width must be a positive multiple of 8")
+        self.ctx, self.width = ctx, width
+
+        def repunit(count):  # 1 in each of the lowest count lanes
+            return ((1 << (w * count)) - 1) // ((1 << w) - 1)
+
+        self.nw = w * n
+        self.split = repunit(n) << (w - 1)
+        self.ones = repunit(d)
+        self.off = self.ones << (w - 1)
+        self.nbytes = w * d // 8
+        code = _LANE_CODES.get(w)
+        self.code = code and struct.Struct("<%d%s" % (d, code))
+        # Lanes c in the headroom [-2^f, 2^f) are those of p + room with no
+        # bit in roomy_top; a width with f < 1 holds only zero lanes.
+        f = w - 1 - ctx.lane_head()
+        self.room = self.ones << f if f > 0 else 0
+        self.roomy_top = self.ones * ((1 << w) - (2 << f) if f > 0 else (1 << w) - 1)
+        lanes = ctx.ram_index
+        q = sum(c << (w * lanes * j) for j, c in enumerate(ctx.fold_q))
+        dp = len(ctx.fold_q)
+        self.folds = tuple(
+            (repunit(lanes * b) << (w - 1), w * lanes * b,
+             (q << (w * lanes * (b - dp))) - (1 << (w * lanes * b)))
+            for b in range(n // lanes - 1, dp - 1, -1)
+        )
+
+    def load(self, xs, ys) -> tuple["Lanes", int, int]:
+        """(lanes, x, y) for the coefficient vectors xs and ys at this
+        width, or at the narrowest doubling of it whose headroom holds
+        them."""
+        x, y = self.pack(xs), self.pack(ys)
+        if x is not None and y is not None and \
+                not ((x + self.room) | (y + self.room)) & self.roomy_top:
+            return self, x, y
+        return self.ctx.lanes(2 * self.width).load(xs, ys)
+
+    def pack(self, coeffs) -> int | None:
+        """The lanes of a coefficient vector, or None when an entry does
+        not fit in W bits."""
+        if self.code is None:
+            w = self.width
+            if max(max(coeffs), -min(coeffs)) >> (w - 1):
+                return None
+            return sum(c << (w * i) for i, c in enumerate(coeffs) if c)
+        try:
+            raw = self.code.pack(*coeffs)
+        except struct.error:
+            return None
+        return (int.from_bytes(raw, "little") ^ self.off) - self.off
+
+    def unpack(self, p: int) -> tuple[int, ...]:
+        """The phi(2n) coefficients of folded lanes p."""
+        raw = ((p + self.off) ^ self.off).to_bytes(self.nbytes, "little")
+        if self.code is not None:
+            return self.code.unpack(raw)
+        b, half = self.width // 8, 1 << (self.width - 1)
+        return tuple((int.from_bytes(raw[i:i + b], "little") ^ half) - half
+                     for i in range(0, len(raw), b))
+
+    def settle(self, x: int, y: int, m: int) -> tuple["Lanes", int, int, int]:
+        """(lanes, x, y, m) for the pair x / 2^m, y / 2^m after a gate:
+        folded, with every power of 2 both share taken off (at most m), at
+        this width, or at double the width when a lane has left the
+        headroom.  Within it every lane of x + room lies in [0, 2^(f + 1)),
+        so a bit in roomy_top shows a lane outside, and otherwise the low
+        bits are the lanes'."""
+        x, y = self.fold(x), self.fold(y)
+        v = (x + self.room) | (y + self.room)
+        if v & self.roomy_top:
+            wide = self.ctx.lanes(2 * self.width)
+            return wide.settle(wide.pack(self.unpack(x)), wide.pack(self.unpack(y)), m)
+        ones = self.ones
+        if v & ones or not m:
+            return self, x, y, m
+        t = 1
+        while t < m and not (v >> t) & ones:
+            t += 1
+        return self, x >> t, y >> t, m - t
+
+    def zeta(self, p: int, j: int) -> int:
+        """p times zeta^j, as lanes below n (not folded)."""
+        n = self.ctx.n
+        j %= 2 * n
+        if j >= n:
+            p, j = -p, j - n
+        if not j:
+            return p
+        p <<= self.width * j
+        hi = (p + self.split) >> self.nw
+        return p - (hi << self.nw) - hi
+
+    def fold(self, p: int) -> int:
+        """p reduced mod Phi_2n into the lowest phi(2n) lanes."""
+        for off, shift, c in self.folds:
+            p += ((p + off) >> shift) * c
+        return p
 
 
 def _checked_coeffs(coeffs, degree: int) -> tuple[int, ...]:

@@ -4,7 +4,9 @@ For n in {2, 4, 6, 8, 12} every 2x2 unitary over the ring is synthesizable;
 synthesize_ring() constructs a circuit by driving the first column down a
 complexity measure (minus the minimum valuation of its entries) with
 H0 U_z(pi k/n) steps, closing with an explicit base-case unitary and an
-exact phase completion.
+exact phase completion.  Each step k is scored on two CycInt valuations;
+only the winning step is built, and the emitted word is checked against
+the input by stripping it off, both by the su2 gate kernel on packed lanes.
 
 The phase condition -- is -1 a power of 2 modulo the odd part of n? --
 decides whether every unit-modulus ring element is a root of unity, i.e.

@@ -2,8 +2,9 @@
 
 Gates are applied by shifts and adds, never by general 2x2 products.  A
 row (x, y) of U (a column, for left multiplication) is kept as two
-numerators over a common 2^m, and each gate is a signed basis rotation
-(CycInt.times_zeta), adds and at most one denominator bump:
+numerators over a common 2^m, each packed into one int of balanced lanes
+(cyclo.Lanes), and each gate is a signed lane rotation (Lanes.zeta), adds
+and at most one denominator bump:
 
 - S, W^j and U_z(a pi/n) = diag(1, zeta^a) shift y by n/2, j or a;
 - zeta^a I shifts x and y by a;
@@ -13,6 +14,12 @@ numerators over a common 2^m, and each gate is a signed basis rotation
   (s + d, s - d) / 2 with s = x + y, d = zeta^a (x - y);
 - U_y(a pi/n) = D U_x(a pi/n) D^dagger with D = diag(1, i): y is shifted by
   n/2 before U_x and back after it on a row, the other way on a column.
+
+After a bump, Lanes.settle folds the lanes mod Phi_2n (for n not a power
+of 2), takes off every power of 2 both numerators share, read from the
+lanes' low bits, and doubles the lane width when a lane has left the
+headroom of the next gate, so no lane ever wraps; the numerators are
+unpacked once, at the end.
 
 apply_gates() is that kernel; eval_sequence(), and through it every word
 evaluation in the package, runs on it, and so does every check of a word
@@ -42,12 +49,10 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 
-from .cyclo import Context, CycInt, _checked_coeffs, factorize, make_context, two_adic
+from .cyclo import Context, CycInt, _checked_coeffs, factorize, make_context
 from .errors import IntegrityError
-from .rings import RingElem, _over_common
+from .rings import RingElem
 
 __all__ = [
     "CONJ_WORDS",
@@ -170,39 +175,44 @@ class UnitaryRn:
 
 def _apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
     """(a, b) G_1 ... G_t as a row, or G_t ... G_1 (a, b)^T as a column when
-    left is true; gates as in apply_gates."""
-    x, y, m = _over_common(a, b)
-    half = x.ctx.n // 2
+    left is true; gates as in apply_gates.  The numerators over a common
+    2^m run through the gates as lanes (cyclo.Lanes), each gate bumps m by
+    at most one, and Lanes.settle then folds, widens and halves."""
+    ctx = a.num.ctx
+    m = max(a.m, b.m)
+    xs, ys = a.num.coeffs, b.num.coeffs
+    if a.m < m:
+        xs = [c << (m - a.m) for c in xs]
+    if b.m < m:
+        ys = [c << (m - b.m) for c in ys]
+    lanes, x, y = ctx.lanes().load(xs, ys)
+    half = ctx.n // 2
     conj = -half if left else half
     for kind, e in gates:
+        zeta = lanes.zeta
         if kind == "z":
-            y = y.times_zeta(e)
+            y = zeta(y, e)
             continue
         if kind == "ph":
-            x, y = x.times_zeta(e), y.times_zeta(e)
+            x, y = zeta(x, e), zeta(y, e)
             continue
         if kind == "h":
             s, d = x + y, x - y
-            x, y = s + s.times_zeta(half), d + d.times_zeta(half)
+            x, y = s + zeta(s, half), d + zeta(d, half)
         elif kind == "x" or kind == "y":
             if kind == "y":
-                y = y.times_zeta(conj)
-            s, d = x + y, (x - y).times_zeta(e)
+                y = zeta(y, conj)
+            s, d = x + y, zeta(x - y, e)
             x, y = s + d, s - d
             if kind == "y":
-                y = y.times_zeta(-conj)
+                y = zeta(y, -conj)
         else:
             raise ValueError("unknown gate %r" % (kind,))
         # The bump m + 1, then every power of 2 the pair shares comes off,
         # so the numerators of a long word stay as small as its entries.
-        m += 1
-        bits = reduce(or_, x.coeffs, 0) | reduce(or_, y.coeffs, 0)
-        t = min(m, two_adic(bits)) if bits else m
-        if t:
-            x = CycInt(x.ctx, tuple(c >> t for c in x.coeffs))
-            y = CycInt(y.ctx, tuple(c >> t for c in y.coeffs))
-            m -= t
-    return RingElem(x, m), RingElem(y, m)
+        lanes, x, y, m = lanes.settle(x, y, m + 1)
+    x, y = lanes.unpack(lanes.fold(x)), lanes.unpack(lanes.fold(y))
+    return RingElem(CycInt(ctx, x), m), RingElem(CycInt(ctx, y), m)
 
 
 def apply_gates(u: UnitaryRn, gates, left: bool = False) -> UnitaryRn:
@@ -213,7 +223,7 @@ def apply_gates(u: UnitaryRn, gates, left: bool = False) -> UnitaryRn:
     U_y(a pi/n) as in the module docstring, ("h", 0) is H0 and ("ph", a) is
     zeta^a I.  Right multiplication acts on each row and left
     multiplication on each column, independently, by the shifts and adds in
-    the module docstring; no CycInt product is formed.
+    the module docstring, on packed lanes; no CycInt product is formed.
     """
     gates = tuple(gates)
     (a, b), (c, d) = u.rows

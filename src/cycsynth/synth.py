@@ -217,16 +217,16 @@ def _plane_fold(ctx: Context):
     w = 2^k, of six entries in lanes 2n e, ..., 2n e + n - 1.  Block B, the
     lanes w B, ..., w B + w - 1, holds x^(w B) times a polynomial of degree
     below w, and x^(w B) = x^(w (B - deg P)) Q(x^w) mod P(x^w) with
-    Q = x^(deg P) - P, of degree below deg P.  So the blocks B >= deg P, top
-    first and all six entries at once, are shifted down by w deg P lanes and
-    multiplied by Q mod 4, kept as planes (q_h, q_l) of its coefficients at
-    lanes w j, where the copies of a block never overlap: the product is
-    (b_h q_l ^ b_l q_h, b_l q_l).  No block for n = 2^k."""
-    n, w = ctx.n, 1 << ctx.k
-    p = ctx.phi_poly[::w]
-    dp = len(p) - 1
+    Q = x^(deg P) - P (Context.fold_q), of degree below deg P.  So the
+    blocks B >= deg P, top first and all six entries at once, are shifted
+    down by w deg P lanes and multiplied by Q mod 4, kept as planes
+    (q_h, q_l) of its coefficients at lanes w j, where the copies of a
+    block never overlap: the product is (b_h q_l ^ b_l q_h, b_l q_l).  No
+    block for n = 2^k."""
+    n, w = ctx.n, ctx.ram_index
+    dp = len(ctx.fold_q)
     block = sum(((1 << w) - 1) << (2 * n * e) for e in range(6))
-    q = [-c % 4 for c in p[:dp]]
+    q = [c % 4 for c in ctx.fold_q]
     planes = tuple(sum((c >> i & 1) << (w * j) for j, c in enumerate(q)) for i in (1, 0))
     return [block << (w * b) for b in range(n // w - 1, dp - 1, -1)], w * dp, planes
 

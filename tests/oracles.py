@@ -28,7 +28,8 @@ import cmath
 import itertools
 import math
 import random
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 
 from cycsynth import (
     CanonicalForm,
@@ -41,6 +42,7 @@ from cycsynth import (
     Rotation,
     UnitaryRn,
 )
+from cycsynth.cyclo import two_adic
 from cycsynth.rings import _beta_exp_r, _over_common, mu
 from cycsynth.su2 import AXES, w_exponent
 
@@ -339,6 +341,42 @@ def matrix_u_axis(ctx, p: str, sign: int, a: int) -> UnitaryRn:
     ident = ((one, zero), (zero, one))
     return UnitaryRn(ctx, [[h * ident[r][c] + g * pm.rows[r][c] for c in range(2)]
                            for r in range(2)])
+
+
+def reference_apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
+    """su2._apply_line on CycInt numerators: (a, b) G_1 ... G_t as a row, or
+    G_t ... G_1 (a, b)^T as a column, each gate by times_zeta shifts and
+    CycInt adds, each bump followed by one halving of the shared power of 2."""
+    x, y, m = _over_common(a, b)
+    half = x.ctx.n // 2
+    conj = -half if left else half
+    for kind, e in gates:
+        if kind == "z":
+            y = y.times_zeta(e)
+            continue
+        if kind == "ph":
+            x, y = x.times_zeta(e), y.times_zeta(e)
+            continue
+        if kind == "h":
+            s, d = x + y, x - y
+            x, y = s + s.times_zeta(half), d + d.times_zeta(half)
+        elif kind == "x" or kind == "y":
+            if kind == "y":
+                y = y.times_zeta(conj)
+            s, d = x + y, (x - y).times_zeta(e)
+            x, y = s + d, s - d
+            if kind == "y":
+                y = y.times_zeta(-conj)
+        else:
+            raise ValueError("unknown gate %r" % (kind,))
+        m += 1
+        bits = reduce(or_, x.coeffs, 0) | reduce(or_, y.coeffs, 0)
+        t = min(m, two_adic(bits)) if bits else m
+        if t:
+            x = CycInt(x.ctx, tuple(c >> t for c in x.coeffs))
+            y = CycInt(y.ctx, tuple(c >> t for c in y.coeffs))
+            m -= t
+    return RingElem(x, m), RingElem(y, m)
 
 
 def product_eval_sequence(seq: GateSequence, ctx) -> UnitaryRn:

@@ -144,7 +144,7 @@ def test_mismatched_n_is_rejected_before_its_context_is_built(tmp_path, capsys):
         path.write_text(json.dumps(t_gate_json()) + "\n" + json.dumps(blob) + "\n")
         run_cli(["synth", "--n", "4", "--input", str(path)])
         capsys.readouterr()
-        before = make_context.cache_info().currsize
+        before = make_context.cache_info().misses
         entry = 2 if matrix_n != 4 else 1
         code, out = run_cli(["synth", "--n", str(flag_n), "--input", str(path)])
         assert code == 2 and out == ""
@@ -156,7 +156,7 @@ def test_mismatched_n_is_rejected_before_its_context_is_built(tmp_path, capsys):
         assert code == 2
         assert (f"matrix has n={matrix_n} but --n {flag_n} was given"
                 in capsys.readouterr().err)
-        assert make_context.cache_info().currsize == before
+        assert make_context.cache_info().misses == before
 
 
 def test_usage_error_exit_code():

@@ -25,7 +25,6 @@ import pytest
 from cycsynth import (
     ColumnRn,
     Context,
-    CycInt,
     GateSequence,
     NotReducibleError,
     RingElem,
@@ -63,7 +62,7 @@ from cycsynth import (
     uz_power,
     w_gate,
 )
-from cycsynth import cli, ringsynth, su2, synth
+from cycsynth import cli, cyclo, ringsynth, su2, synth
 from cycsynth.errors import IntegrityError
 from cycsynth.rings import _beta_exp_r
 from cycsynth.so3 import Rotation
@@ -746,16 +745,19 @@ def test_ring_op_does_each_job_once(monkeypatch):
 def test_long_hadamard_word_keeps_numerators_small(monkeypatch):
     # H0^2 = i I, so 4096 H evaluate to the identity; without taking the
     # shared powers of 2 off after each bump the numerators over 2^4096
-    # would grow to about 2048 bits.
+    # would grow to about 2048 bits.  The kernel's lanes after each gate
+    # are read back through Lanes.settle.
     widest = [0]
-    plain_add = CycInt.__add__
+    settle = cyclo.Lanes.settle
 
-    def add(a, b):
-        out = plain_add(a, b)
-        widest[0] = max(widest[0], max(abs(c).bit_length() for c in out.coeffs))
+    def spy(self, x, y, m):
+        out = settle(self, x, y, m)
+        lanes = out[0]
+        for p in out[1:3]:
+            widest[0] = max(widest[0], max(abs(c).bit_length() for c in lanes.unpack(p)))
         return out
 
-    monkeypatch.setattr(CycInt, "__add__", add)
+    monkeypatch.setattr(cyclo.Lanes, "settle", spy)
     for n in (4, 12):
         ctx = make_context(n)
         assert eval_sequence(GateSequence(0, ("H",) * 4096), ctx) == UnitaryRn.identity(ctx)

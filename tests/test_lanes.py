@@ -1,0 +1,231 @@
+"""The gate kernel on packed lanes against the CycInt kernel it replaced.
+
+su2._apply_line runs every gate on numerators packed into one int of
+balanced lanes (cyclo.Lanes); oracles.reference_apply_line is the CycInt
+version.  Both must agree exactly, on rows and on columns, for every even
+n up to 64 (a fold mod Phi_2n for every n that is not a power of 2),
+including where the lanes must widen.  Also here: the fold split that the
+lanes and the residue-plane scan share (Context.fold_q), and the bounded
+context cache.
+"""
+
+import random
+
+import pytest
+
+from cycsynth import (
+    GateSequence,
+    RingElem,
+    UnitaryRn,
+    canonical_form,
+    cyclo,
+    eval_sequence,
+    make_context,
+    su2,
+)
+from cycsynth.cyclo import cyclotomic_poly
+from cycsynth.su2 import AXES
+
+from oracles import random_sequence, reference_apply_line
+
+EVEN_NS = range(2, 65, 2)
+
+
+def _random_gates(ctx, rng, length):
+    kinds = ("h", "z", "ph") + AXES
+    gates = []
+    for _ in range(length):
+        kind = rng.choice(kinds)
+        gates.append((kind, 0 if kind == "h" else rng.randrange(ctx.order + 1)))
+    return gates
+
+
+def _lines(u, left):
+    (a, b), (c, d) = u.rows
+    return ((a, c), (b, d)) if left else ((a, b), (c, d))
+
+
+def _check_both_sides(u, gates, lines=2):
+    for left in (False, True):
+        for a, b in _lines(u, left)[:lines]:
+            got = su2._apply_line(a, b, gates, left)
+            assert got == reference_apply_line(a, b, gates, left), (left, gates[:8])
+
+
+def _start(n, seed, length=12):
+    ctx = make_context(n)
+    rng = random.Random(seed)
+    return ctx, rng, eval_sequence(random_sequence(ctx, rng, length), ctx)
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_lane_kernel_matches_reference_on_random_words(n):
+    ctx, rng, u = _start(n, 1400 + n)
+    for _ in range(3):
+        _check_both_sides(u, _random_gates(ctx, rng, 60))
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_lane_kernel_matches_reference_on_4096_hadamards(n):
+    # H0^4096 = I; the CycInt reference runs one line per side, the closed
+    # form checks every line.
+    ctx, _, u = _start(n, 1500 + n)
+    gates = [("h", 0)] * 4096
+    _check_both_sides(u, gates, lines=1)
+    assert su2.apply_gates(u, gates) == u
+    assert su2.apply_gates(u, gates, left=True) == u
+
+
+def _widest(u):
+    return max(abs(c).bit_length() for row in u.rows for e in row for c in e.num.coeffs)
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_long_words_from_the_identity_widen_the_lanes(n):
+    # The numerators of a long word outgrow 16-bit lanes (for n > 2, where
+    # the gates generate an infinite group), so the kernel must widen them
+    # on the way, to the CycInt kernel's result.
+    ctx = make_context(n)
+    rng = random.Random(1600 + n)
+    gates = [g for _ in range(150) for g in (("h", 0), ("z", rng.randrange(1, ctx.order, 2)))]
+    gates += _random_gates(ctx, rng, 60)
+    one, zero = RingElem.one(ctx), RingElem.zero(ctx)
+    for left in (False, True):
+        got = su2._apply_line(one, zero, gates, left)
+        assert got == reference_apply_line(one, zero, gates, left)
+    if n > 2:
+        assert _widest(su2.apply_gates(UnitaryRn.identity(ctx), gates)) > 32
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_a_start_width_of_16_widens_rather_than_wraps(n, monkeypatch):
+    # Pinned at 16 bits, the kernel must widen when the input does not fit
+    # (Lanes.load) and when a gate leaves the headroom (Lanes.settle): the
+    # first pair fits only at 64 bits, the second fills the 16-bit headroom
+    # exactly, so its first bump leaves it.
+    monkeypatch.setattr(cyclo, "LANE_WIDTH", 16)
+    ctx = make_context(n)
+    rng = random.Random(1700 + n)
+    widths = []
+    settle = cyclo.Lanes.settle
+
+    def spy(self, x, y, m):
+        widths.append(self.width)
+        return settle(self, x, y, m)
+
+    monkeypatch.setattr(cyclo.Lanes, "settle", spy)
+    for bits, first in ((40, [64, 64]), (15 - ctx.lane_head(), [16, 32])):
+        bound = (1 << bits) - 1
+        a, b = (RingElem(cyclo.CycInt(ctx, (bound,) + tuple(
+            rng.randint(-bound, bound) for _ in range(ctx.degree - 1))), 3) for _ in "ab")
+        for left in (False, True):
+            gates = [("h", 0)] + _random_gates(ctx, rng, 40)
+            widths.clear()
+            assert su2._apply_line(a, b, gates, left) == reference_apply_line(a, b, gates, left)
+            assert widths[:2] == first
+
+
+@pytest.mark.parametrize("n", (90, 102, 210))
+def test_lane_kernel_matches_reference_on_long_folds(n, monkeypatch):
+    # 21, 19 and 57 fold steps; started at 8-bit lanes, where n = 210 has
+    # no headroom at all (every pair loads wider) and the others little.
+    ctx, rng, u = _start(n, 2000 + n, length=6)
+    assert ctx.lane_head() == (8 if n == 210 else 5)
+    _check_both_sides(u, _random_gates(ctx, rng, 30))
+    monkeypatch.setattr(cyclo, "LANE_WIDTH", 8)
+    _check_both_sides(u, _random_gates(ctx, rng, 30))
+
+
+@pytest.mark.parametrize("n", (4, 12))
+def test_the_common_denominator_shift_counts_against_the_headroom(n):
+    # a is over 2^0 with lanes just inside the 16-bit headroom, b over 2^3,
+    # so a is taken over 2^3 too, and 2^3 a no longer fits 16-bit lanes.
+    ctx = make_context(n)
+    top = (1 << (15 - ctx.lane_head())) - 1
+    a = RingElem(cyclo.CycInt(ctx, (top,) * ctx.degree), 0)
+    b = RingElem(cyclo.CycInt(ctx, (1,) + (0,) * (ctx.degree - 1)), 3)
+    for gates in ([], [("z", 1)], [("h", 0)]):
+        for left in (False, True):
+            assert su2._apply_line(a, b, gates, left) == reference_apply_line(a, b, gates, left)
+
+
+def test_lanes_pack_and_unpack_round_trip():
+    rng = random.Random(18)
+    for n in (4, 12, 30, 64):
+        ctx = make_context(n)
+        for width in (16, 32, 64, 128, 256):
+            lanes = ctx.lanes(width)
+            bound = 1 << (width - 2)
+            coeffs = tuple(rng.randrange(-bound, bound) for _ in range(ctx.degree))
+            assert lanes.unpack(lanes.pack(coeffs)) == coeffs
+            too_big = (1 << (width - 1),) + coeffs[1:]
+            assert lanes.pack(too_big) is None
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_lane_zeta_and_fold_match_cycint(n):
+    ctx = make_context(n)
+    rng = random.Random(1900 + n)
+    lanes = ctx.lanes(64)
+    x = cyclo.CycInt(ctx, tuple(rng.randint(-99, 99) for _ in range(ctx.degree)))
+    for j in range(ctx.order + 1):
+        p = lanes.fold(lanes.zeta(lanes.pack(x.coeffs), j))
+        assert lanes.unpack(p) == x.times_zeta(j).coeffs
+
+
+def _fold_growth(ctx):
+    """The largest sum, over the n input lanes, of |what one input lane
+    contributes to a lane| at any point of the top-down fold (one value per
+    block of 2^k lanes, as every lane of a block folds alike)."""
+    dp, blocks = len(ctx.fold_q), ctx.n // ctx.ram_index
+    rows = [[int(i == e) for i in range(blocks)] for e in range(blocks)]
+    growth = 1
+    for b in range(blocks - 1, dp - 1, -1):
+        for row in rows:
+            for j, c in enumerate(ctx.fold_q):
+                row[b - dp + j] += c * row[b]
+        growth = max(growth, max(sum(abs(row[p]) for row in rows) for p in range(b)))
+    return growth
+
+
+@pytest.mark.parametrize("n", list(EVEN_NS) + [90, 102, 210])
+def test_lane_head_is_the_fold_growth_of_a_lane(n):
+    # Context.lane_head reads the fold's growth off the rows of zeta^e;
+    # it must equal the growth of the fold itself, run on every lane.
+    ctx = make_context(n)
+    assert ctx.lane_head() == 2 + (_fold_growth(ctx) - 1).bit_length()
+
+
+# -- the fold split on Context ----------------------------------------------------
+
+@pytest.mark.parametrize("n", list(EVEN_NS) + [90, 210])
+def test_fold_q_is_x_to_the_deg_p_minus_p(n):
+    ctx = make_context(n)
+    w = ctx.ram_index
+    phi = cyclotomic_poly(2 * n)
+    assert all(c == 0 for i, c in enumerate(phi) if i % w)
+    p = phi[::w]
+    assert ctx.fold_q == tuple(-c for c in p[:-1]) and p[-1] == 1
+    assert len(ctx.fold_q) * w == ctx.degree
+
+
+# -- the bounded context cache ----------------------------------------------------
+
+def test_context_cache_keeps_its_bound_and_rebuilt_contexts_mix():
+    bound = make_context.cache_info().maxsize
+    assert bound is not None and bound < 40
+    old = make_context(12)
+    u = eval_sequence(GateSequence(3, ("H", "W^5", "S", "W^2", "H")), old)
+    for n in range(66, 146, 2):  # 40 distinct n
+        make_context(n)
+        assert make_context.cache_info().currsize <= bound
+    assert cyclo._cyclotomic_squarefree.cache_info().currsize <= \
+        cyclo._cyclotomic_squarefree.cache_info().maxsize
+    new = make_context(12)
+    assert new is not old
+    v = eval_sequence(GateSequence(3, ("H", "W^5", "S", "W^2", "H")), new)
+    assert v == u and hash(v) == hash(u)
+    assert (u.rows[0][0] + v.rows[0][1]) == (v.rows[0][0] + u.rows[0][1])
+    assert su2.apply_gates(u, [("h", 0)]) == su2.apply_gates(v, [("h", 0)])
+    assert u @ v.dagger() == UnitaryRn.identity(new)
+    assert canonical_form(u) == canonical_form(v)

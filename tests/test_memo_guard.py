@@ -43,3 +43,57 @@ def test_the_descent_has_one_scan_for_every_n():
     # can grow back next to the residue-plane scan behind a branch on it.
     text = (SRC / "synth.py").read_text()
     assert re.findall(r"\bctx\.s\b", text) == []
+
+
+def test_the_fold_split_has_one_home():
+    # Phi_2n = P(x^w) and Q = x^deg P - P are read from Context.fold_q by
+    # every fold (synth's residue planes, cyclo.Lanes); only the Context
+    # constructor slices the cyclotomic polynomial.
+    offenders = [path.name for path in sorted(SRC.glob("*.py"))
+                 if path.name != "cyclo.py" and "phi_poly" in path.read_text()]
+    cyclo_text = (SRC / "cyclo.py").read_text()
+    lanes = cyclo_text[cyclo_text.index("class Lanes"):]
+    assert offenders == [] and "phi_poly" not in lanes
+
+
+def test_the_gate_kernel_runs_on_lanes_alone(monkeypatch):
+    # Every word evaluation, strip and column step goes through
+    # su2._apply_line, which must do its gate arithmetic on packed lanes
+    # (cyclo.Lanes): no CycInt rotation, add or subtract runs inside it.
+    # Its lane tables live in Context.memo, like every per-context table.
+    from cycsynth import (CycInt, GateSequence, canonical_form, eval_sequence,
+                          make_context, random_unitary, ringsynth, su2, synth)
+
+    inside, calls = [0], []
+
+    def watch(name, plain):
+        def wrapped(*args):
+            if inside[0]:
+                calls.append(name)
+            return plain(*args)
+        return wrapped
+
+    kernel = su2._apply_line
+
+    def line(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    for name in ("times_zeta", "__add__", "__sub__"):
+        monkeypatch.setattr(CycInt, name, watch(name, getattr(CycInt, name)))
+    monkeypatch.setattr(su2, "_apply_line", line)
+    monkeypatch.setattr(ringsynth, "_apply_line", line)
+    for n in (8, 12, 30):
+        ctx = make_context(n)
+        u, _ = random_unitary(ctx, 40, 5)
+        word = GateSequence.from_text("H W^3 S " * 40, ctx)
+        assert eval_sequence(word, ctx)
+        cf = canonical_form(u)
+        assert su2._strip(u, synth._form_gates(ctx, cf.axes, cf.exponents, cf.residual))
+        if n in ringsynth.RING_EQUALITY_NS:
+            assert ringsynth.synthesize_ring(u).tokens
+        assert [key for key in ctx._memo if key[0] == "lanes"]
+    assert inside[0] == 0 and calls == []
