@@ -20,10 +20,13 @@ and a subset transform of k strided shift-and-mask steps, for every n
 (Context.parity_multiplicity).  The valuation proper is only available for
 n in {2, 4, 6, 8, 12}, where that prime is unique.
 
-The gate kernel (su2) works on lanes instead (Lanes): a numerator as one
-int of n balanced W-bit lanes of Z[x]/(x^n + 1), W = 16, 32, 64, ...,
-where zeta^j is one shift and one split, an add is one int add and the
-2-adic part of every lane is read from the low bits at once.  For n not a
+The gate kernel (su2), the descent step (synth) and the column-step
+scoring (ringsynth) work on lanes instead (Lanes): a numerator as one int
+of n balanced W-bit lanes of Z[x]/(x^n + 1), W = 16, 32, 64, ..., where
+zeta^j is one shift and one split, an add is one int add, and the low
+bits of every lane are read at once: the power of 2 the lanes share
+(Lanes.twos), their residues mod 4 as bit planes (Lanes.planes) and, for
+n in {2, 4, 6, 8, 12}, the valuation above 2 (Lanes.valuation).  For n not a
 power of 2 a fold brings the lanes back mod Phi_2n = P(x^(2^k)), block by
 block through Q = x^deg P - P (Context.fold_q, the split the descent's
 residue planes fold on too).  Each lane keeps headroom for one gate; one
@@ -310,9 +313,10 @@ class Context:
 
 
 # The narrowest lane width, and the struct codes of 16-, 32- and 64-bit
-# signed lanes.
+# signed lanes, and of 128-bit ones as two 64-bit words, the high one signed.
 LANE_WIDTH = 16
-_LANE_CODES = {16: "h", 32: "i", 64: "q"}
+_LANE_CODES = {16: "h", 32: "i", 64: "q", 128: "Qq"}
+_LOW64 = (1 << 64) - 1
 
 
 class Lanes:
@@ -335,11 +339,12 @@ class Lanes:
     - x^(w B), s - phi(s) steps.  The lanes of p + off, all in [0, 2^W),
     carry no borrows, so their low bits are those of the c_i, and
     (p + off) ^ off holds each c_i as a W-bit two's complement lane: for
-    W in {16, 32, 64} packing and unpacking are one struct call each.
+    W in {16, 32, 64, 128} packing and unpacking are one struct call each
+    (128-bit lanes as two 64-bit words).
     """
 
     __slots__ = ("ctx", "width", "nw", "split", "off", "nbytes", "code", "ones",
-                 "room", "roomy_top", "folds")
+                 "full", "free", "room", "roomy_top", "folds")
 
     def __init__(self, ctx: Context, width: int):
         n, d, w = ctx.n, ctx.degree, width
@@ -356,10 +361,11 @@ class Lanes:
         self.off = self.ones << (w - 1)
         self.nbytes = w * d // 8
         code = _LANE_CODES.get(w)
-        self.code = code and struct.Struct("<%d%s" % (d, code))
+        self.code = code and struct.Struct("<" + code * d)
         # Lanes c in the headroom [-2^f, 2^f) are those of p + room with no
         # bit in roomy_top; a width with f < 1 holds only zero lanes.
-        f = w - 1 - ctx.lane_head()
+        self.full = (1 << (w * d)) - 1
+        self.free = f = w - 1 - ctx.lane_head()
         self.room = self.ones << f if f > 0 else 0
         self.roomy_top = self.ones * ((1 << w) - (2 << f) if f > 0 else (1 << w) - 1)
         lanes = ctx.ram_index
@@ -371,24 +377,37 @@ class Lanes:
             for b in range(n // lanes - 1, dp - 1, -1)
         )
 
-    def load(self, xs, ys) -> tuple["Lanes", int, int]:
-        """(lanes, x, y) for the coefficient vectors xs and ys at this
+    def load(self, *vecs) -> tuple:
+        """(lanes, p_1, ..., p_r) for the coefficient vectors vecs at this
         width, or at the narrowest doubling of it whose headroom holds
-        them."""
-        x, y = self.pack(xs), self.pack(ys)
-        if x is not None and y is not None and \
-                not ((x + self.room) | (y + self.room)) & self.roomy_top:
-            return self, x, y
-        return self.ctx.lanes(2 * self.width).load(xs, ys)
+        them all."""
+        ps = [self.pack(v) for v in vecs]
+        if None not in ps and not reduce(or_, (p + self.room for p in ps)) & self.roomy_top:
+            return (self, *ps)
+        return self.ctx.lanes(2 * self.width).load(*vecs)
+
+    def fits(self, p: int, g: int) -> bool:
+        """Whether every lane of p lies in [-2^g, 2^g), g <= f, for lanes in
+        [-2^(W-1), 2^(W-1)): as in the headroom test (g = f), adding 2^g
+        to every lane moves those into [0, 2^(g+1)) with no carry, and the
+        lowest lane outside it then sets a bit above that range in its own
+        lane."""
+        if g < 0:
+            return not p
+        room = self.ones << g
+        # ones (2^W - 2^(g+1)), the bits above [0, 2^(g+1)) in every lane
+        return not (p + room) & (self.full + self.ones - (room << 1))
 
     def pack(self, coeffs) -> int | None:
         """The lanes of a coefficient vector, or None when an entry does
         not fit in W bits."""
         if self.code is None:
             w = self.width
-            if max(max(coeffs), -min(coeffs)) >> (w - 1):
+            if max(max(coeffs), -1 - min(coeffs)) >> (w - 1):
                 return None
             return sum(c << (w * i) for i, c in enumerate(coeffs) if c)
+        if self.width == 128:
+            coeffs = [x for c in coeffs for x in (c & _LOW64, c >> 64)]
         try:
             raw = self.code.pack(*coeffs)
         except struct.error:
@@ -398,6 +417,9 @@ class Lanes:
     def unpack(self, p: int) -> tuple[int, ...]:
         """The phi(2n) coefficients of folded lanes p."""
         raw = ((p + self.off) ^ self.off).to_bytes(self.nbytes, "little")
+        if self.width == 128:
+            words = self.code.unpack(raw)
+            return tuple(lo | hi << 64 for lo, hi in zip(words[::2], words[1::2]))
         if self.code is not None:
             return self.code.unpack(raw)
         b, half = self.width // 8, 1 << (self.width - 1)
@@ -416,13 +438,46 @@ class Lanes:
         if v & self.roomy_top:
             wide = self.ctx.lanes(2 * self.width)
             return wide.settle(wide.pack(self.unpack(x)), wide.pack(self.unpack(y)), m)
-        ones = self.ones
-        if v & ones or not m:
+        if v & self.ones or not m:
             return self, x, y, m
-        t = 1
-        while t < m and not (v >> t) & ones:
-            t += 1
+        t = self.twos(v, m)
         return self, x >> t, y >> t, m - t
+
+    def twos(self, v: int, limit: int) -> int:
+        """The largest t <= limit with bits 0, ..., t - 1 clear in every
+        lane of v, whose lanes lie in [0, 2^W).  For v = p + off, p nonzero
+        and a limit of at most W - 1, 2^t is the power of 2 that p's lanes
+        share, up to the limit: each lane of p + off holds that of p in its
+        low W - 1 bits, and a lane -2^(W-1), which reads 0 there, is
+        divisible by 2^(W-1).  settle reads v = x + room | y + room, whose
+        lanes hold those of x and y in their low f bits."""
+        ones = self.ones
+        t = 0
+        while t < limit and not (v >> t) & ones:
+            t += 1
+        return t
+
+    def _low_bytes(self, p: int) -> bytes:
+        # the low byte of each lane of folded p, lane phi(2n) - 1 first
+        b = self.width // 8
+        return (p + self.off).to_bytes(self.nbytes, "big")[b - 1::b]
+
+    def planes(self, p: int) -> tuple[int, int]:
+        """The lanes of folded p mod 4 as bitmask planes (high, low): bit i
+        of low is c_i mod 2 and bit i of high is (c_i >> 1) mod 2."""
+        raw = self._low_bytes(p)
+        return int(raw.translate(_HIGH_BIT), 2), int(raw.translate(_LOW_BIT), 2)
+
+    def valuation(self, p: int):
+        """Valuation above 2 of folded lanes p (n in VALUATION_NS; math.inf
+        for zero), as CycInt.valuation: 2^k t, 2^t the power of 2 the lanes
+        share, plus the multiplicity of Phi_s in the low plane of p / 2^t."""
+        if not p:
+            return math.inf
+        t = self.twos(p + self.off, self.width - 1)
+        ctx = self.ctx
+        return (t << ctx.k) + ctx.parity_multiplicity(
+            int(self._low_bytes(p >> t).translate(_LOW_BIT), 2))
 
     def zeta(self, p: int, j: int) -> int:
         """p times zeta^j, as lanes below n (not folded)."""
@@ -455,11 +510,11 @@ def _checked_coeffs(coeffs, degree: int) -> tuple[int, ...]:
     return coeffs
 
 
-# c & 3 for an int c, then the ASCII digit of its high or low bit, so
+# c & 3 for an int c, and the ASCII digit of bit 1 or bit 0 of a byte, so
 # int(..., 2) packs a residue byte string into a bitmask.
 _AND3 = (3).__and__
-_HIGH_BIT = bytes.maketrans(bytes(range(4)), b"0011")
-_LOW_BIT = bytes.maketrans(bytes(range(4)), b"0101")
+_HIGH_BIT = bytes.maketrans(bytes(range(256)), bytes(b"01"[c >> 1 & 1] for c in range(256)))
+_LOW_BIT = bytes.maketrans(bytes(range(256)), bytes(b"01"[c & 1] for c in range(256)))
 
 
 def _check_same_context(a: "CycInt", b: "CycInt") -> None:
@@ -581,12 +636,6 @@ class CycInt:
     def mod2(self) -> "CycInt":
         """Coefficientwise residue in {0, 1}, as an element of the ring."""
         return CycInt(self.ctx, tuple(c & 1 for c in self.coeffs))
-
-    def residue_planes(self) -> tuple[int, int]:
-        """The coefficients mod 4 as two bitmask ints (high, low): bit i of
-        low is c_i mod 2 and bit i of high is (c_i >> 1) mod 2."""
-        res = bytes(map(_AND3, reversed(self.coeffs)))
-        return int(res.translate(_HIGH_BIT), 2), int(res.translate(_LOW_BIT), 2)
 
     def parity_mask(self, shift: int = 0) -> int:
         """Bitmask int of the coefficients shifted right by `shift` bits

@@ -4,9 +4,10 @@ For n in {2, 4, 6, 8, 12} every 2x2 unitary over the ring is synthesizable;
 synthesize_ring() constructs a circuit by driving the first column down a
 complexity measure (minus the minimum valuation of its entries) with
 H0 U_z(pi k/n) steps, closing with an explicit base-case unitary and an
-exact phase completion.  Each step k is scored on two CycInt valuations;
-only the winning step is built, and the emitted word is checked against
-the input by stripping it off, both by the su2 gate kernel on packed lanes.
+exact phase completion.  Each step k is scored on two valuations read off
+packed lanes (cyclo.Lanes); only the winning step is built, and the
+emitted word is checked against the input by stripping it off, both by
+the su2 gate kernel on the same lanes.
 
 The phase condition -- is -1 a power of 2 modulo the odd part of n? --
 decides whether every unit-modulus ring element is a root of unity, i.e.
@@ -243,15 +244,38 @@ def _step(x: RingElem, y: RingElem, k: int) -> tuple[RingElem, RingElem]:
     return _apply_line(x, y, (("z", k), ("h", 0)), left=True)
 
 
+def _first_reducing_k(ctx: Context, x: CycInt, y: CycInt, m: int, m0: int):
+    """(k, score) for the smallest k whose step H0 U_z(pi k/n) takes the
+    column (x, y) / 2^m below measure m0, or None: x and y are loaded into
+    lanes once, and each k is scored on two lane valuations
+    (cyclo.Lanes.valuation) of the folded x + zeta^k y and x - zeta^k y.
+    zeta^(k+n) = -zeta^k swaps the two, so k <= n are all there is to
+    try."""
+    lanes, px, py = ctx.lanes().load(x.coeffs, y.coeffs)
+    fold, zeta, val = lanes.fold, lanes.zeta, lanes.valuation
+    base = (m + 1) * ctx.ram_index - mu_threshold(ctx)
+    # the score base - min(v+, v-) is below m0 when both exceed base - m0
+    floor = base - m0
+    for k in range(1, ctx.n + 1):
+        yk = zeta(py, k)
+        v = val(fold(px + yk))
+        if v > floor:
+            v = min(v, val(fold(px - yk)))
+            if v > floor:
+                return k, base - v
+    return None
+
+
 def reduce_column_step(col: ColumnRn) -> tuple[int, ColumnRn]:
     """One strictly measure-decreasing step H0 U_z(pi k/n), smallest such k.
 
     Each k is scored without building the step: for x, y over a common
     2^m, H0 U_z(pi k/n) (x, y)^T = (1 + i) (x + zeta^k y, x - zeta^k y) /
     2^(m+1), and v(1 + i) is mu_threshold, so its measure is
-    (m + 1) v(2) - mu_threshold - min(v(x + zeta^k y), v(x - zeta^k y)).
-    Only the winning column is built, and its measure, which it keeps for
-    the next step, must be the score (IntegrityError otherwise).
+    (m + 1) v(2) - mu_threshold - min(v(x + zeta^k y), v(x - zeta^k y)),
+    both valuations read off packed lanes (_first_reducing_k).  Only the
+    winning column is built, and its measure, which it keeps for the next
+    step, must be the score (IntegrityError otherwise).
     """
     ctx = col.ctx
     if ctx.n not in RING_EQUALITY_NS:
@@ -259,18 +283,15 @@ def reduce_column_step(col: ColumnRn) -> tuple[int, ColumnRn]:
     m0 = col.measure()
     if m0 <= mu_threshold(ctx):
         raise ValueError("column is already at or below the base-case measure")
-    x, y, m = _over_common(col.x, col.y)
-    base = (m + 1) * ctx.ram_index - mu_threshold(ctx)
-    for k in range(1, ctx.order + 1):
-        yk = y.times_zeta(k)
-        score = base - min((x + yk).valuation(), (x - yk).valuation())
-        if score < m0:
-            nxt = ColumnRn(*_step(col.x, col.y, k))
-            if nxt.measure() != score:
-                raise IntegrityError("column step k=%d has measure %d, scored %d"
-                                     % (k, nxt.measure(), score))
-            return k, nxt
-    raise NoReducingKError("no phase reduces the column measure")
+    found = _first_reducing_k(ctx, *_over_common(col.x, col.y), m0)
+    if found is None:
+        raise NoReducingKError("no phase reduces the column measure")
+    k, score = found
+    nxt = ColumnRn(*_step(col.x, col.y, k))
+    if nxt.measure() != score:
+        raise IntegrityError("column step k=%d has measure %d, scored %d"
+                             % (k, nxt.measure(), score))
+    return k, nxt
 
 
 def base_case_column(col: ColumnRn) -> tuple[UnitaryRn, GateSequence]:

@@ -9,16 +9,21 @@ matrix M; ties or non-decreasing minima only occur outside the
 synthesizable group and surface as NotReducibleError.  Candidates are built
 without matrix products: a rotation by b pi/n about axis q multiplies the
 complex combination r1 - i sigma_q r2 of the other two rows by zeta^b, so
-each candidate entry is the real part of a root-of-unity multiple, two
-basis rotations of the power basis and an add.  The candidates are scored
-without building entries at all: the same rotations and adds act on the
-numerators mod 4, kept as bit planes of n lanes (zeta^n = -1 for every n),
-which a fold reduces mod Phi_2n, and an entry's exact exponent follows
-from its lowest nonzero plane (_PlaneScan).  The descent carries its state
-from step to step (_Step): each entry's residue mod 4 and each row's max
-exponent, read off that residue's low plane.  A step rewrites two rows and
-keeps row q, so it reads only the six new entries, and it builds them once,
-from the pencils and entries the winning scan already holds.
+each candidate entry is the real part of a root-of-unity multiple: on
+numerators packed into lanes (cyclo.Lanes), two lane rotations, an add, a
+fold and a right shift.  The candidates are scored without building
+entries at all: the same rotations and adds act on the numerators mod 4,
+kept as bit planes of n lanes (zeta^n = -1 for every n), which a fold
+reduces mod Phi_2n, and an entry's exact exponent follows from its lowest
+nonzero plane (_PlaneScan).  The descent carries its state from step to
+step (_Step): each entry as lanes over its 2^m, its residue mod 4, read
+off the lanes' low bits, and each row's max exponent, read off that
+residue's low plane.  A step rewrites two rows and keeps row q, so it
+reads only the six new entries, and it builds them once, on lanes, from
+the pencils and entries the winning scan already holds; no lane ever
+wraps, as each step widens its lanes when a shifted numerator or a new
+entry leaves the headroom.  Each new entry is unpacked into the matrix
+once.
 
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
@@ -42,14 +47,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .cyclo import Context, make_context
+from .cyclo import Context, CycInt, Lanes, make_context
 from .errors import IntegrityError, NotReducibleError, PhaseNotInRingError
 from .rings import (
     RingElem,
-    _beta_exp_r,
     _exp_bounds,
-    _over_common,
     _parity_exponent,
     as_zeta_power,
 )
@@ -121,28 +126,6 @@ class MembershipResult:
 # -- descent ------------------------------------------------------------------
 
 
-def _candidate_rmax(entries, floor: int, cutoff):
-    """Exact max denominator exponent of floor and the nonzero entries, or
-    None once it provably exceeds cutoff (math.inf for none); a lazy
-    `entries` is not consumed past that point.  An entry's parity bits are
-    read only when its bracket reaches above the running max."""
-    val = floor
-    if val > cutoff:
-        return None
-    for e in entries:
-        if e.is_zero():
-            continue
-        lo, hi = _exp_bounds(e.ctx, e.m)
-        if hi <= val:
-            continue
-        if lo > cutoff:
-            return None
-        val = max(val, _beta_exp_r(e))
-        if val > cutoff:
-            return None
-    return val
-
-
 def _row_max(ctx: Context, row) -> int:
     """Max denominator exponent of a row given as residue triples (m, high,
     low), 0 for a row of integral entries.  A normalized entry with m > 0
@@ -168,35 +151,52 @@ def exponent_profile(m: Rotation) -> tuple[int, tuple[int, int, int]]:
 _SIGMA = (1, -1, 1)
 
 
-def _axis_pencils(rows, qi: int):
-    """shift = sigma_q n/2 (zeta^shift = i sigma_q) and, per column j, the
-    numerators of Z_j = r1_j - i sigma_q r2_j and conj(Z_j) over a common
-    2^M, with M + 1; r1, r2 are the rows other than qi."""
-    r1, r2 = [rows[i] for i in range(3) if i != qi]
-    shift = _SIGMA[qi] * (r1[0].ctx.n // 2)
+def _lane_entry(lanes: Lanes, p: int, m: int) -> tuple[int, int]:
+    """The lane entry (p', m') of p / 2^m for lanes p below n: p folded,
+    and every power of 2 its lanes share (at most m) taken off, so that p'
+    has an odd lane when m' > 0; (0, 0) for zero."""
+    p = lanes.fold(p)
+    if not p:
+        return 0, 0
+    t = lanes.twos(p + lanes.off, min(m, lanes.width - 1))
+    return p >> t, m - t
+
+
+def _repacked(src: Lanes, dst: Lanes, rows):
+    """The lane entries of rows, at src's width, repacked at dst's."""
+    return [[(dst.pack(src.unpack(p)), m) for p, m in row] for row in rows]
+
+
+def _residues(lanes: Lanes, row):
+    """The residue triple (m, high, low) of each lane entry of a row."""
+    return [(m,) + lanes.planes(p) for p, m in row]
+
+
+def _lane_pencils(lanes: Lanes, r1, r2, shift: int):
+    """(lanes, pencils): per column j, (Z_j, conj(Z_j), M + 1) as lanes
+    below n, Z_j = x - zeta^shift y and conj(Z_j) = x + zeta^shift y for
+    the entries x / 2^M, y / 2^M of the lane rows r1, r2 over a common 2^M
+    (a left shift each), at the narrowest doubling of lanes where every
+    shifted numerator lies in half the headroom, [-2^(f-1), 2^(f-1)): an
+    entry built from the pencils (_PlaneScan.pair), a sum of four such
+    numerators folded, which grows lanes at most 4 G <= 2^h-fold
+    (Context.lane_head), then lies in [-2^(W-2), 2^(W-2)], clear of the
+    ends of the lanes.  The test is made on the entries before the shift,
+    at 2^(f-1) over the shift, so that no lane spills into the next."""
+    while True:
+        cols = [(max(ma, mb), pa, ma, pb, mb) for (pa, ma), (pb, mb) in zip(r1, r2)]
+        g, fits = lanes.free - 1, lanes.fits
+        if all(fits(pa, g - top + ma) and fits(pb, g - top + mb) for top, pa, ma, pb, mb in cols):
+            break
+        wide = lanes.ctx.lanes(2 * lanes.width)
+        r1, r2 = _repacked(lanes, wide, (r1, r2))
+        lanes = wide
+    zeta = lanes.zeta
     pencils = []
-    for a, b in zip(r1, r2):
-        x, y, top = _over_common(a, b)
-        y = y.times_zeta(shift)
+    for top, pa, ma, pb, mb in cols:
+        x, y = pa << (top - ma), zeta(pb << (top - mb), shift)
         pencils.append((x - y, x + y, top + 1))
-    return shift, pencils
-
-
-def _pencil_entry(pencil, c: int) -> RingElem:
-    """Re(zeta^c Z) = (zeta^c Z + zeta^-c conj(Z)) / 2^(M+1)."""
-    z, zbar, m = pencil
-    return RingElem(z.times_zeta(c) + zbar.times_zeta(-c), m)
-
-
-def _residue(e: RingElem) -> tuple[int, int, int]:
-    """(m, high, low) of an entry: its denominator exponent and the bit
-    planes of its numerator mod 4 (CycInt.residue_planes)."""
-    return (e.m,) + e.num.residue_planes()
-
-
-def _step_residues(m: Rotation):
-    """The residue triple (m, high, low) of every entry of the matrix."""
-    return [[_residue(e) for e in row] for row in m.rows]
+    return lanes, pencils
 
 
 def _extension(n: int, h: int, l: int) -> tuple[int, int]:
@@ -253,24 +253,28 @@ class _PlaneScan:
     only when that bound reaches above the running max; the scan keeps
     what it built, by (entry, b), and its pencils, so that the rotation to
     the winning candidate (pair) builds only the entries still missing.
+    Pencils and entries are built on the step's lanes (_lane_pencils,
+    _lane_entry), widened for the pencils when the shift to a common
+    denominator leaves too little headroom.
     """
 
-    __slots__ = ("rows", "qi", "ctx", "half", "full", "lanes", "shift", "zh", "zl",
-                 "wh", "wl", "entries", "pencils", "built", "fold", "fold_shift", "fold_q")
+    __slots__ = ("rows", "qi", "ctx", "half", "full", "mask", "shift", "zh", "zl",
+                 "wh", "wl", "entries", "lanes", "pencils", "built", "fold", "fold_shift",
+                 "fold_q")
 
     def __init__(self, st: "_Step", qi: int):
         ctx = self.ctx = st.ctx
         n = ctx.n
         res = st.res
-        self.rows, self.qi = st.rows, qi
+        i1, i2 = [i for i in range(3) if i != qi]
+        self.rows, self.qi = (st.ent[i1], st.ent[i2]), qi
         self.half = half = n // 2
         self.full = full = (1 << n) - 1
         self.shift = shift = _SIGMA[qi] * half
-        self.pencils = None
+        self.lanes, self.pencils = st.lanes, None
         self.built = {}
-        i1, i2 = [i for i in range(3) if i != qi]
         seg = (1 << (2 * n)) - 1
-        zh = zl = wh = wl = lanes = 0
+        zh = zl = wh = wl = mask = 0
         entries = []
         for j in range(3):
             (ma, ha, la), (mb, hb, lb) = res[i1][j], res[i2][j]
@@ -285,6 +289,7 @@ class _PlaneScan:
             low = xl ^ yl
             ezh, ezl = _extension(n, xh ^ yh ^ yl ^ carry, low)
             ewh, ewl = _extension(n, xh ^ yh ^ carry, low)
+            bounds = tuple(_exp_bounds(ctx, top + 1 - t) for t in range(3))
             for r, s in enumerate((0, shift)):
                 e = 2 * j + r
                 off = 2 * n * e
@@ -294,10 +299,9 @@ class _PlaneScan:
                 zl |= ((ezl >> a) & seg) << off
                 wh |= ((ewh >> c) & seg) << off
                 wl |= ((ewl >> c) & seg) << off
-                lanes |= full << off
-                entries.append((off, top + 1, e,
-                                tuple(_exp_bounds(ctx, top + 1 - t) for t in range(3))))
-        self.zh, self.zl, self.wh, self.wl, self.lanes = zh, zl, wh, wl, lanes
+                mask |= full << off
+                entries.append((off, top + 1, e, bounds))
+        self.zh, self.zl, self.wh, self.wl, self.mask = zh, zl, wh, wl, mask
         self.fold, self.fold_shift, self.fold_q = ctx.memo(
             "plane_fold", lambda: _plane_fold(ctx))
         # the largest denominators first, so cutoffs prune early
@@ -311,8 +315,8 @@ class _PlaneScan:
         zeta^-c conj(Z_j) lane p is E_(p + c), a right shift by half + b."""
         u, v = self.half - b, self.half + b
         zl, wl = self.zl >> u, self.wl >> v
-        lanes = self.lanes
-        h, l = ((self.zh >> u) ^ (self.wh >> v) ^ (zl & wl)) & lanes, (zl ^ wl) & lanes
+        mask = self.mask
+        h, l = ((self.zh >> u) ^ (self.wh >> v) ^ (zl & wl)) & mask, (zl ^ wl) & mask
         for blk in self.fold:
             qh, ql = self.fold_q
             bh, bl = h & blk, l & blk
@@ -323,36 +327,44 @@ class _PlaneScan:
         return h, l
 
     def pencil(self, j: int):
-        """(Z_j, conj(Z_j), M + 1) of column j (_axis_pencils), built on
-        first use."""
+        """(Z_j, conj(Z_j), M + 1) of column j as lanes (_lane_pencils),
+        built on first use, with the scan's lanes widened if need be."""
         if self.pencils is None:
-            self.pencils = _axis_pencils(self.rows, self.qi)[1]
+            self.lanes, self.pencils = _lane_pencils(self.lanes, *self.rows, self.shift)
         return self.pencils[j]
 
-    def entry(self, e: int, b: int) -> RingElem:
-        """Entry e of candidate b, built in full and kept."""
-        x = self.built[e, b] = _pencil_entry(
-            self.pencil(e >> 1), b + (self.shift if e & 1 else 0))
+    def entry(self, e: int, b: int) -> tuple[int, int]:
+        """Lane entry e of candidate b, Re(zeta^c Z) = (zeta^c Z + zeta^-c
+        conj(Z)) / 2^(M+1), built and kept."""
+        z, zbar, m = self.pencil(e >> 1)
+        c = b + (self.shift if e & 1 else 0)
+        lanes = self.lanes
+        x = self.built[e, b] = _lane_entry(lanes, lanes.zeta(z, c) + lanes.zeta(zbar, -c), m)
         return x
 
-    def pair(self, j: int, b: int) -> tuple[RingElem, RingElem]:
-        """Entries (i1, j) and (i2, j) of candidate b: the ones score built,
-        else, for A = zeta^b Z_j and B = zeta^-b conj(Z_j), (A + B) / 2^(M+1)
-        and zeta^shift (A - B) / 2^(M+1), as zeta^-shift = -zeta^shift."""
+    def pair(self, j: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Lane entries (i1, j) and (i2, j) of candidate b: the ones score
+        built, else, for A = zeta^b Z_j and B = zeta^-b conj(Z_j),
+        (A + B) / 2^(M+1) and zeta^shift (A - B) / 2^(M+1), as
+        zeta^-shift = -zeta^shift."""
         built = self.built
         e1, e2 = built.get((2 * j, b)), built.get((2 * j + 1, b))
         if e1 is None or e2 is None:
             z, zbar, m = self.pencil(j)
-            a, c = z.times_zeta(b), zbar.times_zeta(-b)
+            lanes = self.lanes
+            a, c = lanes.zeta(z, b), lanes.zeta(zbar, -b)
             if e1 is None:
-                e1 = RingElem(a + c, m)
+                e1 = _lane_entry(lanes, a + c, m)
             if e2 is None:
-                e2 = RingElem((a - c).times_zeta(self.shift), m)
+                e2 = _lane_entry(lanes, lanes.zeta(a - c, self.shift), m)
         return e1, e2
 
     def score(self, b: int, floor: int, cutoff):
-        """As _candidate_rmax on the entries of candidate b: the exact max
-        exponent of floor and the entries, or None when it exceeds cutoff."""
+        """The exact max denominator exponent of floor and the nonzero
+        entries of candidate b, or None once it provably exceeds cutoff
+        (math.inf for none).  An entry's parity bits are read only when
+        its bracket reaches above the running max, and an entry read from
+        no plane is built (entry) only when its bound does."""
         val = floor
         if val > cutoff:
             return None
@@ -378,26 +390,39 @@ class _PlaneScan:
             val = hi if lo == hi else max(val, _parity_exponent(ctx, m - t, mask))
             if val > cutoff:
                 return None
-        if not deferred:
-            return val
-        return _candidate_rmax((self.entry(e, b) for e in deferred), val, cutoff)
+        for e in deferred:
+            p, m = self.entry(e, b)
+            lo, hi = _exp_bounds(ctx, m)  # (0, 0) for zero
+            if hi <= val:
+                continue
+            if lo > cutoff:
+                return None
+            val = hi if lo == hi else max(val, _parity_exponent(ctx, m, self.lanes.planes(p)[1]))
+            if val > cutoff:
+                return None
+        return val
 
 
 class _Step(Rotation):
-    """A descent step: the matrix, the residue triple (m, high, low) of
-    each entry (_residue), the max exponent of each row, and, once
-    axis_detect has run on it, the scan of the winning axis.
+    """A descent step: the matrix; each entry as a lane entry (p, m), the
+    numerator p as folded lanes (cyclo.Lanes) over 2^m, normalized, all at
+    one width, within the lanes' headroom; the residue triple (m, high,
+    low) of each entry, read off its lanes' low bits; the max exponent of
+    each row; and, once axis_detect has run on it, the scan of the winning
+    axis.
 
     R_q^(-b) leaves row q as it is, so rotated() carries that row's
-    triples and max to the next step and reads only the six new entries,
-    which it takes from the winning scan (_PlaneScan.pair).  A step holds
-    no reference to the step before it.
+    entries, triples and max to the next step and reads only the six new
+    entries, which it takes from the winning scan (_PlaneScan.pair) and
+    unpacks into the matrix once each.  When a new entry leaves the
+    headroom, the step's lanes double.  A step holds no reference to the
+    step before it.
     """
 
-    __slots__ = ("res", "row_max", "scan")
+    __slots__ = ("lanes", "ent", "res", "row_max", "scan")
 
-    def __init__(self, ctx: Context, rows, res, row_max):
-        self.ctx, self.rows = ctx, rows
+    def __init__(self, lanes: Lanes, rows, ent, res, row_max):
+        self.ctx, self.rows, self.lanes, self.ent = lanes.ctx, rows, lanes, ent
         self.res, self.row_max = res, row_max
         self.scan = None
 
@@ -407,21 +432,32 @@ class _Step(Rotation):
         if scan is None or scan.qi != qi:
             scan = _PlaneScan(self, qi)
         pairs = [scan.pair(j, b) for j in range(3)]
+        lanes, ent = scan.lanes, list(self.ent)
+        if lanes is not self.lanes:  # the scan widened them for its pencils
+            ent[qi] = _repacked(self.lanes, lanes, [ent[qi]])[0]
         rows, res, row_max = list(self.rows), list(self.res), list(self.row_max)
-        ctx = self.ctx
+        ctx, unpack = self.ctx, lanes.unpack
         for r, i in enumerate(i for i in range(3) if i != qi):
-            rows[i] = row = tuple(p[r] for p in pairs)
-            res[i] = row_res = [_residue(e) for e in row]
-            row_max[i] = _row_max(ctx, row_res)
-        return _Step(ctx, tuple(rows), res, tuple(row_max))
+            ent[i] = row = [p[r] for p in pairs]
+            rows[i] = tuple(RingElem(CycInt(ctx, unpack(p)), m) for p, m in row)
+            res[i] = _residues(lanes, row)
+            row_max[i] = _row_max(ctx, res[i])
+        # a new entry that leaves the headroom doubles the step's lanes
+        while reduce(or_, (p + lanes.room for row in ent for p, _ in row)) & lanes.roomy_top:
+            wide = ctx.lanes(2 * lanes.width)
+            ent, lanes = _repacked(lanes, wide, ent), wide
+        return _Step(lanes, tuple(rows), ent, res, tuple(row_max))
 
 
 def _as_step(m: Rotation) -> _Step:
-    """m itself if it is a _Step, else m with every entry read."""
+    """m itself if it is a _Step, else m with every entry read into lanes
+    at the narrowest width whose headroom holds them all."""
     if isinstance(m, _Step):
         return m
-    res = _step_residues(m)
-    return _Step(m.ctx, m.rows, res, tuple(_row_max(m.ctx, row) for row in res))
+    lanes, *ps = m.ctx.lanes().load(*(e.num.coeffs for row in m.rows for e in row))
+    ent = [list(zip(ps[3 * i:3 * i + 3], (e.m for e in row))) for i, row in enumerate(m.rows)]
+    res = [_residues(lanes, row) for row in ent]
+    return _Step(lanes, m.rows, ent, res, tuple(_row_max(m.ctx, row) for row in res))
 
 
 def axis_detect(m: Rotation) -> tuple[str, int]:

@@ -19,7 +19,10 @@ exponents found by the iterated beta-divisibility chain, descent
 candidates built as generator products and scored without pruning, the
 descent's exponent profile read entry by entry and its rotation step
 built four basis rotations per pencil, as before the descent carried its
-step state, and dyadic fractions normalized one halving at a time.
+step state, its pencils, entries and residues mod 4 built on CycInt
+tuples, as before the descent ran on packed lanes, column steps scored on
+CycInt valuations, and dyadic fractions normalized one halving at a
+time.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from cycsynth import (
     UnitaryRn,
 )
 from cycsynth.cyclo import two_adic
-from cycsynth.rings import _beta_exp_r, _over_common, mu
+from cycsynth.rings import _beta_exp_r, _exp_bounds, _over_common, mu
 from cycsynth.su2 import AXES, w_exponent
 
 
@@ -500,6 +503,20 @@ def reference_clifford_moves(ctx, group) -> dict:
 # -- reference column reduction ----------------------------------------------------
 
 
+def reference_first_reducing_k(ctx, x: CycInt, y: CycInt, m: int, m0: int):
+    """The column-step scoring on CycInt: for a column (x, y) / 2^m, each
+    k in 1..2n scored as (m + 1) v(2) - mu_threshold - min(v(x + zeta^k y),
+    v(x - zeta^k y)) by CycInt valuations; (k, score) for the first k
+    scored below m0, or None."""
+    base = (m + 1) * ctx.ram_index - (ctx.one() + ctx.zeta(ctx.n // 2)).valuation()
+    for k in range(1, ctx.order + 1):
+        yk = y.times_zeta(k)
+        score = base - min((x + yk).valuation(), (x - yk).valuation())
+        if score < m0:
+            return k, score
+    return None
+
+
 def reference_reduce_column_step(col):
     """(k, column) of the smallest k whose step H0 U_z(pi k/n), applied by a
     general product with the explicit matrices, lowers the column's measure;
@@ -533,6 +550,30 @@ def dense_candidate_entries(m, qi: int, b: int) -> list:
     return out
 
 
+def reference_candidate_rmax(entries, floor: int, cutoff):
+    """Exact max denominator exponent of floor and the nonzero RingElem
+    entries, or None once it provably exceeds cutoff (math.inf for none);
+    a lazy `entries` is not consumed past that point.  An entry's parity
+    bits are read only when its bracket reaches above the running max, as
+    the descent's deferred entries were scored before they were built on
+    lanes."""
+    val = floor
+    if val > cutoff:
+        return None
+    for e in entries:
+        if e.is_zero():
+            continue
+        lo, hi = _exp_bounds(e.ctx, e.m)
+        if hi <= val:
+            continue
+        if lo > cutoff:
+            return None
+        val = max(val, _beta_exp_r(e))
+        if val > cutoff:
+            return None
+    return val
+
+
 def reference_exponent_profile(m):
     """(max, per-row maxes) of the exponents of the nonzero entries, each
     read off its RingElem (0 for a row of zeros)."""
@@ -558,6 +599,37 @@ def reference_rotate(m, qi: int, b: int) -> Rotation:
         for i, e in ((i1, b), (i2, b + shift)):
             rows[i].append(RingElem(z.times_zeta(e) + zbar.times_zeta(-e), top + 1))
     return Rotation(m.ctx, rows, check=False)
+
+
+def reference_axis_pencils(rows, qi: int):
+    """shift = sigma_q n/2 (zeta^shift = i sigma_q) and, per column j, the
+    numerators of Z_j = r1_j - i sigma_q r2_j and conj(Z_j) over a common
+    2^M, with M + 1, as CycInt; r1, r2 are the rows other than qi."""
+    r1, r2 = [rows[i] for i in range(3) if i != qi]
+    shift = (1, -1, 1)[qi] * (r1[0].ctx.n // 2)
+    pencils = []
+    for a, b in zip(r1, r2):
+        x, y, top = _over_common(a, b)
+        y = y.times_zeta(shift)
+        pencils.append((x - y, x + y, top + 1))
+    return shift, pencils
+
+
+def reference_pencil_entry(pencil, c: int) -> RingElem:
+    """Re(zeta^c Z) = (zeta^c Z + zeta^-c conj(Z)) / 2^(M+1) on CycInt."""
+    z, zbar, m = pencil
+    return RingElem(z.times_zeta(c) + zbar.times_zeta(-c), m)
+
+
+def reference_step_residues(m):
+    """The residue triple (m, high, low) of every entry: its denominator
+    exponent and the bitmask planes of its numerator's coefficients mod 4,
+    bit i of low c_i mod 2 and of high (c_i >> 1) mod 2."""
+    def planes(e):
+        cs = e.num.coeffs
+        return (e.m, sum((c >> 1 & 1) << i for i, c in enumerate(cs)),
+                sum((c & 1) << i for i, c in enumerate(cs)))
+    return [[planes(e) for e in row] for row in m.rows]
 
 
 def dense_axis_detect(m):

@@ -25,6 +25,7 @@ import pytest
 from cycsynth import (
     ColumnRn,
     Context,
+    CycInt,
     GateSequence,
     NotReducibleError,
     RingElem,
@@ -72,10 +73,7 @@ from cycsynth.synth import (
     _PlaneScan,
     _RewriteState,
     _as_step,
-    _axis_pencils,
-    _candidate_rmax,
     _form_gates,
-    _step_residues,
 )
 from oracles import (
     chain_beta_exponent,
@@ -102,9 +100,12 @@ from oracles import (
     random_sequence,
     reference_canonicalize,
     reference_clifford_moves,
+    reference_axis_pencils,
+    reference_candidate_rmax,
     reference_exponent_profile,
     reference_reduce_column_step,
     reference_rotate,
+    reference_step_residues,
     ring_complex,
 )
 
@@ -207,7 +208,7 @@ def _first_step(m):
     references: residues against a fresh read, row maxima against the
     entry-by-entry profile."""
     st = _as_step(m)
-    assert st == m and st.res == _step_residues(m)
+    assert st == m and st.res == reference_step_residues(m)
     assert st.row_max == reference_exponent_profile(m)[1]
     return st
 
@@ -220,7 +221,7 @@ def _advance(st, q, b):
     assert nxt == reference_rotate(st, AXES.index(q), b)
     # a step that has not been scored builds its own scan
     assert _as_step(Rotation(st.ctx, st.rows, check=False)).rotated(AXES.index(q), b) == nxt
-    assert nxt.res == _step_residues(nxt)
+    assert nxt.res == reference_step_residues(nxt)
     assert nxt.row_max == reference_exponent_profile(nxt)[1]
     return nxt
 
@@ -235,10 +236,10 @@ def test_rotation_scan_matches_generator_products(n):
         m = _first_step(bloch(random_unitary(ctx, 12, 300 + seed)[0]))
         while is_signed_permutation(m) is None:
             for qi in range(3):
-                pencils = _axis_pencils(m.rows, qi)[1]
+                pencils = reference_axis_pencils(m.rows, qi)[1]
                 scan = _PlaneScan(m, qi)
                 for b in range(1, n // 2):
-                    got = [e for j in range(3) for e in scan.pair(j, b)]
+                    got = [_lane_elem(scan.lanes, e) for j in range(3) for e in scan.pair(j, b)]
                     dense = dense_candidate_entries(m, qi, b)
                     assert got == dense
                     _check_plane_residues(scan, b, dense, [p[2] for p in pencils])
@@ -249,6 +250,12 @@ def test_rotation_scan_matches_generator_products(n):
             m = nxt
             steps += 1
     assert steps >= 3
+
+
+def _lane_elem(lanes, entry):
+    """The RingElem of a lane entry (p, m)."""
+    p, m = entry
+    return RingElem(CycInt(lanes.ctx, lanes.unpack(p)), m)
 
 
 def _bits(coeffs, plane: int) -> int:
@@ -274,8 +281,10 @@ def _check_plane_residues(scan, b, dense, tops):
 @pytest.mark.parametrize("n", EXPONENT_NS)
 def test_candidate_scan_contract(n):
     # every candidate (q, b) on every descent step, scored against chain
-    # exponents: the exact max or None exactly when it exceeds the cutoff,
-    # and no entry consumed past the first whose exponent exceeds it
+    # exponents: the exact max or None exactly when it exceeds the cutoff;
+    # and the RingElem scoring the descent's deferred entries used before
+    # they were built on lanes, now a reference, consumes no entry past
+    # the first whose exponent exceeds it
     ctx = make_context(n)
     beta = beta_constant(ctx).beta
     exact = {}
@@ -303,7 +312,7 @@ def test_candidate_scan_contract(n):
                         assert got == (want if want <= cutoff else None)
                         planes += 1
                         consumed = []
-                        got = _candidate_rmax(
+                        got = reference_candidate_rmax(
                             (consumed.append(e) or e for e in entries), floor, cutoff)
                         if want <= cutoff:
                             assert got == want
@@ -359,11 +368,12 @@ def test_plane_scan_rejects_like_dense_scan(n):
 @pytest.mark.parametrize("n", (12, 24, 64))
 def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
     # every n: each step scores whole axes of candidates with
-    # _PlaneScan.score, and builds an entry in full only through
-    # _PlaneScan.entry
+    # _PlaneScan.score, and builds a lane entry in full only through
+    # _PlaneScan.entry; the rotation builds only the winner's lane entries
+    # the scan did not, and unpacks each of the six once
     ctx = make_context(n)
     scored, calls = [], {"entry": 0, "built": 0, "elem": 0}
-    score, entry, pencil_entry = _PlaneScan.score, _PlaneScan.entry, synth._pencil_entry
+    score, entry, lane_entry = _PlaneScan.score, _PlaneScan.entry, synth._lane_entry
 
     def counted_score(self, b, floor, cutoff):
         scored.append((self.qi, b))
@@ -373,9 +383,9 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
         calls["entry"] += 1
         return entry(self, e, b)
 
-    def counted_pencil_entry(pencil, c):
+    def counted_lane_entry(lanes, p, m):
         calls["built"] += 1
-        return pencil_entry(pencil, c)
+        return lane_entry(lanes, p, m)
 
     def counted_elem(num, m=0):
         calls["elem"] += 1
@@ -383,7 +393,7 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
 
     monkeypatch.setattr(_PlaneScan, "score", counted_score)
     monkeypatch.setattr(_PlaneScan, "entry", counted_entry)
-    monkeypatch.setattr(synth, "_pencil_entry", counted_pencil_entry)
+    monkeypatch.setattr(synth, "_lane_entry", counted_lane_entry)
     monkeypatch.setattr(synth, "RingElem", counted_elem)
     m = _as_step(bloch(random_unitary(ctx, 30, 77)[0]))
     steps = reused = 0
@@ -398,7 +408,7 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
         kept = sum(1 for _, c in m.scan.built if c == b)
         calls.update(elem=0, built=0)
         m = m.rotated(AXES.index(q), b)
-        assert (calls["elem"], calls["built"]) == (6 - kept, 0)
+        assert (calls["built"], calls["elem"]) == (6 - kept, 6)
         steps += 1
         reused += kept
     assert steps >= 3 and reused > 0
@@ -457,7 +467,7 @@ def test_one_shift_normalization_matches_halving(n):
     m = _as_step(bloch(random_unitary(ctx, {4: 40, 32: 6, 64: 4}.get(n, 10), 500 + n)[0]))
     while is_signed_permutation(m) is None:
         for qi in range(3):
-            shift, pencils = _axis_pencils(m.rows, qi)
+            shift, pencils = reference_axis_pencils(m.rows, qi)
             for b in range(1, n // 2):
                 for z, zbar, top in pencils:
                     raw.append((z.times_zeta(b) + zbar.times_zeta(-b), top))

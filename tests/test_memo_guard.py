@@ -3,8 +3,9 @@
 Any module but cyclo.py that reaches into the store behind it (or brings
 back a private per-context cache dict) fails here, so a second cache
 mechanism cannot grow next to the first.  Likewise the denominator
-exponent has one home, rings, which alone reads parity bits for it, and
-the descent has one candidate scan for every n.
+exponent has one home, rings, which alone reads parity bits for it, the
+descent has one candidate scan for every n, and the gate kernel, the
+descent step and the column-step scoring run on packed lanes.
 """
 
 import pathlib
@@ -56,15 +57,13 @@ def test_the_fold_split_has_one_home():
     assert offenders == [] and "phi_poly" not in lanes
 
 
-def test_the_gate_kernel_runs_on_lanes_alone(monkeypatch):
-    # Every word evaluation, strip and column step goes through
-    # su2._apply_line, which must do its gate arithmetic on packed lanes
-    # (cyclo.Lanes): no CycInt rotation, add or subtract runs inside it.
-    # Its lane tables live in Context.memo, like every per-context table.
-    from cycsynth import (CycInt, GateSequence, canonical_form, eval_sequence,
-                          make_context, random_unitary, ringsynth, su2, synth)
+def _guard_lane_arithmetic(monkeypatch, targets):
+    """Patch each (owner, name) in targets to count its calls, and CycInt's
+    rotation, add and subtract to record any call made while one of the
+    targets runs; returns (calls, entered)."""
+    from cycsynth import CycInt
 
-    inside, calls = [0], []
+    inside, calls, entered = [0], [], {}
 
     def watch(name, plain):
         def wrapped(*args):
@@ -73,19 +72,33 @@ def test_the_gate_kernel_runs_on_lanes_alone(monkeypatch):
             return plain(*args)
         return wrapped
 
-    kernel = su2._apply_line
-
-    def line(*args, **kwargs):
-        inside[0] += 1
-        try:
-            return kernel(*args, **kwargs)
-        finally:
-            inside[0] -= 1
+    def guarded(name, plain):
+        def wrapped(*args, **kwargs):
+            entered[name] = entered.get(name, 0) + 1
+            inside[0] += 1
+            try:
+                return plain(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+        return wrapped
 
     for name in ("times_zeta", "__add__", "__sub__"):
         monkeypatch.setattr(CycInt, name, watch(name, getattr(CycInt, name)))
-    monkeypatch.setattr(su2, "_apply_line", line)
-    monkeypatch.setattr(ringsynth, "_apply_line", line)
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, guarded(name, getattr(owner, name)))
+    return calls, entered
+
+
+def test_the_gate_kernel_runs_on_lanes_alone(monkeypatch):
+    # Every word evaluation, strip and column step goes through
+    # su2._apply_line, which must do its gate arithmetic on packed lanes
+    # (cyclo.Lanes): no CycInt rotation, add or subtract runs inside it.
+    # Its lane tables live in Context.memo, like every per-context table.
+    from cycsynth import (GateSequence, canonical_form, eval_sequence, make_context,
+                          random_unitary, ringsynth, su2, synth)
+
+    calls, entered = _guard_lane_arithmetic(
+        monkeypatch, [(su2, "_apply_line"), (ringsynth, "_apply_line")])
     for n in (8, 12, 30):
         ctx = make_context(n)
         u, _ = random_unitary(ctx, 40, 5)
@@ -96,4 +109,25 @@ def test_the_gate_kernel_runs_on_lanes_alone(monkeypatch):
         if n in ringsynth.RING_EQUALITY_NS:
             assert ringsynth.synthesize_ring(u).tokens
         assert [key for key in ctx._memo if key[0] == "lanes"]
-    assert inside[0] == 0 and calls == []
+    assert calls == [] and entered["_apply_line"] > 0
+
+
+def test_the_descent_step_and_column_scoring_run_on_lanes(monkeypatch):
+    # The descent's rotation and the entries its scans build (synth._Step,
+    # _PlaneScan.entry and pair), and the column-step scoring
+    # (ringsynth._first_reducing_k), do their arithmetic on packed lanes:
+    # no CycInt rotation, add or subtract runs inside them.
+    from cycsynth import canonical_form, make_context, random_unitary, ringsynth, synth
+
+    calls, entered = _guard_lane_arithmetic(
+        monkeypatch, [(synth._Step, "rotated"), (synth._PlaneScan, "entry"),
+                      (synth._PlaneScan, "pair"), (ringsynth, "_first_reducing_k")])
+    for n in (8, 12, 30):
+        ctx = make_context(n)
+        for seed in range(4):
+            u, _ = random_unitary(ctx, 60, 80 + seed)
+            assert canonical_form(u).tcount() == 60
+            if n in ringsynth.RING_EQUALITY_NS:
+                assert ringsynth.synthesize_ring(u).tokens
+    assert calls == []
+    assert sorted(entered) == ["_first_reducing_k", "entry", "pair", "rotated"]
