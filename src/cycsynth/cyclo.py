@@ -313,10 +313,9 @@ class Context:
 
 
 # The narrowest lane width, and the struct codes of 16-, 32- and 64-bit
-# signed lanes, and of 128-bit ones as two 64-bit words, the high one signed.
+# signed lanes.
 LANE_WIDTH = 16
-_LANE_CODES = {16: "h", 32: "i", 64: "q", 128: "Qq"}
-_LOW64 = (1 << 64) - 1
+_LANE_CODES = {16: "h", 32: "i", 64: "q"}
 
 
 class Lanes:
@@ -339,8 +338,7 @@ class Lanes:
     - x^(w B), s - phi(s) steps.  The lanes of p + off, all in [0, 2^W),
     carry no borrows, so their low bits are those of the c_i, and
     (p + off) ^ off holds each c_i as a W-bit two's complement lane: for
-    W in {16, 32, 64, 128} packing and unpacking are one struct call each
-    (128-bit lanes as two 64-bit words).
+    W in {16, 32, 64} packing and unpacking are one struct call each.
     """
 
     __slots__ = ("ctx", "width", "nw", "split", "off", "nbytes", "code", "ones",
@@ -361,13 +359,13 @@ class Lanes:
         self.off = self.ones << (w - 1)
         self.nbytes = w * d // 8
         code = _LANE_CODES.get(w)
-        self.code = code and struct.Struct("<" + code * d)
+        self.code = code and struct.Struct("<%d%s" % (d, code))
         # Lanes c in the headroom [-2^f, 2^f) are those of p + room with no
-        # bit in roomy_top; a width with f < 1 holds only zero lanes.
+        # bit in roomy_top (fits at g = f); a width with f < 1 holds only
+        # zero lanes.
         self.full = (1 << (w * d)) - 1
         self.free = f = w - 1 - ctx.lane_head()
-        self.room = self.ones << f if f > 0 else 0
-        self.roomy_top = self.ones * ((1 << w) - (2 << f) if f > 0 else (1 << w) - 1)
+        self.room, self.roomy_top = self._bounds(f) if f > 0 else (0, self.full)
         lanes = ctx.ram_index
         q = sum(c << (w * lanes * j) for j, c in enumerate(ctx.fold_q))
         dp = len(ctx.fold_q)
@@ -394,9 +392,14 @@ class Lanes:
         lane."""
         if g < 0:
             return not p
+        room, top = self._bounds(g)
+        return not (p + room) & top
+
+    def _bounds(self, g: int) -> tuple[int, int]:
+        # (room, top) of the test for [-2^g, 2^g): room is 2^g in every
+        # lane, top is ones (2^W - 2^(g+1)), the bits above [0, 2^(g+1))
         room = self.ones << g
-        # ones (2^W - 2^(g+1)), the bits above [0, 2^(g+1)) in every lane
-        return not (p + room) & (self.full + self.ones - (room << 1))
+        return room, self.full + self.ones - (room << 1)
 
     def pack(self, coeffs) -> int | None:
         """The lanes of a coefficient vector, or None when an entry does
@@ -406,8 +409,6 @@ class Lanes:
             if max(max(coeffs), -1 - min(coeffs)) >> (w - 1):
                 return None
             return sum(c << (w * i) for i, c in enumerate(coeffs) if c)
-        if self.width == 128:
-            coeffs = [x for c in coeffs for x in (c & _LOW64, c >> 64)]
         try:
             raw = self.code.pack(*coeffs)
         except struct.error:
@@ -417,9 +418,6 @@ class Lanes:
     def unpack(self, p: int) -> tuple[int, ...]:
         """The phi(2n) coefficients of folded lanes p."""
         raw = ((p + self.off) ^ self.off).to_bytes(self.nbytes, "little")
-        if self.width == 128:
-            words = self.code.unpack(raw)
-            return tuple(lo | hi << 64 for lo, hi in zip(words[::2], words[1::2]))
         if self.code is not None:
             return self.code.unpack(raw)
         b, half = self.width // 8, 1 << (self.width - 1)
@@ -469,13 +467,15 @@ class Lanes:
         return int(raw.translate(_HIGH_BIT), 2), int(raw.translate(_LOW_BIT), 2)
 
     def valuation(self, p: int):
-        """Valuation above 2 of folded lanes p (n in VALUATION_NS; math.inf
-        for zero), as CycInt.valuation: 2^k t, 2^t the power of 2 the lanes
-        share, plus the multiplicity of Phi_s in the low plane of p / 2^t."""
+        """Valuation above 2 of folded lanes p (n in VALUATION_NS, else
+        ValueError; math.inf for zero), as CycInt.valuation: 2^k t, 2^t the
+        power of 2 the lanes share, plus the multiplicity of Phi_s in the
+        low plane of p / 2^t."""
+        ctx = self.ctx
+        _require_valuation(ctx)
         if not p:
             return math.inf
         t = self.twos(p + self.off, self.width - 1)
-        ctx = self.ctx
         return (t << ctx.k) + ctx.parity_multiplicity(
             int(self._low_bytes(p >> t).translate(_LOW_BIT), 2))
 
@@ -515,6 +515,13 @@ def _checked_coeffs(coeffs, degree: int) -> tuple[int, ...]:
 _AND3 = (3).__and__
 _HIGH_BIT = bytes.maketrans(bytes(range(256)), bytes(b"01"[c >> 1 & 1] for c in range(256)))
 _LOW_BIT = bytes.maketrans(bytes(range(256)), bytes(b"01"[c & 1] for c in range(256)))
+
+
+def _require_valuation(ctx: Context) -> None:
+    if not ctx.supports_valuation:
+        raise ValueError(
+            "valuation above 2 is only supported for n in %r" % (VALUATION_NS,)
+        )
 
 
 def _check_same_context(a: "CycInt", b: "CycInt") -> None:
@@ -660,10 +667,7 @@ class CycInt:
         math.inf for zero.
         """
         ctx = self.ctx
-        if not ctx.supports_valuation:
-            raise ValueError(
-                "valuation above 2 is only supported for n in %r" % (VALUATION_NS,)
-            )
+        _require_valuation(ctx)
         if self.is_zero():
             return math.inf
         t = two_adic(reduce(or_, self.coeffs))

@@ -46,7 +46,7 @@ from cycsynth import (
     UnitaryRn,
 )
 from cycsynth.cyclo import two_adic
-from cycsynth.rings import _beta_exp_r, _exp_bounds, _over_common, mu
+from cycsynth.rings import _beta_exp_r, _over_common, mu
 from cycsynth.su2 import AXES, w_exponent
 
 
@@ -548,30 +548,6 @@ def dense_candidate_entries(m, qi: int, b: int) -> list:
         out.append(c11 * rows[i1][j] + c12 * rows[i2][j])
         out.append(c21 * rows[i1][j] + c22 * rows[i2][j])
     return out
-
-
-def reference_candidate_rmax(entries, floor: int, cutoff):
-    """Exact max denominator exponent of floor and the nonzero RingElem
-    entries, or None once it provably exceeds cutoff (math.inf for none);
-    a lazy `entries` is not consumed past that point.  An entry's parity
-    bits are read only when its bracket reaches above the running max, as
-    the descent's deferred entries were scored before they were built on
-    lanes."""
-    val = floor
-    if val > cutoff:
-        return None
-    for e in entries:
-        if e.is_zero():
-            continue
-        lo, hi = _exp_bounds(e.ctx, e.m)
-        if hi <= val:
-            continue
-        if lo > cutoff:
-            return None
-        val = max(val, _beta_exp_r(e))
-        if val > cutoff:
-            return None
-    return val
 
 
 def reference_exponent_profile(m):

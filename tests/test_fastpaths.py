@@ -101,7 +101,6 @@ from oracles import (
     reference_canonicalize,
     reference_clifford_moves,
     reference_axis_pencils,
-    reference_candidate_rmax,
     reference_exponent_profile,
     reference_reduce_column_step,
     reference_rotate,
@@ -279,12 +278,11 @@ def _check_plane_residues(scan, b, dense, tops):
 
 
 @pytest.mark.parametrize("n", EXPONENT_NS)
-def test_candidate_scan_contract(n):
+def test_candidate_scan_contract(n, monkeypatch):
     # every candidate (q, b) on every descent step, scored against chain
     # exponents: the exact max or None exactly when it exceeds the cutoff;
-    # and the RingElem scoring the descent's deferred entries used before
-    # they were built on lanes, now a reference, consumes no entry past
-    # the first whose exponent exceeds it
+    # and when it is None, the scan has built (_PlaneScan.entry) no deferred
+    # entry past the first whose exponent exceeds the cutoff
     ctx = make_context(n)
     beta = beta_constant(ctx).beta
     exact = {}
@@ -294,6 +292,13 @@ def test_candidate_scan_contract(n):
             exact[e.key()] = chain_beta_exponent(e, beta)
         return exact[e.key()]
 
+    built, entry = [], _PlaneScan.entry
+
+    def spy(scan, e, b):
+        built.append(e)
+        return entry(scan, e, b)
+
+    monkeypatch.setattr(_PlaneScan, "entry", spy)
     checked = planes = 0
     for seed in range(2):
         m = _first_step(bloch(random_unitary(ctx, {32: 4, 64: 3}.get(n, 6), 900 + seed)[0]))
@@ -303,26 +308,26 @@ def test_candidate_scan_contract(n):
                 assert m.row_max[qi] == floor
                 scan = _PlaneScan(m, qi)
                 for b in range(1, n // 2):
+                    # entry e of the scan is entry e of the dense candidate
                     entries = dense_candidate_entries(m, qi, b)
                     exps = [None if e.is_zero() else r(e) for e in entries]
-                    want = max([floor] + [x for x in exps if x is not None])
-                    for cutoff in (math.inf, want - 1, want, want + 1):
-                        # the plane scan: exact below the cutoff, else None
-                        got = scan.score(b, floor, cutoff)
-                        assert got == (want if want <= cutoff else None)
-                        planes += 1
-                        consumed = []
-                        got = reference_candidate_rmax(
-                            (consumed.append(e) or e for e in entries), floor, cutoff)
-                        if want <= cutoff:
-                            assert got == want
-                            continue
-                        assert got is None
-                        over = [i for i, x in enumerate(exps)
-                                if x is not None and x > cutoff]
-                        stop = 0 if floor > cutoff else over[0] + 1
-                        assert len(consumed) <= stop
-                        checked += 1
+                    top = max([x for x in exps if x is not None], default=0)
+                    # from the row's floor, and from 0, where more entries
+                    # are deferred, at every cutoff up to the max
+                    for low in (floor, 0):
+                        want = max(low, top)
+                        cutoffs = range(want - 1, want + 2) if low else range(want + 2)
+                        for cutoff in (math.inf, *cutoffs):
+                            built.clear()
+                            got = scan.score(b, low, cutoff)
+                            assert got == (want if want <= cutoff else None)
+                            planes += 1
+                            if got is not None:
+                                continue
+                            over = [i for i, e in enumerate(built)
+                                    if exps[e] is not None and exps[e] > cutoff]
+                            assert len(built) <= (over[0] + 1 if over else 0)
+                            checked += bool(built)
             q, b = axis_detect(m)
             assert (q, b) == dense_axis_detect(m)
             m = _advance(m, q, b)

@@ -239,6 +239,9 @@ def test_lane_readers_match_coefficients(width):
                                                for c in cs)
             if ctx.supports_valuation:
                 assert lanes.valuation(p) == CycInt(ctx, cs).valuation()
+            else:  # as CycInt.valuation, only where the prime above 2 is unique
+                with pytest.raises(ValueError, match="only supported for n in"):
+                    lanes.valuation(p)
 
 
 @pytest.mark.parametrize("n", (4, 6, 8, 12, 30))

@@ -162,6 +162,30 @@ def test_lanes_pack_and_unpack_round_trip():
             assert lanes.pack(too_big) is None
 
 
+def test_headroom_test_is_fits_at_the_full_headroom():
+    # load, settle and the descent test the headroom [-2^f, 2^f) with room
+    # and roomy_top; Lanes.fits, the same test at any g, must agree at g = f
+    # (a width with f < 1 holds only zero lanes): both against the lanes
+    rng = random.Random(19)
+    for n in (4, 12, 30, 64, 210):
+        ctx = make_context(n)
+        for width in (8, 16, 32, 64):
+            lanes = ctx.lanes(width)
+            f, half = lanes.free, 1 << (width - 1)
+            lo, hi = (-(1 << f), 1 << f) if f >= 1 else (0, 1)
+            outside = [c for c in (lo - 1, hi, -half, half - 1) if not lo <= c < hi]
+            for trial in range(40):
+                coeffs = [rng.choice((lo, hi - 1, 0, rng.randrange(lo, hi)))
+                          for _ in range(ctx.degree)]
+                if trial % 2:  # one lane just or far outside
+                    coeffs[rng.randrange(ctx.degree)] = rng.choice(outside)
+                p = lanes.pack(coeffs)
+                inside = not (p + lanes.room) & lanes.roomy_top
+                assert inside == (trial % 2 == 0)
+                if f >= 1:
+                    assert inside == lanes.fits(p, f)
+
+
 @pytest.mark.parametrize("n", EVEN_NS)
 def test_lane_zeta_and_fold_match_cycint(n):
     ctx = make_context(n)
