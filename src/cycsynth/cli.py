@@ -136,7 +136,10 @@ def cmd_synth(args, out) -> int:
         # imported here, so that runs without a pool do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once, so ask for no more than
+        # the lines and the CPUs can use
+        workers = min(args.jobs, len(matrices), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_synth_json, entries, map(matrix_to_json, matrices)))
     else:
         results = [_numbered(i, _synth_one, u) for i, u in zip(entries, matrices)]

@@ -22,8 +22,9 @@ residue's low plane.  A step rewrites two rows and keeps row q, so it
 reads only the six new entries, and it builds them once, on lanes, from
 the pencils and entries the winning scan already holds; no lane ever
 wraps, as each step widens its lanes when a shifted numerator or a new
-entry leaves the headroom.  Each new entry is unpacked into the matrix
-once.
+entry leaves the headroom.  A step builds no ring element: the descent
+reads the final Clifford pattern off the lanes, and the matrix is
+unpacked only when read.
 
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
@@ -404,27 +405,43 @@ class _PlaneScan:
 
 
 class _Step(Rotation):
-    """A descent step: the matrix; each entry as a lane entry (p, m), the
-    numerator p as folded lanes (cyclo.Lanes) over 2^m, normalized, all at
-    one width, within the lanes' headroom; the residue triple (m, high,
-    low) of each entry, read off its lanes' low bits; the max exponent of
-    each row; and, once axis_detect has run on it, the scan of the winning
-    axis.
+    """A descent step: each entry as a lane entry (p, m), the numerator p as
+    folded lanes (cyclo.Lanes) over 2^m, normalized, all at one width,
+    within the lanes' headroom; the residue triple (m, high, low) of each
+    entry, read off its lanes' low bits; the max exponent of each row; and,
+    once axis_detect has run on it, the scan of the winning axis.
 
     R_q^(-b) leaves row q as it is, so rotated() carries that row's
     entries, triples and max to the next step and reads only the six new
-    entries, which it takes from the winning scan (_PlaneScan.pair) and
-    unpacks into the matrix once each.  When a new entry leaves the
-    headroom, the step's lanes double.  A step holds no reference to the
-    step before it.
+    entries, which it takes from the winning scan (_PlaneScan.pair); it
+    builds no RingElem.  When a new entry leaves the headroom, the step's
+    lanes double.  The matrix (rows) is unpacked from the lanes only when
+    something reads it; the descent reads only signed_perm_key, off the
+    lanes.  A step holds no reference to the step before it.
     """
 
-    __slots__ = ("lanes", "ent", "res", "row_max", "scan")
+    __slots__ = ("lanes", "ent", "res", "row_max", "scan", "_rows")
 
-    def __init__(self, lanes: Lanes, rows, ent, res, row_max):
-        self.ctx, self.rows, self.lanes, self.ent = lanes.ctx, rows, lanes, ent
-        self.res, self.row_max = res, row_max
+    def __init__(self, lanes: Lanes, ent, res, row_max, rows=None):
+        self.ctx, self.lanes, self.ent = lanes.ctx, lanes, ent
+        self.res, self.row_max, self._rows = res, row_max, rows
         self.scan = None
+
+    @property
+    def rows(self):
+        """The matrix, unpacked from the lane entries on first read."""
+        if self._rows is None:
+            ctx, unpack = self.ctx, self.lanes.unpack
+            self._rows = tuple(tuple(RingElem(CycInt(ctx, unpack(p)), m) for p, m in row)
+                               for row in self.ent)
+        return self._rows
+
+    def signed_perm_key(self):
+        """Rotation.signed_perm_key off the lane entries: an entry is an
+        integer only with m = 0 (a normalized entry with m > 0 has an odd
+        lane), and then it is 0 or +-1 exactly when its lanes are."""
+        key = tuple(p for row in self.ent for p, m in row if not m and -1 <= p <= 1)
+        return key if len(key) == 9 else None
 
     def rotated(self, qi: int, b: int) -> "_Step":
         """The step R_q^(-b) M for q = AXES[qi]."""
@@ -435,18 +452,17 @@ class _Step(Rotation):
         lanes, ent = scan.lanes, list(self.ent)
         if lanes is not self.lanes:  # the scan widened them for its pencils
             ent[qi] = _repacked(self.lanes, lanes, [ent[qi]])[0]
-        rows, res, row_max = list(self.rows), list(self.res), list(self.row_max)
-        ctx, unpack = self.ctx, lanes.unpack
+        res, row_max = list(self.res), list(self.row_max)
+        ctx = self.ctx
         for r, i in enumerate(i for i in range(3) if i != qi):
             ent[i] = row = [p[r] for p in pairs]
-            rows[i] = tuple(RingElem(CycInt(ctx, unpack(p)), m) for p, m in row)
             res[i] = _residues(lanes, row)
             row_max[i] = _row_max(ctx, res[i])
         # a new entry that leaves the headroom doubles the step's lanes
         while reduce(or_, (p + lanes.room for row in ent for p, _ in row)) & lanes.roomy_top:
             wide = ctx.lanes(2 * lanes.width)
             ent, lanes = _repacked(lanes, wide, ent), wide
-        return _Step(lanes, tuple(rows), ent, res, tuple(row_max))
+        return _Step(lanes, ent, res, tuple(row_max))
 
 
 def _as_step(m: Rotation) -> _Step:
@@ -457,7 +473,7 @@ def _as_step(m: Rotation) -> _Step:
     lanes, *ps = m.ctx.lanes().load(*(e.num.coeffs for row in m.rows for e in row))
     ent = [list(zip(ps[3 * i:3 * i + 3], (e.m for e in row))) for i, row in enumerate(m.rows)]
     res = [_residues(lanes, row) for row in ent]
-    return _Step(lanes, m.rows, ent, res, tuple(_row_max(m.ctx, row) for row in res))
+    return _Step(lanes, ent, res, tuple(_row_max(m.ctx, row) for row in res), m.rows)
 
 
 def axis_detect(m: Rotation) -> tuple[str, int]:

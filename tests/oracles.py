@@ -20,9 +20,9 @@ candidates built as generator products and scored without pruning, the
 descent's exponent profile read entry by entry and its rotation step
 built four basis rotations per pencil, as before the descent carried its
 step state, its pencils, entries and residues mod 4 built on CycInt
-tuples, as before the descent ran on packed lanes, column steps scored on
-CycInt valuations, and dyadic fractions normalized one halving at a
-time.
+tuples, as before the descent ran on packed lanes, its matrix unpacked
+on every step, column steps scored on CycInt valuations, and dyadic
+fractions normalized one halving at a time.
 """
 
 from __future__ import annotations
@@ -606,6 +606,17 @@ def reference_step_residues(m):
         return (e.m, sum((c >> 1 & 1) << i for i, c in enumerate(cs)),
                 sum((c & 1) << i for i, c in enumerate(cs)))
     return [[planes(e) for e in row] for row in m.rows]
+
+
+def eager_step_rows(rows, qi: int, step):
+    """The matrix of step = R_q^(-b) M as the descent's rotation built it,
+    before the matrix was unpacked only when read: row qi of M's rows
+    carried as it is, and each entry of the other two rows unpacked from
+    the step's lane entries into a RingElem."""
+    lanes = step.lanes
+    return tuple(rows[i] if i == qi else
+                 tuple(RingElem(CycInt(lanes.ctx, lanes.unpack(p)), m) for p, m in step.ent[i])
+                 for i in range(3))
 
 
 def dense_axis_detect(m):

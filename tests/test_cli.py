@@ -81,6 +81,37 @@ def test_synth_batch_parallel_matches_serial(tmp_path):
     assert out1 == out2
 
 
+def test_synth_jobs_starts_no_more_workers_than_lines_or_cpus(tmp_path, monkeypatch):
+    # ProcessPoolExecutor starts all max_workers processes up front, so a
+    # huge --jobs on a two-line batch must not reach it; a fake pool records
+    # what it is asked for and maps serially, starting no process.
+    import concurrent.futures
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    ctx = make_context(6)
+    src = tmp_path / "batch.jsonl"
+    src.write_text("\n".join(json.dumps(matrix_to_json(uz_power(ctx, a))) for a in (1, 2)))
+    code1, out1 = run_cli(["synth", "--n", "6", "--input", str(src)])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    code2, out2 = run_cli(["synth", "--n", "6", "--input", str(src), "--jobs", "100000"])
+    assert code1 == code2 == 0 and out1 == out2
+    assert len(asked) == 1 and 1 <= asked[0] <= min(2, os.cpu_count() or 1)
+
+
 def test_cli_loads_the_process_pool_only_for_parallel_batches():
     src = os.path.dirname(os.path.dirname(cycsynth.__file__))
     check = "import sys, cycsynth.cli; sys.exit('concurrent.futures.process' in sys.modules)"

@@ -6,8 +6,9 @@ and builds the pencils, candidate entries and residues mod 4 on them;
 ringsynth scores each column step k on lane valuations.  The references in
 oracles are the CycInt pencils and entries (reference_axis_pencils,
 reference_pencil_entry), the rotation step (reference_rotate), the
-residues read off each entry (reference_step_residues) and the CycInt
-scoring loop (reference_first_reducing_k).  Lanes must widen, never wrap:
+residues read off each entry (reference_step_residues), the matrix the
+rotation unpacked on every step (eager_step_rows) and the CycInt scoring
+loop (reference_first_reducing_k).  Lanes must widen, never wrap:
 a rotation started from the identity at 16-bit lanes climbs to 128 bits.
 """
 
@@ -25,6 +26,7 @@ from cycsynth import (
     apply_gates,
     bloch,
     canonical_form,
+    clifford_group,
     cyclo,
     is_signed_permutation,
     make_context,
@@ -37,6 +39,7 @@ from cycsynth.su2 import AXES
 from cycsynth.synth import _as_step, _PlaneScan
 
 from oracles import (
+    eager_step_rows,
     random_cycint,
     reference_axis_pencils,
     reference_first_reducing_k,
@@ -44,6 +47,7 @@ from oracles import (
     reference_rotate,
     reference_step_residues,
 )
+from test_fastpaths import EXPONENT_NS
 
 DESCENT_NS = [*range(4, 65, 2), 90, 102, 210]
 
@@ -144,6 +148,58 @@ def test_descent_from_8_bit_lanes_matches_cycint_references(n, monkeypatch):
     monkeypatch.setattr(cyclo, "LANE_WIDTH", 8)
     ctx = make_context(n)
     assert _descend(_as_step(bloch(random_unitary(ctx, 6, 2300 + n)[0]))) >= 2
+
+
+@pytest.mark.parametrize("n", EXPONENT_NS)
+def test_lazy_matrix_and_lane_pattern_match_the_eager_step(n):
+    # On every step of descents, the matrix unpacked when read equals the
+    # one the rotation used to build (row q carried, six entries unpacked),
+    # and the signed-permutation pattern read off the lanes equals the
+    # matrix's, the final Clifford step included.
+    ctx = make_context(n)
+    steps = 0
+    for seed in range(2):
+        rows = bloch(random_unitary(ctx, {32: 8, 64: 6}.get(n, 24), 3100 + n + seed)[0]).rows
+        st = _as_step(Rotation(ctx, rows, check=False))
+        while True:
+            key = st.signed_perm_key()
+            assert key == Rotation(ctx, st.rows, check=False).signed_perm_key()
+            if is_signed_permutation(st) is not None:
+                break
+            q, b = synth.axis_detect(st)
+            qi = AXES.index(q)
+            nxt = st.rotated(qi, b)
+            rows = eager_step_rows(rows, qi, nxt)
+            assert nxt.rows == rows
+            st = nxt
+            steps += 1
+        assert key is not None
+    assert steps >= 4
+
+
+def test_signed_perm_key_off_lanes_matches_the_matrix():
+    # integral entries other than 0 and +-1, small and past 64 bits,
+    # halves, a unit that is no integer, and the 24 Clifford rotations
+    for n in (4, 8, 12, 30):
+        ctx = make_context(n)
+
+        def elem(c, m=0):
+            return RingElem(ctx.from_int(c) if isinstance(c, int) else CycInt(ctx, c), m)
+
+        zeta = [0, 1] + [0] * (ctx.degree - 2)
+        cases = [c.rotation.rows for c in clifford_group(ctx)]
+        for a, b, c in ((2, -3, 1), (1, -1, 2), (1 << 70, 1, -1), (-1, -1, 1)):
+            cases.append(((elem(a), elem(0), elem(0)), (elem(0), elem(b), elem(0)),
+                          (elem(0), elem(0), elem(c))))
+        cases.append(((elem(1, 1), elem(1), elem(0)), (elem(0), elem(zeta), elem(1)),
+                      (elem(1), elem(0), elem(-1))))
+        seen = set()
+        for rows in cases:
+            m = Rotation(ctx, rows, check=False)
+            key = _as_step(m).signed_perm_key()
+            assert key == m.signed_perm_key()
+            seen.add(key is None)
+        assert seen == {True, False}
 
 
 def _columns(ctx, rng):

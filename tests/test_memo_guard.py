@@ -5,7 +5,8 @@ back a private per-context cache dict) fails here, so a second cache
 mechanism cannot grow next to the first.  Likewise the denominator
 exponent has one home, rings, which alone reads parity bits for it, the
 descent has one candidate scan for every n, and the gate kernel, the
-descent step and the column-step scoring run on packed lanes.
+descent step and the column-step scoring run on packed lanes, where the
+descent step builds no ring element at all.
 """
 
 import pathlib
@@ -57,12 +58,15 @@ def test_the_fold_split_has_one_home():
     assert offenders == [] and "phi_poly" not in lanes
 
 
-def _guard_lane_arithmetic(monkeypatch, targets):
-    """Patch each (owner, name) in targets to count its calls, and CycInt's
-    rotation, add and subtract to record any call made while one of the
-    targets runs; returns (calls, entered)."""
+def _guard_lane_arithmetic(monkeypatch, targets, watched=None):
+    """Patch each (owner, name) in targets to count its calls, and each
+    (owner, name) in watched, by default CycInt's rotation, add and
+    subtract, to record any call made while one of the targets runs;
+    returns (calls, entered)."""
     from cycsynth import CycInt
 
+    if watched is None:
+        watched = [(CycInt, name) for name in ("times_zeta", "__add__", "__sub__")]
     inside, calls, entered = [0], [], {}
 
     def watch(name, plain):
@@ -82,8 +86,8 @@ def _guard_lane_arithmetic(monkeypatch, targets):
                 inside[0] -= 1
         return wrapped
 
-    for name in ("times_zeta", "__add__", "__sub__"):
-        monkeypatch.setattr(CycInt, name, watch(name, getattr(CycInt, name)))
+    for owner, name in watched:
+        monkeypatch.setattr(owner, name, watch((owner.__name__, name), getattr(owner, name)))
     for owner, name in targets:
         monkeypatch.setattr(owner, name, guarded(name, getattr(owner, name)))
     return calls, entered
@@ -131,3 +135,23 @@ def test_the_descent_step_and_column_scoring_run_on_lanes(monkeypatch):
                 assert ringsynth.synthesize_ring(u).tokens
     assert calls == []
     assert sorted(entered) == ["_first_reducing_k", "entry", "pair", "rotated"]
+
+
+def test_the_descent_step_builds_no_ring_element(monkeypatch):
+    # The matrix of a descent step is unpacked only when read: the rotation
+    # (synth._Step.rotated), the scan (synth.axis_detect, on a step) and
+    # the Clifford test canonical_form makes on every step
+    # (synth._Step.signed_perm_key) construct no RingElem and no CycInt.
+    from cycsynth import CycInt, RingElem, canonical_form, make_context, random_unitary, synth
+
+    calls, entered = _guard_lane_arithmetic(
+        monkeypatch, [(synth._Step, "rotated"), (synth, "axis_detect"),
+                      (synth._Step, "signed_perm_key")],
+        [(RingElem, "__init__"), (CycInt, "__init__")])
+    for n in (8, 12, 30):
+        ctx = make_context(n)
+        for seed in range(3):
+            u, _ = random_unitary(ctx, 60, 90 + seed)
+            assert canonical_form(u).tcount() == 60
+    assert calls == []
+    assert sorted(entered) == ["axis_detect", "rotated", "signed_perm_key"]
