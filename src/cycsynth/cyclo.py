@@ -26,7 +26,10 @@ of n balanced W-bit lanes of Z[x]/(x^n + 1), W = 16, 32, 64, ..., where
 zeta^j is one shift and one split, an add is one int add, and the low
 bits of every lane are read at once: the power of 2 the lanes share
 (Lanes.twos), their residues mod 4 as bit planes (Lanes.planes) and, for
-n in {2, 4, 6, 8, 12}, the valuation above 2 (Lanes.valuation).  For n not a
+n in {2, 4, 6, 8, 12}, the valuation above 2 (Lanes.valuation).  A product
+is one int product split at lane n (Kronecker substitution, Lanes.mul) and
+the conjugate a reversal of the lanes (Lanes.conj); the Bloch image and the
+exact unitarity checks are built from those.  For n not a
 power of 2 a fold brings the lanes back mod Phi_2n = P(x^(2^k)), block by
 block through Q = x^deg P - P (Context.fold_q, the split the descent's
 residue planes fold on too).  Each lane keeps headroom for one gate; one
@@ -342,7 +345,7 @@ class Lanes:
     """
 
     __slots__ = ("ctx", "width", "nw", "split", "off", "nbytes", "code", "ones",
-                 "full", "free", "room", "roomy_top", "folds")
+                 "full", "free", "bounds", "room", "roomy_top", "folds")
 
     def __init__(self, ctx: Context, width: int):
         n, d, w = ctx.n, ctx.degree, width
@@ -362,10 +365,14 @@ class Lanes:
         self.code = code and struct.Struct("<%d%s" % (d, code))
         # Lanes c in the headroom [-2^f, 2^f) are those of p + room with no
         # bit in roomy_top (fits at g = f); a width with f < 1 holds only
-        # zero lanes.
+        # zero lanes.  bounds[g] is the (room, top) pair of fits at g,
+        # built on first use, once per table.
         self.full = (1 << (w * d)) - 1
         self.free = f = w - 1 - ctx.lane_head()
+        self.bounds = [None] * max(f + 1, 0)
         self.room, self.roomy_top = self._bounds(f) if f > 0 else (0, self.full)
+        if f > 0:
+            self.bounds[f] = self.room, self.roomy_top
         lanes = ctx.ram_index
         q = sum(c << (w * lanes * j) for j, c in enumerate(ctx.fold_q))
         dp = len(ctx.fold_q)
@@ -384,6 +391,20 @@ class Lanes:
             return (self, *ps)
         return self.ctx.lanes(2 * self.width).load(*vecs)
 
+    def load_factors(self, *vecs) -> tuple:
+        """(lanes, p_1, ..., p_r) for the coefficient vectors vecs at the
+        narrowest doubling of this width where every lane lies in
+        [-2^g, 2^g) with 2g + bit_length(2 phi(2n)) <= f, the factors of
+        products (mul): one product then has lanes below
+        phi(2n) 2^(2g) < 2^(f-1), a sum of four lies in [-2^(f+1), 2^(f+1)),
+        and its fold stays in [-2^(W-2), 2^(W-2)) (Context.lane_head)."""
+        g = max(max(max(v), ~min(v)) for v in vecs).bit_length()
+        need = 2 * g + (2 * self.ctx.degree).bit_length()
+        lanes = self
+        while lanes.free < need:
+            lanes = lanes.ctx.lanes(2 * lanes.width)
+        return (lanes, *map(lanes.pack, vecs))
+
     def fits(self, p: int, g: int) -> bool:
         """Whether every lane of p lies in [-2^g, 2^g), g <= f, for lanes in
         [-2^(W-1), 2^(W-1)): as in the headroom test (g = f), adding 2^g
@@ -392,8 +413,10 @@ class Lanes:
         lane."""
         if g < 0:
             return not p
-        room, top = self._bounds(g)
-        return not (p + room) & top
+        bounds = self.bounds[g]
+        if bounds is None:
+            bounds = self.bounds[g] = self._bounds(g)
+        return not (p + bounds[0]) & bounds[1]
 
     def _bounds(self, g: int) -> tuple[int, int]:
         # (room, top) of the test for [-2^g, 2^g): room is 2^g in every
@@ -491,11 +514,45 @@ class Lanes:
         hi = (p + self.split) >> self.nw
         return p - (hi << self.nw) - hi
 
+    def mul(self, p: int, q: int) -> int:
+        """p q for lanes p and q below n, one of them folded, as lanes below
+        n (not folded), by Kronecker substitution: the int product holds the
+        lanes of the polynomial product, each a sum of at most phi(2n)
+        products of a lane of p and one of q, which no lane wraps when the
+        factors come from load_factors; x^n = -1 then splits it at lane n,
+        as in zeta."""
+        p *= q
+        hi = (p + self.split) >> self.nw
+        return p - (hi << self.nw) - hi
+
+    def conj(self, p: int) -> int:
+        """The complex conjugate of folded p as lanes below n (not folded):
+        zeta^-i = -zeta^(n - i) sends lane i > 0 to lane n - i, negated, and
+        keeps lane 0, so it is the phi(2n) lanes of p in reverse order
+        times -zeta^(n - phi(2n) + 1).  Its lanes are p's, so products
+        (mul) of factors and conjugates grow alike; fold the result once
+        (entry) for n not a power of 2."""
+        ctx = self.ctx
+        return -self.zeta(self.pack(self.unpack(p)[::-1]), ctx.n - ctx.degree + 1)
+
     def fold(self, p: int) -> int:
         """p reduced mod Phi_2n into the lowest phi(2n) lanes."""
         for off, shift, c in self.folds:
             p += ((p + off) >> shift) * c
         return p
+
+    def entry(self, p: int, m: int) -> tuple[int, int]:
+        """The lane entry (p', m') of p / 2^m for lanes p below n: p
+        folded, and every power of 2 its lanes share (at most m) taken off,
+        so that p' has an odd lane when m' > 0; (0, 0) for zero.  No
+        nonzero lane in [-2^(W-1), 2^(W-1)) has more than W - 1 factors 2,
+        so reading at most W - 1 of them (twos) misses none, however
+        large m is."""
+        p = self.fold(p)
+        if not p:
+            return 0, 0
+        t = self.twos(p + self.off, min(m, self.width - 1))
+        return p >> t, m - t
 
 
 def _checked_coeffs(coeffs, degree: int) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ import math
 from functools import reduce
 from operator import or_
 
-from .cyclo import Context, CycInt, two_adic
+from .cyclo import Context, CycInt, Lanes, two_adic
 from .errors import IntegrityError
 
 __all__ = [
@@ -169,6 +169,55 @@ def _over_common(a: RingElem, b: RingElem) -> tuple[CycInt, CycInt, int]:
     if b.m < m:
         y = CycInt(y.ctx, tuple(c << (m - b.m) for c in y.coeffs))
     return x, y, m
+
+
+def _conj_products(elems, pairs) -> tuple[Lanes, int, dict]:
+    """(lanes, m, x) with x[i, j] the numerator of elems[i] conj(elems[j])
+    over 2^(2m) for each (i, j) in pairs, as lanes below n (not folded):
+    the elements over their common 2^m, packed as the factors of products
+    (Lanes.load_factors), conjugated and multiplied on lanes (Lanes.conj,
+    Lanes.mul), with no CycInt product.  A sum of up to four of them,
+    folded, stays clear of the ends of the lanes."""
+    m = max(e.m for e in elems)
+    lanes, *ps = elems[0].ctx.lanes().load_factors(*(
+        [c << (m - e.m) for c in e.num.coeffs] if e.m < m else e.num.coeffs for e in elems))
+    conj = {j: lanes.conj(ps[j]) for j in {j for _, j in pairs}}
+    mul = lanes.mul
+    return lanes, m, {(i, j): mul(ps[i], conj[j]) for i, j in pairs}
+
+
+def _unit_lanes(lanes: Lanes, m: int) -> int | None:
+    """The folded lanes of 2^(2m), the numerator of 1 over 2^(2m), or None
+    where 2^(2m) leaves lane 0, so that no folded sum of products that
+    stays clear of the ends of the lanes can equal it."""
+    return 1 << (2 * m) if 2 * m < lanes.width - 1 else None
+
+
+def _unit_sum_denominators_fit(elems) -> bool:
+    """False where the denominators alone rule out |x_1|^2 + ... +
+    |x_r|^2 = 1, so that no check scales a numerator far past the others.
+    With M the largest m and M' the next lower one, or 0, the sum of the
+    |N|^2 over the x = N / 2^M is divisible by 4^(M - M'), and nonzero, as
+    it is totally positive: one of its coefficients is at least
+    4^(M - M').  For numerators with coefficients in [-2^g, 2^g), each is
+    below r phi(2n) 4^g times the fold's growth G <= 2^(h-2)
+    (Context.lane_head)."""
+    ctx, top = elems[0].ctx, max(e.m for e in elems)
+    if not top:
+        return True
+    below = max((e.m for e in elems if e.m < top), default=0)
+    g = max(max(max(e.num.coeffs), ~min(e.num.coeffs)) for e in elems if e.m == top).bit_length()
+    return 2 * (top - below) <= 2 * g + ctx.lane_head() + (len(elems) * ctx.degree).bit_length()
+
+
+def _is_unit_sum(elems) -> bool:
+    """Whether |x_1|^2 + ... + |x_r|^2 = 1 for up to four RingElems x_i,
+    on lanes (_conj_products): the folded sum of the x_i conj(x_i) must
+    be 2^(2m), one lane, as the folded lanes of an element are unique."""
+    if not _unit_sum_denominators_fit(elems):
+        return False
+    lanes, m, x = _conj_products(elems, [(i, i) for i in range(len(elems))])
+    return lanes.fold(sum(x.values())) == _unit_lanes(lanes, m)
 
 
 def mu(x: RingElem, y: RingElem) -> int:

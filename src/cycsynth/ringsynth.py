@@ -24,7 +24,7 @@ from itertools import product
 
 from .cyclo import VALUATION_NS, Context, CycInt, factorize, make_context, two_adic
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
-from .rings import RingElem, _over_common, as_zeta_power, mu
+from .rings import RingElem, _is_unit_sum, _over_common, as_zeta_power, mu
 from .su2 import GateSequence, UnitaryRn, _apply_line, _strip, _word_gates, eval_sequence, token_w
 
 __all__ = [
@@ -217,7 +217,7 @@ class ColumnRn:
     _measure: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.x.abs2() + self.y.abs2() != RingElem.one(self.x.ctx):
+        if not _is_unit_sum((self.x, self.y)):
             raise ValueError("column is not normalized")
 
     @property

@@ -9,16 +9,22 @@ of determinant 1.
 Each entry of R is a quadratic form in U's entries (Giles-Selinger): with
 U's columns c0, c1, U X U^dagger = c0 c1^dagger + c1 c0^dagger,
 U Y U^dagger = i (c1 c0^dagger - c0 c1^dagger), U Z U^dagger =
-2 c0 c0^dagger - I, so bloch() forms entry products, no matrix product.
+2 c0 c0^dagger - I, so R needs products x y* of two entries, no matrix
+product.  Those run on packed lanes (cyclo.Lanes): each is one int product
+of x's lanes and y*'s (Kronecker substitution), y* being y's lanes
+reversed and rotated, and each entry of R is a sum of them, folded once
+mod Phi_2n and normalized on the lanes; no CycInt product is formed.  The
+descent starts from those lane entries (_bloch_entries); bloch() unpacks
+them into a Rotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import Context
+from .cyclo import Context, CycInt, Lanes
 from .errors import IntegrityError
-from .rings import RingElem
+from .rings import RingElem, _conj_products
 from .su2 import AXES, GateSequence, UnitaryRn, eval_sequence, h0, s_gate, u_axis
 
 __all__ = [
@@ -130,6 +136,39 @@ def _combo(weights, vec):
     return RingElem.zero(vec[0].ctx) if acc is None else acc
 
 
+# (i, j) for the products x_i conj(x_j) of (x_0, x_1, x_2, x_3) = (a, b, c, d)
+# that the Bloch image reads: a d*, b c*, a c*, a b* and c d*, each with its
+# conjugate, the same product swapped, and |a|^2 and |c|^2
+_BLOCH_PAIRS = ((0, 3), (3, 0), (1, 2), (2, 1), (0, 2), (2, 0), (0, 1), (1, 0), (2, 3), (3, 2),
+                (0, 0), (2, 2))
+
+
+def _bloch_entries(u: UnitaryRn) -> tuple[Lanes, list]:
+    """(lanes, rows): the entries of bloch(u) as lane entries (p, m)
+    (Lanes.entry), p folded lanes over 2^m with every power of 2 their
+    lanes share taken off, at the width of the products.
+
+    With a, b, c, d over a common 2^M, each x y* is a numerator over
+    2^(2M) (rings._conj_products), and Re w = (w + w*) / 2,
+    Im w = (w - w*) zeta^(-n/2) / 2 with w* the swapped product, so the
+    rows of bloch() are sums of those numerators, rotated on lanes for
+    Im, each folded once, over 2^(2M+1) (or 2^(2M) for 2 Re a c* and
+    |a|^2 - |c|^2)."""
+    (a, b), (c, d) = u.rows
+    lanes, m, x = _conj_products((a, b, c, d), _BLOCH_PAIRS)
+    s, sc = x[0, 3] + x[1, 2], x[3, 0] + x[2, 1]
+    t, tc = x[0, 3] - x[1, 2], x[3, 0] - x[2, 1]
+    r, rc = x[0, 1] - x[2, 3], x[1, 0] - x[3, 2]
+    p, pc = x[0, 2], x[2, 0]
+    zeta, inv_i = lanes.zeta, -(u.ctx.n // 2)  # 1/i = zeta^(-n/2)
+    h, w = 2 * m + 1, 2 * m
+    rows = (((s + sc, h), (zeta(t - tc, inv_i), h), (p + pc, w)),
+            ((zeta(sc - s, inv_i), h), (t + tc, h), (zeta(pc - p, inv_i), w)),
+            ((r + rc, h), (zeta(r - rc, inv_i), h), (x[0, 0] - x[2, 2], w)))
+    entry = lanes.entry
+    return lanes, [[entry(q, k) for q, k in row] for row in rows]
+
+
 def bloch(u: UnitaryRn) -> Rotation:
     """Exact SO(3) image; column j expands U P_j U^dagger over the Paulis.
 
@@ -137,27 +176,17 @@ def bloch(u: UnitaryRn) -> Rotation:
     c1 c0^dagger, U Y U^dagger = i (c1 c0^dagger - c0 c1^dagger) and
     U Z U^dagger = 2 c0 c0^dagger - I give, for s, t = a d* +- b c* and
     r = a b* - c d*, the rows (Re s, Im t, 2 Re a c*), (-Im s, Re t,
-    -2 Im a c*), (Re r, Im r, |a|^2 - |c|^2): 7 entry products.  u is a
-    checked unitary, so the Rotation is not checked again.
+    -2 Im a c*), (Re r, Im r, |a|^2 - |c|^2).  They are computed on packed
+    lanes, from products x y* by Kronecker substitution (_bloch_entries),
+    and unpacked once into the Rotation; the descent reads the lane
+    entries themselves.  u is a checked unitary, so the Rotation is not
+    checked again.
     """
-    (a, b), (c, d) = u.rows
-    inv_i = -(u.ctx.n // 2)  # 1/i = zeta^(-n/2)
-
-    def re(w):
-        return (w + w.conj()).half()
-
-    def im(w):
-        return (w - w.conj()).times_zeta(inv_i).half()
-
-    ad, bc, ac = a * d.conj(), b * c.conj(), a * c.conj()
-    s, t = ad + bc, ad - bc
-    r = a * b.conj() - c * d.conj()
-    rows = (
-        (re(s), im(t), re(ac + ac)),
-        (-im(s), re(t), -im(ac + ac)),
-        (re(r), im(r), a.abs2() - c.abs2()),
-    )
-    return Rotation(u.ctx, rows, check=False)
+    ctx = u.ctx
+    lanes, rows = _bloch_entries(u)
+    unpack = lanes.unpack
+    return Rotation(ctx, [[RingElem(CycInt(ctx, unpack(p)), m) for p, m in row] for row in rows],
+                    check=False)
 
 
 def rotation_generator(ctx: Context, p: str, a: int) -> Rotation:

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 from .cyclo import Context, CycInt, _checked_coeffs, factorize, make_context
 from .errors import IntegrityError
-from .rings import RingElem
+from .rings import RingElem, _conj_products, _is_unit_sum, _unit_lanes, _unit_sum_denominators_fit
 
 __all__ = [
     "CONJ_WORDS",
@@ -90,6 +90,11 @@ CONJ_WORDS = {
 }
 
 
+# (i, j) for the products x_i conj(x_j) of (a, b, c, d) that the unitarity
+# check reads
+_UNITARY_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3))
+
+
 class UnitaryRn:
     """A 2x2 unitary with entries in Z[zeta_2n, 1/2]."""
 
@@ -108,14 +113,15 @@ class UnitaryRn:
                 raise ValueError("matrix is not unitary over the ring")
 
     def _is_unitary(self) -> bool:
-        # U U^dagger = I from its entries; (1, 0) is the conjugate of (0, 1).
+        # U U^dagger = I from its entries, on lanes: |a|^2 + |b|^2 = 1,
+        # |c|^2 + |d|^2 = 1 and a c* + b d* = 0 ((1, 0) is its conjugate).
         (a, b), (c, d) = self.rows
-        one = RingElem.one(self.ctx)
-        return (
-            a.abs2() + b.abs2() == one
-            and c.abs2() + d.abs2() == one
-            and (a * c.conj() + b * d.conj()).is_zero()
-        )
+        if not (_unit_sum_denominators_fit((a, b)) and _unit_sum_denominators_fit((c, d))):
+            return False
+        lanes, m, x = _conj_products((a, b, c, d), _UNITARY_PAIRS)
+        one, fold = _unit_lanes(lanes, m), lanes.fold
+        return (fold(x[0, 0] + x[1, 1]) == one and fold(x[2, 2] + x[3, 3]) == one
+                and not fold(x[0, 2] + x[1, 3]))
 
     @classmethod
     def identity(cls, ctx: Context) -> "UnitaryRn":
@@ -327,9 +333,12 @@ def w_exponent(tok: str) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateSequence:
-    """A circuit word over {H, S, W^j} with an exact global-phase token."""
+    """A circuit word over {H, S, W^j} with an exact global-phase token.
+
+    Slotted: a batch keeps one per circuit, and a per-instance dict would
+    add about a tenth to each."""
 
     phase_power: int = 0
     tokens: tuple[str, ...] = field(default_factory=tuple)
@@ -428,7 +437,7 @@ def equal_up_to_phase(u: UnitaryRn, v: UnitaryRn) -> RingElem | None:
     if p.rows[0][0] != p.rows[1][1]:
         return None
     lam = p.rows[0][0]
-    if lam.abs2() != RingElem.one(u.ctx):
+    if not _is_unit_sum((lam,)):
         raise IntegrityError("proportionality scalar is not unit modulus")
     return lam
 

@@ -23,6 +23,7 @@ reads only the six new entries, and it builds them once, on lanes, from
 the pencils and entries the winning scan already holds; no lane ever
 wraps, as each step widens its lanes when a shifted numerator or a new
 entry leaves the headroom.  A step builds no ring element: the descent
+starts from the lane entries of the Bloch image (so3, products on lanes),
 reads the final Clifford pattern off the lanes, and the matrix is
 unpacked only when read.
 
@@ -62,6 +63,7 @@ from .rings import (
 from .so3 import (
     CliffordRot,
     Rotation,
+    _bloch_entries,
     bloch,
     clifford_group,
     is_signed_permutation,
@@ -150,17 +152,6 @@ def exponent_profile(m: Rotation) -> tuple[int, tuple[int, int, int]]:
 
 # sigma_q, the sign of the (i1, i2) entry of R_q(-b pi/n) for 0 < b < n/2
 _SIGMA = (1, -1, 1)
-
-
-def _lane_entry(lanes: Lanes, p: int, m: int) -> tuple[int, int]:
-    """The lane entry (p', m') of p / 2^m for lanes p below n: p folded,
-    and every power of 2 its lanes share (at most m) taken off, so that p'
-    has an odd lane when m' > 0; (0, 0) for zero."""
-    p = lanes.fold(p)
-    if not p:
-        return 0, 0
-    t = lanes.twos(p + lanes.off, min(m, lanes.width - 1))
-    return p >> t, m - t
 
 
 def _repacked(src: Lanes, dst: Lanes, rows):
@@ -255,7 +246,7 @@ class _PlaneScan:
     what it built, by (entry, b), and its pencils, so that the rotation to
     the winning candidate (pair) builds only the entries still missing.
     Pencils and entries are built on the step's lanes (_lane_pencils,
-    _lane_entry), widened for the pencils when the shift to a common
+    Lanes.entry), widened for the pencils when the shift to a common
     denominator leaves too little headroom.
     """
 
@@ -340,7 +331,7 @@ class _PlaneScan:
         z, zbar, m = self.pencil(e >> 1)
         c = b + (self.shift if e & 1 else 0)
         lanes = self.lanes
-        x = self.built[e, b] = _lane_entry(lanes, lanes.zeta(z, c) + lanes.zeta(zbar, -c), m)
+        x = self.built[e, b] = lanes.entry(lanes.zeta(z, c) + lanes.zeta(zbar, -c), m)
         return x
 
     def pair(self, j: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -355,9 +346,9 @@ class _PlaneScan:
             lanes = self.lanes
             a, c = lanes.zeta(z, b), lanes.zeta(zbar, -b)
             if e1 is None:
-                e1 = _lane_entry(lanes, a + c, m)
+                e1 = lanes.entry(a + c, m)
             if e2 is None:
-                e2 = _lane_entry(lanes, lanes.zeta(a - c, self.shift), m)
+                e2 = lanes.entry(lanes.zeta(a - c, self.shift), m)
         return e1, e2
 
     def score(self, b: int, floor: int, cutoff):
@@ -465,15 +456,31 @@ class _Step(Rotation):
         return _Step(lanes, ent, res, tuple(row_max))
 
 
+def _loaded_step(ctx: Context, vecs, ms, rows=None) -> _Step:
+    """The step of the nine entries vecs[i] / 2^ms[i], row by row, read
+    into lanes at the narrowest width whose headroom holds them all
+    (Lanes.load)."""
+    lanes, *ps = ctx.lanes().load(*vecs)
+    ent = [list(zip(ps[i:i + 3], ms[i:i + 3])) for i in (0, 3, 6)]
+    res = [_residues(lanes, row) for row in ent]
+    return _Step(lanes, ent, res, tuple(_row_max(ctx, row) for row in res), rows)
+
+
 def _as_step(m: Rotation) -> _Step:
-    """m itself if it is a _Step, else m with every entry read into lanes
-    at the narrowest width whose headroom holds them all."""
+    """m itself if it is a _Step, else m with every entry read into lanes."""
     if isinstance(m, _Step):
         return m
-    lanes, *ps = m.ctx.lanes().load(*(e.num.coeffs for row in m.rows for e in row))
-    ent = [list(zip(ps[3 * i:3 * i + 3], (e.m for e in row))) for i, row in enumerate(m.rows)]
-    res = [_residues(lanes, row) for row in ent]
-    return _Step(lanes, ent, res, tuple(_row_max(m.ctx, row) for row in res), m.rows)
+    es = [e for row in m.rows for e in row]
+    return _loaded_step(m.ctx, [e.num.coeffs for e in es], [e.m for e in es], m.rows)
+
+
+def _bloch_step(u: UnitaryRn) -> _Step:
+    """The descent's first step, the Bloch image of u: its lane entries
+    (so3._bloch_entries), read into lanes at the width Lanes.load picks for
+    them; the matrix is unpacked only when read."""
+    src, rows = _bloch_entries(u)
+    es = [e for row in rows for e in row]
+    return _loaded_step(u.ctx, [src.unpack(p) for p, _ in es], [m for _, m in es])
 
 
 def axis_detect(m: Rotation) -> tuple[str, int]:
@@ -540,9 +547,10 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
     number of rotations peeled before it) and that step's max exponent,
     and PhaseNotInRingError if the descent succeeds but the residual
     global phase is not a 2n-th root of unity.  Each step calls
-    axis_detect once, on the step state it carries (_Step).
+    axis_detect once, on the step state it carries (_Step), from the
+    first, the Bloch image's lane entries (_bloch_step), on.
     """
-    st = _as_step(bloch(u))
+    st = _bloch_step(u)
     axes: list[str] = []
     exps: list[int] = []
     while True:

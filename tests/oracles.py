@@ -21,8 +21,11 @@ descent's exponent profile read entry by entry and its rotation step
 built four basis rotations per pencil, as before the descent carried its
 step state, its pencils, entries and residues mod 4 built on CycInt
 tuples, as before the descent ran on packed lanes, its matrix unpacked
-on every step, column steps scored on CycInt valuations, and dyadic
-fractions normalized one halving at a time.
+on every step, column steps scored on CycInt valuations, dyadic
+fractions normalized one halving at a time, the Bloch image from its 7
+entry products on CycInt, as before it ran on lane products, and the
+exact unitarity, column-normalization and unit-modulus checks on CycInt
+products.
 """
 
 from __future__ import annotations
@@ -410,6 +413,49 @@ def product_bloch(u: UnitaryRn) -> Rotation:
         cols.append(((a01 + a10).half(), (i_val * (a01 - a10)).half(),
                      (a00 - a11).half()))
     return Rotation(ctx, [[cols[j][i] for j in range(3)] for i in range(3)])
+
+
+def entry_product_bloch(u: UnitaryRn) -> Rotation:
+    """bloch() as it was before it ran on lanes: for s, t = a d* +- b c*
+    and r = a b* - c d*, the rows (Re s, Im t, 2 Re a c*), (-Im s, Re t,
+    -2 Im a c*), (Re r, Im r, |a|^2 - |c|^2) from 7 CycInt entry products;
+    not checked."""
+    (a, b), (c, d) = u.rows
+    inv_i = -(u.ctx.n // 2)  # 1/i = zeta^(-n/2)
+
+    def re(w):
+        return (w + w.conj()).half()
+
+    def im(w):
+        return (w - w.conj()).times_zeta(inv_i).half()
+
+    ad, bc, ac = a * d.conj(), b * c.conj(), a * c.conj()
+    s, t = ad + bc, ad - bc
+    r = a * b.conj() - c * d.conj()
+    rows = (
+        (re(s), im(t), re(ac + ac)),
+        (-im(s), re(t), -im(ac + ac)),
+        (re(r), im(r), a.abs2() - c.abs2()),
+    )
+    return Rotation(u.ctx, rows, check=False)
+
+
+def cycint_is_unitary(u: UnitaryRn) -> bool:
+    """UnitaryRn's check on CycInt products: |a|^2 + |b|^2 = 1,
+    |c|^2 + |d|^2 = 1 and a c* + b d* = 0."""
+    (a, b), (c, d) = u.rows
+    one = RingElem.one(u.ctx)
+    return (a.abs2() + b.abs2() == one and c.abs2() + d.abs2() == one
+            and (a * c.conj() + b * d.conj()).is_zero())
+
+
+def cycint_is_unit_sum(elems) -> bool:
+    """|x_1|^2 + ... + |x_r|^2 = 1 on CycInt products: the check of
+    ColumnRn (r = 2) and of equal_up_to_phase's scalar (r = 1)."""
+    total = elems[0].abs2()
+    for x in elems[1:]:
+        total = total + x.abs2()
+    return total == RingElem.one(elems[0].ctx)
 
 
 @cache

@@ -379,7 +379,7 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
     # only when read)
     ctx = make_context(n)
     scored, calls = [], {"entry": 0, "built": 0, "elem": 0}
-    score, entry, lane_entry = _PlaneScan.score, _PlaneScan.entry, synth._lane_entry
+    score, entry, lane_entry = _PlaneScan.score, _PlaneScan.entry, cyclo.Lanes.entry
 
     def counted_score(self, b, floor, cutoff):
         scored.append((self.qi, b))
@@ -399,7 +399,7 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
 
     monkeypatch.setattr(_PlaneScan, "score", counted_score)
     monkeypatch.setattr(_PlaneScan, "entry", counted_entry)
-    monkeypatch.setattr(synth, "_lane_entry", counted_lane_entry)
+    monkeypatch.setattr(cyclo.Lanes, "entry", counted_lane_entry)
     monkeypatch.setattr(synth, "RingElem", counted_elem)
     m = _as_step(bloch(random_unitary(ctx, 30, 77)[0]))
     steps = reused = 0

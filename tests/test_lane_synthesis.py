@@ -338,7 +338,7 @@ def test_a_lane_entry_of_lanes_at_minus_half_the_range_is_normalized():
         for width in (16, 32, 64, 128):
             lanes = cyclo.Lanes(ctx, width)
             p = lanes.pack([-(1 << (width - 1))] * ctx.degree)
-            assert synth._lane_entry(lanes, p, width + 4) == \
+            assert lanes.entry(p, width + 4) == \
                 (lanes.pack([-1] * ctx.degree), 5)
-            assert synth._lane_entry(lanes, p, width - 3) == \
+            assert lanes.entry(p, width - 3) == \
                 (lanes.pack([-4] * ctx.degree), 0)

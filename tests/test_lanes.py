@@ -186,6 +186,22 @@ def test_headroom_test_is_fits_at_the_full_headroom():
                     assert inside == lanes.fits(p, f)
 
 
+def test_the_fits_table_is_the_bounds_of_every_g():
+    # Lanes.fits reads (room, top) for its g from one table per width,
+    # whose entry f is the headroom test's (room, roomy_top)
+    for n in (4, 12, 30, 64, 210):
+        ctx = make_context(n)
+        for width in (16, 24, 32, 48, 64, 96, 128):
+            lanes = cyclo.Lanes(ctx, width)
+            f = lanes.free
+            assert len(lanes.bounds) == max(f + 1, 0)
+            for g in range(f + 1):
+                assert lanes.fits(0, g) and not lanes.fits(lanes.pack([1 << g] + [0] * (ctx.degree - 1)), g)
+                assert lanes.bounds[g] == lanes._bounds(g)
+            if f > 0:
+                assert lanes.bounds[f] == (lanes.room, lanes.roomy_top)
+
+
 @pytest.mark.parametrize("n", EVEN_NS)
 def test_lane_zeta_and_fold_match_cycint(n):
     ctx = make_context(n)

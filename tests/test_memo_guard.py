@@ -6,7 +6,9 @@ mechanism cannot grow next to the first.  Likewise the denominator
 exponent has one home, rings, which alone reads parity bits for it, the
 descent has one candidate scan for every n, and the gate kernel, the
 descent step and the column-step scoring run on packed lanes, where the
-descent step builds no ring element at all.
+descent step builds no ring element at all; so do the descent's first
+step, the Bloch image, and the three exact checks, which form no CycInt
+product.
 """
 
 import pathlib
@@ -155,3 +157,27 @@ def test_the_descent_step_builds_no_ring_element(monkeypatch):
             assert canonical_form(u).tcount() == 60
     assert calls == []
     assert sorted(entered) == ["axis_detect", "rotated", "signed_perm_key"]
+
+
+def test_the_bloch_step_and_the_exact_checks_form_no_cycint_product(monkeypatch):
+    # canonical_form's first step (synth._bloch_step, the Bloch image on
+    # lanes), the unitarity check (su2.UnitaryRn._is_unitary), the column
+    # check (ringsynth.ColumnRn.__post_init__) and equal_up_to_phase's
+    # |lam|^2 = 1 (su2._is_unit_sum) multiply and conjugate on packed
+    # lanes: no CycInt product, Galois map or scatter runs inside them.
+    from cycsynth import (CycInt, UnitaryRn, canonical_form, equal_up_to_phase, make_context,
+                          random_unitary, ringsynth, su2, synth)
+
+    calls, entered = _guard_lane_arithmetic(
+        monkeypatch, [(synth, "_bloch_step"), (su2.UnitaryRn, "_is_unitary"),
+                      (ringsynth.ColumnRn, "__post_init__"), (su2, "_is_unit_sum")],
+        [(CycInt, name) for name in ("__mul__", "galois", "_scatter")])
+    for n in (8, 12, 30, 64):
+        ctx = make_context(n)
+        u, _ = random_unitary(ctx, 20, 7)
+        assert canonical_form(u).tcount() == 20
+        assert UnitaryRn(ctx, u.rows) == u
+        assert ringsynth.ColumnRn(*u.first_column()).x == u.rows[0][0]
+        assert equal_up_to_phase(u, u) == u.rows[0][0].one(ctx)
+    assert calls == []
+    assert sorted(entered) == ["__post_init__", "_bloch_step", "_is_unit_sum", "_is_unitary"]
