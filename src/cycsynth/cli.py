@@ -73,13 +73,15 @@ def _read_json(path: str):
 
 def _read_matrices(path: str, expect_n: int) -> list[UnitaryRn]:
     """One JSON object, or JSONL with one matrix per line (batch synthesis)."""
-    text = _read_text(path).strip()
-    if not text:
+    text = _read_text(path)
+    body = text.strip()
+    if not body:
         raise ValueError("empty matrix input")
     try:
-        objs = [json.loads(text)]  # a single (possibly pretty-printed) object
+        objs = [json.loads(body)]  # a single (possibly pretty-printed) object
     except json.JSONDecodeError:
         objs = []
+        # numbered as in the file, blank lines included
         for idx, ln in enumerate(text.splitlines()):
             if not ln.strip():
                 continue

@@ -32,9 +32,9 @@ the conjugate a reversal of the lanes (Lanes.conj); the Bloch image and the
 exact unitarity checks are built from those.  For n not a
 power of 2 a fold brings the lanes back mod Phi_2n = P(x^(2^k)), block by
 block through Q = x^deg P - P (Context.fold_q, the split the descent's
-residue planes fold on too).  Each lane keeps headroom for one gate; one
-that leaves it doubles W, so a context holds O(log bits) lane tables, in
-Context.memo.  Contexts are cached for a bounded number of n
+residue planes, read off its pencils' lanes, fold on too).  Each lane
+keeps headroom for one gate; one that leaves it doubles W, so a context
+holds O(log bits) lane tables, in Context.memo.  Contexts are cached for a bounded number of n
 (make_context).
 """
 
@@ -479,13 +479,15 @@ class Lanes:
         return t
 
     def _low_bytes(self, p: int) -> bytes:
-        # the low byte of each lane of folded p, lane phi(2n) - 1 first
+        # the low byte of each lane below n of p, lane n - 1 first; for
+        # folded p lanes phi(2n), ..., n - 1 read 0
         b = self.width // 8
-        return (p + self.off).to_bytes(self.nbytes, "big")[b - 1::b]
+        return (p + self.split).to_bytes(self.nw // 8, "big")[b - 1::b]
 
     def planes(self, p: int) -> tuple[int, int]:
-        """The lanes of folded p mod 4 as bitmask planes (high, low): bit i
-        of low is c_i mod 2 and bit i of high is (c_i >> 1) mod 2."""
+        """The lanes below n of p (folded or not, as zeta leaves them) mod 4
+        as bitmask planes (high, low): bit i of low is c_i mod 2 and bit i
+        of high is (c_i >> 1) mod 2."""
         raw = self._low_bytes(p)
         return int(raw.translate(_HIGH_BIT), 2), int(raw.translate(_LOW_BIT), 2)
 

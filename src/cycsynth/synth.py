@@ -15,17 +15,17 @@ fold and a right shift.  The candidates are scored without building
 entries at all: the same rotations and adds act on the numerators mod 4,
 kept as bit planes of n lanes (zeta^n = -1 for every n), which a fold
 reduces mod Phi_2n, and an entry's exact exponent follows from its lowest
-nonzero plane (_PlaneScan).  The descent carries its state from step to
-step (_Step): each entry as lanes over its 2^m, its residue mod 4, read
-off the lanes' low bits, and each row's max exponent, read off that
-residue's low plane.  A step rewrites two rows and keeps row q, so it
-reads only the six new entries, and it builds them once, on lanes, from
-the pencils and entries the winning scan already holds; no lane ever
-wraps, as each step widens its lanes when a shifted numerator or a new
-entry leaves the headroom.  A step builds no ring element: the descent
-starts from the lane entries of the Bloch image (so3, products on lanes),
-reads the final Clifford pattern off the lanes, and the matrix is
-unpacked only when read.
+nonzero plane (_PlaneScan), the planes read once per axis off the low
+bits of the pencils' lanes.  The descent carries its state from step to
+step (_Step): each entry as lanes over its 2^m, and each row's max
+exponent, read off the low plane of the entries' lanes.  A step rewrites
+two rows and keeps row q, so it reads only the six new entries, and it
+builds them once, on lanes, from the pencils and entries the winning scan
+already holds; no lane ever wraps, as each step widens its lanes when a
+shifted numerator or a new entry leaves the headroom.  A step builds no
+ring element: the descent starts from the lane entries of the Bloch image
+(so3, products on lanes), reads the final Clifford pattern off the lanes,
+and the matrix is unpacked only when read.
 
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
@@ -129,23 +129,36 @@ class MembershipResult:
 # -- descent ------------------------------------------------------------------
 
 
-def _row_max(ctx: Context, row) -> int:
-    """Max denominator exponent of a row given as residue triples (m, high,
-    low), 0 for a row of integral entries.  A normalized entry with m > 0
-    has an odd coefficient, so its parity mask is its low plane; it is read
-    only where the bracket on m reaches above the running max and is not
-    exact."""
-    val = 0
-    for m, _, low in row:
-        lo, hi = _exp_bounds(ctx, m)
-        if hi > val:
-            val = hi if lo == hi else max(val, _parity_exponent(ctx, m, low))
+def _entries_max(lanes: Lanes, val: int, entries, cutoff):
+    """The max of val and the denominator exponents of the lane entries
+    (p, m), or None once it provably exceeds cutoff (math.inf for none).
+    A normalized entry with m > 0 has an odd lane, so its parity mask is
+    its low plane; it is read only where the bracket on m reaches above
+    the running max and is not exact.  entries may be lazy: none past the
+    one that exceeds cutoff is taken."""
+    ctx = lanes.ctx
+    for p, m in entries:
+        lo, hi = _exp_bounds(ctx, m)  # (0, 0) for zero
+        if hi <= val:
+            continue
+        if lo > cutoff:
+            return None
+        # an exact bracket (k = 1) needs no parity bits
+        val = hi if lo == hi else max(val, _parity_exponent(ctx, m, lanes.planes(p)[1]))
+        if val > cutoff:
+            return None
     return val
+
+
+def _row_max(lanes: Lanes, row) -> int:
+    """Max denominator exponent of a row of lane entries, 0 for a row of
+    integral entries."""
+    return _entries_max(lanes, 0, row, math.inf)
 
 
 def exponent_profile(m: Rotation) -> tuple[int, tuple[int, int, int]]:
     """Max denominator exponent over all nonzero entries, and per-row maxes,
-    read off the entries' residue triples (_Step)."""
+    read off the lane entries (_Step)."""
     row_max = _as_step(m).row_max
     return max(row_max), row_max
 
@@ -157,11 +170,6 @@ _SIGMA = (1, -1, 1)
 def _repacked(src: Lanes, dst: Lanes, rows):
     """The lane entries of rows, at src's width, repacked at dst's."""
     return [[(dst.pack(src.unpack(p)), m) for p, m in row] for row in rows]
-
-
-def _residues(lanes: Lanes, row):
-    """The residue triple (m, high, low) of each lane entry of a row."""
-    return [(m,) + lanes.planes(p) for p, m in row]
 
 
 def _lane_pencils(lanes: Lanes, r1, r2, shift: int):
@@ -199,11 +207,6 @@ def _extension(n: int, h: int, l: int) -> tuple[int, int]:
     return (h | (h ^ l) << n) * rep, (l | l << n) * rep
 
 
-def _lift(h: int, l: int, t: int) -> tuple[int, int]:
-    # planes of 2^t times the residue (h, l) mod 4
-    return (h, l) if t == 0 else (l, 0) if t == 1 else (0, 0)
-
-
 def _plane_fold(ctx: Context):
     """(blocks, shift, (q_h, q_l)) of _PlaneScan's fold mod Phi_2n(x) = P(x^w),
     w = 2^k, of six entries in lanes 2n e, ..., 2n e + n - 1.  Block B, the
@@ -225,63 +228,51 @@ def _plane_fold(ctx: Context):
 
 class _PlaneScan:
     """Scores the candidates R_q^(-b) M on one axis of a descent step
-    (_Step) from the step's residues mod 4, without reading an entry.
+    (_Step) from its pencils mod 4, without reading an entry.
 
     A residue mod 4 of a numerator is kept as two bitmask planes (high,
     low), one lane per coefficient; negation is (h ^ l, l), addition is
     (h1 ^ h2 ^ (l1 & l2), l1 ^ l2).  Numerators are taken in n lanes, as
     elements of Z[x]/(x^n + 1), which maps onto Z[zeta_2n] since zeta^n = -1;
-    there zeta^c is a lane rotation that negates the lanes it wraps.  Each
-    pencil Z_j and conj(Z_j) is stored as windows of its negacyclic
-    extension, so that every rotation a candidate needs is one right shift:
-    the six numerators of candidate b, zeta^c Z_j + zeta^-c conj(Z_j) for
-    c = b, b + shift, sit in lanes 2n e, ..., 2n e + n - 1 for entry
-    e = 2j + (c != b) after two shifts, a mod-4 add and a mask, and a fold
-    reduces them mod Phi_2n into the first phi(2n) lanes (none for n = 2^k,
-    where Phi_2n = x^n + 1).  An entry's lowest nonzero plane gives its
-    2-adic drop t <= 1, hence its normalized denominator exponent m - t
-    and parity mask, hence its exact exponent (rings._parity_exponent).
-    Entries with t >= 2 (or zero) are bounded by m - 2 and built in full
-    only when that bound reaches above the running max; the scan keeps
-    what it built, by (entry, b), and its pencils, so that the rotation to
-    the winning candidate (pair) builds only the entries still missing.
-    Pencils and entries are built on the step's lanes (_lane_pencils,
-    Lanes.entry), widened for the pencils when the shift to a common
-    denominator leaves too little headroom.
+    there zeta^c is a lane rotation that negates the lanes it wraps.  The
+    pencils Z_j and conj(Z_j) of the axis are built once, exactly, on the
+    step's lanes (_lane_pencils), widened when the shift to a common
+    denominator leaves too little headroom; their planes (Lanes.planes) are
+    stored as windows of their negacyclic extension, so that every rotation
+    a candidate needs is one right shift: the six numerators of candidate
+    b, zeta^c Z_j + zeta^-c conj(Z_j) for c = b, b + shift, sit in lanes
+    2n e, ..., 2n e + n - 1 for entry e = 2j + (c != b) after two shifts, a
+    mod-4 add and a mask, and a fold reduces them mod Phi_2n into the first
+    phi(2n) lanes (none for n = 2^k, where Phi_2n = x^n + 1).  An entry's
+    lowest nonzero plane gives its 2-adic drop t <= 1, hence its normalized
+    denominator exponent m - t and parity mask, hence its exact exponent
+    (rings._parity_exponent).  Entries with t >= 2 (or zero) are bounded by
+    m - 2 and built in full from the pencils (Lanes.entry) only when that
+    bound reaches above the running max; the scan keeps what it built, by
+    (entry, b), so that the rotation to the winning candidate (pair) builds
+    only the entries still missing.
     """
 
-    __slots__ = ("rows", "qi", "ctx", "half", "full", "mask", "shift", "zh", "zl",
-                 "wh", "wl", "entries", "lanes", "pencils", "built", "fold", "fold_shift",
-                 "fold_q")
+    __slots__ = ("qi", "ctx", "half", "full", "mask", "shift", "zh", "zl", "wh", "wl",
+                 "entries", "lanes", "pencils", "built", "fold", "fold_shift", "fold_q")
 
     def __init__(self, st: "_Step", qi: int):
         ctx = self.ctx = st.ctx
         n = ctx.n
-        res = st.res
         i1, i2 = [i for i in range(3) if i != qi]
-        self.rows, self.qi = (st.ent[i1], st.ent[i2]), qi
+        self.qi = qi
         self.half = half = n // 2
         self.full = full = (1 << n) - 1
         self.shift = shift = _SIGMA[qi] * half
-        self.lanes, self.pencils = st.lanes, None
-        self.built = {}
+        lanes, pencils = _lane_pencils(st.lanes, st.ent[i1], st.ent[i2], shift)
+        self.lanes, self.pencils, self.built = lanes, pencils, {}
         seg = (1 << (2 * n)) - 1
         zh = zl = wh = wl = mask = 0
         entries = []
-        for j in range(3):
-            (ma, ha, la), (mb, hb, lb) = res[i1][j], res[i2][j]
-            top = max(ma, mb)
-            xh, xl = _lift(ha, la, top - ma)
-            yh, yl = _lift(hb, lb, top - mb)
-            # y zeta^shift: E_(i - shift), lanes 2n - shift on
-            eh, el = _extension(n, yh, yl)
-            yh, yl = (eh >> (2 * n - shift)) & full, (el >> (2 * n - shift)) & full
-            # Z = x - y zeta^shift and conj(Z) = x + y zeta^shift
-            carry = xl & yl
-            low = xl ^ yl
-            ezh, ezl = _extension(n, xh ^ yh ^ yl ^ carry, low)
-            ewh, ewl = _extension(n, xh ^ yh ^ carry, low)
-            bounds = tuple(_exp_bounds(ctx, top + 1 - t) for t in range(3))
+        for j, (z, zbar, m) in enumerate(pencils):
+            ezh, ezl = _extension(n, *lanes.planes(z))
+            ewh, ewl = _extension(n, *lanes.planes(zbar))
+            bounds = tuple(_exp_bounds(ctx, m - t) for t in range(3))
             for r, s in enumerate((0, shift)):
                 e = 2 * j + r
                 off = 2 * n * e
@@ -292,7 +283,7 @@ class _PlaneScan:
                 wh |= ((ewh >> c) & seg) << off
                 wl |= ((ewl >> c) & seg) << off
                 mask |= full << off
-                entries.append((off, top + 1, e, bounds))
+                entries.append((off, m, e, bounds))
         self.zh, self.zl, self.wh, self.wl, self.mask = zh, zl, wh, wl, mask
         self.fold, self.fold_shift, self.fold_q = ctx.memo(
             "plane_fold", lambda: _plane_fold(ctx))
@@ -318,17 +309,10 @@ class _PlaneScan:
             h, l = h ^ xh ^ (l & xl), l ^ xl
         return h, l
 
-    def pencil(self, j: int):
-        """(Z_j, conj(Z_j), M + 1) of column j as lanes (_lane_pencils),
-        built on first use, with the scan's lanes widened if need be."""
-        if self.pencils is None:
-            self.lanes, self.pencils = _lane_pencils(self.lanes, *self.rows, self.shift)
-        return self.pencils[j]
-
     def entry(self, e: int, b: int) -> tuple[int, int]:
         """Lane entry e of candidate b, Re(zeta^c Z) = (zeta^c Z + zeta^-c
         conj(Z)) / 2^(M+1), built and kept."""
-        z, zbar, m = self.pencil(e >> 1)
+        z, zbar, m = self.pencils[e >> 1]
         c = b + (self.shift if e & 1 else 0)
         lanes = self.lanes
         x = self.built[e, b] = lanes.entry(lanes.zeta(z, c) + lanes.zeta(zbar, -c), m)
@@ -342,7 +326,7 @@ class _PlaneScan:
         built = self.built
         e1, e2 = built.get((2 * j, b)), built.get((2 * j + 1, b))
         if e1 is None or e2 is None:
-            z, zbar, m = self.pencil(j)
+            z, zbar, m = self.pencils[j]
             lanes = self.lanes
             a, c = lanes.zeta(z, b), lanes.zeta(zbar, -b)
             if e1 is None:
@@ -382,40 +366,28 @@ class _PlaneScan:
             val = hi if lo == hi else max(val, _parity_exponent(ctx, m - t, mask))
             if val > cutoff:
                 return None
-        for e in deferred:
-            p, m = self.entry(e, b)
-            lo, hi = _exp_bounds(ctx, m)  # (0, 0) for zero
-            if hi <= val:
-                continue
-            if lo > cutoff:
-                return None
-            val = hi if lo == hi else max(val, _parity_exponent(ctx, m, self.lanes.planes(p)[1]))
-            if val > cutoff:
-                return None
-        return val
+        return _entries_max(self.lanes, val, (self.entry(e, b) for e in deferred), cutoff)
 
 
 class _Step(Rotation):
     """A descent step: each entry as a lane entry (p, m), the numerator p as
     folded lanes (cyclo.Lanes) over 2^m, normalized, all at one width,
-    within the lanes' headroom; the residue triple (m, high, low) of each
-    entry, read off its lanes' low bits; the max exponent of each row; and,
-    once axis_detect has run on it, the scan of the winning axis.
+    within the lanes' headroom; the max exponent of each row; and, once
+    axis_detect has run on it, the scan of the winning axis.
 
     R_q^(-b) leaves row q as it is, so rotated() carries that row's
-    entries, triples and max to the next step and reads only the six new
-    entries, which it takes from the winning scan (_PlaneScan.pair); it
+    entries and max to the next step and reads only the six new entries, which it takes from the winning scan (_PlaneScan.pair); it
     builds no RingElem.  When a new entry leaves the headroom, the step's
     lanes double.  The matrix (rows) is unpacked from the lanes only when
     something reads it; the descent reads only signed_perm_key, off the
     lanes.  A step holds no reference to the step before it.
     """
 
-    __slots__ = ("lanes", "ent", "res", "row_max", "scan", "_rows")
+    __slots__ = ("lanes", "ent", "row_max", "scan", "_rows")
 
-    def __init__(self, lanes: Lanes, ent, res, row_max, rows=None):
+    def __init__(self, lanes: Lanes, ent, row_max, rows=None):
         self.ctx, self.lanes, self.ent = lanes.ctx, lanes, ent
-        self.res, self.row_max, self._rows = res, row_max, rows
+        self.row_max, self._rows = row_max, rows
         self.scan = None
 
     @property
@@ -443,17 +415,15 @@ class _Step(Rotation):
         lanes, ent = scan.lanes, list(self.ent)
         if lanes is not self.lanes:  # the scan widened them for its pencils
             ent[qi] = _repacked(self.lanes, lanes, [ent[qi]])[0]
-        res, row_max = list(self.res), list(self.row_max)
-        ctx = self.ctx
+        row_max = list(self.row_max)
         for r, i in enumerate(i for i in range(3) if i != qi):
             ent[i] = row = [p[r] for p in pairs]
-            res[i] = _residues(lanes, row)
-            row_max[i] = _row_max(ctx, res[i])
+            row_max[i] = _row_max(lanes, row)
         # a new entry that leaves the headroom doubles the step's lanes
         while reduce(or_, (p + lanes.room for row in ent for p, _ in row)) & lanes.roomy_top:
-            wide = ctx.lanes(2 * lanes.width)
+            wide = self.ctx.lanes(2 * lanes.width)
             ent, lanes = _repacked(lanes, wide, ent), wide
-        return _Step(lanes, ent, res, tuple(row_max))
+        return _Step(lanes, ent, tuple(row_max))
 
 
 def _loaded_step(ctx: Context, vecs, ms, rows=None) -> _Step:
@@ -462,8 +432,7 @@ def _loaded_step(ctx: Context, vecs, ms, rows=None) -> _Step:
     (Lanes.load)."""
     lanes, *ps = ctx.lanes().load(*vecs)
     ent = [list(zip(ps[i:i + 3], ms[i:i + 3])) for i in (0, 3, 6)]
-    res = [_residues(lanes, row) for row in ent]
-    return _Step(lanes, ent, res, tuple(_row_max(ctx, row) for row in res), rows)
+    return _Step(lanes, ent, tuple(_row_max(lanes, row) for row in ent), rows)
 
 
 def _as_step(m: Rotation) -> _Step:
@@ -492,12 +461,12 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     the other rows) by zeta^b, so the candidate's rows are Re(zeta^b Z) and
     -sigma_q Re(zeta^(b - n/2) Z), two basis rotations and an add per entry.
     Those rotations and adds run on the numerators mod 4 as two bitmask
-    planes, built per axis from the entries' residue triples and reduced mod
+    planes, read per axis off the lanes of its pencils and reduced mod
     Phi_2n per candidate (_PlaneScan): an entry N / 2^m with an odd
     coefficient in N or N / 2 (2-adic drop t <= 1) gets its exact exponent
     from its planes, and only an entry with t >= 2, or zero, is built in
-    full, when its bound m - 2 reaches above the running max.  The triples
-    and row maxima come from the descent's step state (_Step), which
+    full, when its bound m - 2 reaches above the running max.  The lane
+    entries and row maxima come from the descent's step state (_Step), which
     canonical_form carries from step to step; a plain Rotation is read in
     full first, and the winning scan is kept on the step for the rotation.
     A candidate is dropped as soon as its exponent provably exceeds the

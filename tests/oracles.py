@@ -643,17 +643,6 @@ def reference_pencil_entry(pencil, c: int) -> RingElem:
     return RingElem(z.times_zeta(c) + zbar.times_zeta(-c), m)
 
 
-def reference_step_residues(m):
-    """The residue triple (m, high, low) of every entry: its denominator
-    exponent and the bitmask planes of its numerator's coefficients mod 4,
-    bit i of low c_i mod 2 and of high (c_i >> 1) mod 2."""
-    def planes(e):
-        cs = e.num.coeffs
-        return (e.m, sum((c >> 1 & 1) << i for i, c in enumerate(cs)),
-                sum((c & 1) << i for i, c in enumerate(cs)))
-    return [[planes(e) for e in row] for row in m.rows]
-
-
 def eager_step_rows(rows, qi: int, step):
     """The matrix of step = R_q^(-b) M as the descent's rotation built it,
     before the matrix was unpacked only when read: row qi of M's rows

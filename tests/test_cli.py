@@ -138,6 +138,14 @@ def test_synth_rejects_malformed_json(tmp_path):
     assert code == 2
 
 
+def test_batch_json_error_names_its_line_in_the_file(monkeypatch, capsys):
+    # the bad line is line 4 of the input, after two blank lines
+    monkeypatch.setattr("sys.stdin", io.StringIO('\n\n{"n": 4}\n{bad\n'))
+    code, out = run_cli(["synth", "--n", "4"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: line 4 is not valid JSON: ")
+
+
 def test_synth_rejects_json_booleans(tmp_path, capsys):
     # each of these read as the T gate while true/false passed as 1/0
     doubled = t_gate_json()

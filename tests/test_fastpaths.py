@@ -104,7 +104,6 @@ from oracles import (
     reference_exponent_profile,
     reference_reduce_column_step,
     reference_rotate,
-    reference_step_residues,
     ring_complex,
 )
 
@@ -204,31 +203,30 @@ def test_products_match_dense_rows():
 
 def _first_step(m):
     """The descent's step state of a plain matrix, checked against the
-    references: residues against a fresh read, row maxima against the
-    entry-by-entry profile."""
+    references: row maxima against the entry-by-entry profile."""
     st = _as_step(m)
-    assert st == m and st.res == reference_step_residues(m)
+    assert st == m
     assert st.row_max == reference_exponent_profile(m)[1]
     return st
 
 
 def _advance(st, q, b):
     """The carried step R_q^(-b) M, checked against the references: the
-    matrix against the rotation built from scratch, its residues against a
-    fresh read, its row maxima against the entry-by-entry profile."""
+    matrix against the rotation built from scratch, its row maxima against
+    the entry-by-entry profile."""
     nxt = st.rotated(AXES.index(q), b)
     assert nxt == reference_rotate(st, AXES.index(q), b)
     # a step that has not been scored builds its own scan
     assert _as_step(Rotation(st.ctx, st.rows, check=False)).rotated(AXES.index(q), b) == nxt
-    assert nxt.res == reference_step_residues(nxt)
     assert nxt.row_max == reference_exponent_profile(nxt)[1]
     return nxt
 
 
-@pytest.mark.parametrize("n", EXPONENT_NS)
+@pytest.mark.parametrize("n", EXPONENT_NS + (90,))
 def test_rotation_scan_matches_generator_products(n):
-    # every candidate's six entries, the arg-min and the carried step
-    # update, on every descent step
+    # every candidate's six entries, their planes, the arg-min and the
+    # carried step update, on every descent step; n = 90 adds planes that
+    # fold 21 blocks (s = 45) mod Phi_180
     ctx = make_context(n)
     steps = 0
     for seed in range(3):

@@ -5,10 +5,9 @@ synth._Step holds each Bloch entry as folded lanes (cyclo.Lanes) over 2^m
 and builds the pencils, candidate entries and residues mod 4 on them;
 ringsynth scores each column step k on lane valuations.  The references in
 oracles are the CycInt pencils and entries (reference_axis_pencils,
-reference_pencil_entry), the rotation step (reference_rotate), the
-residues read off each entry (reference_step_residues), the matrix the
-rotation unpacked on every step (eager_step_rows) and the CycInt scoring
-loop (reference_first_reducing_k).  Lanes must widen, never wrap:
+reference_pencil_entry), the rotation step (reference_rotate), the matrix
+the rotation unpacked on every step (eager_step_rows) and the CycInt
+scoring loop (reference_first_reducing_k).  Lanes must widen, never wrap:
 a rotation started from the identity at 16-bit lanes climbs to 128 bits.
 """
 
@@ -45,7 +44,6 @@ from oracles import (
     reference_first_reducing_k,
     reference_pencil_entry,
     reference_rotate,
-    reference_step_residues,
 )
 from test_fastpaths import EXPONENT_NS
 
@@ -58,12 +56,10 @@ def _elem(lanes, entry):
 
 
 def _check_step(st):
-    """The step's lane entries against its matrix, inside the headroom, and
-    its residues against the matrix's."""
+    """The step's lane entries against its matrix, inside the headroom."""
     lanes = st.lanes
     assert tuple(tuple(_elem(lanes, e) for e in row) for row in st.ent) == st.rows
     assert all(lanes.fits(p, lanes.free) for row in st.ent for p, _ in row)
-    assert st.res == reference_step_residues(st)
 
 
 def _check_scan(st, qi, bs):
@@ -270,11 +266,20 @@ def test_column_scoring_matches_the_cycint_loop(n, monkeypatch):
             reference_first_reducing_k(ctx, x, y, m, m0)
 
 
+def _planes(cs):
+    """The residues mod 4 of the coefficients cs as bitmask planes (high,
+    low)."""
+    return (sum((c >> 1 & 1) << i for i, c in enumerate(cs)),
+            sum((c & 1) << i for i, c in enumerate(cs)))
+
+
 @pytest.mark.parametrize("width", (16, 32, 64, 128, 256))
 def test_lane_readers_match_coefficients(width):
     # planes and the shared power of 2 of lanes with extreme values, at
-    # struct widths and above them
-    for n in (4, 6, 12, 30):
+    # struct widths and above them; planes also of the unfolded lanes below
+    # n that zeta leaves (the pencils), whose lanes phi(2n), ..., n - 1 a
+    # folded reader would miss
+    for n in (4, 6, 12, 30, 90):
         ctx = make_context(n)
         lanes = cyclo.Lanes(ctx, width)
         rng = random.Random(2700 + n + width)
@@ -285,8 +290,16 @@ def test_lane_readers_match_coefficients(width):
                   for _ in range(ctx.degree)]
             p = lanes.pack(cs)
             assert lanes.unpack(p) == tuple(cs)
-            assert lanes.planes(p) == (sum((c >> 1 & 1) << i for i, c in enumerate(cs)),
-                                       sum((c & 1) << i for i, c in enumerate(cs)))
+            assert lanes.planes(p) == _planes(cs)
+            # x^j times the lanes, with no lane at -2^(W-1), whose negation
+            # leaves them: lane k is c_(k-j), negated where it wraps past n
+            us = [max(c, -hi) for c in cs]
+            j = rng.randrange(2 * n)
+            want = [0] * n
+            for i, c in enumerate(us):
+                wraps, k = divmod(i + j, n)
+                want[k] = -c if wraps & 1 else c
+            assert lanes.planes(lanes.zeta(lanes.pack(us), j)) == _planes(want)
             if any(cs):
                 shared = min(cyclo.two_adic(c) for c in cs if c)
                 assert lanes.twos(p + lanes.off, width - 1) == min(shared, width - 1)

@@ -8,7 +8,9 @@ descent has one candidate scan for every n, and the gate kernel, the
 descent step and the column-step scoring run on packed lanes, where the
 descent step builds no ring element at all; so do the descent's first
 step, the Bloch image, and the three exact checks, which form no CycInt
-product.
+product.  A candidate scan keeps each entry once: it builds its axis's
+pencils on lanes once and reads its planes mod 4 off them, and the
+rotation reuses the winning scan.
 """
 
 import pathlib
@@ -181,3 +183,23 @@ def test_the_bloch_step_and_the_exact_checks_form_no_cycint_product(monkeypatch)
         assert equal_up_to_phase(u, u) == u.rows[0][0].one(ctx)
     assert calls == []
     assert sorted(entered) == ["__post_init__", "_bloch_step", "_is_unit_sum", "_is_unitary"]
+
+
+def test_each_scan_builds_its_pencils_once(monkeypatch):
+    # Every _PlaneScan builds the pencils of its axis exactly once
+    # (synth._lane_pencils), for its planes, its entries and its pairs
+    # alike, and the rotation to the winning candidate (synth._Step.rotated,
+    # always on the winning axis in canonical_form) builds no scan.
+    from cycsynth import canonical_form, make_context, random_unitary, synth
+
+    calls, entered = _guard_lane_arithmetic(
+        monkeypatch, [(synth._Step, "rotated")], [(synth._PlaneScan, "__init__")])
+    _, built = _guard_lane_arithmetic(
+        monkeypatch, [(synth._PlaneScan, "__init__"), (synth, "_lane_pencils")], [])
+    for n in (8, 12, 30, 64):
+        ctx = make_context(n)
+        for seed in range(2):
+            u, _ = random_unitary(ctx, 40, 70 + seed)
+            assert canonical_form(u).tcount() == 40
+    assert calls == [] and entered["rotated"] > 0
+    assert built["__init__"] == built["_lane_pencils"] >= entered["rotated"]
