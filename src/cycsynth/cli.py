@@ -1,8 +1,9 @@
 """Command-line front end with bit-exact I/O.
 
 Exit codes: 0 success / condition true, 1 negative result (NotMember,
-condition false, verification mismatch), 2 usage or input error,
-3 internal integrity failure.
+condition false, verification mismatch), 2 usage or input error (an
+unreadable input or an unwritable output file among them), 3 internal
+integrity failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import cmath
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .cyclo import make_context
@@ -50,6 +52,17 @@ def _print_approx(u: UnitaryRn, out) -> None:
         vals = ", ".join("%.6f%+.6fj" % (z.real, z.imag)
                          for z in (_approx_entry(e, u.ctx.n) for e in row))
         print("#   [%s]" % vals, file=out)
+
+
+@contextmanager
+def _sink(path: str | None, out, mode: str = "w"):
+    """The file at path, opened with mode and closed after, or out when
+    no path is given."""
+    if not path:
+        yield out
+        return
+    with open(path, mode) as fh:
+        yield fh
 
 
 def _read_text(path: str, what: str = "") -> str:
@@ -103,9 +116,10 @@ def _read_matrices(path: str, expect_n: int) -> list[UnitaryRn]:
 
 
 def _check_n(obj, expect_n: int, what: str) -> None:
-    # Before matrix_from_json: its context costs time and memory growing
-    # quadratically in n, so a valid but mismatched n is turned away unbuilt
-    # (an invalid one gets matrix_from_json's message, before any context).
+    # Before matrix_from_json: its context's lane tables cost
+    # O(n W (s - phi(s))) bits, n = 2^k s, for each lane width W, so a
+    # valid but mismatched n is turned away unbuilt (an invalid one gets
+    # matrix_from_json's message, before any context).
     n = obj.get("n") if isinstance(obj, dict) else None
     if type(n) is int and n >= 2 and n % 2 == 0 and n != expect_n:
         raise ValueError("%s has n=%d but --n %d was given" % (what, n, expect_n))
@@ -145,8 +159,7 @@ def cmd_synth(args, out) -> int:
             results = list(pool.map(_synth_json, entries, map(matrix_to_json, matrices)))
     else:
         results = [_numbered(i, _synth_one, u) for i, u in zip(entries, matrices)]
-    sink = open(args.output, "w") if args.output else out
-    try:
+    with _sink(args.output, out) as sink:
         for (text, stats), u in zip(results, matrices):
             if args.format == "json":
                 print(json.dumps({"circuit": text, **dict(stats)}, sort_keys=True),
@@ -156,9 +169,6 @@ def cmd_synth(args, out) -> int:
                 print(" ".join("%s=%d" % kv for kv in stats), file=sink)
             if args.approx:
                 _print_approx(u, sink)
-    finally:
-        if args.output:
-            sink.close()
     return 0
 
 
@@ -278,7 +288,6 @@ def cmd_fn_census(args, out) -> int:
             start_n = state["next_n"]
             hits = state["hits"]
             mode = "a"
-    sink = open(args.output, mode) if args.output else out
 
     def save_checkpoint(next_n: int, hits_now: int) -> None:
         if not args.checkpoint:
@@ -288,7 +297,7 @@ def cmd_fn_census(args, out) -> int:
             json.dump({"max": max_n, "next_n": next_n, "hits": hits_now}, fh)
         os.replace(tmp, args.checkpoint)
 
-    try:
+    with _sink(args.output, out, mode) as sink:
         if start_n <= max_n:
             for n, cond in iter_census(max_n, start_n):
                 hits += 1 if cond else 0
@@ -299,17 +308,13 @@ def cmd_fn_census(args, out) -> int:
         frac = Fraction(hits, max_n // 2)
         print("%d,%d,%d" % (max_n, frac.numerator, frac.denominator), file=sink)
         save_checkpoint(max_n + 2, hits)
-    finally:
-        if args.output:
-            sink.close()
     return 0
 
 
 def cmd_random(args, out) -> int:
     ctx = make_context(args.n)
     u, seq = random_unitary(ctx, args.target_tcount, args.seed)
-    sink = open(args.output, "w") if args.output else out
-    try:
+    with _sink(args.output, out) as sink:
         if args.format == "json":
             blob = {"matrix": matrix_to_json(u), "circuit": seq.to_text()}
             print(json.dumps(blob, sort_keys=True), file=sink)
@@ -318,9 +323,6 @@ def cmd_random(args, out) -> int:
             print(seq.to_text(), file=sink)
         if args.approx:
             _print_approx(u, sink)
-    finally:
-        if args.output:
-            sink.close()
     return 0
 
 
@@ -405,7 +407,9 @@ def main(argv=None, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except (ValueError, SynthesisError) as exc:
+    except (ValueError, SynthesisError, OSError) as exc:
+        # an OSError here is a file that cannot be written (inputs that
+        # cannot be read are ValueErrors already)
         print("error: %s" % exc, file=sys.stderr)
         if isinstance(exc, SynthesisError):
             return 1

@@ -6,9 +6,9 @@ cyclotomic polynomial Phi_2n.  The power basis is an integral basis, so
 the representation of each element is unique and all arithmetic is exact.
 Coefficients are Python ints, i.e. arbitrary precision: synthesis of long
 circuits grows them without bound and fixed-width integers are never safe.
-Products are reduced with the nonzero terms of zeta^e, precomputed once per
-context, so a sparse Phi_2n (x^n + 1 for n a power of two) costs one term
-per folded coefficient.
+CycInt keeps the coefficients; its products, rotations, Galois images and
+valuation are the lanes' arithmetic (Lanes, below), at a width picked from
+the coefficients' bit length, so a context holds no table of zeta^e.
 
 2-adic data is read from coefficient parity bits.  Write n = 2^k s with s
 odd; then Phi_2n = Phi_s^(2^k) (mod 2) with Phi_s squarefree mod 2, so the
@@ -29,13 +29,15 @@ bits of every lane are read at once: the power of 2 the lanes share
 n in {2, 4, 6, 8, 12}, the valuation above 2 (Lanes.valuation).  A product
 is one int product split at lane n (Kronecker substitution, Lanes.mul) and
 the conjugate a reversal of the lanes (Lanes.conj); the Bloch image and the
-exact unitarity checks are built from those.  For n not a
-power of 2 a fold brings the lanes back mod Phi_2n = P(x^(2^k)), block by
-block through Q = x^deg P - P (Context.fold_q, the split the descent's
-residue planes, read off its pencils' lanes, fold on too).  Each lane
-keeps headroom for one gate; one that leaves it doubles W, so a context
-holds O(log bits) lane tables, in Context.memo.  Contexts are cached for a bounded number of n
-(make_context).
+exact unitarity checks are built from those, and so are CycInt's
+product, rotation, Galois image and valuation.  For n not a power of 2 a
+fold brings the lanes back mod Phi_2n = P(x^(2^k)), block by block
+through Q = x^deg P - P (Context.fold_q, the split the descent's residue
+planes, read off its pencils' lanes, fold on too).  Each lane keeps
+headroom for one gate; load picks the narrowest width whose headroom
+holds its input, and a gate that leaves it doubles W, so a context holds
+O(log bits) lane tables, in Context.memo.  Contexts are cached for a
+bounded number of n (make_context).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import math
 import struct
 from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import add, mul, neg, or_, sub
+from operator import add, mul, neg, sub
 
 from .errors import IntegrityError
 
@@ -172,8 +174,8 @@ def make_context(n: int) -> "Context":
 
 
 class Context:
-    """Shared constants for Z[zeta_2n]: cyclotomic polynomial, power-basis
-    reduction table, Galois exponents and the 2-splitting data n = 2^k s."""
+    """Shared constants for Z[zeta_2n]: cyclotomic polynomial, its fold
+    split, Galois exponents and the 2-splitting data n = 2^k s."""
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2 or n % 2 != 0:
@@ -189,22 +191,6 @@ class Context:
         )
         if len(self.galois_exponents) != self.degree:
             raise IntegrityError("Galois group size does not match field degree")
-        # zeta^m in the power basis for every m in [0, 2n), kept as the
-        # nonzero (index, coefficient) pairs of its row; doubles as the
-        # reduction table for products (their degree stays below 2n).
-        d = self.degree
-        red = [-c for c in self.phi_poly[:d]]
-        rows = []
-        cur = [1] + [0] * (d - 1)
-        for _ in range(self.order):
-            rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                for j, rj in enumerate(red):
-                    if rj:
-                        cur[j] += top * rj
-        self.zeta_terms = tuple(rows)
         # For parity_multiplicity: the bit positions of g(x^(2^k)) =
         # g^(2^k) mod 2, g = (x^s + 1) / Phi_s mod 2 (by GF(2) long
         # division), and (s 2^t, M_t) for t < k, M_t the lanes i < n with
@@ -283,14 +269,17 @@ class Context:
         [-2^(W-1), 2^(W-1)) after it when 2^h >= 4 G.  Top-down, the fold
         has turned block B > b into y^(b + 1 - deg P) (y^(B - b - 1 + deg P)
         mod P), y = x^w, by the time it reaches block b, so a lane never
-        holds more than its own value plus the rows zeta^(w B),
-        deg P <= B < n / w, of one column: G is 1 plus the largest column
-        sum of their absolute values."""
+        holds more than its own value plus the rows y^B mod P,
+        deg P <= B < s, of one column: G is 1 plus the largest column sum
+        of their absolute values.  Each row is the last times y, its top
+        term folded through Q (fold_q)."""
         def build():
-            cols = [0] * self.degree
-            for e in range(self.degree, self.n, self.ram_index):
-                for j, c in self.zeta_terms[e]:
-                    cols[j] += abs(c)
+            q = self.fold_q
+            row, cols = q, [0] * len(q)
+            for _ in range(len(q), self.s):
+                cols = [c + abs(r) for c, r in zip(cols, row)]
+                top = row[-1]
+                row = [top * q[0]] + [r + top * c for r, c in zip(row, q[1:])]
             return 2 + max(cols).bit_length()
         return self.memo("lane_head", build)
 
@@ -327,9 +316,9 @@ class Lanes:
     sum c_i 2^(W i) with every lane c_i in [-2^(W-1), 2^(W-1)), so add,
     subtract, negate and a right shift by the 2-adic part of every lane are
     one int op each.  Between gates every lane lies in the headroom
-    [-2^f, 2^f), f = W - 1 - h (Context.lane_head), checked by load and
-    settle, which double W when a lane leaves it; within one gate lanes
-    grow at most 2^h-fold, so no op wraps a lane.
+    [-2^f, 2^f), f = W - 1 - h (Context.lane_head): load picks a width
+    where it holds the input, and settle doubles W when a lane leaves it;
+    within one gate lanes grow at most 2^h-fold, so no op wraps a lane.
 
     zeta^j (zeta) is a left shift by j lanes and one balanced split at lane
     n: with off = 2^(W-1) in every lane below n, hi = (p + off) >> W n is
@@ -383,13 +372,12 @@ class Lanes:
         )
 
     def load(self, *vecs) -> tuple:
-        """(lanes, p_1, ..., p_r) for the coefficient vectors vecs at this
-        width, or at the narrowest doubling of it whose headroom holds
-        them all."""
-        ps = [self.pack(v) for v in vecs]
-        if None not in ps and not reduce(or_, (p + self.room for p in ps)) & self.roomy_top:
-            return (self, *ps)
-        return self.ctx.lanes(2 * self.width).load(*vecs)
+        """(lanes, p_1, ..., p_r) for the coefficient vectors vecs at the
+        narrowest doubling of this width whose headroom [-2^f, 2^f) holds
+        them all: every coefficient lies in [-2^g, 2^g), g its bit length
+        (_bits), and none outside it, so f >= g is the test."""
+        lanes = self.wide_enough(_bits(vecs))
+        return (lanes, *map(lanes.pack, vecs))
 
     def load_factors(self, *vecs) -> tuple:
         """(lanes, p_1, ..., p_r) for the coefficient vectors vecs at the
@@ -398,12 +386,15 @@ class Lanes:
         products (mul): one product then has lanes below
         phi(2n) 2^(2g) < 2^(f-1), a sum of four lies in [-2^(f+1), 2^(f+1)),
         and its fold stays in [-2^(W-2), 2^(W-2)) (Context.lane_head)."""
-        g = max(max(max(v), ~min(v)) for v in vecs).bit_length()
-        need = 2 * g + (2 * self.ctx.degree).bit_length()
+        lanes = self.wide_enough(2 * _bits(vecs) + (2 * self.ctx.degree).bit_length())
+        return (lanes, *map(lanes.pack, vecs))
+
+    def wide_enough(self, need: int) -> "Lanes":
+        """The narrowest doubling of this lane table with f >= need."""
         lanes = self
         while lanes.free < need:
             lanes = lanes.ctx.lanes(2 * lanes.width)
-        return (lanes, *map(lanes.pack, vecs))
+        return lanes
 
     def fits(self, p: int, g: int) -> bool:
         """Whether every lane of p lies in [-2^g, 2^g), g <= f, for lanes in
@@ -424,19 +415,13 @@ class Lanes:
         room = self.ones << g
         return room, self.full + self.ones - (room << 1)
 
-    def pack(self, coeffs) -> int | None:
-        """The lanes of a coefficient vector, or None when an entry does
-        not fit in W bits."""
+    def pack(self, coeffs) -> int:
+        """The lanes of a coefficient vector, whose entries must fit in W
+        bits (load picks a width where they do)."""
         if self.code is None:
             w = self.width
-            if max(max(coeffs), -1 - min(coeffs)) >> (w - 1):
-                return None
             return sum(c << (w * i) for i, c in enumerate(coeffs) if c)
-        try:
-            raw = self.code.pack(*coeffs)
-        except struct.error:
-            return None
-        return (int.from_bytes(raw, "little") ^ self.off) - self.off
+        return (int.from_bytes(self.code.pack(*coeffs), "little") ^ self.off) - self.off
 
     def unpack(self, p: int) -> tuple[int, ...]:
         """The phi(2n) coefficients of folded lanes p."""
@@ -491,18 +476,23 @@ class Lanes:
         raw = self._low_bytes(p)
         return int(raw.translate(_HIGH_BIT), 2), int(raw.translate(_LOW_BIT), 2)
 
+    def low_plane(self, p: int) -> int:
+        """The low plane of planes(p) alone: the bitmask of the odd lanes
+        below n of p, the parity mask that Context.parity_multiplicity
+        reads."""
+        return int(self._low_bytes(p).translate(_LOW_BIT), 2)
+
     def valuation(self, p: int):
-        """Valuation above 2 of folded lanes p (n in VALUATION_NS, else
-        ValueError; math.inf for zero), as CycInt.valuation: 2^k t, 2^t the
-        power of 2 the lanes share, plus the multiplicity of Phi_s in the
-        low plane of p / 2^t."""
+        """Valuation above 2 of folded lanes p: the exponent of the unique
+        prime above 2 for n in VALUATION_NS (ValueError for any other n),
+        math.inf for zero.  It is 2^k t, 2^t the power of 2 the lanes share,
+        plus the multiplicity of Phi_s in the low plane of p / 2^t."""
         ctx = self.ctx
         _require_valuation(ctx)
         if not p:
             return math.inf
         t = self.twos(p + self.off, self.width - 1)
-        return (t << ctx.k) + ctx.parity_multiplicity(
-            int(self._low_bytes(p >> t).translate(_LOW_BIT), 2))
+        return (t << ctx.k) + ctx.parity_multiplicity(self.low_plane(p >> t))
 
     def zeta(self, p: int, j: int) -> int:
         """p times zeta^j, as lanes below n (not folded)."""
@@ -557,6 +547,11 @@ class Lanes:
         return p >> t, m - t
 
 
+def _bits(vecs) -> int:
+    """The least g with every coefficient of vecs in [-2^g, 2^g)."""
+    return max(max(map(max, vecs)), ~min(map(min, vecs))).bit_length()
+
+
 def _checked_coeffs(coeffs, degree: int) -> tuple[int, ...]:
     """coeffs as a tuple, which must hold `degree` ints (ValueError else)."""
     coeffs = tuple(coeffs)
@@ -569,9 +564,8 @@ def _checked_coeffs(coeffs, degree: int) -> tuple[int, ...]:
     return coeffs
 
 
-# c & 3 for an int c, and the ASCII digit of bit 1 or bit 0 of a byte, so
-# int(..., 2) packs a residue byte string into a bitmask.
-_AND3 = (3).__and__
+# The ASCII digit of bit 1 or bit 0 of a byte, so int(..., 2) packs a
+# residue byte string into a bitmask.
 _HIGH_BIT = bytes.maketrans(bytes(range(256)), bytes(b"01"[c >> 1 & 1] for c in range(256)))
 _LOW_BIT = bytes.maketrans(bytes(range(256)), bytes(b"01"[c & 1] for c in range(256)))
 
@@ -624,61 +618,46 @@ class CycInt:
         return CycInt(self.ctx, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
+        """Product, on lanes (Lanes.mul): at the narrowest width where
+        g + g' + bit_length(2 phi(2n)) <= f for factors in [-2^g, 2^g) and
+        [-2^g', 2^g'), load_factors' bound for this one product."""
         if isinstance(other, int):
             return CycInt(self.ctx, tuple(other * a for a in self.coeffs))
         _check_same_context(self, other)
         ctx = self.ctx
-        d = ctx.degree
-        bterms = [(j, bj) for j, bj in enumerate(other.coeffs) if bj]
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in bterms:
-                    conv[i + j] += ai * bj
-        out = conv[:d]
-        terms = ctx.zeta_terms
-        for e in range(d, 2 * d - 1):
-            c = conv[e]
-            if c:
-                for j, rj in terms[e]:
-                    out[j] += c * rj
-        return CycInt(ctx, tuple(out))
+        if not (any(self.coeffs) and any(other.coeffs)):
+            return ctx.zero()
+        a, b = self.coeffs, other.coeffs
+        lanes = ctx.lanes().wide_enough(_bits((a,)) + _bits((b,)) + (2 * ctx.degree).bit_length())
+        return CycInt(ctx, lanes.unpack(lanes.fold(lanes.mul(lanes.pack(a), lanes.pack(b)))))
 
     __rmul__ = __mul__
 
-    def _scatter(self, t: int, j: int) -> "CycInt":
-        # sum_i c_i zeta^(i t + j), folded through the sparse rows
-        ctx = self.ctx
-        terms, order = ctx.zeta_terms, ctx.order
-        out = [0] * ctx.degree
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for e, r in terms[(i * t + j) % order]:
-                    out[e] += c * r
-        return CycInt(ctx, tuple(out))
-
     def times_zeta(self, j: int) -> "CycInt":
-        """Product with zeta^j (a sparse basis rotation, cheaper than mul)."""
+        """Product with zeta^j: a rotation of the lanes (Lanes.zeta)."""
         ctx = self.ctx
-        j %= ctx.order
-        if j == 0:
+        if not j % ctx.order:
             return self
-        if ctx.s == 1:  # Phi_2n = x^n + 1: zeta^n = -1, a signed cyclic shift
-            # over lists (tuple slices would fill the small-tuple free lists)
-            d = ctx.degree
-            c = list(self.coeffs) if j < d else [-a for a in self.coeffs]
-            j %= d
-            return CycInt(ctx, tuple([-a for a in c[d - j:]] + c[:d - j]))
-        return self._scatter(1, j)
+        lanes, p = ctx.lanes().load(self.coeffs)
+        return CycInt(ctx, lanes.unpack(lanes.fold(lanes.zeta(p, j))))
 
     # -- Galois action and derived maps ---------------------------------------
 
     def galois(self, t: int) -> "CycInt":
-        """Image under zeta -> zeta^t for t coprime to 2n."""
+        """Image under zeta -> zeta^t for t coprime to 2n: c_i goes to lane
+        i t mod 2n, negated at and above lane n (zeta^n = -1), one lane
+        each, as i t mod 2n is one-to-one; then one fold."""
         ctx = self.ctx
-        if math.gcd(t, ctx.order) != 1:
-            raise ValueError("t=%d is not coprime to %d" % (t, ctx.order))
-        return self._scatter(t, 0)
+        order, n = ctx.order, ctx.n
+        if math.gcd(t, order) != 1:
+            raise ValueError("t=%d is not coprime to %d" % (t, order))
+        lanes = ctx.lanes().wide_enough(_bits((self.coeffs,)))
+        w, p = lanes.width, 0
+        for i, c in enumerate(self.coeffs):
+            if c:
+                e = i * t % order
+                p += c << (w * e) if e < n else -c << (w * (e - n))
+        return CycInt(ctx, lanes.unpack(lanes.fold(p)))
 
     def conj(self) -> "CycInt":
         """Complex conjugate (the Galois map t = 2n - 1)."""
@@ -703,34 +682,11 @@ class CycInt:
         """Coefficientwise residue in {0, 1}, as an element of the ring."""
         return CycInt(self.ctx, tuple(c & 1 for c in self.coeffs))
 
-    def parity_mask(self, shift: int = 0) -> int:
-        """Bitmask int of the coefficients shifted right by `shift` bits
-        that are odd (bit i for c_i)."""
-        coeffs = [c >> shift for c in self.coeffs] if shift else self.coeffs
-        return int(bytes(map(_AND3, reversed(coeffs))).translate(_LOW_BIT), 2)
-
-    def mod2_multiplicity(self, shift: int = 0) -> int:
-        """Multiplicity of Phi_s in the residue mod 2 of the coefficients
-        shifted right by `shift` bits, which must not all be even (see
-        Context.parity_multiplicity)."""
-        mask = self.parity_mask(shift)
-        if not mask:
-            raise ValueError("residue mod 2 is zero")
-        return self.ctx.parity_multiplicity(mask)
-
     def valuation(self):
-        """Exponent of the unique prime above 2 (n in {2,4,6,8,12} only).
-
-        With 2^t the largest power of 2 dividing every coefficient, this is
-        2^k t plus the multiplicity of Phi_s in (x / 2^t) mod 2.  Returns
-        math.inf for zero.
-        """
-        ctx = self.ctx
-        _require_valuation(ctx)
-        if self.is_zero():
-            return math.inf
-        t = two_adic(reduce(or_, self.coeffs))
-        return (t << ctx.k) + self.mod2_multiplicity(t)
+        """Exponent of the unique prime above 2 (n in {2,4,6,8,12} only;
+        math.inf for zero), read off the lanes (Lanes.valuation)."""
+        lanes, p = self.ctx.lanes().load(self.coeffs)
+        return lanes.valuation(p)
 
     # -- comparisons / hashing -------------------------------------------------
 

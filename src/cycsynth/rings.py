@@ -271,8 +271,9 @@ def beta_constant(ctx: Context) -> BetaConstant:
 
 def _parity_exponent(ctx: Context, m: int, mask: int) -> int:
     """Denominator exponent m 2^(k-1) - floor(v / 2) of a normalized
-    num / 2^m, m >= 1, from the parity mask of num (see CycInt.parity_mask;
-    nonzero, as num is not even), v the multiplicity of Phi_s in it."""
+    num / 2^m, m >= 1, from the parity mask of num (its low plane,
+    Lanes.low_plane; nonzero, as num is not even), v the multiplicity of
+    Phi_s in it."""
     return (m << (ctx.k - 1)) - (ctx.parity_multiplicity(mask) >> 1)
 
 
@@ -282,7 +283,8 @@ def _beta_exp_r(x: RingElem) -> int:
         raise ValueError("beta exponent of zero")
     if x.m == 0 or x.ctx.k == 1:
         return x.m
-    return _parity_exponent(x.ctx, x.m, x.num.parity_mask())
+    lanes, p = x.ctx.lanes().load(x.num.coeffs)
+    return _parity_exponent(x.ctx, x.m, lanes.low_plane(p))
 
 
 def _exp_bounds(ctx: Context, m: int) -> tuple[int, int]:
@@ -314,12 +316,18 @@ def beta_exponent(x: RingElem, bc: BetaConstant) -> tuple[int, CycInt]:
 
 
 def as_zeta_power(x: RingElem) -> int | None:
-    """j with x = zeta_2n^j exactly, or None: x's nonzero terms matched
-    against the rows of Context.zeta_terms."""
+    """j in [0, 2n) with x = zeta_2n^j exactly, or None.  zeta^j is +-1 in
+    one lane, +-2^(W i), exactly when i = j mod n < phi(2n); so x is one
+    iff some x zeta^-r, r = 0, phi(2n), 2 phi(2n), ... below n, is:
+    j = r + i, plus n for -1."""
     if x.m != 0:
         return None
-    terms = tuple((i, c) for i, c in enumerate(x.num.coeffs) if c)
-    try:
-        return x.ctx.zeta_terms.index(terms)
-    except ValueError:
-        return None
+    ctx = x.ctx
+    lanes, p = ctx.lanes().load(x.num.coeffs)
+    for r in range(0, ctx.n, ctx.degree):
+        q = lanes.fold(lanes.zeta(p, -r))
+        a, sign = (q, 0) if q > 0 else (-q, ctx.n)
+        t = a.bit_length() - 1
+        if a and a == 1 << t and not t % lanes.width:
+            return r + t // lanes.width + sign
+    return None

@@ -476,10 +476,11 @@ def matrix_from_json(obj: dict) -> UnitaryRn:
     if not (isinstance(entries, list) and len(entries) == 2):
         raise ValueError("field 'entries' must be a 2x2 array")
     # The vectors are checked against phi(2n) before the context is built:
-    # its reduction table costs time and memory quadratic in n.  Every
-    # prime p | 2n has (p - 1) | phi(2n), so a prime factor above L + 1
-    # proves phi(2n) > L for the longest vector's length L; trial division
-    # stops there, or past 2^16 to name phi(2n) where that is quick.
+    # its lane tables cost O(n W (s - phi(s))) bits, n = 2^k s, for each
+    # lane width W.  Every prime p | 2n has (p - 1) | phi(2n), so a prime
+    # factor above L + 1 proves phi(2n) > L for the longest vector's length
+    # L; trial division stops there, or past 2^16 to name phi(2n) where
+    # that is quick.
     longest = max((len(vec) for row in entries if isinstance(row, list)
                    for vec in row if isinstance(vec, list)), default=0)
     primes = factorize(2 * n, max(longest + 1, 1 << 16))

@@ -144,7 +144,7 @@ def _entries_max(lanes: Lanes, val: int, entries, cutoff):
         if lo > cutoff:
             return None
         # an exact bracket (k = 1) needs no parity bits
-        val = hi if lo == hi else max(val, _parity_exponent(ctx, m, lanes.planes(p)[1]))
+        val = hi if lo == hi else max(val, _parity_exponent(ctx, m, lanes.low_plane(p)))
         if val > cutoff:
             return None
     return val

@@ -191,11 +191,22 @@ def divides_oracle(y: CycInt, x: CycInt) -> bool:
 @cache
 def zeta_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """zeta_2n^e in the power basis for e in [0, 2n): the remainder of x^e
-    divided by the naive Phi_2n, padded to phi(2n) coefficients."""
+    divided by the naive Phi_2n, each the remainder of x times the last."""
     phi = naive_cyclotomic(2 * n)
     d = len(phi) - 1
-    return tuple(tuple((poly_divmod([0] * e + [1], phi)[1] + [0] * d)[:d])
-                 for e in range(2 * n))
+    rows = [(1,) + (0,) * (d - 1)]
+    for _ in range(2 * n - 1):
+        rows.append(tuple(poly_divmod((0,) + rows[-1], phi)[1][:d]))
+    return tuple(rows)
+
+
+def rows_lane_head(n: int) -> int:
+    """Context.lane_head from the dense rows of zeta^(w B), w = 2^k,
+    phi(2n) <= w B < n: 2 plus the bit length of the largest column sum of
+    their absolute values."""
+    rows = zeta_rows(n)
+    d, w = len(rows[0]), n & -n
+    return 2 + max(sum(abs(rows[e][j]) for e in range(d, n, w)) for j in range(d)).bit_length()
 
 
 def zeta_cyc(ctx, e: int) -> CycInt:
@@ -275,6 +286,16 @@ def norm_valuation(x: CycInt):
     return v2 // f
 
 
+@cache
+def _conjugates_and_norm(beta: CycInt) -> tuple[CycInt, int]:
+    # the product gamma of the nontrivial conjugates of beta, and the
+    # rational norm beta gamma
+    gamma = beta.ctx.one()
+    for t in beta.ctx.galois_exponents[1:]:
+        gamma = gamma * beta.galois(t)
+    return gamma, (beta * gamma).as_int()
+
+
 def chain_beta_exponent(x: RingElem, beta: CycInt) -> int:
     """Denominator exponent m 2^(k-1) - t of a normalized x = num / 2^m,
     clamped at 0, with t the largest power of beta dividing num, found by
@@ -284,10 +305,7 @@ def chain_beta_exponent(x: RingElem, beta: CycInt) -> int:
     ctx = x.ctx
     num = x.num
     assert not num.is_zero()
-    gamma = ctx.one()
-    for t in ctx.galois_exponents[1:]:
-        gamma = gamma * beta.galois(t)
-    bnorm = (beta * gamma).as_int()
+    gamma, bnorm = _conjugates_and_norm(beta)
     t = 0
     while True:
         prod = num * gamma

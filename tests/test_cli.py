@@ -539,3 +539,22 @@ def test_synth_ring_method(tmp_path):
     assert code == 0
     seq = GateSequence.from_text(out.splitlines()[0], ctx)
     assert eval_sequence(seq, ctx) == u
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n", "4", "--input", "{src}", "--output", "{bad}"],
+    ["random", "--n", "4", "--target-tcount", "3", "--output", "{bad}"],
+    ["fn-census", "--max", "10", "--output", "{bad}"],
+    ["fn-census", "--max", "10", "--checkpoint", "{bad}"],
+])
+def test_an_unwritable_output_file_is_an_input_error(tmp_path, capsys, argv):
+    # A file that cannot be written is named on stderr with exit 2, not a
+    # traceback and exit 1, which means a negative result.
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps(t_gate_json()))
+    bad = tmp_path / "missing" / "out.txt"
+    code, _ = run_cli([a.format(src=src, bad=bad) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+    assert not bad.parent.exists()

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -43,26 +44,37 @@ def test_context_n12_constants():
 
 
 def test_zeta_powers_match_the_naive_polynomial():
-    for n in range(2, 65, 2):
+    for n in [*range(2, 65, 2), 90, 210, 330]:
         ctx = make_context(n)
         for j in range(ctx.order):
             assert ctx.zeta(j).coeffs == zeta_rows(n)[j], (n, j)
-            assert as_zeta_power(RingElem.zeta(ctx, j)) == j
+            z = RingElem.zeta(ctx, j)
+            assert as_zeta_power(z) == j
+            # no multiple, half or sum of two powers is a power
+            for other in (z + z, z.half(), z + z.times_zeta(1)):
+                assert as_zeta_power(other) is None, (n, j)
         assert ctx.zeta(-1) == ctx.zeta(ctx.order - 1)
+        assert as_zeta_power(RingElem.zero(ctx)) is None
 
 
 def test_context_keeps_one_small_table():
-    # The reduction table is kept sparse only: a dense 2n x phi(2n) copy
-    # would be 1.6 million entries (about 13 MB) at n = 1000.
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        ctx = Context(1000)
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert ctx.degree == 800
-    assert kept < 2 << 20
+    # A context keeps no table of the powers of zeta: a dense 2n x phi(2n)
+    # copy would be 1.6 million entries (about 13 MB) at n = 1000, and even
+    # the sparse rows cost seconds and hundreds of MB at n = 6006.
+    for n, degree in ((1000, 800), (6006, 2880), (8192, 8192)):
+        start = time.perf_counter()
+        Context(n)
+        assert time.perf_counter() - start < 1.0, n
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ctx = Context(n)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ctx.degree == degree
+        assert kept < 2 << 20 and peak < 2 << 20, n
 
 
 @pytest.mark.parametrize("bad", [0, -2, 3, 7, 1])

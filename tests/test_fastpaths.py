@@ -182,21 +182,29 @@ def test_parity_valuation_matches_norm(n):
     assert ctx.zero().valuation() == math.inf
 
 
-def _random_sparse(ctx, rng):
-    x = random_cycint(ctx, rng, 40)
+def _random_sparse(ctx, rng, bound=40):
+    x = random_cycint(ctx, rng, bound)
     keep = rng.random()
     return ctx.from_coeffs(c if rng.random() < keep else 0 for c in x.coeffs)
 
 
 def test_products_match_dense_rows():
+    # CycInt's product, rotation and Galois image run on lanes, at widths
+    # up to 1024 bits for the 300-bit coefficients; a product's width
+    # follows the bits of both factors, so they are drawn unequal too
     rng = random.Random(61)
-    for n in range(2, 65, 2):
+    bounds = (1 << 5, 1 << 70, 1 << 300)
+    cases = [(n, 40, 40) for n in range(2, 65, 2)]
+    cases += [(n, bound, rng.choice(bounds)) for n in (30, 64, 90, 210) for bound in bounds]
+    for n, bound, other in cases:
         ctx = make_context(n)
+        assert ctx.from_int(3) * ctx.zero() == ctx.zero() == ctx.zero() * ctx.zeta(1)
         for _ in range(4):
-            a, b = _random_sparse(ctx, rng), _random_sparse(ctx, rng)
-            assert a * b == dense_mul(a, b)
-            j = rng.randrange(-ctx.order, 2 * ctx.order)
-            assert a.times_zeta(j) == dense_times_zeta(a, j)
+            a, b = _random_sparse(ctx, rng, bound), _random_sparse(ctx, rng, other)
+            assert a * b == dense_mul(a, b) == b * a
+            for j in (rng.randrange(-3 * ctx.order, 0), rng.randrange(ctx.order),
+                      rng.randrange(ctx.order, 3 * ctx.order)):
+                assert a.times_zeta(j) == dense_times_zeta(a, j)
             t = rng.choice(ctx.galois_exponents)
             assert a.galois(t) == dense_galois(a, t)
 
@@ -418,6 +426,11 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
     assert steps >= 3 and reused > 0
 
 
+def _parity_mask(coeffs, shift=0):
+    # bit i set where c_i >> shift is odd
+    return sum(((c >> shift) & 1) << i for i, c in enumerate(coeffs))
+
+
 def _residue_with_multiplicity(ctx, rng, mult, shift):
     # coefficients whose bits (c >> shift) & 1 are Phi_s^mult times a random
     # GF(2) polynomial, with random low bits and random signed high parts
@@ -442,13 +455,12 @@ def test_mod2_multiplicity_matches_carry_less_reference(n):
         coeffs = _residue_with_multiplicity(ctx, rng, mult, shift)
         want = gf2_multiplicity(coeffs, ctx.s, shift)
         assert want >= mult
-        assert ctx.from_coeffs(coeffs).mod2_multiplicity(shift) == want
+        assert ctx.parity_multiplicity(_parity_mask(coeffs, shift)) == want
     assert want == top - 1  # the largest multiplicity below the degree
     for x in (random_cycint(ctx, rng, 9) for _ in range(8)):
         if any(c & 1 for c in x.coeffs):
-            assert x.mod2_multiplicity() == gf2_multiplicity(x.coeffs, ctx.s)
-    with pytest.raises(ValueError):
-        ctx.from_int(2).mod2_multiplicity()
+            assert ctx.parity_multiplicity(_parity_mask(x.coeffs)) == gf2_multiplicity(
+                x.coeffs, ctx.s)
 
 
 @pytest.mark.parametrize("n", (4, 6, 8, 12, 30))

@@ -23,10 +23,10 @@ from cycsynth import (
     make_context,
     su2,
 )
-from cycsynth.cyclo import cyclotomic_poly
+from cycsynth.cyclo import LANE_WIDTH, cyclotomic_poly
 from cycsynth.su2 import AXES
 
-from oracles import random_sequence, reference_apply_line
+from oracles import random_sequence, reference_apply_line, rows_lane_head
 
 EVEN_NS = range(2, 65, 2)
 
@@ -158,8 +158,19 @@ def test_lanes_pack_and_unpack_round_trip():
             bound = 1 << (width - 2)
             coeffs = tuple(rng.randrange(-bound, bound) for _ in range(ctx.degree))
             assert lanes.unpack(lanes.pack(coeffs)) == coeffs
-            too_big = (1 << (width - 1),) + coeffs[1:]
-            assert lanes.pack(too_big) is None
+            # load picks the narrowest doubling of the narrowest width
+            # whose headroom [-2^f, 2^f) holds every coefficient: here the
+            # edges of this width's headroom and one just past them
+            f = lanes.free
+            for edge in ((1 << f) - 1, -(1 << f), 1 << f, -(1 << f) - 1):
+                vec = (edge,) + tuple(c >> (width - f) for c in coeffs[1:])
+                want = LANE_WIDTH
+                while not all(-(1 << ctx.lanes(want).free) <= c < 1 << ctx.lanes(want).free
+                              for c in vec):
+                    want *= 2
+                got, p = ctx.lanes().load(vec)
+                assert got.width == want and got.unpack(p) == vec
+                assert want == (width if -(1 << f) <= edge < 1 << f else 2 * width)
 
 
 def test_headroom_test_is_fits_at_the_full_headroom():
@@ -234,6 +245,13 @@ def test_lane_head_is_the_fold_growth_of_a_lane(n):
     # it must equal the growth of the fold itself, run on every lane.
     ctx = make_context(n)
     assert ctx.lane_head() == 2 + (_fold_growth(ctx) - 1).bit_length()
+
+
+@pytest.mark.parametrize("n", [*range(2, 129, 2), 210, 330])
+def test_lane_head_matches_the_rows_of_zeta(n):
+    # Context.lane_head builds the rows y^B mod P from fold_q; the oracle
+    # reads the same rows off the dense powers of zeta
+    assert make_context(n).lane_head() == rows_lane_head(n)
 
 
 # -- the fold split on Context ----------------------------------------------------

@@ -39,8 +39,8 @@ def test_rings_is_the_one_home_of_the_denominator_exponent():
         if path.name in ("so3.py", "synth.py") and (
                 "BetaConstant" in text or "beta_constant" in text):
             offenders.append((path.name, "BetaConstant"))
-        if path.name not in ("cyclo.py", "rings.py") and "mod2_multiplicity(" in text:
-            offenders.append((path.name, "mod2_multiplicity"))
+        if path.name not in ("cyclo.py", "rings.py") and "parity_multiplicity(" in text:
+            offenders.append((path.name, "parity_multiplicity"))
     assert offenders == []
 
 
@@ -166,14 +166,14 @@ def test_the_bloch_step_and_the_exact_checks_form_no_cycint_product(monkeypatch)
     # lanes), the unitarity check (su2.UnitaryRn._is_unitary), the column
     # check (ringsynth.ColumnRn.__post_init__) and equal_up_to_phase's
     # |lam|^2 = 1 (su2._is_unit_sum) multiply and conjugate on packed
-    # lanes: no CycInt product, Galois map or scatter runs inside them.
+    # lanes: no CycInt product, Galois map or rotation runs inside them.
     from cycsynth import (CycInt, UnitaryRn, canonical_form, equal_up_to_phase, make_context,
                           random_unitary, ringsynth, su2, synth)
 
     calls, entered = _guard_lane_arithmetic(
         monkeypatch, [(synth, "_bloch_step"), (su2.UnitaryRn, "_is_unitary"),
                       (ringsynth.ColumnRn, "__post_init__"), (su2, "_is_unit_sum")],
-        [(CycInt, name) for name in ("__mul__", "galois", "_scatter")])
+        [(CycInt, name) for name in ("__mul__", "galois", "times_zeta")])
     for n in (8, 12, 30, 64):
         ctx = make_context(n)
         u, _ = random_unitary(ctx, 20, 7)
