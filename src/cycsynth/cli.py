@@ -342,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="matrix JSON file, '-' for stdin; JSONL for batches")
     p.add_argument("--output", default=None)
     p.add_argument("--method", choices=("optimal", "ring"), default="optimal")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for batch input")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for batch input (--method optimal only; "
+                        "--method ring runs serially)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--approx", action="store_true",
                    help="also print a decimal rendering (non-authoritative)")

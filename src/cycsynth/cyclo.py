@@ -20,8 +20,8 @@ and a subset transform of k strided shift-and-mask steps, for every n
 (Context.parity_multiplicity).  The valuation proper is only available for
 n in {2, 4, 6, 8, 12}, where that prime is unique.
 
-The gate kernel (su2), the descent step (synth) and the column-step
-scoring (ringsynth) work on lanes instead (Lanes): a numerator as one int
+The gate kernel (su2), the descent step (synth) and the column step
+(ringsynth) work on lanes instead (Lanes): a numerator as one int
 of n balanced W-bit lanes of Z[x]/(x^n + 1), W = 16, 32, 64, ..., where
 zeta^j is one shift and one split, an add is one int add, and the low
 bits of every lane are read at once: the power of 2 the lanes share

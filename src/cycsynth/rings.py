@@ -171,6 +171,14 @@ def _over_common(a: RingElem, b: RingElem) -> tuple[CycInt, CycInt, int]:
     return x, y, m
 
 
+def _common_numerators(elems) -> tuple[int, list]:
+    """(m, vecs): the coefficient vectors of the numerators of elems over
+    their common denominator 2^m, the largest of theirs."""
+    m = max(e.m for e in elems)
+    return m, [[c << (m - e.m) for c in e.num.coeffs] if e.m < m else e.num.coeffs
+               for e in elems]
+
+
 def _conj_products(elems, pairs) -> tuple[Lanes, int, dict]:
     """(lanes, m, x) with x[i, j] the numerator of elems[i] conj(elems[j])
     over 2^(2m) for each (i, j) in pairs, as lanes below n (not folded):
@@ -178,9 +186,8 @@ def _conj_products(elems, pairs) -> tuple[Lanes, int, dict]:
     (Lanes.load_factors), conjugated and multiplied on lanes (Lanes.conj,
     Lanes.mul), with no CycInt product.  A sum of up to four of them,
     folded, stays clear of the ends of the lanes."""
-    m = max(e.m for e in elems)
-    lanes, *ps = elems[0].ctx.lanes().load_factors(*(
-        [c << (m - e.m) for c in e.num.coeffs] if e.m < m else e.num.coeffs for e in elems))
+    m, vecs = _common_numerators(elems)
+    lanes, *ps = elems[0].ctx.lanes().load_factors(*vecs)
     conj = {j: lanes.conj(ps[j]) for j in {j for _, j in pairs}}
     mul = lanes.mul
     return lanes, m, {(i, j): mul(ps[i], conj[j]) for i, j in pairs}
@@ -210,14 +217,25 @@ def _unit_sum_denominators_fit(elems) -> bool:
     return 2 * (top - below) <= 2 * g + ctx.lane_head() + (len(elems) * ctx.degree).bit_length()
 
 
+def _is_unit_numerators(ctx: Context, vecs, m: int) -> bool:
+    """Whether |x_1|^2 + ... + |x_r|^2 = 1 for up to four elements x_i with
+    numerators vecs over 2^m, on lanes: packed as the factors of products
+    (Lanes.load_factors), the folded sum of the x_i conj(x_i) (Lanes.conj,
+    Lanes.mul) must be 2^(2m), one lane, as the folded lanes of an element
+    are unique."""
+    lanes, *ps = ctx.lanes().load_factors(*vecs)
+    mul, conj = lanes.mul, lanes.conj
+    return lanes.fold(sum(mul(p, conj(p)) for p in ps)) == _unit_lanes(lanes, m)
+
+
 def _is_unit_sum(elems) -> bool:
-    """Whether |x_1|^2 + ... + |x_r|^2 = 1 for up to four RingElems x_i,
-    on lanes (_conj_products): the folded sum of the x_i conj(x_i) must
-    be 2^(2m), one lane, as the folded lanes of an element are unique."""
+    """Whether |x_1|^2 + ... + |x_r|^2 = 1 for up to four RingElems x_i:
+    _is_unit_numerators over their common denominator, where the
+    denominators allow it."""
     if not _unit_sum_denominators_fit(elems):
         return False
-    lanes, m, x = _conj_products(elems, [(i, i) for i in range(len(elems))])
-    return lanes.fold(sum(x.values())) == _unit_lanes(lanes, m)
+    m, vecs = _common_numerators(elems)
+    return _is_unit_numerators(elems[0].ctx, vecs, m)
 
 
 def mu(x: RingElem, y: RingElem) -> int:

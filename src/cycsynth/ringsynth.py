@@ -4,10 +4,13 @@ For n in {2, 4, 6, 8, 12} every 2x2 unitary over the ring is synthesizable;
 synthesize_ring() constructs a circuit by driving the first column down a
 complexity measure (minus the minimum valuation of its entries) with
 H0 U_z(pi k/n) steps, closing with an explicit base-case unitary and an
-exact phase completion.  Each step k is scored on two valuations read off
-packed lanes (cyclo.Lanes); only the winning step is built, and the
-emitted word is checked against the input by stripping it off, both by
-the su2 gate kernel on the same lanes.
+exact phase completion.  The column is loaded into packed lanes
+(cyclo.Lanes) once and carried on them from step to step (ColumnRn):
+each k is scored on two lane valuations, the winner's two sums become the
+next column, which is checked on lane products and lane valuations, and
+no ring element is built until the base case reads the last column.  The
+emitted word is checked against the input by stripping it off, by the
+su2 gate kernel.
 
 The phase condition -- is -1 a power of 2 modulo the odd part of n? --
 decides whether every unit-modulus ring element is a root of unity, i.e.
@@ -18,14 +21,13 @@ discrete rotations.  fn_census() measures how often that holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .cyclo import VALUATION_NS, Context, CycInt, factorize, make_context, two_adic
+from .cyclo import VALUATION_NS, Context, CycInt, Lanes, factorize, make_context, two_adic
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
-from .rings import RingElem, _is_unit_sum, _over_common, as_zeta_power, mu
-from .su2 import GateSequence, UnitaryRn, _apply_line, _strip, _word_gates, eval_sequence, token_w
+from .rings import RingElem, _common_numerators, _is_unit_numerators, _is_unit_sum, as_zeta_power
+from .su2 import GateSequence, UnitaryRn, _strip, _word_gates, eval_sequence, token_w
 
 __all__ = [
     "ColumnRn",
@@ -208,55 +210,99 @@ def mu_threshold(ctx: Context) -> int:
     return ctx.memo("mu_threshold", lambda: (ctx.one() + ctx.zeta(ctx.n // 2)).valuation())
 
 
-@dataclass(frozen=True)
 class ColumnRn:
-    """A normalized column (|x|^2 + |y|^2 = 1) over the ring."""
+    """A normalized column (|x|^2 + |y|^2 = 1) over the ring, held as lanes:
+    the numerators of x and y over a common 2^m as folded lanes px and py
+    (cyclo.Lanes) within the headroom of lanes, and step, the steps taken
+    from the column that was loaded.
 
-    x: RingElem
-    y: RingElem
-    _measure: int | None = field(default=None, init=False, repr=False, compare=False)
+    ColumnRn(x, y) checks the column and loads it, once.  A step
+    (apply_step, reduce_column_step) runs on the lanes and carries them to
+    the next column; x and y are unpacked into RingElems only when read,
+    and the measure is read off the lanes once per column.
+    """
 
-    def __post_init__(self):
-        if not _is_unit_sum((self.x, self.y)):
+    __slots__ = ("lanes", "px", "py", "m", "step", "_measure", "_xy")
+
+    def __init__(self, x: RingElem, y: RingElem):
+        if not _is_unit_sum((x, y)):
             raise ValueError("column is not normalized")
+        m, vecs = _common_numerators((x, y))
+        self.lanes, self.px, self.py = x.ctx.lanes().load(*vecs)
+        self.m, self.step, self._measure, self._xy = m, 0, None, (x, y)
 
     @property
     def ctx(self) -> Context:
-        return self.x.ctx
+        return self.lanes.ctx
+
+    @property
+    def x(self) -> RingElem:
+        return self._entries()[0]
+
+    @property
+    def y(self) -> RingElem:
+        return self._entries()[1]
+
+    def _entries(self) -> tuple[RingElem, RingElem]:
+        if self._xy is None:
+            ctx, unpack, m = self.ctx, self.lanes.unpack, self.m
+            self._xy = (RingElem(CycInt(ctx, unpack(self.px)), m),
+                        RingElem(CycInt(ctx, unpack(self.py)), m))
+        return self._xy
 
     def measure(self) -> int:
-        """mu(x, y), read once per column."""
+        """mu(x, y), read off the lanes once per column (_lane_mu)."""
         if self._measure is None:
-            object.__setattr__(self, "_measure", mu(self.x, self.y))
+            self._measure = _lane_mu(self.lanes, self.px, self.py, self.m)
         return self._measure
 
     def apply_step(self, k: int) -> "ColumnRn":
-        """The column H0 U_z(pi k / n) (x, y)^T.
+        """The column H0 U_z(pi k / n) (x, y)^T, on the lanes: with s and
+        d the lanes of x + zeta^k y and x - zeta^k y over 2^m, it is
+        (s + zeta^(n/2) s, d + zeta^(n/2) d) / 2^(m+1), the su2 kernel's
+        U_z and H0 on a column, settled (Lanes.settle)."""
+        lanes = self.lanes
+        zeta, half = lanes.zeta, self.ctx.n // 2
+        yk = zeta(self.py, k)
+        s, d = self.px + yk, self.px - yk
+        col = object.__new__(ColumnRn)
+        col.lanes, col.px, col.py, col.m = lanes.settle(s + zeta(s, half), d + zeta(d, half),
+                                                        self.m + 1)
+        col.step, col._measure, col._xy = self.step + 1, None, None
+        return col
 
-        With x and y over a common 2^m and y' = zeta^k y, this is
-        (s + zeta^(n/2) s, d + zeta^(n/2) d) / 2^(m+1) for s = x + y' and
-        d = x - y', the su2 kernel's U_z and H0 on a column.
-        """
-        return ColumnRn(*_step(self.x, self.y, k))
+    def _is_normalized(self) -> bool:
+        """|x|^2 + |y|^2 = 1, on the lanes (rings._is_unit_numerators)."""
+        unpack = self.lanes.unpack
+        return _is_unit_numerators(self.ctx, (unpack(self.px), unpack(self.py)), self.m)
+
+    def __eq__(self, other):
+        return isinstance(other, ColumnRn) and self._entries() == other._entries()
+
+    def __hash__(self):
+        return hash(self._entries())
+
+    def __repr__(self):
+        return "ColumnRn(x=%r, y=%r)" % self._entries()
 
 
-def _step(x: RingElem, y: RingElem, k: int) -> tuple[RingElem, RingElem]:
-    return _apply_line(x, y, (("z", k), ("h", 0)), left=True)
+def _lane_mu(lanes: Lanes, px: int, py: int, m: int) -> int:
+    """mu(x, y) = m v(2) - min(v(px), v(py)) for the column px / 2^m,
+    py / 2^m, by lane valuations (cyclo.Lanes.valuation)."""
+    return m * lanes.ctx.ram_index - min(lanes.valuation(px), lanes.valuation(py))
 
 
-def _first_reducing_k(ctx: Context, x: CycInt, y: CycInt, m: int, m0: int):
+def _first_reducing_k(lanes: Lanes, px: int, py: int, m: int, m0: int):
     """(k, score) for the smallest k whose step H0 U_z(pi k/n) takes the
-    column (x, y) / 2^m below measure m0, or None: x and y are loaded into
-    lanes once, and each k is scored on two lane valuations
-    (cyclo.Lanes.valuation) of the folded x + zeta^k y and x - zeta^k y.
-    zeta^(k+n) = -zeta^k swaps the two, so k <= n are all there is to
-    try."""
-    lanes, px, py = ctx.lanes().load(x.coeffs, y.coeffs)
+    column (px, py) / 2^m, folded lanes, below measure m0, or None: each k
+    is scored on two lane valuations (cyclo.Lanes.valuation) of the folded
+    x + zeta^k y and x - zeta^k y.  zeta^(k+n) = -zeta^k swaps the two, so
+    k <= n are all there is to try."""
     fold, zeta, val = lanes.fold, lanes.zeta, lanes.valuation
-    base = (m + 1) * ctx.ram_index - mu_threshold(ctx)
+    base = (m + 1) * lanes.ctx.ram_index - mu_threshold(lanes.ctx)
     # the score base - min(v+, v-) is below m0 when both exceed base - m0
     floor = base - m0
-    for k in range(1, ctx.n + 1):
+    for k in range(1, lanes.ctx.n + 1):
         yk = zeta(py, k)
         v = val(fold(px + yk))
         if v > floor:
@@ -273,9 +319,11 @@ def reduce_column_step(col: ColumnRn) -> tuple[int, ColumnRn]:
     2^m, H0 U_z(pi k/n) (x, y)^T = (1 + i) (x + zeta^k y, x - zeta^k y) /
     2^(m+1), and v(1 + i) is mu_threshold, so its measure is
     (m + 1) v(2) - mu_threshold - min(v(x + zeta^k y), v(x - zeta^k y)),
-    both valuations read off packed lanes (_first_reducing_k).  Only the
-    winning column is built, and its measure, which it keeps for the next
-    step, must be the score (IntegrityError otherwise).
+    both valuations read off the column's lanes (_first_reducing_k).
+    The winner is built on the lanes (ColumnRn.apply_step), with no ring
+    element; it must be normalized and its measure must be the score
+    (IntegrityError otherwise, carrying the step and the measure it
+    started from).
     """
     ctx = col.ctx
     if ctx.n not in RING_EQUALITY_NS:
@@ -283,14 +331,16 @@ def reduce_column_step(col: ColumnRn) -> tuple[int, ColumnRn]:
     m0 = col.measure()
     if m0 <= mu_threshold(ctx):
         raise ValueError("column is already at or below the base-case measure")
-    found = _first_reducing_k(ctx, *_over_common(col.x, col.y), m0)
+    found = _first_reducing_k(col.lanes, col.px, col.py, col.m, m0)
     if found is None:
-        raise NoReducingKError("no phase reduces the column measure")
+        raise NoReducingKError("no phase reduces the column measure", step=col.step, measure=m0)
     k, score = found
-    nxt = ColumnRn(*_step(col.x, col.y, k))
+    nxt = col.apply_step(k)
+    if not nxt._is_normalized():
+        raise IntegrityError("column is not normalized", step=col.step, measure=m0)
     if nxt.measure() != score:
         raise IntegrityError("column step k=%d has measure %d, scored %d"
-                             % (k, nxt.measure(), score))
+                             % (k, nxt.measure(), score), step=col.step, measure=m0)
     return k, nxt
 
 
@@ -366,7 +416,10 @@ def synthesize_ring(u: UnitaryRn) -> GateSequence:
     """An exact circuit for any unitary over the ring (n in {2,4,6,8,12}).
 
     Reduces the first column below the base-case measure with steps
-    G_i = H0 U_z(pi k_i / n), builds the base-case word V, strips the
+    G_i = H0 U_z(pi k_i / n), one reduce_column_step call each, on the
+    column loaded into lanes once (ColumnRn) and carried on them from step
+    to step; a failing step raises with its step and measure attached.
+    Then it builds the base-case word V from the last column, strips the
     prefix G_1^dagger ... G_t^dagger V off u, reads the trailing
     z-rotation W^j from the rest, diag(1, zeta^j), and emits
     G_1^dagger ... G_t^dagger V W^j.  The result reproduces the input

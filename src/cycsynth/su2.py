@@ -52,7 +52,8 @@ from dataclasses import dataclass, field
 
 from .cyclo import Context, CycInt, _checked_coeffs, factorize, make_context
 from .errors import IntegrityError
-from .rings import RingElem, _conj_products, _is_unit_sum, _unit_lanes, _unit_sum_denominators_fit
+from .rings import (RingElem, _common_numerators, _conj_products, _is_unit_sum, _unit_lanes,
+                    _unit_sum_denominators_fit)
 
 __all__ = [
     "CONJ_WORDS",
@@ -185,13 +186,8 @@ def _apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
     2^m run through the gates as lanes (cyclo.Lanes), each gate bumps m by
     at most one, and Lanes.settle then folds, widens and halves."""
     ctx = a.num.ctx
-    m = max(a.m, b.m)
-    xs, ys = a.num.coeffs, b.num.coeffs
-    if a.m < m:
-        xs = [c << (m - a.m) for c in xs]
-    if b.m < m:
-        ys = [c << (m - b.m) for c in ys]
-    lanes, x, y = ctx.lanes().load(xs, ys)
+    m, vecs = _common_numerators((a, b))
+    lanes, x, y = ctx.lanes().load(*vecs)
     half = ctx.n // 2
     conj = -half if left else half
     for kind, e in gates:

@@ -514,7 +514,8 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
     Raises NotReducibleError if the Bloch descent gets stuck (the input is
     not synthesizable), its message naming the step (counted from 0, the
     number of rotations peeled before it) and that step's max exponent,
-    and PhaseNotInRingError if the descent succeeds but the residual
+    and its attributes step and row_max holding the step and the max of
+    each of its rows, and PhaseNotInRingError if the descent succeeds but the residual
     global phase is not a 2n-th root of unity.  Each step calls
     axis_detect once, on the step state it carries (_Step), from the
     first, the Bloch image's lane entries (_bloch_step), on.
@@ -532,7 +533,8 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
                 raise NotReducibleError("descent produced adjacent repeated axes")
         except NotReducibleError as exc:
             raise NotReducibleError("step %d (max exponent %d): %s"
-                                    % (len(axes), max(st.row_max), exc)) from None
+                                    % (len(axes), max(st.row_max), exc),
+                                    step=len(axes), row_max=st.row_max) from None
         axes.append(q)
         exps.append(b)
         st = st.rotated(AXES.index(q), b)

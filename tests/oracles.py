@@ -21,7 +21,8 @@ descent's exponent profile read entry by entry and its rotation step
 built four basis rotations per pencil, as before the descent carried its
 step state, its pencils, entries and residues mod 4 built on CycInt
 tuples, as before the descent ran on packed lanes, its matrix unpacked
-on every step, column steps scored on CycInt valuations, dyadic
+on every step, column steps scored on CycInt valuations and the column
+loop on pairs of RingElems, as before it carried its column on lanes, dyadic
 fractions normalized one halving at a time, the Bloch image from its 7
 entry products on CycInt, as before it ran on lane products, and the
 exact unitarity, column-normalization and unit-modulus checks on CycInt
@@ -47,10 +48,12 @@ from cycsynth import (
     RingElem,
     Rotation,
     UnitaryRn,
+    base_case_column,
+    complete_unitary,
 )
 from cycsynth.cyclo import two_adic
 from cycsynth.rings import _beta_exp_r, _over_common, mu
-from cycsynth.su2 import AXES, w_exponent
+from cycsynth.su2 import AXES, token_w, w_exponent
 
 
 # -- naive cyclotomic polynomials (product recursion with long division) -------
@@ -593,6 +596,44 @@ def reference_reduce_column_step(col):
         if mu(x, y) < m0:
             return k, ColumnRn(x, y)
     raise AssertionError("no phase reduces the column measure")
+
+
+def reference_column_steps(u) -> list:
+    """[(k, x, y), ...]: the reduction of u's first column by the loop
+    synthesize_ring ran before it carried its column on lanes: each column
+    a pair of RingElems, each k scored on CycInt valuations
+    (reference_first_reducing_k) over the pair's common 2^m, the winner
+    built by the gate kernel on CycInt numerators (reference_apply_line)
+    and measured by two valuations (rings.mu), which must be the score."""
+    ctx = u.ctx
+    threshold = (ctx.one() + ctx.zeta(ctx.n // 2)).valuation()
+    x, y = u.first_column()
+    m0, steps = mu(x, y), []
+    while m0 > threshold:
+        k, score = reference_first_reducing_k(ctx, *_over_common(x, y), m0)
+        x, y = reference_apply_line(x, y, (("z", k), ("h", 0)), left=True)
+        m0 = mu(x, y)
+        assert m0 == score
+        steps.append((k, x, y))
+    return steps
+
+
+def reference_synthesize_ring(u) -> GateSequence:
+    """synthesize_ring over reference_column_steps: the words
+    G_i^dagger = W^(2n - k_i) H of the steps, the base-case word of the
+    last column, and the trailing W^j that completes their product,
+    evaluated by general products, to u (complete_unitary)."""
+    ctx = u.ctx
+    n, order = ctx.n, ctx.order
+    steps = reference_column_steps(u)
+    _, v_seq = base_case_column(ColumnRn(*(steps[-1][1:] if steps else u.first_column())))
+    tokens = []
+    for k, _, _ in steps:
+        tokens += [token_w(order - k), "H"]
+    tokens += v_seq.tokens
+    phase = (v_seq.phase_power - len(steps) * (n // 2)) % order
+    j = complete_unitary(u, product_eval_sequence(GateSequence(phase, tuple(tokens)), ctx))
+    return GateSequence(phase, tuple(tokens) + ((token_w(j),) if j else ()))
 
 
 # -- dense descent scan ----------------------------------------------------------

@@ -16,6 +16,7 @@ from cycsynth import (
     make_context,
     matrix_from_json,
     matrix_to_json,
+    random_unitary,
     uz_power,
     w_gate,
 )
@@ -539,6 +540,24 @@ def test_synth_ring_method(tmp_path):
     assert code == 0
     seq = GateSequence.from_text(out.splitlines()[0], ctx)
     assert eval_sequence(seq, ctx) == u
+
+
+def test_synth_ring_method_runs_serially_whatever_the_jobs(tmp_path, monkeypatch, capsys):
+    # --jobs is for --method optimal: a ring batch starts no pool, its
+    # output is that of --jobs 1, and the help says so
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    ctx = make_context(8)
+    src = tmp_path / "batch.jsonl"
+    src.write_text("".join(json.dumps(matrix_to_json(random_unitary(ctx, 6, seed)[0])) + "\n"
+                           for seed in range(3)))
+    argv = ["synth", "--n", "8", "--input", str(src), "--method", "ring"]
+    code1, out1 = run_cli(argv)
+    code2, out2 = run_cli(argv + ["--jobs", "4"])
+    assert code1 == code2 == 0 and out1 == out2 and len(out1.splitlines()) == 6
+    assert run_cli(["synth", "--help"])[0] == 0
+    assert "--method ring runs serially" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("argv", [

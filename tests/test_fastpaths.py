@@ -64,7 +64,7 @@ from cycsynth import (
     w_gate,
 )
 from cycsynth import cli, cyclo, ringsynth, su2, synth
-from cycsynth.errors import IntegrityError
+from cycsynth.errors import IntegrityError, NoReducingKError
 from cycsynth.rings import _beta_exp_r
 from cycsynth.so3 import Rotation
 from cycsynth.su2 import AXES, _strip, token_w
@@ -724,19 +724,61 @@ def test_reduce_column_step_matches_build_every_k(n):
 
 
 def test_column_step_checks_its_score(monkeypatch):
-    # a built step that is not the scored one: here the column left as it was
+    # a built step that is not the scored one: here the lane step leaves
+    # the column as it was
     ctx = make_context(8)
     col = ColumnRn(*random_unitary(ctx, 10, 185)[0].first_column())
-    monkeypatch.setattr(ringsynth, "_step", lambda x, y, k: (x, y))
-    with pytest.raises(IntegrityError, match="column step k=.* scored"):
+    monkeypatch.setattr(ColumnRn, "apply_step", lambda self, k: self)
+    with pytest.raises(IntegrityError, match="column step k=.* scored") as exc:
         reduce_column_step(col)
+    assert (exc.value.step, exc.value.measure) == (0, col.measure())
+
+
+def test_column_step_checks_its_normalization(monkeypatch):
+    # a built step with one lane off by one is no longer a unit vector
+    ctx = make_context(12)
+    col = ColumnRn(*random_unitary(ctx, 12, 186)[0].first_column())
+    col = reduce_column_step(col)[1]
+    apply_step = ColumnRn.apply_step
+
+    def corrupted(self, k):
+        nxt = apply_step(self, k)
+        nxt.px += 1 << nxt.lanes.width
+        return nxt
+
+    monkeypatch.setattr(ColumnRn, "apply_step", corrupted)
+    with pytest.raises(IntegrityError, match="^column is not normalized$") as exc:
+        reduce_column_step(col)
+    assert (exc.value.step, exc.value.measure) == (1, col.measure())
+
+
+def test_column_loop_failures_carry_step_and_measure(monkeypatch):
+    # the third step finds no k: synthesize_ring's error names that step
+    # and the measure of the column it started from, with the same text
+    ctx = make_context(8)
+    u, _ = random_unitary(ctx, 20, 187)
+    col = ColumnRn(*u.first_column())
+    for _ in range(2):
+        col = reduce_column_step(col)[1]
+    scoring, calls = ringsynth._first_reducing_k, []
+
+    def third_fails(*args):
+        calls.append(args)
+        return None if len(calls) == 3 else scoring(*args)
+
+    monkeypatch.setattr(ringsynth, "_first_reducing_k", third_fails)
+    with pytest.raises(NoReducingKError) as exc:
+        synthesize_ring(u)
+    assert str(exc.value) == "no phase reduces the column measure"
+    assert (exc.value.step, exc.value.measure) == (2, col.measure())
+    assert isinstance(exc.value, IntegrityError)
 
 
 def test_ring_op_does_each_job_once(monkeypatch):
     # n = 8, with the context's tables filled: membership evaluates no word,
     # the rewriting pass forms no rotation product, and column reduction
-    # builds one step per column step, reads each column's measure once and
-    # strips its word once.
+    # runs no word through the gate kernel per step, reads each column's
+    # measure off its lanes once and strips its word once.
     ctx = make_context(8)
     u, _ = random_unitary(ctx, 20, 190)
     ks, col = [], ColumnRn(*u.first_column())
@@ -761,11 +803,13 @@ def test_ring_op_does_each_job_once(monkeypatch):
     monkeypatch.setattr(Rotation, "__matmul__", counted("rot", Rotation.__matmul__))
     assert canonicalize_sequence(seq, ctx) == canonical_form(u)
     assert calls["rot"] == 0
-    monkeypatch.setattr(ringsynth, "_apply_line", counted("line", ringsynth._apply_line))
-    monkeypatch.setattr(ringsynth, "mu", counted("mu", ringsynth.mu))
+    assert not hasattr(ringsynth, "_apply_line")
+    monkeypatch.setattr(su2, "_apply_line", counted("line", su2._apply_line))
+    monkeypatch.setattr(ringsynth, "_lane_mu", counted("mu", ringsynth._lane_mu))
     monkeypatch.setattr(ringsynth, "_strip", counted("strip", ringsynth._strip))
     assert synthesize_ring(u) == seq
-    assert (calls["line"], calls["mu"], calls["strip"]) == (len(ks), len(ks) + 1, 1)
+    # the kernel runs the base-case word and the strip, each on two lines
+    assert (calls["line"], calls["mu"], calls["strip"]) == (4, len(ks) + 1, 1)
 
 
 def test_long_hadamard_word_keeps_numerators_small(monkeypatch):

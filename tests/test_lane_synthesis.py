@@ -1,14 +1,18 @@
-"""The descent step and the column-step scoring on packed lanes, against
-the CycInt code they replaced.
+"""The descent step and the column step on packed lanes, against the
+CycInt code they replaced.
 
 synth._Step holds each Bloch entry as folded lanes (cyclo.Lanes) over 2^m
 and builds the pencils, candidate entries and residues mod 4 on them;
-ringsynth scores each column step k on lane valuations.  The references in
-oracles are the CycInt pencils and entries (reference_axis_pencils,
+ringsynth.ColumnRn carries the column on lanes from step to step and
+scores each k on lane valuations.  The references in oracles are the
+CycInt pencils and entries (reference_axis_pencils,
 reference_pencil_entry), the rotation step (reference_rotate), the matrix
-the rotation unpacked on every step (eager_step_rows) and the CycInt
-scoring loop (reference_first_reducing_k).  Lanes must widen, never wrap:
-a rotation started from the identity at 16-bit lanes climbs to 128 bits.
+the rotation unpacked on every step (eager_step_rows), the CycInt scoring
+loop (reference_first_reducing_k), each column step built and measured
+for every k (reference_reduce_column_step) and the column loop on pairs
+of RingElems (reference_synthesize_ring).  Lanes must widen, never wrap:
+a rotation started from the identity at 16-bit lanes climbs to 128 bits,
+and a column step widens its lanes mid-loop.
 """
 
 import math
@@ -33,17 +37,21 @@ from cycsynth import (
     ringsynth,
     synth,
 )
-from cycsynth.rings import _over_common
+from cycsynth.rings import _over_common, mu
 from cycsynth.su2 import AXES
 from cycsynth.synth import _as_step, _PlaneScan
 
 from oracles import (
     eager_step_rows,
+    product_eval_sequence,
     random_cycint,
+    random_sequence,
     reference_axis_pencils,
     reference_first_reducing_k,
     reference_pencil_entry,
+    reference_reduce_column_step,
     reference_rotate,
+    reference_synthesize_ring,
 )
 from test_fastpaths import EXPONENT_NS
 
@@ -255,15 +263,87 @@ def test_column_scoring_matches_the_cycint_loop(n, monkeypatch):
             cases += [(x, y, m, m0) for m0 in range(-2 * ctx.ram_index, 4 * ctx.ram_index, 3)]
     found = 0
     for x, y, m, m0 in cases:
-        got = ringsynth._first_reducing_k(ctx, x, y, m, m0)
+        got = _lane_scoring(ctx, x, y, m, m0)
         assert got == reference_first_reducing_k(ctx, x, y, m, m0)
         found += got is not None
     assert found >= 30
     # from 8-bit lanes, every column but the smallest widens on load
     monkeypatch.setattr(cyclo, "LANE_WIDTH", 8)
     for x, y, m, m0 in cases:
-        assert ringsynth._first_reducing_k(ctx, x, y, m, m0) == \
-            reference_first_reducing_k(ctx, x, y, m, m0)
+        assert _lane_scoring(ctx, x, y, m, m0) == reference_first_reducing_k(ctx, x, y, m, m0)
+
+
+def _lane_scoring(ctx, x, y, m, m0):
+    """ringsynth._first_reducing_k on x and y loaded into lanes."""
+    return ringsynth._first_reducing_k(*ctx.lanes().load(x.coeffs, y.coeffs), m, m0)
+
+
+def _checked_loop(col):
+    """The columns of the reduction from col, each step checked against
+    the reference that builds and measures every k in full: the same k and
+    column, one more step, and lanes inside their headroom."""
+    cols = [col]
+    while col.measure() > ringsynth.mu_threshold(col.ctx):
+        k, nxt = ringsynth.reduce_column_step(col)
+        assert (k, nxt) == reference_reduce_column_step(col)
+        lanes = nxt.lanes
+        assert nxt.step == col.step + 1 and lanes.width >= col.lanes.width
+        assert lanes.fits(nxt.px, lanes.free) and lanes.fits(nxt.py, lanes.free)
+        assert nxt.measure() == mu(nxt.x, nxt.y)
+        cols.append(col := nxt)
+    return cols
+
+
+@pytest.mark.parametrize("n", ringsynth.RING_EQUALITY_NS)
+def test_lane_column_loop_matches_the_reference_every_step(n):
+    # the column carried on lanes from step to step, on random_unitary
+    # inputs and on evaluated random words; for n = 2, every ring unitary
+    # is a Clifford, and its column a base case
+    ctx = make_context(n)
+    rng = random.Random(2700 + n)
+    steps = 0
+    for draw in range(8):
+        if draw % 2:
+            u = product_eval_sequence(random_sequence(ctx, rng, 40), ctx)
+        else:
+            u = random_unitary(ctx, 0 if n == 2 else 6 * draw + 5, rng.getrandbits(32))[0]
+        steps += len(_checked_loop(ColumnRn(*u.first_column()))) - 1
+    assert steps >= 40 if n > 2 else steps == 0
+
+
+# random_unitary inputs (n, T-count, seed) whose column reduction widens
+# its lanes in the step after the first, and the widths it goes between
+MID_LOOP_WIDENINGS = [(6, 53, 53002, (32, 64)), (8, 57, 57007, (16, 32)),
+                      (8, 143, 143001, (32, 64)), (12, 49, 49001, (16, 32)),
+                      (12, 117, 117008, (32, 64))]
+
+
+@pytest.mark.parametrize("n, tcount, seed, widths", MID_LOOP_WIDENINGS)
+def test_the_step_after_a_mid_loop_widening_matches_the_reference(n, tcount, seed, widths):
+    ctx = make_context(n)
+    cols = _checked_loop(ColumnRn(*random_unitary(ctx, tcount, seed)[0].first_column()))
+    widths_seen = [col.lanes.width for col in cols]
+    wide = [i for i in range(1, len(cols)) if widths_seen[i] != widths_seen[i - 1]]
+    # the second step widens the lanes, and the third, on the wider lanes,
+    # is among the steps _checked_loop compared
+    assert wide == [2] and tuple(widths_seen[1:3]) == widths and len(cols) > 3
+
+
+def test_synthesize_ring_matches_the_ringelem_loop():
+    # 110 unitaries, each reduced with its column as a pair of RingElems
+    # (reference_synthesize_ring) and on lanes
+    count = 0
+    for n in ringsynth.RING_EQUALITY_NS:
+        ctx = make_context(n)
+        rng = random.Random(2800 + n)
+        for draw in range(22):
+            if draw % 2:
+                u = product_eval_sequence(random_sequence(ctx, rng, 30), ctx)
+            else:
+                u = random_unitary(ctx, 0 if n == 2 else 2 * draw + 3, rng.getrandbits(32))[0]
+            assert ringsynth.synthesize_ring(u) == reference_synthesize_ring(u)
+            count += 1
+    assert count >= 100
 
 
 def _planes(cs):

@@ -5,12 +5,12 @@ back a private per-context cache dict) fails here, so a second cache
 mechanism cannot grow next to the first.  Likewise the denominator
 exponent has one home, rings, which alone reads parity bits for it, the
 descent has one candidate scan for every n, and the gate kernel, the
-descent step and the column-step scoring run on packed lanes, where the
-descent step builds no ring element at all; so do the descent's first
-step, the Bloch image, and the three exact checks, which form no CycInt
-product.  A candidate scan keeps each entry once: it builds its axis's
-pencils on lanes once and reads its planes mod 4 off them, and the
-rotation reuses the winning scan.
+descent step and the column step run on packed lanes, where the descent
+step and the column step build no ring element at all; so do the
+descent's first step, the Bloch image, and the three exact checks, which
+form no CycInt product.  A candidate scan keeps each entry once: it
+builds its axis's pencils on lanes once and reads its planes mod 4 off
+them, and the rotation reuses the winning scan.
 """
 
 import pathlib
@@ -98,15 +98,14 @@ def _guard_lane_arithmetic(monkeypatch, targets, watched=None):
 
 
 def test_the_gate_kernel_runs_on_lanes_alone(monkeypatch):
-    # Every word evaluation, strip and column step goes through
-    # su2._apply_line, which must do its gate arithmetic on packed lanes
-    # (cyclo.Lanes): no CycInt rotation, add or subtract runs inside it.
-    # Its lane tables live in Context.memo, like every per-context table.
+    # Every word evaluation and strip goes through su2._apply_line, which
+    # must do its gate arithmetic on packed lanes (cyclo.Lanes): no CycInt
+    # rotation, add or subtract runs inside it.  Its lane tables live in
+    # Context.memo, like every per-context table.
     from cycsynth import (GateSequence, canonical_form, eval_sequence, make_context,
                           random_unitary, ringsynth, su2, synth)
 
-    calls, entered = _guard_lane_arithmetic(
-        monkeypatch, [(su2, "_apply_line"), (ringsynth, "_apply_line")])
+    calls, entered = _guard_lane_arithmetic(monkeypatch, [(su2, "_apply_line")])
     for n in (8, 12, 30):
         ctx = make_context(n)
         u, _ = random_unitary(ctx, 40, 5)
@@ -122,14 +121,16 @@ def test_the_gate_kernel_runs_on_lanes_alone(monkeypatch):
 
 def test_the_descent_step_and_column_scoring_run_on_lanes(monkeypatch):
     # The descent's rotation and the entries its scans build (synth._Step,
-    # _PlaneScan.entry and pair), and the column-step scoring
-    # (ringsynth._first_reducing_k), do their arithmetic on packed lanes:
+    # _PlaneScan.entry and pair), and the column step, its scoring
+    # (ringsynth._first_reducing_k) and its checks included
+    # (ringsynth.reduce_column_step), do their arithmetic on packed lanes:
     # no CycInt rotation, add or subtract runs inside them.
     from cycsynth import canonical_form, make_context, random_unitary, ringsynth, synth
 
     calls, entered = _guard_lane_arithmetic(
         monkeypatch, [(synth._Step, "rotated"), (synth._PlaneScan, "entry"),
-                      (synth._PlaneScan, "pair"), (ringsynth, "_first_reducing_k")])
+                      (synth._PlaneScan, "pair"), (ringsynth, "_first_reducing_k"),
+                      (ringsynth, "reduce_column_step")])
     for n in (8, 12, 30):
         ctx = make_context(n)
         for seed in range(4):
@@ -138,7 +139,8 @@ def test_the_descent_step_and_column_scoring_run_on_lanes(monkeypatch):
             if n in ringsynth.RING_EQUALITY_NS:
                 assert ringsynth.synthesize_ring(u).tokens
     assert calls == []
-    assert sorted(entered) == ["_first_reducing_k", "entry", "pair", "rotated"]
+    assert sorted(entered) == ["_first_reducing_k", "entry", "pair", "reduce_column_step",
+                               "rotated"]
 
 
 def test_the_descent_step_builds_no_ring_element(monkeypatch):
@@ -161,28 +163,51 @@ def test_the_descent_step_builds_no_ring_element(monkeypatch):
     assert sorted(entered) == ["axis_detect", "rotated", "signed_perm_key"]
 
 
+def test_the_column_step_builds_no_ring_element(monkeypatch):
+    # The column is carried from step to step on lanes (ringsynth.ColumnRn):
+    # the step (ringsynth.reduce_column_step), its scoring, the next column
+    # and its two checks included, constructs no RingElem and no CycInt.
+    from cycsynth import CycInt, RingElem, make_context, random_unitary, ringsynth
+
+    calls, entered = _guard_lane_arithmetic(
+        monkeypatch, [(ringsynth, "reduce_column_step")],
+        [(RingElem, "__init__"), (CycInt, "__init__")])
+    for n in (4, 8, 12):
+        ctx = make_context(n)
+        for seed in range(3):
+            u, _ = random_unitary(ctx, 40, 95 + seed)
+            assert ringsynth.synthesize_ring(u).tokens
+    assert calls == [] and entered["reduce_column_step"] > 30
+
+
 def test_the_bloch_step_and_the_exact_checks_form_no_cycint_product(monkeypatch):
     # canonical_form's first step (synth._bloch_step, the Bloch image on
     # lanes), the unitarity check (su2.UnitaryRn._is_unitary), the column
-    # check (ringsynth.ColumnRn.__post_init__) and equal_up_to_phase's
-    # |lam|^2 = 1 (su2._is_unit_sum) multiply and conjugate on packed
-    # lanes: no CycInt product, Galois map or rotation runs inside them.
+    # checks on loading and after each step (ringsynth.ColumnRn.__init__
+    # and _is_normalized) and equal_up_to_phase's |lam|^2 = 1
+    # (su2._is_unit_sum) multiply and conjugate on packed lanes: no CycInt
+    # product, Galois map or rotation runs inside them.
     from cycsynth import (CycInt, UnitaryRn, canonical_form, equal_up_to_phase, make_context,
                           random_unitary, ringsynth, su2, synth)
 
     calls, entered = _guard_lane_arithmetic(
         monkeypatch, [(synth, "_bloch_step"), (su2.UnitaryRn, "_is_unitary"),
-                      (ringsynth.ColumnRn, "__post_init__"), (su2, "_is_unit_sum")],
+                      (ringsynth.ColumnRn, "__init__"), (ringsynth.ColumnRn, "_is_normalized"),
+                      (su2, "_is_unit_sum")],
         [(CycInt, name) for name in ("__mul__", "galois", "times_zeta")])
     for n in (8, 12, 30, 64):
         ctx = make_context(n)
         u, _ = random_unitary(ctx, 20, 7)
         assert canonical_form(u).tcount() == 20
         assert UnitaryRn(ctx, u.rows) == u
-        assert ringsynth.ColumnRn(*u.first_column()).x == u.rows[0][0]
+        col = ringsynth.ColumnRn(*u.first_column())
+        assert col.x == u.rows[0][0]
+        if n in ringsynth.RING_EQUALITY_NS:
+            assert ringsynth.reduce_column_step(col)[1].measure() < col.measure()
         assert equal_up_to_phase(u, u) == u.rows[0][0].one(ctx)
     assert calls == []
-    assert sorted(entered) == ["__post_init__", "_bloch_step", "_is_unit_sum", "_is_unitary"]
+    assert sorted(entered) == ["__init__", "_bloch_step", "_is_normalized", "_is_unit_sum",
+                               "_is_unitary"]
 
 
 def test_each_scan_builds_its_pencils_once(monkeypatch):

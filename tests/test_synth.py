@@ -316,11 +316,14 @@ def test_membership_rejects_infinite_order_diagonal(n):
 def test_stuck_descent_names_its_step_and_exponent(n):
     # A canonical product of rotations, the last about x, times a diagonal
     # non-member: the descent peels the rotations and sticks on the rest,
-    # at the step numbered by the rotations peeled.
+    # at the step numbered by the rotations peeled.  The error carries the
+    # step and the max exponent of each row of the rest as attributes.
     ctx = make_context(n)
     one, zero = RingElem.one(ctx), RingElem.zero(ctx)
     bad = UnitaryRn(ctx, ((one, zero), (zero, _infinite_order_unit(ctx))))
-    stuck_max = max(_beta_exp_r(e) for row in bloch(bad).rows for e in row if not e.is_zero())
+    stuck_rows = tuple(max([_beta_exp_r(e) for e in row if not e.is_zero()], default=0)
+                       for row in bloch(bad).rows)
+    stuck_max = max(stuck_rows)
     factors = [("y", 3), ("z", 2), ("x", 1)]
     for m in range(len(factors) + 1):
         good = UnitaryRn.identity(ctx)
@@ -332,6 +335,7 @@ def test_stuck_descent_names_its_step_and_exponent(n):
         with pytest.raises(NotReducibleError) as exc:
             canonical_form(good @ bad)
         assert str(exc.value) == want
+        assert (exc.value.step, exc.value.row_max) == (m, stuck_rows)
         assert membership(good @ bad).reason == "descent: " + want
 
 
