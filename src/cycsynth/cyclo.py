@@ -334,7 +334,7 @@ class Lanes:
     """
 
     __slots__ = ("ctx", "width", "nw", "split", "off", "nbytes", "code", "ones",
-                 "full", "free", "bounds", "room", "roomy_top", "folds")
+                 "full", "free", "bounds", "room", "roomy_top", "folds", "reads")
 
     def __init__(self, ctx: Context, width: int):
         n, d, w = ctx.n, ctx.degree, width
@@ -347,6 +347,10 @@ class Lanes:
 
         self.nw = w * n
         self.split = repunit(n) << (w - 1)
+        # (split, bytes) of the plane reads (_low_bytes) of the lanes below
+        # n and of the three pencils' 3n lanes (synth._PlaneScan)
+        self.reads = {n: (self.split, self.nw // 8),
+                      3 * n: (repunit(3 * n) << (w - 1), 3 * self.nw // 8)}
         self.ones = repunit(d)
         self.off = self.ones << (w - 1)
         self.nbytes = w * d // 8
@@ -463,24 +467,27 @@ class Lanes:
             t += 1
         return t
 
-    def _low_bytes(self, p: int) -> bytes:
-        # the low byte of each lane below n of p, lane n - 1 first; for
-        # folded p lanes phi(2n), ..., n - 1 read 0
+    def _low_bytes(self, p: int, count: int) -> bytes:
+        # the low byte of each of the lowest count lanes (n or 3n) of p,
+        # the top one first; for folded p lanes phi(2n), ..., n - 1 read 0
+        split, size = self.reads[count]
         b = self.width // 8
-        return (p + self.split).to_bytes(self.nw // 8, "big")[b - 1::b]
+        return (p + split).to_bytes(size, "big")[b - 1::b]
 
-    def planes(self, p: int) -> tuple[int, int]:
-        """The lanes below n of p (folded or not, as zeta leaves them) mod 4
-        as bitmask planes (high, low): bit i of low is c_i mod 2 and bit i
-        of high is (c_i >> 1) mod 2."""
-        raw = self._low_bytes(p)
+    def planes(self, p: int, count: int | None = None) -> tuple[int, int]:
+        """The lowest count lanes of p, n by default or 3n, mod 4 as bitmask
+        planes (high, low): bit i of low is c_i mod 2 and bit i of high is
+        (c_i >> 1) mod 2.  The lanes below n may be folded or not, as zeta
+        leaves them; 3n lanes hold three such numerators at lanes 0, n and
+        2n, added as ints (synth._PlaneScan packs its pencils so)."""
+        raw = self._low_bytes(p, count or self.ctx.n)
         return int(raw.translate(_HIGH_BIT), 2), int(raw.translate(_LOW_BIT), 2)
 
     def low_plane(self, p: int) -> int:
         """The low plane of planes(p) alone: the bitmask of the odd lanes
         below n of p, the parity mask that Context.parity_multiplicity
         reads."""
-        return int(self._low_bytes(p).translate(_LOW_BIT), 2)
+        return int(self._low_bytes(p, self.ctx.n).translate(_LOW_BIT), 2)
 
     def valuation(self, p: int):
         """Valuation above 2 of folded lanes p: the exponent of the unique

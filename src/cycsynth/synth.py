@@ -15,17 +15,20 @@ fold and a right shift.  The candidates are scored without building
 entries at all: the same rotations and adds act on the numerators mod 4,
 kept as bit planes of n lanes (zeta^n = -1 for every n), which a fold
 reduces mod Phi_2n, and an entry's exact exponent follows from its lowest
-nonzero plane (_PlaneScan), the planes read once per axis off the low
-bits of the pencils' lanes.  The descent carries its state from step to
-step (_Step): each entry as lanes over its 2^m, and each row's max
-exponent, read off the low plane of the entries' lanes.  A step rewrites
-two rows and keeps row q, so it reads only the six new entries, and it
-builds them once, on lanes, from the pencils and entries the winning scan
-already holds; no lane ever wraps, as each step widens its lanes when a
-shifted numerator or a new entry leaves the headroom.  A step builds no
-ring element: the descent starts from the lane entries of the Bloch image
-(so3, products on lanes), reads the final Clifford pattern off the lanes,
-and the matrix is unpacked only when read.
+nonzero plane (_PlaneScan), the planes read off the low bits of the
+pencils' lanes in one read per side of the axis, its three pencils packed
+into one int.  Nothing is scored at or above the current max exponent,
+which no winner can reach: an axis whose kept row sits there gets no scan,
+and every other candidate is cut once it provably reaches it (axis_detect).
+The descent carries its state from step to step (_Step): each entry as
+lanes over its 2^m, and each row's max exponent, read off the low plane of
+the entries' lanes.  A step rewrites two rows and keeps row q, so it reads
+only the six new entries, and it builds them once, on lanes, from the
+pencils and entries the winning scan already holds; no lane ever wraps, as
+each step widens its lanes when a shifted numerator or a new entry leaves
+the headroom.  A step builds no ring element: the descent starts from the
+lane entries of the Bloch image (so3, products on lanes), reads the final
+Clifford pattern off the lanes, and the matrix is unpacked only when read.
 
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
@@ -163,8 +166,10 @@ def exponent_profile(m: Rotation) -> tuple[int, tuple[int, int, int]]:
     return max(row_max), row_max
 
 
-# sigma_q, the sign of the (i1, i2) entry of R_q(-b pi/n) for 0 < b < n/2
+# sigma_q, the sign of the (i1, i2) entry of R_q(-b pi/n) for 0 < b < n/2,
+# and the rows i1 < i2 other than q
 _SIGMA = (1, -1, 1)
+_OTHER_ROWS = ((1, 2), (0, 2), (0, 1))
 
 
 def _repacked(src: Lanes, dst: Lanes, rows):
@@ -202,28 +207,50 @@ def _lane_pencils(lanes: Lanes, r1, r2, shift: int):
 def _extension(n: int, h: int, l: int) -> tuple[int, int]:
     # Planes of E_(-2n), ..., E_(2n-1) in lanes 0, ..., 4n - 1, for the
     # negacyclic extension E_(i+n) = -E_i of the n lanes (h, l) mod 4;
-    # -(h, l) = (h ^ l, l).
+    # -(h, l) = (h ^ l, l).  Planes holding several such n-lane blocks at
+    # bits 4n j extend each one in bits 4n j, ..., 4n j + 4n - 1.
     rep = 1 | (1 << (2 * n))
     return (h | (h ^ l) << n) * rep, (l | l << n) * rep
 
 
-def _plane_fold(ctx: Context):
-    """(blocks, shift, (q_h, q_l)) of _PlaneScan's fold mod Phi_2n(x) = P(x^w),
-    w = 2^k, of six entries in lanes 2n e, ..., 2n e + n - 1.  Block B, the
-    lanes w B, ..., w B + w - 1, holds x^(w B) times a polynomial of degree
-    below w, and x^(w B) = x^(w (B - deg P)) Q(x^w) mod P(x^w) with
-    Q = x^(deg P) - P (Context.fold_q), of degree below deg P.  So the
-    blocks B >= deg P, top first and all six entries at once, are shifted
-    down by w deg P lanes and multiplied by Q mod 4, kept as planes
-    (q_h, q_l) of its coefficients at lanes w j, where the copies of a
-    block never overlap: the product is (b_h q_l ^ b_l q_h, b_l q_l).  No
-    block for n = 2^k."""
+def _scan_tables(ctx: Context):
+    """(window, mask, blocks, shift, (q_h, q_l)) of _PlaneScan: window
+    holds 2n bits at each pencil's base 4n j, j < 3, of the extended
+    planes, and mask n bits at each entry's base 2n e, e < 6.  The rest
+    is the fold mod Phi_2n(x) = P(x^w), w = 2^k, of six entries in lanes
+    2n e, ..., 2n e + n - 1.  Block B, the lanes w B, ..., w B + w - 1,
+    holds x^(w B) times a polynomial of degree below w, and
+    x^(w B) = x^(w (B - deg P)) Q(x^w) mod P(x^w) with Q = x^(deg P) - P
+    (Context.fold_q), of degree below deg P.  So the blocks B >= deg P,
+    top first and all six entries at once, are shifted down by w deg P
+    lanes and multiplied by Q mod 4, kept as planes (q_h, q_l) of its
+    coefficients at lanes w j, where the copies of a block never overlap:
+    the product is (b_h q_l ^ b_l q_h, b_l q_l).  No block for n = 2^k."""
     n, w = ctx.n, ctx.ram_index
+    window = ((1 << (2 * n)) - 1) * sum(1 << (4 * n * j) for j in range(3))
+    mask = ((1 << n) - 1) * sum(1 << (2 * n * e) for e in range(6))
     dp = len(ctx.fold_q)
     block = sum(((1 << w) - 1) << (2 * n * e) for e in range(6))
     q = [c % 4 for c in ctx.fold_q]
     planes = tuple(sum((c >> i & 1) << (w * j) for j, c in enumerate(q)) for i in (1, 0))
-    return [block << (w * b) for b in range(n // w - 1, dp - 1, -1)], w * dp, planes
+    blocks = [block << (w * b) for b in range(n // w - 1, dp - 1, -1)]
+    return window, mask, blocks, w * dp, planes
+
+
+def _windows(lanes: Lanes, window: int, p: int, a: int, c: int) -> tuple[int, int]:
+    """The planes (high, low) of one side of a scan from p, the side's
+    three pencils added at lanes 0, n and 2n: one plane read of the 3n
+    lanes; pencil j's n bits spread to bit 4n j and extended there
+    (_extension); then, in the planes of entry e = 2j + r at bit 2n e,
+    the window of pencil j's extension from bit a for r = 0 and from bit
+    c for r = 1."""
+    n = lanes.ctx.n
+    n2, full = 2 * n, (1 << n) - 1
+    h, l = lanes.planes(p, 3 * n)
+    h, l = _extension(n, h & full | (h >> n & full) << (2 * n2) | h >> n2 << (4 * n2),
+                      l & full | (l >> n & full) << (2 * n2) | l >> n2 << (4 * n2))
+    return (h >> a & window | (h >> c & window) << n2,
+            l >> a & window | (l >> c & window) << n2)
 
 
 class _PlaneScan:
@@ -237,10 +264,12 @@ class _PlaneScan:
     there zeta^c is a lane rotation that negates the lanes it wraps.  The
     pencils Z_j and conj(Z_j) of the axis are built once, exactly, on the
     step's lanes (_lane_pencils), widened when the shift to a common
-    denominator leaves too little headroom; their planes (Lanes.planes) are
-    stored as windows of their negacyclic extension, so that every rotation
-    a candidate needs is one right shift: the six numerators of candidate
-    b, zeta^c Z_j + zeta^-c conj(Z_j) for c = b, b + shift, sit in lanes
+    denominator leaves too little headroom.  The three Z_j are added into
+    one int at lanes n j, and so are the three conj(Z_j): one plane read
+    per side (Lanes.planes of 3n lanes) and one negacyclic extension, with
+    pencil j at bit 4n j (_windows), so that every rotation a candidate
+    needs is one right shift: the six numerators of candidate b,
+    zeta^c Z_j + zeta^-c conj(Z_j) for c = b, b + shift, sit in lanes
     2n e, ..., 2n e + n - 1 for entry e = 2j + (c != b) after two shifts, a
     mod-4 add and a mask, and a fold reduces them mod Phi_2n into the first
     phi(2n) lanes (none for n = 2^k, where Phi_2n = x^n + 1).  An entry's
@@ -259,36 +288,27 @@ class _PlaneScan:
     def __init__(self, st: "_Step", qi: int):
         ctx = self.ctx = st.ctx
         n = ctx.n
-        i1, i2 = [i for i in range(3) if i != qi]
+        i1, i2 = _OTHER_ROWS[qi]
         self.qi = qi
         self.half = half = n // 2
-        self.full = full = (1 << n) - 1
+        self.full = (1 << n) - 1
         self.shift = shift = _SIGMA[qi] * half
         lanes, pencils = _lane_pencils(st.lanes, st.ent[i1], st.ent[i2], shift)
         self.lanes, self.pencils, self.built = lanes, pencils, {}
-        seg = (1 << (2 * n)) - 1
-        zh = zl = wh = wl = mask = 0
-        entries = []
-        for j, (z, zbar, m) in enumerate(pencils):
-            ezh, ezl = _extension(n, *lanes.planes(z))
-            ewh, ewl = _extension(n, *lanes.planes(zbar))
-            bounds = tuple(_exp_bounds(ctx, m - t) for t in range(3))
-            for r, s in enumerate((0, shift)):
-                e = 2 * j + r
-                off = 2 * n * e
-                # Z side: E_(i - half - s), conj side: E_(i - half + s)
-                a, c = 2 * n - half - s, 2 * n - half + s
-                zh |= ((ezh >> a) & seg) << off
-                zl |= ((ezl >> a) & seg) << off
-                wh |= ((ewh >> c) & seg) << off
-                wl |= ((ewl >> c) & seg) << off
-                mask |= full << off
-                entries.append((off, m, e, bounds))
-        self.zh, self.zl, self.wh, self.wl, self.mask = zh, zl, wh, wl, mask
-        self.fold, self.fold_shift, self.fold_q = ctx.memo(
-            "plane_fold", lambda: _plane_fold(ctx))
+        window, self.mask, self.fold, self.fold_shift, self.fold_q = ctx.memo(
+            "plane_scan", lambda: _scan_tables(ctx))
+        (z0, w0, m0), (z1, w1, m1), (z2, w2, m2) = pencils
+        nw, a = lanes.nw, 2 * n - half
+        # Z side: E_(i - half - s), conj side: E_(i - half + s), s = 0 for
+        # row i1 and shift for row i2
+        self.zh, self.zl = _windows(lanes, window, z0 + (z1 << nw) + (z2 << 2 * nw), a, a - shift)
+        self.wh, self.wl = _windows(lanes, window, w0 + (w1 << nw) + (w2 << 2 * nw), a, a + shift)
         # the largest denominators first, so cutoffs prune early
-        entries.sort(key=lambda item: -item[1])
+        entries = []
+        for _, j, m in sorted(((-m0, 0, m0), (-m1, 1, m1), (-m2, 2, m2))):
+            bounds = _exp_bounds(ctx, m), _exp_bounds(ctx, m - 1), _exp_bounds(ctx, m - 2)
+            e = 2 * j
+            entries += (2 * n * e, m, e, bounds), (2 * n * (e + 1), m, e + 1, bounds)
         self.entries = entries
 
     def residues(self, b: int) -> tuple[int, int]:
@@ -416,7 +436,7 @@ class _Step(Rotation):
         if lanes is not self.lanes:  # the scan widened them for its pencils
             ent[qi] = _repacked(self.lanes, lanes, [ent[qi]])[0]
         row_max = list(self.row_max)
-        for r, i in enumerate(i for i in range(3) if i != qi):
+        for r, i in enumerate(_OTHER_ROWS[qi]):
             ent[i] = row = [p[r] for p in pairs]
             row_max[i] = _row_max(lanes, row)
         # a new entry that leaves the headroom doubles the step's lanes
@@ -456,13 +476,14 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     """The unique (axis, exponent) whose inverse rotation minimizes the
     maximum denominator exponent of the matrix.
 
-    Scores all 3 (n/2 - 1) candidates R_q^(-b) M without matrix products:
+    Scores the 3 (n/2 - 1) candidates R_q^(-b) M without matrix products:
     R_q(-b pi/n) fixes row q and multiplies Z = r1 - i sigma_q r2 (r1, r2
     the other rows) by zeta^b, so the candidate's rows are Re(zeta^b Z) and
     -sigma_q Re(zeta^(b - n/2) Z), two basis rotations and an add per entry.
     Those rotations and adds run on the numerators mod 4 as two bitmask
-    planes, read per axis off the lanes of its pencils and reduced mod
-    Phi_2n per candidate (_PlaneScan): an entry N / 2^m with an odd
+    planes, read per axis off the lanes of its pencils, one read per side
+    of the three pencils packed into one int, and reduced mod Phi_2n per
+    candidate (_PlaneScan): an entry N / 2^m with an odd
     coefficient in N or N / 2 (2-adic drop t <= 1) gets its exact exponent
     from its planes, and only an entry with t >= 2, or zero, is built in
     full, when its bound m - 2 reaches above the running max.  The lane
@@ -470,12 +491,16 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     canonical_form carries from step to step; a plain Rotation is read in
     full first, and the winning scan is kept on the step for the rotation.
     A candidate is dropped as soon as its exponent provably exceeds the
-    best seen (the unchanged row gives a free floor; entry exponents are
-    bracketed by the power-of-two denominator before any parity bits are
-    read), which never changes the arg-min or the tie check.  Ties and
-    non-reducing minima raise NotReducibleError.  The exponents and their
-    bracket come from rings and need only the context; the element beta
-    itself is only the base of rings.beta_exponent's witness, unused here.
+    bar: the best seen, and before any, one below the current max, as a
+    candidate at or above the max can neither win nor tie a winner (the
+    unchanged row gives a free floor, so an axis whose kept row sits at
+    the max gets no scan; entry exponents are bracketed by the
+    power-of-two denominator before any parity bits are read).  That never
+    changes the arg-min or the tie check.  Ties raise NotReducibleError,
+    and so does a step where no candidate gets under the bar.  The
+    exponents and their bracket come from rings and need only the context;
+    the element beta itself is only the base of rings.beta_exponent's
+    witness, unused here.
     """
     half = m.ctx.n // 2
     if half < 2:
@@ -485,7 +510,9 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     # Try the deficient axis first: for synthesizable inputs the winning
     # candidate lives there, and the floors then dismiss the other axes.
     axis_order = sorted(range(3), key=lambda i: (row_max[i], i))
-    best, best_val, win = None, math.inf, None
+    # The bar starts below the current max: a candidate at or above it can
+    # neither win nor tie a winner, so it is cut like one past the best.
+    best, best_val, win = None, max(row_max) - 1, None
     tie = False
     for qi in axis_order:
         floor = row_max[qi]
@@ -496,11 +523,11 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
             val = scan.score(b, floor, best_val)
             if val is None:
                 continue
-            if val < best_val:
+            if best is None or val < best_val:
                 best, best_val, tie, win = (AXES[qi], b), val, False, scan
             elif val == best_val:
                 tie = True
-    if best is None or best_val >= max(row_max):
+    if best is None:
         raise NotReducibleError("no candidate strictly reduces the exponent")
     if tie:
         raise NotReducibleError("minimal candidate is not unique")

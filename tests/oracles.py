@@ -17,6 +17,9 @@ polynomial, valuations read off the rational norm, multiplicities of
 Phi_s mod 2 found by carry-less long division on bit lists, denominator
 exponents found by the iterated beta-divisibility chain, descent
 candidates built as generator products and scored without pruning, the
+axis scan with no bar below the current max, the scan's planes built
+column by column, as before it packed its pencils, and its residues on
+integer lanes by long division, the
 descent's exponent profile read entry by entry and its rotation step
 built four basis rotations per pencil, as before the descent carried its
 step state, its pencils, entries and residues mod 4 built on CycInt
@@ -52,8 +55,9 @@ from cycsynth import (
     complete_unitary,
 )
 from cycsynth.cyclo import two_adic
-from cycsynth.rings import _beta_exp_r, _over_common, mu
+from cycsynth.rings import _beta_exp_r, _exp_bounds, _over_common, mu
 from cycsynth.su2 import AXES, token_w, w_exponent
+from cycsynth.synth import _as_step, _PlaneScan
 
 
 # -- naive cyclotomic polynomials (product recursion with long division) -------
@@ -730,6 +734,124 @@ def dense_axis_detect(m):
     if len(winners) > 1:
         raise NotReducibleError("minimal candidate is not unique")
     return winners[0]
+
+
+def uncapped_axis_detect(m):
+    """axis_detect with its bar at math.inf, as before it started below the
+    current max: every axis whose kept row does not exceed the best seen is
+    scanned (_PlaneScan), its first candidate scored with no cutoff, and a
+    best at or above the current max rejected only at the end; same result
+    and errors.  The step keeps no scan."""
+    half = m.ctx.n // 2
+    if half < 2:
+        raise NotReducibleError("no rotation candidates exist for n = 2")
+    st = _as_step(m)
+    row_max = st.row_max
+    best, best_val, tie = None, math.inf, False
+    for qi in sorted(range(3), key=lambda i: (row_max[i], i)):
+        floor = row_max[qi]
+        if floor > best_val:
+            continue
+        scan = _PlaneScan(st, qi)
+        for b in range(1, half):
+            val = scan.score(b, floor, best_val)
+            if val is None:
+                continue
+            if val < best_val:
+                best, best_val, tie = (AXES[qi], b), val, False
+            elif val == best_val:
+                tie = True
+    if best is None or best_val >= max(row_max):
+        raise NotReducibleError("no candidate strictly reduces the exponent")
+    if tie:
+        raise NotReducibleError("minimal candidate is not unique")
+    return best
+
+
+def per_column_scan_planes(scan):
+    """(zh, zl, wh, wl, mask, entries) of a synth._PlaneScan built column
+    by column from its pencils, as before the scan packed them: per pencil
+    and side, one plane read of its n lanes (Lanes.planes), its negacyclic
+    extension E_(-2n), ..., E_(2n-1) and, for entry e = 2j + r at bit
+    2n e, the window of E_(i - half - s) (Z side) or E_(i - half + s)
+    (conj side), s = 0 for r = 0 and the scan's shift for r = 1."""
+    ctx, lanes, shift = scan.ctx, scan.lanes, scan.shift
+    n = ctx.n
+    half, full, seg = n // 2, (1 << n) - 1, (1 << (2 * n)) - 1
+    rep = 1 | (1 << (2 * n))
+
+    def extension(h, l):
+        return (h | (h ^ l) << n) * rep, (l | l << n) * rep
+
+    zh = zl = wh = wl = mask = 0
+    entries = []
+    for j, (z, zbar, m) in enumerate(scan.pencils):
+        ezh, ezl = extension(*lanes.planes(z))
+        ewh, ewl = extension(*lanes.planes(zbar))
+        bounds = tuple(_exp_bounds(ctx, m - t) for t in range(3))
+        for r, s in enumerate((0, shift)):
+            e = 2 * j + r
+            off = 2 * n * e
+            a, c = 2 * n - half - s, 2 * n - half + s
+            zh |= ((ezh >> a) & seg) << off
+            zl |= ((ezl >> a) & seg) << off
+            wh |= ((ewh >> c) & seg) << off
+            wl |= ((ewl >> c) & seg) << off
+            mask |= full << off
+            entries.append((off, m, e, bounds))
+    entries.sort(key=lambda item: -item[1])
+    return zh, zl, wh, wl, mask, entries
+
+
+def lane_values(p: int, width: int, count: int) -> list[int]:
+    """The lowest count balanced width-bit lanes of the int p, lane 0
+    first, peeled off one at a time."""
+    out, top = [], 1 << width
+    for _ in range(count):
+        c = p & (top - 1)
+        if c >= top >> 1:
+            c -= top
+        out.append(c)
+        p = (p - c) >> width
+    return out
+
+
+@cache
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    return tuple(naive_cyclotomic(m))
+
+
+def reference_scan_residues(scan, b: int) -> tuple[int, int]:
+    """(high, low) planes of candidate b's six numerators mod 4 from the
+    scan's pencils peeled into integer lanes (lane_values): entry
+    e = 2j + r, c = b + r shift, is zeta^c Z_j + zeta^-c conj(Z_j) on n
+    integer lanes (x^n = -1), reduced mod Phi_2n by long division
+    (naive_cyclotomic), its coefficients at bits 2n e, ..., 2n e + n - 1."""
+    n, width = scan.ctx.n, scan.lanes.width
+    phi = _cyclotomic(2 * n)
+    d = len(phi) - 1
+
+    def times_zeta(v, c):
+        out = [0] * n
+        for i, x in enumerate(v):
+            wraps, k = divmod(i + c, n)
+            out[k] = -x if wraps & 1 else x
+        return out
+
+    h = l = 0
+    for e in range(6):
+        z, zbar, _ = scan.pencils[e >> 1]
+        c = b + (scan.shift if e & 1 else 0)
+        num = [x + y for x, y in zip(times_zeta(lane_values(z, width, n), c),
+                                     times_zeta(lane_values(zbar, width, n), -c))]
+        for i in range(n - 1, d - 1, -1):
+            q = num[i]
+            for k, pk in enumerate(phi):
+                num[i - d + k] -= q * pk
+        for i, x in enumerate(num):
+            h |= (x >> 1 & 1) << (2 * n * e + i)
+            l |= (x & 1) << (2 * n * e + i)
+    return h, l
 
 
 # -- numeric embedding ----------------------------------------------------------

@@ -2,7 +2,8 @@
 replaced (kept in oracles.py as the reference), the gate-application
 kernel and the gate constants against explicit matrices and general 2x2
 products, bloch against the six-product Bloch image, the mod-4 plane
-scan of the descent (every n) against full entries and the dense scan, the
+scan of the descent (every n) against full entries, the dense scan and
+the scan with no bar below the current max, the
 descent's carried step state against the rotation built from scratch, a
 fresh read of its residues and the entry-by-entry exponent profile, the
 rewriting pass against the reference pass that keeps its pending
@@ -105,6 +106,7 @@ from oracles import (
     reference_reduce_column_step,
     reference_rotate,
     ring_complex,
+    uncapped_axis_detect,
 )
 
 # n = 14, 28 and 30 have several primes above 2; n = 10, 14 and 30 have k = 1.
@@ -352,6 +354,9 @@ def test_rotation_scan_rejects_like_dense_scan():
     with pytest.raises(NotReducibleError) as got:
         axis_detect(m)
     assert str(got.value) == str(want.value)
+    with pytest.raises(NotReducibleError) as uncapped:
+        uncapped_axis_detect(m)
+    assert str(got.value) == str(uncapped.value)
 
 
 @pytest.mark.parametrize("n", (12, 16, 20, 24, 32, 48, 64))
@@ -374,6 +379,62 @@ def test_plane_scan_rejects_like_dense_scan(n):
     with pytest.raises(NotReducibleError) as got:
         axis_detect(m)
     assert str(got.value) == str(want.value)
+    with pytest.raises(NotReducibleError) as uncapped:
+        uncapped_axis_detect(m)
+    assert str(got.value) == str(uncapped.value)
+
+
+@pytest.mark.parametrize("n", EXPONENT_NS)
+def test_capped_scan_picks_what_the_uncapped_scan_picks(n):
+    # axis_detect's bar starts below the current max; on every step of
+    # member descents it picks the (q, b) of the scan whose bar starts at
+    # math.inf, and leaves the winning scan on the step for the rotation.
+    ctx = make_context(n)
+    steps = 0
+    for seed in range(3):
+        st = _as_step(bloch(random_unitary(ctx, {32: 12, 64: 8}.get(n, 24), 610 + seed)[0]))
+        while is_signed_permutation(st) is None:
+            want = uncapped_axis_detect(st)
+            assert axis_detect(st) == want and st.scan.qi == AXES.index(want[0])
+            st = st.rotated(AXES.index(want[0]), want[1])
+            steps += 1
+    assert steps >= 6
+
+
+@pytest.mark.parametrize("n", (12, 14, 30))
+def test_a_step_with_every_row_at_the_max_builds_no_scan(n, monkeypatch):
+    # No candidate on an axis whose kept row sits at the max can reduce it,
+    # so a step whose three rows all do is rejected with no scan built,
+    # with the error the uncapped scan raises after scoring them all: the
+    # signed permutation of determinant -1 a negated Bloch image descends
+    # to (every row at 0), and a matrix of odd numerators over 2^2.
+    ctx = make_context(n)
+    u, _ = random_unitary(ctx, 6, 620 + n)
+    m = _as_step(Rotation(ctx, [[-e for e in row] for row in bloch(u).rows], check=False))
+    while m.signed_perm_key() is None:
+        q, b = axis_detect(m)
+        m = m.rotated(AXES.index(q), b)
+    rng = random.Random(630 + n)
+    odd = Rotation(ctx, [[RingElem(CycInt(ctx, [2 * rng.randint(-3, 3) + 1
+                                                for _ in range(ctx.degree)]), 2)
+                          for _ in range(3)] for _ in range(3)], check=False)
+    built, init = [], _PlaneScan.__init__
+
+    def counted(scan, st, qi):
+        built.append(qi)
+        init(scan, st, qi)
+
+    monkeypatch.setattr(_PlaneScan, "__init__", counted)
+    for st in (m, _as_step(odd)):
+        assert len(set(st.row_max)) == 1
+        built.clear()
+        with pytest.raises(NotReducibleError) as uncapped:
+            uncapped_axis_detect(st)
+        assert built
+        built.clear()
+        with pytest.raises(NotReducibleError) as got:
+            axis_detect(st)
+        assert str(got.value) == str(uncapped.value) and built == []
 
 
 @pytest.mark.parametrize("n", (12, 24, 64))

@@ -10,13 +10,18 @@ reference_pencil_entry), the rotation step (reference_rotate), the matrix
 the rotation unpacked on every step (eager_step_rows), the CycInt scoring
 loop (reference_first_reducing_k), each column step built and measured
 for every k (reference_reduce_column_step) and the column loop on pairs
-of RingElems (reference_synthesize_ring).  Lanes must widen, never wrap:
+of RingElems (reference_synthesize_ring).  The scan's planes, one read
+per side of its three pencils packed into one int, are checked against
+the build column by column (per_column_scan_planes) and its residues
+against integer lanes reduced by long division (reference_scan_residues).
+Lanes must widen, never wrap:
 a rotation started from the identity at 16-bit lanes climbs to 128 bits,
 and a column step widens its lanes mid-loop.
 """
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,6 +48,8 @@ from cycsynth.synth import _as_step, _PlaneScan
 
 from oracles import (
     eager_step_rows,
+    lane_values,
+    per_column_scan_planes,
     product_eval_sequence,
     random_cycint,
     random_sequence,
@@ -51,6 +58,7 @@ from oracles import (
     reference_pencil_entry,
     reference_reduce_column_step,
     reference_rotate,
+    reference_scan_residues,
     reference_synthesize_ring,
 )
 from test_fastpaths import EXPONENT_NS
@@ -144,6 +152,70 @@ def test_rotations_from_a_narrow_start_widen_rather_than_wrap(n, tcount, start, 
         exps.append(b)
         st = st.rotated(AXES.index(q), b)
     assert (tuple(axes), tuple(exps)) == (cf.axes, cf.exponents)
+
+
+def _check_packed_scan(st, qi):
+    """The scan of axis qi of st against the build column by column, and
+    its residues for every b against integer lanes; its lane width."""
+    scan = _PlaneScan(st, qi)
+    assert (scan.zh, scan.zl, scan.wh, scan.wl, scan.mask, scan.entries) == \
+        per_column_scan_planes(scan)
+    for b in range(1, st.ctx.n // 2):
+        assert scan.residues(b) == reference_scan_residues(scan, b)
+    return scan.lanes.width
+
+
+@pytest.mark.parametrize("n", EXPONENT_NS + (90,))
+def test_packed_scan_matches_the_per_column_build_on_every_axis(n):
+    # Every axis of every descent step, the winning one and the two the
+    # descent may never scan.  For n <= 12 the T-counts take the descent's
+    # lanes through every width from 16 to 128 bits (at n = 4, T-count 200
+    # starts at 128).
+    ctx = make_context(n)
+    tcounts = (4, 20, 30, 60, 90, 200) if n <= 12 else (6, 20) if n <= 64 else (4, 10)
+    widths, steps = set(), 0
+    for seed, tcount in enumerate(tcounts):
+        st = _as_step(bloch(random_unitary(ctx, tcount, 3100 + n + seed)[0]))
+        while is_signed_permutation(st) is None:
+            for qi in range(3):
+                widths.add(_check_packed_scan(st, qi))
+            q, b = synth.axis_detect(st)
+            st = st.rotated(AXES.index(q), b)
+            steps += 1
+    assert steps >= 4
+    if n <= 12:
+        assert widths >= {16, 32, 64, 128}
+
+
+@pytest.mark.parametrize("width", (16, 32, 64, 128))
+def test_packed_scan_of_pencils_at_a_quarter_of_the_range(width, monkeypatch):
+    # Pencils with lanes at +-2^(W-2) (and next to them), packed three to
+    # an int: each lane's residue mod 4 stays its own, the pencils' and
+    # their neighbours' alike.  The scan is given its pencils directly.
+    edge = 1 << (width - 2)
+    values = (edge, -edge, edge - 1, 1 - edge, -1, 0, 1)
+    for n in (4, 6, 12, 30, 90):
+        ctx = make_context(n)
+        lanes = ctx.lanes(width)
+        rng = random.Random(3200 + n + width)
+
+        def pencil(lane):
+            return sum(lane(i) << (width * i) for i in range(n))
+
+        for trial in range(4):
+            if trial == 0:
+                sides = [lambda i: edge, lambda i: -edge] * 3
+            else:
+                sides = [lambda i: rng.choice(values)] * 6
+            pencils = [(pencil(sides[2 * j]), pencil(sides[2 * j + 1]), rng.randint(0, 6))
+                       for j in range(3)]
+            for z, zbar, _ in pencils:
+                assert {abs(c) for c in lane_values(z, width, n) + lane_values(zbar, width, n)} \
+                    <= {abs(v) for v in values}
+            monkeypatch.setattr(synth, "_lane_pencils", lambda *args: (lanes, pencils))
+            st = SimpleNamespace(ctx=ctx, lanes=lanes, ent=[None] * 3)
+            for qi in range(3):
+                assert _check_packed_scan(st, qi) == width
 
 
 @pytest.mark.parametrize("n", (90, 210))

@@ -9,8 +9,9 @@ descent step and the column step run on packed lanes, where the descent
 step and the column step build no ring element at all; so do the
 descent's first step, the Bloch image, and the three exact checks, which
 form no CycInt product.  A candidate scan keeps each entry once: it
-builds its axis's pencils on lanes once and reads its planes mod 4 off
-them, and the rotation reuses the winning scan.
+builds its axis's pencils on lanes once and reads their planes mod 4 off
+them in one read per side, the three pencils packed into one int, and
+the rotation reuses the winning scan.  Only cyclo reads residue bytes.
 """
 
 import pathlib
@@ -228,3 +229,33 @@ def test_each_scan_builds_its_pencils_once(monkeypatch):
             assert canonical_form(u).tcount() == 40
     assert calls == [] and entered["rotated"] > 0
     assert built["__init__"] == built["_lane_pencils"] >= entered["rotated"]
+
+
+def test_each_scan_reads_its_planes_once_per_side(monkeypatch):
+    # A _PlaneScan reads the planes mod 4 of its pencils in two calls of
+    # cyclo.Lanes.planes, one per side: the three Z_j packed into one int
+    # of 3n lanes and the three conj(Z_j) into another, so no loop over the
+    # columns reads them one by one.  The residue-byte tables behind the
+    # reads have one reader, cyclo.Lanes.
+    from cycsynth import canonical_form, cyclo, make_context, random_unitary, synth
+
+    reads, plain = [], cyclo.Lanes.planes
+
+    def counted(lanes, p, count=None):
+        reads.append(count)
+        return plain(lanes, p, count)
+
+    monkeypatch.setattr(cyclo.Lanes, "planes", counted)
+    _, built = _guard_lane_arithmetic(monkeypatch, [(synth._PlaneScan, "__init__")], [])
+    for n in (4, 8, 12, 30, 64):
+        ctx = make_context(n)
+        reads.clear()
+        built.clear()
+        for seed in range(2):
+            u, _ = random_unitary(ctx, 40, 60 + seed)
+            assert canonical_form(u).tcount() == 40
+        assert built["__init__"] > 0 and reads == [3 * n] * (2 * built["__init__"])
+    offenders = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "cyclo.py"
+                 and re.search(r"_HIGH_BIT|_LOW_BIT|\.translate\(", path.read_text())]
+    cyclo_text = (SRC / "cyclo.py").read_text()
+    assert offenders == [] and cyclo_text.count(".translate(") == 3
