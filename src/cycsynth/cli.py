@@ -142,19 +142,27 @@ def _synth_json(i: int, obj: dict) -> tuple[str, tuple]:
     return _numbered(i, _synth_one, matrix_from_json(obj))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_synth(args, out) -> int:
     matrices = _read_matrices(args.input, args.n)
     entries = range(1, len(matrices) + 1)
+    # the pool starts all its workers at once, so ask for no more than the
+    # lines and the CPUs this process may use; one worker runs serially
+    workers = min(args.jobs, len(matrices), _usable_cpus())
     if args.method == "ring":
         seqs = [_numbered(i, synthesize_ring, u) for i, u in zip(entries, matrices)]
         results = [(seq.to_text(), (("cost", seq.cost()),)) for seq in seqs]
-    elif args.jobs > 1 and len(matrices) > 1:
+    elif workers > 1:
         # imported here, so that runs without a pool do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool starts all its workers at once, so ask for no more than
-        # the lines and the CPUs can use
-        workers = min(args.jobs, len(matrices), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_synth_json, entries, map(matrix_to_json, matrices)))
     else:

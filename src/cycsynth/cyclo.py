@@ -22,7 +22,8 @@ n in {2, 4, 6, 8, 12}, where that prime is unique.
 
 The gate kernel (su2), the descent step (synth) and the column step
 (ringsynth) work on lanes instead (Lanes): a numerator as one int
-of n balanced W-bit lanes of Z[x]/(x^n + 1), W = 16, 32, 64, ..., where
+of n balanced W-bit lanes of Z[x]/(x^n + 1), W = 16, 32, 64, ..., or,
+for the gate kernel, two numerators in one int (the pair layout), where
 zeta^j is one shift and one split, an add is one int add, and the low
 bits of every lane are read at once: the power of 2 the lanes share
 (Lanes.twos), their residues mod 4 as bit planes (Lanes.planes) and, for
@@ -331,10 +332,24 @@ class Lanes:
     carry no borrows, so their low bits are those of the c_i, and
     (p + off) ^ off holds each c_i as a W-bit two's complement lane: for
     W in {16, 32, 64} packing and unpacking are one struct call each.
+
+    The pair layout carries two numerators in one int, the first in lanes
+    0, ..., n - 1 and the second 2n lanes up (pair, unpair), so that the
+    gate kernel (su2.apply_gates) runs the two lines of a 2x2 matrix as
+    one.  A rotation by j < n lanes moves each into the n empty lanes
+    above it and never into the other.  pair_zeta then splits the two at
+    once: Q = (P << W j) + pair_off holds each lane of P, moved up j lanes,
+    plus 2^(W-1), as a W-bit digit of Q, so (Q & pair_low) -
+    ((Q >> W n) & pair_low), pair_low the lanes below n of each line, is,
+    lane by lane, the part below n minus the part at and above it.
+    pair_fold reads the block of each line the same way, from the digits,
+    with one mask and offset for both; pair_settle is settle on both lines.
     """
 
     __slots__ = ("ctx", "width", "nw", "split", "off", "nbytes", "code", "ones",
-                 "full", "free", "bounds", "room", "roomy_top", "folds", "reads")
+                 "full", "free", "factor_bits", "bounds", "room", "roomy_top", "folds",
+                 "reads", "gap", "pair_off", "pair_low", "pair_split", "pair_block",
+                 "pair_room", "pair_top")
 
     def __init__(self, ctx: Context, width: int):
         n, d, w = ctx.n, ctx.degree, width
@@ -374,6 +389,18 @@ class Lanes:
              (q << (w * lanes * (b - dp))) - (1 << (w * lanes * b)))
             for b in range(n // lanes - 1, dp - 1, -1)
         )
+        # load_factors' rule: the largest g with 2g + bit_length(2 phi(2n)) <= f
+        self.factor_bits = (self.free - (2 * d).bit_length()) // 2
+        # The pair layout: a constant c of one line is c * twin on both.
+        # pair_block is one fold block's lanes, the lowest ctx.ram_index, and
+        # its offsets, both for both lines.
+        self.gap = 2 * self.nw
+        twin = 1 + (1 << self.gap)
+        self.pair_off = repunit(4 * n) << (w - 1)
+        self.pair_low = ((1 << self.nw) - 1) * twin
+        self.pair_split = repunit(2 * n) << (w - 1)
+        self.pair_block = (((1 << (w * lanes)) - 1) * twin, (repunit(lanes) << (w - 1)) * twin)
+        self.pair_room, self.pair_top = self.room * twin, self.roomy_top * twin
 
     def load(self, *vecs) -> tuple:
         """(lanes, p_1, ..., p_r) for the coefficient vectors vecs at the
@@ -437,7 +464,8 @@ class Lanes:
                      for i in range(0, len(raw), b))
 
     def settle(self, x: int, y: int, m: int) -> tuple["Lanes", int, int, int]:
-        """(lanes, x, y, m) for the pair x / 2^m, y / 2^m after a gate:
+        """(lanes, x, y, m) for the numerators x / 2^m, y / 2^m of a line
+        (a column step's) after a gate:
         folded, with every power of 2 both share taken off (at most m), at
         this width, or at double the width when a lane has left the
         headroom.  Within it every lane of x + room lies in [0, 2^(f + 1)),
@@ -452,6 +480,56 @@ class Lanes:
             return self, x, y, m
         t = self.twos(v, m)
         return self, x >> t, y >> t, m - t
+
+    def pair(self, p: int, q: int) -> int:
+        """The pair layout of lanes p and q below n: p in lanes 0, ...,
+        n - 1 and q in lanes 2n, ..., 3n - 1."""
+        return p + (q << self.gap)
+
+    def unpair(self, p: int) -> tuple[int, int]:
+        """The two numerators of the pair p, each as lanes below n."""
+        hi = (p + self.pair_split) >> self.gap
+        return p - (hi << self.gap), hi
+
+    def pair_zeta(self, p: int, j: int) -> int:
+        """zeta on each line of the pair p."""
+        n = self.ctx.n
+        j %= 2 * n
+        if j >= n:
+            p, j = -p, j - n
+        if not j:
+            return p
+        p = (p << self.width * j) + self.pair_off
+        low = self.pair_low
+        return (p & low) - (p >> self.nw & low)
+
+    def pair_fold(self, p: int) -> int:
+        """fold on each line of the pair p: fold's steps, each block read
+        off the digits of p + pair_off."""
+        block, block_off = self.pair_block
+        off = self.pair_off
+        for _, shift, c in self.folds:
+            p += (((p + off) >> shift & block) - block_off) * c
+        return p
+
+    def pair_settle(self, x: int, y: int, m: int) -> tuple["Lanes", int, int, int]:
+        """settle on the pairs x and y, the powers of 2 that all four
+        numerators share taken off."""
+        x, y = self.pair_fold(x), self.pair_fold(y)
+        v = (x + self.pair_room) | (y + self.pair_room)
+        if v & self.pair_top:
+            wide = self.ctx.lanes(2 * self.width)
+            return wide.pair_settle(wide.repacked_pair(self, x), wide.repacked_pair(self, y), m)
+        v |= v >> self.gap  # both lines' low bits in lanes 0, ..., n - 1
+        if v & self.ones or not m:
+            return self, x, y, m
+        t = self.twos(v, m)
+        return self, x >> t, y >> t, m - t
+
+    def repacked_pair(self, src: "Lanes", p: int) -> int:
+        """The folded pair p of src's width at this width."""
+        p, q = src.unpair(p)
+        return self.pair(self.pack(src.unpack(p)), self.pack(src.unpack(q)))
 
     def twos(self, v: int, limit: int) -> int:
         """The largest t <= limit with bits 0, ..., t - 1 clear in every

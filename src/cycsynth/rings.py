@@ -217,15 +217,22 @@ def _unit_sum_denominators_fit(elems) -> bool:
     return 2 * (top - below) <= 2 * g + ctx.lane_head() + (len(elems) * ctx.degree).bit_length()
 
 
-def _is_unit_numerators(ctx: Context, vecs, m: int) -> bool:
+def _is_unit_lanes(lanes: Lanes, ps, m: int) -> bool:
     """Whether |x_1|^2 + ... + |x_r|^2 = 1 for up to four elements x_i with
-    numerators vecs over 2^m, on lanes: packed as the factors of products
-    (Lanes.load_factors), the folded sum of the x_i conj(x_i) (Lanes.conj,
+    numerators ps over 2^m, folded lanes that are factors of products (every
+    lane in [-2^g, 2^g), g <= lanes.factor_bits, as Lanes.load_factors
+    packs them): the folded sum of the x_i conj(x_i) (Lanes.conj,
     Lanes.mul) must be 2^(2m), one lane, as the folded lanes of an element
     are unique."""
-    lanes, *ps = ctx.lanes().load_factors(*vecs)
     mul, conj = lanes.mul, lanes.conj
     return lanes.fold(sum(mul(p, conj(p)) for p in ps)) == _unit_lanes(lanes, m)
+
+
+def _is_unit_numerators(ctx: Context, vecs, m: int) -> bool:
+    """_is_unit_lanes for numerators given as coefficient vectors vecs,
+    packed as the factors of products (Lanes.load_factors)."""
+    lanes, *ps = ctx.lanes().load_factors(*vecs)
+    return _is_unit_lanes(lanes, ps, m)
 
 
 def _is_unit_sum(elems) -> bool:
@@ -316,6 +323,19 @@ def _exp_bounds(ctx: Context, m: int) -> tuple[int, int]:
         return 0, 0
     k1 = 1 << (ctx.k - 1)
     return (m - 1) * k1 + 1, m * k1
+
+
+def _drop_bounds(ctx: Context, m: int) -> tuple:
+    """The brackets _exp_bounds(ctx, m - t) for t = 0, 1, 2, the 2-adic
+    drops a residue scan tells apart, from one product: (m - t) k1 is the
+    upper end and (m - t - 1) k1 + 1 the lower, (0, 0) where m - t <= 0."""
+    k1 = 1 << (ctx.k - 1)
+    hi = m * k1
+    brackets = ((hi - k1 + 1, hi), (hi - 2 * k1 + 1, hi - k1), (hi - 3 * k1 + 1, hi - 2 * k1))
+    if m >= 3:
+        return brackets
+    m = max(m, 0)
+    return brackets[:m] + ((0, 0),) * (3 - m)
 
 
 def beta_exponent(x: RingElem, bc: BetaConstant) -> tuple[int, CycInt]:

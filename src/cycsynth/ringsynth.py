@@ -5,10 +5,11 @@ synthesize_ring() constructs a circuit by driving the first column down a
 complexity measure (minus the minimum valuation of its entries) with
 H0 U_z(pi k/n) steps, closing with an explicit base-case unitary and an
 exact phase completion.  The column is loaded into packed lanes
-(cyclo.Lanes) once and carried on them from step to step (ColumnRn):
-each k is scored on two lane valuations, the winner's two sums become the
-next column, which is checked on lane products and lane valuations, and
-no ring element is built until the base case reads the last column.  The
+(cyclo.Lanes) once, at the width where the unit check's products fit,
+and carried on them from step to step (ColumnRn): each k is scored on
+two lane valuations, the winner's two sums become the next column, which
+is checked on lane valuations and on products of its own lanes, and no
+ring element is built until the base case reads the last column.  The
 emitted word is checked against the input by stripping it off, by the
 su2 gate kernel.
 
@@ -26,7 +27,8 @@ from itertools import product
 
 from .cyclo import VALUATION_NS, Context, CycInt, Lanes, factorize, make_context, two_adic
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
-from .rings import RingElem, _common_numerators, _is_unit_numerators, _is_unit_sum, as_zeta_power
+from .rings import (RingElem, _common_numerators, _is_unit_lanes, _is_unit_numerators,
+                    _unit_sum_denominators_fit, as_zeta_power)
 from .su2 import GateSequence, UnitaryRn, _strip, _word_gates, eval_sequence, token_w
 
 __all__ = [
@@ -216,20 +218,26 @@ class ColumnRn:
     (cyclo.Lanes) within the headroom of lanes, and step, the steps taken
     from the column that was loaded.
 
-    ColumnRn(x, y) checks the column and loads it, once.  A step
-    (apply_step, reduce_column_step) runs on the lanes and carries them to
-    the next column; x and y are unpacked into RingElems only when read,
+    ColumnRn(x, y) loads the column once, at the width where its lanes are
+    the factors of the unit check's products (Lanes.load_factors), and
+    checks it there.  A step (apply_step, reduce_column_step) runs on the
+    lanes and carries them to the next column, at that width or wider
+    (Lanes.settle), so the unit check of a step's column multiplies the
+    column's own lanes whenever they still lie in the products' headroom
+    (_is_normalized).  x and y are unpacked into RingElems only when read,
     and the measure is read off the lanes once per column.
     """
 
     __slots__ = ("lanes", "px", "py", "m", "step", "_measure", "_xy")
 
     def __init__(self, x: RingElem, y: RingElem):
-        if not _is_unit_sum((x, y)):
+        if not _unit_sum_denominators_fit((x, y)):
             raise ValueError("column is not normalized")
         m, vecs = _common_numerators((x, y))
-        self.lanes, self.px, self.py = x.ctx.lanes().load(*vecs)
+        self.lanes, self.px, self.py = x.ctx.lanes().load_factors(*vecs)
         self.m, self.step, self._measure, self._xy = m, 0, None, (x, y)
+        if not self._is_normalized():
+            raise ValueError("column is not normalized")
 
     @property
     def ctx(self) -> Context:
@@ -272,9 +280,15 @@ class ColumnRn:
         return col
 
     def _is_normalized(self) -> bool:
-        """|x|^2 + |y|^2 = 1, on the lanes (rings._is_unit_numerators)."""
-        unpack = self.lanes.unpack
-        return _is_unit_numerators(self.ctx, (unpack(self.px), unpack(self.py)), self.m)
+        """|x|^2 + |y|^2 = 1: on the column's own lanes when both lie in
+        the products' headroom (Lanes.factor_bits, rings._is_unit_lanes),
+        else repacked at a width where they do (rings._is_unit_numerators)."""
+        lanes, px, py = self.lanes, self.px, self.py
+        g = lanes.factor_bits
+        if lanes.fits(px, g) and lanes.fits(py, g):
+            return _is_unit_lanes(lanes, (px, py), self.m)
+        unpack = lanes.unpack
+        return _is_unit_numerators(self.ctx, (unpack(px), unpack(py)), self.m)
 
     def __eq__(self, other):
         return isinstance(other, ColumnRn) and self._entries() == other._entries()

@@ -1,10 +1,13 @@
 """2x2 unitaries over Z[zeta_2n, 1/2], gate generators and token sequences.
 
 Gates are applied by shifts and adds, never by general 2x2 products.  A
-row (x, y) of U (a column, for left multiplication) is kept as two
-numerators over a common 2^m, each packed into one int of balanced lanes
-(cyclo.Lanes), and each gate is a signed lane rotation (Lanes.zeta), adds
-and at most one denominator bump:
+row (x, y) of U (a column, for left multiplication) is a line; the two
+lines of U go through a word together, their four numerators over one
+common 2^m, each packed into balanced lanes (cyclo.Lanes), the x of both
+lines in one int and the y of both in another, 2n lanes apart (the pair
+layout of cyclo.Lanes).  Each gate is dispatched once for both lines, and
+is a signed lane rotation of each line (Lanes.pair_zeta), adds and at most
+one denominator bump:
 
 - S, W^j and U_z(a pi/n) = diag(1, zeta^a) shift y by n/2, j or a;
 - zeta^a I shifts x and y by a;
@@ -15,11 +18,12 @@ and at most one denominator bump:
 - U_y(a pi/n) = D U_x(a pi/n) D^dagger with D = diag(1, i): y is shifted by
   n/2 before U_x and back after it on a row, the other way on a column.
 
-After a bump, Lanes.settle folds the lanes mod Phi_2n (for n not a power
-of 2), takes off every power of 2 both numerators share, read from the
-lanes' low bits, and doubles the lane width when a lane has left the
-headroom of the next gate, so no lane ever wraps; the numerators are
-unpacked once, at the end.
+After a bump, Lanes.pair_settle folds each line mod Phi_2n (for n not a
+power of 2), takes off every power of 2 the four numerators share, read
+from the lanes' low bits, and doubles the lane width when a lane has left
+the headroom of the next gate, so no lane ever wraps; the numerators are
+unpacked once, at the end, where each entry is normalized on its own
+(RingElem), so the result is the same as each line's alone.
 
 apply_gates() is that kernel; eval_sequence(), and through it every word
 evaluation in the package, runs on it, and so does every check of a word
@@ -180,18 +184,26 @@ class UnitaryRn:
 
 # -- the gate-application kernel ----------------------------------------------
 
-def _apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
-    """(a, b) G_1 ... G_t as a row, or G_t ... G_1 (a, b)^T as a column when
-    left is true; gates as in apply_gates.  The numerators over a common
-    2^m run through the gates as lanes (cyclo.Lanes), each gate bumps m by
-    at most one, and Lanes.settle then folds, widens and halves."""
-    ctx = a.num.ctx
-    m, vecs = _common_numerators((a, b))
-    lanes, x, y = ctx.lanes().load(*vecs)
+def apply_gates(u: UnitaryRn, gates, left: bool = False) -> UnitaryRn:
+    """u G_1 ... G_t, or G_t ... G_1 u when left is true, exactly.
+
+    Each gate is a pair (kind, a): ("z", a) is U_z(a pi/n) = diag(1, zeta^a)
+    (S is a = n/2, W^j is a = j), ("x", a) and ("y", a) are U_x(a pi/n) and
+    U_y(a pi/n) as in the module docstring, ("h", 0) is H0 and ("ph", a) is
+    zeta^a I.  Right multiplication acts on each row and left
+    multiplication on each column by the shifts and adds in the module
+    docstring; the two lines go through the word together, in the pair
+    layout of cyclo.Lanes, and no CycInt product is formed.
+    """
+    ctx = u.ctx
+    r0, r1 = u.rows
+    m, vecs = _common_numerators((r0[0], r1[0], r0[1], r1[1]) if left else r0 + r1)
+    lanes, x1, y1, x2, y2 = ctx.lanes().load(*vecs)
+    x, y = lanes.pair(x1, x2), lanes.pair(y1, y2)
     half = ctx.n // 2
     conj = -half if left else half
     for kind, e in gates:
-        zeta = lanes.zeta
+        zeta = lanes.pair_zeta
         if kind == "z":
             y = zeta(y, e)
             continue
@@ -210,31 +222,16 @@ def _apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
                 y = zeta(y, -conj)
         else:
             raise ValueError("unknown gate %r" % (kind,))
-        # The bump m + 1, then every power of 2 the pair shares comes off,
-        # so the numerators of a long word stay as small as its entries.
-        lanes, x, y, m = lanes.settle(x, y, m + 1)
-    x, y = lanes.unpack(lanes.fold(x)), lanes.unpack(lanes.fold(y))
-    return RingElem(CycInt(ctx, x), m), RingElem(CycInt(ctx, y), m)
-
-
-def apply_gates(u: UnitaryRn, gates, left: bool = False) -> UnitaryRn:
-    """u G_1 ... G_t, or G_t ... G_1 u when left is true, exactly.
-
-    Each gate is a pair (kind, a): ("z", a) is U_z(a pi/n) = diag(1, zeta^a)
-    (S is a = n/2, W^j is a = j), ("x", a) and ("y", a) are U_x(a pi/n) and
-    U_y(a pi/n) as in the module docstring, ("h", 0) is H0 and ("ph", a) is
-    zeta^a I.  Right multiplication acts on each row and left
-    multiplication on each column, independently, by the shifts and adds in
-    the module docstring, on packed lanes; no CycInt product is formed.
-    """
-    gates = tuple(gates)
-    (a, b), (c, d) = u.rows
-    if left:
-        (a, c), (b, d) = _apply_line(a, c, gates, True), _apply_line(b, d, gates, True)
-        rows = ((a, b), (c, d))
-    else:
-        rows = (_apply_line(a, b, gates), _apply_line(c, d, gates))
-    return UnitaryRn(u.ctx, rows, check=False)
+        # The bump m + 1, then every power of 2 the four numerators share
+        # comes off, so the numerators of a long word stay as small as its
+        # entries.
+        lanes, x, y, m = lanes.pair_settle(x, y, m + 1)
+    fold, unpack = lanes.pair_fold, lanes.unpack
+    (x1, x2), (y1, y2) = lanes.unpair(fold(x)), lanes.unpair(fold(y))
+    # RingElem takes off the powers of 2 each entry has beyond the others
+    x1, y1, x2, y2 = (RingElem(CycInt(ctx, unpack(p)), m) for p in (x1, y1, x2, y2))
+    rows = ((x1, x2), (y1, y2)) if left else ((x1, y1), (x2, y2))
+    return UnitaryRn(ctx, rows, check=False)
 
 
 # -- gate constants: the kernel applied to the identity -------------------------

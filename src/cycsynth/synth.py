@@ -59,6 +59,7 @@ from .cyclo import Context, CycInt, Lanes, make_context
 from .errors import IntegrityError, NotReducibleError, PhaseNotInRingError
 from .rings import (
     RingElem,
+    _drop_bounds,
     _exp_bounds,
     _parity_exponent,
     as_zeta_power,
@@ -188,17 +189,20 @@ def _lane_pencils(lanes: Lanes, r1, r2, shift: int):
     (Context.lane_head), then lies in [-2^(W-2), 2^(W-2)], clear of the
     ends of the lanes.  The test is made on the entries before the shift,
     at 2^(f-1) over the shift, so that no lane spills into the next."""
+    tops = [ma if ma > mb else mb for (_, ma), (_, mb) in zip(r1, r2)]
     while True:
-        cols = [(max(ma, mb), pa, ma, pb, mb) for (pa, ma), (pb, mb) in zip(r1, r2)]
         g, fits = lanes.free - 1, lanes.fits
-        if all(fits(pa, g - top + ma) and fits(pb, g - top + mb) for top, pa, ma, pb, mb in cols):
+        for top, (pa, ma), (pb, mb) in zip(tops, r1, r2):
+            if not (fits(pa, g - top + ma) and fits(pb, g - top + mb)):
+                break
+        else:
             break
         wide = lanes.ctx.lanes(2 * lanes.width)
         r1, r2 = _repacked(lanes, wide, (r1, r2))
         lanes = wide
     zeta = lanes.zeta
     pencils = []
-    for top, pa, ma, pb, mb in cols:
+    for top, (pa, ma), (pb, mb) in zip(tops, r1, r2):
         x, y = pa << (top - ma), zeta(pb << (top - mb), shift)
         pencils.append((x - y, x + y, top + 1))
     return lanes, pencils
@@ -306,7 +310,7 @@ class _PlaneScan:
         # the largest denominators first, so cutoffs prune early
         entries = []
         for _, j, m in sorted(((-m0, 0, m0), (-m1, 1, m1), (-m2, 2, m2))):
-            bounds = _exp_bounds(ctx, m), _exp_bounds(ctx, m - 1), _exp_bounds(ctx, m - 2)
+            bounds = _drop_bounds(ctx, m)
             e = 2 * j
             entries += (2 * n * e, m, e, bounds), (2 * n * (e + 1), m, e + 1, bounds)
         self.entries = entries
@@ -551,7 +555,8 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
     axes: list[str] = []
     exps: list[int] = []
     while True:
-        residual = is_signed_permutation(st)
+        # only a step of integral entries, every row max 0, can be a Clifford
+        residual = None if any(st.row_max) else is_signed_permutation(st)
         if residual is not None:
             break
         try:

@@ -29,7 +29,8 @@ loop on pairs of RingElems, as before it carried its column on lanes, dyadic
 fractions normalized one halving at a time, the Bloch image from its 7
 entry products on CycInt, as before it ran on lane products, and the
 exact unitarity, column-normalization and unit-modulus checks on CycInt
-products.
+products, and the gate kernel one line at a time, on CycInt numerators and
+on single-line lanes, as before it took a matrix's two lines in one pass.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from cycsynth import (
     complete_unitary,
 )
 from cycsynth.cyclo import two_adic
-from cycsynth.rings import _beta_exp_r, _exp_bounds, _over_common, mu
+from cycsynth.rings import _beta_exp_r, _common_numerators, _exp_bounds, _over_common, mu
 from cycsynth.su2 import AXES, token_w, w_exponent
 from cycsynth.synth import _as_step, _PlaneScan
 
@@ -374,10 +375,46 @@ def matrix_u_axis(ctx, p: str, sign: int, a: int) -> UnitaryRn:
                            for r in range(2)])
 
 
+def lane_apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
+    """One line of su2.apply_gates, as the kernel ran before it took both
+    lines through a word in one pass: (a, b) G_1 ... G_t as a row, or
+    G_t ... G_1 (a, b)^T as a column, the numerators over their own common
+    2^m as single-line lanes (Lanes.zeta, Lanes.settle)."""
+    ctx = a.num.ctx
+    m, vecs = _common_numerators((a, b))
+    lanes, x, y = ctx.lanes().load(*vecs)
+    half = ctx.n // 2
+    conj = -half if left else half
+    for kind, e in gates:
+        zeta = lanes.zeta
+        if kind == "z":
+            y = zeta(y, e)
+            continue
+        if kind == "ph":
+            x, y = zeta(x, e), zeta(y, e)
+            continue
+        if kind == "h":
+            s, d = x + y, x - y
+            x, y = s + zeta(s, half), d + zeta(d, half)
+        elif kind == "x" or kind == "y":
+            if kind == "y":
+                y = zeta(y, conj)
+            s, d = x + y, zeta(x - y, e)
+            x, y = s + d, s - d
+            if kind == "y":
+                y = zeta(y, -conj)
+        else:
+            raise ValueError("unknown gate %r" % (kind,))
+        lanes, x, y, m = lanes.settle(x, y, m + 1)
+    x, y = lanes.unpack(lanes.fold(x)), lanes.unpack(lanes.fold(y))
+    return RingElem(CycInt(ctx, x), m), RingElem(CycInt(ctx, y), m)
+
+
 def reference_apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
-    """su2._apply_line on CycInt numerators: (a, b) G_1 ... G_t as a row, or
-    G_t ... G_1 (a, b)^T as a column, each gate by times_zeta shifts and
-    CycInt adds, each bump followed by one halving of the shared power of 2."""
+    """One line of su2.apply_gates on CycInt numerators: (a, b) G_1 ... G_t
+    as a row, or G_t ... G_1 (a, b)^T as a column, each gate by times_zeta
+    shifts and CycInt adds, each bump followed by one halving of the shared
+    power of 2."""
     x, y, m = _over_common(a, b)
     half = x.ctx.n // 2
     conj = -half if left else half

@@ -108,9 +108,29 @@ def test_synth_jobs_starts_no_more_workers_than_lines_or_cpus(tmp_path, monkeypa
     src.write_text("\n".join(json.dumps(matrix_to_json(uz_power(ctx, a))) for a in (1, 2)))
     code1, out1 = run_cli(["synth", "--n", "6", "--input", str(src)])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    # four usable CPUs, whatever this machine has: the two lines cap it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     code2, out2 = run_cli(["synth", "--n", "6", "--input", str(src), "--jobs", "100000"])
     assert code1 == code2 == 0 and out1 == out2
-    assert len(asked) == 1 and 1 <= asked[0] <= min(2, os.cpu_count() or 1)
+    assert asked == [2]
+
+
+def test_synth_jobs_on_one_usable_cpu_runs_serially(tmp_path, monkeypatch):
+    # The workers are capped by the CPUs this process may run on, its
+    # affinity set, not the machine's count; with one CPU left, --jobs N
+    # starts no pool and writes the bytes of --jobs 1.
+    import concurrent.futures
+
+    ctx = make_context(6)
+    src = tmp_path / "batch.jsonl"
+    src.write_text("\n".join(json.dumps(matrix_to_json(uz_power(ctx, a))) for a in (1, 2, 4)))
+    argv = ["synth", "--n", "6", "--input", str(src), "--format", "json"]
+    code1, out1 = run_cli(argv)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code2, out2 = run_cli(argv + ["--jobs", "8"])
+    assert code1 == code2 == 0 and out1 == out2 and len(out1.splitlines()) == 3
 
 
 def test_cli_loads_the_process_pool_only_for_parallel_batches():

@@ -849,7 +849,7 @@ def test_ring_op_does_each_job_once(monkeypatch):
     assert max(ks) > 1  # some step tries more than one k
     seq = synthesize_ring(u)
     membership(u), canonicalize_sequence(seq, ctx)
-    calls = {"eval": 0, "rot": 0, "line": 0, "mu": 0, "strip": 0}
+    calls = {"eval": 0, "rot": 0, "kernel": 0, "mu": 0, "strip": 0}
 
     def counted(name, fn):
         def hook(*args, **kwargs):
@@ -864,31 +864,33 @@ def test_ring_op_does_each_job_once(monkeypatch):
     monkeypatch.setattr(Rotation, "__matmul__", counted("rot", Rotation.__matmul__))
     assert canonicalize_sequence(seq, ctx) == canonical_form(u)
     assert calls["rot"] == 0
-    assert not hasattr(ringsynth, "_apply_line")
-    monkeypatch.setattr(su2, "_apply_line", counted("line", su2._apply_line))
+    assert not hasattr(ringsynth, "apply_gates")
+    monkeypatch.setattr(su2, "apply_gates", counted("kernel", su2.apply_gates))
     monkeypatch.setattr(ringsynth, "_lane_mu", counted("mu", ringsynth._lane_mu))
     monkeypatch.setattr(ringsynth, "_strip", counted("strip", ringsynth._strip))
     assert synthesize_ring(u) == seq
-    # the kernel runs the base-case word and the strip, each on two lines
-    assert (calls["line"], calls["mu"], calls["strip"]) == (4, len(ks) + 1, 1)
+    # the kernel runs the base-case word and the strip, one pass each, both
+    # lines at once
+    assert (calls["kernel"], calls["mu"], calls["strip"]) == (2, len(ks) + 1, 1)
 
 
 def test_long_hadamard_word_keeps_numerators_small(monkeypatch):
     # H0^2 = i I, so 4096 H evaluate to the identity; without taking the
     # shared powers of 2 off after each bump the numerators over 2^4096
-    # would grow to about 2048 bits.  The kernel's lanes after each gate
-    # are read back through Lanes.settle.
+    # would grow to about 2048 bits.  The kernel's lanes after each gate,
+    # both lines of each pair, are read back through Lanes.pair_settle.
     widest = [0]
-    settle = cyclo.Lanes.settle
+    settle = cyclo.Lanes.pair_settle
 
     def spy(self, x, y, m):
         out = settle(self, x, y, m)
         lanes = out[0]
         for p in out[1:3]:
-            widest[0] = max(widest[0], max(abs(c).bit_length() for c in lanes.unpack(p)))
+            for line in lanes.unpair(p):
+                widest[0] = max(widest[0], max(abs(c).bit_length() for c in lanes.unpack(line)))
         return out
 
-    monkeypatch.setattr(cyclo.Lanes, "settle", spy)
+    monkeypatch.setattr(cyclo.Lanes, "pair_settle", spy)
     for n in (4, 12):
         ctx = make_context(n)
         assert eval_sequence(GateSequence(0, ("H",) * 4096), ctx) == UnitaryRn.identity(ctx)

@@ -42,7 +42,7 @@ from cycsynth import (
     ringsynth,
     synth,
 )
-from cycsynth.rings import _over_common, mu
+from cycsynth.rings import _common_numerators, _is_unit_numerators, _over_common, mu
 from cycsynth.su2 import AXES
 from cycsynth.synth import _as_step, _PlaneScan
 
@@ -383,8 +383,20 @@ def test_lane_column_loop_matches_the_reference_every_step(n):
     assert steps >= 40 if n > 2 else steps == 0
 
 
-# random_unitary inputs (n, T-count, seed) whose column reduction widens
-# its lanes in the step after the first, and the widths it goes between
+def _at_the_headroom_edge(x, y) -> ColumnRn:
+    """ColumnRn(x, y) with its lanes at the narrowest width whose gate
+    headroom holds them (Lanes.load), below the width of the unit check's
+    products that ColumnRn loads at: its steps widen mid-loop, and their
+    unit checks repack until they do."""
+    col = ColumnRn(x, y)
+    m, vecs = _common_numerators((x, y))
+    col.lanes, col.px, col.py = x.ctx.lanes().load(*vecs)
+    return col
+
+
+# random_unitary inputs (n, T-count, seed) whose column reduction, loaded
+# at the edge of the gate headroom, widens its lanes in the step after the
+# first, and the widths it goes between
 MID_LOOP_WIDENINGS = [(6, 53, 53002, (32, 64)), (8, 57, 57007, (16, 32)),
                       (8, 143, 143001, (32, 64)), (12, 49, 49001, (16, 32)),
                       (12, 117, 117008, (32, 64))]
@@ -393,12 +405,42 @@ MID_LOOP_WIDENINGS = [(6, 53, 53002, (32, 64)), (8, 57, 57007, (16, 32)),
 @pytest.mark.parametrize("n, tcount, seed, widths", MID_LOOP_WIDENINGS)
 def test_the_step_after_a_mid_loop_widening_matches_the_reference(n, tcount, seed, widths):
     ctx = make_context(n)
-    cols = _checked_loop(ColumnRn(*random_unitary(ctx, tcount, seed)[0].first_column()))
+    cols = _checked_loop(_at_the_headroom_edge(*random_unitary(ctx, tcount, seed)[0].first_column()))
     widths_seen = [col.lanes.width for col in cols]
     wide = [i for i in range(1, len(cols)) if widths_seen[i] != widths_seen[i - 1]]
     # the second step widens the lanes, and the third, on the wider lanes,
     # is among the steps _checked_loop compared
     assert wide == [2] and tuple(widths_seen[1:3]) == widths and len(cols) > 3
+
+
+@pytest.mark.parametrize("n", ringsynth.RING_EQUALITY_NS[1:])
+def test_column_unit_check_in_place_matches_the_repacked_check(n, monkeypatch):
+    # ColumnRn._is_normalized multiplies the column's own lanes when they
+    # lie in the products' headroom and repacks them otherwise; on every
+    # column of reductions loaded as ColumnRn loads them and at the gate
+    # headroom's edge, with and without a lane off by one, both paths must
+    # agree with the check on the unpacked column (rings._is_unit_numerators)
+    ctx = make_context(n)
+    paths = {"in place": 0, "repacked": 0}
+    for name, target in (("in place", "_is_unit_lanes"), ("repacked", "_is_unit_numerators")):
+        plain = getattr(ringsynth, target)
+
+        def counted(*args, name=name, plain=plain):
+            paths[name] += 1
+            return plain(*args)
+        monkeypatch.setattr(ringsynth, target, counted)
+    rejected = 0
+    for seed in range(3):
+        x, y = random_unitary(ctx, 30, 2900 + seed)[0].first_column()
+        for col in _checked_loop(ColumnRn(x, y)) + _checked_loop(_at_the_headroom_edge(x, y)):
+            lanes = col.lanes
+            for bump in (0, 1 << (lanes.width * (seed % ctx.degree))):
+                col.px += bump
+                want = _is_unit_numerators(ctx, (lanes.unpack(col.px), lanes.unpack(col.py)), col.m)
+                assert col._is_normalized() == want and (want or bump)
+                rejected += not want
+                col.px -= bump
+    assert paths["in place"] > 0 and paths["repacked"] > 0 and rejected > 0
 
 
 def test_synthesize_ring_matches_the_ringelem_loop():

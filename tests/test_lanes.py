@@ -1,12 +1,15 @@
-"""The gate kernel on packed lanes against the CycInt kernel it replaced.
+"""The gate kernel on packed lanes against the kernels it replaced.
 
-su2._apply_line runs every gate on numerators packed into one int of
-balanced lanes (cyclo.Lanes); oracles.reference_apply_line is the CycInt
-version.  Both must agree exactly, on rows and on columns, for every even
-n up to 64 (a fold mod Phi_2n for every n that is not a power of 2),
-including where the lanes must widen.  Also here: the fold split that the
-lanes and the residue-plane scan share (Context.fold_q), and the bounded
-context cache.
+su2.apply_gates runs every gate on both lines of a matrix at once, their
+numerators packed into two ints of balanced lanes (the pair layout of
+cyclo.Lanes); oracles.reference_apply_line is the CycInt version, one
+line at a time, and oracles.lane_apply_line the single-line lane kernel
+that came before the pair layout.  They must agree exactly, line by line,
+on rows and on columns, for every even n up to 64 (a fold mod Phi_2n for
+every n that is not a power of 2), including where the lanes must widen.
+The pair layout's rotation, fold and settle must match the single-line
+ones on each line.  Also here: the fold split that the lanes and the
+residue-plane scan share (Context.fold_q), and the bounded context cache.
 """
 
 import random
@@ -26,7 +29,8 @@ from cycsynth import (
 from cycsynth.cyclo import LANE_WIDTH, cyclotomic_poly
 from cycsynth.su2 import AXES
 
-from oracles import random_sequence, reference_apply_line, rows_lane_head
+from oracles import lane_apply_line, random_sequence, reference_apply_line, rows_lane_head
+from test_fastpaths import EXPONENT_NS
 
 EVEN_NS = range(2, 65, 2)
 
@@ -45,11 +49,17 @@ def _lines(u, left):
     return ((a, c), (b, d)) if left else ((a, b), (c, d))
 
 
+def _check_side(u, gates, left, lines=2):
+    # the matrix kernel, line by line, against the CycInt kernel on the
+    # first `lines` lines of one side
+    got = _lines(su2.apply_gates(u, gates, left), left)
+    for line, (a, b) in list(zip(got, _lines(u, left)))[:lines]:
+        assert line == reference_apply_line(a, b, gates, left), (left, gates[:8])
+
+
 def _check_both_sides(u, gates, lines=2):
     for left in (False, True):
-        for a, b in _lines(u, left)[:lines]:
-            got = su2._apply_line(a, b, gates, left)
-            assert got == reference_apply_line(a, b, gates, left), (left, gates[:8])
+        _check_side(u, gates, left, lines)
 
 
 def _start(n, seed, length=12):
@@ -89,10 +99,7 @@ def test_long_words_from_the_identity_widen_the_lanes(n):
     rng = random.Random(1600 + n)
     gates = [g for _ in range(150) for g in (("h", 0), ("z", rng.randrange(1, ctx.order, 2)))]
     gates += _random_gates(ctx, rng, 60)
-    one, zero = RingElem.one(ctx), RingElem.zero(ctx)
-    for left in (False, True):
-        got = su2._apply_line(one, zero, gates, left)
-        assert got == reference_apply_line(one, zero, gates, left)
+    _check_both_sides(UnitaryRn.identity(ctx), gates, lines=1)
     if n > 2:
         assert _widest(su2.apply_gates(UnitaryRn.identity(ctx), gates)) > 32
 
@@ -100,28 +107,29 @@ def test_long_words_from_the_identity_widen_the_lanes(n):
 @pytest.mark.parametrize("n", EVEN_NS)
 def test_a_start_width_of_16_widens_rather_than_wraps(n, monkeypatch):
     # Pinned at 16 bits, the kernel must widen when the input does not fit
-    # (Lanes.load) and when a gate leaves the headroom (Lanes.settle): the
-    # first pair fits only at 64 bits, the second fills the 16-bit headroom
-    # exactly, so its first bump leaves it.
+    # (Lanes.load) and when a gate leaves the headroom (Lanes.pair_settle):
+    # the first matrix fits only at 64 bits, the second fills the 16-bit
+    # headroom exactly, so its first bump leaves it.
     monkeypatch.setattr(cyclo, "LANE_WIDTH", 16)
     ctx = make_context(n)
     rng = random.Random(1700 + n)
     widths = []
-    settle = cyclo.Lanes.settle
+    settle = cyclo.Lanes.pair_settle
 
     def spy(self, x, y, m):
         widths.append(self.width)
         return settle(self, x, y, m)
 
-    monkeypatch.setattr(cyclo.Lanes, "settle", spy)
+    monkeypatch.setattr(cyclo.Lanes, "pair_settle", spy)
     for bits, first in ((40, [64, 64]), (15 - ctx.lane_head(), [16, 32])):
         bound = (1 << bits) - 1
-        a, b = (RingElem(cyclo.CycInt(ctx, (bound,) + tuple(
-            rng.randint(-bound, bound) for _ in range(ctx.degree - 1))), 3) for _ in "ab")
+        a, b, c = (RingElem(cyclo.CycInt(ctx, (bound,) + tuple(
+            rng.randint(-bound, bound) for _ in range(ctx.degree - 1))), 3) for _ in "abc")
+        u = UnitaryRn(ctx, ((a, b), (c, a)), check=False)
         for left in (False, True):
             gates = [("h", 0)] + _random_gates(ctx, rng, 40)
             widths.clear()
-            assert su2._apply_line(a, b, gates, left) == reference_apply_line(a, b, gates, left)
+            _check_side(u, gates, left)
             assert widths[:2] == first
 
 
@@ -144,9 +152,88 @@ def test_the_common_denominator_shift_counts_against_the_headroom(n):
     top = (1 << (15 - ctx.lane_head())) - 1
     a = RingElem(cyclo.CycInt(ctx, (top,) * ctx.degree), 0)
     b = RingElem(cyclo.CycInt(ctx, (1,) + (0,) * (ctx.degree - 1)), 3)
+    u = UnitaryRn(ctx, ((a, b), (b, a)), check=False)
     for gates in ([], [("z", 1)], [("h", 0)]):
         for left in (False, True):
-            assert su2._apply_line(a, b, gates, left) == reference_apply_line(a, b, gates, left)
+            _check_side(u, gates, left)
+
+
+# -- the pair layout: both lines of a matrix in one pass ----------------------------
+
+# and 90, for a fold of 21 block steps
+MATRIX_NS = EXPONENT_NS + (90,)
+
+
+@pytest.mark.parametrize("n", MATRIX_NS)
+def test_matrix_kernel_matches_each_line_on_words_that_widen(n, monkeypatch):
+    # A word that grows the numerators past the width the matrix loaded
+    # at, so the pair widens mid-word; every line of both sides against
+    # the CycInt kernel and the single-line lane kernel it replaced.
+    ctx, rng, u = _start(n, 2100 + n)
+    gates = [g for _ in range(90) for g in (("h", 0), ("z", rng.randrange(1, ctx.order, 2)))]
+    gates += _random_gates(ctx, rng, 30)
+    widths = []
+    settle = cyclo.Lanes.pair_settle
+
+    def spy(self, x, y, m):
+        widths.append(self.width)
+        return settle(self, x, y, m)
+
+    monkeypatch.setattr(cyclo.Lanes, "pair_settle", spy)
+    for left in (False, True):
+        widths.clear()
+        got = _lines(su2.apply_gates(u, gates, left), left)
+        assert widths[-1] > widths[0]
+        for line, (a, b) in zip(got, _lines(u, left)):
+            assert line == lane_apply_line(a, b, gates, left)
+            assert line == reference_apply_line(a, b, gates, left)
+
+
+def _edge_lanes(lanes, rng, edge):
+    """Lanes below n, each +-edge or drawn from [-edge, edge]."""
+    return sum(rng.choice((edge, -edge, rng.randint(-edge, edge))) << (lanes.width * i)
+               for i in range(lanes.ctx.n))
+
+
+@pytest.mark.parametrize("n", MATRIX_NS)
+def test_pair_layout_matches_single_lines_at_the_lane_edges(n):
+    # pair_zeta, pair_fold and pair_settle on two numerators 2n lanes apart
+    # against zeta, fold and settle on each, with lanes at +-2^(W-2) (and,
+    # into a fold, at the edge of a gate's output, 2^(W+1-h) - 1, where
+    # that is lower): no lane of one line may reach the other, each line
+    # folds alone, and the pair takes off only the powers of 2 that all
+    # four numerators share.
+    ctx = make_context(n)
+    rng = random.Random(2200 + n)
+    h = ctx.lane_head()
+    for width in (16, 32, 64, 128):
+        lanes = cyclo.Lanes(ctx, width)
+        edge = 1 << (width - 2)
+        for _ in range(3):
+            p, q = (_edge_lanes(lanes, rng, edge) for _ in "pq")
+            pair = lanes.pair(p, q)
+            assert lanes.unpair(pair) == (p, q)
+            for j in range(-1, 2 * n + 2):
+                assert lanes.unpair(lanes.pair_zeta(pair, j)) == (lanes.zeta(p, j), lanes.zeta(q, j))
+            gate_edge = min(edge, (1 << (width + 1 - h)) - 1)
+            p, q = (_edge_lanes(lanes, rng, gate_edge) for _ in "pq")
+            assert lanes.unpair(lanes.pair_fold(lanes.pair(p, q))) == (lanes.fold(p), lanes.fold(q))
+        if lanes.free < 1:
+            continue
+        room = (1 << lanes.free) - 1
+        for t1, t2, grow in ((0, 3, 0), (3, 0, 0), (2, 5, 0), (4, 4, 0), (1, 0, 2), (3, 3, 2)):
+            # lines over 2^4 whose lanes share t1 and t2 factors 2, in the
+            # headroom, the second grown 2^grow-fold, out of it for grow > 0
+            x1, y1, x2, y2 = (lanes.pack((rng.randint(-room, room) >> t << t) | (1 << t)
+                                         for _ in range(ctx.degree)) for t in (t1, t1, t2, t2))
+            x2, y2 = x2 << grow, y2 << grow
+            one = lanes.settle(x1, y1, 4), lanes.settle(x2, y2, 4)
+            both, x, y, m = lanes.pair_settle(lanes.pair(x1, x2), lanes.pair(y1, y2), 4)
+            assert m == max(line[3] for line in one) == 4 - min(t1, t2 + grow, 4)
+            assert both.width == max(line[0].width for line in one) == width << (grow > 0)
+            for (wide, xs, ys, ms), got in zip(one, zip(both.unpair(x), both.unpair(y))):
+                assert [both.unpack(g) for g in got] == \
+                    [tuple(c << (m - ms) for c in wide.unpack(p)) for p in (xs, ys)]
 
 
 def test_lanes_pack_and_unpack_round_trip():

@@ -99,14 +99,14 @@ def _guard_lane_arithmetic(monkeypatch, targets, watched=None):
 
 
 def test_the_gate_kernel_runs_on_lanes_alone(monkeypatch):
-    # Every word evaluation and strip goes through su2._apply_line, which
+    # Every word evaluation and strip goes through su2.apply_gates, which
     # must do its gate arithmetic on packed lanes (cyclo.Lanes): no CycInt
     # rotation, add or subtract runs inside it.  Its lane tables live in
     # Context.memo, like every per-context table.
     from cycsynth import (GateSequence, canonical_form, eval_sequence, make_context,
                           random_unitary, ringsynth, su2, synth)
 
-    calls, entered = _guard_lane_arithmetic(monkeypatch, [(su2, "_apply_line")])
+    calls, entered = _guard_lane_arithmetic(monkeypatch, [(su2, "apply_gates")])
     for n in (8, 12, 30):
         ctx = make_context(n)
         u, _ = random_unitary(ctx, 40, 5)
@@ -117,7 +117,7 @@ def test_the_gate_kernel_runs_on_lanes_alone(monkeypatch):
         if n in ringsynth.RING_EQUALITY_NS:
             assert ringsynth.synthesize_ring(u).tokens
         assert [key for key in ctx._memo if key[0] == "lanes"]
-    assert calls == [] and entered["_apply_line"] > 0
+    assert calls == [] and entered["apply_gates"] > 0
 
 
 def test_the_descent_step_and_column_scoring_run_on_lanes(monkeypatch):
