@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add, mul, neg, sub
@@ -305,10 +306,11 @@ class Context:
         return "Context(n=%d)" % self.n
 
 
-# The narrowest lane width, and the struct codes of 16-, 32- and 64-bit
-# signed lanes.
+# The narrowest lane width, the struct codes of 16-, 32- and 64-bit
+# signed lanes, and the array codes of items of those widths.
 LANE_WIDTH = 16
 _LANE_CODES = {16: "h", 32: "i", 64: "q"}
+_ARRAY_CODES = {8 * array(c).itemsize: c for c in "qih"}
 
 
 class Lanes:
@@ -331,7 +333,8 @@ class Lanes:
     - x^(w B), s - phi(s) steps.  The lanes of p + off, all in [0, 2^W),
     carry no borrows, so their low bits are those of the c_i, and
     (p + off) ^ off holds each c_i as a W-bit two's complement lane: for
-    W in {16, 32, 64} packing and unpacking are one struct call each.
+    W in {16, 32, 64} packing and unpacking are one struct call each, and
+    reversing the lanes (conj) is one array reversal.
 
     The pair layout carries two numerators in one int, the first in lanes
     0, ..., n - 1 and the second 2n lanes up (pair, unpair), so that the
@@ -346,7 +349,7 @@ class Lanes:
     with one mask and offset for both; pair_settle is settle on both lines.
     """
 
-    __slots__ = ("ctx", "width", "nw", "split", "off", "nbytes", "code", "ones",
+    __slots__ = ("ctx", "width", "nw", "split", "off", "nbytes", "code", "items", "ones",
                  "full", "free", "factor_bits", "bounds", "room", "roomy_top", "folds",
                  "reads", "gap", "pair_off", "pair_low", "pair_split", "pair_block",
                  "pair_room", "pair_top")
@@ -371,6 +374,7 @@ class Lanes:
         self.nbytes = w * d // 8
         code = _LANE_CODES.get(w)
         self.code = code and struct.Struct("<%d%s" % (d, code))
+        self.items = _ARRAY_CODES.get(w)
         # Lanes c in the headroom [-2^f, 2^f) are those of p + room with no
         # bit in roomy_top (fits at g = f); a width with f < 1 holds only
         # zero lanes.  bounds[g] is the (room, top) pair of fits at g,
@@ -606,11 +610,20 @@ class Lanes:
         """The complex conjugate of folded p as lanes below n (not folded):
         zeta^-i = -zeta^(n - i) sends lane i > 0 to lane n - i, negated, and
         keeps lane 0, so it is the phi(2n) lanes of p in reverse order
-        times -zeta^(n - phi(2n) + 1).  Its lanes are p's, so products
-        (mul) of factors and conjugates grow alike; fold the result once
-        (entry) for n not a power of 2."""
+        times -zeta^(n - phi(2n) + 1).  For W in {16, 32, 64} the lanes
+        are reversed in the bytes of p + off, each lane there c_i + 2^(W-1)
+        in [0, 2^W), as items of an array; the reversed lanes then carry
+        the same off.  Its lanes are p's, so products (mul) of factors and
+        conjugates grow alike; fold the result once (entry) for n not a
+        power of 2."""
         ctx = self.ctx
-        return -self.zeta(self.pack(self.unpack(p)[::-1]), ctx.n - ctx.degree + 1)
+        if self.items:
+            lanes = array(self.items, (p + self.off).to_bytes(self.nbytes, "little"))
+            lanes.reverse()
+            p = int.from_bytes(lanes, "little") - self.off
+        else:
+            p = self.pack(self.unpack(p)[::-1])
+        return -self.zeta(p, ctx.n - ctx.degree + 1)
 
     def fold(self, p: int) -> int:
         """p reduced mod Phi_2n into the lowest phi(2n) lanes."""

@@ -11,20 +11,22 @@ without matrix products: a rotation by b pi/n about axis q multiplies the
 complex combination r1 - i sigma_q r2 of the other two rows by zeta^b, so
 each candidate entry is the real part of a root-of-unity multiple: on
 numerators packed into lanes (cyclo.Lanes), two lane rotations, an add, a
-fold and a right shift.  The candidates are scored without building
-entries at all: the same rotations and adds act on the numerators mod 4,
-kept as bit planes of n lanes (zeta^n = -1 for every n), which a fold
-reduces mod Phi_2n, and an entry's exact exponent follows from its lowest
-nonzero plane (_PlaneScan), the planes read off the low bits of the
-pencils' lanes in one read per side of the axis, its three pencils packed
-into one int.  Nothing is scored at or above the current max exponent,
-which no winner can reach: an axis whose kept row sits there gets no scan,
-and every other candidate is cut once it provably reaches it (axis_detect).
-The descent carries its state from step to step (_Step): each entry as
-lanes over its 2^m, and each row's max exponent, read off the low plane of
-the entries' lanes.  A step rewrites two rows and keeps row q, so it reads
-only the six new entries, and it builds them once, on lanes, from the
-pencils and entries the winning scan already holds; no lane ever wraps, as
+fold and a right shift.  An axis of one candidate (n = 4) builds its six
+entries so and scores them; an axis of several scores them without
+building entries at all: the same rotations and adds act on the
+numerators mod 4, kept as bit planes of n lanes (zeta^n = -1 for every
+n), which a fold reduces mod Phi_2n, and an entry's exact exponent
+follows from its lowest nonzero plane (_PlaneScan), the planes read off
+the low bits of the pencils' lanes in one read per side of the axis, its
+three pencils packed into one int.  Nothing is scored at or above the
+current max exponent, which no winner can reach: an axis whose kept row
+sits there gets no scan, and every other candidate is cut once it
+provably reaches it (axis_detect).  The descent carries its state from
+step to step (_Step): each entry as lanes over its 2^m, and each row's
+max exponent, read off the low plane of the entries' lanes.  A step
+rewrites two rows and keeps row q, so it reads only the six new entries,
+and it builds them once, on lanes, from the pencils and entries the
+winning scan already holds (all six at n = 4); no lane ever wraps, as
 each step widens its lanes when a shifted numerator or a new entry leaves
 the headroom.  A step builds no ring element: the descent starts from the
 lane entries of the Bloch image (so3, products on lanes), reads the final
@@ -184,7 +186,7 @@ def _lane_pencils(lanes: Lanes, r1, r2, shift: int):
     the entries x / 2^M, y / 2^M of the lane rows r1, r2 over a common 2^M
     (a left shift each), at the narrowest doubling of lanes where every
     shifted numerator lies in half the headroom, [-2^(f-1), 2^(f-1)): an
-    entry built from the pencils (_PlaneScan.pair), a sum of four such
+    entry built from the pencils (_EntryScan.pair), a sum of four such
     numerators folded, which grows lanes at most 4 G <= 2^h-fold
     (Context.lane_head), then lies in [-2^(W-2), 2^(W-2)], clear of the
     ends of the lanes.  The test is made on the entries before the shift,
@@ -257,22 +259,75 @@ def _windows(lanes: Lanes, window: int, p: int, a: int, c: int) -> tuple[int, in
             l >> a & window | (l >> c & window) << n2)
 
 
-class _PlaneScan:
+class _EntryScan:
+    """Scores the candidates R_q^(-b) M on one axis of a descent step
+    (_Step) on their entries, built from the axis's pencils and kept.
+
+    The pencils Z_j and conj(Z_j) of the axis are built once, exactly, on
+    the step's lanes (_lane_pencils), widened when the shift to a common
+    denominator leaves too little headroom.  Numerators are taken in n
+    lanes, as elements of Z[x]/(x^n + 1), which maps onto Z[zeta_2n] since
+    zeta^n = -1; there zeta^c is a lane rotation that negates the lanes it
+    wraps.  What is built is kept, by (entry, b), so that the rotation to
+    the winning candidate (pair) builds only the entries still missing.
+    axis_detect scores an axis of one candidate (n = 4) so, reading no
+    plane, and an axis of several on planes (_PlaneScan).
+    """
+
+    __slots__ = ("qi", "ctx", "half", "shift", "lanes", "pencils", "built")
+
+    def __init__(self, st: "_Step", qi: int):
+        i1, i2 = _OTHER_ROWS[qi]
+        self.ctx, self.qi, self.built = st.ctx, qi, {}
+        self.half = st.ctx.n // 2
+        self.shift = _SIGMA[qi] * self.half
+        self.lanes, self.pencils = _lane_pencils(st.lanes, st.ent[i1], st.ent[i2], self.shift)
+
+    def pair(self, j: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Lane entries (i1, j) and (i2, j) of candidate b: the ones already
+        built, else, for A = zeta^b Z_j and B = zeta^-b conj(Z_j),
+        (A + B) / 2^(M+1) and zeta^shift (A - B) / 2^(M+1), as
+        zeta^-shift = -zeta^shift."""
+        built = self.built
+        e1, e2 = built.get((2 * j, b)), built.get((2 * j + 1, b))
+        if e1 is None or e2 is None:
+            z, zbar, m = self.pencils[j]
+            lanes = self.lanes
+            a, c = lanes.zeta(z, b), lanes.zeta(zbar, -b)
+            if e1 is None:
+                e1 = lanes.entry(a + c, m)
+            if e2 is None:
+                e2 = lanes.entry(lanes.zeta(a - c, self.shift), m)
+        return e1, e2
+
+    def built_entries(self, b: int):
+        """The six lane entries of candidate b, built from the pencils a
+        column at a time (pair) and kept, lazily: a cutoff in
+        _entries_max builds no column past the one that exceeds it."""
+        built = self.built
+        for j in range(3):
+            e1, e2 = built[2 * j, b], built[2 * j + 1, b] = self.pair(j, b)
+            yield e1
+            yield e2
+
+    def score(self, b: int, floor: int, cutoff):
+        """The exact max denominator exponent of floor and the nonzero
+        entries of candidate b, or None once it provably exceeds cutoff
+        (_entries_max on its built entries)."""
+        return _entries_max(self.lanes, floor, self.built_entries(b), cutoff)
+
+
+class _PlaneScan(_EntryScan):
     """Scores the candidates R_q^(-b) M on one axis of a descent step
     (_Step) from its pencils mod 4, without reading an entry.
 
     A residue mod 4 of a numerator is kept as two bitmask planes (high,
     low), one lane per coefficient; negation is (h ^ l, l), addition is
-    (h1 ^ h2 ^ (l1 & l2), l1 ^ l2).  Numerators are taken in n lanes, as
-    elements of Z[x]/(x^n + 1), which maps onto Z[zeta_2n] since zeta^n = -1;
-    there zeta^c is a lane rotation that negates the lanes it wraps.  The
-    pencils Z_j and conj(Z_j) of the axis are built once, exactly, on the
-    step's lanes (_lane_pencils), widened when the shift to a common
-    denominator leaves too little headroom.  The three Z_j are added into
-    one int at lanes n j, and so are the three conj(Z_j): one plane read
-    per side (Lanes.planes of 3n lanes) and one negacyclic extension, with
-    pencil j at bit 4n j (_windows), so that every rotation a candidate
-    needs is one right shift: the six numerators of candidate b,
+    (h1 ^ h2 ^ (l1 & l2), l1 ^ l2).  The three Z_j are added into one int
+    at lanes n j, and so are the three conj(Z_j): one plane read per side
+    (Lanes.planes of 3n lanes) and one negacyclic extension, with pencil j
+    at bit 4n j (_windows), so that every rotation a candidate needs is
+    one right shift: the six numerators of candidate b,
     zeta^c Z_j + zeta^-c conj(Z_j) for c = b, b + shift, sit in lanes
     2n e, ..., 2n e + n - 1 for entry e = 2j + (c != b) after two shifts, a
     mod-4 add and a mask, and a fold reduces them mod Phi_2n into the first
@@ -280,28 +335,21 @@ class _PlaneScan:
     lowest nonzero plane gives its 2-adic drop t <= 1, hence its normalized
     denominator exponent m - t and parity mask, hence its exact exponent
     (rings._parity_exponent).  Entries with t >= 2 (or zero) are bounded by
-    m - 2 and built in full from the pencils (Lanes.entry) only when that
-    bound reaches above the running max; the scan keeps what it built, by
-    (entry, b), so that the rotation to the winning candidate (pair) builds
-    only the entries still missing.
+    m - 2 and built in full from the pencils (entry) only when that bound
+    reaches above the running max, and kept for the rotation (_EntryScan).
     """
 
-    __slots__ = ("qi", "ctx", "half", "full", "mask", "shift", "zh", "zl", "wh", "wl",
-                 "entries", "lanes", "pencils", "built", "fold", "fold_shift", "fold_q")
+    __slots__ = ("full", "mask", "zh", "zl", "wh", "wl", "entries", "fold", "fold_shift",
+                 "fold_q")
 
     def __init__(self, st: "_Step", qi: int):
-        ctx = self.ctx = st.ctx
-        n = ctx.n
-        i1, i2 = _OTHER_ROWS[qi]
-        self.qi = qi
-        self.half = half = n // 2
+        super().__init__(st, qi)
+        ctx, lanes = self.ctx, self.lanes
+        n, half, shift = ctx.n, self.half, self.shift
         self.full = (1 << n) - 1
-        self.shift = shift = _SIGMA[qi] * half
-        lanes, pencils = _lane_pencils(st.lanes, st.ent[i1], st.ent[i2], shift)
-        self.lanes, self.pencils, self.built = lanes, pencils, {}
         window, self.mask, self.fold, self.fold_shift, self.fold_q = ctx.memo(
             "plane_scan", lambda: _scan_tables(ctx))
-        (z0, w0, m0), (z1, w1, m1), (z2, w2, m2) = pencils
+        (z0, w0, m0), (z1, w1, m1), (z2, w2, m2) = self.pencils
         nw, a = lanes.nw, 2 * n - half
         # Z side: E_(i - half - s), conj side: E_(i - half + s), s = 0 for
         # row i1 and shift for row i2
@@ -341,23 +389,6 @@ class _PlaneScan:
         lanes = self.lanes
         x = self.built[e, b] = lanes.entry(lanes.zeta(z, c) + lanes.zeta(zbar, -c), m)
         return x
-
-    def pair(self, j: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Lane entries (i1, j) and (i2, j) of candidate b: the ones score
-        built, else, for A = zeta^b Z_j and B = zeta^-b conj(Z_j),
-        (A + B) / 2^(M+1) and zeta^shift (A - B) / 2^(M+1), as
-        zeta^-shift = -zeta^shift."""
-        built = self.built
-        e1, e2 = built.get((2 * j, b)), built.get((2 * j + 1, b))
-        if e1 is None or e2 is None:
-            z, zbar, m = self.pencils[j]
-            lanes = self.lanes
-            a, c = lanes.zeta(z, b), lanes.zeta(zbar, -b)
-            if e1 is None:
-                e1 = lanes.entry(a + c, m)
-            if e2 is None:
-                e2 = lanes.entry(lanes.zeta(a - c, self.shift), m)
-        return e1, e2
 
     def score(self, b: int, floor: int, cutoff):
         """The exact max denominator exponent of floor and the nonzero
@@ -400,7 +431,9 @@ class _Step(Rotation):
     axis_detect has run on it, the scan of the winning axis.
 
     R_q^(-b) leaves row q as it is, so rotated() carries that row's
-    entries and max to the next step and reads only the six new entries, which it takes from the winning scan (_PlaneScan.pair); it
+    entries and max to the next step and reads only the six new entries,
+    which it takes from the winning scan (_EntryScan.pair): all six as
+    built at n = 4, where the scan scored its candidate on them.  It
     builds no RingElem.  When a new entry leaves the headroom, the step's
     lanes double.  The matrix (rows) is unpacked from the lanes only when
     something reads it; the descent reads only signed_perm_key, off the
@@ -431,10 +464,12 @@ class _Step(Rotation):
         return key if len(key) == 9 else None
 
     def rotated(self, qi: int, b: int) -> "_Step":
-        """The step R_q^(-b) M for q = AXES[qi]."""
+        """The step R_q^(-b) M for q = AXES[qi], its new rows from the scan
+        of axis qi that axis_detect kept, else from a new one; only entries
+        that scan has not built are built."""
         scan = self.scan
         if scan is None or scan.qi != qi:
-            scan = _PlaneScan(self, qi)
+            scan = _EntryScan(self, qi)
         pairs = [scan.pair(j, b) for j in range(3)]
         lanes, ent = scan.lanes, list(self.ent)
         if lanes is not self.lanes:  # the scan widened them for its pencils
@@ -484,16 +519,20 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     R_q(-b pi/n) fixes row q and multiplies Z = r1 - i sigma_q r2 (r1, r2
     the other rows) by zeta^b, so the candidate's rows are Re(zeta^b Z) and
     -sigma_q Re(zeta^(b - n/2) Z), two basis rotations and an add per entry.
-    Those rotations and adds run on the numerators mod 4 as two bitmask
-    planes, read per axis off the lanes of its pencils, one read per side
-    of the three pencils packed into one int, and reduced mod Phi_2n per
-    candidate (_PlaneScan): an entry N / 2^m with an odd
-    coefficient in N or N / 2 (2-adic drop t <= 1) gets its exact exponent
-    from its planes, and only an entry with t >= 2, or zero, is built in
-    full, when its bound m - 2 reaches above the running max.  The lane
-    entries and row maxima come from the descent's step state (_Step), which
-    canonical_form carries from step to step; a plain Rotation is read in
-    full first, and the winning scan is kept on the step for the rotation.
+    At n = 4 each axis has one candidate, b = 1: its six entries are built
+    so from the pencils, a column at a time, and scored on their exponents
+    against the same floor and bar (_EntryScan.score, by _entries_max);
+    the rotation takes them as built.  For n >= 6 the rotations and adds
+    run on the numerators mod 4 as two bitmask planes, read per axis off
+    the lanes of its pencils, one read per side of the three pencils packed
+    into one int, and reduced mod Phi_2n per candidate (_PlaneScan): an
+    entry N / 2^m with an odd coefficient in N or N / 2 (2-adic drop
+    t <= 1) gets its exact exponent from its planes, and only an entry with
+    t >= 2, or zero, is built in full, when its bound m - 2 reaches above
+    the running max.  The lane entries and row maxima come from the
+    descent's step state (_Step), which canonical_form carries from step to
+    step; a plain Rotation is read in full first, and the winning scan is
+    kept on the step for the rotation.
     A candidate is dropped as soon as its exponent provably exceeds the
     bar: the best seen, and before any, one below the current max, as a
     candidate at or above the max can neither win nor tie a winner (the
@@ -522,7 +561,9 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
         floor = row_max[qi]
         if floor > best_val:
             continue
-        scan = _PlaneScan(st, qi)
+        # one candidate per axis (n = 4) is built, not scanned: the
+        # rotation needs the winner's entries built anyway
+        scan = _EntryScan(st, qi) if half == 2 else _PlaneScan(st, qi)
         for b in range(1, half):
             val = scan.score(b, floor, best_val)
             if val is None:

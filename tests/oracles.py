@@ -17,7 +17,9 @@ polynomial, valuations read off the rational norm, multiplicities of
 Phi_s mod 2 found by carry-less long division on bit lists, denominator
 exponents found by the iterated beta-divisibility chain, descent
 candidates built as generator products and scored without pruning, the
-axis scan with no bar below the current max, the scan's planes built
+axis scan with no bar below the current max, the scan of every
+candidate on planes, as before an axis of one candidate was built, the
+scan's planes built
 column by column, as before it packed its pencils, and its residues on
 integer lanes by long division, the
 descent's exponent profile read entry by entry and its rotation step
@@ -29,8 +31,10 @@ loop on pairs of RingElems, as before it carried its column on lanes, dyadic
 fractions normalized one halving at a time, the Bloch image from its 7
 entry products on CycInt, as before it ran on lane products, and the
 exact unitarity, column-normalization and unit-modulus checks on CycInt
-products, and the gate kernel one line at a time, on CycInt numerators and
-on single-line lanes, as before it took a matrix's two lines in one pass.
+products, the gate kernel one line at a time, on CycInt numerators and
+on single-line lanes, as before it took a matrix's two lines in one pass,
+and the lane conjugate on a tuple of its lanes, as before it reversed
+them in their bytes.
 """
 
 from __future__ import annotations
@@ -805,6 +809,38 @@ def uncapped_axis_detect(m):
     return best
 
 
+def plane_axis_detect(m):
+    """axis_detect as before an axis of one candidate (n = 4) was built
+    rather than scanned: every candidate, at every n, scored on the planes
+    of its axis's scan (_PlaneScan.score) against the same bar, one below
+    the current max, then the best seen; same result and errors.  The step
+    keeps no scan."""
+    half = m.ctx.n // 2
+    if half < 2:
+        raise NotReducibleError("no rotation candidates exist for n = 2")
+    st = _as_step(m)
+    row_max = st.row_max
+    best, best_val, tie = None, max(row_max) - 1, False
+    for qi in sorted(range(3), key=lambda i: (row_max[i], i)):
+        floor = row_max[qi]
+        if floor > best_val:
+            continue
+        scan = _PlaneScan(st, qi)
+        for b in range(1, half):
+            val = scan.score(b, floor, best_val)
+            if val is None:
+                continue
+            if best is None or val < best_val:
+                best, best_val, tie = (AXES[qi], b), val, False
+            elif val == best_val:
+                tie = True
+    if best is None:
+        raise NotReducibleError("no candidate strictly reduces the exponent")
+    if tie:
+        raise NotReducibleError("minimal candidate is not unique")
+    return best
+
+
 def per_column_scan_planes(scan):
     """(zh, zl, wh, wl, mask, entries) of a synth._PlaneScan built column
     by column from its pencils, as before the scan packed them: per pencil
@@ -838,6 +874,14 @@ def per_column_scan_planes(scan):
             entries.append((off, m, e, bounds))
     entries.sort(key=lambda item: -item[1])
     return zh, zl, wh, wl, mask, entries
+
+
+def tuple_conj(lanes, p: int) -> int:
+    """cyclo.Lanes.conj as before it reversed the lanes in their bytes:
+    the phi(2n) lanes of folded p unpacked into a tuple, reversed, packed
+    again, and times -zeta^(n - phi(2n) + 1)."""
+    ctx = lanes.ctx
+    return -lanes.zeta(lanes.pack(lanes.unpack(p)[::-1]), ctx.n - ctx.degree + 1)
 
 
 def lane_values(p: int, width: int, count: int) -> list[int]:

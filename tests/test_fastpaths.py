@@ -3,7 +3,9 @@ replaced (kept in oracles.py as the reference), the gate-application
 kernel and the gate constants against explicit matrices and general 2x2
 products, bloch against the six-product Bloch image, the mod-4 plane
 scan of the descent (every n) against full entries, the dense scan and
-the scan with no bar below the current max, the
+the scan with no bar below the current max, the one-candidate axes of
+n = 4, built rather than scanned, against the scan of every candidate on
+planes, the
 descent's carried step state against the rotation built from scratch, a
 fresh read of its residues and the entry-by-entry exponent profile, the
 rewriting pass against the reference pass that keeps its pending
@@ -70,6 +72,7 @@ from cycsynth.rings import _beta_exp_r
 from cycsynth.so3 import Rotation
 from cycsynth.su2 import AXES, _strip, token_w
 from cycsynth.synth import (
+    _OTHER_ROWS,
     _SIGMA,
     _PlaneScan,
     _RewriteState,
@@ -94,6 +97,7 @@ from oracles import (
     mult_order_two,
     norm_valuation,
     phi_mod2,
+    plane_axis_detect,
     product_bloch,
     product_eval_sequence,
     product_generator,
@@ -485,6 +489,97 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
         steps += 1
         reused += kept
     assert steps >= 3 and reused > 0
+
+
+def _check_one_candidate_step(st, calls):
+    """axis_detect on a step at n = 4 against plane_axis_detect: the same
+    (axis, b) or the same NotReducibleError text, and no plane read
+    (calls["planes"]).  On a winner, the kept scan holds the six entries of
+    the winning candidate, equal to a fresh scan's pair(j, 1), and the
+    rotation takes them as they are, building no entry (calls["entry"]);
+    the next step is returned, else None."""
+    try:
+        want = plane_axis_detect(st)
+    except NotReducibleError as exc:
+        calls["planes"].clear()
+        with pytest.raises(NotReducibleError) as got:
+            axis_detect(st)
+        assert str(got.value) == str(exc) and calls["planes"] == []
+        return None
+    calls["planes"].clear()
+    assert axis_detect(st) == want and calls["planes"] == []
+    qi = AXES.index(want[0])
+    scan, fresh = st.scan, _PlaneScan(st, qi)
+    pairs = [fresh.pair(j, 1) for j in range(3)]
+    assert scan.qi == qi and scan.lanes.width == fresh.lanes.width
+    assert [scan.built[e, 1] for e in range(6)] == [x for pair in pairs for x in pair]
+    calls["entry"].clear()
+    nxt = st.rotated(qi, 1)
+    assert calls["entry"] == []
+    for r, i in enumerate(_OTHER_ROWS[qi]):
+        assert [(nxt.lanes.unpack(p), m) for p, m in nxt.ent[i]] == \
+            [(fresh.lanes.unpack(pair[r][0]), pair[r][1]) for pair in pairs]
+    assert nxt == reference_rotate(st, qi, 1)
+    return nxt
+
+
+def _s_symmetrized(rows):
+    # M + S M S^T for S, the half turn about (1, 1, 0), which swaps x and y
+    # and negates z: S R_x S^T = R_y, so candidate (x, b) of the sum and
+    # candidate (y, b) have the same entries up to a signed permutation
+    sign = (1, 1, -1)
+    swap = (1, 0, 2)
+    return [[e + (rows[swap[i]][swap[j]] if sign[i] == sign[j] else -rows[swap[i]][swap[j]])
+             for j, e in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def test_one_candidate_axes_are_built_like_the_plane_scan_scores_them(monkeypatch):
+    # n = 4: each axis has one candidate, b = 1, built from its pencils
+    # (_EntryScan.pair) and scored on its entries, never on planes.  Every
+    # step of descents at T-counts 1 to 200, and every step of crafted
+    # matrices down to a Clifford or a stuck step: one no candidate
+    # reduces; ones where the x and y axes tie, symmetric under the half
+    # turn that swaps them (at n = 4 no tie gets below the max: a column
+    # in the images of the entries of exponent <= e under two of the
+    # rotations is itself of exponent <= e, so the bar cuts the tie and
+    # the z axis may still win); and products of generators with an axis
+    # repeated.
+    ctx = make_context(4)
+    calls = {"planes": [], "entry": []}
+    planes, entry = cyclo.Lanes.planes, cyclo.Lanes.entry
+    monkeypatch.setattr(cyclo.Lanes, "planes", lambda lanes, p, count=None:
+                        calls["planes"].append(count) or planes(lanes, p, count))
+    monkeypatch.setattr(cyclo.Lanes, "entry", lambda lanes, p, m:
+                        calls["entry"].append(m) or entry(lanes, p, m))
+    steps = 0
+    for tcount in (1, 2, 10, 50, 200):
+        for seed in range(20):
+            st = _as_step(bloch(random_unitary(ctx, tcount, 2500 + seed)[0]))
+            while is_signed_permutation(st) is None:
+                st = _check_one_candidate_step(st, calls)
+                steps += 1
+    assert steps == 20 * (1 + 2 + 10 + 50 + 200)
+    rng = random.Random(2600)
+    odd = [[RingElem(CycInt(ctx, [2 * rng.randint(-3, 3) + 1 for _ in range(4)]), 2)
+            for _ in range(3)] for _ in range(3)]
+    crafted = [Rotation(ctx, odd, check=False)]
+    for seed in range(20):
+        rows = _s_symmetrized(bloch(random_unitary(ctx, 1 + seed % 3, 2700 + seed)[0]).rows)
+        crafted.append(Rotation(ctx, rows, check=False))
+    for word in ("xxy", "xxyyz", "zzzx", "yxxxz", "xyyxxz"):
+        m = Rotation.identity(ctx)
+        for p in word:
+            m = rotation_generator(ctx, p, 1) @ m
+        crafted.append(m)
+    ties = stuck = 0
+    for m in crafted:
+        st = _as_step(m)
+        scores = [_PlaneScan(st, qi).score(1, st.row_max[qi], math.inf) for qi in range(3)]
+        ties += scores[0] == scores[1]
+        while st is not None and is_signed_permutation(st) is None:
+            st = _check_one_candidate_step(st, calls)
+        stuck += st is None
+    assert ties >= 20 and stuck >= 2
 
 
 def _parity_mask(coeffs, shift=0):

@@ -8,7 +8,9 @@ and CycInt.conj for every even n up to 64 and for n = 90 and 210, where
 the conjugate must fold; at the largest lane bound a width admits, where
 nothing may wrap; and through the Bloch image (so3._bloch_entries, the
 descent's first step) and the three exact checks, against the CycInt
-forms they replaced (oracles).
+forms they replaced (oracles).  The conjugate, which reverses lanes in
+their bytes at 16, 32 and 64 bits, is checked at every width against the
+reversal of a tuple of its lanes (oracles.tuple_conj).
 """
 
 import random
@@ -33,7 +35,7 @@ from cycsynth.rings import _conj_products, _is_unit_sum
 from cycsynth.so3 import _bloch_entries
 from cycsynth.synth import _bloch_step
 
-from oracles import cycint_is_unit_sum, cycint_is_unitary, entry_product_bloch
+from oracles import cycint_is_unit_sum, cycint_is_unitary, entry_product_bloch, tuple_conj
 
 EVEN_NS = range(2, 65, 2)
 FOLD_NS = (90, 210)
@@ -64,6 +66,31 @@ def test_lane_product_and_conjugate_match_cycint(n):
         assert lanes.conj(p) == x.coeffs[0] - sum(c << (w * (n - i))
                                                   for i, c in enumerate(x.coeffs) if i)
         assert lanes.conj(lanes.pack((0,) * d)) == 0
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 12, 30, 64))
+def test_conjugate_reversal_matches_the_tuple_reversal_at_every_width(n):
+    # 16, 32 and 64 bits reverse the lanes' bytes as array items, 8 and
+    # 128 bits a tuple; lanes at the edges of the headroom, -2^f and
+    # 2^f - 1, give the CycInt conjugate, and lanes at the edges of the
+    # width, -2^(W-1) and 2^(W-1) - 1, reverse like the tuple's
+    ctx = make_context(n)
+    rng = random.Random(1750 + n)
+    d = ctx.degree
+    for width in (8, 16, 32, 64, 128):
+        lanes = ctx.lanes(width)
+        assert (lanes.items is None) == (width not in (16, 32, 64))
+        f, top = lanes.free, 1 << (width - 1)
+        edges = [(-(1 << f), (1 << f) - 1)] if f >= 0 else []
+        for lo, hi in edges + [(-top, top - 1)]:
+            vecs = [(lo,) * d, (hi,) * d, tuple(lo if i % 2 else hi for i in range(d)),
+                    *(tuple(rng.choice((lo, hi, 0, rng.randint(lo, hi))) for _ in range(d))
+                      for _ in range(6))]
+            for v in vecs:
+                p = lanes.pack(v)
+                assert lanes.conj(p) == tuple_conj(lanes, p)
+                if lo > -top:
+                    assert _read(lanes, lanes.conj(p)) == CycInt(ctx, v).conj().coeffs
 
 
 def _extreme_vectors(ctx, rng, g):
