@@ -84,35 +84,34 @@ def _read_json(path: str):
         raise ValueError("cannot read matrix JSON from %r: %s" % (path, exc)) from None
 
 
-def _read_matrices(path: str, expect_n: int) -> list[UnitaryRn]:
-    """One JSON object, or JSONL with one matrix per line (batch synthesis)."""
+def _read_matrices(path: str, expect_n: int) -> tuple[list[int], list[UnitaryRn]]:
+    """One JSON object, or JSONL with one matrix per line (batch synthesis):
+    (lines, matrices), lines[i] the 1-based file line of matrices[i], blank
+    lines counted (1 for a single object), which its errors name."""
     text = _read_text(path)
     body = text.strip()
     if not body:
         raise ValueError("empty matrix input")
     try:
-        objs = [json.loads(body)]  # a single (possibly pretty-printed) object
+        objs = [(1, json.loads(body))]  # a single (possibly pretty-printed) object
     except json.JSONDecodeError:
         objs = []
-        # numbered as in the file, blank lines included
-        for idx, ln in enumerate(text.splitlines()):
+        for line, ln in enumerate(text.splitlines(), 1):
             if not ln.strip():
                 continue
             try:
-                objs.append(json.loads(ln))
+                objs.append((line, json.loads(ln)))
             except json.JSONDecodeError as exc:
-                raise ValueError(
-                    "line %d is not valid JSON: %s" % (idx + 1, exc)
-                ) from None
+                raise ValueError("line %d is not valid JSON: %s" % (line, exc)) from None
     out = []
-    for idx, obj in enumerate(objs):
-        what = "entry %d" % (idx + 1)
+    for line, obj in objs:
+        what = "entry %d" % line
         _check_n(obj, expect_n, what)
         try:
             out.append(matrix_from_json(obj))
         except ValueError as exc:
             raise ValueError("%s: %s" % (what, exc)) from None
-    return out
+    return [line for line, _ in objs], out
 
 
 def _check_n(obj, expect_n: int, what: str) -> None:
@@ -126,7 +125,8 @@ def _check_n(obj, expect_n: int, what: str) -> None:
 
 
 def _numbered(i: int, fn, arg):
-    """fn(arg) for input entry i (from 1); a SynthesisError names the entry."""
+    """fn(arg) for the input entry on file line i (_read_matrices); a
+    SynthesisError names the entry."""
     try:
         return fn(arg)
     except SynthesisError as exc:
@@ -151,8 +151,7 @@ def _usable_cpus() -> int:
 
 
 def cmd_synth(args, out) -> int:
-    matrices = _read_matrices(args.input, args.n)
-    entries = range(1, len(matrices) + 1)
+    entries, matrices = _read_matrices(args.input, args.n)
     # the pool starts all its workers at once, so ask for no more than the
     # lines and the CPUs this process may use; one worker runs serially
     workers = min(args.jobs, len(matrices), _usable_cpus())
@@ -197,14 +196,13 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_tcount(args, out) -> int:
-    matrices = _read_matrices(args.input, args.n)
-    for i, u in enumerate(matrices, 1):
+    for i, u in zip(*_read_matrices(args.input, args.n)):
         print("tcount=%d" % _numbered(i, canonical_form, u).tcount(), file=out)
     return 0
 
 
 def cmd_member(args, out) -> int:
-    matrices = _read_matrices(args.input, args.n)
+    _, matrices = _read_matrices(args.input, args.n)
     code = 0
     for u in matrices:
         res = membership(u)

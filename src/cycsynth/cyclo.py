@@ -37,7 +37,10 @@ through Q = x^deg P - P (Context.fold_q, the split the descent's residue
 planes, read off its pencils' lanes, fold on too).  Each lane keeps
 headroom for one gate; load picks the narrowest width whose headroom
 holds its input, and a gate that leaves it doubles W, so a context holds
-O(log bits) lane tables, in Context.memo.  Contexts are cached for a
+O(log bits) lane tables, in Context.memo.  Every width change of lanes
+already packed goes through Lanes.relane: the doublings, and the
+descent's first step, which narrows the Bloch image's lanes to the width
+load would pick for them.  Contexts are cached for a
 bounded number of n (make_context).
 """
 
@@ -322,6 +325,10 @@ class Lanes:
     [-2^f, 2^f), f = W - 1 - h (Context.lane_head): load picks a width
     where it holds the input, and settle doubles W when a lane leaves it;
     within one gate lanes grow at most 2^h-fold, so no op wraps a lane.
+    Lanes change width only through relane: settle's and pair_settle's
+    doublings, the descent's (synth) and the column check's widening
+    (ringsynth), and the Bloch step's narrowing to load's width, read off
+    the lanes (bits, for wide_enough).
 
     zeta^j (zeta) is a left shift by j lanes and one balanced split at lane
     n: with off = 2^(W-1) in every lane below n, hi = (p + off) >> W n is
@@ -467,6 +474,18 @@ class Lanes:
         return tuple((int.from_bytes(raw[i:i + b], "little") ^ half) - half
                      for i in range(0, len(raw), b))
 
+    def relane(self, src: "Lanes", *ps) -> list[int]:
+        """The folded lanes ps of src's table at this table's width, whose
+        lanes must hold them: the one width change, wider or narrower, of a
+        numerator already on lanes."""
+        return [self.pack(src.unpack(p)) for p in ps]
+
+    def bits(self, *ps) -> int:
+        """The least g with every lane of the folded lanes ps in
+        [-2^g, 2^g), as _bits reads it off coefficient vectors: the need
+        that wide_enough takes for ps."""
+        return _bits([self.unpack(p) for p in ps])
+
     def settle(self, x: int, y: int, m: int) -> tuple["Lanes", int, int, int]:
         """(lanes, x, y, m) for the numerators x / 2^m, y / 2^m of a line
         (a column step's) after a gate:
@@ -479,7 +498,7 @@ class Lanes:
         v = (x + self.room) | (y + self.room)
         if v & self.roomy_top:
             wide = self.ctx.lanes(2 * self.width)
-            return wide.settle(wide.pack(self.unpack(x)), wide.pack(self.unpack(y)), m)
+            return wide.settle(*wide.relane(self, x, y), m)
         if v & self.ones or not m:
             return self, x, y, m
         t = self.twos(v, m)
@@ -523,17 +542,13 @@ class Lanes:
         v = (x + self.pair_room) | (y + self.pair_room)
         if v & self.pair_top:
             wide = self.ctx.lanes(2 * self.width)
-            return wide.pair_settle(wide.repacked_pair(self, x), wide.repacked_pair(self, y), m)
+            x1, x2, y1, y2 = wide.relane(self, *self.unpair(x), *self.unpair(y))
+            return wide.pair_settle(wide.pair(x1, x2), wide.pair(y1, y2), m)
         v |= v >> self.gap  # both lines' low bits in lanes 0, ..., n - 1
         if v & self.ones or not m:
             return self, x, y, m
         t = self.twos(v, m)
         return self, x >> t, y >> t, m - t
-
-    def repacked_pair(self, src: "Lanes", p: int) -> int:
-        """The folded pair p of src's width at this width."""
-        p, q = src.unpair(p)
-        return self.pair(self.pack(src.unpack(p)), self.pack(src.unpack(q)))
 
     def twos(self, v: int, limit: int) -> int:
         """The largest t <= limit with bits 0, ..., t - 1 clear in every

@@ -15,18 +15,22 @@ multiplicity of Phi_s in num mod 2 (see cyclo); r = m when k = 1 and r = 0
 when m = 0.  This module is the one home of that formula, on the pair
 (m, parity mask of num) (_parity_exponent, which the descent also calls on
 parities it reads without building the element), and of its parity-free
-bracket on m alone (_exp_bounds); both read k from the context, and
-_beta_exp_r applies the first to a RingElem.  BetaConstant holds only beta
-itself, the base of beta_exponent's witness.
+bracket on m alone (_exp_bounds, with _drop_bounds its three-drop form,
+the brackets at m, m - 1 and m - 2 precomputed once per scan); both read
+k from the context, and _beta_exp_r applies the first to a RingElem.
+BetaConstant holds only beta itself, the base of beta_exponent's witness.
+Ring elements are brought over a common 2^m in one place,
+_common_numerators: for sums, for the lane loads of the exact checks and
+the column, and for the JSON form of a matrix.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import or_
+from operator import add, or_
 
-from .cyclo import Context, CycInt, Lanes, two_adic
+from .cyclo import Context, CycInt, Lanes, _check_same_context, two_adic
 from .errors import IntegrityError
 
 __all__ = [
@@ -104,8 +108,9 @@ class RingElem:
             return self
         if self.is_zero():
             return other
-        x, y, m = _over_common(self, other)
-        return RingElem(x + y, m)
+        _check_same_context(self.num, other.num)
+        m, (x, y) = _common_numerators((self, other))
+        return RingElem(CycInt(self.ctx, map(add, x, y)), m)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
@@ -158,17 +163,6 @@ class RingElem:
         if self.m == 0:
             return "RingElem(%r)" % (self.num,)
         return "RingElem(%r / 2^%d)" % (self.num, self.m)
-
-
-def _over_common(a: RingElem, b: RingElem) -> tuple[CycInt, CycInt, int]:
-    """Numerators of a and b over their common denominator 2^m, and m."""
-    m = max(a.m, b.m)
-    x, y = a.num, b.num
-    if a.m < m:
-        x = CycInt(x.ctx, tuple(c << (m - a.m) for c in x.coeffs))
-    if b.m < m:
-        y = CycInt(y.ctx, tuple(c << (m - b.m) for c in y.coeffs))
-    return x, y, m
 
 
 def _common_numerators(elems) -> tuple[int, list]:
@@ -228,21 +222,16 @@ def _is_unit_lanes(lanes: Lanes, ps, m: int) -> bool:
     return lanes.fold(sum(mul(p, conj(p)) for p in ps)) == _unit_lanes(lanes, m)
 
 
-def _is_unit_numerators(ctx: Context, vecs, m: int) -> bool:
-    """_is_unit_lanes for numerators given as coefficient vectors vecs,
-    packed as the factors of products (Lanes.load_factors)."""
-    lanes, *ps = ctx.lanes().load_factors(*vecs)
-    return _is_unit_lanes(lanes, ps, m)
-
-
 def _is_unit_sum(elems) -> bool:
     """Whether |x_1|^2 + ... + |x_r|^2 = 1 for up to four RingElems x_i:
-    _is_unit_numerators over their common denominator, where the
+    _is_unit_lanes on their numerators over their common denominator,
+    packed as the factors of products (Lanes.load_factors), where the
     denominators allow it."""
     if not _unit_sum_denominators_fit(elems):
         return False
     m, vecs = _common_numerators(elems)
-    return _is_unit_numerators(elems[0].ctx, vecs, m)
+    lanes, *ps = elems[0].ctx.lanes().load_factors(*vecs)
+    return _is_unit_lanes(lanes, ps, m)
 
 
 def mu(x: RingElem, y: RingElem) -> int:

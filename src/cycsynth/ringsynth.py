@@ -27,8 +27,8 @@ from itertools import product
 
 from .cyclo import VALUATION_NS, Context, CycInt, Lanes, factorize, make_context, two_adic
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
-from .rings import (RingElem, _common_numerators, _is_unit_lanes, _is_unit_numerators,
-                    _unit_sum_denominators_fit, as_zeta_power)
+from .rings import (RingElem, _common_numerators, _is_unit_lanes, _unit_sum_denominators_fit,
+                    as_zeta_power)
 from .su2 import GateSequence, UnitaryRn, _strip, _word_gates, eval_sequence, token_w
 
 __all__ = [
@@ -282,13 +282,15 @@ class ColumnRn:
     def _is_normalized(self) -> bool:
         """|x|^2 + |y|^2 = 1: on the column's own lanes when both lie in
         the products' headroom (Lanes.factor_bits, rings._is_unit_lanes),
-        else repacked at a width where they do (rings._is_unit_numerators)."""
+        else re-laned at the width Lanes.load_factors would pick for them
+        (Lanes.relane)."""
         lanes, px, py = self.lanes, self.px, self.py
         g = lanes.factor_bits
-        if lanes.fits(px, g) and lanes.fits(py, g):
-            return _is_unit_lanes(lanes, (px, py), self.m)
-        unpack = lanes.unpack
-        return _is_unit_numerators(self.ctx, (unpack(px), unpack(py)), self.m)
+        if not (lanes.fits(px, g) and lanes.fits(py, g)):
+            wide = self.ctx.lanes().wide_enough(
+                2 * lanes.bits(px, py) + (2 * self.ctx.degree).bit_length())
+            lanes, (px, py) = wide, wide.relane(lanes, px, py)
+        return _is_unit_lanes(lanes, (px, py), self.m)
 
     def __eq__(self, other):
         return isinstance(other, ColumnRn) and self._entries() == other._entries()

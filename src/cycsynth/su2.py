@@ -440,14 +440,8 @@ def equal_up_to_phase(u: UnitaryRn, v: UnitaryRn) -> RingElem | None:
 
 def matrix_to_json(u: UnitaryRn) -> dict:
     """Common-denominator JSON form of a unitary."""
-    m = max(e.m for row in u.rows for e in row)
-    entries = []
-    for row in u.rows:
-        out_row = []
-        for e in row:
-            scaled = e.num * (1 << (m - e.m))
-            out_row.append(list(scaled.coeffs))
-        entries.append(out_row)
+    m, vecs = _common_numerators([e for row in u.rows for e in row])
+    entries = [[list(vecs[0]), list(vecs[1])], [list(vecs[2]), list(vecs[3])]]
     return {"n": u.ctx.n, "denom_exp": m, "entries": entries}
 
 

@@ -176,8 +176,9 @@ _OTHER_ROWS = ((1, 2), (0, 2), (0, 1))
 
 
 def _repacked(src: Lanes, dst: Lanes, rows):
-    """The lane entries of rows, at src's width, repacked at dst's."""
-    return [[(dst.pack(src.unpack(p)), m) for p, m in row] for row in rows]
+    """The lane entries of rows, at src's width, at dst's (Lanes.relane)."""
+    return [list(zip(dst.relane(src, *(p for p, _ in row)), (m for _, m in row)))
+            for row in rows]
 
 
 def _lane_pencils(lanes: Lanes, r1, r2, shift: int):
@@ -485,30 +486,24 @@ class _Step(Rotation):
         return _Step(lanes, ent, tuple(row_max))
 
 
-def _loaded_step(ctx: Context, vecs, ms, rows=None) -> _Step:
-    """The step of the nine entries vecs[i] / 2^ms[i], row by row, read
-    into lanes at the narrowest width whose headroom holds them all
-    (Lanes.load)."""
-    lanes, *ps = ctx.lanes().load(*vecs)
-    ent = [list(zip(ps[i:i + 3], ms[i:i + 3])) for i in (0, 3, 6)]
-    return _Step(lanes, ent, tuple(_row_max(lanes, row) for row in ent), rows)
-
-
 def _as_step(m: Rotation) -> _Step:
-    """m itself if it is a _Step, else m with every entry read into lanes."""
+    """m itself if it is a _Step, else m with every entry read into lanes
+    at the narrowest width whose headroom holds them all (Lanes.load)."""
     if isinstance(m, _Step):
         return m
-    es = [e for row in m.rows for e in row]
-    return _loaded_step(m.ctx, [e.num.coeffs for e in es], [e.m for e in es], m.rows)
+    lanes, *ps = m.ctx.lanes().load(*(e.num.coeffs for row in m.rows for e in row))
+    ent = [list(zip(ps[i:i + 3], (e.m for e in row))) for i, row in zip((0, 3, 6), m.rows)]
+    return _Step(lanes, ent, tuple(_row_max(lanes, row) for row in ent), m.rows)
 
 
 def _bloch_step(u: UnitaryRn) -> _Step:
     """The descent's first step, the Bloch image of u: its lane entries
-    (so3._bloch_entries), read into lanes at the width Lanes.load picks for
-    them; the matrix is unpacked only when read."""
+    (so3._bloch_entries), re-laned at the width Lanes.load would pick for
+    them (Lanes.bits); the matrix is unpacked only when read."""
     src, rows = _bloch_entries(u)
-    es = [e for row in rows for e in row]
-    return _loaded_step(u.ctx, [src.unpack(p) for p, _ in es], [m for _, m in es])
+    lanes = u.ctx.lanes().wide_enough(src.bits(*(p for row in rows for p, _ in row)))
+    ent = _repacked(src, lanes, rows)
+    return _Step(lanes, ent, tuple(_row_max(lanes, row) for row in ent))
 
 
 def axis_detect(m: Rotation) -> tuple[str, int]:

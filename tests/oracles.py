@@ -33,8 +33,9 @@ entry products on CycInt, as before it ran on lane products, and the
 exact unitarity, column-normalization and unit-modulus checks on CycInt
 products, the gate kernel one line at a time, on CycInt numerators and
 on single-line lanes, as before it took a matrix's two lines in one pass,
-and the lane conjugate on a tuple of its lanes, as before it reversed
-them in their bytes.
+the lane conjugate on a tuple of its lanes, as before it reversed
+them in their bytes, two ring elements over their common denominator as
+CycInts, and lanes re-laned through a coefficient tuple.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from cycsynth import (
     complete_unitary,
 )
 from cycsynth.cyclo import two_adic
-from cycsynth.rings import _beta_exp_r, _common_numerators, _exp_bounds, _over_common, mu
+from cycsynth.rings import _beta_exp_r, _common_numerators, _exp_bounds, mu
 from cycsynth.su2 import AXES, token_w, w_exponent
 from cycsynth.synth import _as_step, _PlaneScan
 
@@ -419,7 +420,7 @@ def reference_apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
     as a row, or G_t ... G_1 (a, b)^T as a column, each gate by times_zeta
     shifts and CycInt adds, each bump followed by one halving of the shared
     power of 2."""
-    x, y, m = _over_common(a, b)
+    x, y, m = over_common(a, b)
     half = x.ctx.n // 2
     conj = -half if left else half
     for kind, e in gates:
@@ -504,6 +505,19 @@ def entry_product_bloch(u: UnitaryRn) -> Rotation:
         (re(r), im(r), a.abs2() - c.abs2()),
     )
     return Rotation(u.ctx, rows, check=False)
+
+
+def over_common(a: RingElem, b: RingElem) -> tuple[CycInt, CycInt, int]:
+    """Numerators of a and b over their common denominator 2^m, and m, as
+    CycInts, each scaled by its own shift (RingElem.__add__ before it read
+    rings._common_numerators)."""
+    m = max(a.m, b.m)
+    x, y = a.num, b.num
+    if a.m < m:
+        x = CycInt(x.ctx, tuple(c << (m - a.m) for c in x.coeffs))
+    if b.m < m:
+        y = CycInt(y.ctx, tuple(c << (m - b.m) for c in y.coeffs))
+    return x, y, m
 
 
 def cycint_is_unitary(u: UnitaryRn) -> bool:
@@ -655,7 +669,7 @@ def reference_column_steps(u) -> list:
     x, y = u.first_column()
     m0, steps = mu(x, y), []
     while m0 > threshold:
-        k, score = reference_first_reducing_k(ctx, *_over_common(x, y), m0)
+        k, score = reference_first_reducing_k(ctx, *over_common(x, y), m0)
         x, y = reference_apply_line(x, y, (("z", k), ("h", 0)), left=True)
         m0 = mu(x, y)
         assert m0 == score
@@ -719,7 +733,7 @@ def reference_rotate(m, qi: int, b: int) -> Rotation:
     rows = list(m.rows)
     rows[i1], rows[i2] = [], []
     for a, c in zip(m.rows[i1], m.rows[i2]):
-        x, y, top = _over_common(a, c)
+        x, y, top = over_common(a, c)
         y = y.times_zeta(shift)
         z, zbar = x - y, x + y
         for i, e in ((i1, b), (i2, b + shift)):
@@ -735,7 +749,7 @@ def reference_axis_pencils(rows, qi: int):
     shift = (1, -1, 1)[qi] * (r1[0].ctx.n // 2)
     pencils = []
     for a, b in zip(r1, r2):
-        x, y, top = _over_common(a, b)
+        x, y, top = over_common(a, b)
         y = y.times_zeta(shift)
         pencils.append((x - y, x + y, top + 1))
     return shift, pencils
@@ -882,6 +896,13 @@ def tuple_conj(lanes, p: int) -> int:
     again, and times -zeta^(n - phi(2n) + 1)."""
     ctx = lanes.ctx
     return -lanes.zeta(lanes.pack(lanes.unpack(p)[::-1]), ctx.n - ctx.degree + 1)
+
+
+def tuple_relane(src, dst, p: int) -> int:
+    """cyclo.Lanes.relane of one int, as every width change was written
+    before it: the folded lanes p of src unpacked into a coefficient tuple
+    and packed at dst's width."""
+    return dst.pack(src.unpack(p))
 
 
 def lane_values(p: int, width: int, count: int) -> list[int]:

@@ -357,6 +357,31 @@ def test_batch_matrix_error_names_its_entry(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: entry 2: matrix is not unitary over the ring\n"
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["member"], "not unitary"), (["synth"], "not unitary"), (["tcount"], "not unitary"),
+    (["synth"], "stuck"), (["synth", "--jobs", "2"], "stuck"), (["tcount"], "stuck"),
+])
+def test_batch_errors_name_the_file_line(tmp_path, capsys, argv, kind):
+    # line 2 is blank and the bad matrix is on line 4: the error names
+    # line 4, not the matrix's count among the non-blank lines
+    ctx = make_context(14)
+    if kind == "stuck":
+        bad, code, err = _non_member_json(), 1, STUCK
+    else:
+        bad, code, err = matrix_to_json(w_gate(ctx, 3)), 2, "matrix is not unitary over the ring"
+        bad["entries"][1][1][0] += 2
+    good = json.dumps(matrix_to_json(h0(ctx)))
+    src = tmp_path / "batch.jsonl"
+    src.write_text("%s\n\n%s\n%s\n" % (good, good, json.dumps(bad)))
+    stdout = "tcount=0\ntcount=0\n" if argv == ["tcount"] and kind == "stuck" else ""
+    assert run_cli(argv + ["--n", "14", "--input", str(src)]) == (code, stdout)
+    assert capsys.readouterr().err == "error: entry 4: %s\n" % err
+    # a single object, pretty-printed after a blank line, is entry 1
+    src.write_text("\n" + json.dumps(bad, indent=1))
+    assert run_cli(argv + ["--n", "14", "--input", str(src)]) == (code, "")
+    assert capsys.readouterr().err == "error: entry 1: %s\n" % err
+
+
 def test_check_finite_lemma_command():
     code, out = run_cli(["check-finite-lemma", "--n", "8"])
     assert code == 0 and out.strip() == "true"

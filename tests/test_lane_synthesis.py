@@ -34,6 +34,7 @@ from cycsynth import (
     apply_gates,
     bloch,
     canonical_form,
+    canonicalize_sequence,
     clifford_group,
     cyclo,
     is_signed_permutation,
@@ -41,14 +42,17 @@ from cycsynth import (
     random_unitary,
     ringsynth,
     synth,
+    to_circuit,
 )
-from cycsynth.rings import _common_numerators, _is_unit_numerators, _over_common, mu
+from cycsynth.rings import _common_numerators, mu
 from cycsynth.su2 import AXES
 from cycsynth.synth import _as_step, _PlaneScan
 
 from oracles import (
+    cycint_is_unit_sum,
     eager_step_rows,
     lane_values,
+    over_common,
     per_column_scan_planes,
     product_eval_sequence,
     random_cycint,
@@ -117,6 +121,20 @@ def test_descent_on_lanes_matches_cycint_references(n):
     for seed in range(2):
         steps += _descend(_as_step(bloch(random_unitary(ctx, tcount, 2100 + n + seed)[0])))
     assert steps >= 2
+
+
+@pytest.mark.parametrize("n", (128, 256, 512))
+def test_descent_at_powers_of_two_above_64(n):
+    # n = 2^k past DESCENT_NS, with no fold mod Phi_2n and n/2 - 1
+    # candidates per axis: the form has the witness's T-count, and the
+    # rewriting pass reaches it from the witness word and from the circuit
+    # emitted for it
+    ctx = make_context(n)
+    for seed in range(3):
+        u, word = random_unitary(ctx, 12, seed)
+        cf = canonical_form(u)
+        assert cf.tcount() == 12
+        assert canonicalize_sequence(word, ctx) == cf == canonicalize_sequence(to_circuit(cf), ctx)
 
 
 @pytest.mark.parametrize("n, tcount, start, first, top", [
@@ -327,7 +345,7 @@ def test_column_scoring_matches_the_cycint_loop(n, monkeypatch):
     cases = []
     for seed in range(3):
         for col in _ring_columns(ctx, 2500 + n + seed):
-            cases.append(_over_common(col.x, col.y) + (col.measure(),))
+            cases.append(over_common(col.x, col.y) + (col.measure(),))
     rng = random.Random(2600 + n)
     for x, y in _columns(ctx, rng):
         if not (x.is_zero() and y.is_zero()):
@@ -416,19 +434,18 @@ def test_the_step_after_a_mid_loop_widening_matches_the_reference(n, tcount, see
 @pytest.mark.parametrize("n", ringsynth.RING_EQUALITY_NS[1:])
 def test_column_unit_check_in_place_matches_the_repacked_check(n, monkeypatch):
     # ColumnRn._is_normalized multiplies the column's own lanes when they
-    # lie in the products' headroom and repacks them otherwise; on every
-    # column of reductions loaded as ColumnRn loads them and at the gate
-    # headroom's edge, with and without a lane off by one, both paths must
-    # agree with the check on the unpacked column (rings._is_unit_numerators)
+    # lie in the products' headroom and re-lanes them (Lanes.relane)
+    # otherwise; on every column of reductions loaded as ColumnRn loads
+    # them and at the gate headroom's edge, with and without a lane off by
+    # one, both paths must agree with the check on CycInt products
     ctx = make_context(n)
-    paths = {"in place": 0, "repacked": 0}
-    for name, target in (("in place", "_is_unit_lanes"), ("repacked", "_is_unit_numerators")):
-        plain = getattr(ringsynth, target)
+    paths, relanes = {"in place": 0, "repacked": 0}, [0]
+    plain = cyclo.Lanes.relane
 
-        def counted(*args, name=name, plain=plain):
-            paths[name] += 1
-            return plain(*args)
-        monkeypatch.setattr(ringsynth, target, counted)
+    def counted(self, *args):
+        relanes[0] += 1
+        return plain(self, *args)
+    monkeypatch.setattr(cyclo.Lanes, "relane", counted)
     rejected = 0
     for seed in range(3):
         x, y = random_unitary(ctx, 30, 2900 + seed)[0].first_column()
@@ -436,8 +453,11 @@ def test_column_unit_check_in_place_matches_the_repacked_check(n, monkeypatch):
             lanes = col.lanes
             for bump in (0, 1 << (lanes.width * (seed % ctx.degree))):
                 col.px += bump
-                want = _is_unit_numerators(ctx, (lanes.unpack(col.px), lanes.unpack(col.py)), col.m)
+                want = cycint_is_unit_sum([RingElem(CycInt(ctx, lanes.unpack(p)), col.m)
+                                           for p in (col.px, col.py)])
+                before = relanes[0]
                 assert col._is_normalized() == want and (want or bump)
+                paths["repacked" if relanes[0] > before else "in place"] += 1
                 rejected += not want
                 col.px -= bump
     assert paths["in place"] > 0 and paths["repacked"] > 0 and rejected > 0

@@ -29,7 +29,8 @@ from cycsynth import (
 from cycsynth.cyclo import LANE_WIDTH, cyclotomic_poly
 from cycsynth.su2 import AXES
 
-from oracles import lane_apply_line, random_sequence, reference_apply_line, rows_lane_head
+from oracles import (lane_apply_line, lane_values, random_sequence, reference_apply_line,
+                     rows_lane_head, tuple_relane)
 from test_fastpaths import EXPONENT_NS
 
 EVEN_NS = range(2, 65, 2)
@@ -234,6 +235,60 @@ def test_pair_layout_matches_single_lines_at_the_lane_edges(n):
             for (wide, xs, ys, ms), got in zip(one, zip(both.unpair(x), both.unpair(y))):
                 assert [both.unpack(g) for g in got] == \
                     [tuple(c << (m - ms) for c in wide.unpack(p)) for p in (xs, ys)]
+
+
+RELANE_WIDTHS = (16, 32, 64, 128)
+
+
+@pytest.mark.parametrize("n", (4, 6, 12, 30))
+def test_relane_matches_the_tuple_round_trip_at_every_width_pair(n):
+    # Lanes.relane against dst.pack(src.unpack(p)) (oracles.tuple_relane)
+    # for every ordered pair of widths, wider and narrower, with lanes at
+    # +-2^(W'-2), W' the narrower width, and at the edges of the
+    # destination's headroom [-2^f, 2^f) that the source can hold; and
+    # Lanes.bits against the lanes peeled off one at a time
+    ctx = make_context(n)
+    rng = random.Random(2700 + n)
+    for ws in RELANE_WIDTHS:
+        src = ctx.lanes(ws)
+        for wd in RELANE_WIDTHS:
+            dst = ctx.lanes(wd)
+            quarter = 1 << (min(ws, wd) - 2)
+            edges = [quarter, -quarter, quarter - 1, 1 - quarter, 0]
+            f = dst.free
+            room = ((1 << f) - 1, -(1 << f), 1 << f, -(1 << f) - 1) if f >= 0 else ()
+            edges += [e for e in room if -(1 << (min(ws, wd) - 1)) <= e < 1 << (min(ws, wd) - 1)]
+            vecs = [[rng.choice(edges) for _ in range(ctx.degree)] for _ in range(3)]
+            vecs.append([edges[0]] + [0] * (ctx.degree - 1))
+            ps = [src.pack(vec) for vec in vecs]
+            got = dst.relane(src, *ps)
+            assert got == [tuple_relane(src, dst, p) for p in ps]
+            assert [list(dst.unpack(p)) for p in got] == vecs
+            want = max(max(c, ~c).bit_length() for p in ps for c in lane_values(p, ws, ctx.degree))
+            assert src.bits(*ps) == dst.bits(*got) == want
+
+
+@pytest.mark.parametrize("n", MATRIX_NS)
+def test_pair_settle_widens_each_line_as_the_tuple_round_trip(n):
+    # a pair whose lane leaves the headroom by one: pair_settle doubles the
+    # width and re-lanes both lines of both pairs as the tuple round trip
+    # does (m = 0, so no power of 2 is taken off)
+    ctx = make_context(n)
+    rng = random.Random(2800 + n)
+    for width in (16, 32, 64):
+        lanes = ctx.lanes(width)
+        if lanes.free < 1:
+            continue
+        f = lanes.free
+        edges = ((1 << f) - 1, -(1 << f), 0, 1)
+        for out in (1 << f, -(1 << f) - 1):
+            vecs = [[rng.choice(edges) for _ in range(ctx.degree)] for _ in range(4)]
+            vecs[rng.randrange(4)][rng.randrange(ctx.degree)] = out
+            x1, x2, y1, y2 = map(lanes.pack, vecs)
+            wide, x, y, m = lanes.pair_settle(lanes.pair(x1, x2), lanes.pair(y1, y2), 0)
+            assert wide.width == 2 * width and m == 0
+            assert (x, y) == tuple(wide.pair(tuple_relane(lanes, wide, p), tuple_relane(lanes, wide, q))
+                                   for p, q in ((x1, x2), (y1, y2)))
 
 
 def test_lanes_pack_and_unpack_round_trip():

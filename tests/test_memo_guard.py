@@ -12,6 +12,8 @@ form no CycInt product.  A candidate scan keeps each entry once: it
 builds its axis's pencils on lanes once and reads their planes mod 4 off
 them in one read per side, the three pencils packed into one int, and
 the rotation reuses the winning scan.  Only cyclo reads residue bytes.
+Lanes change width in one place, Lanes.relane, and ring elements meet
+over a common denominator in one, rings._common_numerators.
 """
 
 import pathlib
@@ -61,6 +63,20 @@ def test_the_fold_split_has_one_home():
     cyclo_text = (SRC / "cyclo.py").read_text()
     lanes = cyclo_text[cyclo_text.index("class Lanes"):]
     assert offenders == [] and "phi_poly" not in lanes
+
+
+def test_lanes_change_width_and_denominators_meet_in_one_place():
+    # Lanes change width only through Lanes.relane, so the modules that run
+    # on lanes pack no coefficient vector themselves; and the shift of a
+    # numerator to a common 2^m is written once, in rings._common_numerators.
+    packers = [name for name in ("synth.py", "ringsynth.py", "su2.py", "so3.py")
+               if ".pack(" in (SRC / name).read_text()]
+    shifts = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for match in re.finditer(r"<<\s*\(m\s*-", text):
+            shifts.append((path.name, re.findall(r"^\s*def (\w+)", text[:match.start()], re.M)[-1]))
+    assert packers == [] and shifts == [("rings.py", "_common_numerators")]
 
 
 def _guard_lane_arithmetic(monkeypatch, targets, watched=None):

@@ -1,6 +1,7 @@
 """The dyadic-fraction ring layer: normalization, valuations, beta exponents."""
 
 import math
+import operator
 import random
 
 import pytest
@@ -43,6 +44,19 @@ def test_adding_zero_returns_the_other_term():
     zero = RingElem.zero(ctx)
     assert tiny + zero is tiny and zero + tiny is tiny
     assert (tiny - zero) == tiny and (zero - tiny) == -tiny
+
+
+@pytest.mark.parametrize("ma, mb", [(0, 0), (2, 2), (0, 1), (3, 1)])
+def test_ring_arithmetic_rejects_mixed_contexts(ma, mb):
+    # n = 4 and n = 8 numerators have 2 and 4 coefficients: a sum over a
+    # common 2^m must raise CycInt's error, not add the shorter tuple in
+    ctx4, ctx8 = make_context(4), make_context(8)
+    a, b = RingElem(ctx4.one(), ma), RingElem(ctx8.one(), mb)
+    for x, y in ((a, b), (b, a)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="mixed contexts: n=%d vs n=%d"
+                               % (x.ctx.n, y.ctx.n)):
+                op(x, y)
 
 
 def test_normalized_equality_is_canonical():
