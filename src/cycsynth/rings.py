@@ -103,12 +103,12 @@ class RingElem:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "RingElem") -> "RingElem":
+        _check_same_context(self.num, other.num)
         # A zero term would be scaled to the other's 2^m for nothing.
         if other.is_zero():
             return self
         if self.is_zero():
             return other
-        _check_same_context(self.num, other.num)
         m, (x, y) = _common_numerators((self, other))
         return RingElem(CycInt(self.ctx, map(add, x, y)), m)
 

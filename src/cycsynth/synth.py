@@ -18,12 +18,14 @@ numerators mod 4, kept as bit planes of n lanes (zeta^n = -1 for every
 n), which a fold reduces mod Phi_2n, and an entry's exact exponent
 follows from its lowest nonzero plane (_PlaneScan), the planes read off
 the low bits of the pencils' lanes in one read per side of the axis, its
-three pencils packed into one int.  Nothing is scored at or above the
-current max exponent, which no winner can reach: an axis whose kept row
-sits there gets no scan, and every other candidate is cut once it
-provably reaches it (axis_detect).  The descent carries its state from
-step to step (_Step): each entry as lanes over its 2^m, and each row's
-max exponent, read off the low plane of the entries' lanes.  A step
+three pencils packed into one int.  Each candidate is scored against a
+bar, the smallest row max, which the paper's exponent law says the winner
+scores, and only if nothing gets to it, one below the current max, which
+no winner can reach: an axis whose kept row sits above the bar gets no
+scan, and every other candidate is cut once it provably passes it
+(axis_detect).  The descent carries its state from step to step (_Step):
+each entry as lanes over its 2^m, and each row's max exponent, read off
+the low plane of the entries' lanes.  A step
 rewrites two rows and keeps row q, so it reads only the six new entries,
 and it builds them once, on lanes, from the pencils and entries the
 winning scan already holds (all six at n = 4); no lane ever wraps, as
@@ -529,36 +531,59 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     step; a plain Rotation is read in full first, and the winning scan is
     kept on the step for the rotation.
     A candidate is dropped as soon as its exponent provably exceeds the
-    bar: the best seen, and before any, one below the current max, as a
-    candidate at or above the max can neither win nor tie a winner (the
-    unchanged row gives a free floor, so an axis whose kept row sits at
-    the max gets no scan; entry exponents are bracketed by the
-    power-of-two denominator before any parity bits are read).  That never
-    changes the arg-min or the tie check.  Ties raise NotReducibleError,
-    and so does a step where no candidate gets under the bar.  The
-    exponents and their bracket come from rings and need only the context;
-    the element beta itself is only the base of rings.beta_exponent's
-    witness, unused here.
+    bar, then the best seen (entry exponents are bracketed by the
+    power-of-two denominator before any parity bits are read), and an axis
+    whose kept row, a free floor, sits above the bar gets no scan.  The bar
+    starts at the smallest row max, floor0: by the paper's exponent law
+    (criterion 5) the winner of a synthesizable step scores exactly that,
+    and no candidate scores below floor0, so one found there is the arg-min
+    and every tie with it has been scored.  Only if nothing gets to floor0
+    is the scan run again, on the scans already built, with the bar one
+    below the current max, which neither a winner nor a tie can reach.
+    Ties raise NotReducibleError, and so does a step where nothing gets
+    under the max.  The exponents and their bracket come from rings and
+    need only the context; the element beta itself is only the base of
+    rings.beta_exponent's witness, unused here.
     """
     half = m.ctx.n // 2
     if half < 2:
         raise NotReducibleError("no rotation candidates exist for n = 2")
     st = _as_step(m)
     row_max = st.row_max
-    # Try the deficient axis first: for synthesizable inputs the winning
-    # candidate lives there, and the floors then dismiss the other axes.
+    # The deficient axis first: its floor is floor0, and for synthesizable
+    # inputs the winner lives there, so the bar then dismisses the others.
     axis_order = sorted(range(3), key=lambda i: (row_max[i], i))
-    # The bar starts below the current max: a candidate at or above it can
-    # neither win nor tie a winner, so it is cut like one past the best.
-    best, best_val, win = None, max(row_max) - 1, None
+    floor0, bar, scans = row_max[axis_order[0]], max(row_max) - 1, {}
+    # The bar starts at floor0, the winner's score by the exponent law; a
+    # first pass pays only below max - 1, and not at n = 4, where each axis
+    # has one candidate.
+    best = None
+    if half > 2 and floor0 < bar:
+        best = _detect(st, row_max, axis_order, half, floor0, scans)
+    if best is None:
+        best = _detect(st, row_max, axis_order, half, bar, scans)
+    if best is None:
+        raise NotReducibleError("no candidate strictly reduces the exponent")
+    return best
+
+
+def _detect(st: _Step, row_max, axis_order, half: int, bar: int, scans: dict):
+    """axis_detect's scan with the given bar: the unique arg-min candidate
+    (axis, b) scoring at most bar, its scan kept on the step, or None if
+    no candidate gets to the bar; a tie raises NotReducibleError.  The
+    scans, keyed by axis, are taken from and left in scans, so a second
+    pass reads no plane twice."""
+    best, best_val, win = None, bar, None
     tie = False
     for qi in axis_order:
         floor = row_max[qi]
         if floor > best_val:
             continue
-        # one candidate per axis (n = 4) is built, not scanned: the
-        # rotation needs the winner's entries built anyway
-        scan = _EntryScan(st, qi) if half == 2 else _PlaneScan(st, qi)
+        scan = scans.get(qi)
+        if scan is None:
+            # one candidate per axis (n = 4) is built, not scanned: the
+            # rotation needs the winner's entries built anyway
+            scan = scans[qi] = _EntryScan(st, qi) if half == 2 else _PlaneScan(st, qi)
         for b in range(1, half):
             val = scan.score(b, floor, best_val)
             if val is None:
@@ -568,7 +593,7 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
             elif val == best_val:
                 tie = True
     if best is None:
-        raise NotReducibleError("no candidate strictly reduces the exponent")
+        return None
     if tie:
         raise NotReducibleError("minimal candidate is not unique")
     st.scan = win

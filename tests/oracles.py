@@ -825,9 +825,10 @@ def uncapped_axis_detect(m):
 
 def plane_axis_detect(m):
     """axis_detect as before an axis of one candidate (n = 4) was built
-    rather than scanned: every candidate, at every n, scored on the planes
-    of its axis's scan (_PlaneScan.score) against the same bar, one below
-    the current max, then the best seen; same result and errors.  The step
+    rather than scanned, and before its bar started at the smallest row
+    max: every candidate, at every n, scored on the planes of its axis's
+    scan (_PlaneScan.score) in one pass against one bar, one below the
+    current max, then the best seen; same result and errors.  The step
     keeps no scan."""
     half = m.ctx.n // 2
     if half < 2:

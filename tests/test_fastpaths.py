@@ -4,8 +4,9 @@ kernel and the gate constants against explicit matrices and general 2x2
 products, bloch against the six-product Bloch image, the mod-4 plane
 scan of the descent (every n) against full entries, the dense scan and
 the scan with no bar below the current max, the one-candidate axes of
-n = 4, built rather than scanned, against the scan of every candidate on
-planes, the
+n = 4, built rather than scanned, and the scan whose bar starts at the
+smallest row max, against the scan of every candidate on planes with the
+one bar below the current max, the
 descent's carried step state against the rotation built from scratch, a
 fresh read of its residues and the entry-by-entry exponent profile, the
 rewriting pass against the reference pass that keeps its pending
@@ -390,7 +391,7 @@ def test_plane_scan_rejects_like_dense_scan(n):
 
 @pytest.mark.parametrize("n", EXPONENT_NS)
 def test_capped_scan_picks_what_the_uncapped_scan_picks(n):
-    # axis_detect's bar starts below the current max; on every step of
+    # axis_detect's bar is below the current max; on every step of
     # member descents it picks the (q, b) of the scan whose bar starts at
     # math.inf, and leaves the winning scan on the step for the rotation.
     ctx = make_context(n)
@@ -580,6 +581,148 @@ def test_one_candidate_axes_are_built_like_the_plane_scan_scores_them(monkeypatc
             st = _check_one_candidate_step(st, calls)
         stuck += st is None
     assert ties >= 20 and stuck >= 2
+
+
+def _spy_passes(monkeypatch):
+    """A list that collects, per synth._detect call, [bar, found]: found
+    True or False as the pass returned a winner or None, or "raised"; and
+    one that collects the axis of every _PlaneScan built."""
+    passes, built, detect, init = [], [], synth._detect, _PlaneScan.__init__
+
+    def counted(st, row_max, axis_order, half, bar, scans):
+        passes.append([bar, "raised"])
+        best = detect(st, row_max, axis_order, half, bar, scans)
+        passes[-1][1] = best is not None
+        return best
+
+    def counted_init(scan, st, qi):
+        built.append(qi)
+        init(scan, st, qi)
+
+    monkeypatch.setattr(synth, "_detect", counted)
+    monkeypatch.setattr(_PlaneScan, "__init__", counted_init)
+    return passes, built
+
+
+def _check_two_bar_step(st, passes, built):
+    """axis_detect on a step at n >= 6 against plane_axis_detect, the scan
+    with the one bar max - 1: the same (axis, b) or the same
+    NotReducibleError text, with no axis's scan built twice.  On a winner,
+    the kept scan's six entries of the winning candidate equal a fresh
+    scan's.  Returns the next step, else None, and the passes axis_detect
+    ran (_spy_passes)."""
+    def outcome(detect):
+        try:
+            return detect(st)
+        except NotReducibleError as exc:
+            return str(exc)
+
+    want = outcome(plane_axis_detect)
+    passes.clear()
+    built.clear()
+    assert outcome(axis_detect) == want and len(built) == len(set(built))
+    if isinstance(want, str):
+        return None, list(passes)
+    qi, b = AXES.index(want[0]), want[1]
+    scan, fresh = st.scan, _PlaneScan(st, qi)
+    assert scan.qi == qi and scan.lanes.width == fresh.lanes.width
+    assert [scan.pair(j, b) for j in range(3)] == [fresh.pair(j, b) for j in range(3)]
+    return st.rotated(qi, b), list(passes)
+
+
+@pytest.mark.parametrize("n", [n for n in EXPONENT_NS if n >= 6] + [90, 128, 512, 1024])
+def test_two_bar_scan_picks_what_the_one_bar_scan_picks(n, monkeypatch):
+    # axis_detect scans first with the bar at the smallest row max, then,
+    # only if nothing gets to it, with the bar at max - 1, reusing the
+    # first pass's scans; on every step of member descents it picks what
+    # the scan with the one bar max - 1 picks
+    ctx = make_context(n)
+    passes, built = _spy_passes(monkeypatch)
+    tcount = {32: 12, 64: 8}.get(n, 24 if n < 64 else 6)
+    steps = 0
+    for seed in range(3):
+        st = _as_step(bloch(random_unitary(ctx, tcount, 610 + seed)[0]))
+        while is_signed_permutation(st) is None:
+            st, _ = _check_two_bar_step(st, passes, built)
+            steps += 1
+    assert steps >= 6
+
+
+def test_two_bar_scan_rejects_and_ties_like_the_one_bar_scan(monkeypatch):
+    # Steps where the first pass finds nothing: the stuck steps of the
+    # n = 14 and 28 non-members of test_synth, matrices of odd numerators
+    # and ones symmetric under the half turn that swaps x and y, whose x
+    # and y candidates tie; each descended to a Clifford or a stuck step.
+    # The second pass finds a winner, raises the tie or finds nothing, as
+    # the one-bar scan does, and every error text is the one-bar scan's.
+    from test_synth import _infinite_order_unit
+
+    passes, built = _spy_passes(monkeypatch)
+    crafted = []
+    for n in (14, 28):
+        ctx = make_context(n)
+        one, zero = RingElem.one(ctx), RingElem.zero(ctx)
+        good = u_axis(ctx, "y", 1, 3) @ u_axis(ctx, "z", 1, 2) @ u_axis(ctx, "x", 1, 1)
+        crafted.append(bloch(good @ UnitaryRn(ctx, ((one, zero),
+                                                     (zero, _infinite_order_unit(ctx))))))
+    for n in (6, 8, 12, 16, 30):
+        ctx = make_context(n)
+        rng = random.Random(2800 + n)
+        for seed in range(10):
+            rows = _s_symmetrized(bloch(random_unitary(ctx, 1 + seed % 3, 2700 + seed)[0]).rows)
+            crafted.append(Rotation(ctx, rows, check=False))
+            odd = [[RingElem(CycInt(ctx, [2 * rng.randint(-3, 3) + 1 for _ in range(ctx.degree)]),
+                             rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+            crafted.append(Rotation(ctx, odd, check=False))
+    seen = set()
+    for m in crafted:
+        st = _as_step(m)
+        while st is not None and is_signed_permutation(st) is None:
+            st, ran = _check_two_bar_step(st, passes, built)
+            # a second pass runs only after a first that found nothing
+            assert all(found is False for _, found in ran[:-1])
+            seen.add((len(ran), ran[-1][1]))
+    assert {(1, True), (2, True), (2, "raised"), (2, False)} <= seen
+
+
+@pytest.mark.parametrize("n", (6, 8, 12, 16, 30, 64))
+def test_the_first_bar_is_the_winners_score(n, monkeypatch):
+    # The exponent law (criterion 5): on a member's descent the winner
+    # scores exactly the smallest row max, so one pass, at that bar, finds
+    # it on every step and no pass at max - 1 follows.
+    ctx = make_context(n)
+    passes, _ = _spy_passes(monkeypatch)
+    steps = 0
+    for seed in range(3):
+        st = _as_step(bloch(random_unitary(ctx, 24 if n < 64 else 8, 640 + seed)[0]))
+        while is_signed_permutation(st) is None:
+            passes.clear()
+            q, b = axis_detect(st)
+            assert passes == [[min(st.row_max), True]]
+            nxt = st.rotated(AXES.index(q), b)
+            assert max(nxt.row_max) == min(st.row_max)
+            st = nxt
+            steps += 1
+    assert steps >= 6
+
+
+@pytest.mark.parametrize("n, tcount, bound", [(64, 100, 450), (1024, 15, 300)])
+def test_the_first_bar_cuts_parity_reads(n, tcount, bound, monkeypatch):
+    # Candidates scored against the winner's score, not max - 1, read fewer
+    # parity masks: over seeds 0-2, 749 reads with the one bar against 289
+    # with the two at n = 64, and 2,170 against 48 at n = 1024.
+    ctx = make_context(n)
+    us = [random_unitary(ctx, tcount, seed)[0] for seed in range(3)]
+    reads, multiplicity = [0], Context.parity_multiplicity
+
+    def counted(ctx, mask):
+        reads[0] += 1
+        return multiplicity(ctx, mask)
+
+    monkeypatch.setattr(Context, "parity_multiplicity", counted)
+    for u in us:
+        assert canonical_form(u).tcount() == tcount
+    assert 0 < reads[0] <= bound
 
 
 def _parity_mask(coeffs, shift=0):

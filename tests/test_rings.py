@@ -49,10 +49,12 @@ def test_adding_zero_returns_the_other_term():
 @pytest.mark.parametrize("ma, mb", [(0, 0), (2, 2), (0, 1), (3, 1)])
 def test_ring_arithmetic_rejects_mixed_contexts(ma, mb):
     # n = 4 and n = 8 numerators have 2 and 4 coefficients: a sum over a
-    # common 2^m must raise CycInt's error, not add the shorter tuple in
+    # common 2^m must raise CycInt's error, not add the shorter tuple in,
+    # and a zero term, which is returned without scaling, must raise it too
     ctx4, ctx8 = make_context(4), make_context(8)
     a, b = RingElem(ctx4.one(), ma), RingElem(ctx8.one(), mb)
-    for x, y in ((a, b), (b, a)):
+    za, zb = RingElem.zero(ctx4), RingElem.zero(ctx8)
+    for x, y in ((a, b), (b, a), (a, zb), (zb, a), (za, b), (b, za), (za, zb), (zb, za)):
         for op in (operator.add, operator.sub):
             with pytest.raises(ValueError, match="mixed contexts: n=%d vs n=%d"
                                % (x.ctx.n, y.ctx.n)):
