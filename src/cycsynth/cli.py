@@ -332,6 +332,18 @@ def cmd_random(args, out) -> int:
     return 0
 
 
+def _bounded_int(even: bool):
+    """An argparse type: an int of at least 1, even if asked; anything else
+    is a usage error (exit 2), naming the bound."""
+    def integer(text: str) -> int:
+        val = int(text)
+        if val < 1 or even and val % 2:
+            raise argparse.ArgumentTypeError("must be %s, got %r" % (
+                "a positive even integer" if even else "an integer >= 1", text))
+        return val
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cycsynth",
@@ -340,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_n(p, required=True):
-        p.add_argument("--n", type=int, required=required,
+        p.add_argument("--n", type=_bounded_int(even=True), required=required,
                        help="gate-set parameter (positive even integer)")
 
     p = sub.add_parser("synth", help="optimal circuit for a matrix JSON")
@@ -348,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="matrix JSON file, '-' for stdin; JSONL for batches")
     p.add_argument("--output", default=None)
     p.add_argument("--method", choices=("optimal", "ring"), default="optimal")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_bounded_int(even=False), default=1,
                    help="parallel workers for batch input (--method optimal only; "
                         "--method ring runs serially)")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -222,6 +222,9 @@ class Context:
         self.fold_q = tuple(-c for c in self.phi_poly[:-1:self.ram_index])
         self.supports_valuation = n in VALUATION_NS
         self._memo: dict = {}
+        # parity_multiplicity's results by mask, 255 until read, for a ring
+        # of degree up to 16 (at most 64 KiB)
+        self._parity_table = bytearray(b"\xff") * (1 << self.degree) if self.degree <= 16 else None
 
     def memo(self, key, build):
         """The value stored under key, or build() stored there on first use.
@@ -251,13 +254,24 @@ class Context:
         k steps h ^= (h >> s 2^t) & M_t compute it in lane r + s j of every
         h_r at once; so v is the index of the lowest set bit over s.  For
         s = 1, g = 1 and h is the mask.
+
+        A ring of degree phi(2n) <= 16 keeps v (< 2^k <= 16) in a table of
+        one byte per mask, filled as masks are first read.
         """
+        table = self._parity_table
+        if table is not None:
+            v = table[mask]
+            if v != 255:
+                return v
         h = 0
         for shift in self.mult_shifts:
             h ^= mask << shift
         for step, lanes in self.subset_steps:
             h ^= (h >> step) & lanes
-        return ((h & -h).bit_length() - 1) // self.s
+        v = ((h & -h).bit_length() - 1) // self.s
+        if table is not None:
+            table[mask] = v
+        return v
 
     def lanes(self, width: int | None = None) -> "Lanes":
         """The lane table of width bits, by default the narrowest,

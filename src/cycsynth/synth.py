@@ -24,11 +24,12 @@ scores, and only if nothing gets to it, one below the current max, which
 no winner can reach: an axis whose kept row sits above the bar gets no
 scan, and every other candidate is cut once it provably passes it
 (axis_detect).  The descent carries its state from step to step (_Step):
-each entry as lanes over its 2^m, and each row's max exponent, read off
-the low plane of the entries' lanes.  A step
+each entry as lanes over its 2^m, and each row's max exponent.  A step
 rewrites two rows and keeps row q, so it reads only the six new entries,
-and it builds them once, on lanes, from the pencils and entries the
-winning scan already holds (all six at n = 4); no lane ever wraps, as
+and it reads each once: a score keeps one running max per new row, and
+the step takes the winner's pair of row maxima from it.  It builds the
+six entries once, on lanes, from the pencils and entries the winning
+scan already holds (all six at n = 4); no lane ever wraps, as
 each step widens its lanes when a shifted numerator or a new entry leaves
 the headroom.  A step builds no ring element: the descent starts from the
 lane entries of the Bloch image (so3, products on lanes), reads the final
@@ -56,8 +57,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from .cyclo import Context, CycInt, Lanes, make_context
 from .errors import IntegrityError, NotReducibleError, PhaseNotInRingError
@@ -137,31 +136,33 @@ class MembershipResult:
 # -- descent ------------------------------------------------------------------
 
 
-def _entries_max(lanes: Lanes, val: int, entries, cutoff):
-    """The max of val and the denominator exponents of the lane entries
-    (p, m), or None once it provably exceeds cutoff (math.inf for none).
-    A normalized entry with m > 0 has an odd lane, so its parity mask is
-    its low plane; it is read only where the bracket on m reaches above
-    the running max and is not exact.  entries may be lazy: none past the
-    one that exceeds cutoff is taken."""
+def _entries_max(lanes: Lanes, vals: list, entries, cutoff):
+    """vals, the running max of each row, raised in place to the
+    denominator exponents of the lane entries (r, (p, m)) of row r, or None
+    once one provably exceeds cutoff (math.inf for none).  A normalized
+    entry with m > 0 has an odd lane, so its parity mask is its low plane;
+    it is read only where the bracket on m reaches above its row's max and
+    is not exact.  entries may be lazy: none past the one that exceeds
+    cutoff is taken."""
     ctx = lanes.ctx
-    for p, m in entries:
+    for r, (p, m) in entries:
+        val = vals[r]
         lo, hi = _exp_bounds(ctx, m)  # (0, 0) for zero
         if hi <= val:
             continue
         if lo > cutoff:
             return None
         # an exact bracket (k = 1) needs no parity bits
-        val = hi if lo == hi else max(val, _parity_exponent(ctx, m, lanes.low_plane(p)))
+        val = vals[r] = hi if lo == hi else max(val, _parity_exponent(ctx, m, lanes.low_plane(p)))
         if val > cutoff:
             return None
-    return val
+    return vals
 
 
 def _row_max(lanes: Lanes, row) -> int:
     """Max denominator exponent of a row of lane entries, 0 for a row of
     integral entries."""
-    return _entries_max(lanes, 0, row, math.inf)
+    return _entries_max(lanes, [0], ((0, e) for e in row), math.inf)[0]
 
 
 def exponent_profile(m: Rotation) -> tuple[int, tuple[int, int, int]]:
@@ -272,16 +273,18 @@ class _EntryScan:
     lanes, as elements of Z[x]/(x^n + 1), which maps onto Z[zeta_2n] since
     zeta^n = -1; there zeta^c is a lane rotation that negates the lanes it
     wraps.  What is built is kept, by (entry, b), so that the rotation to
-    the winning candidate (pair) builds only the entries still missing.
+    the winning candidate (pair) builds only the entries still missing,
+    and so are the new rows' maxima of a candidate that gets through its
+    score (maxes), so that the rotation reads no exponent again.
     axis_detect scores an axis of one candidate (n = 4) so, reading no
     plane, and an axis of several on planes (_PlaneScan).
     """
 
-    __slots__ = ("qi", "ctx", "half", "shift", "lanes", "pencils", "built")
+    __slots__ = ("qi", "ctx", "half", "shift", "lanes", "pencils", "built", "maxes")
 
     def __init__(self, st: "_Step", qi: int):
         i1, i2 = _OTHER_ROWS[qi]
-        self.ctx, self.qi, self.built = st.ctx, qi, {}
+        self.ctx, self.qi, self.built, self.maxes = st.ctx, qi, {}, {}
         self.half = st.ctx.n // 2
         self.shift = _SIGMA[qi] * self.half
         self.lanes, self.pencils = _lane_pencils(st.lanes, st.ent[i1], st.ent[i2], self.shift)
@@ -290,34 +293,42 @@ class _EntryScan:
         """Lane entries (i1, j) and (i2, j) of candidate b: the ones already
         built, else, for A = zeta^b Z_j and B = zeta^-b conj(Z_j),
         (A + B) / 2^(M+1) and zeta^shift (A - B) / 2^(M+1), as
-        zeta^-shift = -zeta^shift."""
+        zeta^-shift = -zeta^shift, built and kept (entry, if one alone)."""
         built = self.built
         e1, e2 = built.get((2 * j, b)), built.get((2 * j + 1, b))
-        if e1 is None or e2 is None:
+        if e1 is None and e2 is None:
             z, zbar, m = self.pencils[j]
             lanes = self.lanes
             a, c = lanes.zeta(z, b), lanes.zeta(zbar, -b)
-            if e1 is None:
-                e1 = lanes.entry(a + c, m)
-            if e2 is None:
-                e2 = lanes.entry(lanes.zeta(a - c, self.shift), m)
+            e1 = built[2 * j, b] = lanes.entry(a + c, m)
+            e2 = built[2 * j + 1, b] = lanes.entry(lanes.zeta(a - c, self.shift), m)
+        elif e1 is None:
+            e1 = self.entry(2 * j, b)
+        elif e2 is None:
+            e2 = self.entry(2 * j + 1, b)
         return e1, e2
 
-    def built_entries(self, b: int):
-        """The six lane entries of candidate b, built from the pencils a
-        column at a time (pair) and kept, lazily: a cutoff in
-        _entries_max builds no column past the one that exceeds it."""
-        built = self.built
-        for j in range(3):
-            e1, e2 = built[2 * j, b], built[2 * j + 1, b] = self.pair(j, b)
-            yield e1
-            yield e2
+    def entry(self, e: int, b: int) -> tuple[int, int]:
+        """Lane entry e of candidate b, Re(zeta^c Z) = (zeta^c Z + zeta^-c
+        conj(Z)) / 2^(M+1), built and kept."""
+        z, zbar, m = self.pencils[e >> 1]
+        c = b + (self.shift if e & 1 else 0)
+        lanes = self.lanes
+        x = self.built[e, b] = lanes.entry(lanes.zeta(z, c) + lanes.zeta(zbar, -c), m)
+        return x
 
     def score(self, b: int, floor: int, cutoff):
         """The exact max denominator exponent of floor and the nonzero
-        entries of candidate b, or None once it provably exceeds cutoff
-        (_entries_max on its built entries)."""
-        return _entries_max(self.lanes, floor, self.built_entries(b), cutoff)
+        entries of candidate b, or None once it provably exceeds cutoff:
+        _entries_max over the new rows (entry 2 j + r in row r), built a
+        column at a time (pair), none past the one that exceeds cutoff.
+        The rows' maxima are kept under b (maxes)."""
+        vals = _entries_max(self.lanes, [0, 0], (
+            (r, e) for j in range(3) for r, e in enumerate(self.pair(j, b))), cutoff)
+        if vals is None:
+            return None
+        self.maxes[b] = vals
+        return max(floor, *vals)
 
 
 class _PlaneScan(_EntryScan):
@@ -339,7 +350,7 @@ class _PlaneScan(_EntryScan):
     denominator exponent m - t and parity mask, hence its exact exponent
     (rings._parity_exponent).  Entries with t >= 2 (or zero) are bounded by
     m - 2 and built in full from the pencils (entry) only when that bound
-    reaches above the running max, and kept for the rotation (_EntryScan).
+    reaches above its row's running max, and kept for the rotation.
     """
 
     __slots__ = ("full", "mask", "zh", "zl", "wh", "wl", "entries", "fold", "fold_shift",
@@ -384,47 +395,46 @@ class _PlaneScan(_EntryScan):
             h, l = h ^ xh ^ (l & xl), l ^ xl
         return h, l
 
-    def entry(self, e: int, b: int) -> tuple[int, int]:
-        """Lane entry e of candidate b, Re(zeta^c Z) = (zeta^c Z + zeta^-c
-        conj(Z)) / 2^(M+1), built and kept."""
-        z, zbar, m = self.pencils[e >> 1]
-        c = b + (self.shift if e & 1 else 0)
-        lanes = self.lanes
-        x = self.built[e, b] = lanes.entry(lanes.zeta(z, c) + lanes.zeta(zbar, -c), m)
-        return x
-
     def score(self, b: int, floor: int, cutoff):
         """The exact max denominator exponent of floor and the nonzero
         entries of candidate b, or None once it provably exceeds cutoff
-        (math.inf for none).  An entry's parity bits are read only when
-        its bracket reaches above the running max, and an entry read from
-        no plane is built (entry) only when its bound does."""
-        val = floor
-        if val > cutoff:
+        (math.inf for none), with a running max per new row (entry 2 j + r
+        in row r), kept under b (maxes).  An entry's parity bits are read
+        only when its bracket reaches above its row's max, and an entry read
+        from no plane is built (entry) only when its bound does."""
+        if floor > cutoff:
             return None
         h, l = self.residues(b)
         full, ctx = self.full, self.ctx
-        deferred = []
+        vals, deferred = [0, 0], []
         for off, m, e, bounds in self.entries:
+            r = e & 1
             mask = (l >> off) & full
             t = 0
             if not mask:
                 mask = (h >> off) & full
                 t = 1
                 if not mask:
-                    if bounds[2][1] > val:
-                        deferred.append(e)
+                    if bounds[2][1] > vals[r]:
+                        deferred.append((e, bounds[2][1]))
                     continue
             lo, hi = bounds[t]
+            val = vals[r]
             if hi <= val:
                 continue
             if lo > cutoff:
                 return None
             # an exact bracket (k = 1) needs no parity bits
-            val = hi if lo == hi else max(val, _parity_exponent(ctx, m - t, mask))
+            val = vals[r] = hi if lo == hi else max(val, _parity_exponent(ctx, m - t, mask))
             if val > cutoff:
                 return None
-        return _entries_max(self.lanes, val, (self.entry(e, b) for e in deferred), cutoff)
+        # a deferred entry's bound is checked again as its row's max rises
+        if deferred and _entries_max(self.lanes, vals, (
+                (e & 1, self.entry(e, b)) for e, top in deferred if top > vals[e & 1]),
+                cutoff) is None:
+            return None
+        self.maxes[b] = vals
+        return max(floor, *vals)
 
 
 class _Step(Rotation):
@@ -434,9 +444,10 @@ class _Step(Rotation):
     axis_detect has run on it, the scan of the winning axis.
 
     R_q^(-b) leaves row q as it is, so rotated() carries that row's
-    entries and max to the next step and reads only the six new entries,
-    which it takes from the winning scan (_EntryScan.pair): all six as
-    built at n = 4, where the scan scored its candidate on them.  It
+    entries and max to the next step and takes the six new entries from
+    the winning scan (_EntryScan.pair): all six as built at n = 4, where
+    the scan scored its candidate on them.  It reads no exponent of them
+    again: the new rows' maxima are the ones the winner's score kept.  It
     builds no RingElem.  When a new entry leaves the headroom, the step's
     lanes double.  The matrix (rows) is unpacked from the lanes only when
     something reads it; the descent reads only signed_perm_key, off the
@@ -469,7 +480,8 @@ class _Step(Rotation):
     def rotated(self, qi: int, b: int) -> "_Step":
         """The step R_q^(-b) M for q = AXES[qi], its new rows from the scan
         of axis qi that axis_detect kept, else from a new one; only entries
-        that scan has not built are built."""
+        that scan has not built are built.  The new rows' maxima are those
+        its score of b kept, read (_row_max) only if it never scored b."""
         scan = self.scan
         if scan is None or scan.qi != qi:
             scan = _EntryScan(self, qi)
@@ -477,15 +489,20 @@ class _Step(Rotation):
         lanes, ent = scan.lanes, list(self.ent)
         if lanes is not self.lanes:  # the scan widened them for its pencils
             ent[qi] = _repacked(self.lanes, lanes, [ent[qi]])[0]
-        row_max = list(self.row_max)
+        row_max, maxes = list(self.row_max), scan.maxes.get(b)
         for r, i in enumerate(_OTHER_ROWS[qi]):
             ent[i] = row = [p[r] for p in pairs]
-            row_max[i] = _row_max(lanes, row)
+            row_max[i] = _row_max(lanes, row) if maxes is None else maxes[r]
         # a new entry that leaves the headroom doubles the step's lanes
-        while reduce(or_, (p + lanes.room for row in ent for p, _ in row)) & lanes.roomy_top:
+        while True:
+            room, top = lanes.room, 0
+            for row in ent:
+                for p, _ in row:
+                    top |= p + room
+            if not top & lanes.roomy_top:
+                return _Step(lanes, ent, tuple(row_max))
             wide = self.ctx.lanes(2 * lanes.width)
             ent, lanes = _repacked(lanes, wide, ent), wide
-        return _Step(lanes, ent, tuple(row_max))
 
 
 def _as_step(m: Rotation) -> _Step:
@@ -519,17 +536,17 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     At n = 4 each axis has one candidate, b = 1: its six entries are built
     so from the pencils, a column at a time, and scored on their exponents
     against the same floor and bar (_EntryScan.score, by _entries_max);
-    the rotation takes them as built.  For n >= 6 the rotations and adds
+    the rotation takes them, and their rows' maxima, as scored.  For n >= 6 the rotations and adds
     run on the numerators mod 4 as two bitmask planes, read per axis off
     the lanes of its pencils, one read per side of the three pencils packed
     into one int, and reduced mod Phi_2n per candidate (_PlaneScan): an
     entry N / 2^m with an odd coefficient in N or N / 2 (2-adic drop
     t <= 1) gets its exact exponent from its planes, and only an entry with
     t >= 2, or zero, is built in full, when its bound m - 2 reaches above
-    the running max.  The lane entries and row maxima come from the
+    its row's running max.  The lane entries and row maxima come from the
     descent's step state (_Step), which canonical_form carries from step to
-    step; a plain Rotation is read in full first, and the winning scan is
-    kept on the step for the rotation.
+    step; a plain Rotation is read in full first, and the winning scan, with
+    the row maxima of what it scored, is kept on the step for the rotation.
     A candidate is dropped as soon as its exponent provably exceeds the
     bar, then the best seen (entry exponents are bracketed by the
     power-of-two denominator before any parity bits are read), and an axis

@@ -191,6 +191,27 @@ def test_synth_wrong_n_flag(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["synth", "--n", "8", "--jobs", "0"], "--jobs: must be an integer >= 1"),
+    (["synth", "--n", "8", "--jobs", "-3"], "--jobs: must be an integer >= 1"),
+    (["member", "--n", "7"], "--n: must be a positive even integer"),
+    (["synth", "--n", "0"], "--n: must be a positive even integer"),
+    (["tcount", "--n", "-8"], "--n: must be a positive even integer"),
+])
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv, bound):
+    # --jobs below 1 and an --n that is not a positive even integer are
+    # turned away when the arguments are parsed, with exit 2 and a message
+    # naming the bound: not run serially, and not reported as a mismatch
+    # with the n of the input, an n = 8 batch.
+    path = tmp_path / "batch.jsonl"
+    ctx = make_context(8)
+    path.write_text("".join(json.dumps(matrix_to_json(random_unitary(ctx, 3, seed)[0])) + "\n"
+                            for seed in range(2)))
+    code, out = run_cli(argv + ["--input", str(path)])
+    assert code == 2 and out == ""
+    assert bound in capsys.readouterr().err
+
+
 def test_mismatched_n_is_rejected_before_its_context_is_built(tmp_path, capsys):
     # Context(2018) alone takes about half a second and tens of MB, and the
     # cost grows quadratically in n, so a short input line must not build one,

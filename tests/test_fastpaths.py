@@ -515,13 +515,28 @@ def _check_one_candidate_step(st, calls):
     assert scan.qi == qi and scan.lanes.width == fresh.lanes.width
     assert [scan.built[e, 1] for e in range(6)] == [x for pair in pairs for x in pair]
     calls["entry"].clear()
+    calls["row_max"].clear()
     nxt = st.rotated(qi, 1)
     assert calls["entry"] == []
     for r, i in enumerate(_OTHER_ROWS[qi]):
         assert [(nxt.lanes.unpack(p), m) for p, m in nxt.ent[i]] == \
             [(fresh.lanes.unpack(pair[r][0]), pair[r][1]) for pair in pairs]
     assert nxt == reference_rotate(st, qi, 1)
+    _check_carried_maxima(st, qi, 1, nxt, calls["row_max"])
     return nxt
+
+
+def _check_carried_maxima(st, qi, b, nxt, reads):
+    """nxt = st.rotated(qi, b) after axis_detect, with reads, the rows
+    synth._row_max read, cleared before it: the new rows' maxima are the
+    ones the winner's score kept, so no _row_max ran, and they equal a fresh
+    read entry by entry (reference_exponent_profile).  A step whose scan
+    never scored b (a plain matrix, so a new scan) reads both new rows with
+    _row_max and gets the same maxima."""
+    assert reads == [] and nxt.row_max == reference_exponent_profile(nxt)[1]
+    fresh = _as_step(Rotation(st.ctx, st.rows, check=False))
+    reads.clear()
+    assert fresh.rotated(qi, b).row_max == nxt.row_max and len(reads) == 2
 
 
 def _s_symmetrized(rows):
@@ -546,12 +561,14 @@ def test_one_candidate_axes_are_built_like_the_plane_scan_scores_them(monkeypatc
     # the z axis may still win); and products of generators with an axis
     # repeated.
     ctx = make_context(4)
-    calls = {"planes": [], "entry": []}
-    planes, entry = cyclo.Lanes.planes, cyclo.Lanes.entry
+    calls = {"planes": [], "entry": [], "row_max": []}
+    planes, entry, row_max = cyclo.Lanes.planes, cyclo.Lanes.entry, synth._row_max
     monkeypatch.setattr(cyclo.Lanes, "planes", lambda lanes, p, count=None:
                         calls["planes"].append(count) or planes(lanes, p, count))
     monkeypatch.setattr(cyclo.Lanes, "entry", lambda lanes, p, m:
                         calls["entry"].append(m) or entry(lanes, p, m))
+    monkeypatch.setattr(synth, "_row_max", lambda lanes, row:
+                        calls["row_max"].append(row) or row_max(lanes, row))
     steps = 0
     for tcount in (1, 2, 10, 50, 200):
         for seed in range(20):
@@ -585,9 +602,11 @@ def test_one_candidate_axes_are_built_like_the_plane_scan_scores_them(monkeypatc
 
 def _spy_passes(monkeypatch):
     """A list that collects, per synth._detect call, [bar, found]: found
-    True or False as the pass returned a winner or None, or "raised"; and
-    one that collects the axis of every _PlaneScan built."""
+    True or False as the pass returned a winner or None, or "raised"; one
+    that collects the axis of every _PlaneScan built; and one that collects
+    every row synth._row_max reads."""
     passes, built, detect, init = [], [], synth._detect, _PlaneScan.__init__
+    reads, row_max = [], synth._row_max
 
     def counted(st, row_max, axis_order, half, bar, scans):
         passes.append([bar, "raised"])
@@ -601,16 +620,19 @@ def _spy_passes(monkeypatch):
 
     monkeypatch.setattr(synth, "_detect", counted)
     monkeypatch.setattr(_PlaneScan, "__init__", counted_init)
-    return passes, built
+    monkeypatch.setattr(synth, "_row_max", lambda lanes, row:
+                        reads.append(row) or row_max(lanes, row))
+    return passes, built, reads
 
 
-def _check_two_bar_step(st, passes, built):
+def _check_two_bar_step(st, passes, built, reads):
     """axis_detect on a step at n >= 6 against plane_axis_detect, the scan
     with the one bar max - 1: the same (axis, b) or the same
     NotReducibleError text, with no axis's scan built twice.  On a winner,
     the kept scan's six entries of the winning candidate equal a fresh
-    scan's.  Returns the next step, else None, and the passes axis_detect
-    ran (_spy_passes)."""
+    scan's, and the rotation carries the winner's row maxima
+    (_check_carried_maxima).  Returns the next step, else None, and the
+    passes axis_detect ran (_spy_passes)."""
     def outcome(detect):
         try:
             return detect(st)
@@ -627,7 +649,10 @@ def _check_two_bar_step(st, passes, built):
     scan, fresh = st.scan, _PlaneScan(st, qi)
     assert scan.qi == qi and scan.lanes.width == fresh.lanes.width
     assert [scan.pair(j, b) for j in range(3)] == [fresh.pair(j, b) for j in range(3)]
-    return st.rotated(qi, b), list(passes)
+    reads.clear()
+    nxt = st.rotated(qi, b)
+    _check_carried_maxima(st, qi, b, nxt, reads)
+    return nxt, list(passes)
 
 
 @pytest.mark.parametrize("n", [n for n in EXPONENT_NS if n >= 6] + [90, 128, 512, 1024])
@@ -637,13 +662,13 @@ def test_two_bar_scan_picks_what_the_one_bar_scan_picks(n, monkeypatch):
     # first pass's scans; on every step of member descents it picks what
     # the scan with the one bar max - 1 picks
     ctx = make_context(n)
-    passes, built = _spy_passes(monkeypatch)
+    passes, built, reads = _spy_passes(monkeypatch)
     tcount = {32: 12, 64: 8}.get(n, 24 if n < 64 else 6)
     steps = 0
     for seed in range(3):
         st = _as_step(bloch(random_unitary(ctx, tcount, 610 + seed)[0]))
         while is_signed_permutation(st) is None:
-            st, _ = _check_two_bar_step(st, passes, built)
+            st, _ = _check_two_bar_step(st, passes, built, reads)
             steps += 1
     assert steps >= 6
 
@@ -657,7 +682,7 @@ def test_two_bar_scan_rejects_and_ties_like_the_one_bar_scan(monkeypatch):
     # the one-bar scan does, and every error text is the one-bar scan's.
     from test_synth import _infinite_order_unit
 
-    passes, built = _spy_passes(monkeypatch)
+    passes, built, reads = _spy_passes(monkeypatch)
     crafted = []
     for n in (14, 28):
         ctx = make_context(n)
@@ -678,7 +703,7 @@ def test_two_bar_scan_rejects_and_ties_like_the_one_bar_scan(monkeypatch):
     for m in crafted:
         st = _as_step(m)
         while st is not None and is_signed_permutation(st) is None:
-            st, ran = _check_two_bar_step(st, passes, built)
+            st, ran = _check_two_bar_step(st, passes, built, reads)
             # a second pass runs only after a first that found nothing
             assert all(found is False for _, found in ran[:-1])
             seen.add((len(ran), ran[-1][1]))
@@ -691,7 +716,7 @@ def test_the_first_bar_is_the_winners_score(n, monkeypatch):
     # scores exactly the smallest row max, so one pass, at that bar, finds
     # it on every step and no pass at max - 1 follows.
     ctx = make_context(n)
-    passes, _ = _spy_passes(monkeypatch)
+    passes, _, _ = _spy_passes(monkeypatch)
     steps = 0
     for seed in range(3):
         st = _as_step(bloch(random_unitary(ctx, 24 if n < 64 else 8, 640 + seed)[0]))
@@ -723,6 +748,32 @@ def test_the_first_bar_cuts_parity_reads(n, tcount, bound, monkeypatch):
     for u in us:
         assert canonical_form(u).tcount() == tcount
     assert 0 < reads[0] <= bound
+
+
+@pytest.mark.parametrize("n, bound", [(4, 1250), (8, 1165), (12, 480), (16, 980), (64, 250)])
+def test_carried_row_maxima_cut_exponent_reads(n, bound, monkeypatch):
+    # Each exponent of a step is read once: a score keeps one running max
+    # per new row, and the rotation takes the winner's instead of reading
+    # both new rows again.  Over seeds 0-2 at T-count 100, parity reads fall
+    # from 1,398 to 1,098 at n = 4, 1,332 to 998 at n = 8, 537 to 429 at
+    # n = 12, 1,172 to 794 at n = 16 and 289 to 218 at n = 64; _row_max
+    # reads only each descent's first three rows, those of the Bloch image
+    # (609 calls at n = 4 when the rotation read its new rows).
+    ctx = make_context(n)
+    us = [random_unitary(ctx, 100, seed)[0] for seed in range(3)]
+    reads, rows = [0], []
+    multiplicity, row_max = Context.parity_multiplicity, synth._row_max
+
+    def counted(ctx, mask):
+        reads[0] += 1
+        return multiplicity(ctx, mask)
+
+    monkeypatch.setattr(Context, "parity_multiplicity", counted)
+    monkeypatch.setattr(synth, "_row_max", lambda lanes, row:
+                        rows.append(row) or row_max(lanes, row))
+    for u in us:
+        assert canonical_form(u).tcount() == 100
+    assert 0 < reads[0] <= bound and len(rows) == 3 * len(us)
 
 
 def _parity_mask(coeffs, shift=0):
@@ -760,6 +811,33 @@ def test_mod2_multiplicity_matches_carry_less_reference(n):
         if any(c & 1 for c in x.coeffs):
             assert ctx.parity_multiplicity(_parity_mask(x.coeffs)) == gf2_multiplicity(
                 x.coeffs, ctx.s)
+
+
+# every n whose ring has degree phi(2n) <= 16
+PARITY_TABLE_NS = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 24, 30)
+
+
+@pytest.mark.parametrize("n", PARITY_TABLE_NS)
+def test_parity_table_matches_the_reference_on_every_mask(n):
+    # A ring of degree phi(2n) <= 16 keeps parity_multiplicity's result per
+    # mask in a table, filled as masks are first read: a fresh context has
+    # none filled, and every nonzero mask reads the GF(2) division
+    # reference on its first read, a miss that runs the fold, and again on
+    # its second, from the table.
+    ctx = Context(n)
+    size = 1 << ctx.degree
+    assert len(ctx._parity_table) == size and set(ctx._parity_table) == {255}
+    want = [gf2_multiplicity([mask >> i & 1 for i in range(ctx.degree)], ctx.s)
+            for mask in range(1, size)]
+    assert [ctx.parity_multiplicity(mask) for mask in range(1, size)] == want
+    assert list(ctx._parity_table[1:]) == want
+    assert [ctx.parity_multiplicity(mask) for mask in range(1, size)] == want
+
+
+def test_only_rings_of_degree_at_most_16_keep_a_parity_table():
+    contexts = [Context(n) for n in range(2, 257, 2)]
+    assert [ctx.n for ctx in contexts if ctx.degree <= 16] == list(PARITY_TABLE_NS)
+    assert [ctx.n for ctx in contexts if ctx._parity_table is not None] == list(PARITY_TABLE_NS)
 
 
 @pytest.mark.parametrize("n", (4, 6, 8, 12, 30))

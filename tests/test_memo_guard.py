@@ -2,7 +2,8 @@
 
 Any module but cyclo.py that reaches into the store behind it (or brings
 back a private per-context cache dict) fails here, so a second cache
-mechanism cannot grow next to the first.  Likewise the denominator
+mechanism cannot grow next to the first; so does any code but Context's
+that reads parity_multiplicity's table of multiplicities by mask.  Likewise the denominator
 exponent has one home, rings, which alone reads parity bits for it, the
 descent has one candidate scan for every n, and the gate kernel, the
 descent step and the column step run on packed lanes, where the descent
@@ -28,9 +29,12 @@ def test_only_cyclo_touches_the_per_context_store():
     offenders = []
     for path in modules:
         text = path.read_text()
-        if path.name != "cyclo.py" and ("._memo" in text or "._cache" in text):
+        if path.name != "cyclo.py" and any(
+                store in text for store in ("._memo", "._cache", "._parity_table")):
             offenders.append(path.name)
     assert offenders == []
+    cyclo_text = (SRC / "cyclo.py").read_text()
+    assert "._parity_table" not in cyclo_text[cyclo_text.index("class Lanes"):]
 
 
 def test_rings_is_the_one_home_of_the_denominator_exponent():
