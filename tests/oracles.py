@@ -35,7 +35,9 @@ products, the gate kernel one line at a time, on CycInt numerators and
 on single-line lanes, as before it took a matrix's two lines in one pass,
 the lane conjugate on a tuple of its lanes, as before it reversed
 them in their bytes, two ring elements over their common denominator as
-CycInts, and lanes re-laned through a coefficient tuple.
+CycInts, lanes re-laned through a coefficient tuple, and the descent
+that scores every candidate at its step's bar and raises on a tie, as
+before it stopped at its first winner.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from cycsynth import (
     UnitaryRn,
     base_case_column,
     complete_unitary,
+    is_signed_permutation,
 )
 from cycsynth.cyclo import two_adic
 from cycsynth.rings import _beta_exp_r, _common_numerators, _exp_bounds, mu
@@ -854,6 +857,32 @@ def plane_axis_detect(m):
     if tie:
         raise NotReducibleError("minimal candidate is not unique")
     return best
+
+
+def checked_descent(m):
+    """canonical_form's descent of the Bloch matrix m, as before it stopped
+    at its first winner: each step's (axis, b) from plane_axis_detect,
+    which scores every candidate at or under its one bar and raises on a
+    tie, and a stuck step's error named by its step and max exponent, with
+    step and row_max as attributes.  Returns (axes, exponents, residual)
+    of a descent that reaches a Clifford."""
+    st = _as_step(m)
+    axes, exps = [], []
+    while True:
+        residual = is_signed_permutation(st)
+        if residual is not None:
+            return axes, exps, residual
+        try:
+            q, b = plane_axis_detect(st)
+            if axes and axes[-1] == q:
+                raise NotReducibleError("descent produced adjacent repeated axes")
+        except NotReducibleError as exc:
+            raise NotReducibleError("step %d (max exponent %d): %s"
+                                    % (len(axes), max(st.row_max), exc),
+                                    step=len(axes), row_max=st.row_max) from None
+        axes.append(q)
+        exps.append(b)
+        st = st.rotated(AXES.index(q), b)
 
 
 def per_column_scan_planes(scan):

@@ -326,13 +326,19 @@ def test_member_command_positive(tmp_path):
     assert code == 0 and out.splitlines()[0] == "Member"
 
 
-def _non_member_json():
-    from cycsynth import RingElem, UnitaryRn
+def _non_member_json(n=14, peeled=0):
+    """The diagonal non-member of test_synth at n, behind the canonical
+    product U_y(3) U_z(2) U_x(1) cut to its last `peeled` factors, which
+    the descent peels before it sticks."""
+    from cycsynth import RingElem, UnitaryRn, u_axis
     from test_synth import _infinite_order_unit
 
-    ctx = make_context(14)
+    ctx = make_context(n)
     one, zero = RingElem.one(ctx), RingElem.zero(ctx)
-    return matrix_to_json(UnitaryRn(ctx, ((one, zero), (zero, _infinite_order_unit(ctx)))))
+    u = UnitaryRn(ctx, ((one, zero), (zero, _infinite_order_unit(ctx))))
+    for p, a in reversed((("y", 3), ("z", 2), ("x", 1))[3 - peeled:]):
+        u = u_axis(ctx, p, 1, a) @ u
+    return matrix_to_json(u)
 
 
 STUCK = "step 0 (max exponent 2): no candidate strictly reduces the exponent"
@@ -343,6 +349,25 @@ def test_member_command_negative(tmp_path):
     path.write_text(json.dumps(_non_member_json()))
     code, out = run_cli(["member", "--n", "14", "--input", str(path)])
     assert code == 1 and out == "NotMember (descent: %s)\n" % STUCK
+
+
+@pytest.mark.parametrize("n, peeled, top", [(14, 0, 2), (14, 3, 2), (28, 0, 4), (28, 1, 4),
+                                            (28, 3, 4)])
+def test_stuck_descent_output_names_its_step(tmp_path, capsys, n, peeled, top):
+    # every command that runs the descent prints the stuck step's error as
+    # it is, with the step counted by the rotations peeled before it
+    stuck = "step %d (max exponent %d): no candidate strictly reduces the exponent" % (peeled, top)
+    path = tmp_path / "nm.json"
+    path.write_text(json.dumps(_non_member_json(n, peeled)))
+    args = ["--n", str(n), "--input", str(path)]
+    assert run_cli(["member"] + args) == (1, "NotMember (descent: %s)\n" % stuck)
+    code, out = run_cli(["member", "--format", "json"] + args)
+    assert (code, json.loads(out)) == (1, {"circuit": None, "member": False,
+                                           "reason": "descent: " + stuck})
+    for command in ("synth", "tcount"):
+        capsys.readouterr()
+        assert run_cli([command] + args) == (1, "")
+        assert capsys.readouterr().err == "error: entry 1: %s\n" % stuck
 
 
 @pytest.mark.parametrize("argv, stdout", [

@@ -82,6 +82,7 @@ from cycsynth.synth import (
 )
 from oracles import (
     chain_beta_exponent,
+    checked_descent,
     dense_axis_detect,
     dense_candidate_entries,
     dense_galois,
@@ -708,6 +709,60 @@ def test_two_bar_scan_rejects_and_ties_like_the_one_bar_scan(monkeypatch):
             assert all(found is False for _, found in ran[:-1])
             seen.add((len(ran), ran[-1][1]))
     assert {(1, True), (2, True), (2, "raised"), (2, False)} <= seen
+
+
+def _crafted_descents(ctx, seeds):
+    """(u, m) pairs of the crafted scan tests at ctx, m the Bloch matrix the
+    descent starts from: matrices of odd numerators and ones symmetric
+    under the half turn that swaps x and y, whose x and y candidates tie
+    (u None: no unitary has them as its Bloch image), each bare and behind
+    a member's rotations; and members with an axis repeated in their word
+    of generators, with their unitary."""
+    rng = random.Random(2900 + ctx.n)
+    crafted = []
+    for seed in range(seeds):
+        rows = _s_symmetrized(bloch(random_unitary(ctx, 1 + seed % 3, 2700 + seed)[0]).rows)
+        crafted.append(Rotation(ctx, rows, check=False))
+        odd = [[RingElem(CycInt(ctx, [2 * rng.randint(-3, 3) + 1 for _ in range(ctx.degree)]),
+                         rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+        crafted.append(Rotation(ctx, odd, check=False))
+    prefix = bloch(random_unitary(ctx, 3, 2950)[0])
+    pairs = [(None, m) for m in crafted] + [(None, prefix @ m) for m in crafted]
+    for word in ("xxy", "xxyyz", "zzzx", "yxxxz", "xyyxxz"):
+        u = UnitaryRn.identity(ctx)
+        for p in word:
+            u = u_axis(ctx, p, 1, 1) @ u
+        pairs.append((u, bloch(u)))
+    return pairs
+
+
+def test_descent_on_crafted_matrices_matches_the_checked_descent(monkeypatch):
+    # canonical_form, fed each crafted matrix as its Bloch step, raises the
+    # checked descent's error with its step and row maxima, and membership
+    # gives it as the reason; a crafted member gets the checked descent's
+    # form.  Ties, dead ends and stuck steps after peeled rotations all
+    # occur.
+    seen = set()
+    for n in (4, 6, 8, 12, 16, 30):
+        ctx = make_context(n)
+        for u, m in _crafted_descents(ctx, 10):
+            try:
+                want = synth._phased_form(u, *checked_descent(m), synth.PhaseNotInRingError)
+            except NotReducibleError as exc:
+                monkeypatch.setattr(synth, "_bloch_step", lambda u, m=m: _as_step(m))
+                with pytest.raises(NotReducibleError) as got:
+                    canonical_form(UnitaryRn.identity(ctx))
+                assert (str(got.value), got.value.step, got.value.row_max) == \
+                    (str(exc), exc.step, exc.row_max)
+                assert membership(UnitaryRn.identity(ctx)).reason == "descent: %s" % exc
+                monkeypatch.undo()
+                seen.add((str(exc).split(": ")[1], exc.step > 0))
+                continue
+            assert u is not None and canonical_form(u) == want
+            seen.add(("member", want.m > 0))
+    assert seen == {(kind, peeled) for peeled in (False, True) for kind in (
+        "no candidate strictly reduces the exponent", "minimal candidate is not unique")} | {
+        ("member", True)}
 
 
 @pytest.mark.parametrize("n", (6, 8, 12, 16, 30, 64))

@@ -324,6 +324,7 @@ def test_stuck_descent_names_its_step_and_exponent(n):
     stuck_rows = tuple(max([_beta_exp_r(e) for e in row if not e.is_zero()], default=0)
                        for row in bloch(bad).rows)
     stuck_max = max(stuck_rows)
+    assert stuck_rows == {14: (2, 2, 0), 28: (4, 4, 0)}[n]
     factors = [("y", 3), ("z", 2), ("x", 1)]
     for m in range(len(factors) + 1):
         good = UnitaryRn.identity(ctx)
