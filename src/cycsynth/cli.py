@@ -351,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_n(p, required=True):
-        p.add_argument("--n", type=_bounded_int(even=True), required=required,
+    def add_n(p):
+        p.add_argument("--n", type=_bounded_int(even=True), required=True,
                        help="gate-set parameter (positive even integer)")
 
     p = sub.add_parser("synth", help="optimal circuit for a matrix JSON")

@@ -20,16 +20,22 @@ follows from its lowest nonzero plane (_PlaneScan), the planes read off
 the low bits of the pencils' lanes in one read per side of the axis, its
 three pencils packed into one int.  Each candidate is scored against a
 bar, the smallest row max, which the paper's exponent law says the winner
-scores, and only if nothing gets to it, one below the current max, which
-no winner can reach: an axis whose kept row sits above the bar gets no
-scan, and every other candidate is cut once it provably passes it
-(axis_detect).  The descent carries its state from step to step (_Step):
-each entry as lanes over its 2^m, and each row's max exponent.  A step
-rewrites two rows and keeps row q, so it reads only the six new entries,
-and it reads each once: a score keeps one running max per new row, and
-the step takes the winner's pair of row maxima from it.  It builds the
-six entries once, on lanes, from the pencils and entries the winning
-scan already holds (all six at n = 4); no lane ever wraps, as
+scores: an axis whose kept row sits above the bar gets no scan, and every
+other candidate is cut once it provably passes it (axis_detect).  The
+descent takes the first candidate that gets to the bar and scores no
+other; a step where none does is stuck.  A descent that reaches a
+Clifford needs no tie check, for its Bloch image is then in the group,
+where each step's minimiser is unique; one that gets stuck is replayed
+with the checked scan, which scores every candidate at the bar for a tie
+and, only if nothing gets to it, scans again one below the current max,
+which no winner can reach, so that a non-member's error is the checked
+descent's (canonical_form).  The descent carries its state from step to
+step (_Step): each entry as lanes over its 2^m, and each row's max
+exponent.  A step rewrites two rows and keeps row q, so it reads only the
+six new entries, and it reads each once: a score keeps one running max
+per new row, and the step takes the winner's pair of row maxima from it.
+It builds the six entries once, on lanes, from the pencils and entries
+the winning scan already holds (all six at n = 4); no lane ever wraps, as
 each step widens its lanes when a shifted numerator or a new entry leaves
 the headroom.  A step builds no ring element: the descent starts from the
 lane entries of the Bloch image (so3, products on lanes), reads the final
@@ -275,16 +281,19 @@ class _EntryScan:
     wraps.  What is built is kept, by (entry, b), so that the rotation to
     the winning candidate (pair) builds only the entries still missing,
     and so are the new rows' maxima of a candidate that gets through its
-    score (maxes), so that the rotation reads no exponent again.
-    axis_detect scores an axis of one candidate (n = 4) so, reading no
-    plane, and an axis of several on planes (_PlaneScan).
+    score (maxes), so that the rotation reads no exponent again.  A column
+    costs three lane rotations, built whole (pair) or an entry at a time
+    (entry) in either order: an entry built alone keeps the two rotated
+    pencils its sibling is built from (turned).  axis_detect scores an
+    axis of one candidate (n = 4) so, reading no plane, and an axis of
+    several on planes (_PlaneScan).
     """
 
-    __slots__ = ("qi", "ctx", "half", "shift", "lanes", "pencils", "built", "maxes")
+    __slots__ = ("qi", "ctx", "half", "shift", "lanes", "pencils", "built", "maxes", "turned")
 
     def __init__(self, st: "_Step", qi: int):
         i1, i2 = _OTHER_ROWS[qi]
-        self.ctx, self.qi, self.built, self.maxes = st.ctx, qi, {}, {}
+        self.ctx, self.qi, self.built, self.maxes, self.turned = st.ctx, qi, {}, {}, {}
         self.half = st.ctx.n // 2
         self.shift = _SIGMA[qi] * self.half
         self.lanes, self.pencils = _lane_pencils(st.lanes, st.ent[i1], st.ent[i2], self.shift)
@@ -309,12 +318,17 @@ class _EntryScan:
         return e1, e2
 
     def entry(self, e: int, b: int) -> tuple[int, int]:
-        """Lane entry e of candidate b, Re(zeta^c Z) = (zeta^c Z + zeta^-c
-        conj(Z)) / 2^(M+1), built and kept."""
-        z, zbar, m = self.pencils[e >> 1]
-        c = b + (self.shift if e & 1 else 0)
+        """Lane entry e = 2 j + r of candidate b, built and kept, as pair
+        builds it: from A = zeta^b Z_j and B = zeta^-b conj(Z_j), kept
+        under (j, b) in turned until the column's other entry takes them."""
+        j = e >> 1
+        z, zbar, m = self.pencils[j]
         lanes = self.lanes
-        x = self.built[e, b] = lanes.entry(lanes.zeta(z, c) + lanes.zeta(zbar, -c), m)
+        turned = self.turned.pop((j, b), None)
+        if turned is None:
+            turned = self.turned[j, b] = lanes.zeta(z, b), lanes.zeta(zbar, -b)
+        a, c = turned
+        x = self.built[e, b] = lanes.entry(lanes.zeta(a - c, self.shift) if e & 1 else a + c, m)
         return x
 
     def score(self, b: int, floor: int, cutoff):
@@ -440,8 +454,11 @@ class _PlaneScan(_EntryScan):
 class _Step(Rotation):
     """A descent step: each entry as a lane entry (p, m), the numerator p as
     folded lanes (cyclo.Lanes) over 2^m, normalized, all at one width,
-    within the lanes' headroom; the max exponent of each row; and, once
-    axis_detect has run on it, the scan of the winning axis.
+    within the lanes' headroom; the max exponent of each row; once
+    axis_detect has run on it, the scan of the winning axis; and whether
+    axis_detect takes its first candidate at the smallest row max
+    (optimistic, set by canonical_form and passed on by rotated) rather
+    than checking it for ties.
 
     R_q^(-b) leaves row q as it is, so rotated() carries that row's
     entries and max to the next step and takes the six new entries from
@@ -454,12 +471,12 @@ class _Step(Rotation):
     lanes.  A step holds no reference to the step before it.
     """
 
-    __slots__ = ("lanes", "ent", "row_max", "scan", "_rows")
+    __slots__ = ("lanes", "ent", "row_max", "scan", "optimistic", "_rows")
 
-    def __init__(self, lanes: Lanes, ent, row_max, rows=None):
+    def __init__(self, lanes: Lanes, ent, row_max, rows=None, optimistic=False):
         self.ctx, self.lanes, self.ent = lanes.ctx, lanes, ent
         self.row_max, self._rows = row_max, rows
-        self.scan = None
+        self.scan, self.optimistic = None, optimistic
 
     @property
     def rows(self):
@@ -500,7 +517,7 @@ class _Step(Rotation):
                 for p, _ in row:
                     top |= p + room
             if not top & lanes.roomy_top:
-                return _Step(lanes, ent, tuple(row_max))
+                return _Step(lanes, ent, tuple(row_max), optimistic=self.optimistic)
             wide = self.ctx.lanes(2 * lanes.width)
             ent, lanes = _repacked(lanes, wide, ent), wide
 
@@ -558,9 +575,13 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     is the scan run again, on the scans already built, with the bar one
     below the current max, which neither a winner nor a tie can reach.
     Ties raise NotReducibleError, and so does a step where nothing gets
-    under the max.  The exponents and their bracket come from rings and
-    need only the context; the element beta itself is only the base of
-    rings.beta_exponent's witness, unused here.
+    under the max.  A step of canonical_form's optimistic descent
+    (_Step.optimistic) is scanned once, at floor0, and takes the first
+    candidate that gets there: no tie is looked for, and a step where
+    nothing gets there is stuck (canonical_form replays such a descent
+    with this checked scan).  The exponents and their bracket come from
+    rings and need only the context; the element beta itself is only the
+    base of rings.beta_exponent's witness, unused here.
     """
     half = m.ctx.n // 2
     if half < 2:
@@ -571,14 +592,18 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     # inputs the winner lives there, so the bar then dismisses the others.
     axis_order = sorted(range(3), key=lambda i: (row_max[i], i))
     floor0, bar, scans = row_max[axis_order[0]], max(row_max) - 1, {}
-    # The bar starts at floor0, the winner's score by the exponent law; a
-    # first pass pays only below max - 1, and not at n = 4, where each axis
-    # has one candidate.
     best = None
-    if half > 2 and floor0 < bar:
-        best = _detect(st, row_max, axis_order, half, floor0, scans)
-    if best is None:
-        best = _detect(st, row_max, axis_order, half, bar, scans)
+    if st.optimistic:
+        if floor0 <= bar:
+            best = _detect(st, row_max, axis_order, half, floor0, scans)
+    else:
+        # The bar starts at floor0, the winner's score by the exponent law;
+        # a first pass pays only below max - 1, and not at n = 4, where
+        # each axis has one candidate.
+        if half > 2 and floor0 < bar:
+            best = _detect(st, row_max, axis_order, half, floor0, scans)
+        if best is None:
+            best = _detect(st, row_max, axis_order, half, bar, scans)
     if best is None:
         raise NotReducibleError("no candidate strictly reduces the exponent")
     return best
@@ -587,9 +612,10 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
 def _detect(st: _Step, row_max, axis_order, half: int, bar: int, scans: dict):
     """axis_detect's scan with the given bar: the unique arg-min candidate
     (axis, b) scoring at most bar, its scan kept on the step, or None if
-    no candidate gets to the bar; a tie raises NotReducibleError.  The
-    scans, keyed by axis, are taken from and left in scans, so a second
-    pass reads no plane twice."""
+    no candidate gets to the bar; a tie raises NotReducibleError.  On an
+    optimistic step the first candidate scoring at most bar is taken, and
+    no later one is scored.  The scans, keyed by axis, are taken from and
+    left in scans, so a second pass reads no plane twice."""
     best, best_val, win = None, bar, None
     tie = False
     for qi in axis_order:
@@ -605,6 +631,9 @@ def _detect(st: _Step, row_max, axis_order, half: int, bar: int, scans: dict):
             val = scan.score(b, floor, best_val)
             if val is None:
                 continue
+            if st.optimistic:
+                st.scan = scan
+                return AXES[qi], b
             if best is None or val < best_val:
                 best, best_val, tie, win = (AXES[qi], b), val, False, scan
             elif val == best_val:
@@ -628,8 +657,30 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
     global phase is not a 2n-th root of unity.  Each step calls
     axis_detect once, on the step state it carries (_Step), from the
     first, the Bloch image's lane entries (_bloch_step), on.
+
+    The descent runs optimistically first (_Step.optimistic): each step
+    takes the first candidate that scores floor0, the smallest row max,
+    and a step where none does is stuck.  A descent that reaches a
+    Clifford needs no tie check: the Bloch image is then in the group,
+    where each step's minimiser is unique and scores floor0 (acceptance
+    criteria 4 and 5), so the first candidate at floor0 is it; and the
+    form is still checked against u (_phased_form).  A descent that gets
+    stuck is replayed from the Bloch image with the checked scan, both
+    bars and every tie (axis_detect), so a non-member's error, its step
+    and row_max are the checked descent's; only non-members pay for the
+    replay.
     """
     st = _bloch_step(u)
+    st.optimistic = True
+    try:
+        return _descent(u, st)
+    except NotReducibleError:
+        pass
+    return _descent(u, _bloch_step(u))
+
+
+def _descent(u: UnitaryRn, st: _Step) -> CanonicalForm:
+    """canonical_form's descent of u from its first step st."""
     axes: list[str] = []
     exps: list[int] = []
     while True:

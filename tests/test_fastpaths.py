@@ -6,7 +6,9 @@ scan of the descent (every n) against full entries, the dense scan and
 the scan with no bar below the current max, the one-candidate axes of
 n = 4, built rather than scanned, and the scan whose bar starts at the
 smallest row max, against the scan of every candidate on planes with the
-one bar below the current max, the
+one bar below the current max, the descent that stops at each step's
+first winner against the descent that checks every step for ties, a
+column's entries, built whole or one at a time, at three lane rotations, the
 descent's carried step state against the rotation built from scratch, a
 fresh read of its residues and the entry-by-entry exponent profile, the
 rewriting pass against the reference pass that keeps its pending
@@ -289,6 +291,38 @@ def _check_plane_residues(scan, b, dense, tops):
         lane = (1 << n) - 1
         assert (h >> (2 * n * e)) & lane == _bits(num, 1)
         assert (l >> (2 * n * e)) & lane == _bits(num, 0)
+
+
+@pytest.mark.parametrize("n", (4, 6, 12, 30))
+def test_a_column_costs_three_rotations_in_any_build_order(n, monkeypatch):
+    # A column's two entries, built by pair, by entry one at a time or one
+    # by entry and the other by pair, in either order, cost three lane
+    # rotations (Lanes.zeta) and equal the dense candidate's entries.
+    ctx = make_context(n)
+    m = _as_step(bloch(random_unitary(ctx, 8, 670)[0]))
+    rotations, zeta = [0], cyclo.Lanes.zeta
+
+    def counted(lanes, p, c):
+        rotations[0] += 1
+        return zeta(lanes, p, c)
+
+    monkeypatch.setattr(cyclo.Lanes, "zeta", counted)
+    orders = (("pair",), (0, 1), (1, 0), (0, "pair"), (1, "pair"))
+    for qi in range(3):
+        for b in range(1, n // 2):
+            dense = dense_candidate_entries(m, qi, b)
+            for j in range(3):
+                for order in orders:
+                    scan = _PlaneScan(m, qi)
+                    rotations[0] = 0
+                    for how in order:
+                        if how == "pair":
+                            scan.pair(j, b)
+                        else:
+                            scan.entry(2 * j + how, b)
+                    assert rotations[0] == 3
+                    assert [_lane_elem(scan.lanes, e) for e in scan.pair(j, b)] == \
+                        dense[2 * j:2 * j + 2]
 
 
 @pytest.mark.parametrize("n", EXPONENT_NS)
@@ -763,6 +797,61 @@ def test_descent_on_crafted_matrices_matches_the_checked_descent(monkeypatch):
     assert seen == {(kind, peeled) for peeled in (False, True) for kind in (
         "no candidate strictly reduces the exponent", "minimal candidate is not unique")} | {
         ("member", True)}
+
+
+@pytest.mark.parametrize("n", EXPONENT_NS + (90, 128, 512, 1024))
+def test_descent_matches_the_checked_descent(n):
+    # canonical_form stops each step at its first candidate at the smallest
+    # row max; on members it gives the form of the descent that scores
+    # every candidate at its bar and checks for ties, and the word
+    # random_unitary emitted for it
+    ctx = make_context(n)
+    tcount = {32: 12, 64: 8}.get(n, 24 if n < 64 else 6)
+    for seed in range(3):
+        u, word = random_unitary(ctx, tcount, 650 + seed)
+        cf = canonical_form(u)
+        assert cf == synth._phased_form(u, *checked_descent(bloch(u)), synth.PhaseNotInRingError)
+        assert cf.tcount() == tcount and to_circuit(cf) == word
+
+
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_descent_stops_at_its_first_winner(n, monkeypatch):
+    # A step of canonical_form scores every candidate of each deficient
+    # axis (kept row at the smallest row max, floor0) ordered before the
+    # winner's, all cut, then the winner's axis up to the winner, which
+    # scores floor0, and nothing after it.  The checked scan scores every
+    # candidate of each deficient axis: 420 calls at n = 16, 555 at n = 32
+    # and 620 at n = 64 over these descents, against 254, 328 and 346.
+    ctx = make_context(n)
+    half, scored, steps = n // 2, [], []
+    score, detect = _PlaneScan.score, synth.axis_detect
+
+    def counted_score(scan, b, floor, cutoff):
+        val = score(scan, b, floor, cutoff)
+        scored.append((scan.qi, b, val))
+        return val
+
+    def counted_detect(st):
+        scored.clear()
+        q, b = detect(st)
+        steps.append((st.row_max, AXES.index(q), b, list(scored)))
+        return q, b
+
+    monkeypatch.setattr(_PlaneScan, "score", counted_score)
+    monkeypatch.setattr(synth, "axis_detect", counted_detect)
+    for seed in range(3):
+        u, word = random_unitary(ctx, {16: 50, 32: 50, 64: 30}[n], 660 + seed)
+        assert to_circuit(canonical_form(u)) == word
+    calls = deficient = 0
+    for row_max, qi, b, got in steps:
+        floor0 = min(row_max)
+        order = [i for i in range(3) if row_max[i] == floor0]
+        before = order[:order.index(qi)]
+        assert got == [(i, c, None) for i in before for c in range(1, half)] + \
+            [(qi, c, None) for c in range(1, b)] + [(qi, b, floor0)]
+        calls += len(got)
+        deficient += len(order)
+    assert calls < deficient * (half - 1) * 0.7
 
 
 @pytest.mark.parametrize("n", (6, 8, 12, 16, 30, 64))
