@@ -66,13 +66,14 @@ def _sink(path: str | None, out, mode: str = "w"):
 
 
 def _read_text(path: str, what: str = "") -> str:
-    """The text of a file, or of stdin for '-'."""
+    """The text of a file, or of stdin for '-'; a file that cannot be read
+    or decoded is named in the error."""
     try:
         if path == "-":
             return sys.stdin.read()
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError("cannot read %s%r: %s" % (what, path, exc)) from None
 
 

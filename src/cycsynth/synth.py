@@ -26,10 +26,10 @@ descent takes the first candidate that gets to the bar and scores no
 other; a step where none does is stuck.  A descent that reaches a
 Clifford needs no tie check, for its Bloch image is then in the group,
 where each step's minimiser is unique; one that gets stuck is replayed
-with the checked scan, which scores every candidate at the bar for a tie
-and, only if nothing gets to it, scans again one below the current max,
-which no winner can reach, so that a non-member's error is the checked
-descent's (canonical_form).  The descent carries its state from step to
+with the checked scan, whose bar is one below the current max and which
+scores every candidate that gets there, for the arg-min and a tie, so
+that a non-member's error is the checked descent's (canonical_form).
+Each scan is one pass.  The descent carries its state from step to
 step (_Step): each entry as lanes over its 2^m, and each row's max
 exponent.  A step rewrites two rows and keeps row q, so it reads only the
 six new entries, and it reads each once: a score keeps one running max
@@ -196,7 +196,7 @@ def _lane_pencils(lanes: Lanes, r1, r2, shift: int):
     the entries x / 2^M, y / 2^M of the lane rows r1, r2 over a common 2^M
     (a left shift each), at the narrowest doubling of lanes where every
     shifted numerator lies in half the headroom, [-2^(f-1), 2^(f-1)): an
-    entry built from the pencils (_EntryScan.pair), a sum of four such
+    entry built from the pencils (_EntryScan.entry), a sum of four such
     numerators folded, which grows lanes at most 4 G <= 2^h-fold
     (Context.lane_head), then lies in [-2^(W-2), 2^(W-2)], clear of the
     ends of the lanes.  The test is made on the entries before the shift,
@@ -278,15 +278,15 @@ class _EntryScan:
     denominator leaves too little headroom.  Numerators are taken in n
     lanes, as elements of Z[x]/(x^n + 1), which maps onto Z[zeta_2n] since
     zeta^n = -1; there zeta^c is a lane rotation that negates the lanes it
-    wraps.  What is built is kept, by (entry, b), so that the rotation to
-    the winning candidate (pair) builds only the entries still missing,
-    and so are the new rows' maxima of a candidate that gets through its
-    score (maxes), so that the rotation reads no exponent again.  A column
-    costs three lane rotations, built whole (pair) or an entry at a time
-    (entry) in either order: an entry built alone keeps the two rotated
-    pencils its sibling is built from (turned).  axis_detect scores an
-    axis of one candidate (n = 4) so, reading no plane, and an axis of
-    several on planes (_PlaneScan).
+    wraps.  Every entry is built by entry, once: what is built is kept, by
+    (entry, b), so that a score or the rotation to the winning candidate
+    (pair) builds only the entries still missing, and so are the new rows'
+    maxima of a candidate that gets through its score (maxes), so that the
+    rotation reads no exponent again.  A column costs three lane rotations
+    in either build order: its first entry keeps the two rotated pencils
+    its sibling is built from (turned).  axis_detect scores an axis of one
+    candidate (n = 4) so, reading no plane, and an axis of several on
+    planes (_PlaneScan).
     """
 
     __slots__ = ("qi", "ctx", "half", "shift", "lanes", "pencils", "built", "maxes", "turned")
@@ -299,46 +299,35 @@ class _EntryScan:
         self.lanes, self.pencils = _lane_pencils(st.lanes, st.ent[i1], st.ent[i2], self.shift)
 
     def pair(self, j: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Lane entries (i1, j) and (i2, j) of candidate b: the ones already
-        built, else, for A = zeta^b Z_j and B = zeta^-b conj(Z_j),
-        (A + B) / 2^(M+1) and zeta^shift (A - B) / 2^(M+1), as
-        zeta^-shift = -zeta^shift, built and kept (entry, if one alone)."""
-        built = self.built
-        e1, e2 = built.get((2 * j, b)), built.get((2 * j + 1, b))
-        if e1 is None and e2 is None:
-            z, zbar, m = self.pencils[j]
-            lanes = self.lanes
-            a, c = lanes.zeta(z, b), lanes.zeta(zbar, -b)
-            e1 = built[2 * j, b] = lanes.entry(a + c, m)
-            e2 = built[2 * j + 1, b] = lanes.entry(lanes.zeta(a - c, self.shift), m)
-        elif e1 is None:
-            e1 = self.entry(2 * j, b)
-        elif e2 is None:
-            e2 = self.entry(2 * j + 1, b)
-        return e1, e2
+        """Lane entries (i1, j) and (i2, j) of candidate b (entry)."""
+        return self.entry(2 * j, b), self.entry(2 * j + 1, b)
 
     def entry(self, e: int, b: int) -> tuple[int, int]:
-        """Lane entry e = 2 j + r of candidate b, built and kept, as pair
-        builds it: from A = zeta^b Z_j and B = zeta^-b conj(Z_j), kept
-        under (j, b) in turned until the column's other entry takes them."""
-        j = e >> 1
-        z, zbar, m = self.pencils[j]
-        lanes = self.lanes
-        turned = self.turned.pop((j, b), None)
-        if turned is None:
-            turned = self.turned[j, b] = lanes.zeta(z, b), lanes.zeta(zbar, -b)
-        a, c = turned
-        x = self.built[e, b] = lanes.entry(lanes.zeta(a - c, self.shift) if e & 1 else a + c, m)
+        """Lane entry e = 2 j + r of candidate b: the one already built, else,
+        for A = zeta^b Z_j and B = zeta^-b conj(Z_j), (A + B) / 2^(M+1) for
+        r = 0 and zeta^shift (A - B) / 2^(M+1) for r = 1, as
+        zeta^-shift = -zeta^shift, built and kept; A and B are kept under
+        (j, b) in turned until the column's other entry takes them."""
+        x = self.built.get((e, b))
+        if x is None:
+            j = e >> 1
+            z, zbar, m = self.pencils[j]
+            lanes = self.lanes
+            turned = self.turned.pop((j, b), None)
+            if turned is None:
+                turned = self.turned[j, b] = lanes.zeta(z, b), lanes.zeta(zbar, -b)
+            a, c = turned
+            x = self.built[e, b] = lanes.entry(lanes.zeta(a - c, self.shift) if e & 1 else a + c, m)
         return x
 
     def score(self, b: int, floor: int, cutoff):
         """The exact max denominator exponent of floor and the nonzero
         entries of candidate b, or None once it provably exceeds cutoff:
-        _entries_max over the new rows (entry 2 j + r in row r), built a
-        column at a time (pair), none past the one that exceeds cutoff.
-        The rows' maxima are kept under b (maxes)."""
-        vals = _entries_max(self.lanes, [0, 0], (
-            (r, e) for j in range(3) for r, e in enumerate(self.pair(j, b))), cutoff)
+        _entries_max over the new rows (entry 2 j + r in row r), built one
+        at a time (entry), none past the one that exceeds cutoff.  The rows'
+        maxima are kept under b (maxes)."""
+        entry = self.entry
+        vals = _entries_max(self.lanes, [0, 0], ((e & 1, entry(e, b)) for e in range(6)), cutoff)
         if vals is None:
             return None
         self.maxes[b] = vals
@@ -551,87 +540,61 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     the other rows) by zeta^b, so the candidate's rows are Re(zeta^b Z) and
     -sigma_q Re(zeta^(b - n/2) Z), two basis rotations and an add per entry.
     At n = 4 each axis has one candidate, b = 1: its six entries are built
-    so from the pencils, a column at a time, and scored on their exponents
+    so from the pencils, one at a time, and scored on their exponents
     against the same floor and bar (_EntryScan.score, by _entries_max);
-    the rotation takes them, and their rows' maxima, as scored.  For n >= 6 the rotations and adds
-    run on the numerators mod 4 as two bitmask planes, read per axis off
-    the lanes of its pencils, one read per side of the three pencils packed
-    into one int, and reduced mod Phi_2n per candidate (_PlaneScan): an
-    entry N / 2^m with an odd coefficient in N or N / 2 (2-adic drop
-    t <= 1) gets its exact exponent from its planes, and only an entry with
-    t >= 2, or zero, is built in full, when its bound m - 2 reaches above
-    its row's running max.  The lane entries and row maxima come from the
-    descent's step state (_Step), which canonical_form carries from step to
-    step; a plain Rotation is read in full first, and the winning scan, with
-    the row maxima of what it scored, is kept on the step for the rotation.
+    the rotation takes them, and their rows' maxima, as scored.  For n >= 6
+    the rotations and adds run on the numerators mod 4 as two bitmask
+    planes, read per axis off the lanes of its pencils, one read per side
+    of the three pencils packed into one int, and reduced mod Phi_2n per
+    candidate (_PlaneScan): an entry N / 2^m with an odd coefficient in N
+    or N / 2 (2-adic drop t <= 1) gets its exact exponent from its planes,
+    and only an entry with t >= 2, or zero, is built in full, when its
+    bound m - 2 reaches above its row's running max.  The lane entries and
+    row maxima come from the descent's step state (_Step), which
+    canonical_form carries from step to step; a plain Rotation is read in
+    full first, and the winning scan, with the row maxima of what it
+    scored, is kept on the step for the rotation.
     A candidate is dropped as soon as its exponent provably exceeds the
     bar, then the best seen (entry exponents are bracketed by the
     power-of-two denominator before any parity bits are read), and an axis
-    whose kept row, a free floor, sits above the bar gets no scan.  The bar
-    starts at the smallest row max, floor0: by the paper's exponent law
-    (criterion 5) the winner of a synthesizable step scores exactly that,
-    and no candidate scores below floor0, so one found there is the arg-min
-    and every tie with it has been scored.  Only if nothing gets to floor0
-    is the scan run again, on the scans already built, with the bar one
-    below the current max, which neither a winner nor a tie can reach.
-    Ties raise NotReducibleError, and so does a step where nothing gets
-    under the max.  A step of canonical_form's optimistic descent
-    (_Step.optimistic) is scanned once, at floor0, and takes the first
-    candidate that gets there: no tie is looked for, and a step where
-    nothing gets there is stuck (canonical_form replays such a descent
-    with this checked scan).  The exponents and their bracket come from
-    rings and need only the context; the element beta itself is only the
-    base of rings.beta_exponent's witness, unused here.
+    whose kept row, a free floor, sits above the bar gets no scan.  Each
+    call makes one pass.  The checked scan, on any step but canonical_form's
+    first-winner descent, has its bar one below the current max and scores
+    every candidate that gets there, for the unique arg-min: ties raise
+    NotReducibleError, and so does a step where nothing gets under the
+    max.  A step of the first-winner descent (_Step.optimistic) has its bar
+    at floor0, the smallest row max, if that is below the max: by the
+    paper's exponent law (criterion 5) the winner of a synthesizable step
+    scores exactly that, and no candidate scores below it, so the step
+    takes the first candidate that gets there and scores no other; a step
+    where none does is stuck (canonical_form replays such a descent with
+    the checked scan).  The exponents and their bracket come from rings
+    and need only the context; the element beta itself is only the base of
+    rings.beta_exponent's witness, unused here.
     """
     half = m.ctx.n // 2
     if half < 2:
         raise NotReducibleError("no rotation candidates exist for n = 2")
     st = _as_step(m)
-    row_max = st.row_max
+    row_max, first = st.row_max, st.optimistic
     # The deficient axis first: its floor is floor0, and for synthesizable
     # inputs the winner lives there, so the bar then dismisses the others.
     axis_order = sorted(range(3), key=lambda i: (row_max[i], i))
-    floor0, bar, scans = row_max[axis_order[0]], max(row_max) - 1, {}
-    best = None
-    if st.optimistic:
-        if floor0 <= bar:
-            best = _detect(st, row_max, axis_order, half, floor0, scans)
-    else:
-        # The bar starts at floor0, the winner's score by the exponent law;
-        # a first pass pays only below max - 1, and not at n = 4, where
-        # each axis has one candidate.
-        if half > 2 and floor0 < bar:
-            best = _detect(st, row_max, axis_order, half, floor0, scans)
-        if best is None:
-            best = _detect(st, row_max, axis_order, half, bar, scans)
-    if best is None:
-        raise NotReducibleError("no candidate strictly reduces the exponent")
-    return best
-
-
-def _detect(st: _Step, row_max, axis_order, half: int, bar: int, scans: dict):
-    """axis_detect's scan with the given bar: the unique arg-min candidate
-    (axis, b) scoring at most bar, its scan kept on the step, or None if
-    no candidate gets to the bar; a tie raises NotReducibleError.  On an
-    optimistic step the first candidate scoring at most bar is taken, and
-    no later one is scored.  The scans, keyed by axis, are taken from and
-    left in scans, so a second pass reads no plane twice."""
-    best, best_val, win = None, bar, None
-    tie = False
+    best, best_val, tie, win = None, max(row_max) - 1, False, None
+    if first:
+        best_val = min(row_max[axis_order[0]], best_val)
     for qi in axis_order:
         floor = row_max[qi]
         if floor > best_val:
             continue
-        scan = scans.get(qi)
-        if scan is None:
-            # one candidate per axis (n = 4) is built, not scanned: the
-            # rotation needs the winner's entries built anyway
-            scan = scans[qi] = _EntryScan(st, qi) if half == 2 else _PlaneScan(st, qi)
+        # one candidate per axis (n = 4) is built, not scanned: the rotation
+        # needs the winner's entries built anyway
+        scan = _EntryScan(st, qi) if half == 2 else _PlaneScan(st, qi)
         for b in range(1, half):
             val = scan.score(b, floor, best_val)
             if val is None:
                 continue
-            if st.optimistic:
+            if first:
                 st.scan = scan
                 return AXES[qi], b
             if best is None or val < best_val:
@@ -639,7 +602,7 @@ def _detect(st: _Step, row_max, axis_order, half: int, bar: int, scans: dict):
             elif val == best_val:
                 tie = True
     if best is None:
-        return None
+        raise NotReducibleError("no candidate strictly reduces the exponent")
     if tie:
         raise NotReducibleError("minimal candidate is not unique")
     st.scan = win
@@ -653,22 +616,22 @@ def canonical_form(u: UnitaryRn) -> CanonicalForm:
     not synthesizable), its message naming the step (counted from 0, the
     number of rotations peeled before it) and that step's max exponent,
     and its attributes step and row_max holding the step and the max of
-    each of its rows, and PhaseNotInRingError if the descent succeeds but the residual
-    global phase is not a 2n-th root of unity.  Each step calls
-    axis_detect once, on the step state it carries (_Step), from the
+    each of its rows, and PhaseNotInRingError if the descent succeeds but
+    the residual global phase is not a 2n-th root of unity.  Each step
+    calls axis_detect once, on the step state it carries (_Step), from the
     first, the Bloch image's lane entries (_bloch_step), on.
 
-    The descent runs optimistically first (_Step.optimistic): each step
-    takes the first candidate that scores floor0, the smallest row max,
-    and a step where none does is stuck.  A descent that reaches a
-    Clifford needs no tie check: the Bloch image is then in the group,
+    The descent runs first with the first-winner scan (_Step.optimistic):
+    each step takes the first candidate that scores floor0, the smallest
+    row max, and a step where none does is stuck.  A descent that reaches
+    a Clifford needs no tie check: the Bloch image is then in the group,
     where each step's minimiser is unique and scores floor0 (acceptance
     criteria 4 and 5), so the first candidate at floor0 is it; and the
     form is still checked against u (_phased_form).  A descent that gets
-    stuck is replayed from the Bloch image with the checked scan, both
-    bars and every tie (axis_detect), so a non-member's error, its step
-    and row_max are the checked descent's; only non-members pay for the
-    replay.
+    stuck is replayed from the Bloch image with the checked scan, its bar
+    one below the max and every tie looked for (axis_detect), so a
+    non-member's error, its step and row_max are the checked descent's;
+    only non-members pay for the replay.
     """
     st = _bloch_step(u)
     st.optimistic = True

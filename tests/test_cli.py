@@ -167,6 +167,32 @@ def test_batch_json_error_names_its_line_in_the_file(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: line 4 is not valid JSON: ")
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["synth", "--n", "4", "--input"], ""),
+    (["tcount", "--n", "4", "--input"], ""),
+    (["member", "--n", "4", "--input"], ""),
+    (["verify", "--n", "4", "--circuit", "GOOD", "--matrix"], "matrix JSON from "),
+    (["verify", "--n", "4", "--matrix", "GOOD", "--circuit"], "circuit from "),
+    (["synth", "--n", "4", "--input"], "-"),
+])
+def test_input_that_is_not_utf8_names_its_file(tmp_path, monkeypatch, capsys, argv, what):
+    # bytes that do not decode are an unreadable input like any other: exit
+    # 2, the file (or '-' for stdin) named in the error
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff")
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(t_gate_json()))
+    argv = [str(good) if a == "GOOD" else a for a in argv]
+    if what == "-":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+        path, what = "-", ""
+    else:
+        path = str(bad)
+    code, out = run_cli(argv + [path])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: cannot read %s%r: " % (what, path))
+
+
 def test_synth_rejects_json_booleans(tmp_path, capsys):
     # each of these read as the T gate while true/false passed as 1/0
     doubled = t_gate_json()

@@ -4,12 +4,14 @@ kernel and the gate constants against explicit matrices and general 2x2
 products, bloch against the six-product Bloch image, the mod-4 plane
 scan of the descent (every n) against full entries, the dense scan and
 the scan with no bar below the current max, the one-candidate axes of
-n = 4, built rather than scanned, and the scan whose bar starts at the
-smallest row max, against the scan of every candidate on planes with the
-one bar below the current max, the descent that stops at each step's
-first winner against the descent that checks every step for ties, a
-column's entries, built whole or one at a time, at three lane rotations, the
-descent's carried step state against the rotation built from scratch, a
+n = 4, built rather than scanned, and the descent's two scans, the
+first-winner scan with its bar at the smallest row max and the checked
+scan with its bar one below the current max, each one pass, against the
+scan of every candidate on planes with that one bar, the descent that
+stops at each step's first winner against the descent that checks every
+step for ties, a column's entries, built whole or one at a time, at
+three lane rotations and each built once per scan, the descent's
+carried step state against the rotation built from scratch, a
 fresh read of its residues and the entry-by-entry exponent profile, the
 rewriting pass against the reference pass that keeps its pending
 Clifford as a unitary and tracks its own phase, its Clifford index table
@@ -79,6 +81,7 @@ from cycsynth.synth import (
     _SIGMA,
     _PlaneScan,
     _RewriteState,
+    _Step,
     _as_step,
     _form_gates,
 )
@@ -635,51 +638,84 @@ def test_one_candidate_axes_are_built_like_the_plane_scan_scores_them(monkeypatc
     assert ties >= 20 and stuck >= 2
 
 
-def _spy_passes(monkeypatch):
-    """A list that collects, per synth._detect call, [bar, found]: found
-    True or False as the pass returned a winner or None, or "raised"; one
-    that collects the axis of every _PlaneScan built; and one that collects
-    every row synth._row_max reads."""
-    passes, built, detect, init = [], [], synth._detect, _PlaneScan.__init__
+def _spy_scans(monkeypatch):
+    """A list that collects (axis, b, cutoff, value) per _PlaneScan.score
+    call; one that collects the axis of every _PlaneScan built; and one that
+    collects every row synth._row_max reads."""
+    scored, built, score, init = [], [], _PlaneScan.score, _PlaneScan.__init__
     reads, row_max = [], synth._row_max
 
-    def counted(st, row_max, axis_order, half, bar, scans):
-        passes.append([bar, "raised"])
-        best = detect(st, row_max, axis_order, half, bar, scans)
-        passes[-1][1] = best is not None
-        return best
+    def counted_score(scan, b, floor, cutoff):
+        val = score(scan, b, floor, cutoff)
+        scored.append((scan.qi, b, cutoff, val))
+        return val
 
     def counted_init(scan, st, qi):
         built.append(qi)
         init(scan, st, qi)
 
-    monkeypatch.setattr(synth, "_detect", counted)
+    monkeypatch.setattr(_PlaneScan, "score", counted_score)
     monkeypatch.setattr(_PlaneScan, "__init__", counted_init)
     monkeypatch.setattr(synth, "_row_max", lambda lanes, row:
                         reads.append(row) or row_max(lanes, row))
-    return passes, built, reads
+    return scored, built, reads
 
 
-def _check_two_bar_step(st, passes, built, reads):
-    """axis_detect on a step at n >= 6 against plane_axis_detect, the scan
-    with the one bar max - 1: the same (axis, b) or the same
-    NotReducibleError text, with no axis's scan built twice.  On a winner,
+NONE = "no candidate strictly reduces the exponent"
+TIE = "minimal candidate is not unique"
+
+
+def _score(st, q, b):
+    """The exponent candidate (q, b) of st scores, from a fresh scan."""
+    qi = AXES.index(q)
+    return _PlaneScan(st, qi).score(b, st.row_max[qi], math.inf)
+
+
+def _check_two_bar_step(st, scored, built, reads):
+    """axis_detect on a step at n >= 6 at each of the descent's two bars,
+    the checked scan's (st) and the first-winner scan's (a copy of st on
+    canonical_form's first-winner descent), against plane_axis_detect, the
+    scan with the one bar max - 1 (spies of _spy_scans).
+
+    The checked scan makes one pass: it scores its first candidate against
+    max - 1, no candidate twice and builds no axis's scan twice, and gives
+    the same (axis, b) or the same NotReducibleError text.  On a winner,
     the kept scan's six entries of the winning candidate equal a fresh
     scan's, and the rotation carries the winner's row maxima
-    (_check_carried_maxima).  Returns the next step, else None, and the
-    passes axis_detect ran (_spy_passes)."""
-    def outcome(detect):
+    (_check_carried_maxima).  The first-winner scan makes one pass with
+    the bar at min(floor0, max - 1), floor0 the smallest row max, and takes
+    the first candidate that gets there, which scores floor0: the checked
+    scan's winner, or one it ties with; a step where nothing gets there is
+    stuck, and then the checked scan finds no winner at floor0.  Returns
+    the next step, else None, and the outcomes (checked, first-winner):
+    "winner", "tie" or "none"."""
+    def outcome(detect, m):
+        scored.clear()
+        built.clear()
         try:
-            return detect(st)
+            got = detect(m)
         except NotReducibleError as exc:
-            return str(exc)
+            got = str(exc)
+        cands = [(qi, b) for qi, b, _, _ in scored]
+        assert len(cands) == len(set(cands)) and len(built) == len(set(built))
+        return got, [cutoff for _, _, cutoff, _ in scored]
 
-    want = outcome(plane_axis_detect)
-    passes.clear()
-    built.clear()
-    assert outcome(axis_detect) == want and len(built) == len(set(built))
+    kinds = {NONE: "none", TIE: "tie"}
+    row_max = st.row_max
+    floor0, top = min(row_max), max(row_max) - 1
+    want, _ = outcome(plane_axis_detect, st)
+    got, cutoffs = outcome(axis_detect, st)
+    assert got == want and cutoffs[:1] in ([], [top])
+    first, cutoffs = outcome(axis_detect, _Step(st.lanes, st.ent, row_max, optimistic=True))
+    assert set(cutoffs) <= {min(floor0, top)}
+    if isinstance(first, str):
+        assert first == NONE
+        assert isinstance(want, str) or _score(st, *want) > floor0
+    else:
+        assert _score(st, *first) == floor0 and want in (first, TIE)
+    kind = kinds.get(want, "winner"), kinds.get(first, "winner")
     if isinstance(want, str):
-        return None, list(passes)
+        return None, kind
     qi, b = AXES.index(want[0]), want[1]
     scan, fresh = st.scan, _PlaneScan(st, qi)
     assert scan.qi == qi and scan.lanes.width == fresh.lanes.width
@@ -687,37 +723,43 @@ def _check_two_bar_step(st, passes, built, reads):
     reads.clear()
     nxt = st.rotated(qi, b)
     _check_carried_maxima(st, qi, b, nxt, reads)
-    return nxt, list(passes)
+    return nxt, kind
 
 
 @pytest.mark.parametrize("n", [n for n in EXPONENT_NS if n >= 6] + [90, 128, 512, 1024])
 def test_two_bar_scan_picks_what_the_one_bar_scan_picks(n, monkeypatch):
-    # axis_detect scans first with the bar at the smallest row max, then,
-    # only if nothing gets to it, with the bar at max - 1, reusing the
-    # first pass's scans; on every step of member descents it picks what
-    # the scan with the one bar max - 1 picks
+    # The descent's two bars, the first-winner scan's at the smallest row
+    # max and the checked scan's at max - 1, each one pass: on every step of
+    # member descents both pick what the scan with the one bar max - 1
+    # picks, and the checked scan scores its first candidate against
+    # max - 1 also on steps whose smallest row max is below it.
     ctx = make_context(n)
-    passes, built, reads = _spy_passes(monkeypatch)
+    scored, built, reads = _spy_scans(monkeypatch)
     tcount = {32: 12, 64: 8}.get(n, 24 if n < 64 else 6)
-    steps = 0
+    steps = below = 0
     for seed in range(3):
         st = _as_step(bloch(random_unitary(ctx, tcount, 610 + seed)[0]))
         while is_signed_permutation(st) is None:
-            st, _ = _check_two_bar_step(st, passes, built, reads)
+            below += min(st.row_max) < max(st.row_max) - 1
+            st, kind = _check_two_bar_step(st, scored, built, reads)
+            assert kind == ("winner", "winner")
             steps += 1
-    assert steps >= 6
+    # at n = 2 mod 4 (k = 1) each member step lowers the max by q_of(b) = 1
+    assert steps >= 6 and (below > 0) == (n % 4 == 0)
 
 
 def test_two_bar_scan_rejects_and_ties_like_the_one_bar_scan(monkeypatch):
-    # Steps where the first pass finds nothing: the stuck steps of the
-    # n = 14 and 28 non-members of test_synth, matrices of odd numerators
-    # and ones symmetric under the half turn that swaps x and y, whose x
-    # and y candidates tie; each descended to a Clifford or a stuck step.
-    # The second pass finds a winner, raises the tie or finds nothing, as
-    # the one-bar scan does, and every error text is the one-bar scan's.
+    # Steps where no candidate gets to the smallest row max: the stuck
+    # steps of the n = 14 and 28 non-members of test_synth, matrices of odd
+    # numerators and ones symmetric under the half turn that swaps x and y,
+    # whose x and y candidates tie; each descended to a Clifford or a stuck
+    # step.  The checked scan finds a winner, raises the tie or finds
+    # nothing, as the one-bar scan does, with its error text; the
+    # first-winner scan takes a candidate only at the smallest row max, and
+    # gets stuck on every other step.
     from test_synth import _infinite_order_unit
 
-    passes, built, reads = _spy_passes(monkeypatch)
+    scored, built, reads = _spy_scans(monkeypatch)
     crafted = []
     for n in (14, 28):
         ctx = make_context(n)
@@ -738,11 +780,11 @@ def test_two_bar_scan_rejects_and_ties_like_the_one_bar_scan(monkeypatch):
     for m in crafted:
         st = _as_step(m)
         while st is not None and is_signed_permutation(st) is None:
-            st, ran = _check_two_bar_step(st, passes, built, reads)
-            # a second pass runs only after a first that found nothing
-            assert all(found is False for _, found in ran[:-1])
-            seen.add((len(ran), ran[-1][1]))
-    assert {(1, True), (2, True), (2, "raised"), (2, False)} <= seen
+            st, kind = _check_two_bar_step(st, scored, built, reads)
+            seen.add(kind)
+    # a checked winner above the smallest row max leaves the first-winner
+    # scan stuck; no tie here is at the smallest row max
+    assert seen == {("winner", "winner"), ("winner", "none"), ("tie", "none"), ("none", "none")}
 
 
 def _crafted_descents(ctx, seeds):
@@ -857,22 +899,78 @@ def test_descent_stops_at_its_first_winner(n, monkeypatch):
 @pytest.mark.parametrize("n", (6, 8, 12, 16, 30, 64))
 def test_the_first_bar_is_the_winners_score(n, monkeypatch):
     # The exponent law (criterion 5): on a member's descent the winner
-    # scores exactly the smallest row max, so one pass, at that bar, finds
-    # it on every step and no pass at max - 1 follows.
+    # scores exactly the smallest row max, so each step of canonical_form
+    # is one first-winner scan with its bar there, whose last score is the
+    # winner's, at that bar, and the next step's max is that bar.
     ctx = make_context(n)
-    passes, _, _ = _spy_passes(monkeypatch)
-    steps = 0
+    (scored, _, _), steps, detect = _spy_scans(monkeypatch), [], synth.axis_detect
+
+    def counted_detect(st):
+        scored.clear()
+        q, b = detect(st)
+        steps.append((st.optimistic, st.row_max, AXES.index(q), b, list(scored)))
+        return q, b
+
+    monkeypatch.setattr(synth, "axis_detect", counted_detect)
+    descents = 0
     for seed in range(3):
-        st = _as_step(bloch(random_unitary(ctx, 24 if n < 64 else 8, 640 + seed)[0]))
+        u, word = random_unitary(ctx, 24 if n < 64 else 8, 640 + seed)
+        steps.clear()
+        assert to_circuit(canonical_form(u)) == word
+        for i, (optimistic, row_max, qi, b, got) in enumerate(steps):
+            floor0 = min(row_max)
+            assert optimistic and floor0 < max(row_max)
+            assert {cutoff for _, _, cutoff, _ in got} == {floor0}
+            assert got[-1] == (qi, b, floor0, floor0)
+            assert floor0 == (max(steps[i + 1][1]) if i + 1 < len(steps) else 0)
+        descents += len(steps) >= 2
+    assert descents == 3
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 12, 16, 30))
+def test_no_entry_is_built_twice_per_scan(n, monkeypatch):
+    # Every lane entry a scan or the rotation builds (Lanes.entry, also
+    # used by the Bloch image, so3._bloch_entries, built before) is built by
+    # _EntryScan.entry, and each (scan, entry, b) at most once: over the
+    # crafted matrices, bare and behind a member's rotations, descended by
+    # the public (checked) axis_detect to a Clifford or a stuck step, and
+    # over member descents, checked and by canonical_form.
+    builds, scans, inside = [], [], [None]
+    entry, lane_entry, bloch_entries = synth._EntryScan.entry, cyclo.Lanes.entry, \
+        synth._bloch_entries
+
+    def within(tag, fn, *args):
+        outer, inside[0] = inside[0], tag
+        try:
+            return fn(*args)
+        finally:
+            inside[0] = outer
+
+    def counted_lane_entry(lanes, p, m):
+        tag = inside[0]
+        if tag != "bloch":
+            scans.append(tag and tag[0])  # alive, so that no other scan takes its id
+            builds.append(tag and (id(tag[0]), tag[1], tag[2]))
+        return lane_entry(lanes, p, m)
+
+    ctx = make_context(n)
+    members = [random_unitary(ctx, 20, 3000 + seed)[0] for seed in range(3)]
+    starts = [m for _, m in _crafted_descents(ctx, 10)] + [bloch(u) for u in members]
+    monkeypatch.setattr(synth._EntryScan, "entry", lambda scan, e, b:
+                        within((scan, e, b), entry, scan, e, b))
+    monkeypatch.setattr(synth, "_bloch_entries", lambda u: within("bloch", bloch_entries, u))
+    monkeypatch.setattr(cyclo.Lanes, "entry", counted_lane_entry)
+    for m in starts:
+        st = _as_step(m)
         while is_signed_permutation(st) is None:
-            passes.clear()
-            q, b = axis_detect(st)
-            assert passes == [[min(st.row_max), True]]
-            nxt = st.rotated(AXES.index(q), b)
-            assert max(nxt.row_max) == min(st.row_max)
-            st = nxt
-            steps += 1
-    assert steps >= 6
+            try:
+                q, b = axis_detect(st)
+            except NotReducibleError:
+                break
+            st = st.rotated(AXES.index(q), b)
+    for u in members:
+        canonical_form(u)
+    assert None not in builds and len(builds) == len(set(builds)) > 0
 
 
 @pytest.mark.parametrize("n, tcount, bound", [(64, 100, 450), (1024, 15, 300)])
