@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / condition true, 1 negative result (NotMember,
 condition false, verification mismatch), 2 usage or input error (an
-unreadable input or an unwritable output file among them), 3 internal
-integrity failure.
+unreadable input, an unwritable output file and running out of memory
+among them), 3 internal integrity failure.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ CHECKPOINT_EVERY = 100_000
 
 
 def _approx_entry(e, n: int) -> complex:
+    # each coefficient scaled by 2^-m exactly first: numerators pass 2^1024
     zeta = cmath.exp(1j * cmath.pi / n)
-    total = sum(c * zeta**j for j, c in enumerate(e.num.coeffs))
-    return total / 2**e.m
+    scale = 1 << e.m
+    return sum(c / scale * zeta**j for j, c in enumerate(e.num.coeffs))
 
 
 def _print_approx(u: UnitaryRn, out) -> None:
@@ -81,7 +82,8 @@ def _read_json(path: str):
     text = _read_text(path, "matrix JSON from ")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # invalid JSON, nesting past the recursion limit, ints past int()'s digits
+    except (ValueError, RecursionError) as exc:
         raise ValueError("cannot read matrix JSON from %r: %s" % (path, exc)) from None
 
 
@@ -102,8 +104,10 @@ def _read_matrices(path: str, expect_n: int) -> tuple[list[int], list[UnitaryRn]
                 continue
             try:
                 objs.append((line, json.loads(ln)))
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError("line %d is not valid JSON: %s" % (line, exc)) from None
+    except (ValueError, RecursionError) as exc:  # in the first value: too deep, an int too long
+        raise ValueError("cannot read matrix JSON from %r: %s" % (path, exc)) from None
     out = []
     for line, obj in objs:
         what = "entry %d" % line
@@ -265,7 +269,7 @@ def _read_checkpoint(path: str) -> dict:
     try:
         with open(path) as fh:
             state = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError("cannot read census checkpoint %r: %s" % (path, exc)) from None
     keys = ("max", "next_n", "hits")
     # type() is int turns JSON true/false away too
@@ -438,6 +442,9 @@ def main(argv=None, out=None) -> int:
     except IntegrityError as exc:
         print("integrity failure: %s" % exc, file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -337,12 +337,12 @@ class Lanes:
     subtract, negate and a right shift by the 2-adic part of every lane are
     one int op each.  Between gates every lane lies in the headroom
     [-2^f, 2^f), f = W - 1 - h (Context.lane_head): load picks a width
-    where it holds the input, and settle doubles W when a lane leaves it;
-    within one gate lanes grow at most 2^h-fold, so no op wraps a lane.
-    Lanes change width only through relane: settle's and pair_settle's
-    doublings, the descent's (synth) and the column check's widening
-    (ringsynth), and the Bloch step's narrowing to load's width, read off
-    the lanes (bits, for wide_enough).
+    where it holds the input, and pair_settle doubles W when a lane leaves
+    it; within one gate lanes grow at most 2^h-fold, so no op wraps a lane.
+    Lanes change width only through relane: pair_settle's doublings, the
+    descent's (synth) and the column check's widening (ringsynth), and the
+    Bloch step's narrowing to load's width, read off the lanes (bits, for
+    wide_enough).
 
     zeta^j (zeta) is a left shift by j lanes and one balanced split at lane
     n: with off = 2^(W-1) in every lane below n, hi = (p + off) >> W n is
@@ -367,7 +367,10 @@ class Lanes:
     ((Q >> W n) & pair_low), pair_low the lanes below n of each line, is,
     lane by lane, the part below n minus the part at and above it.
     pair_fold reads the block of each line the same way, from the digits,
-    with one mask and offset for both; pair_settle is settle on both lines.
+    with one mask and offset for both, and pair_settle settles both lines
+    after a gate.  One numerator p is the pair whose second line is empty
+    (pair(p, 0) == p), and pair_zeta, pair_fold and pair_settle keep it
+    empty, so the column step (ringsynth) runs on them too.
     """
 
     __slots__ = ("ctx", "width", "nw", "split", "off", "nbytes", "code", "items", "ones",
@@ -500,24 +503,6 @@ class Lanes:
         that wide_enough takes for ps."""
         return _bits([self.unpack(p) for p in ps])
 
-    def settle(self, x: int, y: int, m: int) -> tuple["Lanes", int, int, int]:
-        """(lanes, x, y, m) for the numerators x / 2^m, y / 2^m of a line
-        (a column step's) after a gate:
-        folded, with every power of 2 both share taken off (at most m), at
-        this width, or at double the width when a lane has left the
-        headroom.  Within it every lane of x + room lies in [0, 2^(f + 1)),
-        so a bit in roomy_top shows a lane outside, and otherwise the low
-        bits are the lanes'."""
-        x, y = self.fold(x), self.fold(y)
-        v = (x + self.room) | (y + self.room)
-        if v & self.roomy_top:
-            wide = self.ctx.lanes(2 * self.width)
-            return wide.settle(*wide.relane(self, x, y), m)
-        if v & self.ones or not m:
-            return self, x, y, m
-        t = self.twos(v, m)
-        return self, x >> t, y >> t, m - t
-
     def pair(self, p: int, q: int) -> int:
         """The pair layout of lanes p and q below n: p in lanes 0, ...,
         n - 1 and q in lanes 2n, ..., 3n - 1."""
@@ -550,8 +535,10 @@ class Lanes:
         return p
 
     def pair_settle(self, x: int, y: int, m: int) -> tuple["Lanes", int, int, int]:
-        """settle on the pairs x and y, the powers of 2 that all four
-        numerators share taken off."""
+        """(lanes, x, y, m) for the pairs x / 2^m, y / 2^m after a gate: each
+        line folded, every power of 2 all four numerators share taken off
+        (at most m), at this width, or at double it when a lane has left
+        the headroom, read off the bits of x + pair_room in pair_top."""
         x, y = self.pair_fold(x), self.pair_fold(y)
         v = (x + self.pair_room) | (y + self.pair_room)
         if v & self.pair_top:
@@ -570,8 +557,8 @@ class Lanes:
         and a limit of at most W - 1, 2^t is the power of 2 that p's lanes
         share, up to the limit: each lane of p + off holds that of p in its
         low W - 1 bits, and a lane -2^(W-1), which reads 0 there, is
-        divisible by 2^(W-1).  settle reads v = x + room | y + room, whose
-        lanes hold those of x and y in their low f bits."""
+        divisible by 2^(W-1).  pair_settle reads v = x + room | y + room,
+        whose lanes hold those of x and y in their low f bits."""
         ones = self.ones
         t = 0
         while t < limit and not (v >> t) & ones:

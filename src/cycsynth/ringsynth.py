@@ -7,11 +7,11 @@ H0 U_z(pi k/n) steps, closing with an explicit base-case unitary and an
 exact phase completion.  The column is loaded into packed lanes
 (cyclo.Lanes) once, at the width where the unit check's products fit,
 and carried on them from step to step (ColumnRn): each k is scored on
-two lane valuations, the winner's two sums become the next column, which
-is checked on lane valuations and on products of its own lanes, and no
-ring element is built until the base case reads the last column.  The
-emitted word is checked against the input by stripping it off, by the
-su2 gate kernel.
+two lane valuations, the winner is built by the su2 gate kernel's loop
+on those lanes and checked on lane valuations and on products of its
+own lanes, and no ring element is built until the base case reads the
+last column.  The emitted word is checked against the input by
+stripping it off, by the same kernel.
 
 The phase condition -- is -1 a power of 2 modulo the odd part of n? --
 decides whether every unit-modulus ring element is a root of unity, i.e.
@@ -29,7 +29,7 @@ from .cyclo import VALUATION_NS, Context, CycInt, Lanes, factorize, make_context
 from .errors import IntegrityError, NoPhaseMatchError, NoReducingKError
 from .rings import (RingElem, _common_numerators, _is_unit_lanes, _unit_sum_denominators_fit,
                     as_zeta_power)
-from .su2 import GateSequence, UnitaryRn, _strip, _word_gates, eval_sequence, token_w
+from .su2 import GateSequence, UnitaryRn, _run_gates, _strip, _word_gates, eval_sequence, token_w
 
 __all__ = [
     "ColumnRn",
@@ -222,7 +222,7 @@ class ColumnRn:
     the factors of the unit check's products (Lanes.load_factors), and
     checks it there.  A step (apply_step, reduce_column_step) runs on the
     lanes and carries them to the next column, at that width or wider
-    (Lanes.settle), so the unit check of a step's column multiplies the
+    (Lanes.pair_settle), so the unit check of a step's column multiplies the
     column's own lanes whenever they still lie in the products' headroom
     (_is_normalized).  x and y are unpacked into RingElems only when read,
     and the measure is read off the lanes once per column.
@@ -265,17 +265,12 @@ class ColumnRn:
         return self._measure
 
     def apply_step(self, k: int) -> "ColumnRn":
-        """The column H0 U_z(pi k / n) (x, y)^T, on the lanes: with s and
-        d the lanes of x + zeta^k y and x - zeta^k y over 2^m, it is
-        (s + zeta^(n/2) s, d + zeta^(n/2) d) / 2^(m+1), the su2 kernel's
-        U_z and H0 on a column, settled (Lanes.settle)."""
-        lanes = self.lanes
-        zeta, half = lanes.zeta, self.ctx.n // 2
-        yk = zeta(self.py, k)
-        s, d = self.px + yk, self.px - yk
+        """The column H0 U_z(pi k / n) (x, y)^T, on the lanes: the su2
+        kernel's gate loop (su2._run_gates) on the column's own lanes, a
+        pair whose second line is empty."""
         col = object.__new__(ColumnRn)
-        col.lanes, col.px, col.py, col.m = lanes.settle(s + zeta(s, half), d + zeta(d, half),
-                                                        self.m + 1)
+        col.lanes, col.px, col.py, col.m = _run_gates(
+            self.lanes, self.px, self.py, self.m, (("z", k), ("h", 0)), left=True)
         col.step, col._measure, col._xy = self.step + 1, None, None
         return col
 

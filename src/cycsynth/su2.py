@@ -25,14 +25,15 @@ the headroom of the next gate, so no lane ever wraps; the numerators are
 unpacked once, at the end, where each entry is normalized on its own
 (RingElem), so the result is the same as each line's alone.
 
-apply_gates() is that kernel; eval_sequence(), and through it every word
-evaluation in the package, runs on it, and so does every check of a word
-against a unitary u: _strip undoes the word's gates on u, and the rest is
-read off directly (UnitaryRn.as_scalar gives zeta^j when the rest is
-zeta^j I, that is when the word is zeta^-j u).  The gate
-constants h0, s_gate, uz_power, w_gate, scalar_gate, u_axis and pauli
-(P = U_p(pi)) are the kernel applied to I, so each gate has that one
-definition.
+apply_gates() is that kernel and _run_gates its gate loop, which the
+column step of ringsynth runs on one line, a pair whose second line is
+empty.  eval_sequence(), and through it every word evaluation in the
+package, runs on the kernel, and so does every check of a word against a
+unitary u: _strip undoes the word's gates on u, and the rest is read off
+directly (UnitaryRn.as_scalar gives zeta^j when the rest is zeta^j I, that
+is when the word is zeta^-j u).  The gate constants h0, s_gate, uz_power,
+w_gate, scalar_gate, u_axis and pauli (P = U_p(pi)) are the kernel applied
+to I, so each gate has that one definition.
 
 Circuit text format: whitespace-separated tokens ``PH[a]``, ``H``, ``S``,
 ``W``, ``W^j``, with a and j in ASCII decimal digits; ``PH[a]`` appears at
@@ -193,14 +194,26 @@ def apply_gates(u: UnitaryRn, gates, left: bool = False) -> UnitaryRn:
     zeta^a I.  Right multiplication acts on each row and left
     multiplication on each column by the shifts and adds in the module
     docstring; the two lines go through the word together, in the pair
-    layout of cyclo.Lanes, and no CycInt product is formed.
+    layout of cyclo.Lanes (_run_gates), and no CycInt product is formed.
     """
     ctx = u.ctx
     r0, r1 = u.rows
     m, vecs = _common_numerators((r0[0], r1[0], r0[1], r1[1]) if left else r0 + r1)
     lanes, x1, y1, x2, y2 = ctx.lanes().load(*vecs)
-    x, y = lanes.pair(x1, x2), lanes.pair(y1, y2)
-    half = ctx.n // 2
+    lanes, x, y, m = _run_gates(lanes, lanes.pair(x1, x2), lanes.pair(y1, y2), m, gates, left)
+    fold, unpack = lanes.pair_fold, lanes.unpack
+    (x1, x2), (y1, y2) = lanes.unpair(fold(x)), lanes.unpair(fold(y))
+    # RingElem takes off the powers of 2 each entry has beyond the others
+    x1, y1, x2, y2 = (RingElem(CycInt(ctx, unpack(p)), m) for p in (x1, y1, x2, y2))
+    rows = ((x1, x2), (y1, y2)) if left else ((x1, y1), (x2, y2))
+    return UnitaryRn(ctx, rows, check=False)
+
+
+def _run_gates(lanes, x: int, y: int, m: int, gates, left: bool) -> tuple:
+    """(lanes, x, y, m) after apply_gates' gates on the pairs x and y over
+    2^m (the gate loop), of two lines or of one, the second line empty;
+    unfolded after a trailing rotation."""
+    half = lanes.ctx.n // 2
     conj = -half if left else half
     for kind, e in gates:
         zeta = lanes.pair_zeta
@@ -226,12 +239,7 @@ def apply_gates(u: UnitaryRn, gates, left: bool = False) -> UnitaryRn:
         # comes off, so the numerators of a long word stay as small as its
         # entries.
         lanes, x, y, m = lanes.pair_settle(x, y, m + 1)
-    fold, unpack = lanes.pair_fold, lanes.unpack
-    (x1, x2), (y1, y2) = lanes.unpair(fold(x)), lanes.unpair(fold(y))
-    # RingElem takes off the powers of 2 each entry has beyond the others
-    x1, y1, x2, y2 = (RingElem(CycInt(ctx, unpack(p)), m) for p in (x1, y1, x2, y2))
-    rows = ((x1, x2), (y1, y2)) if left else ((x1, y1), (x2, y2))
-    return UnitaryRn(ctx, rows, check=False)
+    return lanes, x, y, m
 
 
 # -- gate constants: the kernel applied to the identity -------------------------

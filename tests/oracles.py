@@ -33,6 +33,8 @@ entry products on CycInt, as before it ran on lane products, and the
 exact unitarity, column-normalization and unit-modulus checks on CycInt
 products, the gate kernel one line at a time, on CycInt numerators and
 on single-line lanes, as before it took a matrix's two lines in one pass,
+the column step on single-line lanes with their own settle, as before it
+ran through the gate kernel's loop,
 the lane conjugate on a tuple of its lanes, as before it reversed
 them in their bytes, two ring elements over their common denominator as
 CycInts, lanes re-laned through a coefficient tuple, and the descent
@@ -383,11 +385,42 @@ def matrix_u_axis(ctx, p: str, sign: int, a: int) -> UnitaryRn:
                            for r in range(2)])
 
 
+def lane_settle(lanes, x: int, y: int, m: int):
+    """(lanes, x, y, m) for the numerators x / 2^m, y / 2^m of one line
+    after a gate, as Lanes.settle did before the column step ran on the
+    pair layout: folded, with every power of 2 both share taken off (at
+    most m), at this width, or at double the width when a lane has left
+    the headroom.  Within it every lane of x + room lies in
+    [0, 2^(f + 1)), so a bit in roomy_top shows a lane outside, and
+    otherwise the low bits are the lanes'."""
+    x, y = lanes.fold(x), lanes.fold(y)
+    v = (x + lanes.room) | (y + lanes.room)
+    if v & lanes.roomy_top:
+        wide = lanes.ctx.lanes(2 * lanes.width)
+        return lane_settle(wide, *wide.relane(lanes, x, y), m)
+    if v & lanes.ones or not m:
+        return lanes, x, y, m
+    t = lanes.twos(v, m)
+    return lanes, x >> t, y >> t, m - t
+
+
+def lane_column_step(lanes, px: int, py: int, m: int, k: int):
+    """(lanes, px, py, m) of the column H0 U_z(pi k / n) (x, y)^T, as
+    ColumnRn.apply_step built it on single-line lanes before it ran
+    through the gate kernel: with s and d the lanes of x + zeta^k y and
+    x - zeta^k y over 2^m, (s + zeta^(n/2) s, d + zeta^(n/2) d) / 2^(m+1),
+    settled (lane_settle)."""
+    zeta, half = lanes.zeta, lanes.ctx.n // 2
+    yk = zeta(py, k)
+    s, d = px + yk, px - yk
+    return lane_settle(lanes, s + zeta(s, half), d + zeta(d, half), m + 1)
+
+
 def lane_apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
     """One line of su2.apply_gates, as the kernel ran before it took both
     lines through a word in one pass: (a, b) G_1 ... G_t as a row, or
     G_t ... G_1 (a, b)^T as a column, the numerators over their own common
-    2^m as single-line lanes (Lanes.zeta, Lanes.settle)."""
+    2^m as single-line lanes (Lanes.zeta, lane_settle)."""
     ctx = a.num.ctx
     m, vecs = _common_numerators((a, b))
     lanes, x, y = ctx.lanes().load(*vecs)
@@ -413,7 +446,7 @@ def lane_apply_line(a: RingElem, b: RingElem, gates, left: bool = False):
                 y = zeta(y, -conj)
         else:
             raise ValueError("unknown gate %r" % (kind,))
-        lanes, x, y, m = lanes.settle(x, y, m + 1)
+        lanes, x, y, m = lane_settle(lanes, x, y, m + 1)
     x, y = lanes.unpack(lanes.fold(x)), lanes.unpack(lanes.fold(y))
     return RingElem(CycInt(ctx, x), m), RingElem(CycInt(ctx, y), m)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism, checkpointing."""
 
+import cmath
 import io
 import json
 import os
@@ -191,6 +192,74 @@ def test_input_that_is_not_utf8_names_its_file(tmp_path, monkeypatch, capsys, ar
     code, out = run_cli(argv + [path])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith("error: cannot read %s%r: " % (what, path))
+
+
+# JSON nested deeper than the recursion limit, and (where Python bounds the
+# digits int() parses) an integer too long to parse: each is invalid JSON
+# to the readers, not a traceback with exit 1 or a message naming no file
+_DEEP_JSON = "[" * 200_000
+_LONG_INTS = [] if not hasattr(sys, "get_int_max_str_digits") else [
+    json.dumps({**t_gate_json(), "denom_exp": 1}).replace("[1, 0, 0, 0]", "[1%s, 0, 0, 0]"
+                                                          % ("0" * 5000), 1)]
+
+
+@pytest.mark.parametrize("command", ["synth", "tcount", "member"])
+def test_matrix_input_too_deep_or_too_long_names_its_file_or_line(tmp_path, capsys, command):
+    # _read_matrices: the first value names the file, a later JSONL line
+    # names its line
+    path = tmp_path / "m.json"
+    good = json.dumps(t_gate_json())
+    for text in [_DEEP_JSON] + _LONG_INTS:
+        for body, want in ((text, "error: cannot read matrix JSON from %r: " % str(path)),
+                           ("%s\n\n%s\n" % (good, text), "error: line 3 is not valid JSON: ")):
+            path.write_text(body)
+            code, out = run_cli([command, "--n", "4", "--input", str(path)])
+            err = capsys.readouterr().err
+            assert (code, out) == (2, "")
+            assert err.startswith(want) and err.count("\n") == 1
+
+
+def test_verify_matrix_too_deep_or_too_long_names_its_file(tmp_path, capsys):
+    # _read_json
+    matrix, circuit = tmp_path / "m.json", tmp_path / "c.txt"
+    circuit.write_text("W")
+    for text in [_DEEP_JSON] + _LONG_INTS:
+        matrix.write_text(text)
+        code, out = run_cli(["verify", "--n", "4", "--circuit", str(circuit),
+                             "--matrix", str(matrix)])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read matrix JSON from %r: " % str(matrix))
+        assert err.count("\n") == 1
+
+
+def test_census_checkpoint_too_deep_or_too_long_names_its_file(tmp_path, capsys):
+    # _read_checkpoint: the output is left as it was
+    out_path, ck = tmp_path / "census.csv", tmp_path / "census.ck"
+    out_path.write_text("2,true\n")
+    for text in [_DEEP_JSON, '{"max": 1%s, "next_n": 4, "hits": 1}' % ("0" * 5000)]:
+        ck.write_text(text)
+        code, out = run_cli(["fn-census", "--max", "20", "--output", str(out_path),
+                             "--checkpoint", str(ck)])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read census checkpoint %r: " % str(ck))
+        assert out_path.read_text() == "2,true\n"
+
+
+def test_running_out_of_memory_is_an_input_error(monkeypatch, capsys):
+    # a census bound whose sieve does not fit in memory: one error line and
+    # exit 2, not a traceback and exit 1 (the sieve is made to fail here
+    # rather than allocated)
+    from cycsynth import ringsynth
+
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(ringsynth, "_spf_factorizer", no_memory)
+    code, out = run_cli(["fn-census", "--max", "100000000000"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_synth_rejects_json_booleans(tmp_path, capsys):
@@ -646,6 +715,41 @@ def test_approx_flag_marks_output(tmp_path):
     code, out = run_cli(["synth", "--n", "4", "--input", str(path), "--approx"])
     assert code == 0
     assert "non-authoritative" in out
+
+
+def _approx_rows(out):
+    # the complex entries of the --approx rows '#   [a+bj, c+dj]'
+    return [[complex(z) for z in line[5:-1].split(", ")]
+            for line in out.splitlines() if line.startswith("#   [")]
+
+
+def test_approx_prints_unitaries_with_long_numerators():
+    # T-count 4200 at n = 4: entries over 2^1051, whose numerators pass the
+    # float range (2^1024) unless each is scaled by 2^-m first
+    code, out = run_cli(["random", "--n", "4", "--target-tcount", "4200", "--seed", "7",
+                         "--approx"])
+    assert code == 0
+    rows = _approx_rows(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert abs(sum(abs(z) ** 2 for z in row) - 1) < 1e-5
+    u = matrix_from_json(json.loads(out.splitlines()[0]))
+    assert u.rows[0][0].m > 1024
+
+
+def test_approx_entries_are_the_scaled_sum_bit_for_bit():
+    # below the float range the coefficients scaled by 2^-m one by one sum
+    # to the bits of the sum scaled once, as --approx printed before
+    from cycsynth.cli import _approx_entry
+
+    for n in (4, 8, 12, 30):
+        ctx = make_context(n)
+        zeta = cmath.exp(1j * cmath.pi / n)
+        for seed in range(3):
+            u, _ = random_unitary(ctx, 60, 300 + seed)
+            for e in (e for row in u.rows for e in row):
+                want = sum(c * zeta**j for j, c in enumerate(e.num.coeffs)) / 2**e.m
+                assert _approx_entry(e, n) == want
 
 
 def test_synth_ring_method(tmp_path):

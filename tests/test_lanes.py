@@ -8,8 +8,11 @@ that came before the pair layout.  They must agree exactly, line by line,
 on rows and on columns, for every even n up to 64 (a fold mod Phi_2n for
 every n that is not a power of 2), including where the lanes must widen.
 The pair layout's rotation, fold and settle must match the single-line
-ones on each line.  Also here: the fold split that the lanes and the
-residue-plane scan share (Context.fold_q), and the bounded context cache.
+ones on each line, and the column step (ColumnRn.apply_step), which runs
+the kernel's gate loop on one line, the single-line step it replaced
+(oracles.lane_column_step).  Also here: the fold split that the lanes
+and the residue-plane scan share (Context.fold_q), and the bounded
+context cache.
 """
 
 import random
@@ -17,6 +20,7 @@ import random
 import pytest
 
 from cycsynth import (
+    ColumnRn,
     GateSequence,
     RingElem,
     UnitaryRn,
@@ -24,13 +28,15 @@ from cycsynth import (
     cyclo,
     eval_sequence,
     make_context,
+    random_unitary,
+    ringsynth,
     su2,
 )
 from cycsynth.cyclo import LANE_WIDTH, cyclotomic_poly
 from cycsynth.su2 import AXES
 
-from oracles import (lane_apply_line, lane_values, random_sequence, reference_apply_line,
-                     rows_lane_head, tuple_relane)
+from oracles import (lane_apply_line, lane_column_step, lane_settle, lane_values,
+                     random_sequence, reference_apply_line, rows_lane_head, tuple_relane)
 from test_fastpaths import EXPONENT_NS
 
 EVEN_NS = range(2, 65, 2)
@@ -199,11 +205,11 @@ def _edge_lanes(lanes, rng, edge):
 @pytest.mark.parametrize("n", MATRIX_NS)
 def test_pair_layout_matches_single_lines_at_the_lane_edges(n):
     # pair_zeta, pair_fold and pair_settle on two numerators 2n lanes apart
-    # against zeta, fold and settle on each, with lanes at +-2^(W-2) (and,
-    # into a fold, at the edge of a gate's output, 2^(W+1-h) - 1, where
-    # that is lower): no lane of one line may reach the other, each line
-    # folds alone, and the pair takes off only the powers of 2 that all
-    # four numerators share.
+    # against zeta, fold and the single-line settle (oracles.lane_settle)
+    # on each, with lanes at +-2^(W-2) (and, into a fold, at the edge of a
+    # gate's output, 2^(W+1-h) - 1, where that is lower): no lane of one
+    # line may reach the other, each line folds alone, and the pair takes
+    # off only the powers of 2 that all four numerators share.
     ctx = make_context(n)
     rng = random.Random(2200 + n)
     h = ctx.lane_head()
@@ -228,7 +234,7 @@ def test_pair_layout_matches_single_lines_at_the_lane_edges(n):
             x1, y1, x2, y2 = (lanes.pack((rng.randint(-room, room) >> t << t) | (1 << t)
                                          for _ in range(ctx.degree)) for t in (t1, t1, t2, t2))
             x2, y2 = x2 << grow, y2 << grow
-            one = lanes.settle(x1, y1, 4), lanes.settle(x2, y2, 4)
+            one = lane_settle(lanes, x1, y1, 4), lane_settle(lanes, x2, y2, 4)
             both, x, y, m = lanes.pair_settle(lanes.pair(x1, x2), lanes.pair(y1, y2), 4)
             assert m == max(line[3] for line in one) == 4 - min(t1, t2 + grow, 4)
             assert both.width == max(line[0].width for line in one) == width << (grow > 0)
@@ -289,6 +295,92 @@ def test_pair_settle_widens_each_line_as_the_tuple_round_trip(n):
             assert wide.width == 2 * width and m == 0
             assert (x, y) == tuple(wide.pair(tuple_relane(lanes, wide, p), tuple_relane(lanes, wide, q))
                                    for p, q in ((x1, x2), (y1, y2)))
+
+
+def _same_column_step(col, k):
+    # ColumnRn.apply_step against the single-line step it replaced
+    # (oracles.lane_column_step): the same lanes width, px, py and m
+    got = col.apply_step(k)
+    lanes, px, py, m = lane_column_step(col.lanes, col.px, col.py, col.m, k)
+    assert (got.lanes.width, got.px, got.py, got.m) == (lanes.width, px, py, m), k
+    assert got.step == col.step + 1
+    return got
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 12))
+def test_column_step_matches_the_single_line_step(n):
+    # The column step runs the kernel's gate loop on a pair whose second
+    # line is empty; on every column of seeded reductions, T-count 5 to
+    # 400, and for every k <= n, it must build what the single-line step
+    # with its own settle built.
+    ctx = make_context(n)
+    threshold = ringsynth.mu_threshold(ctx)
+    steps = 0
+    for tcount, seed in ((5, 1), (40, 2), (150, 3), (400, 4)):
+        col = ColumnRn(*random_unitary(ctx, tcount, 3100 + seed)[0].first_column())
+        while col.measure() > threshold:
+            for k in range(n + 1):
+                _same_column_step(col, k)
+            col = ringsynth.reduce_column_step(col)[1]
+            steps += 1
+    assert steps > 100
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 12))
+def test_column_step_widens_as_the_single_line_step_at_the_headroom_edge(n):
+    # columns whose lanes lie at the edges of the headroom [-2^f, 2^f),
+    # which no column of a reduction reaches: a step's sums leave it, so
+    # pair_settle doubles the width, as the single-line settle did, and
+    # takes off the powers of 2 the doubled lanes share
+    ctx = make_context(n)
+    rng = random.Random(3200 + n)
+    widened = 0
+    for width in (16, 32, 64):
+        lanes = ctx.lanes(width)
+        f = lanes.free
+        edges = ((1 << f) - 1, -(1 << f), 1 << (f - 1), -(1 << (f - 1)), 0, 2)
+        for _ in range(4):
+            col = object.__new__(ColumnRn)
+            col.px, col.py = (lanes.pack([rng.choice(edges) for _ in range(ctx.degree)])
+                              for _ in "xy")
+            col.lanes, col.m, col.step = lanes, rng.randrange(4), 0
+            for k in range(n + 1):
+                widened += _same_column_step(col, k).lanes.width > width
+    assert widened > 0
+
+
+def test_the_column_step_runs_through_the_kernels_gate_loop(monkeypatch):
+    # ColumnRn.apply_step and su2.apply_gates share one gate loop
+    # (su2._run_gates): a column step is one call of it on the column's own
+    # lanes, U_z(pi k/n) then H0 as a left product, and a ring synthesis
+    # calls it once per step and once each for its base-case word and its
+    # strip.  Lanes has no single-line settle left.
+    assert ringsynth._run_gates is su2._run_gates
+    assert not hasattr(cyclo.Lanes, "settle")
+    run, calls = su2._run_gates, []
+
+    def spy(lanes, x, y, m, gates, left):
+        calls.append((lanes, x, y, m, tuple(gates), left))
+        return run(lanes, x, y, m, gates, left)
+
+    monkeypatch.setattr(su2, "_run_gates", spy)
+    monkeypatch.setattr(ringsynth, "_run_gates", spy)
+    ctx = make_context(8)
+    u, _ = random_unitary(ctx, 30, 3300)
+    col = ColumnRn(*u.first_column())
+    for k in range(1, 9):
+        calls.clear()
+        col.apply_step(k)
+        assert calls == [(col.lanes, col.px, col.py, col.m, (("z", k), ("h", 0)), True)]
+    ks = []
+    while col.measure() > ringsynth.mu_threshold(ctx):
+        k, col = ringsynth.reduce_column_step(col)
+        ks.append(k)
+    calls.clear()
+    ringsynth.synthesize_ring(u)
+    assert len(ks) > 20 and len(calls) == len(ks) + 2
+    assert [c[4:] for c in calls[:len(ks)]] == [((("z", k), ("h", 0)), True) for k in ks]
+    assert [c[5] for c in calls[len(ks):]] == [False, True]
 
 
 def test_lanes_pack_and_unpack_round_trip():
