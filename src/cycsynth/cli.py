@@ -15,6 +15,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import repeat
 
 from .cyclo import make_context
 from .errors import IntegrityError, SynthesisError
@@ -90,14 +91,16 @@ def _read_json(path: str):
 def _read_matrices(path: str, expect_n: int) -> tuple[list[int], list[UnitaryRn]]:
     """One JSON object, or JSONL with one matrix per line (batch synthesis):
     (lines, matrices), lines[i] the 1-based file line of matrices[i], blank
-    lines counted (1 for a single object), which its errors name."""
+    lines counted (1 for a single object), which its errors name.  A body
+    whose first line is no whole value is not JSONL: its error is the whole
+    body's, at its line and column in the file."""
     text = _read_text(path)
     body = text.strip()
     if not body:
         raise ValueError("empty matrix input")
     try:
         objs = [(1, json.loads(body))]  # a single (possibly pretty-printed) object
-    except json.JSONDecodeError:
+    except json.JSONDecodeError as whole:
         objs = []
         for line, ln in enumerate(text.splitlines(), 1):
             if not ln.strip():
@@ -105,7 +108,11 @@ def _read_matrices(path: str, expect_n: int) -> tuple[list[int], list[UnitaryRn]
             try:
                 objs.append((line, json.loads(ln)))
             except (ValueError, RecursionError) as exc:
-                raise ValueError("line %d is not valid JSON: %s" % (line, exc)) from None
+                if objs:
+                    raise ValueError("line %d is not valid JSON: %s" % (line, exc)) from None
+                lead = len(text) - len(text.lstrip())  # body's offset in the file
+                whole = json.JSONDecodeError(whole.msg, text, lead + whole.pos)
+                raise ValueError("cannot read matrix JSON from %r: %s" % (path, whole)) from None
     except (ValueError, RecursionError) as exc:  # in the first value: too deep, an int too long
         raise ValueError("cannot read matrix JSON from %r: %s" % (path, exc)) from None
     out = []
@@ -143,10 +150,6 @@ def _synth_one(u: UnitaryRn) -> tuple[str, tuple]:
     return to_circuit(cf).to_text(), (("tcount", cf.tcount()), ("m", cf.m))
 
 
-def _synth_json(i: int, obj: dict) -> tuple[str, tuple]:
-    return _numbered(i, _synth_one, matrix_from_json(obj))
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the
     platform has one, else every CPU."""
@@ -168,7 +171,7 @@ def cmd_synth(args, out) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_synth_json, entries, map(matrix_to_json, matrices)))
+            results = list(pool.map(_numbered, entries, repeat(_synth_one), matrices))
     else:
         results = [_numbered(i, _synth_one, u) for i, u in zip(entries, matrices)]
     with _sink(args.output, out) as sink:

@@ -239,6 +239,12 @@ class Context:
             val = self._memo[key] = build()
         return val
 
+    def __reduce__(self):
+        # A context pickles and deep-copies as its n, and loads as the
+        # cached one (make_context): its tables are rebuilt, not copied,
+        # and elements of one context stay in one.
+        return make_context, (self.n,)
+
     def parity_multiplicity(self, mask: int) -> int:
         """Multiplicity of Phi_s in the nonzero GF(2) polynomial `mask`
         (bit i the coefficient of x^i) of degree below phi(2n).

@@ -14,10 +14,11 @@ with m > 0 the exponent is r = m 2^(k-1) - floor(v / 2), where v is the
 multiplicity of Phi_s in num mod 2 (see cyclo); r = m when k = 1 and r = 0
 when m = 0.  This module is the one home of that formula, on the pair
 (m, parity mask of num) (_parity_exponent, which the descent also calls on
-parities it reads without building the element), and of its parity-free
-bracket on m alone (_exp_bounds, with _drop_bounds its three-drop form,
-the brackets at m, m - 1 and m - 2 precomputed once per scan); both read
-k from the context, and _beta_exp_r applies the first to a RingElem.
+parities it reads without building the element), of its parity-free
+bracket on m alone (_exp_bounds), and of the reader of lane entries that
+applies the bracket first and reads parity bits only where it is not
+exact (_entries_max, _row_max), through which _beta_exp_r reads a
+RingElem; all read k from the context alone.
 BetaConstant holds only beta itself, the base of beta_exponent's witness.
 Ring elements are brought over a common 2^m in one place,
 _common_numerators: for sums, for the lane loads of the exact checks and
@@ -291,21 +292,11 @@ def _parity_exponent(ctx: Context, m: int, mask: int) -> int:
     return (m << (ctx.k - 1)) - (ctx.parity_multiplicity(mask) >> 1)
 
 
-def _beta_exp_r(x: RingElem) -> int:
-    """Denominator exponent only (no witness); shared with beta_exponent."""
-    if x.is_zero():
-        raise ValueError("beta exponent of zero")
-    if x.m == 0 or x.ctx.k == 1:
-        return x.m
-    lanes, p = x.ctx.lanes().load(x.num.coeffs)
-    return _parity_exponent(x.ctx, x.m, lanes.low_plane(p))
-
-
 def _exp_bounds(ctx: Context, m: int) -> tuple[int, int]:
     # The denominator exponent of a normalized nonzero x = num/2^m lies in
     # [(m-1)*k1 + 1, m*k1] for m >= 1 (k1 = 2^(k-1)) and equals 0 for m = 0,
     # because a normalized numerator is never divisible by beta^k1.  The
-    # bracket is exact when k = 1 or m = 0, where _beta_exp_r reads no bits.
+    # bracket is exact when k = 1 or m = 0, where _entries_max reads no bits.
     # An m <= 0 gets (0, 0), so that the upper end for m - t bounds
     # num / 2^m whenever 2^t divides num.
     if m <= 0:
@@ -314,17 +305,42 @@ def _exp_bounds(ctx: Context, m: int) -> tuple[int, int]:
     return (m - 1) * k1 + 1, m * k1
 
 
-def _drop_bounds(ctx: Context, m: int) -> tuple:
-    """The brackets _exp_bounds(ctx, m - t) for t = 0, 1, 2, the 2-adic
-    drops a residue scan tells apart, from one product: (m - t) k1 is the
-    upper end and (m - t - 1) k1 + 1 the lower, (0, 0) where m - t <= 0."""
-    k1 = 1 << (ctx.k - 1)
-    hi = m * k1
-    brackets = ((hi - k1 + 1, hi), (hi - 2 * k1 + 1, hi - k1), (hi - 3 * k1 + 1, hi - 2 * k1))
-    if m >= 3:
-        return brackets
-    m = max(m, 0)
-    return brackets[:m] + ((0, 0),) * (3 - m)
+def _entries_max(lanes: Lanes, vals: list, entries, cutoff):
+    """vals, the running max of each row, raised in place to the
+    denominator exponents of the lane entries (r, (p, m)) of row r, or None
+    once one provably exceeds cutoff (math.inf for none).  A normalized
+    entry with m > 0 has an odd lane, so its parity mask is its low plane;
+    it is read only where the bracket on m reaches above its row's max and
+    is not exact.  entries may be lazy: none past the one that exceeds
+    cutoff is taken."""
+    ctx = lanes.ctx
+    for r, (p, m) in entries:
+        val = vals[r]
+        lo, hi = _exp_bounds(ctx, m)  # (0, 0) for zero
+        if hi <= val:
+            continue
+        if lo > cutoff:
+            return None
+        # an exact bracket (k = 1) needs no parity bits
+        val = vals[r] = hi if lo == hi else max(val, _parity_exponent(ctx, m, lanes.low_plane(p)))
+        if val > cutoff:
+            return None
+    return vals
+
+
+def _row_max(lanes: Lanes, row) -> int:
+    """Max denominator exponent of a row of lane entries, 0 for a row of
+    integral entries."""
+    return _entries_max(lanes, [0], ((0, e) for e in row), math.inf)[0]
+
+
+def _beta_exp_r(x: RingElem) -> int:
+    """Denominator exponent only (no witness), shared with beta_exponent:
+    the row max of x alone, loaded into lanes."""
+    if x.is_zero():
+        raise ValueError("beta exponent of zero")
+    lanes, p = x.ctx.lanes().load(x.num.coeffs)
+    return _row_max(lanes, ((p, x.m),))
 
 
 def beta_exponent(x: RingElem, bc: BetaConstant) -> tuple[int, CycInt]:

@@ -301,7 +301,9 @@ def u_axis(ctx: Context, p: str, sign: int, a: int) -> UnitaryRn:
 
 
 def _token_gate(ctx: Context, tok: str) -> tuple[str, int]:
-    """The kernel gate of a circuit token H, S or W^j."""
+    """The kernel gate of a circuit token H, S or W^j: the one check of a
+    token, for the kernel's words (_word_gates) and for the circuit text
+    (GateSequence.from_text)."""
     if tok == "H":
         return ("h", 0)
     if tok == "S":
@@ -357,6 +359,8 @@ class GateSequence:
 
     @classmethod
     def from_text(cls, text: str, ctx: Context) -> "GateSequence":
+        """The word of a circuit text: an optional PH[a] first, then tokens
+        checked by _token_gate, each W^j kept as token_w(j)."""
         phase = 0
         tokens = []
         parts = text.split()
@@ -369,16 +373,8 @@ class GateSequence:
                 if not 0 <= phase < ctx.order:
                     raise ValueError("PH exponent out of range [0, 2n)")
                 continue
-            if tok in ("H", "S"):
-                tokens.append(tok)
-                continue
-            j = w_exponent(tok)
-            if j is not None:
-                if not 1 <= j < ctx.order:
-                    raise ValueError("W exponent %d out of range [1, 2n)" % j)
-                tokens.append(token_w(j))
-                continue
-            raise ValueError("unknown circuit token %r" % tok)
+            _, j = _token_gate(ctx, tok)
+            tokens.append(tok if tok in ("H", "S") else token_w(j))
         return cls(phase, tuple(tokens))
 
     def __iter__(self):

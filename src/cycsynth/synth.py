@@ -60,7 +60,6 @@ equals the unitary by construction, and membership does not evaluate it.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -68,9 +67,10 @@ from .cyclo import Context, CycInt, Lanes, make_context
 from .errors import IntegrityError, NotReducibleError, PhaseNotInRingError
 from .rings import (
     RingElem,
-    _drop_bounds,
+    _entries_max,
     _exp_bounds,
     _parity_exponent,
+    _row_max,
     as_zeta_power,
 )
 from .so3 import (
@@ -140,35 +140,6 @@ class MembershipResult:
 
 
 # -- descent ------------------------------------------------------------------
-
-
-def _entries_max(lanes: Lanes, vals: list, entries, cutoff):
-    """vals, the running max of each row, raised in place to the
-    denominator exponents of the lane entries (r, (p, m)) of row r, or None
-    once one provably exceeds cutoff (math.inf for none).  A normalized
-    entry with m > 0 has an odd lane, so its parity mask is its low plane;
-    it is read only where the bracket on m reaches above its row's max and
-    is not exact.  entries may be lazy: none past the one that exceeds
-    cutoff is taken."""
-    ctx = lanes.ctx
-    for r, (p, m) in entries:
-        val = vals[r]
-        lo, hi = _exp_bounds(ctx, m)  # (0, 0) for zero
-        if hi <= val:
-            continue
-        if lo > cutoff:
-            return None
-        # an exact bracket (k = 1) needs no parity bits
-        val = vals[r] = hi if lo == hi else max(val, _parity_exponent(ctx, m, lanes.low_plane(p)))
-        if val > cutoff:
-            return None
-    return vals
-
-
-def _row_max(lanes: Lanes, row) -> int:
-    """Max denominator exponent of a row of lane entries, 0 for a row of
-    integral entries."""
-    return _entries_max(lanes, [0], ((0, e) for e in row), math.inf)[0]
 
 
 def exponent_profile(m: Rotation) -> tuple[int, tuple[int, int, int]]:
@@ -375,7 +346,9 @@ class _PlaneScan(_EntryScan):
         # the largest denominators first, so cutoffs prune early
         entries = []
         for _, j, m in sorted(((-m0, 0, m0), (-m1, 1, m1), (-m2, 2, m2))):
-            bounds = _drop_bounds(ctx, m)
+            # the brackets at the 2-adic drops t = 0, 1, 2 a residue tells apart,
+            # spelled out, as a generator over t costs 0.5 us more per pencil
+            bounds = _exp_bounds(ctx, m), _exp_bounds(ctx, m - 1), _exp_bounds(ctx, m - 2)
             e = 2 * j
             entries += (2 * n * e, m, e, bounds), (2 * n * (e + 1), m, e + 1, bounds)
         self.entries = entries

@@ -168,6 +168,45 @@ def test_batch_json_error_names_its_line_in_the_file(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: line 4 is not valid JSON: ")
 
 
+def test_pretty_printed_json_error_names_its_line_in_the_file(tmp_path, capsys):
+    # a five-line object with a trailing comma before its closing brace:
+    # the first line is no whole value, so the body is not JSONL, and the
+    # error is the whole body's, at line 5 column 1 of the file (after one
+    # blank line, so at line 6 there)
+    entries = json.dumps(t_gate_json()["entries"])
+    text = '{"n": 4,\n "denom_exp": 0,\n "entries": %s,\n "x": 1,\n}\n' % entries
+    path = tmp_path / "m.json"
+    for lead, line in (("", 5), ("\n", 6)):
+        path.write_text(lead + text)
+        code, out = run_cli(["synth", "--n", "4", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err == ("error: cannot read matrix JSON from %r: Expecting property name "
+                       "enclosed in double quotes: line %d column 1 (char %d)\n"
+                       % (str(path), line, len(lead + text) - 2))
+
+
+def test_blank_matrix_input_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n  \n\t\n"))
+    code, out = run_cli(["synth", "--n", "4"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: empty matrix input\n"
+
+
+def test_an_integrity_failure_exits_3_with_one_line(monkeypatch, capsys):
+    from cycsynth import cli
+    from cycsynth.errors import IntegrityError
+
+    def broken(u):
+        raise IntegrityError("descent lost its invariant")
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(t_gate_json())))
+    monkeypatch.setattr(cli, "canonical_form", broken)
+    code, out = run_cli(["synth", "--n", "4"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "integrity failure: descent lost its invariant\n"
+
+
 @pytest.mark.parametrize("argv, what", [
     (["synth", "--n", "4", "--input"], ""),
     (["tcount", "--n", "4", "--input"], ""),
@@ -572,6 +611,38 @@ def test_fn_census_checkpoint_resume(tmp_path):
     lines = out2.read_text().splitlines()
     assert lines[0] == "2,true"
     assert out2.read_text() == fresh.read_text()
+
+
+def test_fn_census_checkpoints_mid_run_and_resumes_from_there(tmp_path, monkeypatch, capsys):
+    # every CHECKPOINT_EVERY rows the census flushes its CSV and saves a
+    # checkpoint; a run that dies at n = 3,400 resumes from the last one,
+    # n = 3,000, and ends byte-equal to a run that never stopped
+    from cycsynth import cli
+
+    full_path, out_path, ck = tmp_path / "full.csv", tmp_path / "census.csv", tmp_path / "c.ck"
+    assert run_cli(["fn-census", "--max", "5000", "--output", str(full_path)])[0] == 0
+    full = full_path.read_text()
+    census = cli.iter_census
+
+    def dies_at_3400(max_n, start_n=2):
+        for n, cond in census(max_n, start_n):
+            if n == 3400:
+                raise MemoryError
+            yield n, cond
+
+    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 1000)
+    monkeypatch.setattr(cli, "iter_census", dies_at_3400)
+    args = ["fn-census", "--max", "5000", "--output", str(out_path), "--checkpoint", str(ck)]
+    assert run_cli(args) == (2, "")
+    assert capsys.readouterr().err == "error: out of memory\n"
+    hits = sum(r.endswith(",true") for r in full.splitlines() if int(r.split(",")[0]) <= 3000)
+    assert json.loads(ck.read_text()) == {"max": 5000, "next_n": 3002, "hits": hits}
+    assert out_path.read_text().splitlines()[-1].startswith("3398,")
+    monkeypatch.setattr(cli, "iter_census", census)
+    assert run_cli(args) == (0, "")
+    assert out_path.read_text() == full
+    total = sum(r.endswith(",true") for r in full.splitlines()[:-1])
+    assert json.loads(ck.read_text()) == {"max": 5000, "next_n": 5002, "hits": total}
 
 
 def test_fn_census_resume_drops_rows_past_checkpoint(tmp_path):

@@ -4,10 +4,11 @@ Any module but cyclo.py that reaches into the store behind it (or brings
 back a private per-context cache dict) fails here, so a second cache
 mechanism cannot grow next to the first; so does any code but Context's
 that reads parity_multiplicity's table of multiplicities by mask.  Likewise the denominator
-exponent has one home, rings, which alone reads parity bits for it, the
-descent has one candidate scan for every n, and the gate kernel, the
-descent step and the column step run on packed lanes, where the descent
-step and the column step build no ring element at all; so do the
+exponent has one home, rings, which alone reads parity bits for it and
+alone defines its bracket and the reader of lane entries, the descent has
+one candidate scan for every n, and the gate kernel, the descent step and
+the column step run on packed lanes, where the descent step and the
+column step build no ring element at all; so do the
 descent's first step, the Bloch image, and the three exact checks, which
 form no CycInt product.  A candidate scan keeps each entry once: it
 builds its axis's pencils on lanes once and reads their planes mod 4 off
@@ -40,15 +41,24 @@ def test_only_cyclo_touches_the_per_context_store():
 def test_rings_is_the_one_home_of_the_denominator_exponent():
     # The descent reads exponents and their bracket from rings alone, with
     # nothing but the context; BetaConstant is the witness base and no more.
+    # The bracket (_exp_bounds) and the reader of lane entries (_entries_max,
+    # _row_max) are each defined once, in rings, with no second form.
     offenders = []
+    readers = re.compile(r"^def (_exp_bounds|_entries_max|_row_max)\b", re.M)
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
+        if "_drop_bounds" in text:
+            offenders.append((path.name, "_drop_bounds"))
+        if path.name != "rings.py" and readers.search(text):
+            offenders.append((path.name, "exponent reader"))
         if path.name in ("so3.py", "synth.py") and (
                 "BetaConstant" in text or "beta_constant" in text):
             offenders.append((path.name, "BetaConstant"))
         if path.name not in ("cyclo.py", "rings.py") and "parity_multiplicity(" in text:
             offenders.append((path.name, "parity_multiplicity"))
     assert offenders == []
+    rings = (SRC / "rings.py").read_text()
+    assert sorted(readers.findall(rings)) == ["_entries_max", "_exp_bounds", "_row_max"]
 
 
 def test_the_descent_has_one_scan_for_every_n():

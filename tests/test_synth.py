@@ -1,5 +1,7 @@
 """Optimal synthesis: descent, the rewriting oracle, emission, membership."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -139,6 +141,21 @@ def test_descent_strictly_decreases_exponent():
         profile = nxt
 
 
+@pytest.mark.parametrize("n", [4, 12, 16])
+def test_elements_pickle_and_deepcopy_onto_the_cached_context(n):
+    # A context pickles as its n (Context.__reduce__), so matrices, ring
+    # elements and rotations whose context holds lane tables copy, and go
+    # to the --jobs pool, onto the cached context, not a copy of it.
+    ctx = make_context(n)
+    u, _ = random_unitary(ctx, 20, 3)
+    canonical_form(u)  # builds the context's lane tables
+    elem = next(e for row in u.rows for e in row if e.m)
+    for x in (u, elem, bloch(u)):
+        for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(copied) is type(x) and copied == x and copied.ctx is x.ctx
+    assert canonical_form(pickle.loads(pickle.dumps(u))) == canonical_form(u)
+
+
 # -- the rewriting oracle -----------------------------------------------------------
 
 
@@ -212,7 +229,8 @@ def test_rewrite_rejects_w_exponents_outside_range(n):
     ctx = make_context(n)
     for j in (0, ctx.order, ctx.order + 1):
         bad = GateSequence(0, ("H", "W^%d" % j, "S"))
-        for read in (eval_sequence, canonicalize_sequence):
+        for read in (eval_sequence, canonicalize_sequence,
+                     lambda seq, ctx: GateSequence.from_text(seq.to_text(), ctx)):
             with pytest.raises(ValueError, match=r"W exponent must lie in \[1, 2n\)"):
                 read(bad, ctx)
 
