@@ -107,8 +107,18 @@ def _mul_binomial(p: list[int], e: int) -> list[int]:
 
 def _div_binomial(p: list[int], e: int) -> list[int]:
     # exact quotient p / (x^e - 1); q[i] = q[i-e] - p[i], i.e. per residue
-    # class mod e the quotient is a running prefix sum of -p.
-    nq = len(p) - e
+    # class mod e the quotient is a running prefix sum of -p.  Run on to
+    # len(p), the recurrence is exact iff its terms past len(p) - e are 0.
+    # With e^2 > len(p) there are fewer blocks of e than classes, so it runs
+    # one block at a time.
+    nq = max(len(p) - e, 0)
+    if e * e > len(p):
+        q = [-c for c in p[:e]]
+        for i in range(e, len(p), e):
+            q += [a - c for a, c in zip(q[i - e:i], p[i:i + e])]
+        if any(q[nq:]):
+            raise IntegrityError("inexact polynomial division by x^%d - 1" % e)
+        return q[:nq]
     q = [0] * nq
     for r in range(e):
         acc = list(accumulate(p[r::e]))

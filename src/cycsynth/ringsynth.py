@@ -116,9 +116,16 @@ def _spf_factorizer(limit: int):
     return factorize_spf
 
 
+# The census holds about 34 bytes and takes 3.5-4.5 us per integer up to
+# its bound: some 3.4 GB and 6-8 minutes at this one.
+CENSUS_MAX = 10**8
+
+
 def _check_census_bound(max_n: int) -> None:
     if max_n < 2 or max_n % 2:
         raise ValueError("census bound must be a positive even integer")
+    if max_n > CENSUS_MAX:
+        raise ValueError("census bound must be at most %d, got %d" % (CENSUS_MAX, max_n))
 
 
 def iter_census(max_n: int, start_n: int = 2):

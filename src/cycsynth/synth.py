@@ -11,14 +11,15 @@ without matrix products: a rotation by b pi/n about axis q multiplies the
 complex combination r1 - i sigma_q r2 of the other two rows by zeta^b, so
 each candidate entry is the real part of a root-of-unity multiple: on
 numerators packed into lanes (cyclo.Lanes), two lane rotations, an add, a
-fold and a right shift.  An axis of one candidate (n = 4) builds its six
-entries so and scores them; an axis of several scores them without
-building entries at all: the same rotations and adds act on the
-numerators mod 4, kept as bit planes of n lanes (zeta^n = -1 for every
-n), which a fold reduces mod Phi_2n, and an entry's exact exponent
-follows from its lowest nonzero plane (_PlaneScan), the planes read off
-the low bits of the pencils' lanes in one read per side of the axis, its
-three pencils packed into one int.  Each candidate is scored against a
+fold and a right shift.  Up to n = 16, where an axis has at most seven
+candidates, each candidate's six entries are built so and scored
+(_EntryScan); above, an axis scores them without building entries at
+all: the same rotations and adds act on the numerators mod 4, kept as
+bit planes of n lanes (zeta^n = -1 for every n), which a fold reduces
+mod Phi_2n, and an entry's exact exponent follows from its lowest
+nonzero plane (_PlaneScan), the planes read off the low bits of the
+pencils' lanes in one read per side of the axis, its three pencils
+packed into one int.  Each candidate is scored against a
 bar, the smallest row max, which the paper's exponent law says the winner
 scores: an axis whose kept row sits above the bar gets no scan, and every
 other candidate is cut once it provably passes it (axis_detect).  The
@@ -35,11 +36,12 @@ exponent.  A step rewrites two rows and keeps row q, so it reads only the
 six new entries, and it reads each once: a score keeps one running max
 per new row, and the step takes the winner's pair of row maxima from it.
 It builds the six entries once, on lanes, from the pencils and entries
-the winning scan already holds (all six at n = 4); no lane ever wraps, as
-each step widens its lanes when a shifted numerator or a new entry leaves
-the headroom.  A step builds no ring element: the descent starts from the
-lane entries of the Bloch image (so3, products on lanes), reads the final
-Clifford pattern off the lanes, and the matrix is unpacked only when read.
+the winning scan already holds (all six up to n = 16); no lane ever
+wraps, as each step widens its lanes when a shifted numerator or a new
+entry leaves the headroom.  A step builds no ring element: the descent
+starts from the lane entries of the Bloch image (so3, products on
+lanes), reads the final Clifford pattern off the lanes, and the matrix
+is unpacked only when read.
 
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
@@ -255,9 +257,8 @@ class _EntryScan:
     maxima of a candidate that gets through its score (maxes), so that the
     rotation reads no exponent again.  A column costs three lane rotations
     in either build order: its first entry keeps the two rotated pencils
-    its sibling is built from (turned).  axis_detect scores an axis of one
-    candidate (n = 4) so, reading no plane, and an axis of several on
-    planes (_PlaneScan).
+    its sibling is built from (turned).  axis_detect scores every axis so
+    up to n = 16, reading no plane, and on planes above (_PlaneScan).
     """
 
     __slots__ = ("qi", "ctx", "half", "shift", "lanes", "pencils", "built", "maxes", "turned")
@@ -307,7 +308,8 @@ class _EntryScan:
 
 class _PlaneScan(_EntryScan):
     """Scores the candidates R_q^(-b) M on one axis of a descent step
-    (_Step) from its pencils mod 4, without reading an entry.
+    (_Step) from its pencils mod 4, without reading an entry; axis_detect
+    scans so from n = 18, where it beats building every entry.
 
     A residue mod 4 of a numerator is kept as two bitmask planes (high,
     low), one lane per coefficient; negation is (h ^ l, l), addition is
@@ -424,10 +426,10 @@ class _Step(Rotation):
 
     R_q^(-b) leaves row q as it is, so rotated() carries that row's
     entries and max to the next step and takes the six new entries from
-    the winning scan (_EntryScan.pair): all six as built at n = 4, where
-    the scan scored its candidate on them.  It reads no exponent of them
-    again: the new rows' maxima are the ones the winner's score kept.  It
-    builds no RingElem.  When a new entry leaves the headroom, the step's
+    the winning scan (_EntryScan.pair): all six as built up to n = 16,
+    where the scan scored its candidates on them.  It reads no exponent of
+    them again: the new rows' maxima are the ones the winner's score kept.
+    It builds no RingElem.  When a new entry leaves the headroom, the step's
     lanes double.  The matrix (rows) is unpacked from the lanes only when
     something reads it; the descent reads only signed_perm_key, off the
     lanes.  A step holds no reference to the step before it.
@@ -512,21 +514,22 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
     R_q(-b pi/n) fixes row q and multiplies Z = r1 - i sigma_q r2 (r1, r2
     the other rows) by zeta^b, so the candidate's rows are Re(zeta^b Z) and
     -sigma_q Re(zeta^(b - n/2) Z), two basis rotations and an add per entry.
-    At n = 4 each axis has one candidate, b = 1: its six entries are built
-    so from the pencils, one at a time, and scored on their exponents
-    against the same floor and bar (_EntryScan.score, by _entries_max);
-    the rotation takes them, and their rows' maxima, as scored.  For n >= 6
-    the rotations and adds run on the numerators mod 4 as two bitmask
-    planes, read per axis off the lanes of its pencils, one read per side
-    of the three pencils packed into one int, and reduced mod Phi_2n per
-    candidate (_PlaneScan): an entry N / 2^m with an odd coefficient in N
-    or N / 2 (2-adic drop t <= 1) gets its exact exponent from its planes,
-    and only an entry with t >= 2, or zero, is built in full, when its
-    bound m - 2 reaches above its row's running max.  The lane entries and
-    row maxima come from the descent's step state (_Step), which
-    canonical_form carries from step to step; a plain Rotation is read in
-    full first, and the winning scan, with the row maxima of what it
-    scored, is kept on the step for the rotation.
+    Up to n = 16 (at most seven candidates per axis) each candidate's six
+    entries are built so from the pencils, one at a time, and scored on
+    their exponents against the same floor and bar (_EntryScan.score, by
+    _entries_max); the rotation takes the winner's, and their rows'
+    maxima, as scored.  From n = 18 the rotations and adds run on the
+    numerators mod 4 as two bitmask planes, read per axis off the lanes of
+    its pencils, one read per side of the three pencils packed into one
+    int, and reduced mod Phi_2n per candidate (_PlaneScan): an entry
+    N / 2^m with an odd coefficient in N or N / 2 (2-adic drop t <= 1)
+    gets its exact exponent from its planes, and only an entry with
+    t >= 2, or zero, is built in full, when its bound m - 2 reaches above
+    its row's running max.  The lane entries and row maxima come from the
+    descent's step state (_Step), which canonical_form carries from step
+    to step; a plain Rotation is read in full first, and the winning scan,
+    with the row maxima of what it scored, is kept on the step for the
+    rotation.
     A candidate is dropped as soon as its exponent provably exceeds the
     bar, then the best seen (entry exponents are bracketed by the
     power-of-two denominator before any parity bits are read), and an axis
@@ -560,9 +563,9 @@ def axis_detect(m: Rotation) -> tuple[str, int]:
         floor = row_max[qi]
         if floor > best_val:
             continue
-        # one candidate per axis (n = 4) is built, not scanned: the rotation
-        # needs the winner's entries built anyway
-        scan = _EntryScan(st, qi) if half == 2 else _PlaneScan(st, qi)
+        # up to n = 16 an axis's few candidates are built, not scanned: the
+        # rotation needs the winner's entries built anyway
+        scan = _EntryScan(st, qi) if half <= 8 else _PlaneScan(st, qi)
         for b in range(1, half):
             val = scan.score(b, floor, best_val)
             if val is None:

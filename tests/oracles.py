@@ -39,7 +39,9 @@ the lane conjugate on a tuple of its lanes, as before it reversed
 them in their bytes, two ring elements over their common denominator as
 CycInts, lanes re-laned through a coefficient tuple, and the descent
 that scores every candidate at its step's bar and raises on a tie, as
-before it stopped at its first winner.
+before it stopped at its first winner, and the division by x^e - 1 one
+prefix sum per residue class mod e, as before it ran a block of e at a
+time.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from cycsynth import (
     ColumnRn,
     CycInt,
     GateSequence,
+    IntegrityError,
     NotReducibleError,
     RingElem,
     Rotation,
@@ -103,6 +106,21 @@ def naive_cyclotomic(m: int) -> list[int]:
             assert not any(r)
             poly = q
     return poly
+
+
+def class_div_binomial(p: list[int], e: int) -> list[int]:
+    # exact quotient p / (x^e - 1), one running prefix sum of -p per
+    # residue class mod e, as cyclo._div_binomial divided before it ran the
+    # recurrence a block of e at a time
+    nq = len(p) - e
+    q = [0] * nq
+    for r in range(e):
+        acc = list(itertools.accumulate(p[r::e]))
+        cut = len(range(r, nq, e))
+        q[r::e] = [-a for a in acc[:cut]]
+        if any(acc[cut:]):
+            raise IntegrityError("inexact polynomial division by x^%d - 1" % e)
+    return q
 
 
 def poly_eval(p, x):
@@ -860,10 +878,10 @@ def uncapped_axis_detect(m):
 
 
 def plane_axis_detect(m):
-    """axis_detect as before an axis of one candidate (n = 4) was built
-    rather than scanned, and before its bar started at the smallest row
-    max: every candidate, at every n, scored on the planes of its axis's
-    scan (_PlaneScan.score) in one pass against one bar, one below the
+    """axis_detect as before the axes up to n = 16 were built rather than
+    scanned, and before its bar started at the smallest row max: every
+    candidate, at every n, scored on the planes of its axis's scan
+    (_PlaneScan.score) in one pass against one bar, one below the
     current max, then the best seen; same result and errors.  The step
     keeps no scan."""
     half = m.ctx.n // 2

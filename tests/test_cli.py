@@ -287,16 +287,16 @@ def test_census_checkpoint_too_deep_or_too_long_names_its_file(tmp_path, capsys)
 
 
 def test_running_out_of_memory_is_an_input_error(monkeypatch, capsys):
-    # a census bound whose sieve does not fit in memory: one error line and
-    # exit 2, not a traceback and exit 1 (the sieve is made to fail here
-    # rather than allocated)
+    # a census bound, within CENSUS_MAX, whose sieve does not fit in memory:
+    # one error line and exit 2, not a traceback and exit 1 (the sieve is
+    # made to fail here rather than allocated)
     from cycsynth import ringsynth
 
     def no_memory(limit):
         raise MemoryError
 
     monkeypatch.setattr(ringsynth, "_spf_factorizer", no_memory)
-    code, out = run_cli(["fn-census", "--max", "100000000000"])
+    code, out = run_cli(["fn-census", "--max", str(ringsynth.CENSUS_MAX)])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "error: out of memory\n"
 
@@ -701,6 +701,26 @@ def test_fn_census_rejects_bad_bounds_before_touching_files(tmp_path, capsys):
             assert "census bound must be a positive even integer" in capsys.readouterr().err
     assert out_path.read_text() == "2,true\n"
     assert ck.read_text() == "[1, 2]"
+
+
+def test_fn_census_rejects_a_bound_past_its_limit_before_any_work(tmp_path, monkeypatch, capsys):
+    # fn-census --max above CENSUS_MAX (10^8, some 3.4 GB of sieve) exits 2
+    # at once, naming the limit, and creates no output file; iter_census
+    # rejects it before it builds the sieve
+    from cycsynth import ringsynth
+
+    def no_sieve(limit):
+        raise AssertionError("sieve built for %d" % limit)
+
+    monkeypatch.setattr(ringsynth, "_spf_factorizer", no_sieve)
+    out_path = tmp_path / "census.csv"
+    for bad in (ringsynth.CENSUS_MAX + 2, 10**11):
+        code, out = run_cli(["fn-census", "--max", str(bad), "--output", str(out_path)])
+        assert (code, out) == (2, "") and not out_path.exists()
+        assert capsys.readouterr().err == \
+            "error: census bound must be at most 100000000, got %d\n" % bad
+        with pytest.raises(ValueError, match="at most 100000000"):
+            next(ringsynth.iter_census(bad))
 
 
 def test_fn_census_rejects_bad_checkpoints_and_keeps_the_output(tmp_path, capsys):

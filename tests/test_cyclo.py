@@ -10,6 +10,7 @@ import pytest
 from cycsynth import RingElem, as_zeta_power, cyclotomic_poly, divides, exact_quotient, make_context
 from cycsynth.cyclo import Context, factorize
 from oracles import (
+    class_div_binomial,
     divides_oracle,
     mult_order_two,
     naive_cyclotomic,
@@ -317,6 +318,44 @@ def test_cyclotomic_even_radicals_match_naive_oracle():
                       if all(r % (p * p) for p in range(3, int(r ** 0.5) + 1, 2))]
     for m in [2 * r for r in odd_squarefree] + [2310, 4 * 105, 18 * 35, 8 * 15]:
         assert cyclotomic_poly(m) == naive_cyclotomic(m), m
+
+
+def test_block_division_matches_the_per_class_division(monkeypatch):
+    # cyclo._div_binomial runs q[i] = q[i - e] - p[i] a block of e at a time
+    # when e^2 > len(p), and one prefix sum per residue class otherwise; it
+    # equals class_div_binomial on every division behind Phi_d for every
+    # d <= 2,000 and for squarefree d of 2 to 5 primes up to 10^5, and
+    # rejects an inexact division as it does on both paths.
+    from cycsynth import IntegrityError, cyclo
+
+    paths, divide = [], cyclo._div_binomial
+
+    def both(p, e):
+        paths.append(e * e > len(p))
+        q = divide(p, e)
+        assert q == class_div_binomial(p, e)
+        return q
+
+    monkeypatch.setattr(cyclo, "_div_binomial", both)
+    build = cyclo._cyclotomic_squarefree.__wrapped__
+    for d in range(1, 2001):
+        if set(factorize(d).values()) <= {1}:
+            build(d)
+    rng, by_count = random.Random(9100), {count: [] for count in range(2, 6)}
+    for d in range(15, 100_001, 2):
+        primes = factorize(d)
+        if len(primes) in by_count and set(primes.values()) == {1}:
+            by_count[len(primes)].append(d)
+    for ds in by_count.values():
+        for d in rng.sample(ds, 4):
+            build(d)
+    assert True in paths and False in paths
+    for p, e in [([1, 0, 1], 1), ([1, 0, 1], 2), ([1, 2, 3, 4, 5], 2), ([1, 2, 3, 4, 5], 3),
+                 ([-1, 0, 0, 0, 0, 1, 1], 3), ([-1, 0, 0, 0, 0, 1, 1], 2), ([1, 0, 0], 4)]:
+        with pytest.raises(IntegrityError):
+            divide(p, e)
+        with pytest.raises(IntegrityError):
+            class_div_binomial(p, e)
 
 
 def test_cyclotomic_degree_and_height_sentinels():

@@ -3,8 +3,8 @@ replaced (kept in oracles.py as the reference), the gate-application
 kernel and the gate constants against explicit matrices and general 2x2
 products, bloch against the six-product Bloch image, the mod-4 plane
 scan of the descent (every n) against full entries, the dense scan and
-the scan with no bar below the current max, the one-candidate axes of
-n = 4, built rather than scanned, and the descent's two scans, the
+the scan with no bar below the current max, the axes up to n = 16,
+built rather than scanned, and the descent's two scans, the
 first-winner scan with its bar at the smallest row max and the checked
 scan with its bar one below the current max, each one pass, against the
 scan of every candidate on planes with that one bar, the descent that
@@ -79,6 +79,7 @@ from cycsynth.su2 import AXES, _strip, token_w
 from cycsynth.synth import (
     _OTHER_ROWS,
     _SIGMA,
+    _EntryScan,
     _PlaneScan,
     _RewriteState,
     _Step,
@@ -482,14 +483,16 @@ def test_a_step_with_every_row_at_the_max_builds_no_scan(n, monkeypatch):
 
 @pytest.mark.parametrize("n", (12, 24, 64))
 def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
-    # every n: each step scores whole axes of candidates with
-    # _PlaneScan.score, and builds a lane entry in full only through
-    # _PlaneScan.entry; the rotation builds only the winner's lane entries
+    # every n: each step scores whole axes of candidates, on their entries
+    # up to n = 16 (_EntryScan.score) and on residue planes above
+    # (_PlaneScan.score), and builds a lane entry in full only through
+    # _EntryScan.entry; the rotation builds only the winner's lane entries
     # the scan did not, and unpacks none of the six (the matrix is unpacked
     # only when read)
     ctx = make_context(n)
     scored, calls = [], {"entry": 0, "built": 0, "elem": 0}
-    score, entry, lane_entry = _PlaneScan.score, _PlaneScan.entry, cyclo.Lanes.entry
+    scan_type = _EntryScan if n <= 16 else _PlaneScan
+    score, entry, lane_entry = scan_type.score, _EntryScan.entry, cyclo.Lanes.entry
 
     def counted_score(self, b, floor, cutoff):
         scored.append((self.qi, b))
@@ -507,8 +510,8 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
         calls["elem"] += 1
         return RingElem(num, m)
 
-    monkeypatch.setattr(_PlaneScan, "score", counted_score)
-    monkeypatch.setattr(_PlaneScan, "entry", counted_entry)
+    monkeypatch.setattr(scan_type, "score", counted_score)
+    monkeypatch.setattr(_EntryScan, "entry", counted_entry)
     monkeypatch.setattr(cyclo.Lanes, "entry", counted_lane_entry)
     monkeypatch.setattr(synth, "RingElem", counted_elem)
     m = _as_step(bloch(random_unitary(ctx, 30, 77)[0]))
@@ -519,7 +522,7 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
         q, b = axis_detect(m)
         axes = sorted({qi for qi, _ in scored})
         assert axes and sorted(scored) == [(qi, c) for qi in axes for c in range(1, n // 2)]
-        assert calls["built"] == calls["entry"]
+        assert type(m.scan) is scan_type and calls["built"] == calls["entry"]
         # the rotation builds only the winner's entries the scan did not
         kept = sum(1 for _, c in m.scan.built if c == b)
         calls.update(elem=0, built=0)
@@ -530,38 +533,65 @@ def test_descent_scores_every_candidate_on_residue_planes(n, monkeypatch):
     assert steps >= 3 and reused > 0
 
 
-def _check_one_candidate_step(st, calls):
-    """axis_detect on a step at n = 4 against plane_axis_detect: the same
-    (axis, b) or the same NotReducibleError text, and no plane read
-    (calls["planes"]).  On a winner, the kept scan holds the six entries of
-    the winning candidate, equal to a fresh scan's pair(j, 1), and the
-    rotation takes them as they are, building no entry (calls["entry"]);
-    the next step is returned, else None."""
+def _spy_lane_reads(monkeypatch):
+    """Lists, under "planes", "entry" and "row_max", of the plane reads
+    (cyclo.Lanes.planes), the lane entries built (cyclo.Lanes.entry) and
+    the rows synth._row_max reads."""
+    calls = {"planes": [], "entry": [], "row_max": []}
+    planes, entry, row_max = cyclo.Lanes.planes, cyclo.Lanes.entry, synth._row_max
+    monkeypatch.setattr(cyclo.Lanes, "planes", lambda lanes, p, count=None:
+                        calls["planes"].append(count) or planes(lanes, p, count))
+    monkeypatch.setattr(cyclo.Lanes, "entry", lambda lanes, p, m:
+                        calls["entry"].append(m) or entry(lanes, p, m))
+    monkeypatch.setattr(synth, "_row_max", lambda lanes, row:
+                        calls["row_max"].append(row) or row_max(lanes, row))
+    return calls
+
+
+def _check_entry_scan_step(st, calls):
+    """axis_detect on a step against plane_axis_detect: the same (axis, b)
+    or the same NotReducibleError text, and up to n = 16, where each axis
+    is scored on its built entries (_EntryScan), no plane read
+    (calls["planes"]).  Every candidate of every axis scores on its
+    entries what it scores on planes, with no cutoff and cut at the
+    checked bar, max - 1.  On a winner the kept scan is an _EntryScan
+    exactly up to n = 16; its winner's entries equal a fresh plane scan's
+    pair(j, b), and the rotation equals reference_rotate, builds no entry
+    after an entry scan (calls["entry"]) and carries the winner's row
+    maxima.  Returns the next step, else None, and the outcome: "winner",
+    or the error text."""
+    entries, top = st.ctx.n <= 16, max(st.row_max) - 1
+    for qi in range(3):
+        by_entry, by_plane, floor = _EntryScan(st, qi), _PlaneScan(st, qi), st.row_max[qi]
+        for b in range(1, st.ctx.n // 2):
+            assert by_entry.score(b, floor, math.inf) == by_plane.score(b, floor, math.inf)
+            cut = [scan.score(b, floor, top) for scan in (by_entry, by_plane)]
+            assert len({None if v is None or v > top else v for v in cut}) == 1
     try:
         want = plane_axis_detect(st)
     except NotReducibleError as exc:
         calls["planes"].clear()
         with pytest.raises(NotReducibleError) as got:
             axis_detect(st)
-        assert str(got.value) == str(exc) and calls["planes"] == []
-        return None
+        assert str(got.value) == str(exc) and not (entries and calls["planes"])
+        return None, str(exc)
     calls["planes"].clear()
-    assert axis_detect(st) == want and calls["planes"] == []
-    qi = AXES.index(want[0])
+    assert axis_detect(st) == want and not (entries and calls["planes"])
+    qi, b = AXES.index(want[0]), want[1]
     scan, fresh = st.scan, _PlaneScan(st, qi)
-    pairs = [fresh.pair(j, 1) for j in range(3)]
-    assert scan.qi == qi and scan.lanes.width == fresh.lanes.width
-    assert [scan.built[e, 1] for e in range(6)] == [x for pair in pairs for x in pair]
+    assert scan.qi == qi and (type(scan) is _EntryScan) == entries
+    assert scan.lanes.width == fresh.lanes.width
+    pairs = [x for j in range(3) for x in fresh.pair(j, b)]
+    if entries:  # the score built all six
+        assert [scan.built[e, b] for e in range(6)] == pairs
+    assert [x for j in range(3) for x in scan.pair(j, b)] == pairs
     calls["entry"].clear()
     calls["row_max"].clear()
-    nxt = st.rotated(qi, 1)
-    assert calls["entry"] == []
-    for r, i in enumerate(_OTHER_ROWS[qi]):
-        assert [(nxt.lanes.unpack(p), m) for p, m in nxt.ent[i]] == \
-            [(fresh.lanes.unpack(pair[r][0]), pair[r][1]) for pair in pairs]
-    assert nxt == reference_rotate(st, qi, 1)
-    _check_carried_maxima(st, qi, 1, nxt, calls["row_max"])
-    return nxt
+    nxt = st.rotated(qi, b)
+    assert not (entries and calls["entry"])
+    assert nxt == reference_rotate(st, qi, b)
+    _check_carried_maxima(st, qi, b, nxt, calls["row_max"])
+    return nxt, "winner"
 
 
 def _check_carried_maxima(st, qi, b, nxt, reads):
@@ -598,21 +628,12 @@ def test_one_candidate_axes_are_built_like_the_plane_scan_scores_them(monkeypatc
     # rotations is itself of exponent <= e, so the bar cuts the tie and
     # the z axis may still win); and products of generators with an axis
     # repeated.
-    ctx = make_context(4)
-    calls = {"planes": [], "entry": [], "row_max": []}
-    planes, entry, row_max = cyclo.Lanes.planes, cyclo.Lanes.entry, synth._row_max
-    monkeypatch.setattr(cyclo.Lanes, "planes", lambda lanes, p, count=None:
-                        calls["planes"].append(count) or planes(lanes, p, count))
-    monkeypatch.setattr(cyclo.Lanes, "entry", lambda lanes, p, m:
-                        calls["entry"].append(m) or entry(lanes, p, m))
-    monkeypatch.setattr(synth, "_row_max", lambda lanes, row:
-                        calls["row_max"].append(row) or row_max(lanes, row))
-    steps = 0
+    ctx, calls, steps = make_context(4), _spy_lane_reads(monkeypatch), 0
     for tcount in (1, 2, 10, 50, 200):
         for seed in range(20):
             st = _as_step(bloch(random_unitary(ctx, tcount, 2500 + seed)[0]))
             while is_signed_permutation(st) is None:
-                st = _check_one_candidate_step(st, calls)
+                st, _ = _check_entry_scan_step(st, calls)
                 steps += 1
     assert steps == 20 * (1 + 2 + 10 + 50 + 200)
     rng = random.Random(2600)
@@ -633,29 +654,53 @@ def test_one_candidate_axes_are_built_like_the_plane_scan_scores_them(monkeypatc
         scores = [_PlaneScan(st, qi).score(1, st.row_max[qi], math.inf) for qi in range(3)]
         ties += scores[0] == scores[1]
         while st is not None and is_signed_permutation(st) is None:
-            st = _check_one_candidate_step(st, calls)
+            st, _ = _check_entry_scan_step(st, calls)
         stuck += st is None
     assert ties >= 20 and stuck >= 2
 
 
+@pytest.mark.parametrize("n", EXPONENT_NS + (20,))
+def test_entry_scan_steps_match_the_plane_scan(n, monkeypatch):
+    # Up to n = 16 each axis's candidates are built from its pencils
+    # (_EntryScan) and scored on their entries, never on planes; above, on
+    # planes (_PlaneScan).  On both sides every step matches the scan of
+    # every candidate on planes (_check_entry_scan_step): the steps of
+    # member descents and of the crafted matrices (_crafted_descents),
+    # bare and behind a member's rotations, down to a Clifford or a stuck
+    # step.
+    ctx, calls = make_context(n), _spy_lane_reads(monkeypatch)
+    tcount = {32: 12, 64: 8}.get(n, 24)
+    starts = [bloch(random_unitary(ctx, tcount, 3100 + seed)[0]) for seed in range(3)]
+    seen = []
+    for m in starts + [m for _, m in _crafted_descents(ctx, 10)]:
+        st = _as_step(m)
+        while st is not None and is_signed_permutation(st) is None:
+            st, kind = _check_entry_scan_step(st, calls)
+            seen.append(kind)
+    assert seen.count("winner") >= 30 and NONE in seen
+
+
 def _spy_scans(monkeypatch):
-    """A list that collects (axis, b, cutoff, value) per _PlaneScan.score
-    call; one that collects the axis of every _PlaneScan built; and one that
-    collects every row synth._row_max reads."""
-    scored, built, score, init = [], [], _PlaneScan.score, _PlaneScan.__init__
+    """A list that collects (axis, b, cutoff, value) per score of either
+    scan, _EntryScan or _PlaneScan; one that collects the axis of every
+    scan built; and one that collects every row synth._row_max reads."""
+    scored, built, init = [], [], _EntryScan.__init__
     reads, row_max = [], synth._row_max
 
-    def counted_score(scan, b, floor, cutoff):
-        val = score(scan, b, floor, cutoff)
-        scored.append((scan.qi, b, cutoff, val))
-        return val
+    def counted_score(score):
+        def counted(scan, b, floor, cutoff):
+            val = score(scan, b, floor, cutoff)
+            scored.append((scan.qi, b, cutoff, val))
+            return val
+        return counted
 
     def counted_init(scan, st, qi):
         built.append(qi)
         init(scan, st, qi)
 
-    monkeypatch.setattr(_PlaneScan, "score", counted_score)
-    monkeypatch.setattr(_PlaneScan, "__init__", counted_init)
+    for cls in (_EntryScan, _PlaneScan):
+        monkeypatch.setattr(cls, "score", counted_score(cls.score))
+    monkeypatch.setattr(_EntryScan, "__init__", counted_init)
     monkeypatch.setattr(synth, "_row_max", lambda lanes, row:
                         reads.append(row) or row_max(lanes, row))
     return scored, built, reads
@@ -861,12 +906,14 @@ def test_descent_stops_at_its_first_winner(n, monkeypatch):
     # A step of canonical_form scores every candidate of each deficient
     # axis (kept row at the smallest row max, floor0) ordered before the
     # winner's, all cut, then the winner's axis up to the winner, which
-    # scores floor0, and nothing after it.  The checked scan scores every
+    # scores floor0, and nothing after it, on entries at n = 16
+    # (_EntryScan.score) and on planes above.  The checked scan scores every
     # candidate of each deficient axis: 420 calls at n = 16, 555 at n = 32
     # and 620 at n = 64 over these descents, against 254, 328 and 346.
     ctx = make_context(n)
     half, scored, steps = n // 2, [], []
-    score, detect = _PlaneScan.score, synth.axis_detect
+    scan_type = _EntryScan if n <= 16 else _PlaneScan
+    score, detect = scan_type.score, synth.axis_detect
 
     def counted_score(scan, b, floor, cutoff):
         val = score(scan, b, floor, cutoff)
@@ -879,7 +926,7 @@ def test_descent_stops_at_its_first_winner(n, monkeypatch):
         steps.append((st.row_max, AXES.index(q), b, list(scored)))
         return q, b
 
-    monkeypatch.setattr(_PlaneScan, "score", counted_score)
+    monkeypatch.setattr(scan_type, "score", counted_score)
     monkeypatch.setattr(synth, "axis_detect", counted_detect)
     for seed in range(3):
         u, word = random_unitary(ctx, {16: 50, 32: 50, 64: 30}[n], 660 + seed)
@@ -992,15 +1039,16 @@ def test_the_first_bar_cuts_parity_reads(n, tcount, bound, monkeypatch):
     assert 0 < reads[0] <= bound
 
 
-@pytest.mark.parametrize("n, bound", [(4, 1250), (8, 1165), (12, 480), (16, 980), (64, 250)])
+@pytest.mark.parametrize("n, bound", [(4, 1250), (8, 1165), (12, 480), (24, 480), (64, 250)])
 def test_carried_row_maxima_cut_exponent_reads(n, bound, monkeypatch):
     # Each exponent of a step is read once: a score keeps one running max
     # per new row, and the rotation takes the winner's instead of reading
     # both new rows again.  Over seeds 0-2 at T-count 100, parity reads fall
-    # from 1,398 to 1,098 at n = 4, 1,332 to 998 at n = 8, 537 to 429 at
-    # n = 12, 1,172 to 794 at n = 16 and 289 to 218 at n = 64; _row_max
-    # reads only each descent's first three rows, those of the Bloch image
-    # (609 calls at n = 4 when the rotation read its new rows).
+    # from 2,181 to 1,098 at n = 4, 1,571 to 829 at n = 8 and 812 to 421 at
+    # n = 12 (entry scans), and 769 to 387 at n = 24 and 302 to 176 at
+    # n = 64 (plane scans); _row_max reads only each descent's first three
+    # rows, those of the Bloch image (609 calls at n = 4 when the rotation
+    # read its new rows).
     ctx = make_context(n)
     us = [random_unitary(ctx, 100, seed)[0] for seed in range(3)]
     reads, rows = [0], []

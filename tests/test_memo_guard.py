@@ -242,17 +242,18 @@ def test_the_bloch_step_and_the_exact_checks_form_no_cycint_product(monkeypatch)
 
 
 def test_each_scan_builds_its_pencils_once(monkeypatch):
-    # Every _PlaneScan builds the pencils of its axis exactly once
-    # (synth._lane_pencils), for its planes, its entries and its pairs
-    # alike, and the rotation to the winning candidate (synth._Step.rotated,
-    # always on the winning axis in canonical_form) builds no scan.
+    # Every scan, an _EntryScan (n <= 16) or a _PlaneScan, builds the
+    # pencils of its axis exactly once (synth._lane_pencils), for its planes,
+    # its entries and its pairs alike, and the rotation to the winning
+    # candidate (synth._Step.rotated, always on the winning axis in
+    # canonical_form) builds no scan.
     from cycsynth import canonical_form, make_context, random_unitary, synth
 
     calls, entered = _guard_lane_arithmetic(
-        monkeypatch, [(synth._Step, "rotated")], [(synth._PlaneScan, "__init__")])
+        monkeypatch, [(synth._Step, "rotated")], [(synth._EntryScan, "__init__")])
     _, built = _guard_lane_arithmetic(
-        monkeypatch, [(synth._PlaneScan, "__init__"), (synth, "_lane_pencils")], [])
-    for n in (8, 12, 30, 64):
+        monkeypatch, [(synth._EntryScan, "__init__"), (synth, "_lane_pencils")], [])
+    for n in (8, 12, 24, 30, 64):
         ctx = make_context(n)
         for seed in range(2):
             u, _ = random_unitary(ctx, 40, 70 + seed)
@@ -265,9 +266,10 @@ def test_each_scan_reads_its_planes_once_per_side(monkeypatch):
     # A _PlaneScan reads the planes mod 4 of its pencils in two calls of
     # cyclo.Lanes.planes, one per side: the three Z_j packed into one int
     # of 3n lanes and the three conj(Z_j) into another, so no loop over the
-    # columns reads them one by one.  At n = 4 an axis has one candidate,
-    # built and scored on its entries, so the descent reads no plane.  The
-    # residue-byte tables behind the reads have one reader, cyclo.Lanes.
+    # columns reads them one by one.  Up to n = 16 an axis's candidates are
+    # built and scored on their entries (_EntryScan), so the descent builds
+    # no _PlaneScan and reads no plane.  The residue-byte tables behind the
+    # reads have one reader, cyclo.Lanes.
     from cycsynth import canonical_form, cyclo, make_context, random_unitary, synth
 
     reads, plain = [], cyclo.Lanes.planes
@@ -278,15 +280,15 @@ def test_each_scan_reads_its_planes_once_per_side(monkeypatch):
 
     monkeypatch.setattr(cyclo.Lanes, "planes", counted)
     _, built = _guard_lane_arithmetic(monkeypatch, [(synth._PlaneScan, "__init__")], [])
-    for n in (4, 8, 12, 30, 64):
+    for n in (4, 8, 12, 16, 24, 30, 64):
         ctx = make_context(n)
         reads.clear()
         built.clear()
         for seed in range(2):
             u, _ = random_unitary(ctx, 40, 60 + seed)
             assert canonical_form(u).tcount() == 40
-        if n == 4:
-            assert reads == []
+        if n <= 16:
+            assert reads == [] and built == {}
         else:
             assert built["__init__"] > 0 and reads == [3 * n] * (2 * built["__init__"])
     offenders = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "cyclo.py"
