@@ -325,7 +325,17 @@ def cmd_fn_census(args, out) -> int:
     return 0
 
 
+# random's largest coefficient grows fastest at n = 6, where every factor
+# costs 1: about 0.15 digits per unit T-count, 3,011 digits at T-count
+# 20,000 (20 s), so its JSON would pass Python's 4,300-digit int limit near
+# 28,500; at n = 4 near 57,000, and every other n measured grows slower.
+_RANDOM_TCOUNT_MAX = 20_000
+
+
 def cmd_random(args, out) -> int:
+    if args.target_tcount > _RANDOM_TCOUNT_MAX:
+        raise ValueError("target T-count must be at most %d, got %d"
+                         % (_RANDOM_TCOUNT_MAX, args.target_tcount))
     ctx = make_context(args.n)
     u, seq = random_unitary(ctx, args.target_tcount, args.seed)
     with _sink(args.output, out) as sink:

@@ -4,7 +4,9 @@ bloch() sends a unitary U to the 3x3 matrix R with column j holding the
 expansion of U P_j U^dagger over the Paulis (P_1, P_2, P_3) = (X, Y, Z);
 with this orientation bloch(UV) = bloch(U) bloch(V) holds exactly and
 global phases vanish.  Cliffords map to the 24 signed permutation matrices
-of determinant 1.
+of determinant 1; clifford_group builds them once per context, with the
+one index of them by signed permutation pattern (_clifford_table), which
+is_signed_permutation and synth's rewriting table and coset key read.
 
 Each entry of R is a quadratic form in U's entries (Giles-Selinger): with
 U's columns c0, c1, U X U^dagger = c0 c1^dagger + c1 c0^dagger,
@@ -208,10 +210,17 @@ class CliffordRot:
 
 def clifford_group(ctx: Context) -> tuple[CliffordRot, ...]:
     """All 24 Clifford rotations, with lexicographically-first shortest words."""
+    return _clifford_table(ctx)[0]
+
+
+def _clifford_table(ctx: Context) -> tuple[tuple[CliffordRot, ...], dict]:
+    """(clifford_group(ctx), index), one memo entry: the index maps each
+    Clifford's signed_perm_key to its position in the group, in group
+    order, built in the same closure."""
     return ctx.memo("clifford_group", lambda: _clifford_closure(ctx))
 
 
-def _clifford_closure(ctx: Context) -> tuple[CliffordRot, ...]:
+def _clifford_closure(ctx: Context) -> tuple[tuple[CliffordRot, ...], dict]:
     # Breadth-first closure from bloch(H0) and bloch(S); expanding H before
     # S makes the assigned words deterministic.
     gens = (("H", bloch(h0(ctx))), ("S", bloch(s_gate(ctx))))
@@ -232,23 +241,21 @@ def _clifford_closure(ctx: Context) -> tuple[CliffordRot, ...]:
     elems = tuple(sorted(seen.values(), key=lambda e: (len(e.word), e.word)))
     if len(elems) != 24:
         raise IntegrityError("Clifford closure has %d elements, expected 24" % len(elems))
-    return elems
-
-
-def _signed_perm_table(ctx: Context) -> dict:
-    table = {e.rotation.signed_perm_key(): e for e in clifford_group(ctx)}
-    if None in table:
+    index = {e.rotation.signed_perm_key(): i for i, e in enumerate(elems)}
+    if None in index:
         raise IntegrityError("Clifford rotation is not a signed permutation")
-    return table
+    return elems, index
 
 
 def is_signed_permutation(m: Rotation) -> CliffordRot | None:
-    """Table lookup against the 24 Clifford rotations (with word), or None."""
+    """The Clifford rotation (with word) with m's signed permutation
+    pattern, looked up in the group's index, or None."""
     pat = m.signed_perm_key()
     if pat is None:
         return None
-    ctx = m.ctx
-    return ctx.memo("signed_perm_table", lambda: _signed_perm_table(ctx)).get(pat)
+    group, index = _clifford_table(m.ctx)
+    i = index.get(pat)
+    return None if i is None else group[i]
 
 
 def clifford_unitary(ctx: Context, cr: CliffordRot) -> UnitaryRn:

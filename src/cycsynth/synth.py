@@ -46,13 +46,17 @@ is unpacked only when read.
 canonicalize_sequence() computes the same form for a gate word by pure
 algebraic rewriting (pseudo-commutation, angle merging, sign elimination)
 and never looks at denominator exponents, so it serves as an independent
-cross-check of the descent.  It rewrites up to a global phase and builds
-no unitary or rotation of its own: its pending Clifford is an index into
-the 24-element Clifford group, moved by one per-context table built once
-from Rotation products (_clifford_moves).  Both routes read the form's
-phase one way: the form's gates are stripped off the unitary (the word's,
-for the rewriting pass), and the rest must be zeta^j I; so the rewriting
-pass checks its whole result, factors included, against the word.
+cross-check of the descent.  It reads the word once, as the kernel's
+gates, which the kernel evaluates and the pass walks: H moves the pending
+Clifford, and every U_z(a pi/n), S and W^j alike, goes onto the signed
+axis the pending Clifford sends Z to.  It rewrites up to a global phase
+and builds no unitary or rotation of its own: its pending Clifford is an
+index into the 24-element Clifford group, moved by one per-context table
+built once from Rotation products looked up in so3's signed-permutation
+index of the group (_clifford_moves).  Both routes read the form's phase
+one way: the form's gates are stripped off the unitary (the word's, for
+the rewriting pass), and the rest must be zeta^j I; so the rewriting pass
+checks its whole result, factors included, against the word.
 
 to_circuit() emits each factor from a per-context block, its tokens and
 phase delta, checked once against the factor's gate (_emission_block).
@@ -79,6 +83,7 @@ from .so3 import (
     CliffordRot,
     Rotation,
     _bloch_entries,
+    _clifford_table,
     bloch,
     clifford_group,
     is_signed_permutation,
@@ -96,7 +101,6 @@ from .su2 import (
     eval_sequence,
     token_w,
     u_axis,
-    w_exponent,
 )
 
 __all__ = [
@@ -667,93 +671,65 @@ def _form_gates(ctx: Context, axes, exps, residual: CliffordRot, phase: int = 0)
 
 def _clifford_moves(ctx: Context) -> dict:
     """The rewriting pass's table over the indices into clifford_group(ctx):
-    per index i, moves[t][i] is the index of C_i G for t = "H", "S" (G the
-    gate's Bloch image) and moves[p, q][i] that of U_p(q pi/2) C_i for
-    q = 1, 2, 3, and moves["z"][i] is the signed axis (p, sign) that C_i
-    sends Z to, the signed unit in its third column.  Built once, from
-    Rotation products."""
-    group = clifford_group(ctx)
-    index = {c.rotation.signed_perm_key(): i for i, c in enumerate(group)}
-    gates = {c.word[0]: c.rotation for c in group if len(c.word) == 1}
-    moves = {t: [index[(c.rotation @ gates[t]).signed_perm_key()] for c in group]
-             for t in ("H", "S")}
+    per index i, moves["H"][i] is the index of C_i H (H's Bloch image on
+    the right), moves[p, q][i] that of U_p(q pi/2) C_i for q = 1, 2, 3,
+    and moves["z"][i] the signed axis (p, sign) that C_i sends Z to, the
+    signed unit in its third column.  Built once, from Rotation products
+    looked up in so3's signed-permutation index of the group."""
+    group, index = _clifford_table(ctx)
+    h = next(c.rotation for c in group if c.word == ("H",))
+    moves = {"H": [index[(c.rotation @ h).signed_perm_key()] for c in group]}
     for p in AXES:
         for q in (1, 2, 3):
             turn = rotation_generator(ctx, p, q * (ctx.n // 2))
             moves[p, q] = [index[(turn @ c.rotation).signed_perm_key()] for c in group]
     moves["z"] = []
-    for c in group:
-        col = c.rotation.signed_perm_key()[2::3]
+    for pat in index:
+        col = pat[2::3]
         i = next(i for i, v in enumerate(col) if v)
         moves["z"].append((AXES[i], col[i]))
     return moves
 
 
-class _RewriteState:
-    """The rewriting pass's prefix of the input, kept up to a global phase
-    as rotation factors (adjacent axes distinct) times a pending Clifford.
-
-    The pending Clifford is kept only as its index pend into
-    clifford_group(ctx), which fixes it up to that phase, and moves by the
-    table _clifford_moves; the pass builds no unitary and no rotation.
-    """
-
-    __slots__ = ("ctx", "factors", "pend", "moves")
-
-    def __init__(self, ctx: Context):
-        self.ctx = ctx
-        self.factors: list[tuple[str, int]] = []
-        self.pend = 0  # clifford_group(ctx)[0] is the identity, word ()
-        self.moves = ctx.memo("clifford_moves", lambda: _clifford_moves(ctx))
-
-    def absorb_clifford_right(self, tok: str) -> None:
-        # H or S joins the pending Clifford from the right.
-        self.pend = self.moves[tok][self.pend]
-
-    def absorb_clifford_left(self, p: str, quarter_turns: int) -> None:
-        # U_p(pi/2)^q joins the pending Clifford from the factor side.
-        q = quarter_turns % 4
-        if q:
-            self.pend = self.moves[p, q][self.pend]
-
-    def push_factor(self, p: str, sign: int, a: int) -> None:
-        """Insert U_{sign p}(a pi/n), up to a phase, immediately left of the
-        pending Clifford; U_{-p}(a) is U_p(2n - a) up to zeta^a."""
-        ctx = self.ctx
-        a = sign * a % ctx.order
-        if self.factors and self.factors[-1][0] == p:
-            a += self.factors.pop()[1]
-        # U_p(a) = U_p(rest) U_p(pi/2)^quarters, and the quarter turns pass
-        # into the pending Clifford.
-        quarters, rest = divmod(a, ctx.n // 2)
-        self.absorb_clifford_left(p, quarters)
-        if rest:
-            self.factors.append((p, rest))
-
-
 def canonicalize_sequence(seq: GateSequence, ctx: Context) -> CanonicalForm:
     """Canonical form of a gate word, by rewriting alone.
 
-    Walks the tokens once: Cliffords accumulate on the right; each W block
-    is conjugated through the accumulated Clifford (updating its axis and
-    sign), its sign removed via the inversion identity, quarter turns split
-    off as Cliffords, and the remainder merged with the factor list.  The
-    result is a decomposition of the required shape, hence by uniqueness
-    the same one the descent computes.  The pass keeps no phase: the
-    word, evaluated by the kernel (which rejects tokens it cannot read),
-    must be the whole result, factors included, up to zeta^j, and j is
-    read off it as canonical_form reads its own.
+    The word is read once, as the kernel's gates (su2._word_gates, which
+    rejects tokens it cannot read); the kernel evaluates that list, and the
+    pass walks it, keeping the prefix up to a global phase as rotation
+    factors (adjacent axes distinct) times a pending Clifford, held only as
+    its index into clifford_group(ctx) and moved by _clifford_moves.  H
+    joins the pending Clifford from the right.  A gate U_z(a pi/n) (S is
+    a = n/2, W^j is a = j) is conjugated through the pending Clifford onto
+    the signed axis it sends Z to, its sign removed by the inversion
+    identity U_{-p}(a) = zeta^a U_p(2n - a), merged with a last factor on
+    that axis, and its quarter turns split off into the pending Clifford.
+    The result is a decomposition of the required shape, hence by
+    uniqueness the same one the descent computes.  The pass keeps no phase:
+    the word's unitary must be the whole result, factors included, up to
+    zeta^j, and j is read off it as canonical_form reads its own.
     """
-    u = eval_sequence(seq, ctx)
-    st = _RewriteState(ctx)
-    for tok in seq.tokens:
-        if tok in ("H", "S"):
-            st.absorb_clifford_right(tok)
-        else:
-            p, sign = st.moves["z"][st.pend]  # the image of Z, a signed axis
-            st.push_factor(p, sign, w_exponent(tok))
-    return _phased_form(u, [p for p, _ in st.factors], [a for _, a in st.factors],
-                        clifford_group(ctx)[st.pend], IntegrityError)
+    gates = _word_gates(ctx, seq.tokens, seq.phase_power)
+    u = apply_gates(UnitaryRn.identity(ctx), gates)
+    moves = ctx.memo("clifford_moves", lambda: _clifford_moves(ctx))
+    half, order = ctx.n // 2, ctx.order
+    factors: list[tuple[str, int]] = []
+    pend = 0  # clifford_group(ctx)[0] is the identity, word ()
+    for kind, a in gates[1:]:  # gates[0] is the word's phase
+        if kind == "h":
+            pend = moves["H"][pend]
+            continue
+        p, sign = moves["z"][pend]
+        a = sign * a % order
+        if factors and factors[-1][0] == p:
+            a += factors.pop()[1]
+        quarters, rest = divmod(a, half)
+        if quarters % 4:
+            pend = moves[p, quarters % 4][pend]
+        if rest:
+            factors.append((p, rest))
+    return _phased_form(u, [p for p, _ in factors], [a for _, a in factors],
+                        clifford_group(ctx)[pend], IntegrityError)
 
 
 # -- emission -------------------------------------------------------------------
@@ -840,14 +816,14 @@ def membership(u: UnitaryRn) -> MembershipResult:
 # -- brute-force oracle ----------------------------------------------------------
 
 
-def _coset_key(rot: Rotation, cliffords) -> tuple:
-    # Canonical representative of rot * C over the 24 Cliffords: multiplying
-    # by a signed permutation on the right permutes and signs columns, so
-    # candidates are cheap entry shuffles; take the lexicographically least.
+def _coset_key(rot: Rotation, patterns) -> tuple:
+    # Canonical representative of rot * C over the 24 Cliffords, given by
+    # their signed-permutation patterns: multiplying by a signed permutation
+    # on the right permutes and signs columns, so candidates are cheap entry
+    # shuffles; take the lexicographically least.
     base = [[rot.rows[i][j] for j in range(3)] for i in range(3)]
     best = None
-    for cr in cliffords:
-        pat = cr.rotation.signed_perm_key()
+    for pat in patterns:
         cand = []
         for i in range(3):
             for j in range(3):
@@ -872,20 +848,20 @@ def bfs_cosets(ctx: Context, bound: int) -> dict:
 
 
 def _bfs_table(ctx: Context, bound: int) -> dict:
-    cliffords = clifford_group(ctx)
+    patterns = _clifford_table(ctx)[1]
     gens = []
     for p in AXES:
         for sign in (1, -1):
             gens.append(((p, sign), bloch(u_axis(ctx, p, sign, 1))))
     start = Rotation.identity(ctx)
-    out = {_coset_key(start, cliffords): (0, ())}
+    out = {_coset_key(start, patterns): (0, ())}
     frontier = [(start, ())]
     for depth in range(1, bound + 1):
         nxt = []
         for rot, path in frontier:
             for tag, gen in gens:
                 cand = gen @ rot
-                key = _coset_key(cand, cliffords)
+                key = _coset_key(cand, patterns)
                 if key not in out:
                     entry = (depth, path + (tag,))
                     out[key] = entry
@@ -897,19 +873,10 @@ def _bfs_table(ctx: Context, bound: int) -> dict:
 def brute_force_min_tcount(u: UnitaryRn, bound: int) -> int | None:
     """Minimal rotation count reaching u's Bloch coset, by exhaustive BFS."""
     ctx = u.ctx
-    cliffords = clifford_group(ctx)
-    target = _coset_key(bloch(u), cliffords)
+    target = _coset_key(bloch(u), _clifford_table(ctx)[1])
     table = bfs_cosets(ctx, bound)
     hit = table.get(target)
     return hit[0] if hit is not None else None
-
-
-def witness_unitary(ctx: Context, path) -> UnitaryRn:
-    """The unitary realized by a BFS generator path (applied left to right)."""
-    acc = UnitaryRn.identity(ctx)
-    for p, sign in path:
-        acc = u_axis(ctx, p, sign, 1) @ acc
-    return acc
 
 
 # -- random instances -------------------------------------------------------------

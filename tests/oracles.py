@@ -663,11 +663,11 @@ def reference_canonicalize(seq: GateSequence, ctx) -> CanonicalForm:
 def reference_clifford_moves(ctx, group) -> dict:
     """The rewriting pass's table over indices into group, from Rotation
     products, as the pass computed them before it kept an index: C_i times
-    product_bloch of H0 or S on the right, product_generator of the quarter
+    product_bloch of H0 on the right, product_generator of the quarter
     turn U_p(q pi/2) on the left, and Z's image read off the third column."""
     index = {c.rotation: i for i, c in enumerate(group)}
-    gates = {"H": product_bloch(matrix_h0(ctx)), "S": product_bloch(matrix_uz(ctx, ctx.n // 2))}
-    moves = {t: [index[c.rotation @ g] for c in group] for t, g in gates.items()}
+    h = product_bloch(matrix_h0(ctx))
+    moves = {"H": [index[c.rotation @ h] for c in group]}
     for p in AXES:
         for q in (1, 2, 3):
             turn = product_generator(ctx, p, q * (ctx.n // 2))
@@ -678,6 +678,18 @@ def reference_clifford_moves(ctx, group) -> dict:
         i = next(i for i, v in enumerate(col) if v in (1, -1))
         moves["z"].append((AXES[i], col[i]))
     return moves
+
+
+# -- brute-force witnesses ---------------------------------------------------------
+
+
+def witness_unitary(ctx, path) -> UnitaryRn:
+    """The unitary realized by a BFS generator path of synth.bfs_cosets,
+    (p, sign) per step, applied left to right, from the explicit gates."""
+    acc = UnitaryRn.identity(ctx)
+    for p, sign in path:
+        acc = matrix_u_axis(ctx, p, sign, 1) @ acc
+    return acc
 
 
 # -- reference column reduction ----------------------------------------------------

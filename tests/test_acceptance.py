@@ -37,8 +37,9 @@ from cycsynth import (
     verify_finite_lemma,
 )
 from cycsynth.cyclo import cyclotomic_poly
-from cycsynth.synth import bfs_cosets, witness_unitary
-from oracles import divides_oracle, product_eval_sequence, random_cycint, random_sequence
+from cycsynth.synth import bfs_cosets
+from oracles import (divides_oracle, product_eval_sequence, random_cycint, random_sequence,
+                     witness_unitary)
 
 
 def _report(num, name):

@@ -772,6 +772,25 @@ def test_random_command_round_trips(tmp_path):
     assert seq.cost() == 3
 
 
+def test_random_rejects_a_target_past_its_bound_before_any_work(tmp_path, monkeypatch, capsys):
+    # random --target-tcount above 20,000 exits 2 at once, naming the bound,
+    # before any context is built; a matrix past it would outgrow the
+    # 4,300-digit integers json.loads reads back by default
+    from cycsynth import cli
+
+    def no_context(n):
+        raise AssertionError("context built for n = %d" % n)
+
+    monkeypatch.setattr(cli, "make_context", no_context)
+    out_path = tmp_path / "r.json"
+    for bad in (20_001, 10**11):
+        code, out = run_cli(["random", "--n", "6", "--target-tcount", str(bad),
+                             "--output", str(out_path)])
+        assert (code, out) == (2, "") and not out_path.exists()
+        assert capsys.readouterr().err == \
+            "error: target T-count must be at most 20000, got %d\n" % bad
+
+
 def test_random_command_deterministic():
     a = run_cli(["random", "--n", "8", "--target-tcount", "2", "--seed", "4"])
     b = run_cli(["random", "--n", "8", "--target-tcount", "2", "--seed", "4"])

@@ -60,6 +60,7 @@ from cycsynth import (
     pauli,
     phase_condition,
     phase_condition_witness,
+    q_of,
     random_unitary,
     reduce_column_step,
     rotation_generator,
@@ -81,7 +82,6 @@ from cycsynth.synth import (
     _SIGMA,
     _EntryScan,
     _PlaneScan,
-    _RewriteState,
     _Step,
     _as_step,
     _form_gates,
@@ -793,6 +793,33 @@ def test_two_bar_scan_picks_what_the_one_bar_scan_picks(n, monkeypatch):
     assert steps >= 6 and (below > 0) == (n % 4 == 0)
 
 
+@pytest.mark.parametrize("n", EXPONENT_NS + (90, 256))
+def test_every_candidate_on_the_winning_axis_scores_the_exponent_law(n):
+    # The paper's exponent law for every candidate, not only the winner: on
+    # each step of member descents the checked scan's winner (q, b*) scores
+    # floor0, the smallest row max, and every other b on axis q scores
+    # floor0 + q_of((b* - b) mod n/2), each scored with no cutoff on the
+    # scan axis_detect built there (_EntryScan up to n = 16, _PlaneScan
+    # above).
+    ctx = make_context(n)
+    half = n // 2
+    kind = _EntryScan if half <= 8 else _PlaneScan
+    tcount = {64: 24, 90: 16, 256: 8}.get(n, 50)
+    scores = 0
+    for seed in range(2):
+        st = _as_step(bloch(random_unitary(ctx, tcount, 630 + seed)[0]))
+        while is_signed_permutation(st) is None:
+            q, win = axis_detect(st)
+            qi, floor0, scan = AXES.index(q), min(st.row_max), st.scan
+            assert type(scan) is kind and scan.qi == qi and st.row_max[qi] == floor0
+            for b in range(1, half):
+                law = floor0 + (q_of((win - b) % half, ctx) if b != win else 0)
+                assert scan.score(b, floor0, math.inf) == law, (b, win)
+                scores += 1
+            st = st.rotated(qi, win)
+    assert scores >= half - 1
+
+
 def test_two_bar_scan_rejects_and_ties_like_the_one_bar_scan(monkeypatch):
     # Steps where no candidate gets to the smallest row max: the stuck
     # steps of the n = 14 and 28 non-members of test_synth, matrices of odd
@@ -1257,21 +1284,22 @@ def test_apply_step_matches_product(n):
 
 @pytest.mark.parametrize("n", (4, 6, 8, 12, 16, 30))
 def test_absorb_clifford_matches_products(n):
+    # the pending Clifford moved by the table's rows, H on the right and
+    # quarter turns on the left, against the product of their matrices
     ctx = make_context(n)
     rng = random.Random(110 + n)
-    group = clifford_group(ctx)
-    st = _RewriteState(ctx)
-    want = UnitaryRn.identity(ctx)
+    group, moves = clifford_group(ctx), synth._clifford_moves(ctx)
+    pend, want = 0, UnitaryRn.identity(ctx)
     for _ in range(40):
         if rng.random() < 0.6:
-            tok = rng.choice("HS")
-            st.absorb_clifford_right(tok)
-            want = want @ (matrix_h0(ctx) if tok == "H" else matrix_uz(ctx, n // 2))
+            pend = moves["H"][pend]
+            want = want @ matrix_h0(ctx)
         else:
             p, q = rng.choice(AXES), rng.randrange(4)
-            st.absorb_clifford_left(p, q)
+            if q:
+                pend = moves[p, q][pend]
             want = matrix_u_axis(ctx, p, 1, q * (n // 2) % ctx.order) @ want
-        assert group[st.pend].rotation == product_bloch(want)
+        assert group[pend].rotation == product_bloch(want)
 
 
 @pytest.mark.parametrize("n", EVEN_NS)
@@ -1282,6 +1310,23 @@ def test_rewriting_matches_reference_pass(n):
     for _ in range(3):
         seq = random_sequence(ctx, rng, 16)
         assert canonicalize_sequence(seq, ctx) == reference_canonicalize(seq, ctx)
+
+
+@pytest.mark.parametrize("n", EVEN_NS)
+def test_rewriting_merges_s_into_the_factor_before_it(n):
+    # S after W^j goes onto the axis the pending Clifford sends Z to, the
+    # axis W^j went onto, and merges with that factor: words C W^j S^r w,
+    # C each Clifford's word, r = 1, 2, 3 and w a random tail
+    ctx = make_context(n)
+    rng = random.Random(180 + n)
+    for c in clifford_group(ctx):
+        j = rng.randrange(1, ctx.order)
+        for r in (1, 2, 3):
+            tail = random_sequence(ctx, rng, 4).tokens if r == 1 else ()
+            seq = GateSequence(rng.randrange(ctx.order), c.word + (token_w(j),) + ("S",) * r + tail)
+            cf = canonicalize_sequence(seq, ctx)
+            assert cf == reference_canonicalize(seq, ctx), (c.word, j, r)
+            assert cf == canonical_form(eval_sequence(seq, ctx))
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 12))
@@ -1308,12 +1353,13 @@ def test_wrong_clifford_move_is_caught_by_the_strip(n):
     seq = GateSequence(2, ("H", "W", "S", "H", "W^2", "S", "H"))
     want = canonicalize_sequence(seq, ctx)
     moves = {key: list(row) for key, row in synth._clifford_moves(ctx).items()}
-    s_index = next(i for i, c in enumerate(clifford_group(ctx)) if c.word == ("S",))
-    moves["S"][0] = s_index + 1  # S from the identity lands on the wrong Clifford
+    h_index = next(i for i, c in enumerate(clifford_group(ctx)) if c.word == ("H",))
+    assert moves["H"][0] == h_index
+    moves["H"][0] = h_index + 1  # H from the identity lands on the wrong Clifford
     fresh = Context(n)
     fresh.memo("clifford_moves", lambda: moves)
     with pytest.raises(IntegrityError, match="form does not reproduce"):
-        canonicalize_sequence(GateSequence(0, ("S",) + seq.tokens), fresh)
+        canonicalize_sequence(seq, fresh)
     assert canonicalize_sequence(seq, make_context(n)) == want
 
 

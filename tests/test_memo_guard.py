@@ -15,13 +15,44 @@ builds its axis's pencils on lanes once and reads their planes mod 4 off
 them in one read per side, the three pencils packed into one int, and
 the rotation reuses the winning scan.  Only cyclo reads residue bytes.
 Lanes change width in one place, Lanes.relane, and ring elements meet
-over a common denominator in one, rings._common_numerators.
+over a common denominator in one, rings._common_numerators.  The 24
+Cliffords have one signed-permutation index, built in so3 with the group.
 """
 
 import pathlib
 import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cycsynth"
+
+
+def test_the_cliffords_have_one_signed_permutation_index(monkeypatch):
+    # so3 keys the 24 Cliffords by signed_perm_key once, in the closure and
+    # memo entry of clifford_group: no other module builds such an index,
+    # no memo entry but that one holds it, and the rewriting pass's table
+    # (synth._clifford_moves) reads it, one pattern per Rotation product.
+    from cycsynth import (Rotation, canonical_form, canonicalize_sequence, clifford_group,
+                          random_unitary, synth)
+    from cycsynth.cyclo import Context
+
+    builders = [path.name for path in sorted(SRC.glob("*.py"))
+                if re.search(r"signed_perm_key\(\)\s*:", path.read_text())]
+    assert builders == ["so3.py"]
+    ctx = Context(8)
+    u, seq = random_unitary(ctx, 20, 3)
+    assert canonical_form(u) == canonicalize_sequence(seq, ctx)
+    assert sorted(key for key in ctx._memo if "clifford" in key or "signed_perm" in key) == [
+        "clifford_group", "clifford_moves"]
+    fresh = Context(8)
+    assert len(clifford_group(fresh)) == 24
+    patterns, plain = [], Rotation.signed_perm_key
+
+    def counted(rot):
+        patterns.append(rot)
+        return plain(rot)
+
+    monkeypatch.setattr(Rotation, "signed_perm_key", counted)
+    synth._clifford_moves(fresh)
+    assert len(patterns) == 24 * (1 + 3 * 3)  # the H row and nine quarter-turn rows
 
 
 def test_only_cyclo_touches_the_per_context_store():

@@ -34,9 +34,10 @@ from cycsynth import (
     u_axis,
     uz_power,
 )
+from cycsynth.cyclo import Context
 from cycsynth.rings import _beta_exp_r
-from cycsynth.synth import _RewriteState, bfs_cosets, witness_unitary
-from oracles import random_sequence
+from cycsynth.synth import _clifford_moves, bfs_cosets
+from oracles import random_sequence, witness_unitary
 
 
 # -- axis detection -----------------------------------------------------------
@@ -200,27 +201,22 @@ def test_descent_agrees_with_rewriting_for_every_even_n_to_64():
 
 
 @pytest.mark.parametrize("n", (4, 8, 12))
-def test_rewrite_checks_its_factors_against_the_word(monkeypatch, n):
-    # A factor turned from exponent 1 to 3 leaves a form of the right shape
-    # whose pending Clifford still matches its word; only the whole form,
-    # checked against the word, shows the fault.
+def test_rewrite_checks_its_factors_against_the_word(n):
+    # A table that sends the first W, after H, onto y in place of x leaves
+    # a form of the right shape whose pending Clifford still matches its
+    # word; only the whole form, checked against the word, shows the fault.
     ctx = make_context(n)
     seq = GateSequence(1, ("H", "W", "S", "W^2", "H", "W"))
     want = canonicalize_sequence(seq, ctx)
-    plain = _RewriteState.push_factor
-    done = []
-
-    def corrupt(self, p, sign, a):
-        if a == 1 and not done:
-            done.append(a)
-            a = 3
-        plain(self, p, sign, a)
-
-    monkeypatch.setattr(_RewriteState, "push_factor", corrupt)
-    with pytest.raises(IntegrityError):
-        canonicalize_sequence(seq, ctx)
-    assert done
-    monkeypatch.undo()
+    assert want.axes[0] == "x"
+    moves = {key: list(row) for key, row in _clifford_moves(ctx).items()}
+    h_index = next(i for i, c in enumerate(clifford_group(ctx)) if c.word == ("H",))
+    assert moves["z"][h_index] == ("x", 1)
+    moves["z"][h_index] = ("y", 1)
+    fresh = Context(n)
+    fresh.memo("clifford_moves", lambda: moves)
+    with pytest.raises(IntegrityError, match="form does not reproduce"):
+        canonicalize_sequence(seq, fresh)
     assert canonicalize_sequence(seq, ctx) == want == canonical_form(eval_sequence(seq, ctx))
 
 
